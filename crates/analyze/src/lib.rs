@@ -38,6 +38,7 @@
 //! gate SMT calls; under the workspace `checked` feature, `sia-core`
 //! cross-checks every verdict against the solver.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use sia_expr::{CmpOp, DataType, Expr, Pred, Schema};
@@ -136,6 +137,17 @@ impl Analyzer {
             }
         }
         self
+    }
+
+    /// An analyzer seeded with the column facts of every schema in
+    /// `schemas` (see [`Analyzer::with_schema`]); columns of no schema keep
+    /// the `INTEGER NOT NULL` default.
+    pub fn with_schemas(schemas: impl IntoIterator<Item = impl Borrow<Schema>>) -> Analyzer {
+        let mut analyzer = Analyzer::new();
+        for schema in schemas {
+            analyzer = analyzer.with_schema(schema.borrow());
+        }
+        analyzer
     }
 
     /// The set of three-valued outcomes `p` can take over any tuple

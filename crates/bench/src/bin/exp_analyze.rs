@@ -1,146 +1,56 @@
-//! Static-analyzer benchmark: how much of CEGIS synthesis the abstract
-//! interpretation layer removes on the TPC-H predicate workload — solver
-//! calls pruned by the pre-screen, whole synthesis requests discharged by
-//! static zone-projection derivation, SVM trainings avoided — and what
-//! that does to wall time.
+//! Static-analyzer benchmark: how much of CEGIS synthesis the static tier
+//! of the prover removes on the TPC-H predicate workload — validity and
+//! feasibility questions answered before the solver is reached, whole
+//! synthesis requests discharged by static zone-projection derivation — read
+//! from the tier counters of a single run. Results land in
+//! `BENCH_analyze.json`.
 //!
-//! Each workload predicate is synthesized twice — once with the
-//! analyzer disabled (pure-solver baseline) and once with it enabled —
-//! and the two runs must produce semantically equivalent predicates
-//! whenever both report an optimal reduction: the analyzer may only move
-//! cost, never results. (Byte equality is not required: a statically
-//! derived predicate like `a <= 3` can differ textually from the
-//! equivalent form CEGIS renders.) Equivalence is established by a
-//! fresh solver after timing ends. Results land in `BENCH_analyze.json`.
+//! The reference for "the analyzer only moves cost, never results" is the
+//! per-verdict audit: build with `--features checked` and every verdict the
+//! static tier gives is re-asked of the solver while measuring, with a
+//! disagreement aborting the run.
 //!
 //! Environment knobs: `SIA_BENCH_QUERIES` (workload size, default 24)
-//! and `SIA_BENCH_ASSERT=1` to fail the run unless the pre-screen prunes
-//! at least 20% of solver calls, static derivation discharges at least
-//! 30% of synthesis requests, and (on unchecked builds) end-to-end wall
-//! time improves by at least 1.2x — all with zero recorded soundness
-//! disagreements. Build with `--features checked` to cross-check every
-//! analyzer verdict against the solver while measuring.
+//! and `SIA_BENCH_ASSERT=1` to fail the run unless the static tier answers
+//! at least 20% of validity/feasibility questions and static derivation
+//! discharges at least 30% of synthesis requests — both with zero recorded
+//! soundness disagreements.
 
 use std::time::Instant;
 
+use sia_bench::soak::counter;
 use sia_bench::util;
-use sia_core::{PredEncoder, SiaConfig, Synthesizer};
-use sia_expr::Pred;
+use sia_core::{SiaConfig, Synthesizer};
 use sia_obs::Counter;
-use sia_smt::SmtResult;
-
-struct TaskResult {
-    predicate: Option<Pred>,
-    optimal: bool,
-}
-
-struct RunStats {
-    wall_s: f64,
-    smt_checks: u64,
-    fallbacks: u64,
-    implied: u64,
-    unsat: u64,
-    disjuncts_pruned: u64,
-    derive_static: u64,
-    derive_partial: u64,
-    derive_miss: u64,
-    svm_trainings: u64,
-    checks: u64,
-    disagreements: u64,
-    results: Vec<TaskResult>,
-}
-
-fn build_workload(count: usize) -> Vec<(Pred, Vec<String>)> {
-    // The §6.3 preset — byte-for-byte the workload this binary used to
-    // build inline (same seed and term range as `exp_serve`).
-    sia_gen::paper_6_3_tasks(count, 2, 4, sia_gen::SEED_6_3_SERVE)
-        .into_iter()
-        .map(|t| (t.predicate, t.cols))
-        .collect()
-}
-
-fn counter(snapshot: &sia_obs::Snapshot, key: Counter) -> u64 {
-    snapshot
-        .counters
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map_or(0, |(_, v)| *v)
-}
-
-fn run_once(work: &[(Pred, Vec<String>)], prescreen: bool) -> RunStats {
-    sia_core::set_static_prescreen(prescreen);
-    sia_obs::reset();
-    sia_obs::enable();
-    let start = Instant::now();
-    let mut results = Vec::new();
-    for (p, cols) in work {
-        let mut syn = Synthesizer::new(SiaConfig::default());
-        let r = syn.synthesize(p, cols).expect("synthesis succeeds");
-        results.push(TaskResult {
-            predicate: r.predicate,
-            optimal: r.optimal,
-        });
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let snapshot = sia_obs::snapshot();
-    sia_obs::disable();
-    sia_core::set_static_prescreen(true);
-    RunStats {
-        wall_s,
-        smt_checks: counter(&snapshot, Counter::SmtChecks),
-        fallbacks: counter(&snapshot, Counter::AnalyzeFallbacks),
-        implied: counter(&snapshot, Counter::AnalyzeImplied),
-        unsat: counter(&snapshot, Counter::AnalyzeUnsat),
-        disjuncts_pruned: counter(&snapshot, Counter::AnalyzeDisjunctsPruned),
-        derive_static: counter(&snapshot, Counter::AnalyzeDeriveStatic),
-        derive_partial: counter(&snapshot, Counter::AnalyzeDerivePartial),
-        derive_miss: counter(&snapshot, Counter::AnalyzeDeriveMiss),
-        svm_trainings: counter(&snapshot, Counter::SvmTrainings),
-        checks: counter(&snapshot, Counter::AnalyzeChecks),
-        disagreements: counter(&snapshot, Counter::AnalyzeDisagreements),
-        results,
-    }
-}
-
-/// Are two synthesized reductions semantically equivalent? `None` means
-/// the unconstrained reduction TRUE. Called after timing with obs
-/// disabled, so the cross-check itself never pollutes the measurement.
-fn equivalent(a: &Option<Pred>, b: &Option<Pred>) -> bool {
-    if a == b {
-        return true;
-    }
-    let t = Pred::true_();
-    let pa = a.as_ref().unwrap_or(&t);
-    let pb = b.as_ref().unwrap_or(&t);
-    let mut enc = PredEncoder::new();
-    let (Ok(fa), Ok(fb)) = (enc.encode(pa), enc.encode(pb)) else {
-        return false;
-    };
-    let diff = fa.clone().and(fb.clone().not()).or(fb.and(fa.not()));
-    matches!(enc.solver().check(&diff), SmtResult::Unsat)
-}
 
 #[allow(clippy::cast_precision_loss)]
 fn main() {
     let count = util::env_usize("SIA_BENCH_QUERIES", 24);
-    let work = build_workload(count);
+    // The §6.3 preset (same seed and term range as `exp_serve`).
+    let work = sia_gen::paper_6_3_tasks(count, 2, 4, sia_gen::SEED_6_3_SERVE);
     println!(
         "== analyze benchmark: {} synthesis tasks from {count} workload queries ==",
         work.len()
     );
 
-    let baseline = run_once(&work, false);
-    println!(
-        "baseline: {:.2}s | {} solver calls ({} validity/feasibility) | {} SVM trainings | \
-         analyzer off",
-        baseline.wall_s, baseline.smt_checks, baseline.fallbacks, baseline.svm_trainings
-    );
-    let screened = run_once(&work, true);
-    let pruned = screened.implied + screened.unsat;
+    sia_obs::reset();
+    sia_obs::enable();
+    let start = Instant::now();
+    for task in &work {
+        Synthesizer::new(SiaConfig::default())
+            .synthesize(&task.predicate, &task.cols)
+            .expect("synthesis succeeds");
+    }
+    let wall_s = start.elapsed().as_secs_f64();
+    sia_obs::disable();
+
+    let implied = counter(Counter::AnalyzeImplied);
+    let unsat = counter(Counter::AnalyzeUnsat);
+    let pruned = implied + unsat;
     // Prune rate over the *eligible* population: validity/feasibility
-    // checks, which are the calls the pre-screen is allowed to answer.
+    // questions, which are the ones the static tier is allowed to answer.
     // Sample-generation model queries are out of scope by design.
-    let eligible = pruned + screened.fallbacks;
+    let eligible = pruned + counter(Counter::AnalyzeFallbacks);
     let prune_rate = if eligible == 0 {
         0.0
     } else {
@@ -148,96 +58,46 @@ fn main() {
     };
     // Derivation rate over all synthesis requests: the fraction the zone
     // projection discharged outright, before sampling or learning began.
-    let derive_rate = if work.is_empty() {
+    let tasks = work.len();
+    let derive_static = counter(Counter::AnalyzeDeriveStatic);
+    let derive_rate = if tasks == 0 {
         0.0
     } else {
-        screened.derive_static as f64 / work.len() as f64
+        derive_static as f64 / tasks as f64
     };
-    let svm_avoided = baseline
-        .svm_trainings
-        .saturating_sub(screened.svm_trainings);
-    let speedup = baseline.wall_s / screened.wall_s.max(1e-9);
+    let smt_checks = counter(Counter::SmtChecks);
+    let dead = counter(Counter::AnalyzeDisjunctsPruned);
+    let partial = counter(Counter::AnalyzeDerivePartial);
+    let miss = counter(Counter::AnalyzeDeriveMiss);
+    let trainings = counter(Counter::SvmTrainings);
+    let checks = counter(Counter::AnalyzeChecks);
+    let disagreements = counter(Counter::AnalyzeDisagreements);
     println!(
-        "screened: {:.2}s | {} solver calls | {} of {eligible} validity/feasibility \
-         checks pruned ({} implied, {} unsat; {} dead disjuncts) | prune rate {:.1}% | \
-         speedup {speedup:.2}x",
-        screened.wall_s,
-        screened.smt_checks,
-        pruned,
-        screened.implied,
-        screened.unsat,
-        screened.disjuncts_pruned,
+        "run:     {wall_s:.2}s | {smt_checks} solver calls | {pruned} of {eligible} \
+         validity/feasibility questions answered statically ({implied} implied, {unsat} unsat; \
+         {dead} dead disjuncts) | prune rate {:.1}%",
         100.0 * prune_rate
     );
     println!(
-        "derived:  {} of {} requests static ({:.1}%), {} partial (warm start), {} miss | \
-         {} SVM trainings ({} avoided)",
-        screened.derive_static,
-        work.len(),
-        100.0 * derive_rate,
-        screened.derive_partial,
-        screened.derive_miss,
-        screened.svm_trainings,
-        svm_avoided
+        "derived: {derive_static} of {tasks} requests static ({:.1}%), {partial} partial \
+         (warm start), {miss} miss | {trainings} SVM trainings",
+        100.0 * derive_rate
     );
-    if screened.checks > 0 {
-        println!(
-            "checked: {} verdicts cross-checked, {} disagreements",
-            screened.checks, screened.disagreements
-        );
+    if checks > 0 {
+        println!("checked: {checks} verdicts cross-checked, {disagreements} disagreements");
     }
-
-    // Cross-check the two runs task by task. When both runs report an
-    // optimal reduction, both predicates are exactly the satisfiable
-    // region of the input, so they must be semantically equivalent even
-    // when their rendered forms differ. Pairs where either run was
-    // best-effort carry no such guarantee and are only counted.
-    let mut mismatches = 0usize;
-    let mut best_effort = 0usize;
-    for (b, s) in baseline.results.iter().zip(&screened.results) {
-        if b.optimal && s.optimal {
-            if !equivalent(&b.predicate, &s.predicate) {
-                mismatches += 1;
-            }
-        } else {
-            best_effort += 1;
-        }
-    }
-    if best_effort > 0 {
-        println!("note: {best_effort} task(s) were best-effort in at least one run");
-    }
-    let agree = mismatches == 0;
 
     let json = format!(
-        "{{\"experiment\":\"analyze\",\"tasks\":{},\"baseline_wall_s\":{},\
-         \"screened_wall_s\":{},\"speedup\":{},\"baseline_smt_checks\":{},\
-         \"screened_smt_checks\":{},\"eligible\":{eligible},\"pruned\":{pruned},\
-         \"implied\":{},\"unsat\":{},\
-         \"disjuncts_pruned\":{},\"prune_rate\":{},\
-         \"derive_static\":{},\"derive_partial\":{},\"derive_miss\":{},\
-         \"derive_rate\":{},\"baseline_svm_trainings\":{},\
-         \"screened_svm_trainings\":{},\"svm_trainings_avoided\":{svm_avoided},\
-         \"checks\":{},\"disagreements\":{},\
-         \"results_agree\":{},\"metrics\":{}}}\n",
-        work.len(),
-        sia_obs::json_number(baseline.wall_s),
-        sia_obs::json_number(screened.wall_s),
-        sia_obs::json_number(speedup),
-        baseline.smt_checks,
-        screened.smt_checks,
-        screened.implied,
-        screened.unsat,
-        screened.disjuncts_pruned,
+        "{{\"experiment\":\"analyze\",\"tasks\":{tasks},\"wall_s\":{},\
+         \"smt_checks\":{smt_checks},\"eligible\":{eligible},\"pruned\":{pruned},\
+         \"implied\":{implied},\"unsat\":{unsat},\"disjuncts_pruned\":{dead},\
+         \"prune_rate\":{},\"derive_static\":{derive_static},\
+         \"derive_partial\":{partial},\"derive_miss\":{miss},\"derive_rate\":{},\
+         \"svm_trainings\":{trainings},\"checks\":{checks},\
+         \"disagreements\":{disagreements},\"metrics\":{}}}\n",
+        sia_obs::json_number(wall_s),
         sia_obs::json_number(prune_rate),
-        screened.derive_static,
-        screened.derive_partial,
-        screened.derive_miss,
         sia_obs::json_number(derive_rate),
-        baseline.svm_trainings,
-        screened.svm_trainings,
-        screened.checks,
-        screened.disagreements,
-        u8::from(agree),
         sia_obs::snapshot().to_json()
     );
     match std::fs::write("BENCH_analyze.json", &json) {
@@ -245,18 +105,11 @@ fn main() {
         Err(e) => eprintln!("warning: cannot write BENCH_analyze.json: {e}"),
     }
 
-    assert!(
-        agree,
-        "analyzer changed synthesis results on {mismatches} task(s) — soundness violation"
-    );
-    assert_eq!(
-        screened.disagreements, 0,
-        "analyzer/solver disagreements recorded"
-    );
+    assert_eq!(disagreements, 0, "analyzer/solver disagreements recorded");
     if util::env_usize("SIA_BENCH_ASSERT", 0) != 0 {
         assert!(
             prune_rate >= 0.20,
-            "pre-screen pruned only {:.1}% of solver calls (need >= 20%)",
+            "static tier answered only {:.1}% of validity/feasibility questions (need >= 20%)",
             100.0 * prune_rate
         );
         assert!(
@@ -264,13 +117,5 @@ fn main() {
             "static derivation discharged only {:.1}% of requests (need >= 30%)",
             100.0 * derive_rate
         );
-        // The checked build re-asks the solver for every analyzer verdict,
-        // so wall time there measures auditing, not the optimization.
-        if screened.checks == 0 {
-            assert!(
-                speedup >= 1.2,
-                "end-to-end speedup {speedup:.2}x vs pure-solver baseline (need >= 1.2x)"
-            );
-        }
     }
 }

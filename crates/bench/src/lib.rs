@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod casestudy;
-pub mod microbench;
 pub mod motivating;
 pub mod report;
 pub mod runtime;

@@ -11,9 +11,8 @@
 //! leaves a truncated or garbled tail record whose CRC cannot match, so
 //! recovery drops exactly the damaged records and keeps everything before
 //! them instead of failing startup (metrics `cache.recovered` /
-//! `cache.dropped_records`). Lines without a CRC prefix are accepted for
-//! compatibility with snapshots from older builds, subject to the same
-//! parse checks.
+//! `cache.dropped_records`). A line without a CRC prefix is a damaged
+//! record like any other: there is no unchecksummed format.
 
 use std::io::{BufRead, Write};
 
@@ -25,7 +24,7 @@ use crate::CachedResult;
 /// What a snapshot load recovered and what it had to drop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Records recovered (CRC verified, or legacy lines that parsed).
+    /// Records recovered: CRC verified and payload parsed.
     pub recovered: usize,
     /// Records dropped: CRC mismatch, truncated tail, or unparseable.
     pub dropped: usize,
@@ -100,19 +99,13 @@ fn json_to_entry(json: &str) -> Option<(String, CachedResult)> {
     ))
 }
 
-/// Parse one record line: verify the CRC when present, then parse the
-/// payload. Lines starting with `{` are legacy records without a CRC.
+/// Parse one record line: verify the CRC, then parse the payload.
 pub(crate) fn line_to_entry(line: &str) -> Option<(String, CachedResult)> {
-    let json = if line.starts_with('{') {
-        line
-    } else {
-        let (crc_hex, json) = line.split_once(' ')?;
-        let stored = u32::from_str_radix(crc_hex, 16).ok()?;
-        if crc_hex.len() != 8 || crc32(json.as_bytes()) != stored {
-            return None;
-        }
-        json
-    };
+    let (crc_hex, json) = line.split_once(' ')?;
+    let stored = u32::from_str_radix(crc_hex, 16).ok()?;
+    if crc_hex.len() != 8 || crc32(json.as_bytes()) != stored {
+        return None;
+    }
     json_to_entry(json)
 }
 
@@ -193,15 +186,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_lines_without_crc_still_load() {
+    fn line_without_crc_is_dropped_and_counted() {
+        // A record whose checksum prefix was stripped or torn off must not
+        // load unverified.
         let data = "{\"key\":\"a\",\"pred\":\"c0 < 1\",\"optimal\":0}\n";
         let (entries, report) = load(data.as_bytes()).unwrap();
-        assert_eq!(entries.len(), 1);
+        assert!(entries.is_empty());
         assert_eq!(
             report,
             LoadReport {
-                recovered: 1,
-                dropped: 0
+                recovered: 0,
+                dropped: 1
             }
         );
     }

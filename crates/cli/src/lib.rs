@@ -694,24 +694,6 @@ fn parse_float(arg: Option<&String>, flag: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// the hand-rolled `lint --format json` output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A planning-only database: every generator-registry table registered
 /// empty, so `plan`/`lint --plan` can resolve columns without data.
 fn registry_db() -> sia_engine::Database {
@@ -839,10 +821,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 // DATE and DOUBLE columns are typed; unknown columns
                 // default to INTEGER NOT NULL, matching the synthesizer's
                 // encoder.
-                let analyzer = sia_gen::schemas()
-                    .iter()
-                    .fold(sia_analyze::Analyzer::new(), |a, (_, s)| a.with_schema(s));
-                analyzer.lint(&p)
+                let schemas = sia_gen::schemas();
+                sia_analyze::Analyzer::with_schemas(schemas.iter().map(|(_, s)| s)).lint(&p)
             };
             let errors = warnings.iter().filter(|w| w.severity() == "error").count();
             let out = if format == "json" {
@@ -850,10 +830,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     .iter()
                     .map(|w| {
                         format!(
-                            "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"}}",
+                            "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":{}}}",
                             w.severity(),
                             w.code,
-                            json_escape(&w.message)
+                            sia_obs::json_string(&w.message)
                         )
                     })
                     .collect();

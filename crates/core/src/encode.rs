@@ -16,6 +16,7 @@
 //!   do not occur elsewhere in the predicate (the paper's side condition);
 //!   otherwise encoding fails.
 
+use sia_analyze::Analyzer;
 use sia_expr::linear::linearize;
 use sia_expr::CmpOp;
 use sia_expr::{DataType, LinAtom, NonLinearPolicy, Pred};
@@ -140,14 +141,22 @@ impl PredEncoder {
         self.value_vars.iter().map(|(c, v)| (c.as_str(), *v))
     }
 
-    /// The columns marked nullable (see [`PredEncoder::with_nullable`]).
-    pub fn nullable_cols(&self) -> &BTreeSet<String> {
-        &self.nullable
-    }
-
-    /// The declared type of a column, as the type oracle reports it.
-    pub fn column_type(&self, col: &str) -> DataType {
-        (self.col_type)(col)
+    /// A static analyzer agreeing with this encoder's model of the columns
+    /// `preds` mention: `DOUBLE` columns are real-valued, everything else —
+    /// composite columns included, which are sorted as integers — is
+    /// integer-valued, and null-ability follows the nullable set.
+    pub(crate) fn analyzer(&self, preds: &[&Pred]) -> Analyzer {
+        let mut cols = BTreeSet::new();
+        for p in preds {
+            p.collect_columns(&mut cols);
+        }
+        let real = cols
+            .iter()
+            .filter(|c| (self.col_type)(c) == DataType::Double);
+        let nullable = cols.iter().filter(|c| self.nullable.contains(*c));
+        Analyzer::new()
+            .with_real(real.cloned())
+            .with_nullable(nullable.cloned())
     }
 
     fn check_composites(&self, p: &Pred) -> Result<(), EncodeError> {
@@ -446,5 +455,30 @@ mod tests {
         let r = enc.solver().check(&f);
         let m = r.model().unwrap();
         assert!(m.int(enc.value_var("a")) > sia_num::BigInt::from(20i64));
+    }
+
+    #[test]
+    fn analyzer_mirrors_encoder_types() {
+        let enc = PredEncoder::new()
+            .with_types(|c| {
+                if c == "d" {
+                    DataType::Double
+                } else {
+                    DataType::Integer
+                }
+            })
+            .with_nullable(["n".to_string()]);
+        let p = parse_predicate("d > 0 AND d < 1").unwrap();
+        let an = enc.analyzer(&[&p]);
+        // 0 < d < 1 is satisfiable for a DOUBLE column.
+        assert!(!an.statically_unsat(&p));
+
+        let q = parse_predicate("i > 0 AND i < 1").unwrap();
+        let an = enc.analyzer(&[&q]);
+        assert!(an.statically_unsat(&q));
+
+        let r = parse_predicate("n <> 0 OR n = 0").unwrap();
+        let an = enc.analyzer(&[&r]);
+        assert!(!an.statically_true(&r), "nullable n can make this NULL");
     }
 }

@@ -18,6 +18,8 @@
 //!
 //! Module map: [`encode`] (SQL predicate → SMT formula, §5.2),
 //! [`samples`] (§5.3), [`learn`](mod@crate::learn) (§5.4), [`verify`](mod@crate::verify) + [`cegqi`] (§5.5),
+//! [`prove`] (the one implication ladder every validity, feasibility and
+//! redundancy question walks),
 //! [`synth`] (Alg 1), [`baselines`] (transitive closure / constant
 //! propagation), [`rewrite`] (query-level integration).
 
@@ -27,7 +29,7 @@ pub mod baselines;
 pub mod cegqi;
 pub mod encode;
 pub mod learn;
-pub(crate) mod prescreen;
+pub mod prove;
 pub mod rewrite;
 pub mod samples;
 pub mod synth;
@@ -35,7 +37,7 @@ pub mod verify;
 
 pub use encode::{EncodeError, PredEncoder};
 pub use learn::{learn, LearnConfig, LearnOutput, LearnedPlane};
-pub use prescreen::set_enabled as set_static_prescreen;
+pub use prove::{Connective, Prover, Tier};
 pub use rewrite::{rewrite_query, RewriteError, RewriteOutcome};
 pub use samples::{SampleOutcome, Sampler};
 pub use synth::{

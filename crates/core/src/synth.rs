@@ -4,6 +4,7 @@
 use crate::cegqi::{self, CegqiConfig};
 use crate::encode::{EncodeError, PredEncoder};
 use crate::learn::{learn, LearnConfig};
+use crate::prove::{self, Prover};
 use crate::samples::{SampleOutcome, Sampler};
 use crate::verify::{unsat_region, verify_implies, Validity};
 use sia_expr::{col, CmpOp, Expr, Pred};
@@ -249,25 +250,8 @@ impl Synthesizer {
         let gen_start = Instant::now();
         let p_f = enc.encode(p)?;
         // Degenerate: p unsatisfiable ⇒ FALSE is a valid, optimal
-        // reduction (it is implied by p and rejects everything). The
-        // static analyzer answers most such cases — contradictory bounds,
-        // integer gaps, fractional equalities — without a solver call.
-        let analyzer = crate::prescreen::analyzer_for(enc, &[p]);
-        let mut known_unsat = false;
-        if crate::prescreen::enabled() && analyzer.statically_unsat(p) {
-            known_unsat = true;
-            crate::prescreen::audit_verdict(
-                sia_obs::Counter::AnalyzeUnsat,
-                1,
-                &|| format!("claimed `{p}` is statically unsatisfiable, solver found a model"),
-                &mut || matches!(enc.solver().check(&p_f), sia_smt::SmtResult::Sat(_)),
-            );
-        }
-        let p_unsat = known_unsat || {
-            sia_obs::add(sia_obs::Counter::AnalyzeFallbacks, 1);
-            enc.solver().check(&p_f).is_unsat()
-        };
-        if p_unsat {
+        // reduction (it is implied by p and rejects everything).
+        if Prover(enc).unsat(p)?.0 == Validity::Valid {
             stats.generation_time += gen_start.elapsed();
             return Ok(SynthesisResult {
                 predicate: Some(Pred::false_()),
@@ -296,7 +280,7 @@ impl Synthesizer {
         let mut warm_bounds: Option<Pred> = None;
         let derivation = {
             let _derive_span = sia_obs::span("derive");
-            crate::prescreen::derive(enc, p, cols)
+            enc.analyzer(&[p]).derive(p, cols)
         };
         match derivation {
             Some(sia_analyze::Derivation::Exact(q)) if !q.is_false() => {
@@ -304,24 +288,12 @@ impl Synthesizer {
                 let ok = q.is_true() || verify_implies(enc, p, &q)? == Validity::Valid;
                 stats.validation_time += val_start.elapsed();
                 if ok {
-                    let q_f = enc.encode(&q)?;
-                    crate::prescreen::audit_verdict(
-                        sia_obs::Counter::AnalyzeDeriveStatic,
-                        1,
-                        &|| format!("statically derived `{q}` is not optimal for `{p}`"),
-                        &mut || {
-                            // Refuted iff the derived predicate accepts a
-                            // point of the exact unsatisfaction region. A
-                            // QE budget failure is not a refutation.
-                            let Ok(region) = unsat_region(&p_f, &others, &self.config.qe) else {
-                                return false;
-                            };
-                            matches!(
-                                enc.solver().check(&q_f.clone().and(region)),
-                                sia_smt::SmtResult::Sat(_)
-                            )
-                        },
-                    );
+                    let claim = || format!("statically derived `{q}` is optimal for `{p}`");
+                    let beyond = |enc: &mut PredEncoder| {
+                        let region = unsat_region(&p_f, &others, &self.config.qe).ok()?;
+                        Some(enc.encode(&q).ok()?.and(region))
+                    };
+                    prove::audit(enc, sia_obs::Counter::AnalyzeDeriveStatic, 1, claim, beyond);
                     stats.generation_time += gen_start.elapsed();
                     return Ok(SynthesisResult {
                         predicate: if q.is_true() { None } else { Some(q) },
@@ -343,16 +315,11 @@ impl Synthesizer {
                     sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
                 }
             }
-            Some(sia_analyze::Derivation::Exact(_)) => {
-                // Exact(FALSE) cannot be sound here — p was just proven
-                // satisfiable — so treat it as a miss and fall through to
-                // the full pipeline, which will surface the disagreement.
+            // Exact(FALSE) cannot be sound here — p was just proven
+            // satisfiable — so like no derivation at all it is a miss, and
+            // the full pipeline will surface the disagreement.
+            Some(sia_analyze::Derivation::Exact(_)) | None => {
                 sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
-            }
-            None => {
-                if crate::prescreen::enabled() {
-                    sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
-                }
             }
         }
         // Build the FALSE-sample machinery.
@@ -363,31 +330,9 @@ impl Synthesizer {
             // no TRUE tuple, so the projection ∃ others . p is unchanged
             // while Cooper elimination skips their atoms entirely.
             FalseSampleStrategy::CooperQe => {
-                let (qe_pred, pruned) = if crate::prescreen::enabled() {
-                    analyzer.prune_never_true_disjuncts(p)
-                } else {
-                    (p.clone(), 0)
-                };
-                let qe_f = if pruned > 0 {
-                    let f = enc.encode(&qe_pred)?;
-                    crate::prescreen::audit_verdict(
-                        sia_obs::Counter::AnalyzeDisjunctsPruned,
-                        pruned as u64,
-                        &|| {
-                            format!(
-                                "pruned disjuncts of `{p}` changed its models (kept `{qe_pred}`)"
-                            )
-                        },
-                        &mut || {
-                            matches!(
-                                enc.solver().check(&p_f.clone().and(f.clone().not())),
-                                sia_smt::SmtResult::Sat(_)
-                            )
-                        },
-                    );
-                    f
-                } else {
-                    p_f.clone()
+                let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
+                    Some(live) => enc.encode(&live)?,
+                    None => p_f.clone(),
                 };
                 unsat_region(&qe_f, &others, &self.config.qe).ok()
             }

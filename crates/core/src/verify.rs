@@ -2,8 +2,9 @@
 //! construction (§5.5, §4.2).
 
 use crate::encode::{EncodeError, PredEncoder};
+use crate::prove::{Connective, Prover};
 use sia_expr::Pred;
-use sia_smt::{eliminate_exists, Formula, QeConfig, QeError, SmtResult, VarId};
+use sia_smt::{eliminate_exists, Formula, QeConfig, QeError, VarId};
 
 /// Outcome of a validity check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,37 +18,13 @@ pub enum Validity {
 }
 
 /// `Verify` (§5.5): decide whether `p` implies `candidate` under
-/// three-valued logic, by checking that `is_true(p) ∧ ¬is_true(candidate)`
-/// is unsatisfiable.
+/// three-valued logic (see [`Prover::implies`]).
 pub fn verify_implies(
     enc: &mut PredEncoder,
     p: &Pred,
     candidate: &Pred,
 ) -> Result<Validity, EncodeError> {
-    let p_true = enc.encode_is_true_3v(p)?;
-    let c_true = enc.encode_is_true_3v(candidate)?;
-    let q = p_true.and(c_true.not());
-    // Static fast-path: the abstract-interpretation oracle proves most
-    // interval-shaped implications without touching the solver. (Encoding
-    // happens first regardless, so the checked cross-check and the slow
-    // path see identical formulas.)
-    if crate::prescreen::enabled()
-        && crate::prescreen::analyzer_for(enc, &[p, candidate]).implies(p, candidate)
-    {
-        crate::prescreen::audit_verdict(
-            sia_obs::Counter::AnalyzeImplied,
-            1,
-            &|| format!("claimed `{p}` implies `{candidate}`, solver found a counterexample"),
-            &mut || matches!(enc.solver().check(&q), SmtResult::Sat(_)),
-        );
-        return Ok(Validity::Valid);
-    }
-    sia_obs::add(sia_obs::Counter::AnalyzeFallbacks, 1);
-    Ok(match enc.solver().check(&q) {
-        SmtResult::Unsat => Validity::Valid,
-        SmtResult::Sat(_) => Validity::Invalid,
-        SmtResult::Unknown => Validity::Unknown,
-    })
+    Ok(Prover(enc).implies(p, candidate)?.0)
 }
 
 /// The unsatisfaction region over the kept columns:
@@ -66,57 +43,10 @@ pub fn unsat_region(
 
 /// Drop top-level conjuncts implied by the remaining ones (the CEGIS loop
 /// conjoins one learned predicate per iteration, so the raw result is full
-/// of superseded bounds). Two-valued reasoning is sound here because the
-/// simplified predicate is equivalent to the original on non-NULL tuples
-/// and the caller re-verifies under three-valued logic anyway.
+/// of superseded bounds). See [`Prover::drop_implied`].
 pub fn remove_redundant_conjuncts(enc: &mut PredEncoder, p: &Pred) -> Pred {
-    let conjuncts: Vec<Pred> = p.conjuncts().into_iter().cloned().collect();
-    if conjuncts.len() <= 1 {
-        return p.clone();
-    }
-    let analyzer = crate::prescreen::analyzer_for(enc, &[p]);
-    let mut kept = conjuncts;
-    let mut i = 0;
-    while i < kept.len() {
-        if kept.len() == 1 {
-            break;
-        }
-        let candidate = kept[i].clone();
-        let rest = Pred::and_all(
-            kept.iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, c)| c.clone()),
-        );
-        // The static oracle settles the common case (superseded interval
-        // bounds from successive CEGIS iterations) without a solver call.
-        let implied = if crate::prescreen::enabled() && analyzer.implies(&rest, &candidate) {
-            crate::prescreen::audit_verdict(
-                sia_obs::Counter::AnalyzeImplied,
-                1,
-                &|| format!("claimed `{rest}` implies `{candidate}`, solver disagrees"),
-                &mut || match (enc.encode(&rest), enc.encode(&candidate)) {
-                    (Ok(r), Ok(c)) => {
-                        matches!(enc.solver().check(&r.and(c.not())), SmtResult::Sat(_))
-                    }
-                    _ => false,
-                },
-            );
-            true
-        } else {
-            sia_obs::add(sia_obs::Counter::AnalyzeFallbacks, 1);
-            match (enc.encode(&rest), enc.encode(&candidate)) {
-                (Ok(r), Ok(c)) => enc.solver().check(&r.and(c.not())).is_unsat(),
-                _ => false,
-            }
-        };
-        if implied {
-            kept.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Pred::and_all(kept)
+    let conjuncts = p.conjuncts().into_iter().cloned().collect();
+    Pred::and_all(Prover(enc).drop_implied(conjuncts, Connective::And))
 }
 
 /// Dual of [`remove_redundant_conjuncts`] for a top-level disjunction:
@@ -125,83 +55,13 @@ pub fn remove_redundant_conjuncts(enc: &mut PredEncoder, p: &Pred) -> Pred {
 /// subsumed by a later, weaker one.
 pub fn remove_redundant_disjuncts(enc: &mut PredEncoder, p: &Pred) -> Pred {
     let Pred::Or(ds) = p else { return p.clone() };
-    let analyzer = crate::prescreen::analyzer_for(enc, &[p]);
-    let mut kept: Vec<Pred> = ds.clone();
-    let mut i = 0;
-    while i < kept.len() {
-        if kept.len() == 1 {
-            break;
-        }
-        let candidate = kept[i].clone();
-        let rest = Pred::or_all(
-            kept.iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, c)| c.clone()),
-        );
-        // candidate ⇒ rest ⟺ candidate ∧ ¬rest unsat.
-        let implied = if crate::prescreen::enabled() && analyzer.implies(&candidate, &rest) {
-            crate::prescreen::audit_verdict(
-                sia_obs::Counter::AnalyzeImplied,
-                1,
-                &|| format!("claimed `{candidate}` implies `{rest}`, solver disagrees"),
-                &mut || match (enc.encode(&candidate), enc.encode(&rest)) {
-                    (Ok(c), Ok(r)) => {
-                        matches!(enc.solver().check(&c.and(r.not())), SmtResult::Sat(_))
-                    }
-                    _ => false,
-                },
-            );
-            true
-        } else {
-            sia_obs::add(sia_obs::Counter::AnalyzeFallbacks, 1);
-            match (enc.encode(&candidate), enc.encode(&rest)) {
-                (Ok(c), Ok(r)) => enc.solver().check(&c.and(r.not())).is_unsat(),
-                _ => false,
-            }
-        };
-        if implied {
-            kept.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Pred::or_all(kept)
+    Pred::or_all(Prover(enc).drop_implied(ds.clone(), Connective::Or))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sia_sql::parse_predicate;
-
-    #[test]
-    fn redundant_disjuncts_removed() {
-        let mut enc = PredEncoder::new();
-        let p = parse_predicate("a < 5 OR a < 10").unwrap();
-        assert_eq!(
-            remove_redundant_disjuncts(&mut enc, &p).to_string(),
-            "a < 10"
-        );
-        let q = parse_predicate("a < 5 OR a > 10").unwrap();
-        assert_eq!(remove_redundant_disjuncts(&mut enc, &q), q);
-        // Non-Or input untouched.
-        let single = parse_predicate("a < 5").unwrap();
-        assert_eq!(remove_redundant_disjuncts(&mut enc, &single), single);
-    }
-
-    #[test]
-    fn redundant_conjuncts_removed() {
-        let mut enc = PredEncoder::new();
-        let p = parse_predicate("a < 5 AND a < 10 AND a < 7 AND b > 0").unwrap();
-        let s = remove_redundant_conjuncts(&mut enc, &p);
-        assert_eq!(s.to_string(), "a < 5 AND b > 0");
-        // A predicate with no redundancy is unchanged.
-        let q = parse_predicate("a < 5 AND b > 0").unwrap();
-        assert_eq!(remove_redundant_conjuncts(&mut enc, &q), q);
-        // Single conjunct untouched.
-        let single = parse_predicate("a < 5").unwrap();
-        assert_eq!(remove_redundant_conjuncts(&mut enc, &single), single);
-    }
 
     #[test]
     fn valid_weaker_predicate() {

@@ -224,14 +224,6 @@ fn attach(plan: Plan, preds: &BTreeMap<String, Pred>) -> Plan {
     }
 }
 
-/// An analyzer seeded with the schemas of every table the plan scans.
-fn analyzer_for(tables: &[String], schema_of: &impl Fn(&str) -> Option<Schema>) -> Analyzer {
-    tables
-        .iter()
-        .filter_map(|t| schema_of(t))
-        .fold(Analyzer::new(), |a, s| a.with_schema(&s))
-}
-
 /// Run the move-around pass. Returns the rewritten plan (derived
 /// predicates attached above scans — the local rules then merge and order
 /// them) and a report of what moved. `mode == Off` returns the plan
@@ -249,7 +241,7 @@ pub fn move_around(
         return (plan, MoveAroundReport::default());
     }
     let tables = scan_tables(&plan);
-    let analyzer = analyzer_for(&tables, schema_of);
+    let analyzer = Analyzer::with_schemas(tables.iter().filter_map(|t| schema_of(t)));
     let conj = Pred::and_all(gathered.iter().map(|g| g.pred.clone()));
     let closure = analyzer.close(&conj);
     let contradiction = closure.contradictory(&analyzer);
@@ -384,7 +376,7 @@ pub fn lint_plan(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Ve
     if gathered.is_empty() {
         return out;
     }
-    let analyzer = analyzer_for(&scan_tables(plan), schema_of);
+    let analyzer = Analyzer::with_schemas(scan_tables(plan).iter().filter_map(|t| schema_of(t)));
     let is_join_eq = |g: &GatheredPred| g.node.starts_with("HashJoin@");
     let filters_conj = Pred::and_all(
         gathered

@@ -707,12 +707,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         pool: Arc::clone(&pool),
         telemetry: Arc::clone(&telemetry),
         slow_log,
-        linter: Arc::new(
-            config
-                .lint_schemas
-                .iter()
-                .fold(Analyzer::new(), |a, s| a.with_schema(s)),
-        ),
+        linter: Arc::new(Analyzer::with_schemas(&config.lint_schemas)),
         overload: Arc::clone(&overload),
     };
 

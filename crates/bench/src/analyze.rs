@@ -1,35 +1,36 @@
-//! Static-analyzer benchmark: how much of CEGIS synthesis the static tier
-//! of the prover removes on the TPC-H predicate workload — validity and
-//! feasibility questions answered before the solver is reached, whole
-//! synthesis requests discharged by static zone-projection derivation — read
-//! from the tier counters of a single run. Results land in
-//! `BENCH_analyze.json`.
+//! The `analyze` gate: how much of CEGIS synthesis the static tier of the
+//! prover removes on the §6.3 preset — validity and feasibility questions
+//! answered before the solver is reached, whole synthesis requests
+//! discharged by static zone-projection derivation — read from the tier
+//! counters of a single run. Results land in `BENCH_analyze.json`.
 //!
 //! The reference for "the analyzer only moves cost, never results" is the
 //! per-verdict audit: build with `--features checked` and every verdict the
-//! static tier gives is re-asked of the solver while measuring, with a
-//! disagreement aborting the run.
-//!
-//! Environment knobs: `SIA_BENCH_QUERIES` (workload size, default 24)
-//! and `SIA_BENCH_ASSERT=1` to fail the run unless the static tier answers
-//! at least 20% of validity/feasibility questions and static derivation
-//! discharges at least 30% of synthesis requests — both with zero recorded
-//! soundness disagreements.
+//! static tier gives is re-asked of the solver while measuring.
 
 use std::time::Instant;
 
-use sia_bench::soak::counter;
-use sia_bench::util;
 use sia_core::{SiaConfig, Synthesizer};
 use sia_obs::Counter;
 
+use crate::util::{self, counter};
+use crate::Gates;
+
+/// Workload queries drawn from the preset (same seed and term range as
+/// the `serve` gate).
+const QUERIES: usize = 16;
+/// Share of validity/feasibility questions the static tier must answer.
+pub const MIN_PRUNE_RATE: f64 = 0.20;
+/// Share of requests static derivation must discharge outright.
+pub const MIN_DERIVE_RATE: f64 = 0.30;
+
+/// Synthesize every task once, print and write the tier counters, and
+/// report the missed bars.
 #[allow(clippy::cast_precision_loss)]
-fn main() {
-    let count = util::env_usize("SIA_BENCH_QUERIES", 24);
-    // The §6.3 preset (same seed and term range as `exp_serve`).
-    let work = sia_gen::paper_6_3_tasks(count, 2, 4, sia_gen::SEED_6_3_SERVE);
+pub fn run() -> Gates {
+    let work = sia_gen::paper_6_3_tasks(QUERIES, 2, 4, sia_gen::SEED_6_3_SERVE);
     println!(
-        "== analyze benchmark: {} synthesis tasks from {count} workload queries ==",
+        "== analyze benchmark: {} synthesis tasks from {QUERIES} workload queries ==",
         work.len()
     );
 
@@ -87,35 +88,41 @@ fn main() {
         println!("checked: {checks} verdicts cross-checked, {disagreements} disagreements");
     }
 
-    let json = format!(
-        "{{\"experiment\":\"analyze\",\"tasks\":{tasks},\"wall_s\":{},\
-         \"smt_checks\":{smt_checks},\"eligible\":{eligible},\"pruned\":{pruned},\
-         \"implied\":{implied},\"unsat\":{unsat},\"disjuncts_pruned\":{dead},\
-         \"prune_rate\":{},\"derive_static\":{derive_static},\
-         \"derive_partial\":{partial},\"derive_miss\":{miss},\"derive_rate\":{},\
-         \"svm_trainings\":{trainings},\"checks\":{checks},\
-         \"disagreements\":{disagreements},\"metrics\":{}}}\n",
-        sia_obs::json_number(wall_s),
-        sia_obs::json_number(prune_rate),
-        sia_obs::json_number(derive_rate),
-        sia_obs::snapshot().to_json()
+    util::write_results(
+        "BENCH_analyze.json",
+        &format!(
+            "{{\"experiment\":\"analyze\",\"tasks\":{tasks},\"wall_s\":{},\
+             \"smt_checks\":{smt_checks},\"eligible\":{eligible},\"pruned\":{pruned},\
+             \"implied\":{implied},\"unsat\":{unsat},\"disjuncts_pruned\":{dead},\
+             \"prune_rate\":{},\"derive_static\":{derive_static},\
+             \"derive_partial\":{partial},\"derive_miss\":{miss},\"derive_rate\":{},\
+             \"svm_trainings\":{trainings},\"checks\":{checks},\
+             \"disagreements\":{disagreements},\"metrics\":{}}}\n",
+            sia_obs::json_number(wall_s),
+            sia_obs::json_number(prune_rate),
+            sia_obs::json_number(derive_rate),
+            sia_obs::snapshot().to_json()
+        ),
     );
-    match std::fs::write("BENCH_analyze.json", &json) {
-        Ok(()) => eprintln!("results written to BENCH_analyze.json"),
-        Err(e) => eprintln!("warning: cannot write BENCH_analyze.json: {e}"),
-    }
 
-    assert_eq!(disagreements, 0, "analyzer/solver disagreements recorded");
-    if util::env_usize("SIA_BENCH_ASSERT", 0) != 0 {
-        assert!(
-            prune_rate >= 0.20,
+    let mut gates = Gates::default();
+    gates.require(
+        disagreements == 0,
+        format!("{disagreements} analyzer/solver disagreements recorded"),
+    );
+    gates.require(
+        prune_rate >= MIN_PRUNE_RATE,
+        format!(
             "static tier answered only {:.1}% of validity/feasibility questions (need >= 20%)",
             100.0 * prune_rate
-        );
-        assert!(
-            derive_rate >= 0.30,
+        ),
+    );
+    gates.require(
+        derive_rate >= MIN_DERIVE_RATE,
+        format!(
             "static derivation discharged only {:.1}% of requests (need >= 30%)",
             100.0 * derive_rate
-        );
-    }
+        ),
+    );
+    gates
 }

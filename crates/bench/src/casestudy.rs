@@ -128,14 +128,6 @@ fn normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Percentile of a metric (p in [0, 100]).
-pub fn percentile(values: &mut [f64], p: f64) -> f64 {
-    assert!(!values.is_empty());
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((p / 100.0) * (values.len() - 1) as f64).round() as usize;
-    values[idx]
-}
-
 /// Fraction of entries with exec time ≥ threshold seconds.
 pub fn fraction_at_least(entries: &[LogEntry], threshold: f64) -> f64 {
     if entries.is_empty() {
@@ -184,14 +176,6 @@ mod tests {
         let frac = fraction_at_least(&log, 10.0);
         // Paper: 74.63% ≥ 10 s.
         assert!((0.70..0.80).contains(&frac), "fraction {frac}");
-    }
-
-    #[test]
-    fn percentile_helper() {
-        let mut v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&mut v, 0.0), 1.0);
-        assert_eq!(percentile(&mut v, 50.0), 3.0);
-        assert_eq!(percentile(&mut v, 100.0), 5.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Engine benchmark for the predicate move-around pass: deep join trees
+//! The `engine` gate for the predicate move-around pass: deep join trees
 //! over seeded `sia-gen` data, executed with the pass off, with static
 //! pull-up/transition/push-down, and with synthesis at blocked join
 //! boundaries. For every workload the three runs must return identical
@@ -10,20 +10,20 @@
 //! intermediate-result work), the reduction the static pass achieves,
 //! the further reduction synthesis buys, and the wall-clock speedup.
 //! Results land in `BENCH_engine.json`.
-//!
-//! Environment knobs: `SIA_BENCH_ROWS` (rows per large table, default
-//! 600) and `SIA_BENCH_ASSERT=1` to fail the run unless the static pass
-//! alone cuts rows-into-joins by at least 30% on the chain workload, at
-//! least one predicate in the workload set is reachable only through
-//! synthesis, and zero solver disagreements were recorded.
 
 use std::time::Instant;
 
-use sia_bench::util;
 use sia_core::{verify_implies, PredEncoder, Validity};
 use sia_engine::{Database, MoveAround, OptimizerConfig, QueryResult, Table};
 use sia_expr::Value;
 use sia_obs::Counter;
+
+use crate::{util, Gates};
+
+/// Rows per large table.
+const ROWS: usize = 600;
+/// Share of rows-into-joins the static pass alone must cut on `chain`.
+pub const MIN_CHAIN_REDUCTION: f64 = 0.30;
 
 /// The three join workloads. `chain` is the snippet-1 shape: a key chain
 /// where one selective bound must travel through two equivalence classes
@@ -146,11 +146,12 @@ fn pct(saved: u64, base: u64) -> f64 {
     }
 }
 
-fn main() {
-    let rows = util::env_usize("SIA_BENCH_ROWS", 600);
-    let db = build_db(rows);
+/// Run the three workloads in the three modes, print and write the
+/// results, and report the missed bars.
+pub fn run() -> Gates {
+    let db = build_db(ROWS);
     println!(
-        "== engine benchmark: {} join workloads at {rows} rows/table ==",
+        "== engine benchmark: {} join workloads at {ROWS} rows/table ==",
         WORKLOADS.len()
     );
 
@@ -251,36 +252,41 @@ fn main() {
          {total_bad} unsound | {synth_only} scan(s) reachable only via synthesis"
     );
 
-    let json = format!(
-        "{{\"experiment\":\"engine\",\"rows\":{rows},\"workloads\":[{}],\
-         \"rows_saved\":{total_saved},\"solver_checks\":{total_checks},\
-         \"solver_disagreements\":{total_bad},\"synth_only_scans\":{synth_only},\
-         \"results_agree\":{},\"metrics\":{}}}\n",
-        entries.join(","),
-        u8::from(all_agree),
-        snapshot.to_json()
+    util::write_results(
+        "BENCH_engine.json",
+        &format!(
+            "{{\"experiment\":\"engine\",\"rows\":{ROWS},\"workloads\":[{}],\
+             \"rows_saved\":{total_saved},\"solver_checks\":{total_checks},\
+             \"solver_disagreements\":{total_bad},\"synth_only_scans\":{synth_only},\
+             \"results_agree\":{},\"metrics\":{}}}\n",
+            entries.join(","),
+            u8::from(all_agree),
+            snapshot.to_json()
+        ),
     );
-    match std::fs::write("BENCH_engine.json", &json) {
-        Ok(()) => eprintln!("results written to BENCH_engine.json"),
-        Err(e) => eprintln!("warning: cannot write BENCH_engine.json: {e}"),
-    }
 
-    assert!(
+    let mut gates = Gates::default();
+    gates.require(
         all_agree,
-        "move-around changed query results — soundness violation"
+        "move-around changed query results — soundness violation".to_string(),
     );
-    assert_eq!(total_bad, 0, "unsound predicate pushes recorded");
-    if util::env_usize("SIA_BENCH_ASSERT", 0) != 0 {
-        assert!(
-            chain_static_reduction >= 0.30,
+    gates.require(
+        total_bad == 0,
+        format!("{total_bad} unsound predicate pushes recorded"),
+    );
+    gates.require(
+        chain_static_reduction >= MIN_CHAIN_REDUCTION,
+        format!(
             "static move-around cut only {:.1}% of rows into joins on the chain \
              workload (need >= 30%)",
             100.0 * chain_static_reduction
-        );
-        assert!(
-            synth_only >= 1,
-            "no predicate was reachable only via synthesis — workload lost its \
-             blocked join boundary"
-        );
-    }
+        ),
+    );
+    gates.require(
+        synth_only >= 1,
+        "no predicate was reachable only via synthesis — workload lost its \
+         blocked join boundary"
+            .to_string(),
+    );
+    gates
 }

@@ -75,6 +75,31 @@ pub fn run(scale_factor: f64) -> MotivatingResult {
     }
 }
 
+/// The §2 view: the rewrite, both plans, and the three runtimes at the
+/// larger of the two [`SCALE_FACTORS`](crate::runtime::SCALE_FACTORS).
+pub fn report() -> String {
+    let r = run(crate::runtime::SCALE_FACTORS[1]);
+    let ms = |q: &QueryResult| q.elapsed.as_secs_f64() * 1e3;
+    format!(
+        "Sia rewrote Q1 to:\n  {}\n\n\
+         original Q1 plan:\n{}\n\
+         rewritten plan:\n{}\n\
+         Q1 {:.1} ms | Sia rewrite {:.1} ms ({:.2}x) | paper Q2 {:.1} ms ({:.2}x)\n\
+         join input rows: original {} | rewritten {}\n\
+         (paper, Postgres SF 10: Q1 94 s, Q2 50 s — a 2x speed-up)",
+        r.rewritten_sql,
+        r.original.plan,
+        r.sia.plan,
+        ms(&r.original),
+        ms(&r.sia),
+        ms(&r.original) / ms(&r.sia),
+        ms(&r.paper_q2),
+        ms(&r.original) / ms(&r.paper_q2),
+        r.original.stats.join_input_rows,
+        r.sia.stats.join_input_rows
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

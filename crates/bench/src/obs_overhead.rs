@@ -1,5 +1,5 @@
-//! Microbench guarding the sia-obs overhead budget (default 3%), with
-//! two workloads gated independently:
+//! The `obs-overhead` gate: a microbench guarding the sia-obs overhead
+//! budget ([`MAX_OVERHEAD_PCT`]), with two workloads gated independently:
 //!
 //! - **synth**: one full synthesis run — the solver-heavy path — with
 //!   the collector disabled vs enabled behind a no-op sink. Guards the
@@ -23,17 +23,20 @@
 //! slow drift, min-of-sub-rounds rejects scheduler bursts inside a
 //! sample, and the median discards the outlier pairs that poison
 //! best-of comparisons on shared machines.
-//!
-//! Environment knobs:
-//! - `SIA_OBS_MAX_OVERHEAD_PCT` — allowed overhead percentage (default 3.0)
-//! - `SIA_OBS_ROUNDS` — measurement-pair budget (default 9; the serve-hot
-//!   gate takes 6x this many pairs since its rounds are much shorter)
 
 use std::time::{Duration, Instant};
 
 use sia_cache::{canonicalize, PredicateCache};
 use sia_core::{SiaConfig, Synthesizer};
 use sia_sql::parse_predicate;
+
+use crate::Gates;
+
+/// Allowed overhead, percent.
+pub const MAX_OVERHEAD_PCT: f64 = 3.0;
+/// Measurement pairs for the synth gate; the serve-hot gate takes 6x as
+/// many since its rounds are much shorter.
+const ROUNDS: usize = 9;
 
 fn synth_workload() -> Duration {
     let p = parse_predicate(
@@ -164,16 +167,14 @@ fn measure(
     overhead_pct
 }
 
-fn main() {
-    let max_pct = sia_bench::util::env_f64("SIA_OBS_MAX_OVERHEAD_PCT", 3.0);
-    let rounds = sia_bench::util::env_usize("SIA_OBS_ROUNDS", 9);
-
+/// Measure both workloads and report the ones over budget.
+pub fn run() -> Gates {
     // Gate 1: synthesis, collector disabled vs enabled behind NoopSink.
     sia_obs::reset();
     let synth_pct = measure(
         "synth",
         ("disabled", "enabled+noop"),
-        rounds,
+        ROUNDS,
         &mut || {
             sia_obs::disable();
             min_of(3, &mut synth_workload)
@@ -204,7 +205,7 @@ fn main() {
     let serve_pct = measure(
         "serve-hot",
         ("bare", "instrumented"),
-        rounds * 6,
+        ROUNDS * 6,
         &mut || min_of(4, &mut || serve_hot_bare(&cache, &cols)),
         &mut || min_of(4, &mut || serve_hot_instrumented(&cache, &cols)),
     );
@@ -221,15 +222,12 @@ fn main() {
         enabled.as_secs_f64() * 1e3
     );
 
-    let mut failed = false;
+    let mut gates = Gates::default();
     for (label, pct) in [("synth", synth_pct), ("serve-hot", serve_pct)] {
-        if pct > max_pct {
-            eprintln!("FAIL: {label} observability overhead {pct:.2}% exceeds {max_pct}% budget");
-            failed = true;
-        }
+        gates.require(
+            pct <= MAX_OVERHEAD_PCT,
+            format!("{label} observability overhead {pct:.2}% exceeds {MAX_OVERHEAD_PCT}% budget"),
+        );
     }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("PASS: within budget ({max_pct}%)");
+    gates
 }

@@ -1,7 +1,8 @@
 //! Rendering sweep/runtime results in the shape of the paper's tables and
 //! figures.
 
-use crate::casestudy::{fraction_at_least, percentile, LogEntry};
+use crate::casestudy::{fraction_at_least, LogEntry};
+use crate::load::percentile;
 use crate::runtime::{summarize, RuntimePoint};
 use crate::suite::SweepResult;
 use crate::util::{avg_ms, histogram, render_table};
@@ -184,15 +185,6 @@ pub fn metrics_json(experiment: &str) -> String {
         sia_obs::json_string(experiment),
         sia_obs::snapshot().to_json()
     )
-}
-
-/// Write [`metrics_json`] to `path`, logging (not failing) on IO errors so
-/// a read-only working directory never aborts an experiment run.
-pub fn write_metrics_json(path: &str, experiment: &str) {
-    match std::fs::write(path, metrics_json(experiment) + "\n") {
-        Ok(()) => eprintln!("metrics snapshot written to {path}"),
-        Err(e) => eprintln!("warning: cannot write metrics snapshot {path}: {e}"),
-    }
 }
 
 fn bucketize(values: &[u32], ranges: &[(u32, u32)]) -> Vec<(String, usize)> {

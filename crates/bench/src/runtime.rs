@@ -186,22 +186,34 @@ pub fn measure(db: &Database, queries: &[RewrittenQuery], repetitions: u32) -> V
     out
 }
 
-/// Convenience: full Fig 9 pipeline at one scale factor.
-pub fn run_runtime_experiment(
-    queries: usize,
-    scale_factor: f64,
-    repetitions: u32,
-) -> (Vec<RuntimePoint>, usize) {
-    let (rewritten, total) = rewrite_workload(
-        queries,
-        WorkloadConfig::default().seed,
-        &sia_core::SiaConfig::default(),
+/// Engine scale factors of the runtime experiments: Fig 9 / Table 4 run
+/// at both, the §2 example at the larger.
+pub const SCALE_FACTORS: [f64; 2] = [0.02, 0.2];
+
+/// The Fig 9 view: rewrite `queries` workload queries once, then measure
+/// that one rewrite set (3 repetitions, best-of) at each scale factor.
+pub fn report(queries: usize) -> String {
+    eprintln!("rewriting {queries} queries…");
+    let (rewritten, total) = rewrite_workload(queries, 0x51A_2021, &sia_core::SiaConfig::default());
+    eprintln!(
+        "{} rewritable; measuring at SF {} and SF {}…",
+        rewritten.len(),
+        SCALE_FACTORS[0],
+        SCALE_FACTORS[1]
     );
-    let db = generate(&TpchConfig {
-        scale_factor,
-        ..TpchConfig::default()
+    let per_sf = SCALE_FACTORS.map(|scale_factor| {
+        let db = generate(&TpchConfig {
+            scale_factor,
+            ..TpchConfig::default()
+        });
+        crate::report::fig9(
+            &format!("scale factor {scale_factor}"),
+            &measure(&db, &rewritten, 3),
+            rewritten.len(),
+            total,
+        )
     });
-    (measure(&db, &rewritten, repetitions), total)
+    per_sf.join("\n")
 }
 
 #[cfg(test)]

@@ -5,13 +5,8 @@
 //! bounded cache memory, a healed worker pool, and stable tail latency
 //! across time windows.
 //!
-//! The driver is open-loop: arrivals are Poisson at the offered rate and
-//! each one gets its own connection the moment it is due, so queueing
-//! delay under overload is charged to the server. Latency is measured
-//! from the *scheduled* arrival time.
-//!
-//! [`run_soak`] is shared by `exp_soak` (the benchmark binary) and
-//! `sia soak` (the CLI subcommand).
+//! The driver is [`load::open_loop`] over a Poisson schedule. Results
+//! land in `BENCH_soak.json` (or `--out`).
 
 use std::time::{Duration, Instant};
 
@@ -19,24 +14,57 @@ use sia_core::{verify_implies, PredEncoder, Validity};
 use sia_expr::Pred;
 use sia_gen::GenConfig;
 use sia_obs::Counter;
-use sia_rand::{RngCore, SplitMix64};
+use sia_rand::SplitMix64;
 use sia_serve::{
     client, server, Request, Response, RetryPolicy, ServeConfig, ServerHandle, Status,
 };
 use sia_sql::parse_predicate;
 
-use crate::casestudy::percentile;
+use crate::load::{self, percentile, unit, Answer, Arrival};
+use crate::util::{self, counter};
+use crate::Gates;
 
 /// Per-arrival retry attempts before a request is declared lost.
 const ATTEMPTS: usize = 4;
+/// Predicate-cache capacity (entries).
+const CACHE_CAPACITY: usize = 1024;
+/// Server queue depth.
+const QUEUE_DEPTH: usize = 64;
+/// Per-request deadline forwarded to the server.
+const TIMEOUT_MS: u64 = 10_000;
+/// Warmup sends the pool in chunks that stay within the queue depth, so
+/// it cannot overload the server and silently skip shapes.
+const WARMUP_CHUNK: usize = QUEUE_DEPTH / 2;
+/// How long warmup gives a shape to produce a cacheable answer.
+const WARMUP_TIMEOUT_MS: u64 = 3000;
+/// Fraction of successful answers re-verified against the solver oracle
+/// (`p ⇒ learned` must hold).
+const ORACLE_RATE: f64 = 0.05;
+/// Tail-latency window width.
+const WINDOW: Duration = Duration::from_secs(5);
+/// Cadence of the cache snapshots the supervisor writes *during* the
+/// soak. The fault mix tears the first two apart (`cache.rename`
+/// failpoint) to prove the atomic-rename protocol rides out mid-write
+/// failures under live traffic.
+const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(500);
+/// Windowed p99 may drift this far above the median window's.
+pub const MAX_P99_DRIFT: f64 = 10.0;
 
-/// Soak configuration. The workload itself comes from the embedded
-/// generator config; everything else shapes the server and the load.
+/// The request *pool* the soak cycles through.
+fn pool_config() -> GenConfig {
+    GenConfig {
+        count: 128,
+        max_terms: 4,
+        repeat_rate: 0.4,
+        drift_rate: 0.25,
+        seed: 0x51A_50AC,
+        ..GenConfig::default()
+    }
+}
+
+/// The load `sia-exp soak`'s flags shape.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
-    /// Workload generator knobs; `gen.count` is the size of the request
-    /// *pool*, which the soak cycles through.
-    pub gen: GenConfig,
     /// Total arrivals to offer (ignored when `duration` is set).
     pub requests: usize,
     /// Wall-clock budget; when set, arrivals are offered for this long
@@ -46,30 +74,10 @@ pub struct SoakConfig {
     pub rate: f64,
     /// Server worker threads.
     pub workers: usize,
-    /// Predicate-cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Server queue depth.
-    pub queue_depth: usize,
     /// Total fault budget in percent, split across failpoints: half
     /// worker panics, half synthesis errors, plus a fixed trickle of
     /// 1 ms solver-pivot delays and three outright worker deaths.
     pub fault_percent: u32,
-    /// Fraction of successful answers re-verified against the solver
-    /// oracle (`p ⇒ learned` must hold).
-    pub oracle_rate: f64,
-    /// Tail-latency window width.
-    pub window: Duration,
-    /// Per-request deadline forwarded to the server.
-    pub timeout_ms: Option<u64>,
-    /// Cache persistence file for the soak server. When set together
-    /// with [`SoakConfig::snapshot_interval`], the supervisor writes
-    /// periodic snapshots *during* the soak — and the fault mix tears
-    /// the first two apart (`cache.rename` failpoint) to prove the
-    /// atomic-rename protocol rides out mid-write failures under live
-    /// traffic.
-    pub cache_file: Option<String>,
-    /// Snapshot cadence for `cache_file`.
-    pub snapshot_interval: Option<Duration>,
     /// Seed for arrivals, fault sites, and oracle sampling.
     pub seed: u64,
 }
@@ -77,26 +85,11 @@ pub struct SoakConfig {
 impl Default for SoakConfig {
     fn default() -> Self {
         SoakConfig {
-            gen: GenConfig {
-                count: 128,
-                max_terms: 4,
-                repeat_rate: 0.4,
-                drift_rate: 0.25,
-                seed: 0x51A_50AC,
-                ..GenConfig::default()
-            },
             requests: 5000,
             duration: None,
             rate: 80.0,
             workers: 4,
-            cache_capacity: 1024,
-            queue_depth: 64,
             fault_percent: 10,
-            oracle_rate: 0.05,
-            window: Duration::from_secs(5),
-            timeout_ms: Some(10_000),
-            cache_file: None,
-            snapshot_interval: None,
             seed: 0x51A_50AC,
         }
     }
@@ -123,8 +116,7 @@ pub struct WindowStats {
     pub p99_us: f64,
 }
 
-/// Everything a soak run measured; the caller decides which gates to
-/// enforce (see `exp_soak`).
+/// Everything a soak run measured; [`run`] holds it to the gates.
 #[derive(Debug, Clone)]
 pub struct SoakReport {
     /// Arrivals offered.
@@ -174,8 +166,8 @@ pub struct SoakReport {
     /// were actually offered.
     pub pool_kept: usize,
     /// Cache entries recovered from the persisted snapshot after
-    /// shutdown (0 when no `cache_file` was configured). With torn
-    /// snapshots injected mid-soak, a non-zero count proves recovery.
+    /// shutdown. With torn snapshots injected mid-soak, a non-zero count
+    /// proves recovery.
     pub snapshot_recovered: usize,
 }
 
@@ -239,7 +231,7 @@ impl SoakReport {
 /// Keep injected panics (message prefix `failpoint `) off stderr — they
 /// are the point of the experiment, not noise worth a backtrace each.
 /// Anything else still reports through the default hook.
-pub fn silence_injected_panics() {
+fn silence_injected_panics() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let msg = info
@@ -256,7 +248,7 @@ pub fn silence_injected_panics() {
 
 /// Poll until the worker pool reports full strength, or `budget` runs
 /// out. Returns whether the pool healed.
-pub fn wait_for_full_pool(handle: &ServerHandle, target: u64, budget: Duration) -> bool {
+fn wait_for_full_pool(handle: &ServerHandle, target: u64, budget: Duration) -> bool {
     let t0 = Instant::now();
     while t0.elapsed() < budget {
         if handle.health().workers == target {
@@ -267,36 +259,11 @@ pub fn wait_for_full_pool(handle: &ServerHandle, target: u64, budget: Duration) 
     false
 }
 
-/// Read one counter out of the global snapshot.
-pub fn counter(c: Counter) -> u64 {
-    sia_obs::snapshot()
-        .counters
-        .iter()
-        .find(|(k, _)| *k == c)
-        .map_or(0, |(_, v)| *v)
-}
-
-/// Uniform draw in `[0, 1)` from 53 random bits.
-fn unit(rng: &mut SplitMix64) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    u
-}
-
-/// One answered arrival: scheduled offset, completion offset, retries
-/// used, and the response (None = lost).
-struct Arrival {
-    scheduled: Duration,
-    done: Duration,
-    retried: bool,
-    response: Option<Response>,
-}
-
 /// Send one request with bounded retries on transport errors and
 /// `overloaded` rejections. Transient failures back off linearly. A
 /// final `overloaded` answer is returned as-is (the server shed the
 /// request — definitive, not lost); `None` means no answer at all.
-fn send_with_retry(addr: &str, req: &Request) -> (bool, Option<Response>) {
+fn send_with_retry(addr: &str, req: &Request) -> Answer {
     let mut retried = false;
     let mut last = None;
     for attempt in 0..ATTEMPTS {
@@ -329,24 +296,14 @@ fn oracle_refutes(original: &Pred, resp: &Response) -> bool {
     )
 }
 
-/// Drive one full soak: generate, start, load, verify, report.
-///
-/// # Errors
-///
-/// Fails when the generator config is invalid or the server cannot
-/// start.
+/// Drive one full soak, persisting the cache to `cache_file`: generate,
+/// start, load, verify, report.
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
-pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
-    let pool_reqs = sia_gen::generate(&cfg.gen)?;
+fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
+    let pool_reqs = sia_gen::generate(&pool_config())?;
     let pool: Vec<Request> = pool_reqs
         .iter()
-        .map(|g| Request {
-            id: g.id.clone(),
-            predicate: g.predicate.to_string(),
-            cols: g.cols.clone(),
-            timeout_ms: cfg.timeout_ms,
-            trace: None,
-        })
+        .map(|g| load::request(g, Some(TIMEOUT_MS)))
         .collect();
     if pool.is_empty() {
         return Err("generator produced an empty pool".to_string());
@@ -354,10 +311,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     let handle = server::start(ServeConfig {
         workers: cfg.workers,
-        cache_capacity: cfg.cache_capacity,
-        queue_depth: cfg.queue_depth,
-        cache_file: cfg.cache_file.clone(),
-        snapshot_interval: cfg.snapshot_interval,
+        cache_capacity: CACHE_CAPACITY,
+        queue_depth: QUEUE_DEPTH,
+        cache_file: Some(cache_file.to_string()),
+        snapshot_interval: Some(SNAPSHOT_INTERVAL),
         lint_schemas: sia_gen::schemas().into_iter().map(|(_, s)| s).collect(),
         ..ServeConfig::default()
     })
@@ -366,26 +323,23 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     // Warm the cache with one pass over the distinct pool before any
     // fault is armed: the soak measures steady-state serving stability,
-    // not cold-start synthesis cost. Chunks stay within the queue depth
-    // so warmup itself cannot overload the server and silently skip
-    // shapes. Shapes that fail to produce a cacheable answer inside the
-    // warmup deadline are dropped from the arrival pool — an uncached
-    // shape would re-run a multi-second synthesis on every cycle of the
-    // pool, wedging the workers behind it.
+    // not cold-start synthesis cost. Shapes that fail to produce a
+    // cacheable answer inside the warmup deadline are dropped from the
+    // arrival pool — an uncached shape would re-run a multi-second
+    // synthesis on every cycle of the pool, wedging the workers behind it.
     let warmup: Vec<Request> = pool
         .iter()
         .map(|r| Request {
-            timeout_ms: Some(cfg.timeout_ms.unwrap_or(3000).min(3000)),
+            timeout_ms: Some(WARMUP_TIMEOUT_MS),
             ..r.clone()
         })
         .collect();
     let mut keep = vec![false; pool.len()];
-    for (ci, chunk) in warmup.chunks(cfg.queue_depth.clamp(1, 32)).enumerate() {
+    for (ci, chunk) in warmup.chunks(WARMUP_CHUNK).enumerate() {
         let outcome =
             client::run_batch_retry(&addr, chunk, cfg.workers * 2, &RetryPolicy::default());
         for (j, resp) in outcome.responses.iter().enumerate() {
-            keep[ci * cfg.queue_depth.clamp(1, 32) + j] =
-                resp.status == Status::Ok && !resp.degraded;
+            keep[ci * WARMUP_CHUNK + j] = resp.status == Status::Ok && !resp.degraded;
         }
     }
     let pool_size = pool.len();
@@ -407,70 +361,18 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         sia_fault::configure("synth.run", &format!("{half}%error(injected synth error)"))?;
         sia_fault::configure("smt.simplex.pivot", "1%delay(1)")?;
         sia_fault::configure("serve.worker.die", "3*panic(injected worker death)")?;
-        if cfg.cache_file.is_some() && cfg.snapshot_interval.is_some() {
-            // Tear the first two mid-soak snapshots apart at the atomic
-            // rename. Count-limited so the budget is exhausted well
-            // before shutdown's final save, which must succeed.
-            sia_fault::configure("cache.rename", "2*error(injected torn snapshot)")?;
-        }
+        // Tear the first two mid-soak snapshots apart at the atomic
+        // rename. Count-limited so the budget is exhausted well before
+        // shutdown's final save, which must succeed.
+        sia_fault::configure("cache.rename", "2*error(injected torn snapshot)")?;
     }
 
-    // Poisson arrival schedule.
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut offsets = Vec::new();
-    let mut t = 0.0f64;
-    match cfg.duration {
-        Some(d) => {
-            let budget = d.as_secs_f64();
-            loop {
-                t += -(1.0 - unit(&mut rng)).ln() / cfg.rate;
-                if t > budget {
-                    break;
-                }
-                offsets.push(Duration::from_secs_f64(t));
-            }
-            if offsets.is_empty() {
-                offsets.push(Duration::from_secs_f64(0.0));
-            }
-        }
-        None => {
-            for _ in 0..cfg.requests.max(1) {
-                t += -(1.0 - unit(&mut rng)).ln() / cfg.rate;
-                offsets.push(Duration::from_secs_f64(t));
-            }
-        }
-    }
-    let offered = offsets.len();
-
+    let schedule = load::poisson_schedule(cfg.rate, cfg.requests, cfg.duration, cfg.seed);
     let static_before = counter(Counter::AnalyzeDeriveStatic);
     let miss_before = counter(Counter::AnalyzeDeriveMiss);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Arrival)>();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for (i, &scheduled) in offsets.iter().enumerate() {
-            if let Some(wait) = scheduled.checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
-            }
-            let req = pool[i % pool.len()].clone();
-            let tx = tx.clone();
-            let addr = addr.as_str();
-            s.spawn(move || {
-                let (retried, response) = send_with_retry(addr, &req);
-                let _ = tx.send((
-                    i,
-                    Arrival {
-                        scheduled,
-                        done: start.elapsed(),
-                        retried,
-                        response,
-                    },
-                ));
-            });
-        }
-    });
-    drop(tx);
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let arrivals: Vec<(usize, Arrival)> = rx.into_iter().collect();
+    let (arrivals, elapsed) =
+        load::open_loop(&schedule, |i| send_with_retry(&addr, &pool[i % pool.len()]));
+    let elapsed_s = elapsed.as_secs_f64();
 
     // Pool-health and fault bookkeeping before shutdown.
     #[allow(clippy::cast_possible_truncation)]
@@ -485,16 +387,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     // Recovery proof: the snapshot on disk — written under live traffic
     // with torn-snapshot faults armed — must load back into a fresh
     // cache. A torn write that slipped through would drop records here.
-    let snapshot_recovered = match &cfg.cache_file {
-        Some(path) => {
-            let fresh = sia_cache::PredicateCache::new(cfg.cache_capacity.max(1));
-            fresh
-                .load_file(path)
-                .map_err(|e| format!("snapshot reload from {path}: {e}"))?
-                .recovered
-        }
-        None => 0,
-    };
+    let snapshot_recovered = sia_cache::PredicateCache::new(CACHE_CAPACITY)
+        .load_file(cache_file)
+        .map_err(|e| format!("snapshot reload from {cache_file}: {e}"))?
+        .recovered;
 
     // Outcome tallies + soundness oracle on a deterministic sample.
     let mut oracle_rng = SplitMix64::new(cfg.seed ^ 0x0AC1E);
@@ -506,11 +402,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let mut retried = 0usize;
     let mut oracle_checks = 0usize;
     let mut violations = 0usize;
-    for (i, a) in &arrivals {
-        if a.retried {
-            retried += 1;
-        }
-        let Some(resp) = &a.response else {
+    for (i, a) in arrivals.iter().enumerate() {
+        let (was_retried, response) = &a.result;
+        retried += usize::from(*was_retried);
+        let Some(resp) = response else {
             lost += 1;
             sia_obs::add(Counter::SoakLost, 1);
             continue;
@@ -523,7 +418,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             timeouts += 1;
         } else if resp.status == Status::Ok {
             ok += 1;
-            if unit(&mut oracle_rng) < cfg.oracle_rate {
+            if unit(&mut oracle_rng) < ORACLE_RATE {
                 oracle_checks += 1;
                 sia_obs::add(Counter::SoakOracleChecks, 1);
                 if oracle_refutes(pool_preds[i % pool_preds.len()], resp) {
@@ -535,10 +430,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     }
 
     // Windowed tail latency, keyed by scheduled arrival time.
-    let window_s = cfg.window.as_secs_f64().max(0.1);
+    let window_s = WINDOW.as_secs_f64();
     let n_windows = (elapsed_s / window_s).ceil().max(1.0) as usize;
-    let mut buckets: Vec<Vec<&Arrival>> = vec![Vec::new(); n_windows];
-    for (_, a) in &arrivals {
+    let mut buckets: Vec<Vec<&Arrival<Answer>>> = vec![Vec::new(); n_windows];
+    for a in &arrivals {
         let w = ((a.scheduled.as_secs_f64() / window_s) as usize).min(n_windows - 1);
         buckets[w].push(a);
     }
@@ -548,37 +443,20 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             continue;
         }
         sia_obs::add(Counter::SoakWindows, 1);
-        let mut lat: Vec<f64> = bucket
-            .iter()
-            .map(|a| a.done.saturating_sub(a.scheduled).as_micros() as f64)
-            .collect();
+        let mut lat: Vec<f64> = bucket.iter().map(|a| a.latency_us()).collect();
+        let count = |pred: fn(&Response) -> bool| {
+            bucket
+                .iter()
+                .filter(|a| a.result.1.as_ref().is_some_and(pred))
+                .count()
+        };
         windows.push(WindowStats {
             start_s: w as f64 * window_s,
             requests: bucket.len(),
-            ok: bucket
-                .iter()
-                .filter(|a| {
-                    a.response
-                        .as_ref()
-                        .is_some_and(|r| r.status == Status::Ok && !r.degraded)
-                })
-                .count(),
-            degraded: bucket
-                .iter()
-                .filter(|a| a.response.as_ref().is_some_and(|r| r.degraded))
-                .count(),
-            timeouts: bucket
-                .iter()
-                .filter(|a| {
-                    a.response
-                        .as_ref()
-                        .is_some_and(|r| r.status == Status::Timeout)
-                })
-                .count(),
-            hits: bucket
-                .iter()
-                .filter(|a| a.response.as_ref().is_some_and(|r| r.cached))
-                .count(),
+            ok: count(|r| r.status == Status::Ok && !r.degraded),
+            degraded: count(|r| r.degraded),
+            timeouts: count(|r| r.status == Status::Timeout),
+            hits: count(|r| r.cached),
             p50_us: percentile(&mut lat, 50.0),
             p99_us: percentile(&mut lat, 99.0),
         });
@@ -601,7 +479,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     };
 
     Ok(SoakReport {
-        offered,
+        offered: arrivals.len(),
         answered: arrivals.len() - lost,
         lost,
         shed,
@@ -612,7 +490,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         oracle_checks,
         violations,
         cache_len,
-        cache_capacity: cfg.cache_capacity,
+        cache_capacity: CACHE_CAPACITY,
         hit_rate,
         derive_static_rate,
         pool_healed,
@@ -625,4 +503,128 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         pool_kept: pool.len(),
         snapshot_recovered,
     })
+}
+
+/// The `soak` gate: run `cfg`, print the windows and totals, write
+/// `out`, and report the missed bars.
+///
+/// # Errors
+///
+/// Fails when the soak cannot run at all: the server does not start, or
+/// warmup caches no shape.
+pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
+    silence_injected_panics();
+    sia_obs::reset();
+    sia_obs::enable();
+
+    let cache_path =
+        std::env::temp_dir().join(format!("sia_soak_cache_{}.bin", std::process::id()));
+    std::fs::remove_file(&cache_path).ok();
+    println!(
+        "== soak: {} arrivals at {:.0} rps, {} workers, {}% faults ==",
+        cfg.duration.map_or_else(
+            || cfg.requests.to_string(),
+            |d| format!("{:.0}s of", d.as_secs_f64())
+        ),
+        cfg.rate,
+        cfg.workers,
+        cfg.fault_percent
+    );
+    let result = run_soak(cfg, cache_path.to_str().expect("utf-8 temp path"));
+    std::fs::remove_file(&cache_path).ok();
+    let report = result?;
+    for w in &report.windows {
+        println!(
+            "  [{:>5.0}s] {:>4} reqs | {:>3} ok% | p50 {:>7.0} us | p99 {:>8.0} us | {} hits",
+            w.start_s,
+            w.requests,
+            100 * w.ok / w.requests.max(1),
+            w.p50_us,
+            w.p99_us,
+            w.hits
+        );
+    }
+    println!(
+        "soak: {}/{} answered ({} lost, {} shed) | {} ok / {} degraded / {} timeout | {} retried",
+        report.answered,
+        report.offered,
+        report.lost,
+        report.shed,
+        report.ok,
+        report.degraded,
+        report.timeouts,
+        report.retried
+    );
+    println!(
+        "invariants: {} oracle checks, {} violations | cache {}/{} entries, hit rate {:.1}% \
+         | pool healed: {} ({} restarts) | p99 drift {:.2}x | {} faults injected",
+        report.oracle_checks,
+        report.violations,
+        report.cache_len,
+        report.cache_capacity,
+        100.0 * report.hit_rate,
+        report.pool_healed,
+        report.restarts,
+        report.p99_drift,
+        report.faults_injected
+    );
+    println!(
+        "persistence: {} cache entries recovered from the snapshot",
+        report.snapshot_recovered
+    );
+    util::write_results(
+        out,
+        &format!(
+            "{{\"experiment\":\"soak\",\"report\":{},\"gen_config\":{},\"metrics\":{}}}\n",
+            report.to_json(),
+            pool_config().to_json(),
+            sia_obs::snapshot().to_json()
+        ),
+    );
+    sia_obs::disable();
+
+    let mut gates = Gates::default();
+    gates.require(
+        report.violations == 0,
+        format!("{} soundness violations in soak", report.violations),
+    );
+    gates.require(
+        report.lost == 0,
+        format!("{} lost requests in soak", report.lost),
+    );
+    gates.require(report.pool_healed, "worker pool never healed".to_string());
+    gates.require(
+        report.cache_len <= report.cache_capacity,
+        format!(
+            "cache grew past capacity: {} > {}",
+            report.cache_len, report.cache_capacity
+        ),
+    );
+    gates.require(
+        report.oracle_checks > 0,
+        "oracle never sampled an answer".to_string(),
+    );
+    gates.require(
+        cfg.fault_percent == 0 || report.faults_injected > 0,
+        "fault injection never fired".to_string(),
+    );
+    gates.require(
+        report.snapshot_recovered > 0,
+        "no cache entries recovered from the persisted snapshot".to_string(),
+    );
+    gates.require(
+        report.windows.len() >= 2,
+        format!(
+            "need >= 2 windows of {:.0}s for a drift gate",
+            WINDOW.as_secs_f64()
+        ),
+    );
+    gates.require(
+        report.p99_drift <= MAX_P99_DRIFT,
+        format!(
+            "windowed p99 drifted {:.2}x (gate {MAX_P99_DRIFT}x)",
+            report.p99_drift
+        ),
+    );
+    Ok(gates)
 }

@@ -57,21 +57,22 @@ pub fn avg_ms(ds: &[Duration]) -> f64 {
     ds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / ds.len() as f64 * 1000.0
 }
 
-/// Read an experiment size parameter from the environment with a default
-/// (lets CI shrink the sweeps: `SIA_BENCH_QUERIES=20 cargo run …`).
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Read one counter out of the global [`sia_obs`] snapshot.
+pub fn counter(c: sia_obs::Counter) -> u64 {
+    sia_obs::snapshot()
+        .counters
+        .iter()
+        .find(|(k, _)| *k == c)
+        .map_or(0, |(_, v)| *v)
 }
 
-/// Read an `f64` parameter from the environment with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Write a results file, logging (not failing) on IO errors so a
+/// read-only working directory never aborts an experiment run.
+pub fn write_results(path: &str, json: &str) {
+    match std::fs::write(path, json) {
+        Ok(()) => eprintln!("results written to {path}"),
+        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
+    }
 }
 
 /// A crude text histogram: bucket labels and counts rendered with `#`.
@@ -104,12 +105,6 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 6);
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
-    }
-
-    #[test]
-    fn env_fallbacks() {
-        assert_eq!(env_usize("SIA_DOES_NOT_EXIST_XYZ", 7), 7);
-        assert_eq!(env_f64("SIA_DOES_NOT_EXIST_XYZ", 0.5), 0.5);
     }
 
     #[test]

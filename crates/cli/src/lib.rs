@@ -35,10 +35,6 @@ usage:
               [--min-terms N] [--max-terms N] [--zone any|eligible|ineligible]
               [--selectivity F] [--tolerance F] [--repeat-rate F]
               [--drift-rate F]
-  sia soak    [--requests N] [--duration-s F] [--rate F] [--workers N]
-              [--fault-percent N] [--seed N] [--out FILE]
-              (SIA_SOAK_SECS sets the wall-clock budget when
-              --duration-s is absent)
   sia top     [--addr HOST:PORT] [--interval-ms N] [--iterations N]
 
 predicates use the paper's grammar, e.g. \"a - b < 5 AND b < 0\";
@@ -78,11 +74,6 @@ config, then one request per line) from the typed schema registry;
 measured selectivity on sampled rows, --repeat-rate/--drift-rate
 control template repetition (the cache-hit knob) and parameter drift.
 batch --workload replays such a file against a running server.
-soak runs a self-contained chaos simulation: an in-process server pool
-under open-loop Poisson load with injected faults, continuously
-asserting zero lost requests, zero soundness violations (sampled
-responses are re-checked against the solver oracle), a bounded cache,
-and a healed worker pool; --out writes the JSON report.
 top polls the server's queue-free {\"op\":\"stats\"} endpoint every
 --interval-ms (default 1000) and redraws a terminal view of live
 counters, latency percentiles, cache hit rate, and per-phase totals;
@@ -253,24 +244,6 @@ pub enum Command {
         /// Generator knobs assembled from the flags.
         config: sia_gen::GenConfig,
     },
-    /// Run the self-contained chaos soak (in-process pool, injected
-    /// faults, continuously asserted invariants).
-    Soak {
-        /// Total arrivals (ignored when `duration_s` > 0).
-        requests: usize,
-        /// Wall-clock budget in seconds (0 = request-budgeted).
-        duration_s: f64,
-        /// Offered Poisson arrival rate, requests/second.
-        rate: f64,
-        /// Worker threads in the pool.
-        workers: usize,
-        /// Percentage of requests with injected faults.
-        fault_percent: u32,
-        /// RNG seed for the workload, schedule, and fault sites.
-        seed: u64,
-        /// Write the JSON report here (printed summary either way).
-        out: Option<String>,
-    },
     /// Poll a running server's live telemetry into a refreshing
     /// terminal view.
     Top {
@@ -289,9 +262,9 @@ impl Command {
         let mut it = args.iter();
         let sub = it.next().ok_or("missing subcommand")?;
         let mut rest: Vec<String> = it.cloned().collect();
-        // Every subcommand except `serve`, `top`, `gen`, and `soak`
-        // takes one positional argument.
-        let positional = if matches!(sub.as_str(), "serve" | "top" | "gen" | "soak") {
+        // Every subcommand except `serve`, `top`, and `gen` takes one
+        // positional argument.
+        let positional = if matches!(sub.as_str(), "serve" | "top" | "gen") {
             String::new()
         } else if rest.is_empty() || rest[0].starts_with("--") {
             return Err("missing argument".into());
@@ -332,10 +305,6 @@ impl Command {
         let mut tolerance: Option<f64> = None;
         let mut repeat_rate: Option<f64> = None;
         let mut drift_rate: Option<f64> = None;
-        let mut requests: Option<usize> = None;
-        let mut duration_s: Option<f64> = None;
-        let mut rate: Option<f64> = None;
-        let mut fault_percent: Option<u32> = None;
         let mut mode: Option<String> = None;
         let mut explain = false;
         let mut plan = false;
@@ -473,22 +442,6 @@ impl Command {
                     i += 1;
                     drift_rate = Some(parse_float(rest.get(i), "--drift-rate")?);
                 }
-                "--requests" => {
-                    i += 1;
-                    requests = Some(parse_num(rest.get(i), "--requests")?);
-                }
-                "--duration-s" => {
-                    i += 1;
-                    duration_s = Some(parse_float(rest.get(i), "--duration-s")?);
-                }
-                "--rate" => {
-                    i += 1;
-                    rate = Some(parse_float(rest.get(i), "--rate")?);
-                }
-                "--fault-percent" => {
-                    i += 1;
-                    fault_percent = Some(parse_num(rest.get(i), "--fault-percent")?);
-                }
                 "--mode" => {
                     i += 1;
                     let m = rest.get(i).ok_or("--mode needs a value")?.clone();
@@ -538,8 +491,8 @@ impl Command {
         if workload && sub != "batch" {
             return Err("--workload applies to batch".into());
         }
-        if out.is_some() && !matches!(sub.as_str(), "gen" | "soak") {
-            return Err("--out applies to gen and soak".into());
+        if out.is_some() && sub != "gen" {
+            return Err("--out applies to gen".into());
         }
         let gen_only = count.is_some()
             || min_terms.is_some()
@@ -552,13 +505,8 @@ impl Command {
         if gen_only && sub != "gen" {
             return Err("the generator knobs apply to gen".into());
         }
-        let soak_only =
-            requests.is_some() || duration_s.is_some() || rate.is_some() || fault_percent.is_some();
-        if soak_only && sub != "soak" {
-            return Err("--requests/--duration-s/--rate/--fault-percent apply to soak".into());
-        }
-        if seed.is_some() && !matches!(sub.as_str(), "gen" | "soak") {
-            return Err("--seed applies to gen and soak".into());
+        if seed.is_some() && sub != "gen" {
+            return Err("--seed applies to gen".into());
         }
         match sub.as_str() {
             "synth" => {
@@ -651,15 +599,6 @@ impl Command {
                     },
                 })
             }
-            "soak" => Ok(Command::Soak {
-                requests: requests.unwrap_or(1000),
-                duration_s: duration_s.unwrap_or(0.0),
-                rate: rate.unwrap_or(80.0),
-                workers: workers.unwrap_or(4),
-                fault_percent: fault_percent.unwrap_or(10),
-                seed: seed.unwrap_or(0x51A_50AC),
-                out,
-            }),
             "top" => Ok(Command::Top {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:7171".to_string()),
                 interval_ms: interval_ms.unwrap_or(1000),
@@ -1118,83 +1057,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
                 None => Ok(text.trim_end().to_string()),
             }
-        }
-        Command::Soak {
-            requests,
-            duration_s,
-            rate,
-            workers,
-            fault_percent,
-            seed,
-            out,
-        } => {
-            use sia_bench::soak::{run_soak, silence_injected_panics, SoakConfig};
-            silence_injected_panics();
-            sia_obs::reset();
-            sia_obs::enable();
-            // --duration-s wins; otherwise SIA_SOAK_SECS (the CI soak
-            // knob) switches the run to a wall-clock budget.
-            let duration_s = if duration_s > 0.0 {
-                duration_s
-            } else {
-                std::env::var("SIA_SOAK_SECS")
-                    .ok()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite() && *v > 0.0)
-                    .unwrap_or(0.0)
-            };
-            let cfg = SoakConfig {
-                requests,
-                duration: (duration_s > 0.0).then(|| Duration::from_secs_f64(duration_s)),
-                rate,
-                workers,
-                fault_percent,
-                seed,
-                ..SoakConfig::default()
-            };
-            let report = run_soak(&cfg)?;
-            sia_obs::disable();
-            if let Some(path) = &out {
-                std::fs::write(path, format!("{}\n", report.to_json()))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            let summary = format!(
-                "soak: {}/{} answered ({} lost, {} shed) | {} ok / {} degraded / {} timeout\n\
-                 invariants: {} oracle checks, {} violations | cache {}/{} | \
-                 pool healed: {} ({} restarts) | p99 drift {:.2}x | {} faults injected",
-                report.answered,
-                report.offered,
-                report.lost,
-                report.shed,
-                report.ok,
-                report.degraded,
-                report.timeouts,
-                report.oracle_checks,
-                report.violations,
-                report.cache_len,
-                report.cache_capacity,
-                report.pool_healed,
-                report.restarts,
-                report.p99_drift,
-                report.faults_injected
-            );
-            let broken = report.violations > 0
-                || report.lost > 0
-                || !report.pool_healed
-                || report.cache_len > report.cache_capacity;
-            if broken {
-                // The summary still belongs on stdout; the verdict goes to
-                // stderr via the error path (the batch precedent).
-                println!("{summary}");
-                return Err(CliError {
-                    message: format!(
-                        "soak: invariants violated ({} violations, {} lost, pool healed: {})",
-                        report.violations, report.lost, report.pool_healed
-                    ),
-                    code: EXIT_ERROR,
-                });
-            }
-            Ok(summary)
         }
         Command::Top {
             addr,
@@ -1710,37 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_soak() {
-        let cmd = Command::parse(&strs(&[
-            "soak",
-            "--requests",
-            "500",
-            "--rate",
-            "40",
-            "--fault-percent",
-            "5",
-            "--out",
-            "soak.json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Soak {
-                requests: 500,
-                duration_s: 0.0,
-                rate: 40.0,
-                workers: 4,
-                fault_percent: 5,
-                seed: 0x51A_50AC,
-                out: Some("soak.json".into()),
-            }
-        );
-        // The load flags are soak-only.
-        assert!(Command::parse(&strs(&["serve", "--rate", "10"])).is_err());
-        assert!(Command::parse(&strs(&["batch", "r.jsonl", "--requests", "9"])).is_err());
-    }
-
-    #[test]
     fn parse_batch_workload() {
         let cmd = Command::parse(&strs(&["batch", "w.jsonl", "--workload"])).unwrap();
         assert!(matches!(cmd, Command::Batch { workload: true, .. }));
@@ -1832,8 +1663,11 @@ mod tests {
         assert!(out.contains("y2 - y1 < 0"), "{out}");
     }
 
-    /// `--metrics`/`--trace` toggle the process-global collector, so the
-    /// tests that use them serialize on this lock.
+    /// `--metrics` toggles the process-global collector, so the tests
+    /// that use it serialize on this lock. (`--trace` installs the
+    /// process-global sink, which sibling tests synthesizing on other
+    /// threads would write into; it is tested on the real binary in
+    /// `tests/exit_codes.rs`.)
     static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -1909,49 +1743,6 @@ mod tests {
             .parse()
             .expect("numeric coverage");
         assert!(pct >= 95.0, "attributed {pct}% < 95%: {out}");
-    }
-
-    #[test]
-    fn run_synth_trace_is_wellformed_jsonl() {
-        let _guard = OBS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let path = std::env::temp_dir().join(format!("sia_cli_trace_{}.jsonl", std::process::id()));
-        let path_str = path.to_str().expect("utf-8 temp path").to_string();
-        run(Command::Synth {
-            predicate: "a + 10 > b + 20 AND b + 10 > 20".into(),
-            cols: strs(&["a"]),
-            variant: "sia".into(),
-            max_iter: Some(6),
-            timeout_ms: None,
-            metrics: false,
-            trace: Some(path_str.clone()),
-        })
-        .unwrap();
-        let text = std::fs::read_to_string(&path).expect("trace written");
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(!lines.is_empty(), "trace is empty");
-        let mut enters = 0usize;
-        let mut exits = 0usize;
-        for line in &lines {
-            let fields = sia_obs::parse_object(line).expect("well-formed JSONL line");
-            let ty = fields
-                .iter()
-                .find(|(k, _)| k == "type")
-                .and_then(|(_, v)| v.as_str())
-                .expect("type field");
-            match ty {
-                "span_enter" => enters += 1,
-                "span_exit" => exits += 1,
-                "counter" | "hist" => {}
-                other => panic!("unexpected event type {other}"),
-            }
-        }
-        assert!(
-            enters > 0 && enters == exits,
-            "{enters} enters, {exits} exits"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

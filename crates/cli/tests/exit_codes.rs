@@ -33,6 +33,34 @@ fn synth_success_exits_zero() {
 }
 
 #[test]
+fn synth_trace_is_wellformed_jsonl() {
+    let path = std::env::temp_dir().join(format!("sia_cli_trace_{}.jsonl", std::process::id()));
+    let out = sia(&[
+        "synth",
+        "a + 10 > b + 20 AND b + 10 > 20",
+        "--cols",
+        "a",
+        "--max-iter",
+        "6",
+        "--trace",
+        path.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    // `parse_trace` rejects any line that is not a flat JSON object of a
+    // known event type.
+    let stats = sia_obs::parse_trace(&text).expect("well-formed JSONL");
+    assert!(!stats.torn_tail, "trace not flushed: {stats:?}");
+    assert!(
+        stats.enters > 0 && stats.enters == stats.exits,
+        "{} enters, {} exits",
+        stats.enters,
+        stats.exits
+    );
+}
+
+#[test]
 fn synth_parse_error_exits_one() {
     let out = sia(&["synth", "a <", "--cols", "a"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");

@@ -251,29 +251,68 @@ fn cache_persists_across_restarts() {
         cache_file: Some(path.clone()),
         ..ServeConfig::default()
     };
-    let req = Request {
-        id: "p0".into(),
-        predicate: "a + 10 > b + 20 AND b + 10 > 20".into(),
-        cols: strs(&["a"]),
-        timeout_ms: None,
-        trace: None,
-    };
+    let reqs = [
+        ("p0", "a + 10 > b + 20 AND b + 10 > 20", "a", "a >= 22"),
+        ("p1", "x + 5 > y + 10 AND y + 5 > 10", "x", "x >= 12"),
+    ]
+    .map(|(id, predicate, col, learned)| {
+        let req = Request {
+            id: id.into(),
+            predicate: predicate.into(),
+            cols: strs(&[col]),
+            timeout_ms: None,
+            trace: None,
+        };
+        (req, learned)
+    });
 
     let handle = server::start(config.clone()).expect("first server");
     let addr = handle.addr().to_string();
-    let cold = client::request_one(&addr, &req).expect("first run");
-    assert_eq!(cold.status, Status::Ok);
-    assert!(!cold.cached);
+    for (req, _) in &reqs {
+        let cold = client::request_one(&addr, req).expect("first run");
+        assert_eq!(cold.status, Status::Ok);
+        assert!(!cold.cached);
+    }
     handle.shutdown().expect("persists cache");
 
-    let handle = server::start(config).expect("second server");
+    let handle = server::start(config.clone()).expect("second server");
     let addr = handle.addr().to_string();
-    let warm = client::request_one(&addr, &req).expect("warm run");
-    assert_eq!(warm.status, Status::Ok, "{warm:?}");
-    assert!(warm.cached, "expected warm-start hit: {warm:?}");
-    assert_eq!(warm.predicate.as_deref(), Some("a >= 22"));
+    for (req, learned) in &reqs {
+        let warm = client::request_one(&addr, req).expect("warm run");
+        assert_eq!(warm.status, Status::Ok, "{warm:?}");
+        assert!(warm.cached, "expected warm-start hit: {warm:?}");
+        assert_eq!(warm.predicate.as_deref(), Some(*learned));
+    }
     handle.shutdown().expect("clean shutdown");
-    std::fs::remove_file(&path).ok();
+
+    // A crash mid-append: rip through the final record's JSON. The CRC
+    // scan must drop exactly the damaged tail and keep the rest, and a
+    // server restarted on the torn file must still serve warm hits.
+    let bytes = std::fs::read(&path).expect("read snapshot");
+    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 2);
+    std::fs::write(&path, &bytes[..bytes.len() - 9]).expect("tear snapshot");
+    let report = sia_cache::PredicateCache::new(16)
+        .load_file(&path)
+        .expect("torn snapshot loads");
+    assert_eq!((report.recovered, report.dropped), (1, 1), "{report:?}");
+
+    let handle = server::start(config).expect("server restarts on torn snapshot");
+    let addr = handle.addr().to_string();
+    let hits = reqs
+        .iter()
+        .filter(|(req, learned)| {
+            let resp = client::request_one(&addr, req).expect("run after recovery");
+            assert_eq!(resp.status, Status::Ok, "{resp:?}");
+            assert_eq!(resp.predicate.as_deref(), Some(*learned));
+            resp.cached
+        })
+        .count();
+    assert_eq!(
+        hits, 1,
+        "the intact record hits, the torn one re-synthesizes"
+    );
+    handle.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,5 +1,10 @@
 //! Library backing the `sia` command-line tool (kept as a library so the
 //! argument parser and command runners are unit-testable).
+//!
+//! `SUBCOMMANDS` is a table with one row per subcommand — its name, what
+//! may follow it, and a builder — and [`Command::parse`] is one generic
+//! walk over that row; each subcommand is then an argument struct with
+//! one `run`.
 
 #![warn(missing_docs)]
 
@@ -122,515 +127,368 @@ impl From<&str> for CliError {
         CliError::from(message.to_string())
     }
 }
-
-/// A parsed CLI invocation.
+/// A parsed CLI invocation: one variant per [`SUBCOMMANDS`] row, each
+/// holding that subcommand's arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Synthesize a reduced predicate.
-    Synth {
-        /// The predicate source.
-        predicate: String,
-        /// Target columns.
-        cols: Vec<String>,
-        /// Which preset: "sia" (default), "v1", "v2".
-        variant: String,
-        /// Optional iteration override.
-        max_iter: Option<u32>,
-        /// Deadline for the whole synthesis run.
-        timeout_ms: Option<u64>,
-        /// Print the per-phase metrics summary after synthesis.
-        metrics: bool,
-        /// Stream a JSONL span/event trace to this file.
-        trace: Option<String>,
-    },
+    Synth(Synth),
     /// Check satisfiability and print a model.
-    Solve {
-        /// The predicate source.
-        predicate: String,
-    },
+    Solve(Solve),
     /// Statically analyze a predicate for contradictions, tautologies,
     /// and type-suspect comparisons — or, with `--plan`, lint a whole
     /// query plan for unreachable filters, redundant predicates, and
     /// join equalities that contradict scan filters.
-    Lint {
-        /// The predicate source (a full SQL query when `plan` is set).
-        predicate: String,
-        /// Output format: "text" (default) or "json".
-        format: String,
-        /// Lint the optimizer plan of a SQL query instead of a predicate.
-        plan: bool,
-    },
+    Lint(Lint),
     /// Plan a SQL query against the generator registry and show what the
     /// move-around pass derives.
-    Plan {
-        /// The query source.
-        sql: String,
-        /// Move-around mode: "off", "static" (default), or "synth".
-        mode: String,
-        /// Show the pre-optimization tree and the per-scan derivation
-        /// report alongside the optimized plan.
-        explain: bool,
-    },
+    Plan(Plan),
     /// Project the predicate onto the kept columns (∃-eliminate the rest).
-    Project {
-        /// The predicate source.
-        predicate: String,
-        /// Columns to keep.
-        keep: Vec<String>,
-    },
+    Project(Project),
     /// Rewrite a TPC-H benchmark query.
-    Rewrite {
-        /// The query source.
-        sql: String,
-        /// Target table for push-down.
-        table: String,
-    },
+    Rewrite(Rewrite),
     /// Run the transitive-closure baseline.
-    Baseline {
-        /// The predicate source.
-        predicate: String,
-        /// Target columns.
-        cols: Vec<String>,
-    },
+    Baseline(Baseline),
     /// Run the synthesis server until a client sends `shutdown`.
-    Serve {
-        /// Listen address.
-        addr: String,
-        /// Worker threads.
-        workers: usize,
-        /// Predicate-cache capacity in entries (0 disables caching).
-        cache_capacity: usize,
-        /// Bounded request-queue depth (admission control).
-        queue_depth: usize,
-        /// AIMD queue-delay budget in milliseconds; 0 disables adaptive
-        /// admission, two-lane shedding, and brownout (fixed queue cap).
-        delay_budget_ms: u64,
-        /// Default per-request deadline.
-        timeout_ms: Option<u64>,
-        /// Cache persistence file (loaded at startup, saved on shutdown).
-        cache_file: Option<String>,
-        /// Periodic crash-safe cache snapshot interval, in milliseconds.
-        snapshot_ms: Option<u64>,
-        /// Slow-request log file (JSONL response exemplars).
-        slow_log: Option<String>,
-        /// Slow-log latency threshold in milliseconds (default 1000).
-        slow_ms: Option<u64>,
-        /// Print the metrics summary when the server stops.
-        metrics: bool,
-    },
+    Serve(Serve),
     /// Send a JSONL file of requests to a running server.
-    Batch {
-        /// Path to the requests file (one JSON request per line).
-        file: String,
-        /// Server address.
-        addr: String,
-        /// Client connections used in parallel.
-        concurrency: usize,
-        /// Deadline applied to requests that carry none.
-        timeout_ms: Option<u64>,
-        /// Retries per request for overloaded/failed sends (0 = off).
-        retries: u32,
-        /// Retry-budget cap as a percentage of fresh requests (default
-        /// 10): retries beyond the budget are shed client-side.
-        retry_budget: u32,
-        /// Treat the file as a `sia gen` workload (header + typed
-        /// requests) instead of raw protocol request lines.
-        workload: bool,
-    },
+    Batch(Batch),
     /// Generate a workload file of synthesis requests.
-    Gen {
-        /// Output file; stdout when absent.
-        out: Option<String>,
-        /// Generator knobs assembled from the flags.
-        config: sia_gen::GenConfig,
-    },
+    Gen(Gen),
     /// Poll a running server's live telemetry into a refreshing
     /// terminal view.
-    Top {
-        /// Server address.
-        addr: String,
-        /// Refresh interval in milliseconds.
-        interval_ms: u64,
-        /// Polls before exiting (0 = run until interrupted).
-        iterations: u64,
-    },
+    Top(Top),
+}
+
+/// Which synthesizer preset `sia synth` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Variant {
+    /// The full system.
+    #[default]
+    Sia,
+    /// `--v1`: the SIA_v1 baseline preset.
+    V1,
+    /// `--v2`: the SIA_v2 baseline preset.
+    V2,
+}
+
+/// `sia lint` output format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Format {
+    /// One finding per line.
+    #[default]
+    Text,
+    /// One machine-readable object with per-finding severities.
+    Json,
+}
+
+/// `sia synth` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Synth {
+    /// The predicate source.
+    pub predicate: String,
+    /// Target columns.
+    pub cols: Vec<String>,
+    /// Which preset.
+    pub variant: Variant,
+    /// Optional iteration override.
+    pub max_iter: Option<u32>,
+    /// Deadline for the whole synthesis run.
+    pub timeout_ms: Option<u64>,
+    /// Print the per-phase metrics summary after synthesis.
+    pub metrics: bool,
+    /// Stream a JSONL span/event trace to this file.
+    pub trace: Option<String>,
+}
+
+/// `sia solve` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Solve {
+    /// The predicate source.
+    pub predicate: String,
+}
+
+/// `sia lint` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lint {
+    /// The predicate source (a full SQL query when `plan` is set).
+    pub predicate: String,
+    /// Output format.
+    pub format: Format,
+    /// Lint the optimizer plan of a SQL query instead of a predicate.
+    pub plan: bool,
+}
+
+/// `sia plan` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The query source.
+    pub sql: String,
+    /// How far predicate move-around goes (default static).
+    pub mode: sia_engine::MoveAround,
+    /// Show the pre-optimization tree and the per-scan derivation
+    /// report alongside the optimized plan.
+    pub explain: bool,
+}
+
+/// `sia project` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Project {
+    /// The predicate source.
+    pub predicate: String,
+    /// Columns to keep.
+    pub keep: Vec<String>,
+}
+
+/// `sia rewrite` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rewrite {
+    /// The query source.
+    pub sql: String,
+    /// Target table for push-down.
+    pub table: String,
+}
+
+/// `sia baseline` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Baseline {
+    /// The predicate source.
+    pub predicate: String,
+    /// Target columns.
+    pub cols: Vec<String>,
+}
+
+/// `sia serve` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Serve {
+    /// The server configuration assembled from the flags.
+    pub config: ServeConfig,
+    /// Print the metrics summary when the server stops.
+    pub metrics: bool,
+}
+
+/// `sia batch` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Batch {
+    /// Path to the requests file (one JSON request per line).
+    pub file: String,
+    /// Server address.
+    pub addr: String,
+    /// Client connections used in parallel.
+    pub concurrency: usize,
+    /// Deadline applied to requests that carry none.
+    pub timeout_ms: Option<u64>,
+    /// Retries per request for overloaded/failed sends (0 = off).
+    pub retries: u32,
+    /// Retry-budget cap as a percentage of fresh requests (default
+    /// 10): retries beyond the budget are shed client-side.
+    pub retry_budget: u32,
+    /// Treat the file as a `sia gen` workload (header + typed
+    /// requests) instead of raw protocol request lines.
+    pub workload: bool,
+}
+
+/// `sia gen` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gen {
+    /// Output file; stdout when absent.
+    pub out: Option<String>,
+    /// Generator knobs assembled from the flags.
+    pub config: sia_gen::GenConfig,
+}
+
+/// `sia top` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Top {
+    /// Server address.
+    pub addr: String,
+    /// Refresh interval in milliseconds.
+    pub interval_ms: u64,
+    /// Polls before exiting (0 = run until interrupted).
+    pub iterations: u64,
+}
+
+/// One row of the subcommand table.
+struct Sub {
+    name: &'static str,
+    /// What may follow the name, space-separated: a leading `<…>` if one
+    /// positional argument comes first, then the flags — `--flag=` takes
+    /// a value, `--flag` is a switch. This is the only statement of which
+    /// flag applies where: [`Command::parse`] rejects any flag the row
+    /// does not list, and the tests hold [`USAGE`] to it.
+    accepts: &'static str,
+    /// Builds the command from the arguments the walk collected.
+    build: fn(&Args) -> Result<Command, String>,
+}
+
+const fn sub(
+    name: &'static str,
+    accepts: &'static str,
+    build: fn(&Args) -> Result<Command, String>,
+) -> Sub {
+    Sub {
+        name,
+        accepts,
+        build,
+    }
+}
+
+static SUBCOMMANDS: &[Sub] = &[
+    sub(
+        "synth",
+        "<predicate> --cols= --v1 --v2 --max-iter= --timeout-ms= --metrics --trace=",
+        Synth::build,
+    ),
+    sub("solve", "<predicate>", Solve::build),
+    sub("lint", "<predicate> --format= --plan", Lint::build),
+    sub("plan", "<query-sql> --mode= --explain", Plan::build),
+    sub("project", "<predicate> --keep=", Project::build),
+    sub("rewrite", "<query-sql> --table=", Rewrite::build),
+    sub("baseline", "<predicate> --cols=", Baseline::build),
+    sub(
+        "serve",
+        "--addr= --workers= --cache-capacity= --queue-depth= --delay-budget-ms= --timeout-ms= \
+         --cache-file= --snapshot-ms= --slow-log= --slow-ms= --metrics",
+        Serve::build,
+    ),
+    sub(
+        "batch",
+        "<requests.jsonl> --addr= --concurrency= --timeout-ms= --retries= --retry-budget= \
+         --workload",
+        Batch::build,
+    ),
+    sub(
+        "gen",
+        "--out= --table= --count= --seed= --min-terms= --max-terms= --zone= --selectivity= \
+         --tolerance= --repeat-rate= --drift-rate=",
+        Gen::build,
+    ),
+    sub("top", "--addr= --interval-ms= --iterations=", Top::build),
+];
+
+const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+
+impl Sub {
+    fn positional(&self) -> bool {
+        self.accepts.starts_with('<')
+    }
+
+    /// Whether this row lists `flag`, and if so whether it takes a value.
+    fn flag(&self, flag: &str) -> Option<bool> {
+        let listed = self.accepts.split_whitespace();
+        listed
+            .filter(|f| f.starts_with("--"))
+            .find_map(|f| match f.strip_suffix('=') {
+                Some(name) => (name == flag).then_some(true),
+                None => (f == flag).then_some(false),
+            })
+    }
+}
+
+/// What one invocation gave, as the generic walk in [`Command::parse`]
+/// left it; the row's builder reads it through the typed getters.
+struct Args<'a> {
+    row: &'static Sub,
+    positional: &'a str,
+    /// `(flag, value)` in command-line order; a switch has no value.
+    given: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl Args<'_> {
+    /// The last occurrence of `flag`.
+    fn find(&self, flag: &str) -> Option<&(&str, Option<&str>)> {
+        debug_assert!(
+            self.row.flag(flag).is_some(),
+            "{flag} read by the `{}` builder but missing from its row",
+            self.row.name
+        );
+        self.given.iter().rev().find(|(f, _)| *f == flag)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.find(flag).is_some()
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.find(flag).and_then(|(_, value)| *value)
+    }
+
+    fn text(&self, flag: &str) -> Option<String> {
+        self.get(flag).map(str::to_string)
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parsed = self.get(flag).map(str::parse);
+        parsed
+            .transpose()
+            .map_err(|_| format!("{flag} must be a number"))
+    }
+
+    fn float(&self, flag: &str) -> Result<Option<f64>, String> {
+        match self.num(flag)? {
+            Some(v) if !f64::is_finite(v) => Err(format!("{flag} must be finite")),
+            v => Ok(v),
+        }
+    }
+
+    /// A comma-separated list; empty when the flag is absent.
+    fn list(&self, flag: &str) -> Vec<String> {
+        let items = self.get(flag).unwrap_or("").split(',');
+        items
+            .map(|c| c.trim().to_string())
+            .filter(|c| !c.is_empty())
+            .collect()
+    }
+
+    /// A list flag the subcommand cannot run without.
+    fn required_list(&self, flag: &str) -> Result<Vec<String>, String> {
+        let items = self.list(flag);
+        if items.is_empty() {
+            return Err(format!("{} requires {flag}", self.row.name));
+        }
+        Ok(items)
+    }
 }
 
 impl Command {
-    /// Parse raw arguments (without the program name).
+    /// Parse raw arguments (without the program name): find the
+    /// subcommand's row, take its positional, then walk the flags
+    /// against the row.
     pub fn parse(args: &[String]) -> Result<Command, String> {
-        let mut it = args.iter();
-        let sub = it.next().ok_or("missing subcommand")?;
-        let mut rest: Vec<String> = it.cloned().collect();
-        // Every subcommand except `serve`, `top`, and `gen` takes one
-        // positional argument.
-        let positional = if matches!(sub.as_str(), "serve" | "top" | "gen") {
-            String::new()
-        } else if rest.is_empty() || rest[0].starts_with("--") {
-            return Err("missing argument".into());
+        let (sub, rest) = args.split_first().ok_or("missing subcommand")?;
+        let row = SUBCOMMANDS
+            .iter()
+            .find(|row| row.name == sub)
+            .ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
+        let mut rest = rest.iter().map(String::as_str);
+        let positional = if row.positional() {
+            let first = rest.next().filter(|arg| !arg.starts_with("--"));
+            first.ok_or("missing argument")?
         } else {
-            rest.remove(0)
+            ""
         };
-        let mut cols = Vec::new();
-        let mut keep = Vec::new();
-        let mut table = None;
-        let mut variant = "sia".to_string();
-        let mut max_iter = None;
-        let mut metrics = false;
-        let mut trace = None;
-        let mut timeout_ms = None;
-        let mut addr = None;
-        let mut workers: Option<usize> = None;
-        let mut cache_capacity = 1024usize;
-        let mut queue_depth = 64usize;
-        let mut cache_file = None;
-        let mut snapshot_ms = None;
-        let mut delay_budget_ms: Option<u64> = None;
-        let mut concurrency = 4usize;
-        let mut retries = 0u32;
-        let mut retry_budget: Option<u32> = None;
-        let mut format: Option<String> = None;
-        let mut slow_log = None;
-        let mut slow_ms = None;
-        let mut interval_ms: Option<u64> = None;
-        let mut iterations: Option<u64> = None;
-        let mut workload = false;
-        let mut out: Option<String> = None;
-        let mut count: Option<usize> = None;
-        let mut seed: Option<u64> = None;
-        let mut min_terms: Option<usize> = None;
-        let mut max_terms: Option<usize> = None;
-        let mut zone: Option<sia_gen::ZonePolicy> = None;
-        let mut selectivity: Option<f64> = None;
-        let mut tolerance: Option<f64> = None;
-        let mut repeat_rate: Option<f64> = None;
-        let mut drift_rate: Option<f64> = None;
-        let mut mode: Option<String> = None;
-        let mut explain = false;
-        let mut plan = false;
-        let mut i = 0;
-        while i < rest.len() {
-            match rest[i].as_str() {
-                "--cols" => {
-                    i += 1;
-                    cols = split_list(rest.get(i).ok_or("--cols needs a value")?);
+        let mut given = Vec::new();
+        while let Some(flag) = rest.next() {
+            let takes_value = row.flag(flag).ok_or_else(|| {
+                if SUBCOMMANDS.iter().any(|r| r.flag(flag).is_some()) {
+                    format!("{flag} does not apply to {}", row.name)
+                } else {
+                    format!("unknown flag {flag:?}")
                 }
-                "--keep" => {
-                    i += 1;
-                    keep = split_list(rest.get(i).ok_or("--keep needs a value")?);
-                }
-                "--table" => {
-                    i += 1;
-                    table = Some(rest.get(i).ok_or("--table needs a value")?.clone());
-                }
-                "--max-iter" => {
-                    i += 1;
-                    max_iter = Some(
-                        rest.get(i)
-                            .ok_or("--max-iter needs a value")?
-                            .parse()
-                            .map_err(|_| "--max-iter must be an integer")?,
-                    );
-                }
-                "--timeout-ms" => {
-                    i += 1;
-                    timeout_ms = Some(parse_num(rest.get(i), "--timeout-ms")?);
-                }
-                "--addr" => {
-                    i += 1;
-                    addr = Some(rest.get(i).ok_or("--addr needs a value")?.clone());
-                }
-                "--workers" => {
-                    i += 1;
-                    workers = Some(parse_num(rest.get(i), "--workers")?);
-                }
-                "--cache-capacity" => {
-                    i += 1;
-                    cache_capacity = parse_num(rest.get(i), "--cache-capacity")?;
-                }
-                "--queue-depth" => {
-                    i += 1;
-                    queue_depth = parse_num(rest.get(i), "--queue-depth")?;
-                }
-                "--cache-file" => {
-                    i += 1;
-                    cache_file = Some(rest.get(i).ok_or("--cache-file needs a value")?.clone());
-                }
-                "--snapshot-ms" => {
-                    i += 1;
-                    snapshot_ms = Some(parse_num(rest.get(i), "--snapshot-ms")?);
-                }
-                "--delay-budget-ms" => {
-                    i += 1;
-                    delay_budget_ms = Some(parse_num(rest.get(i), "--delay-budget-ms")?);
-                }
-                "--slow-log" => {
-                    i += 1;
-                    slow_log = Some(rest.get(i).ok_or("--slow-log needs a file path")?.clone());
-                }
-                "--slow-ms" => {
-                    i += 1;
-                    slow_ms = Some(parse_num(rest.get(i), "--slow-ms")?);
-                }
-                "--interval-ms" => {
-                    i += 1;
-                    interval_ms = Some(parse_num(rest.get(i), "--interval-ms")?);
-                }
-                "--iterations" => {
-                    i += 1;
-                    iterations = Some(parse_num(rest.get(i), "--iterations")?);
-                }
-                "--concurrency" => {
-                    i += 1;
-                    concurrency = parse_num(rest.get(i), "--concurrency")?;
-                }
-                "--retries" => {
-                    i += 1;
-                    retries = parse_num(rest.get(i), "--retries")?;
-                }
-                "--retry-budget" => {
-                    i += 1;
-                    retry_budget = Some(parse_num(rest.get(i), "--retry-budget")?);
-                }
-                "--format" => {
-                    i += 1;
-                    let f = rest.get(i).ok_or("--format needs a value")?.clone();
-                    if f != "text" && f != "json" {
-                        return Err(format!("--format must be text or json, got {f:?}"));
-                    }
-                    format = Some(f);
-                }
-                "--workload" => workload = true,
-                "--out" => {
-                    i += 1;
-                    out = Some(rest.get(i).ok_or("--out needs a file path")?.clone());
-                }
-                "--count" => {
-                    i += 1;
-                    count = Some(parse_num(rest.get(i), "--count")?);
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = Some(parse_num(rest.get(i), "--seed")?);
-                }
-                "--min-terms" => {
-                    i += 1;
-                    min_terms = Some(parse_num(rest.get(i), "--min-terms")?);
-                }
-                "--max-terms" => {
-                    i += 1;
-                    max_terms = Some(parse_num(rest.get(i), "--max-terms")?);
-                }
-                "--zone" => {
-                    i += 1;
-                    let z = rest.get(i).ok_or("--zone needs a value")?;
-                    zone = Some(sia_gen::ZonePolicy::parse(z)?);
-                }
-                "--selectivity" => {
-                    i += 1;
-                    selectivity = Some(parse_float(rest.get(i), "--selectivity")?);
-                }
-                "--tolerance" => {
-                    i += 1;
-                    tolerance = Some(parse_float(rest.get(i), "--tolerance")?);
-                }
-                "--repeat-rate" => {
-                    i += 1;
-                    repeat_rate = Some(parse_float(rest.get(i), "--repeat-rate")?);
-                }
-                "--drift-rate" => {
-                    i += 1;
-                    drift_rate = Some(parse_float(rest.get(i), "--drift-rate")?);
-                }
-                "--mode" => {
-                    i += 1;
-                    let m = rest.get(i).ok_or("--mode needs a value")?.clone();
-                    sia_engine::MoveAround::parse(&m)?;
-                    mode = Some(m);
-                }
-                "--explain" => explain = true,
-                "--plan" => plan = true,
-                "--v1" => variant = "v1".to_string(),
-                "--v2" => variant = "v2".to_string(),
-                "--metrics" => metrics = true,
-                "--trace" => {
-                    i += 1;
-                    trace = Some(rest.get(i).ok_or("--trace needs a file path")?.clone());
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-            i += 1;
+            })?;
+            let value = if takes_value {
+                Some(rest.next().ok_or_else(|| format!("{flag} needs a value"))?)
+            } else {
+                None
+            };
+            given.push((flag, value));
         }
-        if (metrics && !matches!(sub.as_str(), "synth" | "serve"))
-            || (trace.is_some() && sub != "synth")
-        {
-            return Err("--metrics applies to synth/serve; --trace to synth".into());
-        }
-        if timeout_ms.is_some() && !matches!(sub.as_str(), "synth" | "serve" | "batch") {
-            return Err("--timeout-ms applies to synth, serve, and batch".into());
-        }
-        if format.is_some() && sub != "lint" {
-            return Err("--format applies to lint".into());
-        }
-        if (mode.is_some() || explain) && sub != "plan" {
-            return Err("--mode/--explain apply to plan".into());
-        }
-        if plan && sub != "lint" {
-            return Err("--plan applies to lint".into());
-        }
-        if (slow_log.is_some() || slow_ms.is_some() || delay_budget_ms.is_some()) && sub != "serve"
-        {
-            return Err("--slow-log/--slow-ms/--delay-budget-ms apply to serve".into());
-        }
-        if retry_budget.is_some() && sub != "batch" {
-            return Err("--retry-budget applies to batch".into());
-        }
-        if (interval_ms.is_some() || iterations.is_some()) && sub != "top" {
-            return Err("--interval-ms/--iterations apply to top".into());
-        }
-        if workload && sub != "batch" {
-            return Err("--workload applies to batch".into());
-        }
-        if out.is_some() && sub != "gen" {
-            return Err("--out applies to gen".into());
-        }
-        let gen_only = count.is_some()
-            || min_terms.is_some()
-            || max_terms.is_some()
-            || zone.is_some()
-            || selectivity.is_some()
-            || tolerance.is_some()
-            || repeat_rate.is_some()
-            || drift_rate.is_some();
-        if gen_only && sub != "gen" {
-            return Err("the generator knobs apply to gen".into());
-        }
-        if seed.is_some() && sub != "gen" {
-            return Err("--seed applies to gen".into());
-        }
-        match sub.as_str() {
-            "synth" => {
-                if cols.is_empty() {
-                    return Err("synth requires --cols".into());
-                }
-                Ok(Command::Synth {
-                    predicate: positional,
-                    cols,
-                    variant,
-                    max_iter,
-                    timeout_ms,
-                    metrics,
-                    trace,
-                })
-            }
-            "solve" => Ok(Command::Solve {
-                predicate: positional,
-            }),
-            "lint" => Ok(Command::Lint {
-                predicate: positional,
-                format: format.unwrap_or_else(|| "text".to_string()),
-                plan,
-            }),
-            "plan" => Ok(Command::Plan {
-                sql: positional,
-                mode: mode.unwrap_or_else(|| "static".to_string()),
-                explain,
-            }),
-            "project" => {
-                if keep.is_empty() {
-                    return Err("project requires --keep".into());
-                }
-                Ok(Command::Project {
-                    predicate: positional,
-                    keep,
-                })
-            }
-            "rewrite" => Ok(Command::Rewrite {
-                sql: positional,
-                table: table.ok_or("rewrite requires --table")?,
-            }),
-            "baseline" => {
-                if cols.is_empty() {
-                    return Err("baseline requires --cols".into());
-                }
-                Ok(Command::Baseline {
-                    predicate: positional,
-                    cols,
-                })
-            }
-            "serve" => Ok(Command::Serve {
-                addr: addr.unwrap_or_else(|| "127.0.0.1:7171".to_string()),
-                workers: workers.unwrap_or(2),
-                cache_capacity,
-                queue_depth,
-                delay_budget_ms: delay_budget_ms.unwrap_or(250),
-                timeout_ms,
-                cache_file,
-                snapshot_ms,
-                slow_log,
-                slow_ms,
-                metrics,
-            }),
-            "batch" => Ok(Command::Batch {
-                file: positional,
-                addr: addr.unwrap_or_else(|| "127.0.0.1:7171".to_string()),
-                concurrency,
-                timeout_ms,
-                retries,
-                retry_budget: retry_budget.unwrap_or(10),
-                workload,
-            }),
-            "gen" => {
-                let d = sia_gen::GenConfig::default();
-                Ok(Command::Gen {
-                    out,
-                    config: sia_gen::GenConfig {
-                        table: table.unwrap_or(d.table),
-                        count: count.unwrap_or(d.count),
-                        seed: seed.unwrap_or(d.seed),
-                        min_terms: min_terms.unwrap_or(d.min_terms),
-                        max_terms: max_terms.unwrap_or(d.max_terms),
-                        zone: zone.unwrap_or(d.zone),
-                        target_selectivity: selectivity.or(d.target_selectivity),
-                        selectivity_tolerance: tolerance.unwrap_or(d.selectivity_tolerance),
-                        repeat_rate: repeat_rate.unwrap_or(d.repeat_rate),
-                        drift_rate: drift_rate.unwrap_or(d.drift_rate),
-                        ..d
-                    },
-                })
-            }
-            "top" => Ok(Command::Top {
-                addr: addr.unwrap_or_else(|| "127.0.0.1:7171".to_string()),
-                interval_ms: interval_ms.unwrap_or(1000),
-                iterations: iterations.unwrap_or(0),
-            }),
-            other => Err(format!("unknown subcommand {other:?}")),
-        }
+        (row.build)(&Args {
+            row,
+            positional,
+            given,
+        })
     }
-}
-
-fn split_list(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect()
-}
-
-fn parse_num<T: std::str::FromStr>(arg: Option<&String>, flag: &str) -> Result<T, String> {
-    arg.ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{flag} must be an integer"))
-}
-
-fn parse_float(arg: Option<&String>, flag: &str) -> Result<f64, String> {
-    let v: f64 = arg
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{flag} must be a number"))?;
-    if !v.is_finite() {
-        return Err(format!("{flag} must be finite"));
-    }
-    Ok(v)
 }
 
 /// A planning-only database: every generator-registry table registered
@@ -647,438 +505,542 @@ fn registry_db() -> sia_engine::Database {
 /// process exit code: 1 for errors, 2 for synthesis timeouts.
 pub fn run(cmd: Command) -> Result<String, CliError> {
     match cmd {
-        Command::Synth {
-            predicate,
-            cols,
-            variant,
-            max_iter,
-            timeout_ms,
-            metrics,
-            trace,
-        } => {
-            let p = parse_predicate(&predicate).map_err(|e| e.to_string())?;
-            let mut config = match variant.as_str() {
-                "v1" => SiaConfig::v1(),
-                "v2" => SiaConfig::v2(),
-                _ => SiaConfig::default(),
-            };
-            if let Some(m) = max_iter {
-                config.max_iterations = m;
+        Command::Synth(c) => c.run(),
+        Command::Solve(c) => c.run(),
+        Command::Lint(c) => c.run(),
+        Command::Plan(c) => c.run(),
+        Command::Project(c) => c.run(),
+        Command::Rewrite(c) => c.run(),
+        Command::Baseline(c) => c.run(),
+        Command::Serve(c) => c.run(),
+        Command::Batch(c) => c.run(),
+        Command::Gen(c) => c.run(),
+        Command::Top(c) => c.run(),
+    }
+}
+
+impl Synth {
+    fn build(a: &Args) -> Result<Command, String> {
+        // `--v1 --v2`: the last one given wins.
+        let variant = a.given.iter().rev().find_map(|(flag, _)| match *flag {
+            "--v1" => Some(Variant::V1),
+            "--v2" => Some(Variant::V2),
+            _ => None,
+        });
+        Ok(Command::Synth(Synth {
+            predicate: a.positional.to_string(),
+            cols: a.required_list("--cols")?,
+            variant: variant.unwrap_or_default(),
+            max_iter: a.num("--max-iter")?,
+            timeout_ms: a.num("--timeout-ms")?,
+            metrics: a.has("--metrics"),
+            trace: a.text("--trace"),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
+        let mut config = match self.variant {
+            Variant::V1 => SiaConfig::v1(),
+            Variant::V2 => SiaConfig::v2(),
+            Variant::Sia => SiaConfig::default(),
+        };
+        if let Some(m) = self.max_iter {
+            config.max_iterations = m;
+        }
+        if let Some(ms) = self.timeout_ms {
+            config.budget = Budget::with_deadline(Duration::from_millis(ms));
+        }
+        let observe = self.metrics || self.trace.is_some();
+        if observe {
+            sia_obs::reset();
+            sia_obs::enable();
+            if let Some(path) = &self.trace {
+                let sink = sia_obs::JsonlSink::create(path)
+                    .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
+                sia_obs::set_sink(Box::new(sink));
             }
-            if let Some(ms) = timeout_ms {
-                config.budget = Budget::with_deadline(Duration::from_millis(ms));
+        }
+        let mut syn = Synthesizer::new(config);
+        let result = syn.synthesize(&p, &self.cols).map_err(|e| CliError {
+            message: e.to_string(),
+            code: if e == SynthesisError::Timeout {
+                EXIT_TIMEOUT
+            } else {
+                EXIT_ERROR
+            },
+        });
+        // Tear observability down before propagating any error so a
+        // failed run still flushes its trace file.
+        let summary = if observe {
+            if self.trace.is_some() {
+                drop(sia_obs::take_sink());
             }
-            let observe = metrics || trace.is_some();
-            if observe {
-                sia_obs::reset();
-                sia_obs::enable();
-                if let Some(path) = &trace {
-                    let sink = sia_obs::JsonlSink::create(path)
-                        .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
-                    sia_obs::set_sink(Box::new(sink));
+            sia_obs::disable();
+            self.metrics.then(sia_obs::summary)
+        } else {
+            None
+        };
+        let r = result?;
+        let mut out = String::new();
+        match &r.predicate {
+            Some(q) => out.push_str(&format!("predicate: {q}\n")),
+            None => out.push_str("predicate: TRUE (nothing non-trivial is valid)\n"),
+        }
+        if r.derived_static {
+            out.push_str("derived: static\n");
+        }
+        out.push_str(&format!(
+            "optimal: {}\niterations: {}\nsamples: {} TRUE / {} FALSE",
+            r.optimal, r.stats.iterations, r.stats.true_samples, r.stats.false_samples
+        ));
+        if let Some(summary) = summary {
+            out.push_str("\n\n== metrics ==\n");
+            out.push_str(&summary.to_string());
+            if let Some(cov) = summary.snapshot.coverage("synth") {
+                out.push_str(&format!(
+                    "phase coverage: {:.1}% of synthesis wall time attributed",
+                    100.0 * cov
+                ));
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl Solve {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Solve(Solve {
+            predicate: a.positional.to_string(),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
+        let mut enc = PredEncoder::new();
+        let f = enc.encode(&p).map_err(|e| e.to_string())?;
+        let cols: Vec<(String, sia_smt::VarId)> =
+            enc.columns().map(|(c, v)| (c.to_string(), v)).collect();
+        match enc.solver().check(&f) {
+            SmtResult::Sat(m) => {
+                let mut out = String::from("sat\n");
+                for (c, v) in cols {
+                    out.push_str(&format!("  {c} = {}\n", m.rat(v)));
+                }
+                Ok(out.trim_end().to_string())
+            }
+            SmtResult::Unsat => Ok("unsat".to_string()),
+            SmtResult::Unknown => Ok("unknown (budget exhausted)".to_string()),
+        }
+    }
+}
+
+impl Lint {
+    fn build(a: &Args) -> Result<Command, String> {
+        let format = match a.get("--format") {
+            None | Some("text") => Format::Text,
+            Some("json") => Format::Json,
+            Some(f) => return Err(format!("--format must be text or json, got {f:?}")),
+        };
+        Ok(Command::Lint(Lint {
+            predicate: a.positional.to_string(),
+            format,
+            plan: a.has("--plan"),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let warnings = if self.plan {
+            // Plan lint: build the optimizer plan of a full query
+            // against the registry schemas and analyze it globally.
+            let query = parse_query(&self.predicate).map_err(|e| e.to_string())?;
+            let db = registry_db();
+            let p = db.plan(&query).map_err(|e| e.to_string())?;
+            sia_engine::lint_plan(&p, &|t| db.schema_of(t))
+        } else {
+            let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
+            // Seed the analyzer from the generator's schema registry
+            // (all TPC-H tables plus the synthetic `wide` schema) so
+            // DATE and DOUBLE columns are typed; unknown columns
+            // default to INTEGER NOT NULL, matching the synthesizer's
+            // encoder.
+            let schemas = sia_gen::schemas();
+            sia_analyze::Analyzer::with_schemas(schemas.iter().map(|(_, s)| s)).lint(&p)
+        };
+        let errors = warnings.iter().filter(|w| w.severity() == "error").count();
+        let out = if self.format == Format::Json {
+            let findings: Vec<String> = warnings
+                .iter()
+                .map(|w| {
+                    format!(
+                        "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":{}}}",
+                        w.severity(),
+                        w.code,
+                        sia_obs::json_string(&w.message)
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"findings\":[{}],\"errors\":{errors},\"warnings\":{}}}",
+                findings.join(","),
+                warnings.len() - errors
+            )
+        } else if warnings.is_empty() {
+            "no warnings".to_string()
+        } else {
+            warnings
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        if errors > 0 {
+            // Findings still belong on stdout; only the verdict goes
+            // to stderr via the error path (the batch precedent).
+            println!("{out}");
+            return Err(CliError {
+                message: format!("lint: {errors} error-severity finding(s)"),
+                code: EXIT_LINT,
+            });
+        }
+        Ok(out)
+    }
+}
+
+impl Plan {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Plan(Plan {
+            sql: a.positional.to_string(),
+            mode: sia_engine::MoveAround::parse(a.get("--mode").unwrap_or("static"))?,
+            explain: a.has("--explain"),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let query = parse_query(&self.sql).map_err(|e| e.to_string())?;
+        let db = registry_db();
+        let config = sia_engine::OptimizerConfig {
+            move_around: self.mode,
+            ..sia_engine::OptimizerConfig::default()
+        };
+        let (optimized, report) = db
+            .optimized_plan(&query, config)
+            .map_err(|e| e.to_string())?;
+        if !self.explain {
+            return Ok(optimized.to_string().trim_end().to_string());
+        }
+        let before = db.plan(&query).map_err(|e| e.to_string())?;
+        Ok(format!(
+            "== before ==\n{before}== after ==\n{optimized}== move-around ==\n{report}\
+             filters below joins: {} -> {}",
+            before.filters_below_joins(),
+            optimized.filters_below_joins()
+        ))
+    }
+}
+
+impl Project {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Project(Project {
+            predicate: a.positional.to_string(),
+            keep: a.required_list("--keep")?,
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
+        let mut enc = PredEncoder::new();
+        let f = enc.encode(&p).map_err(|e| e.to_string())?;
+        let keep_vars: Vec<_> = self.keep.iter().map(|c| enc.value_var(c)).collect();
+        let others: Vec<_> = enc
+            .columns()
+            .map(|(_, v)| v)
+            .filter(|v| !keep_vars.contains(v))
+            .collect();
+        let projected = sia_smt::eliminate_exists(&f, &others, &QeConfig::default())
+            .map_err(|e| e.to_string())?;
+        Ok(format!(
+            "∃-projection onto {:?} (solver variables v0..):\n{projected}",
+            self.keep
+        ))
+    }
+}
+
+impl Rewrite {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Rewrite(Rewrite {
+            sql: a.positional.to_string(),
+            table: a.text("--table").ok_or("rewrite requires --table")?,
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let q = parse_query(&self.sql).map_err(|e| e.to_string())?;
+        let mut cat = Catalog::new();
+        cat.add_table("orders", sia_tpch::orders_schema());
+        cat.add_table("lineitem", sia_tpch::lineitem_schema());
+        let mut syn = Synthesizer::default();
+        let outcome = rewrite_query(&mut syn, &q, &cat, &self.table).map_err(|e| e.to_string())?;
+        match outcome.rewritten {
+            Some(rw) => Ok(format!(
+                "synthesized: {}\nrewritten: {rw}",
+                outcome.synthesized.expect("present with rewritten")
+            )),
+            None => Ok("no useful predicate found; query unchanged".to_string()),
+        }
+    }
+}
+
+impl Baseline {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Baseline(Baseline {
+            predicate: a.positional.to_string(),
+            cols: a.required_list("--cols")?,
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
+        match transitive_closure(&p, &self.cols) {
+            Some(tc) => Ok(format!("transitive closure derives: {tc}")),
+            None => Ok("transitive closure derives: nothing".to_string()),
+        }
+    }
+}
+
+impl Serve {
+    fn build(a: &Args) -> Result<Command, String> {
+        // 0 disables adaptive admission, two-lane shedding, and
+        // brownout (fixed queue cap).
+        let delay_budget_ms: u64 = a.num("--delay-budget-ms")?.unwrap_or(250);
+        let config = ServeConfig {
+            addr: a.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+            workers: a.num("--workers")?.unwrap_or(2),
+            cache_capacity: a.num("--cache-capacity")?.unwrap_or(1024),
+            queue_depth: a.num("--queue-depth")?.unwrap_or(64),
+            admission_delay_budget: (delay_budget_ms > 0)
+                .then(|| Duration::from_millis(delay_budget_ms)),
+            default_timeout_ms: a.num("--timeout-ms")?,
+            cache_file: a.text("--cache-file"),
+            snapshot_interval: a.num("--snapshot-ms")?.map(Duration::from_millis),
+            slow_log_file: a.text("--slow-log"),
+            slow_threshold: Duration::from_millis(a.num("--slow-ms")?.unwrap_or(1000)),
+            lint_schemas: sia_gen::schemas().into_iter().map(|(_, s)| s).collect(),
+        };
+        Ok(Command::Serve(Serve {
+            config,
+            metrics: a.has("--metrics"),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        if self.metrics {
+            sia_obs::reset();
+            sia_obs::enable();
+        }
+        let handle = server::start(self.config).map_err(|e| format!("cannot start server: {e}"))?;
+        // Announce readiness immediately; `run` only returns output
+        // after shutdown, and clients need the address to connect.
+        println!("sia-serve listening on {}", handle.addr());
+        let cache = handle.cache_arc();
+        handle
+            .wait()
+            .map_err(|e| format!("server shutdown failed: {e}"))?;
+        let stats = cache.stats();
+        let mut out = format!(
+            "server stopped\ncache: {} hits / {} misses / {} inserts / {} evictions \
+             (hit rate {:.1}%)",
+            stats.hits,
+            stats.misses,
+            stats.inserts,
+            stats.evictions,
+            100.0 * stats.hit_rate()
+        );
+        if self.metrics {
+            sia_obs::disable();
+            out.push_str("\n\n== metrics ==\n");
+            out.push_str(&sia_obs::summary().to_string());
+        }
+        Ok(out)
+    }
+}
+
+impl Batch {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Batch(Batch {
+            file: a.positional.to_string(),
+            addr: a.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+            concurrency: a.num("--concurrency")?.unwrap_or(4),
+            timeout_ms: a.num("--timeout-ms")?,
+            retries: a.num("--retries")?.unwrap_or(0),
+            retry_budget: a.num("--retry-budget")?.unwrap_or(10),
+            workload: a.has("--workload"),
+        }))
+    }
+
+    /// The requests in the file, each with the batch's default deadline
+    /// where it carries none.
+    fn requests(&self) -> Result<Vec<sia_serve::Request>, String> {
+        let file = &self.file;
+        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        if self.workload {
+            // A `sia gen` workload file: typed requests behind a config
+            // header, replayed as plain synthesis requests.
+            let wl = sia_gen::from_str(&text).map_err(|e| format!("{file}: {e}"))?;
+            let requests = wl.requests.into_iter().map(|r| sia_serve::Request {
+                id: r.id,
+                predicate: r.predicate.to_string(),
+                cols: r.cols,
+                timeout_ms: self.timeout_ms,
+                trace: None,
+            });
+            return Ok(requests.collect());
+        }
+        let mut requests = Vec::new();
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match protocol::parse_request(line)
+                .map_err(|e| format!("{file}:{}: {e}", lineno + 1))?
+            {
+                protocol::RequestLine::Synth(mut r) => {
+                    r.timeout_ms = r.timeout_ms.or(self.timeout_ms);
+                    requests.push(r);
+                }
+                protocol::RequestLine::Shutdown
+                | protocol::RequestLine::Health
+                | protocol::RequestLine::Stats => {
+                    return Err(format!(
+                        "{file}:{}: control requests are not allowed in a batch",
+                        lineno + 1
+                    ))
                 }
             }
-            let mut syn = Synthesizer::new(config);
-            let result = syn.synthesize(&p, &cols).map_err(|e| CliError {
-                message: e.to_string(),
-                code: if e == SynthesisError::Timeout {
+        }
+        Ok(requests)
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let requests = self.requests()?;
+        let addr = &self.addr;
+        let (responses, retried, shed) = if self.retries > 0 {
+            let policy = sia_serve::RetryPolicy {
+                attempts: self.retries.saturating_add(1),
+                budget_ratio: f64::from(self.retry_budget) / 100.0,
+                ..sia_serve::RetryPolicy::default()
+            };
+            let outcome = client::run_batch_retry(addr, &requests, self.concurrency, &policy);
+            (outcome.responses, outcome.retried, outcome.shed)
+        } else {
+            let responses = client::run_batch(addr, &requests, self.concurrency)
+                .map_err(|e| format!("batch against {addr} failed: {e}"))?;
+            (responses, 0, 0)
+        };
+        let count = |status| responses.iter().filter(|r| r.status == status).count();
+        let ok = count(sia_serve::Status::Ok);
+        let timeouts = count(sia_serve::Status::Timeout);
+        // Deadline expiry in the server queue is a deadline outcome, not
+        // a hard failure: exit code 2.
+        let expired = count(sia_serve::Status::Expired);
+        let failed = responses.len() - ok - timeouts - expired;
+        let degraded = responses.iter().filter(|r| r.degraded).count();
+        let mut out: String = responses.iter().map(|r| r.to_line() + "\n").collect();
+        out.push_str(&format!(
+            "batch: {ok} ok / {timeouts} timeout / {failed} failed of {} requests",
+            responses.len()
+        ));
+        if degraded + retried + shed + expired > 0 {
+            out.push_str(&format!(
+                " ({degraded} degraded, {retried} retried, {shed} shed, {expired} expired)"
+            ));
+        }
+        if timeouts + expired + failed > 0 {
+            // Responses still belong on stdout; only the verdict goes to
+            // stderr via the error path.
+            println!("{out}");
+            return Err(CliError {
+                message: format!(
+                    "batch: {timeouts} timed out, {expired} expired, {failed} failed of {} \
+                     requests",
+                    responses.len()
+                ),
+                code: if failed == 0 {
                     EXIT_TIMEOUT
                 } else {
                     EXIT_ERROR
                 },
             });
-            // Tear observability down before propagating any error so a
-            // failed run still flushes its trace file.
-            let summary = if observe {
-                if trace.is_some() {
-                    drop(sia_obs::take_sink());
-                }
-                sia_obs::disable();
-                metrics.then(sia_obs::summary)
-            } else {
-                None
-            };
-            let r = result?;
-            let mut out = String::new();
-            match &r.predicate {
-                Some(q) => out.push_str(&format!("predicate: {q}\n")),
-                None => out.push_str("predicate: TRUE (nothing non-trivial is valid)\n"),
-            }
-            if r.derived_static {
-                out.push_str("derived: static\n");
-            }
-            out.push_str(&format!(
-                "optimal: {}\niterations: {}\nsamples: {} TRUE / {} FALSE",
-                r.optimal, r.stats.iterations, r.stats.true_samples, r.stats.false_samples
-            ));
-            if let Some(summary) = summary {
-                out.push_str("\n\n== metrics ==\n");
-                out.push_str(&summary.to_string());
-                if let Some(cov) = summary.snapshot.coverage("synth") {
-                    out.push_str(&format!(
-                        "phase coverage: {:.1}% of synthesis wall time attributed",
-                        100.0 * cov
-                    ));
-                }
-            }
-            Ok(out)
         }
-        Command::Solve { predicate } => {
-            let p = parse_predicate(&predicate).map_err(|e| e.to_string())?;
-            let mut enc = PredEncoder::new();
-            let f = enc.encode(&p).map_err(|e| e.to_string())?;
-            let cols: Vec<(String, sia_smt::VarId)> =
-                enc.columns().map(|(c, v)| (c.to_string(), v)).collect();
-            match enc.solver().check(&f) {
-                SmtResult::Sat(m) => {
-                    let mut out = String::from("sat\n");
-                    for (c, v) in cols {
-                        out.push_str(&format!("  {c} = {}\n", m.rat(v)));
-                    }
-                    Ok(out.trim_end().to_string())
-                }
-                SmtResult::Unsat => Ok("unsat".to_string()),
-                SmtResult::Unknown => Ok("unknown (budget exhausted)".to_string()),
+        Ok(out)
+    }
+}
+
+impl Gen {
+    fn build(a: &Args) -> Result<Command, String> {
+        let d = sia_gen::GenConfig::default();
+        let zone = a.get("--zone").map(sia_gen::ZonePolicy::parse);
+        Ok(Command::Gen(Gen {
+            out: a.text("--out"),
+            config: sia_gen::GenConfig {
+                table: a.text("--table").unwrap_or(d.table),
+                count: a.num("--count")?.unwrap_or(d.count),
+                seed: a.num("--seed")?.unwrap_or(d.seed),
+                min_terms: a.num("--min-terms")?.unwrap_or(d.min_terms),
+                max_terms: a.num("--max-terms")?.unwrap_or(d.max_terms),
+                zone: zone.transpose()?.unwrap_or(d.zone),
+                target_selectivity: a.float("--selectivity")?.or(d.target_selectivity),
+                selectivity_tolerance: a.float("--tolerance")?.unwrap_or(d.selectivity_tolerance),
+                repeat_rate: a.float("--repeat-rate")?.unwrap_or(d.repeat_rate),
+                drift_rate: a.float("--drift-rate")?.unwrap_or(d.drift_rate),
+                ..d
+            },
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let requests = sia_gen::generate(&self.config)?;
+        let text = sia_gen::to_string(&self.config, &requests);
+        let Some(path) = self.out else {
+            return Ok(text.trim_end().to_string());
+        };
+        std::fs::write(&path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        Ok(format!(
+            "wrote {} requests to {path} (table {}, seed {:#x})",
+            requests.len(),
+            self.config.table,
+            self.config.seed
+        ))
+    }
+}
+
+impl Top {
+    fn build(a: &Args) -> Result<Command, String> {
+        Ok(Command::Top(Top {
+            addr: a.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+            interval_ms: a.num("--interval-ms")?.unwrap_or(1000),
+            iterations: a.num("--iterations")?.unwrap_or(0),
+        }))
+    }
+
+    fn run(self) -> Result<String, CliError> {
+        let addr = &self.addr;
+        let mut polls = 0u64;
+        loop {
+            let resp =
+                client::stats(addr).map_err(|e| format!("cannot fetch stats from {addr}: {e}"))?;
+            let frame = render_top(addr, &resp);
+            polls += 1;
+            if self.iterations != 0 && polls >= self.iterations {
+                // The final frame is the command's output (and the
+                // only one when --iterations 1, the scriptable mode).
+                return Ok(frame);
             }
-        }
-        Command::Lint {
-            predicate,
-            format,
-            plan,
-        } => {
-            let warnings = if plan {
-                // Plan lint: build the optimizer plan of a full query
-                // against the registry schemas and analyze it globally.
-                let query = parse_query(&predicate).map_err(|e| e.to_string())?;
-                let db = registry_db();
-                let p = db.plan(&query).map_err(|e| e.to_string())?;
-                sia_engine::lint_plan(&p, &|t| db.schema_of(t))
-            } else {
-                let p = parse_predicate(&predicate).map_err(|e| e.to_string())?;
-                // Seed the analyzer from the generator's schema registry
-                // (all TPC-H tables plus the synthetic `wide` schema) so
-                // DATE and DOUBLE columns are typed; unknown columns
-                // default to INTEGER NOT NULL, matching the synthesizer's
-                // encoder.
-                let schemas = sia_gen::schemas();
-                sia_analyze::Analyzer::with_schemas(schemas.iter().map(|(_, s)| s)).lint(&p)
-            };
-            let errors = warnings.iter().filter(|w| w.severity() == "error").count();
-            let out = if format == "json" {
-                let findings: Vec<String> = warnings
-                    .iter()
-                    .map(|w| {
-                        format!(
-                            "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":{}}}",
-                            w.severity(),
-                            w.code,
-                            sia_obs::json_string(&w.message)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"findings\":[{}],\"errors\":{errors},\"warnings\":{}}}",
-                    findings.join(","),
-                    warnings.len() - errors
-                )
-            } else if warnings.is_empty() {
-                "no warnings".to_string()
-            } else {
-                warnings
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            if errors > 0 {
-                // Findings still belong on stdout; only the verdict goes
-                // to stderr via the error path (the batch precedent).
-                println!("{out}");
-                return Err(CliError {
-                    message: format!("lint: {errors} error-severity finding(s)"),
-                    code: EXIT_LINT,
-                });
-            }
-            Ok(out)
-        }
-        Command::Plan { sql, mode, explain } => {
-            let query = parse_query(&sql).map_err(|e| e.to_string())?;
-            let mode = sia_engine::MoveAround::parse(&mode)?;
-            let db = registry_db();
-            let before = db.plan(&query).map_err(|e| e.to_string())?;
-            let (moved, report) =
-                sia_engine::move_around(before.clone(), &|t| db.schema_of(t), mode);
-            let optimized = sia_engine::optimize(
-                moved,
-                &|t| {
-                    db.schema_of(t)
-                        .map(|s| s.columns().iter().map(|c| c.name.clone()).collect())
-                        .unwrap_or_default()
-                },
-                sia_engine::OptimizerConfig::default(),
-            );
-            let mut out = String::new();
-            if explain {
-                out.push_str("== before ==\n");
-                out.push_str(&before.to_string());
-                out.push_str("== after ==\n");
-            }
-            out.push_str(&optimized.to_string());
-            if explain {
-                out.push_str("== move-around ==\n");
-                out.push_str(&report.to_string());
-                out.push_str(&format!(
-                    "filters below joins: {} -> {}",
-                    before.filters_below_joins(),
-                    optimized.filters_below_joins()
-                ));
-            }
-            Ok(out.trim_end().to_string())
-        }
-        Command::Project { predicate, keep } => {
-            let p = parse_predicate(&predicate).map_err(|e| e.to_string())?;
-            let mut enc = PredEncoder::new();
-            let f = enc.encode(&p).map_err(|e| e.to_string())?;
-            let keep_vars: Vec<_> = keep.iter().map(|c| enc.value_var(c)).collect();
-            let others: Vec<_> = enc
-                .columns()
-                .map(|(_, v)| v)
-                .filter(|v| !keep_vars.contains(v))
-                .collect();
-            let projected = sia_smt::eliminate_exists(&f, &others, &QeConfig::default())
-                .map_err(|e| e.to_string())?;
-            Ok(format!(
-                "∃-projection onto {keep:?} (solver variables v0..):\n{projected}"
-            ))
-        }
-        Command::Rewrite { sql, table } => {
-            let q = parse_query(&sql).map_err(|e| e.to_string())?;
-            let mut cat = Catalog::new();
-            cat.add_table("orders", sia_tpch::orders_schema());
-            cat.add_table("lineitem", sia_tpch::lineitem_schema());
-            let mut syn = Synthesizer::default();
-            let outcome = rewrite_query(&mut syn, &q, &cat, &table).map_err(|e| e.to_string())?;
-            match outcome.rewritten {
-                Some(rw) => Ok(format!(
-                    "synthesized: {}\nrewritten: {rw}",
-                    outcome.synthesized.expect("present with rewritten")
-                )),
-                None => Ok("no useful predicate found; query unchanged".to_string()),
-            }
-        }
-        Command::Baseline { predicate, cols } => {
-            let p = parse_predicate(&predicate).map_err(|e| e.to_string())?;
-            match transitive_closure(&p, &cols) {
-                Some(tc) => Ok(format!("transitive closure derives: {tc}")),
-                None => Ok("transitive closure derives: nothing".to_string()),
-            }
-        }
-        Command::Serve {
-            addr,
-            workers,
-            cache_capacity,
-            queue_depth,
-            delay_budget_ms,
-            timeout_ms,
-            cache_file,
-            snapshot_ms,
-            slow_log,
-            slow_ms,
-            metrics,
-        } => {
-            if metrics {
-                sia_obs::reset();
-                sia_obs::enable();
-            }
-            let handle = server::start(ServeConfig {
-                addr,
-                workers,
-                cache_capacity,
-                queue_depth,
-                admission_delay_budget: (delay_budget_ms > 0)
-                    .then(|| Duration::from_millis(delay_budget_ms)),
-                default_timeout_ms: timeout_ms,
-                cache_file,
-                snapshot_interval: snapshot_ms.map(Duration::from_millis),
-                slow_log_file: slow_log,
-                slow_threshold: Duration::from_millis(slow_ms.unwrap_or(1000)),
-                lint_schemas: sia_gen::schemas().into_iter().map(|(_, s)| s).collect(),
-            })
-            .map_err(|e| format!("cannot start server: {e}"))?;
-            // Announce readiness immediately; `run` only returns output
-            // after shutdown, and clients need the address to connect.
-            println!("sia-serve listening on {}", handle.addr());
-            let cache = handle.cache_arc();
-            handle
-                .wait()
-                .map_err(|e| format!("server shutdown failed: {e}"))?;
-            let stats = cache.stats();
-            let mut out = format!(
-                "server stopped\ncache: {} hits / {} misses / {} inserts / {} evictions \
-                 (hit rate {:.1}%)",
-                stats.hits,
-                stats.misses,
-                stats.inserts,
-                stats.evictions,
-                100.0 * stats.hit_rate()
-            );
-            if metrics {
-                sia_obs::disable();
-                out.push_str("\n\n== metrics ==\n");
-                out.push_str(&sia_obs::summary().to_string());
-            }
-            Ok(out)
-        }
-        Command::Batch {
-            file,
-            addr,
-            concurrency,
-            timeout_ms,
-            retries,
-            retry_budget,
-            workload,
-        } => {
-            let text =
-                std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
-            let mut requests = Vec::new();
-            if workload {
-                // A `sia gen` workload file: typed requests behind a config
-                // header, replayed as plain synthesis requests.
-                let wl = sia_gen::from_str(&text).map_err(|e| format!("{file}: {e}"))?;
-                for r in wl.requests {
-                    requests.push(sia_serve::Request {
-                        id: r.id,
-                        predicate: r.predicate.to_string(),
-                        cols: r.cols,
-                        timeout_ms,
-                        trace: None,
-                    });
-                }
-            } else {
-                for (lineno, line) in text.lines().enumerate() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    match protocol::parse_request(line)
-                        .map_err(|e| format!("{file}:{}: {e}", lineno + 1))?
-                    {
-                        protocol::RequestLine::Synth(mut r) => {
-                            if r.timeout_ms.is_none() {
-                                r.timeout_ms = timeout_ms;
-                            }
-                            requests.push(r);
-                        }
-                        protocol::RequestLine::Shutdown
-                        | protocol::RequestLine::Health
-                        | protocol::RequestLine::Stats => {
-                            return Err(format!(
-                                "{file}:{}: control requests are not allowed in a batch",
-                                lineno + 1
-                            )
-                            .into())
-                        }
-                    }
-                }
-            }
-            let (responses, retried, shed) = if retries > 0 {
-                let policy = sia_serve::RetryPolicy {
-                    attempts: retries.saturating_add(1),
-                    budget_ratio: f64::from(retry_budget) / 100.0,
-                    ..sia_serve::RetryPolicy::default()
-                };
-                let outcome = client::run_batch_retry(&addr, &requests, concurrency, &policy);
-                (outcome.responses, outcome.retried, outcome.shed)
-            } else {
-                let responses = client::run_batch(&addr, &requests, concurrency)
-                    .map_err(|e| format!("batch against {addr} failed: {e}"))?;
-                (responses, 0, 0)
-            };
-            let mut out = String::new();
-            let mut ok = 0usize;
-            let mut timeouts = 0usize;
-            let mut expired = 0usize;
-            let mut failed = 0usize;
-            let mut degraded = 0usize;
-            for r in &responses {
-                out.push_str(&r.to_line());
-                out.push('\n');
-                degraded += usize::from(r.degraded);
-                match r.status {
-                    sia_serve::Status::Ok => ok += 1,
-                    sia_serve::Status::Timeout => timeouts += 1,
-                    // Deadline expiry in the server queue is a deadline
-                    // outcome, not a hard failure: exit code 2.
-                    sia_serve::Status::Expired => expired += 1,
-                    _ => failed += 1,
-                }
-            }
-            out.push_str(&format!(
-                "batch: {ok} ok / {timeouts} timeout / {failed} failed of {} requests",
-                responses.len()
-            ));
-            if degraded + retried + shed + expired > 0 {
-                out.push_str(&format!(
-                    " ({degraded} degraded, {retried} retried, {shed} shed, {expired} expired)"
-                ));
-            }
-            if timeouts + expired + failed > 0 {
-                // Responses still belong on stdout; only the verdict goes to
-                // stderr via the error path.
-                println!("{out}");
-                return Err(CliError {
-                    message: format!(
-                        "batch: {timeouts} timed out, {expired} expired, {failed} failed of {} \
-                         requests",
-                        responses.len()
-                    ),
-                    code: if failed == 0 {
-                        EXIT_TIMEOUT
-                    } else {
-                        EXIT_ERROR
-                    },
-                });
-            }
-            Ok(out)
-        }
-        Command::Gen { out, config } => {
-            let requests = sia_gen::generate(&config)?;
-            let text = sia_gen::to_string(&config, &requests);
-            match out {
-                Some(path) => {
-                    std::fs::write(&path, &text)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    Ok(format!(
-                        "wrote {} requests to {path} (table {}, seed {:#x})",
-                        requests.len(),
-                        config.table,
-                        config.seed
-                    ))
-                }
-                None => Ok(text.trim_end().to_string()),
-            }
-        }
-        Command::Top {
-            addr,
-            interval_ms,
-            iterations,
-        } => {
-            let mut polls = 0u64;
-            loop {
-                let resp = client::stats(&addr)
-                    .map_err(|e| format!("cannot fetch stats from {addr}: {e}"))?;
-                let frame = render_top(&addr, &resp);
-                polls += 1;
-                if iterations != 0 && polls >= iterations {
-                    // The final frame is the command's output (and the
-                    // only one when --iterations 1, the scriptable mode).
-                    return Ok(frame);
-                }
-                // Clear screen + cursor home, like `top`.
-                println!("\u{1b}[2J\u{1b}[H{frame}");
-                std::io::Write::flush(&mut std::io::stdout()).ok();
-                std::thread::sleep(Duration::from_millis(interval_ms.max(50)));
-            }
+            // Clear screen + cursor home, like `top`.
+            println!("\u{1b}[2J\u{1b}[H{frame}");
+            std::io::Write::flush(&mut std::io::stdout()).ok();
+            std::thread::sleep(Duration::from_millis(self.interval_ms.max(50)));
         }
     }
 }
@@ -1154,6 +1116,8 @@ fn render_top(addr: &str, resp: &sia_serve::Response) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sia_engine::MoveAround;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1173,15 +1137,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Synth {
+            Command::Synth(Synth {
                 predicate: "a < b".into(),
                 cols: strs(&["a", "b"]),
-                variant: "v2".into(),
+                variant: Variant::V2,
                 max_iter: Some(5),
                 timeout_ms: None,
                 metrics: false,
                 trace: None,
-            }
+            })
         );
     }
 
@@ -1199,7 +1163,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Synth { metrics: true, ref trace, .. } if trace.as_deref() == Some("t.jsonl")
+            Command::Synth(Synth { metrics: true, ref trace, .. }) if trace.as_deref() == Some("t.jsonl")
         ));
         // --trace needs a value; the flags are synth-only.
         assert!(Command::parse(&strs(&["synth", "a < b", "--cols", "a", "--trace"])).is_err());
@@ -1215,6 +1179,70 @@ mod tests {
         assert!(Command::parse(&strs(&["solve", "a < b", "--bogus"])).is_err());
     }
 
+    /// The flag table is the only authority: a flag parses on exactly
+    /// the subcommands whose row lists it, and the synopsis block of
+    /// `USAGE` shows each subcommand exactly its row's flags.
+    #[test]
+    fn flag_table_is_the_only_authority() {
+        let names = |flags: &str| -> BTreeSet<String> {
+            let flags = flags.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            flags
+                .filter(|f| f.starts_with("--"))
+                .map(str::to_string)
+                .collect()
+        };
+        let every_row: Vec<&str> = SUBCOMMANDS.iter().map(|r| r.accepts).collect();
+        let all_flags = names(&every_row.join(" "));
+        assert_eq!(all_flags.len(), 38);
+
+        // The synopsis: from `usage:` to the first blank line; a line
+        // that does not open with `sia <name>` continues the one above.
+        let mut synopsis: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = "";
+        for line in USAGE.lines().skip(1).take_while(|l| !l.is_empty()) {
+            if let Some(rest) = line.trim_start().strip_prefix("sia ") {
+                current = rest.split_whitespace().next().expect("subcommand name");
+            }
+            synopsis.entry(current).or_default().push_str(line);
+        }
+        assert_eq!(synopsis.len(), SUBCOMMANDS.len());
+
+        for row in SUBCOMMANDS {
+            let shown = &synopsis[row.name];
+            assert_eq!(names(shown), names(row.accepts), "USAGE vs `{}`", row.name);
+            assert_eq!(shown.contains('<'), row.positional(), "{}", row.name);
+            for flag in &all_flags {
+                let mut args = strs(&[row.name]);
+                if row.positional() {
+                    args.push("x".into());
+                }
+                args.push(flag.clone());
+                match row.flag(flag) {
+                    // Listed: the walk takes it (a value flag given no
+                    // value gets as far as asking for one).
+                    Some(true) => {
+                        let err = Command::parse(&args).unwrap_err();
+                        assert_eq!(err, format!("{flag} needs a value"));
+                    }
+                    Some(false) => {
+                        let err = Command::parse(&args).err().unwrap_or_default();
+                        assert!(!err.contains(flag.as_str()), "{} {flag}: {err}", row.name);
+                    }
+                    // Not listed: rejected, naming both.
+                    None => {
+                        args.push("1".into());
+                        let err = Command::parse(&args).unwrap_err();
+                        assert_eq!(err, format!("{flag} does not apply to {}", row.name));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            Command::parse(&strs(&["solve", "a < 1", "--bogus"])).unwrap_err(),
+            "unknown flag \"--bogus\""
+        );
+    }
+
     #[test]
     fn parse_serve_slow_log_flags() {
         let cmd = Command::parse(&strs(&[
@@ -1225,11 +1253,11 @@ mod tests {
             "250",
         ]))
         .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Serve { ref slow_log, slow_ms: Some(250), .. }
-                if slow_log.as_deref() == Some("slow.jsonl")
-        ));
+        let Command::Serve(Serve { config, .. }) = cmd else {
+            panic!("expected serve");
+        };
+        assert_eq!(config.slow_log_file.as_deref(), Some("slow.jsonl"));
+        assert_eq!(config.slow_threshold, Duration::from_millis(250));
         // The slow-log flags are serve-only.
         assert!(Command::parse(&strs(&["batch", "r.jsonl", "--slow-ms", "10"])).is_err());
         assert!(Command::parse(&strs(&["top", "--slow-log", "s.jsonl"])).is_err());
@@ -1240,11 +1268,11 @@ mod tests {
         let cmd = Command::parse(&strs(&["top"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Top {
+            Command::Top(Top {
                 addr: "127.0.0.1:7171".into(),
                 interval_ms: 1000,
                 iterations: 0,
-            }
+            })
         );
         let cmd = Command::parse(&strs(&[
             "top",
@@ -1258,11 +1286,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Top {
+            Command::Top(Top {
                 addr: "10.0.0.1:9999".into(),
                 interval_ms: 200,
                 iterations: 3,
-            }
+            })
         );
         // The polling flags are top-only; values are validated.
         assert!(Command::parse(&strs(&["serve", "--interval-ms", "100"])).is_err());
@@ -1291,11 +1319,11 @@ mod tests {
         assert_eq!(resp.status, sia_serve::Status::Ok, "{resp:?}");
 
         // --iterations 1 is the scriptable mode: one poll, one frame.
-        let out = run(Command::Top {
+        let out = run(Command::Top(Top {
             addr: addr.clone(),
             interval_ms: 10,
             iterations: 1,
-        })
+        }))
         .expect("top frame");
         assert!(out.contains(&format!("sia top — {addr}")), "{out}");
         assert!(out.contains("requests 1 accepted"), "{out}");
@@ -1306,16 +1334,16 @@ mod tests {
 
     #[test]
     fn run_solve() {
-        let out = run(Command::Solve {
+        let out = run(Command::Solve(Solve {
             predicate: "x + y = 10 AND x - y = 4".into(),
-        })
+        }))
         .unwrap();
         assert!(out.starts_with("sat"));
         assert!(out.contains("x = 7"));
         assert!(out.contains("y = 3"));
-        let out = run(Command::Solve {
+        let out = run(Command::Solve(Solve {
             predicate: "x < 0 AND x > 0".into(),
-        })
+        }))
         .unwrap();
         assert_eq!(out, "unsat");
     }
@@ -1324,48 +1352,48 @@ mod tests {
     fn run_lint() {
         // A contradictory TPC-H date range: every row is filtered out —
         // an error-severity finding, so the run fails with EXIT_LINT.
-        let err = run(Command::Lint {
+        let err = run(Command::Lint(Lint {
             predicate: "l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1994-01-01'".into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: false,
-        })
+        }))
         .unwrap_err();
         assert_eq!(err.code, EXIT_LINT);
         assert!(err.message.contains("error-severity"), "{err}");
         // A DATE column compared against a bare integer is type-suspect:
         // advisory only, exit 0.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "l_shipdate < 19940101".into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: false,
-        })
+        }))
         .unwrap();
         assert!(out.contains("DATE"), "{out}");
         // A sensible predicate is clean.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "l_quantity < 24 AND l_discount >= 0".into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: false,
-        })
+        }))
         .unwrap();
         assert_eq!(out, "no warnings");
         // Parsing is still enforced.
-        assert!(run(Command::Lint {
+        assert!(run(Command::Lint(Lint {
             predicate: "a <".into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: false,
-        })
+        }))
         .is_err());
     }
 
     #[test]
     fn run_lint_json() {
         // Advisory finding: JSON object on stdout, exit 0.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "l_shipdate < 19940101".into(),
-            format: "json".into(),
+            format: Format::Json,
             plan: false,
-        })
+        }))
         .unwrap();
         assert!(out.starts_with("{\"findings\":["), "{out}");
         assert!(out.contains("\"severity\":\"warning\""), "{out}");
@@ -1375,19 +1403,19 @@ mod tests {
         // quotes the offending expression).
         assert!(!out.contains("\n"), "one JSON object per run: {out}");
         // Error-severity finding: still exit code 3 in JSON mode.
-        let err = run(Command::Lint {
+        let err = run(Command::Lint(Lint {
             predicate: "l_quantity < 0 AND l_quantity > 10".into(),
-            format: "json".into(),
+            format: Format::Json,
             plan: false,
-        })
+        }))
         .unwrap_err();
         assert_eq!(err.code, EXIT_LINT);
         // Clean predicate: empty findings array.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "l_quantity < 24".into(),
-            format: "json".into(),
+            format: Format::Json,
             plan: false,
-        })
+        }))
         .unwrap();
         assert_eq!(out, "{\"findings\":[],\"errors\":0,\"warnings\":0}");
     }
@@ -1397,20 +1425,20 @@ mod tests {
         let cmd = Command::parse(&strs(&["lint", "a < 0 AND a > 10"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Lint {
+            Command::Lint(Lint {
                 predicate: "a < 0 AND a > 10".into(),
-                format: "text".into(),
+                format: Format::Text,
                 plan: false,
-            }
+            })
         );
         let cmd = Command::parse(&strs(&["lint", "a < 0", "--format", "json"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Lint {
+            Command::Lint(Lint {
                 predicate: "a < 0".into(),
-                format: "json".into(),
+                format: Format::Json,
                 plan: false,
-            }
+            })
         );
         assert!(Command::parse(&strs(&["lint"])).is_err());
         assert!(Command::parse(&strs(&["lint", "a < 0", "--format", "yaml"])).is_err());
@@ -1422,11 +1450,11 @@ mod tests {
         let cmd = Command::parse(&strs(&["plan", "SELECT * FROM nation"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Plan {
+            Command::Plan(Plan {
                 sql: "SELECT * FROM nation".into(),
-                mode: "static".into(),
+                mode: MoveAround::Static,
                 explain: false,
-            }
+            })
         );
         let cmd = Command::parse(&strs(&[
             "plan",
@@ -1438,11 +1466,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Plan {
+            Command::Plan(Plan {
                 sql: "SELECT * FROM nation".into(),
-                mode: "synth".into(),
+                mode: MoveAround::Synthesis,
                 explain: true,
-            }
+            })
         );
         // Mode names are validated at parse time; flags are scoped.
         assert!(Command::parse(&strs(&["plan", "SELECT * FROM t", "--mode", "fast"])).is_err());
@@ -1451,11 +1479,11 @@ mod tests {
         let cmd = Command::parse(&strs(&["lint", "SELECT * FROM nation", "--plan"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Lint {
+            Command::Lint(Lint {
                 predicate: "SELECT * FROM nation".into(),
-                format: "text".into(),
+                format: Format::Text,
                 plan: true,
-            }
+            })
         );
     }
 
@@ -1463,14 +1491,14 @@ mod tests {
     fn run_plan_explain_shows_derived_predicates() {
         // The registry chain: a selective region filter reaches the other
         // scans through the join equalities.
-        let out = run(Command::Plan {
+        let out = run(Command::Plan(Plan {
             sql: "SELECT * FROM customer, nation, region \
                   WHERE c_nationkey = n_nationkey AND n_regionkey = r_regionkey \
                   AND r_regionkey >= 3"
                 .into(),
-            mode: "static".into(),
+            mode: MoveAround::Static,
             explain: true,
-        })
+        }))
         .unwrap();
         assert!(out.contains("== before =="), "{out}");
         assert!(out.contains("== after =="), "{out}");
@@ -1478,11 +1506,11 @@ mod tests {
         assert!(out.contains("derived for scan nation"), "{out}");
         assert!(out.contains("filters below joins:"), "{out}");
         // Off mode still plans, just derives nothing.
-        let out = run(Command::Plan {
+        let out = run(Command::Plan(Plan {
             sql: "SELECT * FROM nation WHERE n_nationkey < 5".into(),
-            mode: "off".into(),
+            mode: MoveAround::Off,
             explain: false,
-        })
+        }))
         .unwrap();
         assert!(out.contains("SeqScan on nation"), "{out}");
         assert!(!out.contains("move-around"), "{out}");
@@ -1492,46 +1520,46 @@ mod tests {
     fn run_lint_plan() {
         // A filter that can never be TRUE below a join: error severity,
         // exit 3.
-        let err = run(Command::Lint {
+        let err = run(Command::Lint(Lint {
             predicate: "SELECT * FROM nation, region \
                         WHERE n_regionkey = r_regionkey AND n_nationkey < 0 \
                         AND n_nationkey > 10"
                 .into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: true,
-        })
+        }))
         .unwrap_err();
         assert_eq!(err.code, EXIT_LINT);
         // A join equality contradicting the scan filters.
-        let err = run(Command::Lint {
+        let err = run(Command::Lint(Lint {
             predicate: "SELECT * FROM nation, region \
                         WHERE n_regionkey = r_regionkey AND n_regionkey < 1 \
                         AND r_regionkey > 3"
                 .into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: true,
-        })
+        }))
         .unwrap_err();
         assert_eq!(err.code, EXIT_LINT);
         // A redundant predicate is advisory: exit 0, JSON reports it.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "SELECT * FROM nation \
                         WHERE n_nationkey < 5 AND n_nationkey < 10"
                 .into(),
-            format: "json".into(),
+            format: Format::Json,
             plan: true,
-        })
+        }))
         .unwrap();
         assert!(out.contains("plan-redundant-predicate"), "{out}");
         assert!(out.contains("\"errors\":0"), "{out}");
         // A clean plan lints clean.
-        let out = run(Command::Lint {
+        let out = run(Command::Lint(Lint {
             predicate: "SELECT * FROM nation, region \
                         WHERE n_regionkey = r_regionkey AND r_regionkey >= 3"
                 .into(),
-            format: "text".into(),
+            format: Format::Text,
             plan: true,
-        })
+        }))
         .unwrap();
         assert_eq!(out, "no warnings");
     }
@@ -1554,7 +1582,7 @@ mod tests {
             "0.3",
         ]))
         .unwrap();
-        let Command::Gen { out, config } = cmd else {
+        let Command::Gen(Gen { out, config }) = cmd else {
             panic!("expected gen");
         };
         assert_eq!(out, None);
@@ -1574,7 +1602,7 @@ mod tests {
     #[test]
     fn parse_batch_workload() {
         let cmd = Command::parse(&strs(&["batch", "w.jsonl", "--workload"])).unwrap();
-        assert!(matches!(cmd, Command::Batch { workload: true, .. }));
+        assert!(matches!(cmd, Command::Batch(Batch { workload: true, .. })));
         assert!(Command::parse(&strs(&["serve", "--workload"])).is_err());
     }
 
@@ -1592,18 +1620,18 @@ mod tests {
             seed: 42,
             ..sia_gen::GenConfig::default()
         };
-        let out = run(Command::Gen {
+        let out = run(Command::Gen(Gen {
             out: Some(path_str.clone()),
             config: config.clone(),
-        })
+        }))
         .unwrap();
         assert!(out.contains("wrote 6 requests"), "{out}");
         // Stdout mode emits the identical workload text.
         let text = std::fs::read_to_string(&path).expect("workload written");
-        let printed = run(Command::Gen {
+        let printed = run(Command::Gen(Gen {
             out: None,
             config: config.clone(),
-        })
+        }))
         .unwrap();
         assert_eq!(printed, text.trim_end());
         let wl = sia_gen::from_str(&text).expect("parses back");
@@ -1615,7 +1643,7 @@ mod tests {
             ..sia_serve::ServeConfig::default()
         })
         .expect("server starts");
-        let out = run(Command::Batch {
+        let out = run(Command::Batch(Batch {
             file: path_str,
             addr: handle.addr().to_string(),
             concurrency: 2,
@@ -1623,7 +1651,7 @@ mod tests {
             retries: 0,
             retry_budget: 10,
             workload: true,
-        })
+        }))
         .unwrap();
         assert!(out.contains("batch: 6 ok / 0 timeout / 0 failed"), "{out}");
         handle.shutdown().expect("clean shutdown");
@@ -1639,7 +1667,7 @@ mod tests {
             "{\"id\":\"q0\",\"predicate\":\"a < 1\",\"cols\":\"a\"}\n",
         )
         .expect("write");
-        let err = run(Command::Batch {
+        let err = run(Command::Batch(Batch {
             file: path.to_str().expect("utf-8").to_string(),
             addr: "127.0.0.1:1".into(),
             concurrency: 1,
@@ -1647,7 +1675,7 @@ mod tests {
             retries: 0,
             retry_budget: 10,
             workload: true,
-        })
+        }))
         .unwrap_err();
         assert!(err.message.contains("sia_workload"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -1655,10 +1683,10 @@ mod tests {
 
     #[test]
     fn run_baseline() {
-        let out = run(Command::Baseline {
+        let out = run(Command::Baseline(Baseline {
             predicate: "y1 > x AND x > y2".into(),
             cols: strs(&["y1", "y2"]),
-        })
+        }))
         .unwrap();
         assert!(out.contains("y2 - y1 < 0"), "{out}");
     }
@@ -1672,15 +1700,15 @@ mod tests {
 
     #[test]
     fn run_synth_small() {
-        let out = run(Command::Synth {
+        let out = run(Command::Synth(Synth {
             predicate: "a + 10 > b + 20 AND b + 10 > 20".into(),
             cols: strs(&["a"]),
-            variant: "sia".into(),
+            variant: Variant::Sia,
             max_iter: Some(6),
             timeout_ms: None,
             metrics: false,
             trace: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("a >= 22"), "{out}");
         // This predicate is pure difference bounds: the zone projection
@@ -1693,15 +1721,15 @@ mod tests {
         let _guard = OBS_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let out = run(Command::Synth {
+        let out = run(Command::Synth(Synth {
             predicate: "a + 10 > b + 20 AND b + 10 > 20".into(),
             cols: strs(&["a"]),
-            variant: "sia".into(),
+            variant: Variant::Sia,
             max_iter: Some(6),
             timeout_ms: None,
             metrics: true,
             trace: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("derived: static"), "{out}");
         assert!(out.contains("analyze.derive.static"), "{out}");
@@ -1714,15 +1742,15 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // The doubled `a` keeps the predicate outside the zone fragment so
         // the full CEGIS pipeline (and all its phase spans) runs.
-        let out = run(Command::Synth {
+        let out = run(Command::Synth(Synth {
             predicate: "a + a + 10 > b + 20 AND b + 10 > 20".into(),
             cols: strs(&["a"]),
-            variant: "sia".into(),
+            variant: Variant::Sia,
             max_iter: Some(8),
             timeout_ms: None,
             metrics: true,
             trace: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("== metrics =="), "{out}");
         // Hierarchical phase table with solver sub-phases.
@@ -1747,19 +1775,19 @@ mod tests {
 
     #[test]
     fn run_project() {
-        let out = run(Command::Project {
+        let out = run(Command::Project(Project {
             predicate: "a - b < 5 AND b < 0".into(),
             keep: strs(&["a"]),
-        })
+        }))
         .unwrap();
         assert!(out.contains("projection"));
     }
 
     #[test]
     fn run_invalid_predicate() {
-        assert!(run(Command::Solve {
+        assert!(run(Command::Solve(Solve {
             predicate: "a <".into()
-        })
+        }))
         .is_err());
     }
 }

@@ -74,6 +74,32 @@ fn synth_bad_usage_exits_one() {
     assert!(stderr.contains("usage"), "{stderr}");
 }
 
+/// Flags that belong to other subcommands used to be accepted and
+/// ignored (this printed `sat` and exited 0).
+#[test]
+fn flag_of_another_subcommand_exits_one() {
+    let out = sia(&[
+        "solve",
+        "a < 1",
+        "--workers",
+        "9",
+        "--concurrency",
+        "3",
+        "--addr",
+        "x",
+        "--cache-file",
+        "y",
+        "--keep",
+        "q",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers does not apply to solve"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn synth_timeout_exits_two() {
     let out = sia(&["synth", HARD, "--cols", "a1", "--timeout-ms", "5"]);

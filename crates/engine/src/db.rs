@@ -157,13 +157,24 @@ impl Database {
         Ok(plan)
     }
 
-    /// Plan, optimize, and execute a query. The move-around pass (if
-    /// enabled in `config`) runs before the local rewrite rules, which
-    /// then merge and route whatever it attached.
-    pub fn run(&self, query: &Query, config: OptimizerConfig) -> Result<QueryResult, ExecError> {
+    /// Plan and optimize a query without running it: the plan `run`
+    /// would execute, and what the move-around pass did to get there.
+    /// The move-around pass (if enabled in `config`) runs before the
+    /// local rewrite rules, which then merge and route whatever it
+    /// attached.
+    pub fn optimized_plan(
+        &self,
+        query: &Query,
+        config: OptimizerConfig,
+    ) -> Result<(Plan, MoveAroundReport), ExecError> {
         let plan = self.plan(query)?;
         let (plan, moved) = move_around(plan, &|t| self.schema_of(t), config.move_around);
-        let plan = optimize(plan, &|t| self.columns_of(t), config);
+        Ok((optimize(plan, &|t| self.columns_of(t), config), moved))
+    }
+
+    /// Plan, optimize, and execute a query.
+    pub fn run(&self, query: &Query, config: OptimizerConfig) -> Result<QueryResult, ExecError> {
+        let (plan, moved) = self.optimized_plan(query, config)?;
         let (table, elapsed, stats) = execute(&plan, self)?;
         Ok(QueryResult {
             table,

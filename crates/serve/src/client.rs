@@ -37,32 +37,58 @@ pub fn run_batch(
     requests: &[Request],
     concurrency: usize,
 ) -> std::io::Result<Vec<Response>> {
-    if requests.is_empty() {
-        return Ok(Vec::new());
+    let all: Vec<usize> = (0..requests.len()).collect();
+    let mut responses = Vec::with_capacity(requests.len());
+    for (_, lane) in fan_out(addr, requests, &all, concurrency) {
+        responses.extend(lane?);
     }
-    let lanes = concurrency.clamp(1, requests.len());
-    let mut chunks: Vec<Vec<&Request>> = vec![Vec::new(); lanes];
-    for (i, r) in requests.iter().enumerate() {
-        chunks[i % lanes].push(r);
+    Ok(responses)
+}
+
+/// Deal the requests at `which` round-robin over up to `concurrency`
+/// connections, one scoped thread each, and return every lane's indices
+/// with what its connection answered. A lane thread that panics is
+/// reported as that lane's error; the other lanes still run to
+/// completion.
+fn fan_out(
+    addr: &str,
+    requests: &[Request],
+    which: &[usize],
+    concurrency: usize,
+) -> Vec<(Vec<usize>, io::Result<Vec<Response>>)> {
+    if which.is_empty() {
+        return Vec::new();
     }
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| s.spawn(move || send_on_connection(addr, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("batch lane panicked")))
-            })
-            .collect::<Vec<_>>()
+    let lanes = concurrency.clamp(1, which.len());
+    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); lanes];
+    for (k, &i) in which.iter().enumerate() {
+        chunks[k % lanes].push(i);
+    }
+    let results: Vec<io::Result<Vec<Response>>> = std::thread::scope(|s| {
+        let lane = |chunk: &[usize]| {
+            let lines: Vec<String> = chunk.iter().map(|&i| wire_line(&requests[i])).collect();
+            exchange(addr, &lines)
+        };
+        let handles: Vec<_> = chunks.iter().map(|c| s.spawn(move || lane(c))).collect();
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .map(|r| r.unwrap_or_else(|_| Err(io::Error::other("batch lane panicked"))))
+            .collect()
     });
-    let mut all = Vec::with_capacity(requests.len());
-    for lane in results {
-        all.extend(lane?);
+    chunks.into_iter().zip(results).collect()
+}
+
+/// The trace ID is assigned at the client: a request sent without one
+/// gets a fresh ID on the wire, so every request in the system is
+/// traceable end to end.
+fn wire_line(request: &Request) -> String {
+    match request.trace {
+        Some(_) => render_request(request),
+        None => render_request(&Request {
+            trace: Some(fresh_trace_id()),
+            ..request.clone()
+        }),
     }
-    Ok(all)
 }
 
 /// Client-side retry policy for [`run_batch_retry`].
@@ -108,7 +134,7 @@ impl RetryPolicy {
             .base_delay
             .saturating_mul(1 << attempt.saturating_sub(1).min(16))
             .min(self.max_delay);
-        let jitter = splitmix64(self.seed ^ u64::from(attempt));
+        let jitter = crate::splitmix64(self.seed ^ u64::from(attempt));
         #[allow(clippy::cast_precision_loss)]
         let scale = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         exp.mul_f64(scale)
@@ -156,18 +182,6 @@ impl RetryBudget {
             false
         }
     }
-
-    /// Tokens currently in hand (for tests and telemetry).
-    pub fn balance(&self) -> f64 {
-        self.tokens
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Outcome of a [`run_batch_retry`] call.
@@ -262,34 +276,9 @@ fn send_pending(
     concurrency: usize,
     out: &mut [Option<Response>],
 ) -> (Vec<usize>, Duration) {
-    let lanes = concurrency.clamp(1, pending.len());
-    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    for (k, &i) in pending.iter().enumerate() {
-        chunks[k % lanes].push(i);
-    }
-    let lane_results: Vec<(Vec<usize>, io::Result<Vec<Response>>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || {
-                    let reqs: Vec<&Request> = chunk.iter().map(|&i| &requests[i]).collect();
-                    let result = send_on_connection(addr, &reqs);
-                    (chunk, result)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| (Vec::new(), Err(io::Error::other("lane panicked"))))
-            })
-            .collect()
-    });
-
     let mut still_pending = Vec::new();
     let mut retry_after = Duration::ZERO;
-    for (chunk, result) in lane_results {
+    for (chunk, result) in fan_out(addr, requests, pending, concurrency) {
         match result {
             Ok(responses) => {
                 // Responses arrive out of order; claim chunk slots by id.
@@ -330,25 +319,18 @@ fn send_pending(
 ///
 /// Fails on connect/write errors or a malformed response.
 pub fn request_one(addr: &str, request: &Request) -> std::io::Result<Response> {
-    let traced: Request;
-    let request = match request.trace {
-        Some(_) => request,
-        None => {
-            traced = Request {
-                trace: Some(fresh_trace_id()),
-                ..request.clone()
-            };
-            &traced
-        }
-    };
-    let ctx = sia_obs::SpanContext::begin("client.request", request.trace.unwrap_or(0));
+    let trace = request.trace.unwrap_or_else(fresh_trace_id);
+    let line = render_request(&Request {
+        trace: Some(trace),
+        ..request.clone()
+    });
+    let ctx = sia_obs::SpanContext::begin("client.request", trace);
     let result = {
         let _adopted = ctx.adopt();
-        send_on_connection(addr, &[request])
+        control(addr, line)
     };
     let _ = ctx.finish();
-    let mut responses = result?;
-    Ok(responses.remove(0))
+    result
 }
 
 /// Ask the server for its worker-pool health.
@@ -357,7 +339,7 @@ pub fn request_one(addr: &str, request: &Request) -> std::io::Result<Response> {
 ///
 /// Fails on connect/write errors or a malformed response.
 pub fn health(addr: &str) -> std::io::Result<Response> {
-    send_control(addr, &render_health())
+    control(addr, render_health())
 }
 
 /// Ask the server to drain and stop; returns its `bye` response.
@@ -366,7 +348,7 @@ pub fn health(addr: &str) -> std::io::Result<Response> {
 ///
 /// Fails on connect/write errors or a malformed response.
 pub fn shutdown(addr: &str) -> std::io::Result<Response> {
-    send_control(addr, &render_shutdown())
+    control(addr, render_shutdown())
 }
 
 /// Ask the server for its live telemetry: cumulative counters, latency
@@ -378,39 +360,26 @@ pub fn shutdown(addr: &str) -> std::io::Result<Response> {
 ///
 /// Fails on connect/write errors or a malformed response.
 pub fn stats(addr: &str) -> std::io::Result<Response> {
-    send_control(addr, &render_stats())
+    control(addr, render_stats())
 }
 
-fn send_control(addr: &str, line: &str) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    writeln!(stream, "{line}")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut answer = String::new();
-    reader.read_line(&mut answer)?;
-    Response::parse(answer.trim()).map_err(std::io::Error::other)
+/// One line out, one response back.
+fn control(addr: &str, line: String) -> std::io::Result<Response> {
+    Ok(exchange(addr, &[line])?.remove(0))
 }
 
-fn send_on_connection(addr: &str, requests: &[&Request]) -> std::io::Result<Vec<Response>> {
+/// The one connection exchange: connect, write every line, then read
+/// one response per line sent.
+fn exchange(addr: &str, lines: &[String]) -> std::io::Result<Vec<Response>> {
     let mut stream = TcpStream::connect(addr)?;
-    for r in requests {
-        // The trace ID is assigned at the client: requests sent without
-        // one get a fresh ID on the wire, so every request in the
-        // system is traceable end to end.
-        let line = match r.trace {
-            Some(_) => render_request(r),
-            None => render_request(&Request {
-                trace: Some(fresh_trace_id()),
-                ..(*r).clone()
-            }),
-        };
+    for line in lines {
         writeln!(stream, "{line}")?;
     }
     stream.flush()?;
     let mut reader = BufReader::new(stream);
-    let mut out = Vec::with_capacity(requests.len());
+    let mut out = Vec::with_capacity(lines.len());
     let mut line = String::new();
-    for _ in 0..requests.len() {
+    for _ in 0..lines.len() {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(
@@ -418,7 +387,7 @@ fn send_on_connection(addr: &str, requests: &[&Request]) -> std::io::Result<Vec<
                 format!(
                     "server closed after {} of {} responses",
                     out.len(),
-                    requests.len()
+                    lines.len()
                 ),
             ));
         }

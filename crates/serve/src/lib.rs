@@ -27,20 +27,49 @@
 //! - [`protocol`] — the wire format (requests, responses, statuses,
 //!   health, stats, trace IDs).
 //! - [`server`] — [`server::start`], [`server::ServeConfig`], and the
-//!   worker-pool [`server::ServerHandle`].
+//!   worker-pool [`server::ServerHandle`]; behind it, one module per
+//!   responsibility: `admission` (the two-lane queue and the AIMD /
+//!   brownout law that moves its limit), `answer` (running one request,
+//!   degrading on failure), `supervisor` (keeping the pool alive) and
+//!   `telemetry` (live counters, phase totals, the slow log).
 //! - [`client`] — blocking helpers: [`client::run_batch`],
 //!   [`client::run_batch_retry`], [`client::request_one`],
 //!   [`client::health`], [`client::stats`], [`client::shutdown`].
 //!
-//! Built entirely on `std` (threads, `mpsc`, `TcpListener`); cooperative
-//! cancellation comes from `sia_smt::Budget`, which the solver's inner
-//! loops poll, and fault injection comes from `sia_fault` failpoints
-//! (`serve.worker.request`, `serve.worker.die`).
+//! Built entirely on `std` (threads, a `Mutex` + `Condvar` queue,
+//! `TcpListener`); cooperative cancellation comes from
+//! `sia_smt::Budget`, which the solver's inner loops poll, and fault
+//! injection comes from `sia_fault` failpoints (`serve.worker.request`,
+//! `serve.worker.die`).
 
+mod admission;
+mod answer;
 pub mod client;
 pub mod protocol;
 pub mod server;
+mod supervisor;
+mod telemetry;
 
 pub use client::{BatchOutcome, RetryBudget, RetryPolicy};
 pub use protocol::{fresh_trace_id, HealthInfo, Request, Response, StatsInfo, Status};
 pub use server::{start, ServeConfig, ServerHandle};
+
+/// A duration in whole microseconds, saturating.
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The splitmix64 finalizer: scatters trace IDs and retry jitter.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// See [`sia_obs`]'s lock helper: a poisoned lock only means a panic
+/// mid-update; every critical section in this crate leaves its data
+/// usable at each step.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

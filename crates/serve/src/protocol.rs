@@ -195,6 +195,33 @@ pub struct StatsInfo {
 }
 
 impl StatsInfo {
+    /// Every field under its wire name (sent as `stats_<name>`), in
+    /// wire order.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 20] {
+        [
+            ("uptime_ms", &mut self.uptime_ms),
+            ("requests", &mut self.requests),
+            ("completed", &mut self.completed),
+            ("timeouts", &mut self.timeouts),
+            ("errors", &mut self.errors),
+            ("rejected", &mut self.rejected),
+            ("degraded", &mut self.degraded),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("slow", &mut self.slow),
+            ("total_us", &mut self.total_us),
+            ("mean_us", &mut self.mean_us),
+            ("p50_us", &mut self.p50_us),
+            ("p90_us", &mut self.p90_us),
+            ("p99_us", &mut self.p99_us),
+            ("p999_us", &mut self.p999_us),
+            ("expired", &mut self.expired),
+            ("shed", &mut self.shed),
+            ("admission_limit", &mut self.admission_limit),
+            ("brownout", &mut self.brownout),
+        ]
+    }
+
     /// Cache hit rate in `[0,1]` (0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -258,11 +285,6 @@ pub struct Response {
 }
 
 impl Response {
-    /// A successful-or-benign response (`ok` or `bye`).
-    pub fn is_success(&self) -> bool {
-        matches!(self.status, Status::Ok | Status::Bye)
-    }
-
     /// An error/infrastructure response carrying just id + status.
     pub fn plain(id: &str, status: Status) -> Response {
         Response {
@@ -337,36 +359,10 @@ impl Response {
                 u8::from(h.breaker_open)
             ));
         }
-        if let Some(s) = &self.stats {
-            out.push_str(&format!(
-                ",\"stats_uptime_ms\":{},\"stats_requests\":{},\"stats_completed\":{},\
-                 \"stats_timeouts\":{},\"stats_errors\":{},\"stats_rejected\":{},\
-                 \"stats_degraded\":{},\"stats_cache_hits\":{},\"stats_cache_misses\":{},\
-                 \"stats_slow\":{},\"stats_total_us\":{},\"stats_mean_us\":{},\
-                 \"stats_p50_us\":{},\"stats_p90_us\":{},\"stats_p99_us\":{},\
-                 \"stats_p999_us\":{},\"stats_expired\":{},\"stats_shed\":{},\
-                 \"stats_admission_limit\":{},\"stats_brownout\":{}",
-                s.uptime_ms,
-                s.requests,
-                s.completed,
-                s.timeouts,
-                s.errors,
-                s.rejected,
-                s.degraded,
-                s.cache_hits,
-                s.cache_misses,
-                s.slow,
-                s.total_us,
-                s.mean_us,
-                s.p50_us,
-                s.p90_us,
-                s.p99_us,
-                s.p999_us,
-                s.expired,
-                s.shed,
-                s.admission_limit,
-                s.brownout
-            ));
+        if let Some(mut s) = self.stats {
+            for (name, v) in s.fields() {
+                out.push_str(&format!(",\"stats_{name}\":{v}"));
+            }
         }
         if let Some(e) = &self.error {
             out.push_str(&format!(",\"error\":{}", json_string(e)));
@@ -377,43 +373,21 @@ impl Response {
 
     /// Parse a response line.
     pub fn parse(line: &str) -> Result<Response, String> {
+        fn health(resp: &mut Response) -> &mut HealthInfo {
+            resp.health.get_or_insert_default()
+        }
         let fields = parse_object(line)?;
         let mut resp = Response::plain("", Status::Error);
         let mut saw_status = false;
-        let mut health = HealthInfo::default();
-        let mut saw_health = false;
-        let mut stats = StatsInfo::default();
-        let mut saw_stats = false;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let as_u64 = |n: f64| n.max(0.0) as u64;
         for (name, value) in fields {
-            if let Some(field) = name.strip_prefix("stats_") {
-                if let JsonValue::Num(n) = value {
-                    let slot = match field {
-                        "uptime_ms" => &mut stats.uptime_ms,
-                        "requests" => &mut stats.requests,
-                        "completed" => &mut stats.completed,
-                        "timeouts" => &mut stats.timeouts,
-                        "errors" => &mut stats.errors,
-                        "rejected" => &mut stats.rejected,
-                        "degraded" => &mut stats.degraded,
-                        "cache_hits" => &mut stats.cache_hits,
-                        "cache_misses" => &mut stats.cache_misses,
-                        "slow" => &mut stats.slow,
-                        "total_us" => &mut stats.total_us,
-                        "mean_us" => &mut stats.mean_us,
-                        "p50_us" => &mut stats.p50_us,
-                        "p90_us" => &mut stats.p90_us,
-                        "p99_us" => &mut stats.p99_us,
-                        "p999_us" => &mut stats.p999_us,
-                        "expired" => &mut stats.expired,
-                        "shed" => &mut stats.shed,
-                        "admission_limit" => &mut stats.admission_limit,
-                        "brownout" => &mut stats.brownout,
-                        _ => continue,
-                    };
-                    *slot = as_u64(n);
-                    saw_stats = true;
+            if let (Some(field), JsonValue::Num(n)) = (name.strip_prefix("stats_"), &value) {
+                let mut stats = resp.stats.unwrap_or_default();
+                let slot = stats.fields().into_iter().find(|(f, _)| *f == field);
+                if let Some((_, slot)) = slot {
+                    *slot = as_u64(*n);
+                    resp.stats = Some(stats);
                 }
                 continue;
             }
@@ -445,37 +419,16 @@ impl Response {
                         })
                         .collect();
                 }
-                ("workers", JsonValue::Num(n)) => {
-                    health.workers = as_u64(n);
-                    saw_health = true;
-                }
-                ("target", JsonValue::Num(n)) => {
-                    health.target = as_u64(n);
-                    saw_health = true;
-                }
-                ("restarts", JsonValue::Num(n)) => {
-                    health.restarts = as_u64(n);
-                    saw_health = true;
-                }
-                ("queue", JsonValue::Num(n)) => {
-                    health.queue = as_u64(n);
-                    saw_health = true;
-                }
-                ("breaker_open", JsonValue::Num(n)) => {
-                    health.breaker_open = n != 0.0;
-                    saw_health = true;
-                }
+                ("workers", JsonValue::Num(n)) => health(&mut resp).workers = as_u64(n),
+                ("target", JsonValue::Num(n)) => health(&mut resp).target = as_u64(n),
+                ("restarts", JsonValue::Num(n)) => health(&mut resp).restarts = as_u64(n),
+                ("queue", JsonValue::Num(n)) => health(&mut resp).queue = as_u64(n),
+                ("breaker_open", JsonValue::Num(n)) => health(&mut resp).breaker_open = n != 0.0,
                 _ => {}
             }
         }
         if !saw_status {
             return Err("response missing status".into());
-        }
-        if saw_health {
-            resp.health = Some(health);
-        }
-        if saw_stats {
-            resp.stats = Some(stats);
         }
         Ok(resp)
     }
@@ -494,16 +447,7 @@ pub fn fresh_trace_id() -> u64 {
     let n = TRACE_SEQ
         .fetch_add(1, Ordering::Relaxed)
         .wrapping_add(u64::from(std::process::id()) << 20);
-    let mut z = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let id = z & TRACE_ID_MASK;
-    if id == 0 {
-        1
-    } else {
-        id
-    }
+    (crate::splitmix64(n) & TRACE_ID_MASK).max(1)
 }
 
 /// Render a synthesis request as one JSONL line (no trailing newline).

@@ -119,6 +119,12 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
         .collect();
     std::thread::sleep(Duration::from_millis(200));
 
+    // Both are parked behind the occupier, and the handle reports the
+    // queue depth the `health` op reports over the wire.
+    assert_eq!(handle.health().queue, 2);
+    let wire = client::health(&addr).expect("health over tcp");
+    assert_eq!(wire.health.expect("health payload").queue, 2);
+
     // The third expensive request overflows the watermark: shed now,
     // with a back-pressure hint, instead of joining a doomed queue.
     let shed =

@@ -165,6 +165,7 @@ pub fn run() -> Gates {
     let mut all_agree = true;
     let mut chain_static_reduction = 0.0f64;
     let mut entries = Vec::new();
+    let mut executed = String::new();
 
     for (name, sql) in WORKLOADS {
         let off = run_mode(&db, sql, MoveAround::Off);
@@ -218,6 +219,11 @@ pub fn run() -> Gates {
             if agree { "identical" } else { "DIVERGED" }
         );
 
+        executed += &format!(
+            "{name}, move-around with synthesis, as executed:\n{}",
+            syn.result.explain_analyze()
+        );
+
         entries.push(format!(
             "{{\"name\":\"{name}\",\"off_join_input_rows\":{base},\
              \"static_join_input_rows\":{},\"synth_join_input_rows\":{},\
@@ -251,6 +257,7 @@ pub fn run() -> Gates {
         "total: {total_saved} join input rows saved | {total_checks} pushes solver-checked, \
          {total_bad} unsound | {synth_only} scan(s) reachable only via synthesis"
     );
+    print!("{executed}");
 
     util::write_results(
         "BENCH_engine.json",

@@ -1,8 +1,9 @@
 //! Predicate compilation: resolve column names to column indices once, so
 //! the per-row evaluation loop does no string hashing.
 
-use crate::table::Table;
+use crate::table::{Column, ColumnData, Table};
 use sia_expr::{ArithOp, CmpOp, DataType, Expr, Pred, Schema};
+use std::cmp::Ordering;
 
 /// A compiled arithmetic expression over column indices.
 #[derive(Debug, Clone)]
@@ -101,8 +102,8 @@ impl CExpr {
                     }
                 }
                 Some(match &col.data {
-                    crate::table::ColumnData::Int(v) => ScalarVal::I(v[row]),
-                    crate::table::ColumnData::Double(v) => ScalarVal::F(v[row]),
+                    ColumnData::Int(v) => ScalarVal::I(v[row]),
+                    ColumnData::Double(v) => ScalarVal::F(v[row]),
                 })
             }
             CExpr::ConstI(v) => Some(ScalarVal::I(*v)),
@@ -201,21 +202,209 @@ impl CPred {
         }
     }
 
-    /// Rows of the table the predicate accepts (WHERE semantics: NULL
-    /// rejects).
-    pub fn filter(&self, table: &Table) -> Vec<usize> {
-        (0..table.num_rows())
-            .filter(|&row| self.eval(table, row) == Some(true))
-            .collect()
+    /// The fraction of rows accepted (selectivity; 1.0 on empty input).
+    ///
+    /// # Panics
+    /// Panics on a table of more than `u32::MAX` rows.
+    pub fn selectivity(&self, table: &Table) -> f64 {
+        let rows = u32::try_from(table.num_rows()).expect("at most u32::MAX rows");
+        let cols: Vec<_> = table.columns.iter().map(ColRef::whole).collect();
+        match rows {
+            0 => 1.0,
+            _ => self.select(&cols, rows).len() as f64 / f64::from(rows),
+        }
+    }
+}
+
+/// Rows evaluated at a time: the few lanes a predicate needs stay in L1.
+const CHUNK: u32 = 2048;
+
+/// A column as the chunked evaluator and the join read it: relation row
+/// `p` is payload row `sel[p]`, or `p` itself when there is no selection.
+#[derive(Debug, Clone, Copy)]
+pub struct ColRef<'a> {
+    /// The payload and its validity mask.
+    pub col: &'a Column,
+    /// The selection vector between relation rows and payload rows.
+    pub sel: Option<&'a [u32]>,
+}
+
+impl<'a> ColRef<'a> {
+    /// A column read in full, unselected.
+    pub fn whole(col: &'a Column) -> Self {
+        ColRef { col, sel: None }
     }
 
-    /// The fraction of rows accepted (selectivity; 1.0 on empty input).
-    pub fn selectivity(&self, table: &Table) -> f64 {
-        let n = table.num_rows();
-        if n == 0 {
-            return 1.0;
+    /// The payload row behind relation row `p`.
+    pub fn row(&self, p: u32) -> usize {
+        self.sel.map_or(p, |sel| sel[p as usize]) as usize
+    }
+
+    fn gather<T: Copy>(&self, values: &[T], cand: &[u32]) -> Vec<T> {
+        cand.iter().map(|&p| values[self.row(p)]).collect()
+    }
+}
+
+/// One chunk of values; a lane of length 1 is a constant, broadcast.
+enum Lane {
+    I(Vec<i64>),
+    F(Vec<f64>),
+}
+
+impl Lane {
+    fn into_f64(self) -> Vec<f64> {
+        match self {
+            Lane::I(v) => v.into_iter().map(|x| x as f64).collect(),
+            Lane::F(v) => v,
         }
-        self.filter(table).len() as f64 / n as f64
+    }
+}
+
+/// Which rows of a lane are not NULL; `None` = all of them.
+type Valid = Option<Vec<bool>>;
+
+/// `f` over two lanes row by row, a length-1 lane broadcast over the other.
+fn zip<A: Copy, B: Copy, U>(a: &[A], b: &[B], f: impl Fn(A, B) -> U) -> Vec<U> {
+    match (a, b) {
+        ([x], _) => b.iter().map(|&y| f(*x, y)).collect(),
+        (_, [y]) => a.iter().map(|&x| f(x, *y)).collect(),
+        _ => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+    }
+}
+
+fn both_valid(a: Valid, b: Valid) -> Valid {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(zip(&a, &b, |x, y| x && y)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Three-valued truth as a byte, ordered so that AND is `min`, OR is `max`
+/// and NOT is `TRUE - x`.
+const FALSE: u8 = 0;
+const NULL: u8 = 1;
+const TRUE: u8 = 2;
+
+fn truth_of(b: bool) -> u8 {
+    TRUE * u8::from(b)
+}
+
+/// The comparison's verdict row by row; unordered (NaN) is NULL.
+fn compare<T: Copy + PartialOrd>(op: CmpOp, a: &[T], b: &[T]) -> Vec<u8> {
+    // Looked up by `Ordering as usize + 1`, so the loop does not branch.
+    let verdict =
+        [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|ord| truth_of(op.eval_ord(ord)));
+    let of = |ord: Ordering| verdict[(ord as i8 + 1) as usize];
+    zip(a, b, |x, y| x.partial_cmp(&y).map_or(NULL, of))
+}
+
+impl CExpr {
+    /// The expression's values on one or more candidate rows.
+    fn lanes(&self, cols: &[ColRef<'_>], cand: &[u32]) -> (Lane, Valid) {
+        match self {
+            CExpr::Col(i) => {
+                let c = &cols[*i];
+                let lane = match &c.col.data {
+                    ColumnData::Int(v) => Lane::I(c.gather(v, cand)),
+                    ColumnData::Double(v) => Lane::F(c.gather(v, cand)),
+                };
+                (lane, c.col.validity.as_ref().map(|m| c.gather(m, cand)))
+            }
+            CExpr::ConstI(v) => (Lane::I(vec![*v]), None),
+            CExpr::ConstF(v) => (Lane::F(vec![*v]), None),
+            CExpr::Bin(op, l, r) => {
+                let ((l, l_valid), (r, r_valid)) = (l.lanes(cols, cand), r.lanes(cols, cand));
+                // `x / 0` is NULL; the quotient written under it is never read.
+                let nonzero = (*op == ArithOp::Div).then(|| match &r {
+                    Lane::I(b) => b.iter().map(|&y| y != 0).collect(),
+                    Lane::F(b) => b.iter().map(|&y| y != 0.0).collect(),
+                });
+                let lane = match (l, r) {
+                    (Lane::I(a), Lane::I(b)) => Lane::I(match op {
+                        ArithOp::Add => zip(&a, &b, i64::saturating_add),
+                        ArithOp::Sub => zip(&a, &b, i64::saturating_sub),
+                        ArithOp::Mul => zip(&a, &b, i64::saturating_mul),
+                        ArithOp::Div => {
+                            zip(&a, &b, |x, y| x.wrapping_div(if y == 0 { 1 } else { y }))
+                        }
+                    }),
+                    (a, b) => {
+                        let (a, b) = (a.into_f64(), b.into_f64());
+                        Lane::F(match op {
+                            ArithOp::Add => zip(&a, &b, |x, y| x + y),
+                            ArithOp::Sub => zip(&a, &b, |x, y| x - y),
+                            ArithOp::Mul => zip(&a, &b, |x, y| x * y),
+                            ArithOp::Div => zip(&a, &b, |x, y| x / y),
+                        })
+                    }
+                };
+                (lane, both_valid(both_valid(l_valid, r_valid), nonzero))
+            }
+        }
+    }
+}
+
+impl CPred {
+    /// The relation rows (of `rows`, over `cols`) on which the predicate is
+    /// TRUE, ascending — WHERE semantics: NULL rejects. This is the one
+    /// evaluator execution uses; [`CPred::eval`] is its one-row reference.
+    pub fn select(&self, cols: &[ColRef<'_>], rows: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        for lo in (0..rows).step_by(CHUNK as usize) {
+            let mut cand: Vec<u32> = (lo..rows.min(lo.saturating_add(CHUNK))).collect();
+            let kept = self.narrow(cols, &mut cand);
+            out.extend_from_slice(&cand[..kept]);
+        }
+        out
+    }
+
+    /// Move the candidates the predicate is TRUE on to the front, in
+    /// order, and return how many there are. A conjunction hands each
+    /// conjunct only what the ones before it kept.
+    fn narrow(&self, cols: &[ColRef<'_>], cand: &mut [u32]) -> usize {
+        if cand.is_empty() {
+            return 0;
+        }
+        if let CPred::And(ps) = self {
+            let all = cand.len();
+            return ps.iter().fold(all, |n, p| p.narrow(cols, &mut cand[..n]));
+        }
+        let mut kept = 0;
+        for (k, t) in self.truth(cols, cand).into_iter().enumerate() {
+            cand[kept] = cand[k];
+            kept += usize::from(t == TRUE);
+        }
+        kept
+    }
+
+    /// Three-valued truth of the predicate on each of one or more
+    /// candidates.
+    fn truth(&self, cols: &[ColRef<'_>], cand: &[u32]) -> Vec<u8> {
+        let n = cand.len();
+        let of = |p: &CPred| p.truth(cols, cand);
+        match self {
+            CPred::Lit(b) => vec![truth_of(*b); n],
+            CPred::Cmp(op, l, r) => {
+                let ((l, l_valid), (r, r_valid)) = (l.lanes(cols, cand), r.lanes(cols, cand));
+                let mut truth = match (l, r) {
+                    (Lane::I(a), Lane::I(b)) => compare(*op, &a, &b),
+                    (a, b) => compare(*op, &a.into_f64(), &b.into_f64()),
+                };
+                if let Some(valid) = both_valid(l_valid, r_valid) {
+                    truth = zip(&truth, &valid, |t, ok| if ok { t } else { NULL });
+                }
+                // Constant against constant: one verdict for every row.
+                truth.resize(n, truth[0]);
+                truth
+            }
+            CPred::And(ps) => ps
+                .iter()
+                .fold(vec![TRUE; n], |acc, p| zip(&acc, &of(p), u8::min)),
+            CPred::Or(ps) => ps
+                .iter()
+                .fold(vec![FALSE; n], |acc, p| zip(&acc, &of(p), u8::max)),
+            CPred::Not(p) => of(p).into_iter().map(|t| TRUE - t).collect(),
+        }
     }
 }
 
@@ -242,13 +431,17 @@ mod tests {
     use sia_expr::ColumnDef;
     use sia_sql::parse_predicate;
 
+    pub(super) fn schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::new("a", DataType::Integer),
+            ColumnDef::new("b", DataType::Integer),
+            ColumnDef::new("d", DataType::Double),
+        ])
+    }
+
     fn table() -> Table {
         Table::new(
-            Schema::new(vec![
-                ColumnDef::new("a", DataType::Integer),
-                ColumnDef::new("b", DataType::Integer),
-                ColumnDef::new("d", DataType::Double),
-            ]),
+            schema(),
             vec![
                 Column::int(vec![1, 5, 10, -3]),
                 Column::int(vec![2, 2, 2, 2]),
@@ -257,32 +450,63 @@ mod tests {
         )
     }
 
+    /// Lengths on both sides of every chunk edge.
+    pub(super) const LENGTHS: [usize; 6] = [0, 1, 2047, 2048, 2049, 5000];
+
+    /// `base`'s rows repeated cyclically up to `len` rows.
+    pub(super) fn tiled(base: &Table, len: usize) -> Table {
+        let rows: Vec<u32> = (0..len).map(|i| (i % base.num_rows()) as u32).collect();
+        let columns = base.columns.iter().map(|c| c.gather(&rows)).collect();
+        Table::new(base.schema.clone(), columns)
+    }
+
+    /// Compile `sql`, check the chunked evaluator against the one-row
+    /// reference on every row, and return the selected rows.
+    pub(super) fn select(sql: &str, t: &Table) -> Vec<u32> {
+        let p = compile_pred(&parse_predicate(sql).unwrap(), &t.schema).unwrap();
+        let cols: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
+        let rows = p.select(&cols, t.num_rows() as u32);
+        let reference: Vec<u32> = (0..t.num_rows())
+            .filter(|&row| p.eval(t, row) == Some(true))
+            .map(|row| row as u32)
+            .collect();
+        assert_eq!(rows, reference, "{sql} over {} rows", t.num_rows());
+        rows
+    }
+
     #[test]
     fn filter_rows() {
         let t = table();
+        assert_eq!(select("a > b", &t), vec![1, 2]);
         let p = compile_pred(&parse_predicate("a > b").unwrap(), &t.schema).unwrap();
-        assert_eq!(p.filter(&t), vec![1, 2]);
         assert_eq!(p.selectivity(&t), 0.5);
+        assert_eq!(p.selectivity(&tiled(&t, 0)), 1.0);
     }
 
     #[test]
     fn arithmetic_and_doubles() {
         let t = table();
-        let p = compile_pred(
-            &parse_predicate("a + b * 2 >= 9 AND d < 11").unwrap(),
-            &t.schema,
-        )
-        .unwrap();
-        assert_eq!(p.filter(&t), vec![1, 2]);
+        assert_eq!(select("a + b * 2 >= 9 AND d < 11", &t), vec![1, 2]);
+        // int ⊕ double widens; a constant may stand on either side.
+        assert_eq!(select("a + d > 9.0", &t), vec![1, 2]);
+        assert_eq!(select("4 < a", &t), vec![1, 2]);
+        assert_eq!(select("1 < 2", &t), vec![0, 1, 2, 3]);
+        assert_eq!(select("2 < 1 OR 1 / 0 = 1", &t), Vec::<u32>::new());
     }
 
     #[test]
     fn null_rejects_in_where() {
         let mut t = table();
         t.columns[0].validity = Some(vec![true, false, true, true]);
-        let p = compile_pred(&parse_predicate("a > 0").unwrap(), &t.schema).unwrap();
         // row 1 (a NULL) rejected even though stored payload is 5.
-        assert_eq!(p.filter(&t), vec![0, 2]);
+        assert_eq!(select("a > 0", &t), vec![0, 2]);
+        // NOT NULL is NULL, and NULL OR TRUE is TRUE.
+        assert_eq!(select("NOT (a > 0)", &t), vec![3]);
+        assert_eq!(select("a > 0 OR b = 2", &t), vec![0, 1, 2, 3]);
+        for len in LENGTHS {
+            let rows = select("a > 0", &tiled(&t, len));
+            assert!(rows.iter().all(|r| r % 4 != 1), "{len} rows");
+        }
     }
 
     #[test]
@@ -297,202 +521,89 @@ mod tests {
     fn division_semantics() {
         let t = table();
         // a / 0 is NULL → rejected.
-        let p = compile_pred(&parse_predicate("a / 0 > 0").unwrap(), &t.schema).unwrap();
-        assert!(p.filter(&t).is_empty());
+        assert!(select("a / 0 > 0", &t).is_empty());
+        assert!(select("d / 0 > 0 OR NOT (d / 0.0 > 0)", &t).is_empty());
         // Integer division truncates.
-        let q = compile_pred(&parse_predicate("a / 2 = 2").unwrap(), &t.schema).unwrap();
-        assert_eq!(q.filter(&t), vec![1]); // 5/2 = 2
+        assert_eq!(select("a / 2 = 2", &t), vec![1]); // 5/2 = 2
+        assert_eq!(select("a / 2 = -1", &t), vec![3]); // -3/2 = -1
+        for len in LENGTHS {
+            let t = tiled(&t, len);
+            select("a / (b - 2) > 0 OR a / 2 = 2", &t);
+            select("b / (a - 5) <= 0", &t);
+        }
+    }
+
+    #[test]
+    fn saturating_arithmetic_and_nan() {
+        let t = Table::new(
+            schema(),
+            vec![
+                Column::int(vec![i64::MAX, i64::MIN, 3]),
+                Column::int(vec![2, -1, 0]),
+                Column::double(vec![f64::NAN, 1.0, f64::INFINITY]),
+            ],
+        );
+        assert_eq!(select("a + b > 0", &t), vec![0, 2]);
+        // i64::MIN * -1 saturates at i64::MAX; i64::MIN / -1 wraps.
+        assert_eq!(select("a * b > 0 AND a - b < 0", &t), vec![1]);
+        assert_eq!(select("a / b < 0", &t), vec![1]);
+        // NaN compares NULL under every operator, negated or not.
+        assert_eq!(select("d = d", &t), vec![1, 2]);
+        assert_eq!(select("NOT (d <> d)", &t), vec![1, 2]);
+        assert_eq!(select("d - d >= 0 OR a = 3", &t), vec![1, 2]);
     }
 
     #[test]
     fn matches_interpreted_eval() {
         use std::collections::HashMap;
-        let t = table();
+        let base = table();
         let pred = parse_predicate("a - b < 3 OR d > 4.0").unwrap();
-        let c = compile_pred(&pred, &t.schema).unwrap();
-        for row in 0..t.num_rows() {
-            let m: HashMap<String, sia_expr::Value> = ["a", "b", "d"]
-                .iter()
-                .map(|n| (n.to_string(), t.value(row, n)))
-                .collect();
-            assert_eq!(c.eval(&t, row), sia_expr::eval_pred(&pred, &m), "row {row}");
-        }
-    }
-}
-
-/// Batch (vectorized) evaluation: integer-only expressions evaluate whole
-/// columns at a time, cutting the per-row interpretive overhead that
-/// row-at-a-time `eval` pays. Falls back to row-wise for DOUBLE columns.
-mod batch {
-    use super::*;
-    use crate::table::ColumnData;
-
-    /// A column vector of evaluated values plus validity (None = all valid).
-    pub(super) struct IntVec {
-        pub values: Vec<i64>,
-        pub validity: Option<Vec<bool>>,
-    }
-
-    impl CExpr {
-        /// Evaluate over all rows at once; `None` when the expression
-        /// touches non-integer columns (caller falls back to row-wise).
-        pub(super) fn eval_batch(&self, table: &Table) -> Option<IntVec> {
-            let n = table.num_rows();
-            match self {
-                CExpr::Col(i) => {
-                    let col = &table.columns[*i];
-                    let ColumnData::Int(v) = &col.data else {
-                        return None;
-                    };
-                    Some(IntVec {
-                        values: v.clone(),
-                        validity: col.validity.clone(),
-                    })
-                }
-                CExpr::ConstI(c) => Some(IntVec {
-                    values: vec![*c; n],
-                    validity: None,
-                }),
-                CExpr::ConstF(_) => None,
-                CExpr::Bin(op, l, r) => {
-                    let mut a = l.eval_batch(table)?;
-                    let b = r.eval_batch(table)?;
-                    let validity = merge_validity(a.validity.take(), b.validity, |m| m);
-                    let mut values = a.values;
-                    match op {
-                        ArithOp::Add => {
-                            for (x, y) in values.iter_mut().zip(&b.values) {
-                                *x = x.saturating_add(*y);
-                            }
-                            Some(IntVec { values, validity })
-                        }
-                        ArithOp::Sub => {
-                            for (x, y) in values.iter_mut().zip(&b.values) {
-                                *x = x.saturating_sub(*y);
-                            }
-                            Some(IntVec { values, validity })
-                        }
-                        ArithOp::Mul => {
-                            for (x, y) in values.iter_mut().zip(&b.values) {
-                                *x = x.saturating_mul(*y);
-                            }
-                            Some(IntVec { values, validity })
-                        }
-                        ArithOp::Div => {
-                            // Division by zero yields NULL row-wise; the
-                            // extra mask bookkeeping isn't worth the rare
-                            // case — fall back.
-                            None
-                        }
-                    }
-                }
+        for len in LENGTHS {
+            let t = tiled(&base, len);
+            let c = compile_pred(&pred, &t.schema).unwrap();
+            let selected = select("a - b < 3 OR d > 4.0", &t);
+            for row in 0..t.num_rows() {
+                let m: HashMap<String, sia_expr::Value> = ["a", "b", "d"]
+                    .iter()
+                    .map(|n| (n.to_string(), t.value(row, n)))
+                    .collect();
+                let interpreted = sia_expr::eval_pred(&pred, &m);
+                assert_eq!(c.eval(&t, row), interpreted, "row {row}");
+                let kept = selected.binary_search(&(row as u32)).is_ok();
+                assert_eq!(kept, interpreted == Some(true), "row {row} of {len}");
             }
         }
     }
 
-    fn merge_validity(
-        a: Option<Vec<bool>>,
-        b: Option<Vec<bool>>,
-        f: impl Fn(Vec<bool>) -> Vec<bool>,
-    ) -> Option<Vec<bool>> {
-        match (a, b) {
-            (None, None) => None,
-            (Some(m), None) | (None, Some(m)) => Some(f(m)),
-            (Some(mut m), Some(o)) => {
-                for (x, y) in m.iter_mut().zip(&o) {
-                    *x = *x && *y;
-                }
-                Some(m)
-            }
-        }
-    }
-
-    /// Tri-state row mask: `Some(true/false)` decided, `None` = NULL.
-    pub(super) fn pred_mask(p: &CPred, table: &Table) -> Option<Vec<Option<bool>>> {
-        let n = table.num_rows();
-        match p {
-            CPred::Lit(b) => Some(vec![Some(*b); n]),
-            CPred::Cmp(op, l, r) => {
-                let a = l.eval_batch(table)?;
-                let b = r.eval_batch(table)?;
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    let null = a.validity.as_ref().map(|m| !m[i]).unwrap_or(false)
-                        || b.validity.as_ref().map(|m| !m[i]).unwrap_or(false);
-                    out.push(if null {
-                        None
-                    } else {
-                        Some(op.eval_ord(a.values[i].cmp(&b.values[i])))
-                    });
-                }
-                Some(out)
-            }
-            CPred::And(ps) => {
-                let mut acc = vec![Some(true); n];
-                for q in ps {
-                    let m = pred_mask(q, table)?;
-                    for (x, y) in acc.iter_mut().zip(&m) {
-                        *x = match (*x, y) {
-                            (Some(false), _) | (_, Some(false)) => Some(false),
-                            (Some(true), v) => *v,
-                            (None, Some(true) | None) => None,
-                        };
-                    }
-                }
-                Some(acc)
-            }
-            CPred::Or(ps) => {
-                let mut acc = vec![Some(false); n];
-                for q in ps {
-                    let m = pred_mask(q, table)?;
-                    for (x, y) in acc.iter_mut().zip(&m) {
-                        *x = match (*x, y) {
-                            (Some(true), _) | (_, Some(true)) => Some(true),
-                            (Some(false), v) => *v,
-                            (None, Some(false) | None) => None,
-                        };
-                    }
-                }
-                Some(acc)
-            }
-            CPred::Not(q) => {
-                let m = pred_mask(q, table)?;
-                Some(m.into_iter().map(|v| v.map(|b| !b)).collect())
-            }
-        }
-    }
-}
-
-impl CPred {
-    /// Vectorized variant of [`CPred::filter`]: whole-column evaluation
-    /// for integer-only predicates, row-wise fallback otherwise.
-    pub fn filter_vectorized(&self, table: &Table) -> Vec<usize> {
-        match batch::pred_mask(self, table) {
-            Some(mask) => mask
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v == Some(true))
-                .map(|(i, _)| i)
-                .collect(),
-            None => self.filter(table),
-        }
+    #[test]
+    fn selection_vectors_are_read_through() {
+        let t = table();
+        let p = compile_pred(&parse_predicate("a > b AND d < 10").unwrap(), &t.schema).unwrap();
+        // Relation rows 0..5 are payload rows 3, 1, 1, 2, 0 of `a` and `d`,
+        // and rows 0, 0, 1, 2, 3 of `b` (all 2).
+        let (ad, b) = ([3, 1, 1, 2, 0], [0, 0, 1, 2, 3]);
+        let sels = [&ad[..], &b[..], &ad[..]];
+        let cols: Vec<ColRef<'_>> = t
+            .columns
+            .iter()
+            .zip(sels)
+            .map(|(col, sel)| ColRef {
+                col,
+                sel: Some(sel),
+            })
+            .collect();
+        assert_eq!(p.select(&cols, 5), vec![1, 2]);
     }
 }
 
 #[cfg(test)]
 mod batch_tests {
-    use super::*;
+    use super::tests::{select, tiled, LENGTHS};
     use crate::table::{Column, Table};
-    use sia_expr::{ColumnDef, DataType, Schema};
-    use sia_sql::parse_predicate;
 
     fn table() -> Table {
         Table::new(
-            Schema::new(vec![
-                ColumnDef::new("a", DataType::Integer),
-                ColumnDef::new("b", DataType::Integer),
-                ColumnDef::new("d", DataType::Double),
-            ]),
+            super::tests::schema(),
             vec![
                 Column::int(vec![1, 5, 10, -3, 7]),
                 Column::int(vec![2, 2, 2, 2, 7]),
@@ -503,27 +614,40 @@ mod batch_tests {
 
     #[test]
     fn vectorized_matches_rowwise() {
-        let t = table();
-        for sql in [
-            "a > b",
-            "a + b * 2 >= 9",
-            "a - b < 3 OR a = 7",
-            "NOT (a < b) AND a <> 10",
-            "a > b AND d < 5.0", // double → fallback path
-            "a / 2 = 2",         // division → fallback path
-        ] {
-            let p = compile_pred(&parse_predicate(sql).unwrap(), &t.schema).unwrap();
-            assert_eq!(p.filter_vectorized(&t), p.filter(&t), "mismatch for {sql}");
+        let base = table();
+        for len in LENGTHS {
+            let t = tiled(&base, len);
+            for sql in [
+                "a > b",
+                "a + b * 2 >= 9",
+                "a - b < 3 OR a = 7",
+                "NOT (a < b) AND a <> 10",
+                "a > b AND d < 5.0",
+                "a / 2 = 2",
+                "NOT (a / (b - 2) = 0 OR d > a)",
+                "3 >= b AND (a < 7 OR NOT (d * 2 > b))",
+            ] {
+                select(sql, &t);
+            }
         }
     }
 
     #[test]
     fn vectorized_null_handling() {
-        let mut t = table();
-        t.columns[0].validity = Some(vec![true, false, true, true, false]);
-        for sql in ["a > 0", "a > b OR b = 2", "a = a"] {
-            let p = compile_pred(&parse_predicate(sql).unwrap(), &t.schema).unwrap();
-            assert_eq!(p.filter_vectorized(&t), p.filter(&t), "mismatch for {sql}");
+        let mut base = table();
+        base.columns[0].validity = Some(vec![true, false, true, true, false]);
+        base.columns[2].validity = Some(vec![false, true, true, false, true]);
+        for len in LENGTHS {
+            let t = tiled(&base, len);
+            for sql in [
+                "a > 0",
+                "a > b OR b = 2",
+                "a = a",
+                "NOT (a > d) OR d / 0 > 1",
+                "a + d < 8 AND NOT (a = 10 AND d > 10)",
+            ] {
+                select(sql, &t);
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The database: named tables, query planning, and the run-a-SQL-string
 //! entry point used by the benchmark harness.
 
-use crate::exec::{execute, ExecError, ExecStats};
+use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats};
 use crate::moveraround::{move_around, MoveAroundReport};
 use crate::optimize::{optimize, OptimizerConfig};
 use crate::plan::Plan;
@@ -9,6 +9,7 @@ use crate::table::Table;
 use sia_expr::{Pred, Schema};
 use sia_sql::{Query, SelectList};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// A collection of named in-memory tables.
@@ -30,6 +31,46 @@ pub struct QueryResult {
     pub plan: Plan,
     /// What the move-around pass did (empty when the mode is `Off`).
     pub moved: MoveAroundReport,
+    /// Every operator's rows and self time, in `plan`'s pre-order.
+    pub operators: Vec<OpStats>,
+}
+
+impl QueryResult {
+    /// The executed plan as EXPLAIN prints it, each operator's line
+    /// carrying its rows in, rows out and self time; the last line is what
+    /// of `elapsed` no operator accounts for — materializing the result.
+    pub fn explain_analyze(&self) -> String {
+        fn walk(
+            plan: &Plan,
+            depth: usize,
+            ops: &mut std::slice::Iter<'_, OpStats>,
+            out: &mut String,
+        ) {
+            let op = ops.next().copied().unwrap_or_default();
+            let _ = writeln!(
+                out,
+                "{}{} [rows_in={} rows_out={} self={:.3} ms]",
+                "  ".repeat(depth),
+                plan.label(),
+                op.rows_in,
+                op.rows_out,
+                op.self_time.as_secs_f64() * 1e3,
+            );
+            for child in plan.children() {
+                walk(child, depth + 1, ops, out);
+            }
+        }
+        let mut out = String::new();
+        walk(&self.plan, 0, &mut self.operators.iter(), &mut out);
+        let in_operators: Duration = self.operators.iter().map(|op| op.self_time).sum();
+        let _ = writeln!(
+            out,
+            "Materialize [rows_out={} self={:.3} ms]",
+            self.table.num_rows(),
+            self.elapsed.saturating_sub(in_operators).as_secs_f64() * 1e3,
+        );
+        out
+    }
 }
 
 impl Database {
@@ -132,7 +173,7 @@ impl Database {
                     || (joined.contains(tb) && remaining.contains(ta))
             });
             let Some(pos) = pos else {
-                return Err(ExecError::UnknownColumn(format!(
+                return Err(ExecError::Unsupported(format!(
                     "no equi-join condition connects table(s) {remaining:?}"
                 )));
             };
@@ -175,13 +216,14 @@ impl Database {
     /// Plan, optimize, and execute a query.
     pub fn run(&self, query: &Query, config: OptimizerConfig) -> Result<QueryResult, ExecError> {
         let (plan, moved) = self.optimized_plan(query, config)?;
-        let (table, elapsed, stats) = execute(&plan, self)?;
+        let (table, elapsed, stats, operators) = execute_analyze(&plan, self)?;
         Ok(QueryResult {
             table,
             elapsed,
             stats,
             plan,
             moved,
+            operators,
         })
     }
 
@@ -259,7 +301,73 @@ mod tests {
         let db = db();
         let q =
             sia_sql::parse_query("SELECT * FROM lineitem, orders WHERE o_orderdate < 0").unwrap();
-        assert!(db.plan(&q).is_err());
+        let err = db.plan(&q).unwrap_err();
+        assert!(matches!(err, ExecError::Unsupported(_)), "{err:?}");
+        assert!(err.to_string().contains("no equi-join condition"), "{err}");
+        assert!(!err.to_string().contains("unknown column"), "{err}");
+    }
+
+    #[test]
+    fn operator_numbers_add_up_to_the_counters() {
+        let db = db();
+        let r = db
+            .run_sql(
+                "SELECT l_shipdate, o_orderdate FROM lineitem, orders \
+                 WHERE o_orderkey = l_orderkey AND o_orderdate < 10 \
+                 AND l_shipdate - o_orderdate < 12",
+            )
+            .unwrap();
+        // Pre-order walk of the plan, in step with `operators`.
+        fn kinds<'p>(plan: &'p Plan, out: &mut Vec<&'p Plan>) {
+            out.push(plan);
+            plan.children().into_iter().for_each(|c| kinds(c, out));
+        }
+        let mut nodes = Vec::new();
+        kinds(&r.plan, &mut nodes);
+        assert_eq!(nodes.len(), r.operators.len());
+        let sum = |kind: &str, field: fn(&OpStats) -> u64| -> u64 {
+            let of_kind = nodes.iter().zip(&r.operators);
+            let of_kind = of_kind.filter(|(node, _)| node.label().starts_with(kind));
+            of_kind.map(|(_, op)| field(op)).sum()
+        };
+        let (scan, filter, join) = ("SeqScan", "Filter", "HashJoin");
+        assert!(
+            sum(filter, |_| 1) >= 2 && sum(join, |_| 1) == 1,
+            "{}",
+            r.plan
+        );
+        assert_eq!(sum(scan, |op| op.rows_in), r.stats.rows_scanned);
+        assert_eq!(sum(filter, |op| op.rows_in), r.stats.rows_filtered);
+        assert_eq!(sum(join, |op| op.rows_in), r.stats.join_input_rows);
+        assert_eq!(sum(join, |op| op.rows_out), r.stats.join_output_rows);
+        assert_eq!(r.operators[0].rows_out, r.table.num_rows() as u64);
+        let in_operators: Duration = r.operators.iter().map(|op| op.self_time).sum();
+        assert!(
+            in_operators <= r.elapsed,
+            "{in_operators:?} > {:?}",
+            r.elapsed
+        );
+
+        // EXPLAIN ANALYZE is the plan's own tree, a line per operator plus
+        // the materialization, each with its numbers.
+        let text = r.explain_analyze();
+        let plain = r.plan.to_string();
+        assert_eq!(text.lines().count(), plain.lines().count() + 1, "{text}");
+        for (line, want) in text.lines().zip(plain.lines()) {
+            assert!(
+                line.starts_with(want) && line.contains(" [rows_in="),
+                "{line}"
+            );
+        }
+        let rows = r.table.num_rows();
+        assert!(text.contains(&format!(
+            "Project (l_shipdate, o_orderdate) [rows_in={rows} rows_out={rows} self="
+        )));
+        assert!(text
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("Materialize [rows_out="));
     }
 
     #[test]

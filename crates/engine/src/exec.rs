@@ -1,12 +1,17 @@
 //! Plan execution: sequential scans, compiled-predicate filters, and hash
 //! equi-joins over the columnar tables.
+//!
+//! No operator copies a base column. Operators hand each other a borrowed
+//! relation ([`Rel`]): columns that still live in the [`Database`], and
+//! per source table a selection vector naming the payload row behind each
+//! relation row. A scan borrows, a filter and a join shorten or compose
+//! selections, and only [`execute`] materializes, once, at the plan root.
 
-use crate::compile::{compile_pred, UnknownColumn};
+use crate::compile::{compile_pred, ColRef, UnknownColumn};
 use crate::db::Database;
 use crate::plan::Plan;
-use crate::table::{ColumnData, Table};
+use crate::table::{Column, ColumnData, Table};
 use sia_expr::Schema;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Counters gathered during execution (the cost signals the evaluation in
@@ -23,13 +28,27 @@ pub struct ExecStats {
     pub join_output_rows: u64,
 }
 
+/// What one operator of the executed plan saw and cost.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct OpStats {
+    /// Rows the operator read: a scan's table, a filter's or projection's
+    /// input, a join's two inputs together.
+    pub rows_in: u64,
+    /// Rows the operator produced.
+    pub rows_out: u64,
+    /// The operator's wall time minus its children's.
+    pub self_time: Duration,
+}
+
 /// Execution error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// Unknown base table.
     UnknownTable(String),
-    /// Unknown column in a predicate/projection/join key.
+    /// A predicate/projection/join-key column name that resolves nowhere.
     UnknownColumn(String),
+    /// A query the names resolve for but the engine cannot run.
+    Unsupported(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -37,6 +56,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
             ExecError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
+            ExecError::Unsupported(why) => write!(f, "unsupported: {why}"),
         }
     }
 }
@@ -52,27 +72,117 @@ impl From<UnknownColumn> for ExecError {
 /// Execute a plan against a database, returning the result table, timing,
 /// and counters.
 pub fn execute(plan: &Plan, db: &Database) -> Result<(Table, Duration, ExecStats), ExecError> {
-    let mut stats = ExecStats::default();
-    let start = Instant::now();
-    let table = run(plan, db, &mut stats)?;
-    Ok((table, start.elapsed(), stats))
+    let (table, elapsed, stats, _) = execute_analyze(plan, db)?;
+    Ok((table, elapsed, stats))
 }
 
-fn run(plan: &Plan, db: &Database, stats: &mut ExecStats) -> Result<Table, ExecError> {
-    match plan {
+/// [`execute`], plus every operator's numbers in plan pre-order.
+pub(crate) fn execute_analyze(
+    plan: &Plan,
+    db: &Database,
+) -> Result<(Table, Duration, ExecStats, Vec<OpStats>), ExecError> {
+    let (mut stats, mut ops) = (ExecStats::default(), Vec::new());
+    let start = Instant::now();
+    let (rel, _) = run(plan, db, &mut stats, &mut ops)?;
+    // The one place rows are copied: each output column, once, through its
+    // source's selection (a bare scan has none and is cloned).
+    let columns = rel
+        .cols
+        .iter()
+        .map(|&(source, col)| match &rel.sels[source] {
+            Some(rows) => col.gather(rows),
+            None => col.clone(),
+        })
+        .collect();
+    let table = Table::new(rel.schema, columns);
+    Ok((table, start.elapsed(), stats, ops))
+}
+
+/// Row numbers are `u32` from the scan on; a longer table is refused.
+fn row_count(rows: usize) -> Result<u32, ExecError> {
+    u32::try_from(rows)
+        .map_err(|_| ExecError::Unsupported(format!("{rows} rows exceed the u32::MAX limit")))
+}
+
+/// A relation between operators, borrowed from the database.
+struct Rel<'a> {
+    schema: Schema,
+    /// The visible columns in schema order: which source each belongs to,
+    /// and its payload.
+    cols: Vec<(usize, &'a Column)>,
+    /// Per source table, the payload row behind each relation row; `None`
+    /// = every row in order.
+    sels: Vec<Option<Vec<u32>>>,
+    rows: u32,
+}
+
+impl Rel<'_> {
+    /// Keep relation rows `picks`, in that order.
+    fn pick(&mut self, picks: Vec<u32>) -> Result<(), ExecError> {
+        self.rows = row_count(picks.len())?;
+        if let [sel @ None] = &mut self.sels[..] {
+            *sel = Some(picks);
+            return Ok(());
+        }
+        for sel in &mut self.sels {
+            *sel = Some(match sel.take() {
+                Some(rows) => picks.iter().map(|&p| rows[p as usize]).collect(),
+                None => picks.clone(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Column `idx` as the evaluator and the join read it.
+    fn col_ref(&self, idx: usize) -> ColRef<'_> {
+        let (source, col) = self.cols[idx];
+        ColRef {
+            col,
+            sel: self.sels[source].as_deref(),
+        }
+    }
+
+    fn index_of(&self, name: &str) -> Result<usize, ExecError> {
+        self.schema
+            .index_of(name)
+            .ok_or_else(|| ExecError::UnknownColumn(name.to_string()))
+    }
+}
+
+/// Run a subtree: its relation, and its wall time for the parent's
+/// `self_time`. Operators are numbered in plan pre-order.
+fn run<'a>(
+    plan: &Plan,
+    db: &'a Database,
+    stats: &mut ExecStats,
+    ops: &mut Vec<OpStats>,
+) -> Result<(Rel<'a>, Duration), ExecError> {
+    let start = Instant::now();
+    let slot = ops.len();
+    ops.push(OpStats::default());
+    let (rel, rows_in, below) = match plan {
         Plan::Scan { table } => {
             let t = db
                 .table(table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            stats.rows_scanned += t.num_rows() as u64;
-            Ok(t.clone())
+            let rows = row_count(t.num_rows())?;
+            stats.rows_scanned += u64::from(rows);
+            let rel = Rel {
+                schema: t.schema.clone(),
+                cols: t.columns.iter().map(|c| (0, c)).collect(),
+                sels: vec![None],
+                rows,
+            };
+            (rel, u64::from(rows), Duration::ZERO)
         }
         Plan::Filter { pred, input } => {
-            let t = run(input, db, stats)?;
-            stats.rows_filtered += t.num_rows() as u64;
-            let compiled = compile_pred(pred, &t.schema)?;
-            let rows = compiled.filter_vectorized(&t);
-            Ok(t.gather(&rows))
+            let (mut rel, below) = run(input, db, stats, ops)?;
+            let rows_in = u64::from(rel.rows);
+            stats.rows_filtered += rows_in;
+            let cols: Vec<_> = (0..rel.cols.len()).map(|i| rel.col_ref(i)).collect();
+            let keep = compile_pred(pred, &rel.schema)?.select(&cols, rel.rows);
+            rel.pick(keep)?;
+            (rel, rows_in, below)
         }
         Plan::HashJoin {
             left,
@@ -80,92 +190,125 @@ fn run(plan: &Plan, db: &Database, stats: &mut ExecStats) -> Result<Table, ExecE
             left_key,
             right_key,
         } => {
-            let lt = run(left, db, stats)?;
-            let rt = run(right, db, stats)?;
-            stats.join_input_rows += (lt.num_rows() + rt.num_rows()) as u64;
-            let out = hash_join(&lt, &rt, left_key, right_key)?;
-            stats.join_output_rows += out.num_rows() as u64;
-            Ok(out)
+            let (lt, left_time) = run(left, db, stats, ops)?;
+            let (rt, right_time) = run(right, db, stats, ops)?;
+            let rows_in = u64::from(lt.rows) + u64::from(rt.rows);
+            stats.join_input_rows += rows_in;
+            let out = hash_join(lt, rt, left_key, right_key)?;
+            stats.join_output_rows += u64::from(out.rows);
+            (out, rows_in, left_time + right_time)
         }
         Plan::Project { columns, input } => {
-            let t = run(input, db, stats)?;
-            let mut defs = Vec::with_capacity(columns.len());
-            let mut cols = Vec::with_capacity(columns.len());
-            for name in columns {
-                let idx = t
-                    .schema
-                    .index_of(name)
-                    .ok_or_else(|| ExecError::UnknownColumn(name.clone()))?;
-                defs.push(t.schema.columns()[idx].clone());
-                cols.push(t.columns[idx].clone());
-            }
-            Ok(Table::new(Schema::new(defs), cols))
+            let (mut rel, below) = run(input, db, stats, ops)?;
+            let picked: Vec<usize> = columns
+                .iter()
+                .map(|name| rel.index_of(name))
+                .collect::<Result<_, _>>()?;
+            let defs = picked.iter().map(|&i| rel.schema.columns()[i].clone());
+            rel.schema = Schema::new(defs.collect());
+            rel.cols = picked.iter().map(|&i| rel.cols[i]).collect();
+            let rows_in = u64::from(rel.rows);
+            (rel, rows_in, below)
         }
+    };
+    let total = start.elapsed();
+    ops[slot] = OpStats {
+        rows_in,
+        rows_out: u64::from(rel.rows),
+        self_time: total.saturating_sub(below),
+    };
+    Ok((rel, total))
+}
+
+/// An integer join key as the join reads it; NULL keys never join,
+/// matching SQL semantics.
+struct Key<'k> {
+    values: &'k [i64],
+    col: ColRef<'k>,
+    rows: u32,
+}
+
+impl<'k> Key<'k> {
+    fn of(rel: &'k Rel<'_>, name: &str) -> Result<Self, ExecError> {
+        let col = rel.col_ref(rel.index_of(name)?);
+        let ColumnData::Int(values) = &col.col.data else {
+            let why = format!("{name} is not an integer join key");
+            return Err(ExecError::Unsupported(why));
+        };
+        let rows = rel.rows;
+        Ok(Key { values, col, rows })
+    }
+
+    fn get(&self, p: u32) -> Option<i64> {
+        let row = self.col.row(p);
+        let valid = self.col.col.validity.as_ref().is_none_or(|m| m[row]);
+        valid.then(|| self.values[row])
     }
 }
 
-/// Hash join on integer keys. Builds on the smaller input and preserves
-/// (probe-side-major) row order.
-fn hash_join(
-    left: &Table,
-    right: &Table,
+/// End of a bucket's chain; no row has this number (see [`row_count`]).
+const NIL: u32 = u32::MAX;
+
+/// The matching (build row, probe row) pairs of an equi-join, probe-major
+/// with each probe row's build matches ascending. The table is two flat
+/// arrays: `heads[bucket]` is the first build row of a bucket's chain and
+/// `next[row]` the one after `row`; inserting in reverse makes every
+/// chain ascend.
+fn matches(build: &Key<'_>, probe: &Key<'_>) -> (Vec<u32>, Vec<u32>) {
+    let buckets = (build.rows as usize * 2).next_power_of_two().max(2);
+    let shift = 64 - buckets.trailing_zeros();
+    // Multiplicative (Fibonacci) hashing: the top bits of key × 2^64/φ.
+    #[allow(clippy::cast_sign_loss)]
+    let bucket = |key: i64| ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+    let mut heads = vec![NIL; buckets];
+    let mut next = vec![NIL; build.rows as usize];
+    for b in (0..build.rows).rev() {
+        if let Some(key) = build.get(b) {
+            let head = &mut heads[bucket(key)];
+            next[b as usize] = *head;
+            *head = b;
+        }
+    }
+    let (mut build_out, mut probe_out) = (Vec::new(), Vec::new());
+    for p in 0..probe.rows {
+        let Some(key) = probe.get(p) else { continue };
+        let mut b = heads[bucket(key)];
+        while b != NIL {
+            if build.values[build.col.row(b)] == key {
+                build_out.push(b);
+                probe_out.push(p);
+            }
+            b = next[b as usize];
+        }
+    }
+    (build_out, probe_out)
+}
+
+/// Hash join on integer keys. Builds on the smaller input; output rows are
+/// probe-side-major, columns left then right.
+fn hash_join<'a>(
+    mut left: Rel<'a>,
+    mut right: Rel<'a>,
     left_key: &str,
     right_key: &str,
-) -> Result<Table, ExecError> {
-    let lk = key_column(left, left_key)?;
-    let rk = key_column(right, right_key)?;
-    // Build on the smaller side.
-    let (build, probe, build_keys, probe_keys, build_is_left) =
-        if left.num_rows() <= right.num_rows() {
-            (left, right, lk, rk, true)
+) -> Result<Rel<'a>, ExecError> {
+    let (left_rows, right_rows) = {
+        let (lk, rk) = (Key::of(&left, left_key)?, Key::of(&right, right_key)?);
+        if left.rows <= right.rows {
+            matches(&lk, &rk)
         } else {
-            (right, left, rk, lk, false)
-        };
-    let mut index: HashMap<i64, Vec<usize>> = HashMap::with_capacity(build.num_rows());
-    for (row, key) in build_keys.iter().enumerate() {
-        if let Some(k) = key {
-            index.entry(*k).or_default().push(row);
+            let (right_rows, left_rows) = matches(&rk, &lk);
+            (left_rows, right_rows)
         }
-    }
-    let mut build_rows = Vec::new();
-    let mut probe_rows = Vec::new();
-    for (prow, key) in probe_keys.iter().enumerate() {
-        let Some(k) = key else { continue };
-        if let Some(matches) = index.get(k) {
-            for &brow in matches {
-                build_rows.push(brow);
-                probe_rows.push(prow);
-            }
-        }
-    }
-    let build_out = build.gather(&build_rows);
-    let probe_out = probe.gather(&probe_rows);
-    Ok(if build_is_left {
-        build_out.zip(probe_out)
-    } else {
-        probe_out.zip(build_out)
-    })
-}
-
-/// Extract an integer key column as `Option<i64>` per row (None = NULL;
-/// NULL keys never join, matching SQL semantics).
-fn key_column(t: &Table, name: &str) -> Result<Vec<Option<i64>>, ExecError> {
-    let col = t
-        .column(name)
-        .ok_or_else(|| ExecError::UnknownColumn(name.to_string()))?;
-    let ColumnData::Int(values) = &col.data else {
-        return Err(ExecError::UnknownColumn(format!(
-            "{name} is not an integer join key"
-        )));
     };
-    Ok(values
-        .iter()
-        .enumerate()
-        .map(|(i, v)| match &col.validity {
-            Some(mask) if !mask[i] => None,
-            _ => Some(*v),
-        })
-        .collect())
+    left.pick(left_rows)?;
+    right.pick(right_rows)?;
+    let base = left.sels.len();
+    left.sels.append(&mut right.sels);
+    left.cols
+        .extend(right.cols.iter().map(|&(src, col)| (base + src, col)));
+    left.schema = Schema::new([left.schema.columns(), right.schema.columns()].concat());
+    Ok(left)
 }
 
 #[cfg(test)]
@@ -281,6 +424,39 @@ mod tests {
             Plan::scan("lineitem2").hash_join(Plan::scan("orders"), "l_orderkey", "o_orderkey");
         let (out, _, _) = execute(&plan, &db).unwrap();
         assert_eq!(out.num_rows(), 3); // one of the key-1 rows is NULL now
+    }
+
+    #[test]
+    fn double_join_key_is_unsupported_not_unknown() {
+        let mut db = db();
+        db.insert(
+            "prices",
+            Table::new(
+                Schema::new(vec![ColumnDef::new("p_price", DataType::Double)]),
+                vec![Column::double(vec![1.0, 2.0])],
+            ),
+        );
+        let by_price =
+            Plan::scan("orders").hash_join(Plan::scan("prices"), "o_orderkey", "p_price");
+        let err = execute(&by_price, &db).unwrap_err();
+        assert!(matches!(err, ExecError::Unsupported(_)), "{err:?}");
+        assert!(err
+            .to_string()
+            .contains("p_price is not an integer join key"));
+        assert!(!err.to_string().contains("unknown column"), "{err}");
+        // A key that resolves nowhere is still an unknown column.
+        let by_nothing = Plan::scan("orders").hash_join(Plan::scan("prices"), "o_orderkey", "zzz");
+        assert_eq!(
+            execute(&by_nothing, &db).unwrap_err(),
+            ExecError::UnknownColumn("zzz".to_string())
+        );
+    }
+
+    #[test]
+    fn row_numbers_beyond_u32_are_refused() {
+        assert_eq!(row_count(u32::MAX as usize), Ok(u32::MAX));
+        let err = row_count(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, ExecError::Unsupported(_)), "{err:?}");
     }
 
     #[test]

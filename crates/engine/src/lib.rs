@@ -27,9 +27,9 @@ pub mod optimize;
 pub mod plan;
 pub mod table;
 
-pub use compile::{compile_pred, CPred};
+pub use compile::{compile_pred, CPred, ColRef};
 pub use db::{Database, QueryResult};
-pub use exec::{execute, ExecError, ExecStats};
+pub use exec::{execute, ExecError, ExecStats, OpStats};
 pub use moveraround::{lint_plan, move_around, GatheredPred, MoveAround, MoveAroundReport};
 pub use optimize::{optimize, OptimizerConfig};
 pub use plan::Plan;

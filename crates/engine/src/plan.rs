@@ -103,29 +103,25 @@ impl Plan {
         go(self, false)
     }
 
-    fn fmt_indent(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
-        let pad = "  ".repeat(indent);
+    /// This node's EXPLAIN line, without indentation or children.
+    pub fn label(&self) -> String {
         match self {
-            Plan::Scan { table } => writeln!(f, "{pad}SeqScan on {table}"),
-            Plan::Filter { pred, input } => {
-                writeln!(f, "{pad}Filter ({pred})")?;
-                input.fmt_indent(f, indent + 1)
-            }
+            Plan::Scan { table } => format!("SeqScan on {table}"),
+            Plan::Filter { pred, .. } => format!("Filter ({pred})"),
             Plan::HashJoin {
-                left,
-                right,
                 left_key,
                 right_key,
-            } => {
-                writeln!(f, "{pad}HashJoin ({left_key} = {right_key})")?;
-                left.fmt_indent(f, indent + 1)?;
-                right.fmt_indent(f, indent + 1)
-            }
-            Plan::Project { columns, input } => {
-                writeln!(f, "{pad}Project ({})", columns.join(", "))?;
-                input.fmt_indent(f, indent + 1)
-            }
+                ..
+            } => format!("HashJoin ({left_key} = {right_key})"),
+            Plan::Project { columns, .. } => format!("Project ({})", columns.join(", ")),
         }
+    }
+
+    fn fmt_indent(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        writeln!(f, "{}{}", "  ".repeat(indent), self.label())?;
+        self.children()
+            .into_iter()
+            .try_for_each(|child| child.fmt_indent(f, indent + 1))
     }
 }
 

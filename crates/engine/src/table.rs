@@ -33,13 +33,10 @@ impl ColumnData {
             ColumnData::Double(v) => Value::Double(v[row]),
         }
     }
+}
 
-    fn gather(&self, rows: &[usize]) -> ColumnData {
-        match self {
-            ColumnData::Int(v) => ColumnData::Int(rows.iter().map(|&r| v[r]).collect()),
-            ColumnData::Double(v) => ColumnData::Double(rows.iter().map(|&r| v[r]).collect()),
-        }
-    }
+fn pick<T: Copy>(values: &[T], rows: &[u32]) -> Vec<T> {
+    rows.iter().map(|&r| values[r as usize]).collect()
 }
 
 /// A column with its validity mask.
@@ -78,15 +75,14 @@ impl Column {
         self.data.get(row)
     }
 
-    /// Materialize the rows at the given indices.
-    pub fn gather(&self, rows: &[usize]) -> Column {
-        Column {
-            data: self.data.gather(rows),
-            validity: self
-                .validity
-                .as_ref()
-                .map(|m| rows.iter().map(|&r| m[r]).collect()),
-        }
+    /// Materialize the rows a selection vector names, in its order.
+    pub fn gather(&self, rows: &[u32]) -> Column {
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
+            ColumnData::Double(v) => ColumnData::Double(pick(v, rows)),
+        };
+        let validity = self.validity.as_ref().map(|m| pick(m, rows));
+        Column { data, validity }
     }
 
     /// Number of rows.
@@ -207,26 +203,6 @@ impl Table {
             .unwrap_or_else(|| panic!("no column {name:?}"))
             .get(row)
     }
-
-    /// Materialize the given row subset.
-    pub fn gather(&self, rows: &[usize]) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
-        }
-    }
-
-    /// Concatenate the columns of two equal-length tables (used by joins).
-    pub fn zip(mut self, other: Table) -> Table {
-        assert_eq!(self.num_rows(), other.num_rows(), "zip length mismatch");
-        let mut cols = self.schema.columns().to_vec();
-        cols.extend(other.schema.columns().iter().cloned());
-        self.columns.extend(other.columns);
-        Table {
-            schema: Schema::new(cols),
-            columns: self.columns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,33 +245,16 @@ mod tests {
 
     #[test]
     fn gather() {
-        let t = Table::new(
-            schema2(),
-            vec![
-                Column::int(vec![1, 2, 3, 4]),
-                Column::double(vec![0.0, 1.0, 2.0, 3.0]),
-            ],
-        );
-        let g = t.gather(&[3, 1]);
-        assert_eq!(g.num_rows(), 2);
-        assert_eq!(g.value(0, "a"), Value::Int(4));
-        assert_eq!(g.value(1, "d"), Value::Double(1.0));
-    }
-
-    #[test]
-    fn zip_tables() {
-        let t1 = Table::new(
-            Schema::new(vec![ColumnDef::new("x", DataType::Integer)]),
-            vec![Column::int(vec![1, 2])],
-        );
-        let t2 = Table::new(
-            Schema::new(vec![ColumnDef::new("y", DataType::Integer)]),
-            vec![Column::int(vec![10, 20])],
-        );
-        let z = t1.zip(t2);
-        assert_eq!(z.num_rows(), 2);
-        assert_eq!(z.value(1, "y"), Value::Int(20));
-        assert_eq!(z.schema.len(), 2);
+        let mut a = Column::int(vec![1, 2, 3, 4]);
+        a.validity = Some(vec![true, false, true, true]);
+        let d = Column::double(vec![0.0, 1.0, 2.0, 3.0]);
+        let (a, d) = (a.gather(&[3, 1, 3]), d.gather(&[3, 1, 3]));
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.get(0), Value::Int(4));
+        assert_eq!(a.get(1), Value::Null);
+        assert_eq!(d.get(1), Value::Double(1.0));
+        assert_eq!(d.get(2), Value::Double(3.0));
+        assert!(d.gather(&[]).is_empty());
     }
 
     #[test]

@@ -1,0 +1,165 @@
+//! "The executor never copies a base column", pinned by what it allocates
+//! rather than by a stopwatch: a counting global allocator measures, on
+//! the calling thread only, the allocation calls made during `execute`
+//! and the high-water mark of live bytes over what was live before it.
+
+#![allow(unsafe_code)]
+
+use sia_engine::{execute, Column, Database, Plan, Table};
+use sia_expr::{ColumnDef, DataType, Schema};
+use sia_sql::parse_predicate;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// What one thread allocated while it was measuring.
+#[derive(Debug, Clone, Copy)]
+struct Meter {
+    on: bool,
+    allocs: u64,
+    live: i64,
+    peak: i64,
+}
+
+const IDLE: Meter = Meter {
+    on: false,
+    allocs: 0,
+    live: 0,
+    peak: 0,
+};
+
+thread_local! {
+    // Per thread, so tests running side by side do not see each other;
+    // const-initialized and without a destructor, so reading it inside
+    // the allocator never allocates.
+    static METER: Cell<Meter> = const { Cell::new(IDLE) };
+}
+
+fn record(allocs: u64, bytes: i64) {
+    // `try_with`: the allocator still runs while a thread is torn down.
+    let _ = METER.try_with(|cell| {
+        let mut m = cell.get();
+        if m.on {
+            m.allocs += allocs;
+            m.live += bytes;
+            m.peak = m.peak.max(m.live);
+            cell.set(m);
+        }
+    });
+}
+
+/// The system allocator plus the calling thread's meter.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the meter is a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(1, layout.size() as i64);
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as i64));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(1, layout.size() as i64);
+        // SAFETY: the caller's obligations for `alloc_zeroed` are passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(1, new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr` came from `System` with this `layout`; `new_size`
+        // is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `plan`, returning the result and what executing it allocated. The
+/// result is still alive when the meter is read, so `peak` includes it.
+fn measured(plan: &Plan, db: &Database) -> (Table, u64, Meter) {
+    METER.with(|m| m.set(Meter { on: true, ..IDLE }));
+    let result = execute(plan, db);
+    let meter = METER.with(|m| m.replace(IDLE));
+    let (table, _, stats) = result.expect("the plan runs");
+    (table, stats.rows_scanned, meter)
+}
+
+/// `rows` rows of INTEGER columns `{p}0..{p}{cols}`: `{p}0` is the row
+/// number, `{p}1` the row number modulo 100, the rest multiples of it.
+fn table(p: &str, rows: i64, cols: usize) -> Table {
+    let defs = (0..cols).map(|c| ColumnDef::new(format!("{p}{c}"), DataType::Integer));
+    let columns = (0..cols as i64).map(|c| match c {
+        0 => Column::int((0..rows).collect()),
+        1 => Column::int((0..rows).map(|r| r % 100).collect()),
+        _ => Column::int((0..rows).map(|r| r * c).collect()),
+    });
+    Table::new(Schema::new(defs.collect()), columns.collect())
+}
+
+fn bytes_of(t: &Table) -> i64 {
+    (t.num_rows() * t.columns.len() * 8) as i64
+}
+
+fn pred(sql: &str) -> sia_expr::Pred {
+    parse_predicate(sql).expect("predicate parses")
+}
+
+#[test]
+fn a_selective_filter_allocates_a_fraction_of_its_table() {
+    let mut db = Database::new();
+    db.insert("t", table("t", 100_000, 6));
+    let base = bytes_of(db.table("t").expect("just inserted"));
+    // One row in a hundred, from every chunk of the table.
+    let plan = Plan::scan("t").filter(pred("t1 < 1 AND t2 >= 0"));
+    let (out, _, meter) = measured(&plan, &db);
+    assert_eq!(out.num_rows(), 1000);
+    assert!(
+        meter.peak * 10 < base,
+        "peak {} B against a {base} B table (a clone of it is 100 %)",
+        meter.peak
+    );
+}
+
+#[test]
+fn a_filter_above_a_join_allocates_for_its_result_not_for_the_join_s() {
+    let mut db = Database::new();
+    db.insert("a", table("a", 50_000, 3));
+    db.insert("b", table("b", 50_000, 3));
+    // Every row joins once; the filter reads both sides and keeps a tenth.
+    let plan = Plan::scan("a")
+        .hash_join(Plan::scan("b"), "a0", "b0")
+        .filter(pred("a1 + b1 < 20 AND b2 >= a0"));
+    let (out, input_rows, meter) = measured(&plan, &db);
+    assert_eq!((out.num_rows(), out.columns.len()), (5000, 6));
+    assert_eq!(input_rows, 100_000);
+    let bound = 2 * bytes_of(&out) + 32 * input_rows as i64;
+    assert!(
+        meter.peak < bound,
+        "peak {} B, bound {bound} B (the join's six gathered columns alone are {} B)",
+        meter.peak,
+        50_000 * 6 * 8
+    );
+}
+
+#[test]
+fn a_join_allocates_per_column_not_per_key() {
+    let mut db = Database::new();
+    db.insert("a", table("a", 10_000, 2));
+    db.insert("b", table("b", 10_000, 2));
+    let plan = Plan::scan("a").hash_join(Plan::scan("b"), "a0", "b0");
+    let (out, _, meter) = measured(&plan, &db);
+    assert_eq!(out.num_rows(), 10_000);
+    assert!(
+        meter.allocs < 200,
+        "{} allocations for 10 000 distinct keys",
+        meter.allocs
+    );
+}

@@ -16,6 +16,16 @@
 //!    cannot see (`a - b ≤ 3 ∧ b - c ≤ 4 ⊢ a - c ≤ 7`), projected onto a
 //!    requested column scope.
 //!
+//! # Build once
+//!
+//! [`Analyzer::close`] also builds, once, everything later questions read
+//! about the closed conjunction: each atom's canonical form, the
+//! contradiction verdict, and the closed zone of every DNF disjunct.
+//! [`Closure::contradictory`] and [`Closure::entailed_over`] are reads of
+//! that state — a projection, a minimization and a rendering per column
+//! set — so their answers do not depend on which was asked first, or how
+//! often.
+//!
 //! # Soundness (3VL)
 //!
 //! Every derived atom `d` satisfies: whenever the input conjunction `P`
@@ -33,7 +43,9 @@ use std::collections::BTreeMap;
 
 use sia_expr::{CmpOp, Expr, Pred};
 
-use crate::Analyzer;
+use crate::project::Zones;
+use crate::state::State;
+use crate::{Analyzer, Conjunct};
 
 /// Hard cap on the closed atom set: substitution across big equivalence
 /// classes is quadratic, and push-down only ever uses a handful of facts
@@ -135,6 +147,12 @@ pub struct Closure {
     pub atoms: Vec<Pred>,
     /// Just the atoms added by the closure (a suffix of `atoms`).
     pub derived: Vec<Pred>,
+    /// Each atom in NNF, prepared (aligned with `atoms`).
+    conjuncts: Vec<Conjunct>,
+    /// The closed conjunction can never evaluate TRUE.
+    contradictory: bool,
+    /// The closed zone of every DNF disjunct of the closed conjunction.
+    zones: Zones,
 }
 
 /// `a = a` (or any other same-column equality) — true modulo NULL and
@@ -197,10 +215,33 @@ impl Analyzer {
             }
         }
         let derived = atoms[n_input..].to_vec();
+        // The abstract state, over exactly what `tri` and `derive` would
+        // see of the closed conjunction's NNF.
+        let nnf: Vec<Pred> = atoms.iter().map(Pred::nnf).collect();
+        let conjuncts: Vec<Conjunct> = nnf.iter().map(|a| Conjunct::new(self, a)).collect();
+        // `and_all` flattens a conjunction and absorbs a literal; short of
+        // that, the conjunction's conjuncts are the atoms', one for one.
+        let one_for_one = !nnf.iter().any(|a| matches!(a, Pred::And(_) | Pred::Lit(_)));
+        let pn = Pred::and_all(nnf);
+        let flattened;
+        let of_pn = if one_for_one {
+            &conjuncts
+        } else {
+            flattened = self.conjuncts_of(&pn);
+            &flattened
+        };
+        let tri = match &pn {
+            Pred::And(_) => self.tri_conjunction(of_pn, &State::top()),
+            _ => self.tri_pred(&pn, &State::top()),
+        };
+        let zones = self.zones(&pn, of_pn);
         Closure {
             classes,
             atoms,
             derived,
+            conjuncts,
+            contradictory: tri.never_true(),
+            zones,
         }
     }
 }
@@ -212,51 +253,62 @@ impl Closure {
     }
 
     /// Can the closed conjunction never evaluate TRUE? (The plan under it
-    /// returns no rows.)
-    pub fn contradictory(&self, an: &Analyzer) -> bool {
-        an.statically_unsat(&self.conjunction())
+    /// returns no rows.) Decided when the closure was built, by the
+    /// analyzer that built it.
+    pub fn contradictory(&self, _an: &Analyzer) -> bool {
+        self.contradictory
     }
 
     /// The strongest predicate over `cols` entailed by the closed set:
-    /// closed atoms fully over `cols`, plus transitive zone bounds from
-    /// [`Analyzer::derive`], minus conjuncts implied by the rest (so the
-    /// result carries no internal redundancy). Returns `TRUE` when
+    /// closed atoms fully over `cols`, plus transitive zone bounds (the
+    /// closed zones projected onto `cols`, as [`Analyzer::derive`] would
+    /// on the closed conjunction), minus conjuncts implied by the rest (so
+    /// the result carries no internal redundancy). Returns `TRUE` when
     /// nothing non-trivial is entailed.
     pub fn entailed_over(&self, an: &Analyzer, cols: &[String]) -> Pred {
-        let mut parts: Vec<Pred> = self
+        let top = State::top();
+        let trivial = |c: &Conjunct| an.tri_conjunct(c, &top).certainly_true();
+        let mut parts: Vec<(Pred, Conjunct)> = self
             .atoms
             .iter()
-            .filter(|a| !a.columns().is_empty() && a.over_columns(cols))
-            .filter(|a| !an.statically_true(a))
-            .cloned()
+            .zip(&self.conjuncts)
+            .filter(|(a, _)| !a.columns().is_empty() && a.over_columns(cols))
+            .filter(|(_, c)| !trivial(c))
+            .map(|(a, c)| (a.clone(), c.clone()))
             .collect();
-        if let Some(d) = an.derive(&self.conjunction(), cols) {
+        if let Some(d) = an.project(&self.zones, cols) {
             for conj in d.pred().conjuncts() {
-                if !conj.is_true() && !parts.contains(conj) && !an.statically_true(conj) {
-                    parts.push(conj.clone());
+                if conj.is_true() || parts.iter().any(|(p, _)| p == conj) {
+                    continue;
+                }
+                let c = Conjunct::new(an, &conj.nnf());
+                if !trivial(&c) {
+                    parts.push((conj.clone(), c));
                 }
             }
         }
         // Minimal set: drop any conjunct the remaining ones already imply.
         let mut dropped = vec![false; parts.len()];
         for i in 0..parts.len() {
-            let rest = Pred::and_all(
-                parts
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i && !dropped[*j])
-                    .map(|(_, q)| q.clone()),
-            );
-            if !rest.is_true() && an.implies(&rest, &parts[i]) {
-                dropped[i] = true;
-            }
+            let rest: Vec<&(Pred, Conjunct)> = parts
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i && !dropped[*j])
+                .map(|(_, part)| part)
+                .collect();
+            dropped[i] = match rest.as_slice() {
+                [] => false,
+                // A lone disjunction is split by `implies`, not assumed.
+                [(only, Conjunct::Other(_))] => an.implies(only, &parts[i].0),
+                _ => an.entails(rest.iter().map(|(_, c)| c), &parts[i].1),
+            };
         }
         Pred::and_all(
             parts
                 .into_iter()
                 .zip(dropped)
                 .filter(|(_, d)| !d)
-                .map(|(p, _)| p),
+                .map(|((p, _), _)| p),
         )
     }
 }

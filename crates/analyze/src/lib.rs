@@ -172,19 +172,35 @@ impl Analyzer {
     /// (the validity the synthesizer's verifier asks the solver about).
     /// `false` means "could not prove it", not "does not hold".
     pub fn implies(&self, p: &Pred, q: &Pred) -> bool {
-        let qn = q.nnf();
+        let q = Conjunct::new(self, &q.nnf());
         let pn = p.nnf();
-        let is_int = |n: &str| !self.real.contains(n);
         let disjuncts: Vec<&Pred> = match &pn {
             Pred::Or(ps) => ps.iter().collect(),
             other => vec![other],
         };
-        disjuncts.into_iter().all(|d| {
-            let mut st = State::top();
-            self.assume_pred(d, &mut st);
-            st.propagate(&is_int);
-            st.bottom || self.tri_pred(&qn, &st).certainly_true()
-        })
+        disjuncts
+            .into_iter()
+            .all(|d| self.entails(&self.conjuncts_of(d), &q))
+    }
+
+    /// The top-level conjuncts of `pn` (in NNF), each prepared once.
+    pub(crate) fn conjuncts_of(&self, pn: &Pred) -> Vec<Conjunct> {
+        let conjuncts = pn.conjuncts().into_iter();
+        conjuncts.map(|q| Conjunct::new(self, q)).collect()
+    }
+
+    /// With every conjunct of `assumed` TRUE, is `q` certainly TRUE?
+    pub(crate) fn entails<'a>(
+        &self,
+        assumed: impl IntoIterator<Item = &'a Conjunct>,
+        q: &Conjunct,
+    ) -> bool {
+        let mut st = State::top();
+        for c in assumed {
+            self.assume_conjunct(c, &mut st);
+        }
+        st.propagate(&|n| !self.real.contains(n));
+        st.bottom || self.tri_conjunct(q, &st).certainly_true()
     }
 
     /// Replace sub-predicates that are certainly TRUE / certainly FALSE
@@ -255,31 +271,10 @@ impl Analyzer {
         match p {
             Pred::Lit(true) => Tri::true_(),
             Pred::Lit(false) => Tri::false_(),
-            Pred::Cmp { op, lhs, rhs } => self.tri_cmp(*op, lhs, rhs, st),
+            Pred::Cmp { .. } => self.tri_conjunct(&Conjunct::new(self, p), st),
             Pred::And(ps) => {
-                let folded = ps
-                    .iter()
-                    .fold(Tri::true_(), |acc, q| acc.and(self.tri_pred(q, st)));
-                if !folded.can_true {
-                    return folded;
-                }
-                // Refinement pass: can one tuple make *all* conjuncts TRUE?
-                let is_int = |n: &str| !self.real.contains(n);
-                let mut rst = st.clone();
-                self.assume_pred(p, &mut rst);
-                rst.propagate(&is_int);
-                let joint = !rst.bottom && ps.iter().all(|q| self.tri_pred(q, &rst).can_true);
-                if joint || (!folded.can_false && !folded.can_null) {
-                    // Keep the result set non-empty: if the pointwise fold
-                    // says {TRUE} only, the refinement cannot soundly have
-                    // refuted it (γ(st) would be empty), so trust the fold.
-                    folded
-                } else {
-                    Tri {
-                        can_true: false,
-                        ..folded
-                    }
-                }
+                let conjuncts: Vec<Conjunct> = ps.iter().map(|q| Conjunct::new(self, q)).collect();
+                self.tri_conjunction(&conjuncts, st)
             }
             Pred::Or(ps) => ps
                 .iter()
@@ -288,19 +283,54 @@ impl Analyzer {
         }
     }
 
-    fn tri_cmp(&self, op: CmpOp, lhs: &Expr, rhs: &Expr, st: &State) -> Tri {
-        let mut cols = BTreeSet::new();
-        lhs.collect_columns(&mut cols);
-        rhs.collect_columns(&mut cols);
+    /// Abstract evaluation of the conjunction of `conjuncts` under `st`:
+    /// the pointwise fold, refined by asking whether one tuple can make
+    /// them all TRUE. Each comparison's canonical form serves the fold,
+    /// the assumption and the refinement.
+    pub(crate) fn tri_conjunction(&self, conjuncts: &[Conjunct], st: &State) -> Tri {
+        let folded = conjuncts
+            .iter()
+            .fold(Tri::true_(), |acc, c| acc.and(self.tri_conjunct(c, st)));
+        if !folded.can_true {
+            return folded;
+        }
+        // Refinement pass: can one tuple make *all* conjuncts TRUE?
+        let mut rst = st.clone();
+        for c in conjuncts {
+            self.assume_conjunct(c, &mut rst);
+        }
+        rst.propagate(&|n| !self.real.contains(n));
+        let joint = !rst.bottom
+            && conjuncts
+                .iter()
+                .all(|c| self.tri_conjunct(c, &rst).can_true);
+        if joint || (!folded.can_false && !folded.can_null) {
+            // Keep the result set non-empty: if the pointwise fold
+            // says {TRUE} only, the refinement cannot soundly have
+            // refuted it (γ(st) would be empty), so trust the fold.
+            folded
+        } else {
+            Tri {
+                can_true: false,
+                ..folded
+            }
+        }
+    }
+
+    pub(crate) fn tri_conjunct(&self, c: &Conjunct, st: &State) -> Tri {
+        let (cols, atom) = match c {
+            Conjunct::Cmp { cols, atom } => (cols, atom),
+            Conjunct::Other(p) => return self.tri_pred(p, st),
+        };
         let can_null = cols.iter().any(|c| !st.is_nonnull(c, &self.nullable));
-        match self.canon(op, lhs, rhs) {
+        match atom {
             None => Tri {
                 can_true: true,
                 can_false: true,
                 can_null,
             },
             Some(atom) => {
-                let (can_true, can_false) = st.can_sat(&atom);
+                let (can_true, can_false) = st.can_sat(atom);
                 if !can_true && !can_false && !can_null {
                     // The state admits no value for this form at all; its
                     // concretization is empty and any answer is sound.
@@ -317,7 +347,6 @@ impl Analyzer {
 
     /// Assume `p` (in NNF) evaluates TRUE, strengthening `st` in place.
     fn assume_pred(&self, p: &Pred, st: &mut State) {
-        let is_int = |n: &str| !self.real.contains(n);
         match p {
             Pred::Lit(true) => {}
             Pred::Lit(false) => st.bottom = true,
@@ -326,18 +355,52 @@ impl Analyzer {
                     self.assume_pred(q, st);
                 }
             }
-            Pred::Cmp { op, lhs, rhs } => {
-                let mut cols = BTreeSet::new();
-                lhs.collect_columns(&mut cols);
-                rhs.collect_columns(&mut cols);
-                st.note_nonnull(cols);
-                if let Some(atom) = self.canon(*op, lhs, rhs) {
-                    st.assume(&atom, &is_int);
-                }
-            }
+            Pred::Cmp { .. } => self.assume_conjunct(&Conjunct::new(self, p), st),
             // A TRUE disjunction or (post-NNF unreachable) negation pins
             // down no single branch; skipping the refinement is sound.
             Pred::Or(_) | Pred::Not(_) => {}
+        }
+    }
+
+    fn assume_conjunct(&self, c: &Conjunct, st: &mut State) {
+        match c {
+            Conjunct::Cmp { cols, atom } => {
+                st.note_nonnull(cols.iter().cloned());
+                if let Some(atom) = atom {
+                    st.assume(atom, &|n| !self.real.contains(n));
+                }
+            }
+            Conjunct::Other(p) => self.assume_pred(p, st),
+        }
+    }
+}
+
+/// One conjunct of an NNF predicate, prepared for repeated abstract
+/// evaluation: a comparison is reduced, once, to its columns and its
+/// canonical form (`None` when it does not linearize) — all that
+/// evaluating, assuming or loading it into a zone reads.
+#[derive(Debug, Clone)]
+pub(crate) enum Conjunct {
+    /// A comparison.
+    Cmp {
+        cols: BTreeSet<String>,
+        atom: Option<CanonAtom>,
+    },
+    /// A literal, disjunction or negation, evaluated structurally.
+    Other(Pred),
+}
+
+impl Conjunct {
+    pub(crate) fn new(an: &Analyzer, p: &Pred) -> Conjunct {
+        let Pred::Cmp { op, lhs, rhs } = p else {
+            return Conjunct::Other(p.clone());
+        };
+        let mut cols = BTreeSet::new();
+        lhs.collect_columns(&mut cols);
+        rhs.collect_columns(&mut cols);
+        Conjunct::Cmp {
+            cols,
+            atom: an.canon(*op, lhs, rhs),
         }
     }
 }

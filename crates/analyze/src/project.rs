@@ -32,7 +32,7 @@ use sia_num::BigRat;
 
 use crate::interval::Bound;
 use crate::zone::Zone;
-use crate::Analyzer;
+use crate::{Analyzer, Conjunct};
 
 /// Cap on DNF expansion inside [`Analyzer::derive`]: generated workloads
 /// (§6.3 presets, `sia-gen` shapes with IN-lists and nested groups) stay
@@ -62,26 +62,68 @@ impl Derivation {
     }
 }
 
+/// The half of a derivation that does not depend on the target columns:
+/// the predicate in bounded DNF, each disjunct's zone closed. Built once
+/// by [`Analyzer::zones`], projected any number of times.
+#[derive(Debug, Clone)]
+pub(crate) struct Zones(Vec<Disjunct>);
+
+#[derive(Debug, Clone)]
+enum Disjunct {
+    /// No tuple satisfies the disjunct (exactly so, whatever was dropped:
+    /// an over-approximation that is already empty).
+    Empty,
+    /// The closed zone of the representable conjuncts; `exact` unless one
+    /// was dropped or the sorts are mixed.
+    Closed { zone: Zone, exact: bool },
+}
+
 impl Analyzer {
     /// Attempt to statically derive the movable predicate of `p` over the
     /// target columns `keep`. Returns `None` when the zone fragment gets no
     /// purchase on `p` at all (nothing derived beyond TRUE).
     pub fn derive(&self, p: &Pred, keep: &[String]) -> Option<Derivation> {
         let pn = p.nnf();
+        self.project(&self.zones(&pn, &self.conjuncts_of(&pn)), keep)
+    }
+
+    /// Close the zone of every disjunct of `pn` (in NNF; `conjuncts` are
+    /// its prepared top-level conjuncts).
+    pub(crate) fn zones(&self, pn: &Pred, conjuncts: &[Conjunct]) -> Zones {
+        // A conjunction of comparisons and literals is its own DNF.
+        let atomic =
+            |c: &Conjunct| matches!(c, Conjunct::Cmp { .. } | Conjunct::Other(Pred::Lit(_)));
+        if conjuncts.iter().all(atomic) {
+            return Zones(vec![self.zone_of(conjuncts)]);
+        }
         // Disjunction distributes through ∃, and DNF expansion is an
         // equivalence, so nested ORs (IN-lists, grouped alternatives) are
         // derived exactly by flattening first — bounded to keep the output
         // readable and the expansion linear in practice. Past the bound,
         // fall back to splitting only a top-level OR; nested ORs then
-        // degrade to dropped conjuncts inside `derive_conjunction`.
+        // degrade to dropped conjuncts inside `zone_of`.
         let disjuncts: Vec<Pred> = pn.dnf_within(DNF_LIMIT).unwrap_or_else(|| match pn {
-            Pred::Or(ps) => ps,
-            other => vec![other],
+            Pred::Or(ps) => ps.clone(),
+            other => vec![other.clone()],
         });
+        let zone = |d: &Pred| self.zone_of(&self.conjuncts_of(d));
+        Zones(disjuncts.iter().map(zone).collect())
+    }
+
+    /// Project every disjunct's zone onto `keep` and read the result back.
+    pub(crate) fn project(&self, zones: &Zones, keep: &[String]) -> Option<Derivation> {
         let mut exact = true;
         let mut out = Pred::false_();
-        for d in &disjuncts {
-            let (q, ex) = self.derive_conjunction(d, keep);
+        for d in &zones.0 {
+            let (q, ex) = match d {
+                Disjunct::Empty => (Pred::false_(), true),
+                Disjunct::Closed { zone, exact } => {
+                    let mut proj = zone.project(&|v| keep.iter().any(|k| k == v));
+                    proj.minimize();
+                    let (pred, rendered_all) = self.render_zone(&proj);
+                    (pred, *exact && rendered_all)
+                }
+            };
             exact &= ex;
             out = out.or(q);
         }
@@ -96,10 +138,10 @@ impl Analyzer {
         })
     }
 
-    /// Derive one conjunctive disjunct. Returns the projected predicate and
-    /// whether it is exact. Never fails: unrepresentable conjuncts are
-    /// dropped (weakening the result), which only ever downgrades exactness.
-    fn derive_conjunction(&self, d: &Pred, keep: &[String]) -> (Pred, bool) {
+    /// The closed zone of one conjunctive disjunct. Never fails:
+    /// unrepresentable conjuncts are dropped (weakening the result), which
+    /// only ever downgrades exactness.
+    fn zone_of(&self, conjuncts: &[Conjunct]) -> Disjunct {
         let is_int = |n: &str| !self.real.contains(n);
         let mut exact = true;
         // (i, j, bound) constraints against variable *names*; resolved to
@@ -111,19 +153,19 @@ impl Analyzer {
                 vars.push(name.to_string());
             }
         }
-        for c in d.conjuncts() {
+        for c in conjuncts {
             match c {
-                Pred::Lit(true) => {}
-                Pred::Lit(false) => return (Pred::false_(), true),
-                Pred::Cmp { op, lhs, rhs } => {
-                    let Some(atom) = self.canon(*op, lhs, rhs) else {
+                Conjunct::Other(Pred::Lit(true)) => {}
+                Conjunct::Other(Pred::Lit(false)) => return Disjunct::Empty,
+                Conjunct::Cmp { atom, .. } => {
+                    let Some(atom) = atom else {
                         exact = false;
                         continue;
                     };
                     if atom.key.is_empty() {
                         // Constant comparison `0 ⋈ bound`.
                         if !const_atom_true(atom.op, &atom.bound) {
-                            return (Pred::false_(), true);
+                            return Disjunct::Empty;
                         }
                         continue;
                     }
@@ -164,7 +206,7 @@ impl Analyzer {
                 }
                 // Nested OR (or anything else non-atomic) inside a
                 // conjunction: drop it rather than distribute.
-                _ => exact = false,
+                Conjunct::Other(_) => exact = false,
             }
         }
         // Projection is exact only over a uniform sort (see module docs).
@@ -180,12 +222,9 @@ impl Analyzer {
         if !zone.close() {
             // The over-approximation is already empty, so the (stronger)
             // original disjunct certainly is: exact regardless of drops.
-            return (Pred::false_(), true);
+            return Disjunct::Empty;
         }
-        let mut proj = zone.project(&|v| keep.iter().any(|k| k == v));
-        proj.minimize();
-        let (pred, rendered_all) = self.render_zone(&proj);
-        (pred, exact && rendered_all)
+        Disjunct::Closed { zone, exact }
     }
 
     /// Read a (projected, minimized) zone back as a conjunction of

@@ -228,3 +228,43 @@ fn closure_is_idempotent() {
         );
     }
 }
+
+#[test]
+fn answers_do_not_depend_on_what_was_asked_before() {
+    // `close` builds the abstract state once and every question reads it,
+    // so a closure asked in any order, any number of times, must answer
+    // as a fresh closure asked that one question first.
+    let mut g = StdRng::seed_from_u64(0xC105_0004);
+    let an = analyzer();
+    let scopes: Vec<Vec<String>> = [&["a"][..], &["n"], &["a", "b"], &["b", "c", "n"], &COLS]
+        .iter()
+        .map(|s| s.iter().map(|c| c.to_string()).collect())
+        .collect();
+    for _ in 0..300 {
+        let p = rand_conjunction(&mut g);
+        let alone: Vec<Pred> = scopes
+            .iter()
+            .map(|s| an.close(&p).entailed_over(&an, s))
+            .collect();
+        let verdict = an.close(&p).contradictory(&an);
+        let shared = an.close(&p);
+        for round in 0..3 {
+            let mut order: Vec<usize> = (0..scopes.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, g.gen_range(0usize..=i));
+            }
+            for &i in &order {
+                if g.gen_range(0u32..2) == 0 {
+                    assert_eq!(shared.contradictory(&an), verdict, "`{p}` round {round}");
+                }
+                assert_eq!(
+                    shared.entailed_over(&an, &scopes[i]),
+                    alone[i],
+                    "entailed_over({:?}) of `{p}` changed in round {round}",
+                    scopes[i]
+                );
+            }
+        }
+        assert_eq!(shared.contradictory(&an), verdict, "`{p}`");
+    }
+}

@@ -2,20 +2,39 @@
 //! entry point used by the benchmark harness.
 
 use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats};
-use crate::moveraround::{move_around, MoveAroundReport};
+use crate::moveraround::{move_around_cached, MoveAroundReport};
 use crate::optimize::{optimize, OptimizerConfig};
 use crate::plan::Plan;
 use crate::table::Table;
+use sia_cache::{CacheStats, PredicateCache};
 use sia_expr::{Pred, Schema};
 use sia_sql::{Query, SelectList};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+/// Boundary syntheses a database remembers (least recently used go
+/// first). An entry is a canonical predicate and a learned one — a few
+/// hundred bytes — and a query template has a handful of boundaries.
+const SYNTHESIS_CACHE_ENTRIES: usize = 1024;
+
 /// A collection of named in-memory tables.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Database {
     tables: HashMap<String, Table>,
+    /// Answers to the move-around pass's boundary syntheses, keyed by
+    /// canonical context + target columns. No schema or row data enters a
+    /// key, so `insert` has nothing to invalidate.
+    synthesized: PredicateCache,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        Database {
+            tables: HashMap::new(),
+            synthesized: PredicateCache::new(SYNTHESIS_CACHE_ENTRIES),
+        }
+    }
 }
 
 /// The result of running one query.
@@ -202,15 +221,24 @@ impl Database {
     /// would execute, and what the move-around pass did to get there.
     /// The move-around pass (if enabled in `config`) runs before the
     /// local rewrite rules, which then merge and route whatever it
-    /// attached.
+    /// attached; a boundary synthesis this database has answered before
+    /// is answered from its cache.
     pub fn optimized_plan(
         &self,
         query: &Query,
         config: OptimizerConfig,
     ) -> Result<(Plan, MoveAroundReport), ExecError> {
         let plan = self.plan(query)?;
-        let (plan, moved) = move_around(plan, &|t| self.schema_of(t), config.move_around);
+        let schema_of = |t: &str| self.schema_of(t);
+        let (plan, moved) =
+            move_around_cached(plan, &schema_of, config.move_around, &self.synthesized);
         Ok((optimize(plan, &|t| self.columns_of(t), config), moved))
+    }
+
+    /// Hits, misses, inserts and evictions of the boundary-synthesis
+    /// cache since this database was created.
+    pub fn synthesis_cache(&self) -> CacheStats {
+        self.synthesized.stats()
     }
 
     /// Plan, optimize, and execute a query.

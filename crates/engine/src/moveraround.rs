@@ -19,6 +19,12 @@
 //!    [`Synthesizer::synthesize`] to *learn* a pushable predicate from
 //!    the boundary conjunction.
 //!
+//! There is one pass and two callers. [`move_around`] synthesizes every
+//! blocked boundary afresh and is the reference; [`crate::Database`] runs
+//! the same pass with the synthesis step answered from its
+//! [`PredicateCache`] — the only cache there is: `Synthesizer` holds none,
+//! and nothing is memoized per query or per plan.
+//!
 //! # Soundness
 //!
 //! All joins in this engine are **inner** hash equi-joins and filters use
@@ -37,12 +43,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::time::Instant;
 
+use crate::optimize::schema_columns;
 use crate::plan::Plan;
 use sia_analyze::{Analyzer, Warning};
-use sia_core::{SiaConfig, Synthesizer};
+use sia_cache::{canonicalize, PredicateCache};
+use sia_core::{PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
 use sia_expr::{Expr, Pred, Schema};
-use sia_obs::Counter;
+use sia_obs::{Counter, Hist};
 
 /// How much predicate movement the optimizer may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,6 +159,13 @@ pub struct MoveAroundReport {
     pub derived: Vec<(String, Pred)>,
     /// Per scan table: the synthesis-learned predicate attached there.
     pub synthesized: Vec<(String, Pred)>,
+    /// For each entry of `synthesized`, whether the cache answered it.
+    pub synthesized_cached: Vec<bool>,
+    /// Boundary syntheses the cache answered (a "nothing learnable here"
+    /// answer included).
+    pub synthesis_hits: usize,
+    /// Boundary syntheses that ran the synthesizer.
+    pub synthesis_misses: usize,
     /// The gathered conjunction is statically unsatisfiable (the plan
     /// provably returns no rows).
     pub contradiction: bool,
@@ -183,8 +199,10 @@ impl fmt::Display for MoveAroundReport {
         for (t, p) in &self.derived {
             writeln!(f, "derived for scan {t}: {p}")?;
         }
-        for (t, p) in &self.synthesized {
-            writeln!(f, "synthesized for scan {t}: {p}")?;
+        for (i, (t, p)) in self.synthesized.iter().enumerate() {
+            let cached = self.synthesized_cached.get(i) == Some(&true);
+            let tier = if cached { " (cached)" } else { "" };
+            writeln!(f, "synthesized for scan {t}: {p}{tier}")?;
         }
         if self.derived.is_empty() && self.synthesized.is_empty() {
             writeln!(f, "nothing new to push")?;
@@ -224,14 +242,109 @@ fn attach(plan: Plan, preds: &BTreeMap<String, Pred>) -> Plan {
     }
 }
 
+/// The answer to one boundary synthesis.
+struct Learned {
+    /// The predicate over the target columns; `None` when nothing beyond
+    /// TRUE is learnable (or synthesis could not run).
+    predicate: Option<Pred>,
+    /// The cache answered.
+    cached: bool,
+}
+
 /// Run the move-around pass. Returns the rewritten plan (derived
 /// predicates attached above scans — the local rules then merge and order
 /// them) and a report of what moved. `mode == Off` returns the plan
-/// unchanged.
+/// unchanged. Every blocked boundary is synthesized afresh; this is the
+/// reference [`crate::Database::optimized_plan`]'s cached pass is tested
+/// against.
 pub fn move_around(
     plan: Plan,
     schema_of: &impl Fn(&str) -> Option<Schema>,
     mode: MoveAround,
+) -> (Plan, MoveAroundReport) {
+    let mut syn = Synthesizer::new(SiaConfig::default());
+    pass(plan, schema_of, mode, |ctx, target| Learned {
+        predicate: syn.synthesize(ctx, target).ok().and_then(|r| r.predicate),
+        cached: false,
+    })
+}
+
+/// [`move_around`] with each boundary synthesis answered from `cache`
+/// when it has been seen before. `synthesize` is a pure function of
+/// `(ctx, target)` and the canonical key holds both, constants included,
+/// so a hit is the predicate a miss would learn (mapped back to this
+/// query's column names); a `None` result is stored as TRUE, so "nothing
+/// learnable here" hits too. An error is not stored.
+pub(crate) fn move_around_cached(
+    plan: Plan,
+    schema_of: &impl Fn(&str) -> Option<Schema>,
+    mode: MoveAround,
+    cache: &PredicateCache,
+) -> (Plan, MoveAroundReport) {
+    let mut syn = Synthesizer::new(SiaConfig::default());
+    pass(plan, schema_of, mode, |ctx, target| {
+        let canon = canonicalize(ctx);
+        if let Some(hit) = cache.lookup(&canon, target) {
+            debug_assert!(
+                matches!(
+                    Prover(&mut PredEncoder::new()).implies(ctx, &hit.predicate),
+                    Ok((Validity::Valid, _))
+                ),
+                "cached `{}` is not implied by `{ctx}`",
+                hit.predicate
+            );
+            return Learned {
+                predicate: (!hit.predicate.is_true()).then_some(hit.predicate),
+                cached: true,
+            };
+        }
+        let predicate = match syn.synthesize(ctx, target) {
+            Ok(r) => {
+                let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
+                cache.insert(&canon, target, stored, r.optimal);
+                r.predicate
+            }
+            Err(_) => None,
+        };
+        Learned {
+            predicate,
+            cached: false,
+        }
+    })
+}
+
+/// Run `f`, recording its wall time in µs under `h` when the collector is
+/// on (one relaxed load when it is off).
+fn timed<T>(h: Hist, f: impl FnOnce() -> T) -> T {
+    if !sia_obs::enabled() {
+        return f();
+    }
+    let start = Instant::now();
+    let out = f();
+    sia_obs::record(h, start.elapsed().as_secs_f64() * 1e6);
+    out
+}
+
+/// What the static half of the pass knows about one scan.
+struct Scan {
+    table: String,
+    cols: Vec<String>,
+    /// What the local push-down rules would place here anyway: gathered
+    /// conjuncts fully over this scan's columns.
+    local: Vec<Pred>,
+    /// Entailed conjuncts `local` does not already give, then whatever
+    /// synthesis adds: the predicate to attach.
+    new_parts: Vec<Pred>,
+}
+
+/// The pass behind [`move_around`] and [`move_around_cached`]; `synthesize`
+/// answers "a predicate over these target columns implied by this
+/// boundary context".
+fn pass(
+    plan: Plan,
+    schema_of: &impl Fn(&str) -> Option<Schema>,
+    mode: MoveAround,
+    mut synthesize: impl FnMut(&Pred, &[String]) -> Learned,
 ) -> (Plan, MoveAroundReport) {
     if mode == MoveAround::Off {
         return (plan, MoveAroundReport::default());
@@ -241,111 +354,111 @@ pub fn move_around(
         return (plan, MoveAroundReport::default());
     }
     let tables = scan_tables(&plan);
-    let analyzer = Analyzer::with_schemas(tables.iter().filter_map(|t| schema_of(t)));
-    let conj = Pred::and_all(gathered.iter().map(|g| g.pred.clone()));
-    let closure = analyzer.close(&conj);
-    let contradiction = closure.contradictory(&analyzer);
+    let (analyzer, closure) = timed(Hist::EngineMoveCloseUs, || {
+        let analyzer = Analyzer::with_schemas(tables.iter().filter_map(|t| schema_of(t)));
+        let conj = Pred::and_all(gathered.iter().map(|g| g.pred.clone()));
+        let closure = analyzer.close(&conj);
+        (analyzer, closure)
+    });
+    // `entailed_over` once per distinct column set: a scan's own columns,
+    // and the far side of each boundary predicate.
+    let mut entailed: BTreeMap<Vec<String>, Pred> = BTreeMap::new();
+    let mut entailed_over = |cols: &[String]| -> Pred {
+        if let Some(e) = entailed.get(cols) {
+            return e.clone();
+        }
+        let e = closure.entailed_over(&analyzer, cols);
+        entailed.insert(cols.to_vec(), e.clone());
+        e
+    };
 
+    let mut scans: Vec<Scan> = Vec::new();
+    timed(Hist::EngineMoveEntailUs, || {
+        for table in tables {
+            if scans.iter().any(|s| s.table == table) {
+                continue; // same table scanned twice: predicates already attached
+            }
+            let Some(schema) = schema_of(&table) else {
+                continue;
+            };
+            let cols = schema_columns(&schema);
+            let local: Vec<Pred> = gathered
+                .iter()
+                .map(|g| &g.pred)
+                .filter(|p| !p.columns().is_empty() && p.over_columns(&cols))
+                .cloned()
+                .collect();
+            let local_conj = Pred::and_all(local.iter().cloned());
+            let entailed = entailed_over(&cols);
+            let new_parts: Vec<Pred> = entailed
+                .conjuncts()
+                .into_iter()
+                .filter(|d| !d.is_true() && !local.contains(d))
+                .filter(|d| local.is_empty() || !analyzer.implies(&local_conj, d))
+                .cloned()
+                .collect();
+            scans.push(Scan {
+                table,
+                cols,
+                local,
+                new_parts,
+            });
+        }
+    });
+    let derived: Vec<(String, Pred)> = scans
+        .iter()
+        .flat_map(|s| s.new_parts.iter().map(|p| (s.table.clone(), p.clone())))
+        .collect();
     let mut report = MoveAroundReport {
-        gathered,
-        contradiction,
+        contradiction: closure.contradictory(&analyzer),
+        derived,
         ..MoveAroundReport::default()
     };
-    let mut attachments: BTreeMap<String, Pred> = BTreeMap::new();
-    // One synthesizer for the whole pass so its template cache carries
-    // across scans (duplicate boundary shapes are common in star joins).
-    let mut syn = (mode == MoveAround::Synthesis).then(|| Synthesizer::new(SiaConfig::default()));
 
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for table in tables {
-        if !seen.insert(table.clone()) {
-            continue; // same table scanned twice: predicates already attached
-        }
-        let Some(schema) = schema_of(&table) else {
-            continue;
-        };
-        let cols: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
-        let colset: BTreeSet<&str> = cols.iter().map(String::as_str).collect();
-        // What the local push-down rules would place at this scan anyway:
-        // gathered conjuncts fully over this scan's columns.
-        let local = Pred::and_all(
-            report
-                .gathered
-                .iter()
-                .map(|g| g.pred.clone())
-                .filter(|p| !p.columns().is_empty() && p.over_columns(&cols)),
-        );
-        let entailed = closure.entailed_over(&analyzer, &cols);
-        let mut new_parts: Vec<Pred> = Vec::new();
-        for d in entailed.conjuncts() {
-            if d.is_true() || local.conjuncts().contains(&d) {
-                continue;
-            }
-            if !local.is_true() && analyzer.implies(&local, d) {
-                continue;
-            }
-            new_parts.push(d.clone());
-        }
-        report
-            .derived
-            .extend(new_parts.iter().map(|p| (table.clone(), p.clone())));
-
-        // Synthesis at blocked join boundaries: a gathered predicate that
-        // straddles this scan (mentions its columns and others) with no
-        // static fact covering its columns here.
-        if let Some(syn) = syn.as_mut() {
-            let known = Pred::and_all(
-                local
-                    .conjuncts()
-                    .into_iter()
-                    .chain(new_parts.iter())
-                    .cloned(),
-            );
-            for g in &report.gathered.clone() {
-                let gcols: BTreeSet<String> = g.pred.columns().into_iter().collect();
-                let target: Vec<String> = gcols
-                    .iter()
-                    .filter(|c| colset.contains(c.as_str()))
-                    .cloned()
-                    .collect();
-                if target.is_empty() || target.len() == gcols.len() {
-                    continue; // no overlap, or not a boundary predicate
+    // Synthesis at blocked join boundaries: a gathered predicate that
+    // straddles a scan (mentions its columns and others) with no static
+    // fact covering its columns there.
+    if mode == MoveAround::Synthesis {
+        timed(Hist::EngineMoveSynthUs, || {
+            for scan in &mut scans {
+                let known: Vec<Pred> = scan.local.iter().chain(&scan.new_parts).cloned().collect();
+                let known_conj = Pred::and_all(known.iter().cloned());
+                for g in &gathered {
+                    let gcols = g.pred.columns();
+                    let (target, others): (Vec<String>, Vec<String>) =
+                        gcols.into_iter().partition(|c| scan.cols.contains(c));
+                    if target.is_empty() || others.is_empty() {
+                        continue; // no overlap, or not a boundary predicate
+                    }
+                    let statically_covered = known
+                        .iter()
+                        .any(|k| !k.columns().is_empty() && k.over_columns(&target));
+                    if statically_covered {
+                        continue;
+                    }
+                    // Context the learner may assume: the boundary predicate
+                    // plus everything entailed about its *other* columns.
+                    let ctx = g.pred.clone().and(entailed_over(&others));
+                    let learned = synthesize(&ctx, &target);
+                    if learned.cached {
+                        report.synthesis_hits += 1;
+                    } else {
+                        report.synthesis_misses += 1;
+                    }
+                    let Some(p) = learned.predicate else { continue };
+                    if analyzer.statically_true(&p)
+                        || (!known.is_empty() && analyzer.implies(&known_conj, &p))
+                    {
+                        continue;
+                    }
+                    report.synthesized.push((scan.table.clone(), p.clone()));
+                    report.synthesized_cached.push(learned.cached);
+                    scan.new_parts.push(p);
                 }
-                let statically_covered = known
-                    .conjuncts()
-                    .iter()
-                    .any(|k| !k.columns().is_empty() && k.over_columns(&target));
-                if statically_covered {
-                    continue;
-                }
-                // Context the learner may assume: the boundary predicate
-                // plus everything entailed about its *other* columns.
-                let others: Vec<String> = gcols
-                    .iter()
-                    .filter(|c| !colset.contains(c.as_str()))
-                    .cloned()
-                    .collect();
-                let ctx = g
-                    .pred
-                    .clone()
-                    .and(closure.entailed_over(&analyzer, &others));
-                let Ok(r) = syn.synthesize(&ctx, &target) else {
-                    continue;
-                };
-                let Some(p) = r.predicate else { continue };
-                if analyzer.statically_true(&p)
-                    || (!known.is_true() && analyzer.implies(&known, &p))
-                {
-                    continue;
-                }
-                report.synthesized.push((table.clone(), p.clone()));
-                new_parts.push(p);
             }
-        }
-        if !new_parts.is_empty() {
-            attachments.insert(table.clone(), Pred::and_all(new_parts));
-        }
+        });
     }
+    report.gathered = gathered;
 
     sia_obs::add(Counter::EngineMoveDerived, report.derived.len() as u64);
     sia_obs::add(
@@ -353,8 +466,12 @@ pub fn move_around(
         report.synthesized.len() as u64,
     );
     sia_obs::add(Counter::EngineMovePushed, report.scans_pushed() as u64);
-    let plan = attach(plan, &attachments);
-    (plan, report)
+    let attachments: BTreeMap<String, Pred> = scans
+        .into_iter()
+        .filter(|s| !s.new_parts.is_empty())
+        .map(|s| (s.table, Pred::and_all(s.new_parts)))
+        .collect();
+    (attach(plan, &attachments), report)
 }
 
 /// Plan-level lint: unreachable filters, redundant predicates, and join

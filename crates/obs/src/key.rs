@@ -443,11 +443,22 @@ pub enum Hist {
     /// Adaptive admission limit sampled at each AIMD control tick
     /// (`serve.admission.limit`).
     ServeAdmissionLimit,
+    /// Per query, microseconds the move-around pass spent closing the
+    /// gathered conjunction and building its abstract state
+    /// (`engine.moveraround.close_us`).
+    EngineMoveCloseUs,
+    /// Per query, microseconds spent computing and filtering the entailed
+    /// predicate of every scan (`engine.moveraround.entail_us`).
+    EngineMoveEntailUs,
+    /// Per query in synthesis mode, microseconds spent in the boundary
+    /// section: contexts, cache lookups and syntheses
+    /// (`engine.moveraround.synth_us`).
+    EngineMoveSynthUs,
 }
 
 impl Hist {
     /// Every histogram, in display order.
-    pub const ALL: [Hist; 10] = [
+    pub const ALL: [Hist; 13] = [
         Hist::SatLearnedLen,
         Hist::QeBlowup,
         Hist::SvmIterations,
@@ -458,6 +469,9 @@ impl Hist {
         Hist::ServeLatencyUs,
         Hist::ServeQueueWaitUs,
         Hist::ServeAdmissionLimit,
+        Hist::EngineMoveCloseUs,
+        Hist::EngineMoveEntailUs,
+        Hist::EngineMoveSynthUs,
     ];
 
     /// The key's canonical `layer.metric` name.
@@ -473,6 +487,9 @@ impl Hist {
             Hist::ServeLatencyUs => "serve.latency_us",
             Hist::ServeQueueWaitUs => "serve.latency.queue_us",
             Hist::ServeAdmissionLimit => "serve.admission.limit",
+            Hist::EngineMoveCloseUs => "engine.moveraround.close_us",
+            Hist::EngineMoveEntailUs => "engine.moveraround.entail_us",
+            Hist::EngineMoveSynthUs => "engine.moveraround.synth_us",
         }
     }
 

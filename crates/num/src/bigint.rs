@@ -1,17 +1,35 @@
-//! Sign-magnitude arbitrary-precision integers.
+//! Arbitrary-precision integers: a machine word inline, sign-magnitude
+//! limbs beyond it.
 
+use crate::gcd_u64;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
+use Repr::{Small, Wide};
 
 /// An arbitrary-precision signed integer.
 ///
-/// Stored as a sign plus little-endian `u32` limbs. Invariants:
-/// * `limbs` has no trailing zero limb,
-/// * `sign == 0` iff `limbs` is empty.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct BigInt {
+/// A value that fits an `i64` is held inline and computed on in `i128`;
+/// only a wider one owns limbs. The form is canonical — a value that fits
+/// is never held as limbs — so the derived `Eq` and `Hash` compare by value.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct BigInt(Repr);
+
+/// Invariant: `Wide` never holds a value in `i64::MIN..=i64::MAX`, so two
+/// equal values always have the same variant. `Wide` is built in one place,
+/// [`BigInt::from_limbs`], which demotes; any `i64` is a canonical `Small`.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Small(i64),
+    Wide(Box<Limbs>),
+}
+
+/// Sign plus little-endian `u32` limbs. Invariants: `sign` is `-1` or `1`,
+/// `limbs` has no trailing zero limb (and, by [`Repr`]'s invariant, at
+/// least two limbs).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Limbs {
     sign: i8,
     limbs: Vec<u32>,
 }
@@ -19,58 +37,137 @@ pub struct BigInt {
 impl BigInt {
     /// The integer zero.
     pub fn zero() -> Self {
-        BigInt::default()
+        BigInt(Small(0))
     }
 
     /// The integer one.
     pub fn one() -> Self {
-        BigInt::from(1i64)
+        BigInt(Small(1))
     }
 
     /// True iff `self == 0`.
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        matches!(self.0, Small(0))
     }
 
     /// True iff `self == 1`.
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.limbs == [1]
+        matches!(self.0, Small(1))
     }
 
     /// True iff `self > 0`.
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// True iff `self < 0`.
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// Sign of the value: -1, 0, or 1.
     pub fn signum(&self) -> i8 {
-        self.sign
+        match &self.0 {
+            Small(v) => v.signum() as i8,
+            Wide(w) => w.sign,
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt {
-            sign: self.sign.abs(),
-            limbs: self.limbs.clone(),
+        match &self.0 {
+            Small(v) => BigInt::from(v.unsigned_abs()),
+            Wide(w) => BigInt::from_limbs(1, w.limbs.clone()),
         }
     }
 
     /// True iff the value is even.
     pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l % 2 == 0)
+        match &self.0 {
+            Small(v) => v % 2 == 0,
+            Wide(w) => w.limbs[0] % 2 == 0,
+        }
     }
 
+    /// The one way limbs become a value, and the only place `Wide` is
+    /// built: trims, and demotes a magnitude that fits an `i64` to the
+    /// inline form.
     fn from_limbs(sign: i8, mut limbs: Vec<u32>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        let sign = if limbs.is_empty() { 0 } else { sign };
-        BigInt { sign, limbs }
+        if limbs.len() <= 2 {
+            let mag = limbs.iter().rev().fold(0u64, |m, &l| (m << 32) | l as u64);
+            let v = i128::from(sign) * i128::from(mag);
+            if let Ok(small) = i64::try_from(v) {
+                return BigInt(Small(small));
+            }
+        }
+        BigInt(Wide(Box::new(Limbs { sign, limbs })))
+    }
+
+    /// Limbs for a `v` outside the `i64` range.
+    #[cold]
+    fn from_wide_i128(v: i128) -> BigInt {
+        let sign: i8 = if v < 0 { -1 } else { 1 };
+        let mut mag = v.unsigned_abs();
+        let mut limbs = Vec::with_capacity(4);
+        while mag != 0 {
+            limbs.push(mag as u32);
+            mag >>= 32;
+        }
+        BigInt::from_limbs(sign, limbs)
+    }
+
+    /// Sign and magnitude limbs, the form the limb code below works on.
+    /// An inline value's limbs go to `buf`, on the caller's stack.
+    fn parts<'a>(&'a self, buf: &'a mut [u32; 2]) -> (i8, &'a [u32]) {
+        match &self.0 {
+            Small(v) => {
+                let mag = v.unsigned_abs();
+                *buf = [mag as u32, (mag >> 32) as u32];
+                let len = buf.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
+                (v.signum() as i8, &buf[..len])
+            }
+            Wide(w) => (w.sign, &w.limbs),
+        }
+    }
+
+    /// `a + sign_b * b` over limbs: the spill path of `+` and `-`.
+    #[cold]
+    fn add_wide(a: &BigInt, b: &BigInt, sign_b: i8) -> BigInt {
+        let (mut buf_a, mut buf_b) = ([0; 2], [0; 2]);
+        let (sa, la) = a.parts(&mut buf_a);
+        let (sb, lb) = b.parts(&mut buf_b);
+        let sb = sb * sign_b;
+        if sa == sb || sa == 0 || sb == 0 {
+            let sign = if sa == 0 { sb } else { sa };
+            return BigInt::from_limbs(sign, BigInt::add_mag(la, lb));
+        }
+        match BigInt::cmp_mag(la, lb) {
+            Ordering::Equal => BigInt::zero(),
+            Ordering::Greater => BigInt::from_limbs(sa, BigInt::sub_mag(la, lb)),
+            Ordering::Less => BigInt::from_limbs(sb, BigInt::sub_mag(lb, la)),
+        }
+    }
+
+    /// The spill path of `*`.
+    #[cold]
+    fn mul_wide(a: &BigInt, b: &BigInt) -> BigInt {
+        let (mut buf_a, mut buf_b) = ([0; 2], [0; 2]);
+        let (sa, la) = a.parts(&mut buf_a);
+        let (sb, lb) = b.parts(&mut buf_b);
+        BigInt::from_limbs(sa * sb, BigInt::mul_mag(la, lb))
+    }
+
+    /// The spill path of `div_rem`.
+    #[cold]
+    fn div_rem_wide(a: &BigInt, b: &BigInt) -> (BigInt, BigInt) {
+        let (mut buf_a, mut buf_b) = ([0; 2], [0; 2]);
+        let (sa, la) = a.parts(&mut buf_a);
+        let (sb, lb) = b.parts(&mut buf_b);
+        let (q, r) = BigInt::divmod_mag(la, lb);
+        (BigInt::from_limbs(sa * sb, q), BigInt::from_limbs(sa, r))
     }
 
     /// Magnitude comparison (ignores sign).
@@ -267,17 +364,23 @@ impl BigInt {
 
     /// Truncated division and remainder (`(a/b, a%b)` with the remainder
     /// taking the sign of `a`, matching Rust's `/` and `%` on primitives).
+    #[inline]
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero BigInt");
-        let (q, r) = Self::divmod_mag(&self.limbs, &other.limbs);
-        let qs = self.sign * other.sign;
-        (BigInt::from_limbs(qs, q), BigInt::from_limbs(self.sign, r))
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            // `None` only for `i64::MIN / -1`, whose quotient is 2^63.
+            if let Some(q) = a.checked_div(*b) {
+                return (BigInt(Small(q)), BigInt(Small(a % b)));
+            }
+        }
+        Self::div_rem_wide(self, other)
     }
 
     /// Floor division: rounds toward negative infinity.
+    #[inline]
     pub fn div_floor(&self, other: &BigInt) -> BigInt {
         let (q, r) = self.div_rem(other);
-        if !r.is_zero() && (r.sign * other.sign) < 0 {
+        if !r.is_zero() && (r.signum() * other.signum()) < 0 {
             q - BigInt::one()
         } else {
             q
@@ -287,10 +390,11 @@ impl BigInt {
     /// Euclidean / floor modulus: result has the sign of `other`
     /// (and `0 <= |result| < |other|`). Satisfies
     /// `self == self.div_floor(other) * other + self.mod_floor(other)`.
+    #[inline]
     pub fn mod_floor(&self, other: &BigInt) -> BigInt {
         let (_, r) = self.div_rem(other);
-        if !r.is_zero() && (r.sign * other.sign) < 0 {
-            r + other.clone()
+        if !r.is_zero() && (r.signum() * other.signum()) < 0 {
+            r + other
         } else {
             r
         }
@@ -298,6 +402,9 @@ impl BigInt {
 
     /// Greatest common divisor (always non-negative).
     pub fn gcd(&self, other: &BigInt) -> BigInt {
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            return BigInt::from(gcd_u64(a.unsigned_abs(), b.unsigned_abs()));
+        }
         let mut a = self.abs();
         let mut b = other.abs();
         while !b.is_zero() {
@@ -334,20 +441,28 @@ impl BigInt {
     }
 
     /// Convert to `i64` if it fits.
+    #[inline]
     pub fn to_i64(&self) -> Option<i64> {
-        self.to_i128().and_then(|v| i64::try_from(v).ok())
+        match &self.0 {
+            Small(v) => Some(*v),
+            Wide(_) => None,
+        }
     }
 
     /// Convert to `i128` if it fits.
     pub fn to_i128(&self) -> Option<i128> {
-        if self.limbs.len() > 4 {
+        let w = match &self.0 {
+            Small(v) => return Some(i128::from(*v)),
+            Wide(w) => w,
+        };
+        if w.limbs.len() > 4 {
             return None;
         }
         let mut mag: u128 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
+        for (i, &l) in w.limbs.iter().enumerate() {
             mag |= (l as u128) << (32 * i);
         }
-        if self.sign >= 0 {
+        if w.sign >= 0 {
             i128::try_from(mag).ok()
         } else if mag <= i128::MAX as u128 + 1 {
             Some((mag as i128).wrapping_neg())
@@ -358,11 +473,17 @@ impl BigInt {
 
     /// Lossy conversion to `f64`.
     pub fn to_f64(&self) -> f64 {
+        let w = match &self.0 {
+            // An `i64` is at most two limbs, over which the sum below
+            // rounds once: to the same double as this cast.
+            Small(v) => return *v as f64,
+            Wide(w) => w,
+        };
         let mut v = 0.0f64;
-        for &l in self.limbs.iter().rev() {
+        for &l in w.limbs.iter().rev() {
             v = v * 4294967296.0 + l as f64;
         }
-        if self.sign < 0 {
+        if w.sign < 0 {
             -v
         } else {
             v
@@ -371,44 +492,49 @@ impl BigInt {
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
-        match self.limbs.last() {
+        let mut buf = [0; 2];
+        let (_, limbs) = self.parts(&mut buf);
+        match limbs.last() {
             None => 0,
-            Some(&top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+            Some(&top) => (limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
         }
+    }
+}
+
+impl Default for BigInt {
+    fn default() -> Self {
+        BigInt::zero()
     }
 }
 
 impl From<i64> for BigInt {
+    #[inline]
     fn from(v: i64) -> Self {
-        BigInt::from(v as i128)
+        BigInt(Small(v))
     }
 }
 
 impl From<i32> for BigInt {
+    #[inline]
     fn from(v: i32) -> Self {
-        BigInt::from(v as i128)
+        BigInt(Small(i64::from(v)))
     }
 }
 
 impl From<u64> for BigInt {
+    #[inline]
     fn from(v: u64) -> Self {
-        BigInt::from(v as i128)
+        BigInt::from(i128::from(v))
     }
 }
 
 impl From<i128> for BigInt {
+    #[inline]
     fn from(v: i128) -> Self {
-        if v == 0 {
-            return BigInt::zero();
+        match i64::try_from(v) {
+            Ok(small) => BigInt(Small(small)),
+            Err(_) => BigInt::from_wide_i128(v),
         }
-        let sign: i8 = if v < 0 { -1 } else { 1 };
-        let mut mag = v.unsigned_abs();
-        let mut limbs = Vec::new();
-        while mag != 0 {
-            limbs.push(mag as u32);
-            mag >>= 32;
-        }
-        BigInt { sign, limbs }
     }
 }
 
@@ -416,9 +542,9 @@ impl FromStr for BigInt {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (sign, digits) = match s.strip_prefix('-') {
-            Some(rest) => (-1i8, rest),
-            None => (1i8, s.strip_prefix('+').unwrap_or(s)),
+        let (negative, digits) = match s.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, s.strip_prefix('+').unwrap_or(s)),
         };
         if digits.is_empty() {
             return Err(format!("invalid integer literal: {s:?}"));
@@ -431,18 +557,20 @@ impl FromStr for BigInt {
                 .ok_or_else(|| format!("invalid digit {c:?} in integer literal"))?;
             acc = &acc * &ten + BigInt::from(d as i64);
         }
-        acc.sign = if acc.limbs.is_empty() { 0 } else { sign };
-        Ok(acc)
+        Ok(if negative { -acc } else { acc })
     }
 }
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
+        let w = match &self.0 {
+            // Through `write!`, as the limb rendering below: the outer
+            // formatter's width and fill are not applied.
+            Small(v) => return write!(f, "{v}"),
+            Wide(w) => w,
+        };
         let mut digits = Vec::new();
-        let mut mag = self.limbs.clone();
+        let mut mag = w.limbs.clone();
         while !mag.is_empty() {
             let (q, r) = BigInt::divmod_small(&mag, 1_000_000_000);
             let mut q = q;
@@ -453,7 +581,7 @@ impl fmt::Display for BigInt {
             mag = q;
         }
         let mut s = String::new();
-        if self.sign < 0 {
+        if w.sign < 0 {
             s.push('-');
         }
         s.push_str(&digits.pop().unwrap().to_string());
@@ -471,36 +599,46 @@ impl fmt::Debug for BigInt {
 }
 
 impl PartialOrd for BigInt {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for BigInt {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        let mag = Self::cmp_mag(&self.limbs, &other.limbs);
-        if self.sign < 0 {
-            mag.reverse()
-        } else {
-            mag
+        // A wide value lies outside the `i64` range, so against an inline
+        // one its sign decides.
+        match (&self.0, &other.0) {
+            (Small(a), Small(b)) => a.cmp(b),
+            (Small(_), Wide(w)) => 0.cmp(&w.sign),
+            (Wide(w), Small(_)) => w.sign.cmp(&0),
+            (Wide(a), Wide(b)) => {
+                let mag = BigInt::cmp_mag(&a.limbs, &b.limbs);
+                a.sign
+                    .cmp(&b.sign)
+                    .then(if a.sign < 0 { mag.reverse() } else { mag })
+            }
         }
     }
 }
 
 impl Neg for BigInt {
     type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        self.sign = -self.sign;
-        self
+    #[inline]
+    fn neg(self) -> BigInt {
+        match self.0 {
+            Small(v) => BigInt::from(-i128::from(v)),
+            // Demotes -(2^63), the one wide value whose negation is inline.
+            Wide(w) => BigInt::from_limbs(-w.sign, w.limbs),
+        }
     }
 }
 
 impl Neg for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn neg(self) -> BigInt {
         -self.clone()
     }
@@ -508,48 +646,40 @@ impl Neg for &BigInt {
 
 impl Add for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn add(self, other: &BigInt) -> BigInt {
-        if self.sign == 0 {
-            return other.clone();
-        }
-        if other.sign == 0 {
-            return self.clone();
-        }
-        if self.sign == other.sign {
-            BigInt::from_limbs(self.sign, BigInt::add_mag(&self.limbs, &other.limbs))
-        } else {
-            match BigInt::cmp_mag(&self.limbs, &other.limbs) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_limbs(self.sign, BigInt::sub_mag(&self.limbs, &other.limbs))
-                }
-                Ordering::Less => {
-                    BigInt::from_limbs(other.sign, BigInt::sub_mag(&other.limbs, &self.limbs))
-                }
-            }
+        match (&self.0, &other.0) {
+            (Small(a), Small(b)) => BigInt::from(i128::from(*a) + i128::from(*b)),
+            _ => BigInt::add_wide(self, other, 1),
         }
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn sub(self, other: &BigInt) -> BigInt {
-        self + &(-other.clone())
+        match (&self.0, &other.0) {
+            (Small(a), Small(b)) => BigInt::from(i128::from(*a) - i128::from(*b)),
+            _ => BigInt::add_wide(self, other, -1),
+        }
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn mul(self, other: &BigInt) -> BigInt {
-        BigInt::from_limbs(
-            self.sign * other.sign,
-            BigInt::mul_mag(&self.limbs, &other.limbs),
-        )
+        match (&self.0, &other.0) {
+            (Small(a), Small(b)) => BigInt::from(i128::from(*a) * i128::from(*b)),
+            _ => BigInt::mul_wide(self, other),
+        }
     }
 }
 
 impl Div for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn div(self, other: &BigInt) -> BigInt {
         self.div_rem(other).0
     }
@@ -557,6 +687,7 @@ impl Div for &BigInt {
 
 impl Rem for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn rem(self, other: &BigInt) -> BigInt {
         self.div_rem(other).1
     }
@@ -566,18 +697,21 @@ macro_rules! forward_binop {
     ($trait:ident, $method:ident) => {
         impl $trait for BigInt {
             type Output = BigInt;
+            #[inline]
             fn $method(self, other: BigInt) -> BigInt {
                 (&self).$method(&other)
             }
         }
         impl $trait<&BigInt> for BigInt {
             type Output = BigInt;
+            #[inline]
             fn $method(self, other: &BigInt) -> BigInt {
                 (&self).$method(other)
             }
         }
         impl $trait<BigInt> for &BigInt {
             type Output = BigInt;
+            #[inline]
             fn $method(self, other: BigInt) -> BigInt {
                 self.$method(&other)
             }
@@ -592,18 +726,21 @@ forward_binop!(Div, div);
 forward_binop!(Rem, rem);
 
 impl AddAssign<&BigInt> for BigInt {
+    #[inline]
     fn add_assign(&mut self, other: &BigInt) {
         *self = &*self + other;
     }
 }
 
 impl SubAssign<&BigInt> for BigInt {
+    #[inline]
     fn sub_assign(&mut self, other: &BigInt) {
         *self = &*self - other;
     }
 }
 
 impl MulAssign<&BigInt> for BigInt {
+    #[inline]
     fn mul_assign(&mut self, other: &BigInt) {
         *self = &*self * other;
     }

@@ -1,6 +1,6 @@
 //! Arbitrary-precision rationals, normalized with a positive denominator.
 
-use crate::BigInt;
+use crate::{gcd_u128, BigInt};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -23,6 +23,9 @@ impl BigRat {
     /// Panics if `den == 0`.
     pub fn new(num: BigInt, den: BigInt) -> Self {
         assert!(!den.is_zero(), "BigRat with zero denominator");
+        if let (Some(n), Some(d)) = (num.to_i64(), den.to_i64()) {
+            return BigRat::reduced(i128::from(n), i128::from(d));
+        }
         let mut num = num;
         let mut den = den;
         if den.is_negative() {
@@ -38,6 +41,38 @@ impl BigRat {
             den = BigInt::one();
         }
         BigRat { num, den }
+    }
+
+    /// `num / den` in lowest terms with a positive denominator, from
+    /// machine arithmetic. `den != 0`, and neither part is `i128::MIN`.
+    fn reduced(num: i128, den: i128) -> BigRat {
+        let (mut num, mut den) = if den < 0 { (-num, -den) } else { (num, den) };
+        // An integer is in lowest terms: no gcd where both operands'
+        // denominators were 1.
+        if den != 1 {
+            // 1 <= g <= den, so the cast back is lossless.
+            let g = gcd_u128(num.unsigned_abs(), den.unsigned_abs()) as i128;
+            num /= g;
+            den /= g;
+        }
+        BigRat {
+            num: BigInt::from(num),
+            den: BigInt::from(den),
+        }
+    }
+
+    /// The parts `[a, b, c, d]` of `self = a/b` and `other = c/d` when all
+    /// four are inline. Each is an `i64` and `b, d > 0`, so a product of
+    /// two is below 2^126 in magnitude and `a*d ± c*b` below 2^127: the
+    /// cross-multiplications of `+ - * / cmp` cannot overflow an `i128`.
+    #[inline]
+    fn words(&self, other: &BigRat) -> Option<[i128; 4]> {
+        Some([
+            self.num.to_i64()?.into(),
+            self.den.to_i64()?.into(),
+            other.num.to_i64()?.into(),
+            other.den.to_i64()?.into(),
+        ])
     }
 
     /// The rational zero.
@@ -239,6 +274,9 @@ impl PartialOrd for BigRat {
 impl Ord for BigRat {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b vs c/d (b,d > 0)  <=>  a*d vs c*b
+        if let Some([a, b, c, d]) = self.words(other) {
+            return (a * d).cmp(&(c * b));
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -260,7 +298,11 @@ impl Neg for &BigRat {
 
 impl Add for &BigRat {
     type Output = BigRat;
+    #[inline]
     fn add(self, other: &BigRat) -> BigRat {
+        if let Some([a, b, c, d]) = self.words(other) {
+            return BigRat::reduced(a * d + c * b, b * d);
+        }
         BigRat::new(
             &self.num * &other.den + &other.num * &self.den,
             &self.den * &other.den,
@@ -270,7 +312,11 @@ impl Add for &BigRat {
 
 impl Sub for &BigRat {
     type Output = BigRat;
+    #[inline]
     fn sub(self, other: &BigRat) -> BigRat {
+        if let Some([a, b, c, d]) = self.words(other) {
+            return BigRat::reduced(a * d - c * b, b * d);
+        }
         BigRat::new(
             &self.num * &other.den - &other.num * &self.den,
             &self.den * &other.den,
@@ -280,7 +326,11 @@ impl Sub for &BigRat {
 
 impl Mul for &BigRat {
     type Output = BigRat;
+    #[inline]
     fn mul(self, other: &BigRat) -> BigRat {
+        if let Some([a, b, c, d]) = self.words(other) {
+            return BigRat::reduced(a * c, b * d);
+        }
         BigRat::new(&self.num * &other.num, &self.den * &other.den)
     }
 }
@@ -289,6 +339,9 @@ impl Div for &BigRat {
     type Output = BigRat;
     fn div(self, other: &BigRat) -> BigRat {
         assert!(!other.is_zero(), "division of BigRat by zero");
+        if let Some([a, b, c, d]) = self.words(other) {
+            return BigRat::reduced(a * d, b * c);
+        }
         BigRat::new(&self.num * &other.den, &self.den * &other.num)
     }
 }

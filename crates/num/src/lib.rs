@@ -6,11 +6,18 @@
 //! inputs, so every theory-level number in the workspace is a [`BigInt`] or a
 //! [`BigRat`].
 //!
-//! The representation is deliberately simple — sign + little-endian `u32`
-//! limbs, schoolbook multiplication, Knuth-style long division — because the
-//! numbers that arise from query predicates are small (a few limbs); we
-//! optimize for correctness and predictable behaviour, not for
-//! thousand-digit throughput.
+//! They rarely do: on the benchmark's CEGIS bed about one operand in ten
+//! thousand is wider than a machine word. So a [`BigInt`] holds any value
+//! that fits an `i64` inline and computes on it in `i128`, with no
+//! allocation; only a wider value owns limbs (sign + little-endian `u32`,
+//! schoolbook multiplication, Knuth-style long division — deliberately
+//! simple, correct rather than fast). The form is canonical: a value that
+//! fits an `i64` is *never* held as limbs, so equality and hashing are by
+//! value and `to_i64` is a variant test. The limb code is the one spill
+//! path, not a second implementation: a mixed operation views its inline
+//! operand as two limbs on the stack. [`BigRat`] follows: with all four
+//! parts inline it cross-multiplies in `i128`, which cannot overflow (each
+//! part is below 2^63 in magnitude, so `a*d + c*b` is below 2^127).
 
 #![warn(missing_docs)]
 
@@ -43,6 +50,20 @@ pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
         if b == 0 {
             return a << shift;
         }
+    }
+}
+
+/// Greatest common divisor of two `u128`s: Euclid's steps until both fit
+/// a word, then [`gcd_u64`].
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    loop {
+        if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+            return u128::from(gcd_u64(a, b));
+        }
+        if b == 0 {
+            return a;
+        }
+        (a, b) = (b, a % b);
     }
 }
 

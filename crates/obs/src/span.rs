@@ -6,7 +6,9 @@
 //! inside a span cannot corrupt the stack) pops the frame, attributes the
 //! elapsed time to the `/`-joined span path in the global collector, and
 //! credits the duration to the parent frame's child time so self-time can
-//! be derived.
+//! be derived. Each thread joins a path once, the first time it enters it,
+//! and a frame holds an index: entering and leaving a span allocates
+//! nothing.
 //!
 //! The thread-local stack alone cannot follow a request across a thread
 //! handoff (accept thread → queue → worker pool): a span opened on the
@@ -20,33 +22,100 @@
 //!
 //! Orthogonally, [`local_begin`]/[`local_take`] capture a per-request
 //! phase breakdown on the current thread — every span close adds its
-//! duration to a thread-local map — so a server can attach per-phase
-//! timings to each response even when the process-global collector is
-//! disabled.
+//! duration to its path's running total — so a server can attach
+//! per-phase timings to each response even when the process-global
+//! collector is disabled.
 
 use crate::key::Counter;
 use crate::sink::Event;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+/// One span path this thread has opened. Span names are `&'static str`,
+/// so the paths a thread can reach are fixed by the program text: each is
+/// joined and leaked the first time it is entered — a few dozen short
+/// strings a thread — and entering it again is a search among the nodes.
+struct Node {
+    parent: Option<usize>,
+    name: &'static str,
+    path: &'static str,
+    /// The request-local recorder's total for this path, µs; `None` if no
+    /// span on it has closed since [`local_begin`].
+    local_us: Option<u64>,
+}
+
 struct Frame {
-    path: String,
-    start: Instant,
+    /// Index into [`Stack::nodes`].
+    node: usize,
     child: Duration,
-    /// Close this frame into the global collector? `false` for adopted
-    /// (borrowed) frames — their owning [`SpanContext`] records the span —
-    /// and for frames opened while only the request-local recorder is on.
+    /// `Some` for a span opened on this thread, which its [`SpanGuard`]
+    /// times and records; `None` for an adopted root, which its owning
+    /// [`SpanContext`] does.
+    open: Option<Open>,
+}
+
+struct Open {
+    start: Instant,
+    /// Close into the global collector? `false` for a span opened while
+    /// only the request-local recorder is on.
     global: bool,
 }
 
+struct Stack {
+    nodes: Vec<Node>,
+    /// Indices into `nodes`, ordered by path: the order [`local_take`]
+    /// reports in.
+    by_path: Vec<usize>,
+    frames: Vec<Frame>,
+}
+
+impl Stack {
+    /// The node for `name` under `parent` (a root if `None`).
+    fn node(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+        let known = |n: &Node| n.parent == parent && n.name == name;
+        if let Some(node) = self.nodes.iter().position(known) {
+            return node;
+        }
+        let path = match parent {
+            Some(parent) => {
+                Box::leak(format!("{}/{name}", self.nodes[parent].path).into_boxed_str())
+            }
+            None => name,
+        };
+        let at = self.by_path.partition_point(|&n| self.nodes[n].path < path);
+        self.by_path.insert(at, self.nodes.len());
+        self.nodes.push(Node {
+            parent,
+            name,
+            path,
+            local_us: None,
+        });
+        self.nodes.len() - 1
+    }
+
+    /// The node for `name` under the innermost open frame.
+    fn child(&mut self, name: &'static str) -> usize {
+        let parent = self.frames.last().map(|f| f.node);
+        self.node(parent, name)
+    }
+
+    fn local_add(&mut self, node: usize, dur: Duration) {
+        if local_active() {
+            let total = &mut self.nodes[node].local_us;
+            *total = Some(total.unwrap_or(0).saturating_add(dur_us(dur)));
+        }
+    }
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Stack> = const {
+        RefCell::new(Stack { nodes: Vec::new(), by_path: Vec::new(), frames: Vec::new() })
+    };
     /// Trace ID in effect on this thread (0 = untraced). Set while a
     /// [`SpanContext`] is adopted; stamped on every emitted span event.
     static TRACE: Cell<u64> = const { Cell::new(0) };
-    /// Request-local phase recorder: span path → accumulated µs.
-    static LOCAL: RefCell<Option<BTreeMap<String, u64>>> = const { RefCell::new(None) };
+    /// Is the request-local recorder on?
     static LOCAL_ON: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -59,40 +128,35 @@ fn local_active() -> bool {
     LOCAL_ON.with(Cell::get)
 }
 
-fn local_add(path: &str, dur: Duration) {
-    if !local_active() {
-        return;
-    }
-    LOCAL.with(|l| {
-        if let Some(map) = l.borrow_mut().as_mut() {
-            let us: u64 = dur.as_micros().try_into().unwrap_or(u64::MAX);
-            match map.get_mut(path) {
-                Some(total) => *total = total.saturating_add(us),
-                None => {
-                    map.insert(path.to_string(), us);
-                }
-            }
-        }
-    });
-}
-
 /// Start the request-local phase recorder on this thread: until
 /// [`local_take`], every span closed on this thread also adds its
-/// duration to a private map, independent of (and in addition to) the
-/// global collector. Replaces any recorder already active.
+/// duration to a private total for its path, independent of (and in
+/// addition to) the global collector. Replaces any recorder already
+/// active.
 pub fn local_begin() {
-    LOCAL.with(|l| *l.borrow_mut() = Some(BTreeMap::new()));
+    STACK.with(|stack| {
+        for node in &mut stack.borrow_mut().nodes {
+            node.local_us = None;
+        }
+    });
     LOCAL_ON.with(|c| c.set(true));
 }
 
 /// Stop the request-local recorder and return `(span path, total µs)`
-/// pairs sorted by path. Empty if [`local_begin`] was never called.
-pub fn local_take() -> Vec<(String, u64)> {
-    LOCAL_ON.with(|c| c.set(false));
-    LOCAL
-        .with(|l| l.borrow_mut().take())
-        .map(|m| m.into_iter().collect())
-        .unwrap_or_default()
+/// pairs sorted by path. Empty if [`local_begin`] was never called. The
+/// paths are the thread's interned ones, always [`Cow::Borrowed`]: `Cow`
+/// is what lets a caller compare one with a `&str` or take a `String`.
+pub fn local_take() -> Vec<(Cow<'static, str>, u64)> {
+    if !LOCAL_ON.with(|c| c.replace(false)) {
+        return Vec::new();
+    }
+    STACK.with(|stack| {
+        let stack = stack.borrow();
+        let nodes = stack.by_path.iter().map(|&n| &stack.nodes[n]);
+        nodes
+            .filter_map(|n| Some((Cow::Borrowed(n.path), n.local_us?)))
+            .collect()
+    })
 }
 
 fn dur_us(dur: Duration) -> u64 {
@@ -110,22 +174,21 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
     STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{}/{name}", parent.path),
-            None => name.to_string(),
-        };
+        let node = stack.child(name);
         if global {
             crate::emit(&Event::SpanEnter {
-                path: &path,
+                path: stack.nodes[node].path,
                 trace: current_trace(),
                 t_us: crate::now_us(),
             });
         }
-        stack.push(Frame {
-            path,
-            start: Instant::now(),
+        stack.frames.push(Frame {
+            node,
             child: Duration::ZERO,
-            global,
+            open: Some(Open {
+                start: Instant::now(),
+                global,
+            }),
         });
     });
     SpanGuard { active: true }
@@ -135,38 +198,35 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// under the innermost open span on this thread. For phases measured
 /// outside any RAII scope — e.g. queue wait, measured by the worker at
 /// dequeue time but spent before the worker ever saw the request.
-pub fn record_complete(name: &str, dur: Duration) {
+pub fn record_complete(name: &'static str, dur: Duration) {
     let global = crate::enabled();
     if !global && !local_active() {
         return;
     }
     STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{}/{name}", parent.path),
-            None => name.to_string(),
-        };
-        if let Some(parent) = stack.last_mut() {
+        if let Some(parent) = stack.frames.last_mut() {
             parent.child += dur;
         }
-        drop(stack);
-        local_add(&path, dur);
+        let node = stack.child(name);
+        stack.local_add(node, dur);
         if global {
+            let path = stack.nodes[node].path;
             let t = crate::now_us();
             let d = dur_us(dur);
             let trace = current_trace();
             crate::emit(&Event::SpanEnter {
-                path: &path,
+                path,
                 trace,
                 t_us: t.saturating_sub(d),
             });
             crate::emit(&Event::SpanExit {
-                path: &path,
+                path,
                 trace,
                 t_us: t,
                 dur_us: d,
             });
-            crate::record_span(&path, dur, Duration::ZERO);
+            crate::record_span(path, dur, Duration::ZERO);
         }
     });
 }
@@ -187,17 +247,22 @@ impl Drop for SpanGuard {
         }
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let Some(frame) = stack.pop() else { return };
-            let dur = frame.start.elapsed();
-            if let Some(parent) = stack.last_mut() {
+            let Some(frame) = stack.frames.pop() else {
+                return;
+            };
+            let Some(open) = frame.open else {
+                return;
+            };
+            let dur = open.start.elapsed();
+            if let Some(parent) = stack.frames.last_mut() {
                 parent.child += dur;
             }
-            drop(stack);
-            local_add(&frame.path, dur);
-            if frame.global {
-                crate::record_span(&frame.path, dur, frame.child);
+            stack.local_add(frame.node, dur);
+            if open.global {
+                let path = stack.nodes[frame.node].path;
+                crate::record_span(path, dur, frame.child);
                 crate::emit(&Event::SpanExit {
-                    path: &frame.path,
+                    path,
                     trace: current_trace(),
                     t_us: crate::now_us(),
                     dur_us: dur_us(dur),
@@ -217,7 +282,7 @@ impl Drop for SpanGuard {
 /// is credited back to the context so self-time stays meaningful.
 #[derive(Debug)]
 pub struct SpanContext {
-    path: String,
+    path: &'static str,
     trace: u64,
     start: Instant,
     child: Cell<Duration>,
@@ -227,7 +292,7 @@ impl SpanContext {
     /// Open a root span named `name` with trace ID `trace` (0 =
     /// untraced). Emits the enter event immediately so the trace file
     /// shows the request starting on the thread that accepted it.
-    pub fn begin(name: &str, trace: u64) -> SpanContext {
+    pub fn begin(name: &'static str, trace: u64) -> SpanContext {
         if crate::enabled() {
             if trace != 0 {
                 crate::add(Counter::TraceRoots, 1);
@@ -239,7 +304,7 @@ impl SpanContext {
             });
         }
         SpanContext {
-            path: name.to_string(),
+            path: name,
             trace,
             start: Instant::now(),
             child: Cell::new(Duration::ZERO),
@@ -253,7 +318,7 @@ impl SpanContext {
 
     /// The root span path.
     pub fn path(&self) -> &str {
-        &self.path
+        self.path
     }
 
     /// Wall time since [`SpanContext::begin`].
@@ -272,11 +337,12 @@ impl SpanContext {
         }
         let prev_trace = TRACE.with(|t| t.replace(self.trace));
         STACK.with(|stack| {
-            stack.borrow_mut().push(Frame {
-                path: self.path.clone(),
-                start: Instant::now(),
+            let mut stack = stack.borrow_mut();
+            let node = stack.node(None, self.path);
+            stack.frames.push(Frame {
+                node,
                 child: Duration::ZERO,
-                global: false,
+                open: None,
             });
         });
         AdoptGuard {
@@ -291,9 +357,9 @@ impl SpanContext {
     pub fn finish(self) -> Duration {
         let dur = self.start.elapsed();
         if crate::enabled() {
-            crate::record_span(&self.path, dur, self.child.get());
+            crate::record_span(self.path, dur, self.child.get());
             crate::emit(&Event::SpanExit {
-                path: &self.path,
+                path: self.path,
                 trace: self.trace,
                 t_us: crate::now_us(),
                 dur_us: dur_us(dur),
@@ -317,7 +383,8 @@ pub struct AdoptGuard<'a> {
 impl Drop for AdoptGuard<'_> {
     fn drop(&mut self) {
         STACK.with(|stack| {
-            if let Some(frame) = stack.borrow_mut().pop() {
+            let mut stack = stack.borrow_mut();
+            if let Some(frame) = stack.frames.pop() {
                 self.ctx.child.set(self.ctx.child.get() + frame.child);
             }
         });

@@ -587,7 +587,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
             .into_iter()
             .map(|(path, us)| match path.strip_prefix("serve.request/") {
                 Some(rel) => (rel.to_string(), us),
-                None => (path, us),
+                None => (path.into_owned(), us),
             })
             .collect();
         response.micros = micros(job.span.elapsed());

@@ -51,7 +51,14 @@ fn traced_request_links_client_queue_and_worker_spans() {
     let addr = handle.addr().to_string();
 
     const TRACE: u64 = 0x0051_A7EA_CE01;
-    let resp = client::request_one(&addr, &synth_req("t0", Some(TRACE))).expect("traced request");
+    // The doubled `a` keeps the atom outside the zone fragment, so CEGIS
+    // runs: the statically answered `synth_req` finishes in under a
+    // millisecond, of which the ~55 µs outside any phase is more than 5 %.
+    let req = Request {
+        predicate: "a + a + 10 > b + 20 AND b + 10 > 20".into(),
+        ..synth_req("t0", Some(TRACE))
+    };
+    let resp = client::request_one(&addr, &req).expect("traced request");
     assert_eq!(resp.status, Status::Ok, "{resp:?}");
     assert_eq!(resp.trace, Some(TRACE), "trace id echoed back: {resp:?}");
     assert!(resp.micros > 0, "{resp:?}");

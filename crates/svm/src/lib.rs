@@ -191,6 +191,8 @@ pub fn train_with_stats(samples: &[Sample], config: &SvmConfig) -> (Hyperplane, 
     let _span = sia_obs::span("svm.train");
     let mut alpha = vec![0.0f64; n];
     let mut w = vec![0.0f64; dim + 1];
+    // y·(w·x) per sample, overwritten at every duality-gap check.
+    let mut margins = vec![0.0f64; n];
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = XorShift64::new(config.seed);
     // The gap evaluation costs a full O(n·d) pass — as much as an epoch —
@@ -238,7 +240,9 @@ pub fn train_with_stats(samples: &[Sample], config: &SvmConfig) -> (Hyperplane, 
             let wnorm2 = dot(&w, &w);
             let sum_alpha: f64 = alpha.iter().sum();
             let dual = sum_alpha - 0.5 * wnorm2;
-            let margins: Vec<f64> = xs.iter().zip(&ys).map(|(x, y)| y * dot(&w, x)).collect();
+            for (m, (x, y)) in margins.iter_mut().zip(xs.iter().zip(&ys)) {
+                *m = y * dot(&w, x);
+            }
             // Weak duality makes P(v) − D(α) an upper bound on the
             // suboptimality for ANY primal point v, so evaluate the primal
             // at the best rescaling s·w of the iterate. The decision

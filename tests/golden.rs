@@ -3,19 +3,31 @@
 //! implication ladders in `sia-core` were merged into one `Prover`. The
 //! synthesizer is deterministic (seeded sampling, exact arithmetic), so any
 //! change to which solver questions are asked, or in what order, shows up
-//! here as a different rendering.
+//! here as a different rendering. The `serve_cegis` bed's ledger also pins
+//! the path — iterations and final sample counts — and was recorded at the
+//! commit before `sia-num` gained its inline form.
 
-use sia::core::{SiaConfig, Synthesizer};
+use sia::core::{SiaConfig, SynthesisResult, Synthesizer};
 use sia::expr::Pred;
 use sia::sql::parse_predicate;
 use sia_gen::{GenConfig, ZonePolicy};
 
-fn render(p: &Pred, cols: &[String]) -> String {
-    let r = Synthesizer::new(SiaConfig::default())
+fn synthesize(p: &Pred, cols: &[String]) -> SynthesisResult {
+    Synthesizer::new(SiaConfig::default())
         .synthesize(p, cols)
-        .expect("synthesis succeeds");
-    let pred = r.predicate.map_or("NULL".to_string(), |q| q.to_string());
+        .expect("synthesis succeeds")
+}
+
+fn rendered(r: &SynthesisResult) -> String {
+    let pred = r
+        .predicate
+        .as_ref()
+        .map_or("NULL".to_string(), |q| q.to_string());
     format!("{pred} | optimal={}", r.optimal)
+}
+
+fn render(p: &Pred, cols: &[String]) -> String {
+    rendered(&synthesize(p, cols))
 }
 
 fn assert_golden(name: &str, actual: &[String], golden: &[&str]) {
@@ -49,13 +61,16 @@ fn paper_6_3_tasks_are_pinned() {
     assert_golden("paper_6_3", &got, PAPER_6_3);
 }
 
-/// Four zone-ineligible generated requests (the `serve_cegis` bed's shape):
-/// static derivation gets no purchase, so the full CEGIS loop runs.
+/// The `serve_cegis` bed's 15 zone-ineligible requests (the `GenConfig` is
+/// copied from `bench/src/workload.rs::serve_cegis`): static derivation
+/// gets no purchase, so the full CEGIS loop runs. Iterations and sample
+/// counts are pinned next to the predicate, so a change that reaches the
+/// same answer by a different path shows up too.
 #[test]
 fn zone_ineligible_requests_are_pinned() {
     let cfg = GenConfig {
         table: "lineitem".into(),
-        count: 4,
+        count: 15,
         seed: 3,
         zone: ZonePolicy::Ineligible,
         min_terms: 2,
@@ -70,7 +85,17 @@ fn zone_ineligible_requests_are_pinned() {
     let got: Vec<String> = sia_gen::generate(&cfg)
         .expect("valid generator config")
         .iter()
-        .map(|r| format!("{} => {}", r.predicate, render(&r.predicate, &r.cols)))
+        .map(|r| {
+            let s = synthesize(&r.predicate, &r.cols);
+            format!(
+                "{} => {} | iterations={} true={} false={}",
+                r.predicate,
+                rendered(&s),
+                s.stats.iterations,
+                s.stats.true_samples,
+                s.stats.false_samples
+            )
+        })
         .collect();
     assert_golden("zone_ineligible", &got, ZONE_INELIGIBLE);
 }
@@ -89,8 +114,19 @@ const PAPER_6_3: &[&str] = &[
 ];
 
 const ZONE_INELIGIBLE: &[&str] = &[
-    "l_orderdate >= DATE '1995-01-06' AND 5 * l_linenumber - l_quantity < -5 => l_orderdate >= 9136 AND (4 * l_orderdate + 3 * l_quantity - 12 * l_linenumber >= 36558 OR 0 - 2 * l_linenumber - l_quantity >= 6) | optimal=false",
-    "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65 => l_commitdate - l_orderdate <= 64 AND l_orderkey - 2 * l_quantity >= 711678 | optimal=true",
-    "l_quantity + l_orderkey < 853259 AND l_receiptdate > DATE '1995-03-14' => l_receiptdate >= 9204 AND 0 - l_orderkey - l_quantity >= -853258 | optimal=true",
-    "l_linenumber - l_orderkey <= -711750 AND l_linenumber + l_quantity <= 32 => l_linenumber - l_orderkey <= -711750 AND 0 - l_linenumber - l_quantity >= -32 | optimal=true",
+    "l_orderdate >= DATE '1995-01-06' AND 5 * l_linenumber - l_quantity < -5 => l_orderdate >= 9136 AND (4 * l_orderdate + 3 * l_quantity - 12 * l_linenumber >= 36558 OR 0 - 2 * l_linenumber - l_quantity >= 6) | optimal=false | iterations=5 true=21 false=15",
+    "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65 => l_commitdate - l_orderdate <= 64 AND l_orderkey - 2 * l_quantity >= 711678 | optimal=true | iterations=26 true=45 false=100",
+    "l_quantity + l_orderkey < 853259 AND l_receiptdate > DATE '1995-03-14' => l_receiptdate >= 9204 AND 0 - l_orderkey - l_quantity >= -853258 | optimal=true | iterations=24 true=125 false=10",
+    "l_linenumber - l_orderkey <= -711750 AND l_linenumber + l_quantity <= 32 => l_linenumber - l_orderkey <= -711750 AND 0 - l_linenumber - l_quantity >= -32 | optimal=true | iterations=17 true=80 false=20",
+    "l_linenumber < 5 AND l_receiptdate + l_commitdate < 18815 => l_linenumber <= 4 AND 0 - l_commitdate - l_receiptdate >= -18814 | optimal=true | iterations=18 true=95 false=10",
+    "l_shipdate + l_orderdate > 18337 AND l_extendedprice <= 55444.21 => l_extendedprice <= 55444 AND l_orderdate + l_shipdate >= 18338 | optimal=true | iterations=21 true=50 false=70",
+    "3 * l_linenumber - l_quantity < -12 AND l_commitdate < DATE '1995-10-09' => l_commitdate <= 9411 AND l_quantity - 3 * l_linenumber >= 13 | optimal=true | iterations=4 true=25 false=10",
+    "l_orderdate < DATE '1995-07-26' AND l_quantity + l_orderkey < 853259 => l_orderdate <= 9336 AND 0 - l_orderkey - l_quantity >= -853258 | optimal=true | iterations=22 true=115 false=10",
+    "l_commitdate + l_shipdate > 18405 AND l_shipdate > DATE '1995-03-08' => l_shipdate >= 9198 AND l_commitdate + l_shipdate >= 18406 | optimal=true | iterations=17 true=40 false=60",
+    "l_quantity > 24 AND l_shipdate + l_commitdate <= 18794 => l_quantity >= 25 AND 0 - l_commitdate - l_shipdate >= -18794 | optimal=true | iterations=19 true=100 false=10",
+    "l_orderkey <= 853256 AND l_extendedprice + l_linenumber > 46807.5 => l_orderkey <= 853256 AND l_extendedprice + l_linenumber >= 46808 | optimal=true | iterations=28 true=70 false=85",
+    "3 * l_linenumber - l_orderkey < -711736 AND l_linenumber > 4 => l_linenumber >= 5 AND l_orderkey >= 711751 | optimal=false | iterations=41 true=90 false=135",
+    "l_commitdate + l_orderdate < 18744 AND l_orderdate <= DATE '1995-07-26' => l_orderdate <= 9337 AND 0 - l_commitdate - l_orderdate >= -18743 | optimal=true | iterations=18 true=85 false=20",
+    "l_receiptdate + l_commitdate <= 18815 AND l_shipdate >= DATE '1995-03-08' => l_shipdate >= 9197 | optimal=false | iterations=20 true=105 false=10",
+    "5 * l_extendedprice - l_orderkey > -623105.35 AND l_receiptdate < DATE '1995-10-23' => l_receiptdate <= 9425 AND (l_extendedprice >= -900000000000116058 OR 0 - l_orderkey >= 2249999999999989302) AND (l_extendedprice >= -900000000000120340 OR l_extendedprice - 4 * l_orderkey >= 8549999999999834727) | optimal=false | iterations=41 true=200 false=25",
 ];

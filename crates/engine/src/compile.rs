@@ -211,7 +211,7 @@ impl CPred {
         let cols: Vec<_> = table.columns.iter().map(ColRef::whole).collect();
         match rows {
             0 => 1.0,
-            _ => self.select(&cols, rows).len() as f64 / f64::from(rows),
+            _ => self.select(&cols, rows, Vec::new()).len() as f64 / f64::from(rows),
         }
     }
 }
@@ -346,14 +346,18 @@ impl CExpr {
 
 impl CPred {
     /// The relation rows (of `rows`, over `cols`) on which the predicate is
-    /// TRUE, ascending — WHERE semantics: NULL rejects. This is the one
-    /// evaluator execution uses; [`CPred::eval`] is its one-row reference.
-    pub fn select(&self, cols: &[ColRef<'_>], rows: u32) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// TRUE, ascending — WHERE semantics: NULL rejects — written over
+    /// whatever `out` held. This is the one evaluator execution uses;
+    /// [`CPred::eval`] is its one-row reference.
+    pub fn select(&self, cols: &[ColRef<'_>], rows: u32, mut out: Vec<u32>) -> Vec<u32> {
+        out.clear();
+        // `out`'s tail is the candidate list: a chunk's rows go after what
+        // the chunks before kept, and are narrowed where they stand.
         for lo in (0..rows).step_by(CHUNK as usize) {
-            let mut cand: Vec<u32> = (lo..rows.min(lo.saturating_add(CHUNK))).collect();
-            let kept = self.narrow(cols, &mut cand);
-            out.extend_from_slice(&cand[..kept]);
+            let done = out.len();
+            out.extend(lo..rows.min(lo.saturating_add(CHUNK)));
+            let kept = self.narrow(cols, &mut out[done..]);
+            out.truncate(done + kept);
         }
         out
     }
@@ -465,7 +469,7 @@ mod tests {
     pub(super) fn select(sql: &str, t: &Table) -> Vec<u32> {
         let p = compile_pred(&parse_predicate(sql).unwrap(), &t.schema).unwrap();
         let cols: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
-        let rows = p.select(&cols, t.num_rows() as u32);
+        let rows = p.select(&cols, t.num_rows() as u32, Vec::new());
         let reference: Vec<u32> = (0..t.num_rows())
             .filter(|&row| p.eval(t, row) == Some(true))
             .map(|row| row as u32)
@@ -592,7 +596,9 @@ mod tests {
                 sel: Some(sel),
             })
             .collect();
-        assert_eq!(p.select(&cols, 5), vec![1, 2]);
+        assert_eq!(p.select(&cols, 5, Vec::new()), vec![1, 2]);
+        // What the buffer held before is not part of the answer.
+        assert_eq!(p.select(&cols, 5, vec![4, 0, 3, 9]), vec![1, 2]);
     }
 }
 

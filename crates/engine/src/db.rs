@@ -1,7 +1,7 @@
 //! The database: named tables, query planning, and the run-a-SQL-string
 //! entry point used by the benchmark harness.
 
-use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats};
+use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats, Scratch};
 use crate::moveraround::{move_around_cached, MoveAroundReport};
 use crate::optimize::{optimize, OptimizerConfig};
 use crate::plan::Plan;
@@ -26,6 +26,9 @@ pub struct Database {
     /// canonical context + target columns. No schema or row data enters a
     /// key, so `insert` has nothing to invalidate.
     synthesized: PredicateCache,
+    /// The row-number buffers execution borrows: what one query hands
+    /// back, the next one reuses.
+    pub(crate) scratch: Scratch,
 }
 
 impl Default for Database {
@@ -33,6 +36,7 @@ impl Default for Database {
         Database {
             tables: HashMap::new(),
             synthesized: PredicateCache::new(SYNTHESIS_CACHE_ENTRIES),
+            scratch: Scratch::default(),
         }
     }
 }

@@ -6,12 +6,19 @@
 //! per source table a selection vector naming the payload row behind each
 //! relation row. A scan borrows, a filter and a join shorten or compose
 //! selections, and only [`execute`] materializes, once, at the plan root.
+//!
+//! Every row-number buffer an operator needs — a filter's selection, a
+//! join's bucket heads, chains and match lists, a composed selection — is
+//! borrowed from the database's [`Scratch`] and handed back once the
+//! result is gathered, so a query's only large allocations are its
+//! result's columns.
 
 use crate::compile::{compile_pred, ColRef, UnknownColumn};
 use crate::db::Database;
 use crate::plan::Plan;
 use crate::table::{Column, ColumnData, Table};
 use sia_expr::Schema;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Counters gathered during execution (the cost signals the evaluation in
@@ -95,7 +102,58 @@ pub(crate) fn execute_analyze(
         })
         .collect();
     let table = Table::new(rel.schema, columns);
+    rel.sels
+        .into_iter()
+        .flatten()
+        .for_each(|sel| db.scratch.give(sel));
     Ok((table, start.elapsed(), stats, ops))
+}
+
+/// Row-number buffers execution borrows and hands back, owned by a
+/// [`Database`] and dropped with it. A buffer comes out empty and its
+/// taker initializes what it reads, so nothing a query sees depends on the
+/// one before; between queries at most [`SCRATCH_BUFFERS`] are kept, the
+/// largest.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Free buffers, ascending by capacity.
+    free: Mutex<Vec<Vec<u32>>>,
+}
+
+/// About as many buffers as one query holds at once: a join's heads,
+/// chains and two match lists beside its inputs' selections.
+const SCRATCH_BUFFERS: usize = 8;
+
+impl Scratch {
+    fn free(&self) -> MutexGuard<'_, Vec<Vec<u32>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty buffer with room for `len` values: the smallest free one
+    /// that has it, else the largest, grown.
+    pub(crate) fn take(&self, len: usize) -> Vec<u32> {
+        let mut buf = {
+            let mut free = self.free();
+            let fits = free.partition_point(|b| b.capacity() < len);
+            match free.len() {
+                0 => Vec::new(),
+                n => free.remove(fits.min(n - 1)),
+            }
+        };
+        buf.clear();
+        buf.reserve(len);
+        buf
+    }
+
+    /// Hand a buffer back for the next taker.
+    pub(crate) fn give(&self, buf: Vec<u32>) {
+        let mut free = self.free();
+        let at = free.partition_point(|b| b.capacity() < buf.capacity());
+        free.insert(at, buf);
+        if free.len() > SCRATCH_BUFFERS {
+            free.remove(0);
+        }
+    }
 }
 
 /// Row numbers are `u32` from the scan on; a longer table is refused.
@@ -117,18 +175,30 @@ struct Rel<'a> {
 }
 
 impl Rel<'_> {
-    /// Keep relation rows `picks`, in that order.
-    fn pick(&mut self, picks: Vec<u32>) -> Result<(), ExecError> {
+    /// Keep relation rows `picks`, in that order: the first source's
+    /// selection composes into `picks` itself, every other source's into a
+    /// buffer from `scratch`, and the selections they replace go back.
+    fn pick(&mut self, mut picks: Vec<u32>, scratch: &Scratch) -> Result<(), ExecError> {
         self.rows = row_count(picks.len())?;
-        if let [sel @ None] = &mut self.sels[..] {
-            *sel = Some(picks);
-            return Ok(());
+        let (first, rest) = self
+            .sels
+            .split_first_mut()
+            .expect("a relation has a source");
+        for sel in rest {
+            let mut composed = scratch.take(picks.len());
+            match sel {
+                Some(rows) => composed.extend(picks.iter().map(|&p| rows[p as usize])),
+                None => composed.extend_from_slice(&picks),
+            }
+            if let Some(old) = sel.replace(composed) {
+                scratch.give(old);
+            }
         }
-        for sel in &mut self.sels {
-            *sel = Some(match sel.take() {
-                Some(rows) => picks.iter().map(|&p| rows[p as usize]).collect(),
-                None => picks.clone(),
-            });
+        if let Some(rows) = first {
+            picks.iter_mut().for_each(|p| *p = rows[*p as usize]);
+        }
+        if let Some(old) = first.replace(picks) {
+            scratch.give(old);
         }
         Ok(())
     }
@@ -180,8 +250,9 @@ fn run<'a>(
             let rows_in = u64::from(rel.rows);
             stats.rows_filtered += rows_in;
             let cols: Vec<_> = (0..rel.cols.len()).map(|i| rel.col_ref(i)).collect();
-            let keep = compile_pred(pred, &rel.schema)?.select(&cols, rel.rows);
-            rel.pick(keep)?;
+            let pred = compile_pred(pred, &rel.schema)?;
+            let keep = pred.select(&cols, rel.rows, db.scratch.take(rel.rows as usize));
+            rel.pick(keep, &db.scratch)?;
             (rel, rows_in, below)
         }
         Plan::HashJoin {
@@ -194,7 +265,7 @@ fn run<'a>(
             let (rt, right_time) = run(right, db, stats, ops)?;
             let rows_in = u64::from(lt.rows) + u64::from(rt.rows);
             stats.join_input_rows += rows_in;
-            let out = hash_join(lt, rt, left_key, right_key)?;
+            let out = hash_join(lt, rt, left_key, right_key, &db.scratch)?;
             stats.join_output_rows += u64::from(out.rows);
             (out, rows_in, left_time + right_time)
         }
@@ -253,15 +324,17 @@ const NIL: u32 = u32::MAX;
 /// with each probe row's build matches ascending. The table is two flat
 /// arrays: `heads[bucket]` is the first build row of a bucket's chain and
 /// `next[row]` the one after `row`; inserting in reverse makes every
-/// chain ascend.
-fn matches(build: &Key<'_>, probe: &Key<'_>) -> (Vec<u32>, Vec<u32>) {
+/// chain ascend. All four buffers come from `scratch`; the table goes back.
+fn matches(build: &Key<'_>, probe: &Key<'_>, scratch: &Scratch) -> (Vec<u32>, Vec<u32>) {
     let buckets = (build.rows as usize * 2).next_power_of_two().max(2);
     let shift = 64 - buckets.trailing_zeros();
     // Multiplicative (Fibonacci) hashing: the top bits of key × 2^64/φ.
     #[allow(clippy::cast_sign_loss)]
     let bucket = |key: i64| ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-    let mut heads = vec![NIL; buckets];
-    let mut next = vec![NIL; build.rows as usize];
+    let mut heads = scratch.take(buckets);
+    heads.resize(buckets, NIL);
+    let mut next = scratch.take(build.rows as usize);
+    next.resize(build.rows as usize, NIL);
     for b in (0..build.rows).rev() {
         if let Some(key) = build.get(b) {
             let head = &mut heads[bucket(key)];
@@ -269,7 +342,9 @@ fn matches(build: &Key<'_>, probe: &Key<'_>) -> (Vec<u32>, Vec<u32>) {
             *head = b;
         }
     }
-    let (mut build_out, mut probe_out) = (Vec::new(), Vec::new());
+    // Sized for a key the build side holds once; more matches grow them.
+    let hint = probe.rows as usize;
+    let (mut build_out, mut probe_out) = (scratch.take(hint), scratch.take(hint));
     for p in 0..probe.rows {
         let Some(key) = probe.get(p) else { continue };
         let mut b = heads[bucket(key)];
@@ -281,6 +356,8 @@ fn matches(build: &Key<'_>, probe: &Key<'_>) -> (Vec<u32>, Vec<u32>) {
             b = next[b as usize];
         }
     }
+    scratch.give(heads);
+    scratch.give(next);
     (build_out, probe_out)
 }
 
@@ -291,18 +368,19 @@ fn hash_join<'a>(
     mut right: Rel<'a>,
     left_key: &str,
     right_key: &str,
+    scratch: &Scratch,
 ) -> Result<Rel<'a>, ExecError> {
     let (left_rows, right_rows) = {
         let (lk, rk) = (Key::of(&left, left_key)?, Key::of(&right, right_key)?);
         if left.rows <= right.rows {
-            matches(&lk, &rk)
+            matches(&lk, &rk, scratch)
         } else {
-            let (right_rows, left_rows) = matches(&rk, &lk);
+            let (right_rows, left_rows) = matches(&rk, &lk, scratch);
             (left_rows, right_rows)
         }
     };
-    left.pick(left_rows)?;
-    right.pick(right_rows)?;
+    left.pick(left_rows, scratch)?;
+    right.pick(right_rows, scratch)?;
     let base = left.sels.len();
     left.sels.append(&mut right.sels);
     left.cols

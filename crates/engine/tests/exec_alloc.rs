@@ -1,7 +1,8 @@
 //! "The executor never copies a base column", pinned by what it allocates
 //! rather than by a stopwatch: a counting global allocator measures, on
-//! the calling thread only, the allocation calls made during `execute`
-//! and the high-water mark of live bytes over what was live before it.
+//! the calling thread only, the allocation calls made during `execute`,
+//! how many of them were large enough for glibc to map fresh pages, and
+//! the high-water mark of live bytes over what was live before it.
 
 #![allow(unsafe_code)]
 
@@ -16,6 +17,8 @@ use std::cell::Cell;
 struct Meter {
     on: bool,
     allocs: u64,
+    /// Allocations (or growths) to a block of at least [`MMAP_THRESHOLD`].
+    big: u64,
     live: i64,
     peak: i64,
 }
@@ -23,9 +26,14 @@ struct Meter {
 const IDLE: Meter = Meter {
     on: false,
     allocs: 0,
+    big: 0,
     live: 0,
     peak: 0,
 };
+
+/// glibc's default `M_MMAP_THRESHOLD`: a block this large is mapped,
+/// faulted in and unmapped on every allocation.
+const MMAP_THRESHOLD: usize = 128 * 1024;
 
 thread_local! {
     // Per thread, so tests running side by side do not see each other;
@@ -34,12 +42,15 @@ thread_local! {
     static METER: Cell<Meter> = const { Cell::new(IDLE) };
 }
 
-fn record(allocs: u64, bytes: i64) {
+/// `allocs` calls that change live bytes by `bytes`, leaving a block of
+/// `size` bytes (0 for a free).
+fn record(allocs: u64, bytes: i64, size: usize) {
     // `try_with`: the allocator still runs while a thread is torn down.
     let _ = METER.try_with(|cell| {
         let mut m = cell.get();
         if m.on {
             m.allocs += allocs;
+            m.big += u64::from(allocs > 0 && bytes > 0 && size >= MMAP_THRESHOLD);
             m.live += bytes;
             m.peak = m.peak.max(m.live);
             cell.set(m);
@@ -54,25 +65,25 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the meter is a side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
+        record(1, layout.size() as i64, layout.size());
         // SAFETY: the caller's obligations for `alloc` are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(0, -(layout.size() as i64));
+        record(0, -(layout.size() as i64), 0);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
+        record(1, layout.size() as i64, layout.size());
         // SAFETY: the caller's obligations for `alloc_zeroed` are passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(1, new_size as i64 - layout.size() as i64);
+        record(1, new_size as i64 - layout.size() as i64, new_size);
         // SAFETY: `ptr` came from `System` with this `layout`; `new_size`
         // is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -161,5 +172,48 @@ fn a_join_allocates_per_column_not_per_key() {
         meter.allocs < 200,
         "{} allocations for 10 000 distinct keys",
         meter.allocs
+    );
+}
+
+/// What the scratch a `Database` owns must not cost it.
+const _: () = {
+    const fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<Database>();
+};
+
+/// A repeated query borrows every selection, bucket and match buffer the
+/// first run handed back to the database: the second run's only large
+/// allocations are its result's columns, and at its high-water mark it
+/// holds its result plus the evaluator's chunk-sized lanes.
+#[test]
+fn a_repeated_query_allocates_its_result_and_little_else() {
+    let mut db = Database::new();
+    db.insert("a", table("a", 50_000, 3));
+    db.insert("b", table("b", 50_000, 3));
+    // Half of `a` joins once each; the filter above keeps four in five.
+    let plan = Plan::scan("a")
+        .filter(pred("a1 < 50"))
+        .hash_join(Plan::scan("b"), "a0", "b0")
+        .filter(pred("a1 + b1 < 80 AND b2 >= a0"));
+    let (first, _, _) = measured(&plan, &db);
+    let (out, _, meter) = measured(&plan, &db);
+    assert_eq!((out.num_rows(), out.columns.len()), (20_000, 6));
+    assert_eq!(format!("{first:?}"), format!("{out:?}"));
+    let result_columns = out
+        .columns
+        .iter()
+        .filter(|c| c.len() * 8 >= MMAP_THRESHOLD)
+        .count() as u64;
+    assert!(
+        meter.big <= result_columns,
+        "{} large allocations, {result_columns} of them result columns",
+        meter.big
+    );
+    let bound = bytes_of(&out) + 64 * 1024;
+    assert!(
+        meter.peak <= bound,
+        "peak {} B, bound {bound} B (a {} B result)",
+        meter.peak,
+        bytes_of(&out)
     );
 }

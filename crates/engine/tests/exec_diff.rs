@@ -1,7 +1,9 @@
 //! Differential corpus for the executor: seeded random tables, predicates
 //! and plans, each run through `execute` and through the reference below,
 //! and compared cell for cell (row order included) and on all four
-//! `ExecStats` counters.
+//! `ExecStats` counters. Each case runs its plan, a plan of another shape
+//! on the same database, then its own plan again, so buffers one query
+//! hands back to the database are reused by the next.
 //!
 //! The reference is the executor's specification written down once — rows
 //! as values, `CPred::eval` one row at a time, a nested-loop join in
@@ -161,8 +163,9 @@ fn some_columns(rng: &mut StdRng, names: &[String]) -> Vec<String> {
     names
 }
 
-/// Case `case` of the corpus: its database and its plan.
-fn build_case(case: u64, gen_preds: &[Pred]) -> (Database, Plan) {
+/// Case `case` of the corpus: its database, its plan, and a plan of
+/// another shape over the same database.
+fn build_case(case: u64, gen_preds: &[Pred]) -> (Database, Plan, Plan) {
     let rng = &mut StdRng::seed_from_u64(0xD1FF ^ case);
     // Mostly tiny tables (the nested-loop reference is quadratic), empty
     // ones included; now and then one long enough to cross chunk edges.
@@ -181,9 +184,20 @@ fn build_case(case: u64, gen_preds: &[Pred]) -> (Database, Plan) {
     let rows = wide.sample(size(rng), case);
     db.insert("wide", Table::from_rows(wide.schema(), &rows));
 
+    let shape = rng.gen_range(0..SHAPES);
+    let plan = build_plan(rng, shape, gen_preds);
+    let other_shape = (shape + rng.gen_range(1..SHAPES)) % SHAPES;
+    let other = build_plan(rng, other_shape, gen_preds);
+    (db, plan, other)
+}
+
+const SHAPES: u32 = 8;
+
+/// A plan of shape `shape` over the tables [`build_case`] inserts.
+fn build_plan(rng: &mut StdRng, shape: u32, gen_preds: &[Pred]) -> Plan {
     let scan = Plan::scan;
     let gen_pred = |rng: &mut StdRng| gen_preds[rng.gen_range(0..gen_preds.len())].clone();
-    let plan = match rng.gen_range(0..8u32) {
+    match shape {
         0 => scan("t"),
         1 => scan("t").filter(hand_pred(rng, "t", "t")),
         2 => scan("wide").filter(gen_pred(rng)),
@@ -221,8 +235,29 @@ fn build_case(case: u64, gen_preds: &[Pred]) -> (Database, Plan) {
             .filter(hand_pred(rng, "t", "t"))
             .filter(hand_pred(rng, "t", "t"))
             .project(vec!["t_d".to_string(), "t_k".to_string()]),
-    };
-    (db, plan)
+    }
+}
+
+/// Run `plan` on `db` and hold it to the reference: schema, every cell in
+/// order, and all four counters.
+fn check(case: u64, plan: &Plan, db: &Database) -> (Table, ExecStats) {
+    let (got, _, got_stats) =
+        execute(plan, db).unwrap_or_else(|e| panic!("case {case}: {e}\n{plan}"));
+    let mut want_stats = ExecStats::default();
+    let want = reference(plan, db, &mut want_stats);
+    assert_eq!(got.schema, want.schema, "case {case}\n{plan}");
+    // Debug text, so that NaN cells compare equal to themselves.
+    let (got_rows, want_rows) = (rows_of(&got), rows_of(&want));
+    assert_eq!(got_rows.len(), want_rows.len(), "case {case}\n{plan}");
+    for (i, (g, w)) in got_rows.iter().zip(&want_rows).enumerate() {
+        assert_eq!(
+            format!("{g:?}"),
+            format!("{w:?}"),
+            "case {case} row {i}\n{plan}"
+        );
+    }
+    assert_eq!(got_stats, want_stats, "case {case}\n{plan}");
+    (got, got_stats)
 }
 
 fn run_corpus(cases: u64) {
@@ -238,23 +273,14 @@ fn run_corpus(cases: u64) {
     .collect();
     let (mut nonempty, mut joined) = (0, 0);
     for case in 0..cases {
-        let (db, plan) = build_case(case, &gen_preds);
-        let (got, _, got_stats) =
-            execute(&plan, &db).unwrap_or_else(|e| panic!("case {case}: {e}\n{plan}"));
-        let mut want_stats = ExecStats::default();
-        let want = reference(&plan, &db, &mut want_stats);
-        assert_eq!(got.schema, want.schema, "case {case}\n{plan}");
-        // Debug text, so that NaN cells compare equal to themselves.
-        let (got_rows, want_rows) = (rows_of(&got), rows_of(&want));
-        assert_eq!(got_rows.len(), want_rows.len(), "case {case}\n{plan}");
-        for (i, (g, w)) in got_rows.iter().zip(&want_rows).enumerate() {
-            assert_eq!(
-                format!("{g:?}"),
-                format!("{w:?}"),
-                "case {case} row {i}\n{plan}"
-            );
-        }
-        assert_eq!(got_stats, want_stats, "case {case}\n{plan}");
+        let (db, plan, other) = build_case(case, &gen_preds);
+        let (got, got_stats) = check(case, &plan, &db);
+        // The database's scratch buffers now hold what this plan left in
+        // them; a plan of another shape reuses and refills them, and none
+        // of it may reach the plan's second run. (The other plan is only
+        // run: its reference can be a quadratic join of the long tables.)
+        execute(&other, &db).unwrap_or_else(|e| panic!("case {case}: {e}\n{other}"));
+        check(case, &plan, &db);
         nonempty += u64::from(got.num_rows() > 0);
         joined += u64::from(got_stats.join_output_rows > 0);
     }

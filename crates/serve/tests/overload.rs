@@ -1,18 +1,45 @@
 //! Overload-resilience tests: deadline expiry in the queue, two-lane
 //! shedding of expensive work under pressure, and the AIMD admission
 //! controller tightening its limit when queue delay blows the budget.
+//!
+//! Each test holds the single worker with an injected `synth.run` stall
+//! rather than by counting on CEGIS being slow (in a release build it
+//! finishes before the victims are queued). Failpoints are process-global,
+//! so the tests serialize on [`FAULT_LOCK`] and clear the registry when
+//! done.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sia_serve::{client, server, Request, ServeConfig, Status};
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serialize the test, start it from a clean registry, and stall the first
+/// synthesis — the occupier's — for `millis`. The registry is cleared
+/// again when the returned guard drops, panicking exits included.
+fn hold_worker(millis: u64) -> (MutexGuard<'static, ()>, ClearOnDrop) {
+    let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    sia_fault::clear();
+    sia_fault::configure("synth.run", &format!("1*delay({millis})")).expect("policy parses");
+    (guard, ClearOnDrop)
+}
+
+struct ClearOnDrop;
+
+impl Drop for ClearOnDrop {
+    fn drop(&mut self) {
+        sia_fault::clear();
+    }
+}
 
 fn strs(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| (*s).to_string()).collect()
 }
 
-/// A predicate hard enough that CEGIS cannot finish within 10 ms — and
-/// multi-variable enough that static derivation cannot discharge it
-/// exactly, so the reader classifies it into the expensive lane.
+/// A predicate multi-variable enough that static derivation cannot
+/// discharge it exactly, so the reader classifies it into the expensive
+/// lane and its synthesis reaches the stalled `synth.run`.
 const HARD: &str = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
 
 /// A predicate the analyzer derives exactly: cheap lane, instant answer.
@@ -33,6 +60,7 @@ fn request(id: &str, predicate: &str, cols: &[&str], timeout_ms: Option<u64>) ->
 /// up in its phase breakdown and no synthesis ever runs for it.
 #[test]
 fn queued_request_past_its_deadline_expires_without_running() {
+    let _hold = hold_worker(2000);
     let handle = server::start(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -86,6 +114,7 @@ fn queued_request_past_its_deadline_expires_without_running() {
 /// answered non-degraded.
 #[test]
 fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
+    let _hold = hold_worker(1500);
     let handle = server::start(ServeConfig {
         workers: 1,
         queue_depth: 4,
@@ -170,6 +199,7 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
 /// for a while after.
 #[test]
 fn adaptive_admission_tightens_the_limit_under_queue_delay() {
+    let _hold = hold_worker(1000);
     let handle = server::start(ServeConfig {
         workers: 1,
         queue_depth: 64,

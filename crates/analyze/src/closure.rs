@@ -255,7 +255,7 @@ impl Closure {
     /// Can the closed conjunction never evaluate TRUE? (The plan under it
     /// returns no rows.) Decided when the closure was built, by the
     /// analyzer that built it.
-    pub fn contradictory(&self, _an: &Analyzer) -> bool {
+    pub fn contradictory(&self) -> bool {
         self.contradictory
     }
 
@@ -423,8 +423,8 @@ mod tests {
         let p = eq("a", "b")
             .and(col("a").lt(lit(0)))
             .and(col("b").gt(lit(0)));
-        assert!(an.close(&p).contradictory(&an));
+        assert!(an.close(&p).contradictory());
         let q = eq("a", "b").and(col("a").lt(lit(0)));
-        assert!(!an.close(&q).contradictory(&an));
+        assert!(!an.close(&q).contradictory());
     }
 }

@@ -159,7 +159,7 @@ fn closure_is_implied_by_its_input() {
             }
             // A contradiction verdict forbids any TRUE tuple.
             assert!(
-                !cl.contradictory(&an),
+                !cl.contradictory(),
                 "`{p}` declared contradictory but {tuple:?} satisfies it"
             );
         }
@@ -246,7 +246,7 @@ fn answers_do_not_depend_on_what_was_asked_before() {
             .iter()
             .map(|s| an.close(&p).entailed_over(&an, s))
             .collect();
-        let verdict = an.close(&p).contradictory(&an);
+        let verdict = an.close(&p).contradictory();
         let shared = an.close(&p);
         for round in 0..3 {
             let mut order: Vec<usize> = (0..scopes.len()).collect();
@@ -255,7 +255,7 @@ fn answers_do_not_depend_on_what_was_asked_before() {
             }
             for &i in &order {
                 if g.gen_range(0u32..2) == 0 {
-                    assert_eq!(shared.contradictory(&an), verdict, "`{p}` round {round}");
+                    assert_eq!(shared.contradictory(), verdict, "`{p}` round {round}");
                 }
                 assert_eq!(
                     shared.entailed_over(&an, &scopes[i]),
@@ -265,6 +265,6 @@ fn answers_do_not_depend_on_what_was_asked_before() {
                 );
             }
         }
-        assert_eq!(shared.contradictory(&an), verdict, "`{p}`");
+        assert_eq!(shared.contradictory(), verdict, "`{p}`");
     }
 }

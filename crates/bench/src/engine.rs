@@ -19,7 +19,6 @@ use std::time::Instant;
 use sia_core::{verify_implies, PredEncoder, Validity};
 use sia_engine::{Database, MoveAround, OptimizerConfig, QueryResult, Table};
 use sia_expr::Value;
-use sia_obs::Counter;
 
 use crate::{util, Gates};
 
@@ -263,8 +262,6 @@ pub fn run() -> Gates {
         ));
     }
 
-    // The headline saving, in the live counter the serve path also uses.
-    sia_obs::add(Counter::EngineMoveRowsSaved, total_saved);
     let snapshot = sia_obs::snapshot();
     sia_obs::disable();
 

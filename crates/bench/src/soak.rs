@@ -407,7 +407,6 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         retried += usize::from(*was_retried);
         let Some(resp) = response else {
             lost += 1;
-            sia_obs::add(Counter::SoakLost, 1);
             continue;
         };
         if resp.status == Status::Overloaded {
@@ -420,11 +419,7 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
             ok += 1;
             if unit(&mut oracle_rng) < ORACLE_RATE {
                 oracle_checks += 1;
-                sia_obs::add(Counter::SoakOracleChecks, 1);
-                if oracle_refutes(pool_preds[i % pool_preds.len()], resp) {
-                    violations += 1;
-                    sia_obs::add(Counter::SoakViolations, 1);
-                }
+                violations += usize::from(oracle_refutes(pool_preds[i % pool_preds.len()], resp));
             }
         }
     }
@@ -442,7 +437,6 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         if bucket.is_empty() {
             continue;
         }
-        sia_obs::add(Counter::SoakWindows, 1);
         let mut lat: Vec<f64> = bucket.iter().map(|a| a.latency_us()).collect();
         let count = |pred: fn(&Response) -> bool| {
             bucket

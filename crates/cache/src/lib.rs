@@ -10,8 +10,8 @@
 //!   Constants stay in the key — caching on the template alone would be
 //!   unsound, because the synthesized predicate depends on them.
 //! - [`PredicateCache`] is a sharded in-memory LRU keyed on
-//!   `(canonical predicate, target column set)`, with hit/miss/eviction
-//!   statistics mirrored into `sia-obs` (`cache.*` counters).
+//!   `(canonical predicate, target column set)`, counting its own
+//!   hits, misses, inserts and evictions ([`CacheStats`]).
 //! - Entries persist to a checksummed snapshot file (one CRC32-guarded
 //!   record per line, rendered predicates re-parsed on load) written via
 //!   write-to-temp + fsync + atomic rename, so a server restart starts
@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sia_expr::Pred;
-use sia_obs::Counter;
 
 /// A cached synthesis outcome, stored in canonical column space.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +154,6 @@ impl PredicateCache {
         match hit {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                sia_obs::add(Counter::CacheHits, 1);
                 Some(CachedResult {
                     predicate: canon.to_original_space(&cached.predicate),
                     optimal: cached.optimal,
@@ -184,11 +182,7 @@ impl PredicateCache {
             shard.insert(key, value)
         };
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        sia_obs::add(Counter::CacheInserts, 1);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            sia_obs::add(Counter::CacheEvictions, evicted);
-        }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Cumulative statistics.
@@ -249,8 +243,7 @@ impl PredicateCache {
     /// inserting them subject to the LRU capacity. Records that fail
     /// their CRC check or do not parse (the damaged tail a crashed writer
     /// leaves behind) are dropped rather than failing the load; the
-    /// report says how many, mirrored into the `cache.recovered` /
-    /// `cache.dropped_records` metrics.
+    /// report says how many.
     pub fn load_file(&self, path: &str) -> std::io::Result<LoadReport> {
         if let Some(msg) = sia_fault::fire("cache.load") {
             return Err(std::io::Error::other(msg));
@@ -263,8 +256,6 @@ impl PredicateCache {
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
             shard.insert(key, value);
         }
-        sia_obs::add(Counter::CacheRecovered, report.recovered as u64);
-        sia_obs::add(Counter::CacheDroppedRecords, report.dropped as u64);
         Ok(report)
     }
 
@@ -291,7 +282,6 @@ impl PredicateCache {
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        sia_obs::add(Counter::CacheMisses, 1);
     }
 }
 

@@ -10,8 +10,8 @@
 //! The checksum makes torn writes detectable: a process killed mid-write
 //! leaves a truncated or garbled tail record whose CRC cannot match, so
 //! recovery drops exactly the damaged records and keeps everything before
-//! them instead of failing startup (metrics `cache.recovered` /
-//! `cache.dropped_records`). A line without a CRC prefix is a damaged
+//! them instead of failing startup (the counts come back as a
+//! [`LoadReport`]). A line without a CRC prefix is a damaged
 //! record like any other: there is no unchecksummed format.
 
 use std::io::{BufRead, Write};

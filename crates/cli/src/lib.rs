@@ -57,7 +57,8 @@ plan prints the optimized tree for a query over the registry tables;
 transition/push-down, or synth to also learn predicates at blocked
 join boundaries) and --explain adds the pre-optimization tree and the
 per-scan derivation report.
---metrics prints a per-phase wall-time and solver-counter breakdown;
+--metrics prints a per-phase wall-time and solver-counter breakdown
+(serve adds its final stats, as `sia top` renders them);
 --trace streams every span/counter event as JSONL to FILE.
 serve speaks line-delimited JSON over TCP (one request object per line,
 see `sia batch` input: {\"id\":…,\"predicate\":…,\"cols\":\"a,b\",\"timeout_ms\":…});
@@ -838,12 +839,20 @@ impl Serve {
             sia_obs::reset();
             sia_obs::enable();
         }
+        let cache_file = self.config.cache_file.clone();
         let handle = server::start(self.config).map_err(|e| format!("cannot start server: {e}"))?;
-        // Announce readiness immediately; `run` only returns output
-        // after shutdown, and clients need the address to connect.
-        println!("sia-serve listening on {}", handle.addr());
+        if let (Some(path), Some(load)) = (cache_file, handle.cache_load()) {
+            println!(
+                "cache file {path}: recovered {} records, dropped {}",
+                load.recovered, load.dropped
+            );
+        }
+        // Announce readiness immediately, and last: `run` only returns
+        // output after shutdown, and clients wait for this line.
+        let addr = handle.addr().to_string();
+        println!("sia-serve listening on {addr}");
         let cache = handle.cache_arc();
-        handle
+        let last = handle
             .wait()
             .map_err(|e| format!("server shutdown failed: {e}"))?;
         let stats = cache.stats();
@@ -858,6 +867,8 @@ impl Serve {
         );
         if self.metrics {
             sia_obs::disable();
+            out.push_str("\n\n== server ==\n");
+            out.push_str(&render_top(&addr, &last));
             out.push_str("\n\n== metrics ==\n");
             out.push_str(&sia_obs::summary().to_string());
         }

@@ -129,10 +129,19 @@ fn synth_timeout_exits_two_even_with_injected_solver_stalls() {
     );
 }
 
-/// Start `sia serve` on an ephemeral port; return the child, its address,
-/// and the stdout reader (which must stay open until the child exits, or
-/// the server's final summary hits a broken pipe).
-fn start_server(extra: &[&str]) -> (Child, String, BufReader<std::process::ChildStdout>) {
+/// A running `sia serve`: the child, its address, what it printed before
+/// the `listening` banner, and the stdout reader (which must stay open
+/// until the child exits, or the server's final summary hits a broken
+/// pipe).
+struct Server {
+    child: Child,
+    addr: String,
+    startup: String,
+    stdout: BufReader<std::process::ChildStdout>,
+}
+
+/// Start `sia serve` on an ephemeral port.
+fn start_server(extra: &[&str]) -> Server {
     let mut child = Command::new(SIA)
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .args(extra)
@@ -140,21 +149,35 @@ fn start_server(extra: &[&str]) -> (Child, String, BufReader<std::process::Child
         .stderr(Stdio::null())
         .spawn()
         .expect("server starts");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("banner line");
-    let addr = line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-    assert!(line.contains("listening"), "unexpected banner: {line:?}");
-    (child, addr, reader)
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut startup = String::new();
+    let addr = loop {
+        let mut line = String::new();
+        let n = stdout.read_line(&mut line).expect("startup line");
+        assert!(n > 0, "no banner after: {startup:?}");
+        if let Some(addr) = line.trim().strip_prefix("sia-serve listening on ") {
+            break addr.to_string();
+        }
+        startup.push_str(&line);
+    };
+    Server {
+        child,
+        addr,
+        startup,
+        stdout,
+    }
 }
 
-fn stop_server(mut child: Child, addr: &str, mut stdout: BufReader<std::process::ChildStdout>) {
+/// Shut the server down over the wire; return what it printed after the
+/// banner.
+fn stop_server(server: Server) -> String {
+    let Server {
+        mut child,
+        addr,
+        mut stdout,
+        ..
+    } = server;
+    let addr = addr.as_str();
     let mut stream = std::net::TcpStream::connect(addr).expect("connect for shutdown");
     writeln!(stream, "{{\"op\":\"shutdown\"}}").unwrap();
     let mut line = String::new();
@@ -165,13 +188,15 @@ fn stop_server(mut child: Child, addr: &str, mut stdout: BufReader<std::process:
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
     assert!(rest.contains("cache:"), "final summary missing: {rest}");
+    rest
 }
 
 #[test]
 fn serve_and_batch_round_trip() {
     let dir = std::env::temp_dir().join(format!("sia-exitcodes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (child, addr, server_out) = start_server(&[]);
+    let server = start_server(&[]);
+    let addr = server.addr.clone();
 
     // A good batch exits 0 and reports per-request responses.
     let good = dir.join("good.jsonl");
@@ -209,7 +234,53 @@ fn serve_and_batch_round_trip() {
     let out = sia(&["batch", bad.to_str().unwrap(), "--addr", &addr]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 
-    stop_server(child, &addr, server_out);
+    stop_server(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--metrics` ends with the server's own final stats, and `--cache-file`
+/// reports at startup what the load recovered: nothing on a cold start,
+/// the saved entries on the restart after it.
+#[test]
+fn serve_metrics_and_cache_file_round_trip() {
+    let dir = std::env::temp_dir().join(format!("sia-servemetrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cache.snap");
+    let cache = cache.to_str().unwrap();
+    let good = dir.join("good.jsonl");
+    std::fs::write(
+        &good,
+        "{\"id\":\"g0\",\"predicate\":\"a + 10 > b + 20 AND b + 10 > 20\",\"cols\":\"a\"}\n\
+         {\"id\":\"g1\",\"predicate\":\"x < 5 AND y > 2\",\"cols\":\"x\"}\n",
+    )
+    .unwrap();
+
+    let cold = start_server(&["--metrics", "--cache-file", cache]);
+    assert!(
+        cold.startup.contains(&format!(
+            "cache file {cache}: recovered 0 records, dropped 0"
+        )),
+        "{}",
+        cold.startup
+    );
+    let out = sia(&["batch", good.to_str().unwrap(), "--addr", &cold.addr]);
+    assert!(out.status.success(), "{out:?}");
+    let rest = stop_server(cold);
+    assert!(rest.contains("== server =="), "{rest}");
+    assert!(rest.contains("requests 2 accepted / 2 completed"), "{rest}");
+    assert!(rest.contains("latency  p50"), "{rest}");
+    assert!(rest.contains("== metrics =="), "{rest}");
+
+    let warm = start_server(&["--cache-file", cache]);
+    assert!(
+        warm.startup.contains(&format!(
+            "cache file {cache}: recovered 2 records, dropped 0"
+        )),
+        "{}",
+        warm.startup
+    );
+    let rest = stop_server(warm);
+    assert!(!rest.contains("== server =="), "{rest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,5 +1,5 @@
-//! Model-based FALSE-sample generation (CEGQI): the alternative to Cooper
-//! quantifier elimination.
+//! Model-based FALSE-sample generation (CEGQI): the fallback behind
+//! Cooper quantifier elimination.
 //!
 //! Instead of computing the unsatisfaction region `¬∃others.p` in closed
 //! form, guess a candidate tuple over the kept columns, then ask the
@@ -7,8 +7,8 @@
 //! feasible — block it and retry; if no it is an unsatisfaction tuple.
 //! Sound and allocation-light, but each verdict costs a solver call and
 //! exhaustion can only be certified when the candidate space itself dries
-//! up. Used when QE is unavailable (non-integer columns) or over budget,
-//! and benchmarked against Cooper in the ablation suite.
+//! up. Used when QE exceeds its budget, or when sampling the eliminated
+//! region comes back `Unknown`.
 
 use crate::samples::SampleOutcome;
 use sia_num::{BigInt, BigRat};
@@ -16,18 +16,8 @@ use sia_rand::rngs::StdRng;
 use sia_rand::Rng;
 use sia_smt::{Formula, LinTerm, SmtResult, Solver, VarId};
 
-/// Configuration for the CEGQI sampler.
-#[derive(Debug, Clone)]
-pub struct CegqiConfig {
-    /// Candidate guesses per requested sample before giving up.
-    pub max_tries: usize,
-}
-
-impl Default for CegqiConfig {
-    fn default() -> Self {
-        CegqiConfig { max_tries: 50 }
-    }
-}
+/// Candidate guesses per requested sample before giving up.
+const MAX_TRIES: usize = 50;
 
 /// Draw one unsatisfaction tuple of `p_formula` over `keep`, subject to
 /// `extra` (e.g. the current valid predicate for `CounterF`) and distinct
@@ -39,14 +29,13 @@ pub fn false_sample(
     extra: &Formula,
     seen: &mut Vec<Vec<BigInt>>,
     rng: &mut StdRng,
-    cfg: &CegqiConfig,
 ) -> SampleOutcome {
     let mut blocked = Formula::True;
-    for attempt in 0..cfg.max_tries {
+    for attempt in 0..MAX_TRIES {
         let base = extra.clone().and(not_old(keep, seen)).and(blocked.clone());
         // Scatter on early attempts for diversity; drop it later so the
         // exhaustion check below stays authoritative.
-        let candidate_formula = if attempt < cfg.max_tries / 2 {
+        let candidate_formula = if attempt < MAX_TRIES / 2 {
             let scattered = base.clone().and(scatter(keep, rng));
             match solver.check(&scattered) {
                 SmtResult::Sat(m) => Some(m),
@@ -139,15 +128,7 @@ mod tests {
         let mut seen = Vec::new();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..5 {
-            match false_sample(
-                enc.solver(),
-                &pf,
-                &[a],
-                &Formula::True,
-                &mut seen,
-                &mut rng,
-                &CegqiConfig::default(),
-            ) {
+            match false_sample(enc.solver(), &pf, &[a], &Formula::True, &mut seen, &mut rng) {
                 SampleOutcome::Sample(t) => {
                     assert!(t[0].to_i64().unwrap() >= 5, "not an unsat tuple: {t:?}");
                 }
@@ -169,15 +150,7 @@ mod tests {
         // Bound the candidate space via extra so exhaustion is reachable.
         let extra = parse_predicate("a >= 0 AND a <= 3").unwrap();
         let extra_f = enc.encode(&extra).unwrap();
-        let out = false_sample(
-            enc.solver(),
-            &pf,
-            &[a],
-            &extra_f,
-            &mut seen,
-            &mut rng,
-            &CegqiConfig::default(),
-        );
+        let out = false_sample(enc.solver(), &pf, &[a], &extra_f, &mut seen, &mut rng);
         assert_eq!(out, SampleOutcome::Exhausted);
         assert!(seen.is_empty());
     }
@@ -191,15 +164,7 @@ mod tests {
         let extra = enc.encode(&parse_predicate("a > 100").unwrap()).unwrap();
         let mut seen = Vec::new();
         let mut rng = StdRng::seed_from_u64(3);
-        match false_sample(
-            enc.solver(),
-            &pf,
-            &[a],
-            &extra,
-            &mut seen,
-            &mut rng,
-            &CegqiConfig::default(),
-        ) {
+        match false_sample(enc.solver(), &pf, &[a], &extra, &mut seen, &mut rng) {
             SampleOutcome::Sample(t) => assert!(t[0].to_i64().unwrap() > 100),
             other => panic!("expected sample, got {other:?}"),
         }

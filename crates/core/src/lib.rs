@@ -40,7 +40,5 @@ pub use learn::{learn, LearnConfig, LearnOutput, LearnedPlane};
 pub use prove::{Connective, Prover, Tier};
 pub use rewrite::{rewrite_query, RewriteError, RewriteOutcome};
 pub use samples::{SampleOutcome, Sampler};
-pub use synth::{
-    FalseSampleStrategy, SiaConfig, SynthStats, SynthesisError, SynthesisResult, Synthesizer,
-};
+pub use synth::{SiaConfig, SynthStats, SynthesisError, SynthesisResult, Synthesizer};
 pub use verify::{remove_redundant_conjuncts, unsat_region, verify_implies, Validity};

@@ -1,7 +1,7 @@
 //! The `Synthesize` procedure (Alg 1): counter-example guided learning of
 //! a valid, optimal dimensionality reduction.
 
-use crate::cegqi::{self, CegqiConfig};
+use crate::cegqi;
 use crate::encode::{EncodeError, PredEncoder};
 use crate::learn::{learn, LearnConfig};
 use crate::prove::{self, Prover};
@@ -13,19 +13,6 @@ use sia_rand::rngs::StdRng;
 use sia_rand::SeedableRng;
 use sia_smt::{Budget, Formula, QeConfig, VarId};
 use std::time::{Duration, Instant};
-
-/// How FALSE samples (unsatisfaction tuples) are produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FalseSampleStrategy {
-    /// Cooper quantifier elimination: the unsatisfaction region is
-    /// computed once, exactly; sampling and the optimality check are then
-    /// plain satisfiability queries. Falls back to CEGQI when elimination
-    /// exceeds its budget.
-    #[default]
-    CooperQe,
-    /// Model-based guess-and-verify (see [`crate::cegqi`]).
-    Cegqi,
-}
 
 /// Synthesis configuration. [`SiaConfig::default`] matches the paper's
 /// SIA row in Table 1 (max 41 iterations, 10+10 initial samples, 5 new
@@ -43,12 +30,9 @@ pub struct SiaConfig {
     pub per_iteration: usize,
     /// Learner settings (SVM, rationalization, disjunct budget).
     pub learn: LearnConfig,
-    /// Quantifier-elimination budgets.
+    /// Quantifier-elimination budgets. Over budget, FALSE samples come
+    /// from [`crate::cegqi`] instead of the eliminated region.
     pub qe: QeConfig,
-    /// FALSE-sample strategy.
-    pub false_strategy: FalseSampleStrategy,
-    /// CEGQI budget (fallback / alternative strategy).
-    pub cegqi: CegqiConfig,
     /// RNG seed for sample diversification.
     pub seed: u64,
     /// Deadline/cancel token for the whole run. Cloned into the SMT
@@ -67,8 +51,6 @@ impl Default for SiaConfig {
             per_iteration: 5,
             learn: LearnConfig::default(),
             qe: QeConfig::default(),
-            false_strategy: FalseSampleStrategy::default(),
-            cegqi: CegqiConfig::default(),
             seed: 0xC0FFEE,
             budget: Budget::unlimited(),
         }
@@ -324,19 +306,17 @@ impl Synthesizer {
         }
         // Build the FALSE-sample machinery.
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
-        let false_region: Option<Formula> = match self.config.false_strategy {
-            // On QE budget errors this is None and we fall back to CEGQI.
-            // Statically-dead disjuncts of p are pruned first: they admit
-            // no TRUE tuple, so the projection ∃ others . p is unchanged
-            // while Cooper elimination skips their atoms entirely.
-            FalseSampleStrategy::CooperQe => {
-                let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
-                    Some(live) => enc.encode(&live)?,
-                    None => p_f.clone(),
-                };
-                unsat_region(&qe_f, &others, &self.config.qe).ok()
-            }
-            FalseSampleStrategy::Cegqi => None,
+        // Cooper QE computes the unsatisfaction region once, exactly; on a
+        // budget error this is None and FALSE samples come from CEGQI.
+        // Statically-dead disjuncts of p are pruned first: they admit no
+        // TRUE tuple, so the projection ∃ others . p is unchanged while
+        // Cooper elimination skips their atoms entirely.
+        let false_region: Option<Formula> = {
+            let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
+                Some(live) => enc.encode(&live)?,
+                None => p_f.clone(),
+            };
+            unsat_region(&qe_f, &others, &self.config.qe).ok()
         };
         let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), self.config.seed);
         let mut fs_sampler = false_region
@@ -360,7 +340,6 @@ impl Synthesizer {
                         $extra,
                         &mut cegqi_seen,
                         &mut rng,
-                        &self.config.cegqi,
                     ),
                 };
                 if matches!(out, SampleOutcome::Unknown) {
@@ -373,7 +352,6 @@ impl Synthesizer {
                             $extra,
                             &mut cegqi_seen,
                             &mut rng,
-                            &self.config.cegqi,
                         );
                     }
                 }
@@ -810,16 +788,23 @@ mod tests {
 
     #[test]
     fn cegqi_strategy_agrees() {
-        let p = parse_predicate("a - b < 5 AND b < 0").unwrap();
+        // Non-unit coefficients keep the static tier from answering, and a
+        // zero disjunct budget fails Cooper QE on its first elimination,
+        // so every FALSE sample comes from CEGQI.
+        let p = parse_predicate("2*a - 3*b < 5 AND b < 0 AND 0 - b < 10").unwrap();
         let mut syn = Synthesizer::new(SiaConfig {
-            false_strategy: FalseSampleStrategy::Cegqi,
+            qe: QeConfig {
+                max_disjuncts: 0,
+                ..QeConfig::default()
+            },
             ..SiaConfig::default()
         });
         let r = syn.synthesize(&p, &strs(&["a"])).unwrap();
+        assert!(!r.derived_static);
         let learned = r.predicate.expect("non-trivial predicate");
-        // valid: any a ≤ 3 must be accepted (a - b < 5 over integers means
-        // a ≤ b + 4 with b ≤ -1, so the satisfiable region is a ≤ 3).
-        for a in -30i64..=3 {
+        // valid: every a the original admits is accepted (b = -1 is the
+        // best witness, 2a < 2, so the satisfiable region is a ≤ 0).
+        for a in -30i64..=0 {
             let m: HashMap<String, Value> =
                 [("a".to_string(), Value::Int(a))].into_iter().collect();
             assert_eq!(eval_pred(&learned, &m), Some(true), "at a={a}");

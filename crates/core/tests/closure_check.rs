@@ -40,7 +40,7 @@ fn closure_atoms_are_solver_valid() {
         let cl = an.close(&p);
         // An unsatisfiable input implies anything; skip those so every
         // remaining verdict is informative.
-        if cl.contradictory(&an) {
+        if cl.contradictory() {
             continue;
         }
         for atom in &cl.derived {

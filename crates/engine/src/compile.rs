@@ -81,127 +81,7 @@ pub fn compile_pred(p: &Pred, schema: &Schema) -> Result<CPred, UnknownColumn> {
     })
 }
 
-/// Scalar result of compiled evaluation; `None` = NULL.
-type Scalar = Option<ScalarVal>;
-
-#[derive(Debug, Clone, Copy)]
-enum ScalarVal {
-    I(i64),
-    F(f64),
-}
-
-impl CExpr {
-    #[inline]
-    fn eval(&self, table: &Table, row: usize) -> Scalar {
-        match self {
-            CExpr::Col(i) => {
-                let col = &table.columns[*i];
-                if let Some(mask) = &col.validity {
-                    if !mask[row] {
-                        return None;
-                    }
-                }
-                Some(match &col.data {
-                    ColumnData::Int(v) => ScalarVal::I(v[row]),
-                    ColumnData::Double(v) => ScalarVal::F(v[row]),
-                })
-            }
-            CExpr::ConstI(v) => Some(ScalarVal::I(*v)),
-            CExpr::ConstF(v) => Some(ScalarVal::F(*v)),
-            CExpr::Bin(op, l, r) => {
-                let (l, r) = (l.eval(table, row)?, r.eval(table, row)?);
-                match (l, r) {
-                    (ScalarVal::I(a), ScalarVal::I(b)) => match op {
-                        ArithOp::Add => Some(ScalarVal::I(a.saturating_add(b))),
-                        ArithOp::Sub => Some(ScalarVal::I(a.saturating_sub(b))),
-                        ArithOp::Mul => Some(ScalarVal::I(a.saturating_mul(b))),
-                        ArithOp::Div => {
-                            if b == 0 {
-                                None
-                            } else {
-                                Some(ScalarVal::I(a.wrapping_div(b)))
-                            }
-                        }
-                    },
-                    (a, b) => {
-                        let (x, y) = (a.as_f64(), b.as_f64());
-                        let v = match op {
-                            ArithOp::Add => x + y,
-                            ArithOp::Sub => x - y,
-                            ArithOp::Mul => x * y,
-                            ArithOp::Div => {
-                                if y == 0.0 {
-                                    return None;
-                                }
-                                x / y
-                            }
-                        };
-                        Some(ScalarVal::F(v))
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ScalarVal {
-    #[inline]
-    fn as_f64(self) -> f64 {
-        match self {
-            ScalarVal::I(v) => v as f64,
-            ScalarVal::F(v) => v,
-        }
-    }
-}
-
 impl CPred {
-    /// Three-valued evaluation of one row.
-    #[inline]
-    pub fn eval(&self, table: &Table, row: usize) -> Option<bool> {
-        match self {
-            CPred::Lit(b) => Some(*b),
-            CPred::Cmp(op, l, r) => {
-                let (l, r) = (l.eval(table, row)?, r.eval(table, row)?);
-                let ord = match (l, r) {
-                    (ScalarVal::I(a), ScalarVal::I(b)) => a.cmp(&b),
-                    (a, b) => a.as_f64().partial_cmp(&b.as_f64())?,
-                };
-                Some(op.eval_ord(ord))
-            }
-            CPred::And(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval(table, row) {
-                        Some(false) => return Some(false),
-                        None => unknown = true,
-                        Some(true) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-            CPred::Or(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval(table, row) {
-                        Some(true) => return Some(true),
-                        None => unknown = true,
-                        Some(false) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            CPred::Not(p) => p.eval(table, row).map(|b| !b),
-        }
-    }
-
     /// The fraction of rows accepted (selectivity; 1.0 on empty input).
     ///
     /// # Panics
@@ -348,7 +228,7 @@ impl CPred {
     /// The relation rows (of `rows`, over `cols`) on which the predicate is
     /// TRUE, ascending — WHERE semantics: NULL rejects — written over
     /// whatever `out` held. This is the one evaluator execution uses;
-    /// [`CPred::eval`] is its one-row reference.
+    /// its tests hold it to `sia_expr::eval_pred`, row by row.
     pub fn select(&self, cols: &[ColRef<'_>], rows: u32, mut out: Vec<u32>) -> Vec<u32> {
         out.clear();
         // `out`'s tail is the candidate list: a chunk's rows go after what
@@ -464,14 +344,15 @@ mod tests {
         Table::new(base.schema.clone(), columns)
     }
 
-    /// Compile `sql`, check the chunked evaluator against the one-row
-    /// reference on every row, and return the selected rows.
+    /// Compile `sql`, check the chunked evaluator against
+    /// `sia_expr::eval_pred` on every row, and return the selected rows.
     pub(super) fn select(sql: &str, t: &Table) -> Vec<u32> {
-        let p = compile_pred(&parse_predicate(sql).unwrap(), &t.schema).unwrap();
+        let pred = parse_predicate(sql).unwrap();
+        let p = compile_pred(&pred, &t.schema).unwrap();
         let cols: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
         let rows = p.select(&cols, t.num_rows() as u32, Vec::new());
         let reference: Vec<u32> = (0..t.num_rows())
-            .filter(|&row| p.eval(t, row) == Some(true))
+            .filter(|&row| sia_expr::eval_pred(&pred, &|c: &str| t.value(row, c)) == Some(true))
             .map(|row| row as u32)
             .collect();
         assert_eq!(rows, reference, "{sql} over {} rows", t.num_rows());
@@ -559,23 +440,18 @@ mod tests {
 
     #[test]
     fn matches_interpreted_eval() {
-        use std::collections::HashMap;
-        let base = table();
-        let pred = parse_predicate("a - b < 3 OR d > 4.0").unwrap();
+        // A predicate keeps the rows it is TRUE on and its negation the
+        // rows it is FALSE on, so between them `select` is held to all
+        // three truth values; row 1 of each tile (a - b = 3, d NULL) is
+        // the NULL one.
+        let mut base = table();
+        base.columns[2].validity = Some(vec![true, false, true, true]);
         for len in LENGTHS {
             let t = tiled(&base, len);
-            let c = compile_pred(&pred, &t.schema).unwrap();
-            let selected = select("a - b < 3 OR d > 4.0", &t);
-            for row in 0..t.num_rows() {
-                let m: HashMap<String, sia_expr::Value> = ["a", "b", "d"]
-                    .iter()
-                    .map(|n| (n.to_string(), t.value(row, n)))
-                    .collect();
-                let interpreted = sia_expr::eval_pred(&pred, &m);
-                assert_eq!(c.eval(&t, row), interpreted, "row {row}");
-                let kept = selected.binary_search(&(row as u32)).is_ok();
-                assert_eq!(kept, interpreted == Some(true), "row {row} of {len}");
-            }
+            let kept = select("a - b < 3 OR d > 4.0", &t);
+            let dropped = select("NOT (a - b < 3 OR d > 4.0)", &t);
+            let nulls = (0..len).filter(|r| r % 4 == 1).count();
+            assert_eq!(kept.len() + dropped.len() + nulls, len);
         }
     }
 

@@ -410,7 +410,7 @@ fn pass(
         .flat_map(|s| s.new_parts.iter().map(|p| (s.table.clone(), p.clone())))
         .collect();
     let mut report = MoveAroundReport {
-        contradiction: closure.contradictory(&analyzer),
+        contradiction: closure.contradictory(),
         derived,
         ..MoveAroundReport::default()
     };

@@ -6,12 +6,12 @@
 //! hands back to the database are reused by the next.
 //!
 //! The reference is the executor's specification written down once — rows
-//! as values, `CPred::eval` one row at a time, a nested-loop join in
-//! probe-major / build-ascending order — and shares no operator code with
-//! `src/exec.rs`.
+//! as values, `sia_expr::eval_pred` one row at a time, a nested-loop join
+//! in probe-major / build-ascending order — and shares no operator code
+//! with `src/exec.rs` or `src/compile.rs`.
 
-use sia_engine::{compile_pred, execute, Database, ExecStats, Plan, Table};
-use sia_expr::{ColumnDef, DataType, Pred, Schema, Value};
+use sia_engine::{execute, Database, ExecStats, Plan, Table};
+use sia_expr::{eval_pred, ColumnDef, DataType, Pred, Schema, Value};
 use sia_gen::GenConfig;
 use sia_rand::rngs::StdRng;
 use sia_rand::{Rng, SeedableRng};
@@ -33,10 +33,13 @@ fn reference(plan: &Plan, db: &Database, stats: &mut ExecStats) -> Table {
         Plan::Filter { pred, input } => {
             let t = reference(input, db, stats);
             stats.rows_filtered += t.num_rows() as u64;
-            let p = compile_pred(pred, &t.schema).expect("columns resolve");
-            let rows = rows_of(&t).into_iter().enumerate();
-            let kept = rows.filter(|(row, _)| p.eval(&t, *row) == Some(true));
-            let kept: Vec<Vec<Value>> = kept.map(|(_, values)| values).collect();
+            let kept: Vec<Vec<Value>> = rows_of(&t)
+                .into_iter()
+                .filter(|values| {
+                    let get = |c: &str| values[t.schema.index_of(c).expect("columns resolve")];
+                    eval_pred(pred, &get) == Some(true)
+                })
+                .collect();
             Table::from_rows(t.schema.clone(), &kept)
         }
         Plan::HashJoin {

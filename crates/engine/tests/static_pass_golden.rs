@@ -80,7 +80,7 @@ fn closures(out: &mut String) {
     for p in conjunctions() {
         let cl = an.close(&p);
         writeln!(out, "P {p}").unwrap();
-        writeln!(out, "  contradictory: {}", cl.contradictory(&an)).unwrap();
+        writeln!(out, "  contradictory: {}", cl.contradictory()).unwrap();
         for (table, schema) in &schemas {
             let cols: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
             for c in &cols {
@@ -98,7 +98,7 @@ fn closures(out: &mut String) {
                 writeln!(
                     out,
                     "  NOT ({c}) contradictory: {}",
-                    refuted.contradictory(&an)
+                    refuted.contradictory()
                 )
                 .unwrap();
             }

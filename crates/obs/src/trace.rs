@@ -5,13 +5,12 @@
 //! being observed; if that process is killed mid-write (crash, SIGKILL,
 //! full disk) the file can end in a truncated line. Mirroring the
 //! predicate cache's torn-tail recovery, [`parse_trace`] skips a
-//! malformed *final* line that lacks its trailing newline — counting it
-//! in `trace.torn_lines` — while a malformed line anywhere else (or a
+//! malformed *final* line that lacks its trailing newline — reporting it
+//! in [`TraceStats::torn_tail`] — while a malformed line anywhere else (or a
 //! complete-but-garbled tail) is still a hard error: interior corruption
 //! means the writer is broken, not merely interrupted.
 
 use crate::jsonl::parse_object;
-use crate::key::Counter;
 
 /// What [`parse_trace`] found in a trace stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +54,6 @@ pub fn parse_trace(text: &str) -> Result<TraceStats, String> {
             Err(e) => {
                 if i + 1 == lines.len() && !complete_tail {
                     stats.torn_tail = true;
-                    crate::add(Counter::TraceTornLines, 1);
                 } else {
                     return Err(format!("line {}: {e}", i + 1));
                 }

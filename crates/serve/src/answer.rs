@@ -58,7 +58,6 @@ pub(crate) fn process(
     let (p, canon) = match &job.parsed {
         Ok(pair) => pair,
         Err(e) => {
-            sia_obs::add(Counter::ServeErrors, 1);
             return finish(Response {
                 error: Some(e.clone()),
                 ..Response::plain(&req.id, Status::Error)
@@ -120,7 +119,6 @@ pub(crate) fn process(
             })
         }
         Err(SynthesisError::Timeout) => {
-            sia_obs::add(Counter::ServeTimeouts, 1);
             // Deadline expiry keeps its distinct status (clients and the
             // CLI exit code depend on it) but now also carries the
             // fallback predicate, so callers can proceed un-optimized.
@@ -136,14 +134,11 @@ pub(crate) fn process(
             warnings,
             ..degraded(&req.id, &req.predicate, "internal")
         }),
-        Err(e) => {
-            sia_obs::add(Counter::ServeErrors, 1);
-            finish(Response {
-                error: Some(e.to_string()),
-                warnings,
-                ..Response::plain(&req.id, Status::Error)
-            })
-        }
+        Err(e) => finish(Response {
+            error: Some(e.to_string()),
+            warnings,
+            ..Response::plain(&req.id, Status::Error)
+        }),
     }
 }
 
@@ -175,7 +170,6 @@ pub(crate) fn degraded(id: &str, original_predicate: &str, reason: &str) -> Resp
 /// A degraded response skeleton with an explicit status (used for
 /// timeouts and expiries, which keep their own status).
 pub(crate) fn degraded_body(id: &str, status: Status) -> Response {
-    sia_obs::add(Counter::ServeDegraded, 1);
     Response {
         degraded: true,
         ..Response::plain(id, status)

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sia_analyze::Analyzer;
-use sia_cache::{canonicalize, PredicateCache};
+use sia_cache::{canonicalize, LoadReport, PredicateCache};
 use sia_expr::Schema;
 use sia_obs::{Counter, Hist, SpanContext};
 use sia_smt::Budget;
@@ -152,6 +152,18 @@ impl Shared {
         }
     }
 
+    /// The `stats` op's answer: health, live telemetry and the
+    /// cumulative phase totals, from one queue snapshot.
+    fn stats_response(&self) -> Response {
+        let queue = self.queue.snapshot();
+        Response {
+            health: Some(self.health(queue)),
+            stats: Some(self.telemetry.stats(&self.cache, queue)),
+            phases: self.telemetry.phase_totals(),
+            ..Response::plain("", Status::Ok)
+        }
+    }
+
     fn signal_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept thread, which may be blocked in accept().
@@ -165,6 +177,7 @@ pub struct ServerHandle {
     /// The accept and supervisor threads, until joined.
     threads: Vec<JoinHandle<()>>,
     cache_file: Option<String>,
+    cache_load: Option<LoadReport>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -186,11 +199,11 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
 
     let cache = Arc::new(PredicateCache::new(config.cache_capacity));
-    if let Some(path) = &config.cache_file {
-        if std::path::Path::new(path).exists() {
-            cache.load_file(path)?;
-        }
-    }
+    let cache_load = match &config.cache_file {
+        Some(path) if std::path::Path::new(path).exists() => Some(cache.load_file(path)?),
+        Some(_) => Some(LoadReport::default()),
+        None => None,
+    };
     let slow_log = match &config.slow_log_file {
         Some(path) => {
             let file = std::fs::OpenOptions::new()
@@ -246,6 +259,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shared,
         threads: vec![accept, supervisor],
         cache_file: config.cache_file,
+        cache_load,
     })
 }
 
@@ -264,6 +278,12 @@ impl ServerHandle {
     /// (e.g. to report final statistics once [`Self::wait`] returns).
     pub fn cache_arc(&self) -> Arc<PredicateCache> {
         Arc::clone(&self.shared.cache)
+    }
+
+    /// What startup recovered from [`ServeConfig::cache_file`] (all zero
+    /// when the file did not exist yet); `None` without a cache file.
+    pub fn cache_load(&self) -> Option<LoadReport> {
+        self.cache_load
     }
 
     /// A point-in-time snapshot of worker-pool health — the same numbers
@@ -288,13 +308,15 @@ impl ServerHandle {
     }
 
     /// Block until a client asks the server to shut down (via the
-    /// `shutdown` op), then drain and stop.
+    /// `shutdown` op), then drain and stop. Returns what the `stats` op
+    /// would answer once the last request has finished.
     ///
     /// # Errors
     ///
     /// Fails when the configured cache file cannot be written.
-    pub fn wait(mut self) -> std::io::Result<()> {
-        self.join_all()
+    pub fn wait(mut self) -> std::io::Result<Response> {
+        self.join_all()?;
+        Ok(self.shared.stats_response())
     }
 
     /// Stop the server from this process: reject new connections, drain
@@ -386,13 +408,7 @@ fn reader_loop(stream: TcpStream, shared: &Shared, tx: &QueueSender<Job>) {
             },
             Ok(RequestLine::Stats) => {
                 sia_obs::add(Counter::ServeStatsOps, 1);
-                let queue = shared.queue.snapshot();
-                Response {
-                    health: Some(shared.health(queue)),
-                    stats: Some(shared.telemetry.stats(&shared.cache, queue)),
-                    phases: shared.telemetry.phase_totals(),
-                    ..Response::plain("", Status::Ok)
-                }
+                shared.stats_response()
             }
             Ok(RequestLine::Synth(request)) => {
                 if admit_request(shared, tx, &out, request) {
@@ -481,7 +497,6 @@ fn admit_request(
     let rejected = match tx.admit(lane, job) {
         Ok(depth) => {
             shared.telemetry.count(|c| c.requests += 1);
-            sia_obs::add(Counter::ServeRequests, 1);
             #[allow(clippy::cast_precision_loss)]
             sia_obs::record(Hist::ServeQueueDepth, depth as f64);
             return true;
@@ -507,10 +522,6 @@ fn admit_request(
         c.rejected += 1;
         c.shed += u64::from(shed);
     });
-    sia_obs::add(Counter::ServeRejected, 1);
-    if shed {
-        sia_obs::add(Counter::ServeAdmissionShedExpensive, 1);
-    }
     respond(
         out,
         &Response {
@@ -559,7 +570,6 @@ pub(crate) fn worker_loop(shared: &Shared) {
         let result = if job.budget.is_exhausted() {
             // The deadline passed while the job was queued: answer
             // `expired` without burning a worker on doomed synthesis.
-            sia_obs::add(Counter::ServeExpired, 1);
             Ok(Response {
                 predicate: Some(job.request.predicate.clone()),
                 reason: Some("expired".into()),

@@ -17,8 +17,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sia_obs::Counter;
-
 use crate::admission::CONTROL_TICK;
 use crate::server::{worker_loop, Shared};
 
@@ -146,7 +144,6 @@ pub(crate) fn supervise(
                         spawned_at[slot] = Instant::now();
                         recent_respawns.push_back(Instant::now());
                         shared.pool.restarts.fetch_add(1, Ordering::Relaxed);
-                        sia_obs::add(Counter::ServeRestarts, 1);
                     }
                 }
             }

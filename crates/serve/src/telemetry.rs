@@ -5,7 +5,7 @@
 //! by the request-local recorder even when the global collector is off,
 //! and `micros` is restated as the root span's full wall time — so the
 //! phases decompose exactly the number they ride along with, and
-//! whatever no phase claims is counted as `other`, never dropped.
+//! whatever no phase claims is the gap between their sum and `micros`.
 //! [`Telemetry::finish_request`] folds each response into the cumulative
 //! [`Telemetry`] — counters, a log-bucket latency histogram, per-phase
 //! totals — and requests slower than
@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sia_cache::PredicateCache;
-use sia_obs::{Counter, HistData};
+use sia_obs::HistData;
 
 use crate::admission::QueueSnapshot;
 use crate::protocol::{Response, StatsInfo, Status};
@@ -109,8 +109,8 @@ impl Telemetry {
             .collect()
     }
 
-    /// Post-response bookkeeping: cumulative telemetry, per-phase global
-    /// counters, and the slow-log exemplar.
+    /// Post-response bookkeeping: cumulative telemetry and the slow-log
+    /// exemplar.
     pub(crate) fn finish_request(
         &self,
         response: &Response,
@@ -120,11 +120,6 @@ impl Telemetry {
         let total_us = micros(total);
         let respond_us = micros(respond_time);
         let slow = self.slow_log.as_ref().filter(|log| total >= log.threshold);
-
-        // Fold this request's phases into the cumulative per-phase totals.
-        // Only top-level phases count toward attribution (nested
-        // `synth/...` time is already inside `synth`).
-        let mut attributed = respond_us;
         {
             let mut totals = lock(&self.totals);
             let counts = &mut totals.counts;
@@ -139,45 +134,14 @@ impl Telemetry {
             totals.latency.record(total_us as f64);
             for (path, us) in &response.phases {
                 *totals.phases.entry(path.clone()).or_insert(0) += us;
-                if !path.contains('/') {
-                    attributed = attributed.saturating_add(*us);
-                }
             }
             *totals.phases.entry("respond".to_string()).or_insert(0) += respond_us;
         }
 
-        // The same phases go to the global `serve.phase.*` counters —
-        // outside the lock, since a counter may write to a trace sink —
-        // and whatever wall time no phase claims goes to
-        // `serve.phase.other_us` so coverage gaps are visible, not silent.
-        for (path, us) in response.phases.iter().filter(|(p, _)| !p.contains('/')) {
-            sia_obs::add(phase_counter(path), *us);
-        }
-        sia_obs::add(Counter::ServePhaseRespondUs, respond_us);
-        sia_obs::add(
-            Counter::ServePhaseOtherUs,
-            total_us.saturating_sub(attributed),
-        );
-
         if let Some(slow) = slow {
-            sia_obs::add(Counter::SlowlogCaptured, 1);
             let mut file = lock(&slow.file);
             let _ = writeln!(file, "{}", response.to_line());
             let _ = file.flush();
         }
-    }
-}
-
-/// The global counter accumulating a top-level request phase.
-fn phase_counter(path: &str) -> Counter {
-    match path {
-        "queue" => Counter::ServePhaseQueueUs,
-        "parse" => Counter::ServePhaseParseUs,
-        "admit" => Counter::ServePhaseAdmitUs,
-        "lint" => Counter::ServePhaseLintUs,
-        "cache" => Counter::ServePhaseCacheUs,
-        "synth" => Counter::ServePhaseSynthUs,
-        "respond" => Counter::ServePhaseRespondUs,
-        _ => Counter::ServePhaseOtherUs,
     }
 }

@@ -126,7 +126,13 @@ fn batch_cache_timeout_and_shutdown() {
     let wait = std::thread::spawn(move || handle.wait());
     let bye = client::shutdown(&addr).expect("shutdown acknowledged");
     assert_eq!(bye.status, Status::Bye);
-    wait.join().expect("wait thread").expect("clean drain");
+    let last = wait.join().expect("wait thread").expect("clean drain");
+    let stats = last.stats.expect("final stats");
+    assert_eq!(
+        (stats.requests, stats.completed, stats.timeouts),
+        (9, 9, 1),
+        "{stats:?}"
+    );
 }
 
 #[test]

@@ -41,6 +41,7 @@
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
+use sia_expr::linear::is_quotient_term;
 use sia_expr::{CmpOp, DataType, Expr, Pred, Schema};
 
 mod atom;
@@ -108,6 +109,13 @@ impl Analyzer {
     pub fn with_real(mut self, cols: impl IntoIterator<Item = impl Into<String>>) -> Analyzer {
         self.real.extend(cols.into_iter().map(Into::into));
         self
+    }
+
+    /// Whether a variable ranges over the reals: a `DOUBLE` column, or an
+    /// opaque quotient `(e / k)`, which may divide a `DOUBLE` and so is
+    /// never tightened to an integer.
+    pub(crate) fn is_real(&self, var: &str) -> bool {
+        self.real.contains(var) || is_quotient_term(var)
     }
 
     /// Mark columns as `DATE`-typed (used by the linter's type checks).
@@ -199,7 +207,7 @@ impl Analyzer {
         for c in assumed {
             self.assume_conjunct(c, &mut st);
         }
-        st.propagate(&|n| !self.real.contains(n));
+        st.propagate(&|n| !self.is_real(n));
         st.bottom || self.tri_conjunct(q, &st).certainly_true()
     }
 
@@ -263,7 +271,7 @@ impl Analyzer {
     }
 
     pub(crate) fn canon(&self, op: CmpOp, lhs: &Expr, rhs: &Expr) -> Option<CanonAtom> {
-        CanonAtom::from_cmp(op, lhs, rhs, &|n| self.real.contains(n))
+        CanonAtom::from_cmp(op, lhs, rhs, &|n| self.is_real(n))
     }
 
     /// Abstract three-valued evaluation of an NNF predicate under `st`.
@@ -299,7 +307,7 @@ impl Analyzer {
         for c in conjuncts {
             self.assume_conjunct(c, &mut rst);
         }
-        rst.propagate(&|n| !self.real.contains(n));
+        rst.propagate(&|n| !self.is_real(n));
         let joint = !rst.bottom
             && conjuncts
                 .iter()
@@ -367,7 +375,7 @@ impl Analyzer {
             Conjunct::Cmp { cols, atom } => {
                 st.note_nonnull(cols.iter().cloned());
                 if let Some(atom) = atom {
-                    st.assume(atom, &|n| !self.real.contains(n));
+                    st.assume(atom, &|n| !self.is_real(n));
                 }
             }
             Conjunct::Other(p) => self.assume_pred(p, st),

@@ -142,7 +142,7 @@ impl Analyzer {
     /// unrepresentable conjuncts are dropped (weakening the result), which
     /// only ever downgrades exactness.
     fn zone_of(&self, conjuncts: &[Conjunct]) -> Disjunct {
-        let is_int = |n: &str| !self.real.contains(n);
+        let is_int = |n: &str| !self.is_real(n);
         let mut exact = true;
         // (i, j, bound) constraints against variable *names*; resolved to
         // matrix indices once the full variable set is known.

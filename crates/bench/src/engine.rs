@@ -104,10 +104,7 @@ struct ModeRun {
 
 fn run_mode(db: &Database, sql: &str, mode: MoveAround) -> ModeRun {
     let q = sia_sql::parse_query(sql).expect("workload SQL parses");
-    let config = OptimizerConfig {
-        move_around: mode,
-        ..OptimizerConfig::default()
-    };
+    let config = OptimizerConfig { move_around: mode };
     let start = Instant::now();
     let result = db.run(&q, config).expect("workload runs");
     ModeRun {

@@ -128,7 +128,6 @@ pub fn rewrite_workload(
     let mut out = Vec::new();
     for q in &workload {
         let mut syn = Synthesizer::new(base.clone());
-        syn.config.seed = q.id as u64 + 1;
         if let Ok(r) = rewrite_query(&mut syn, &q.query, &catalog, "lineitem") {
             if let (Some(rewritten), Some(pred)) = (r.rewritten, r.synthesized) {
                 out.push(RewrittenQuery {

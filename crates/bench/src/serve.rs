@@ -207,7 +207,7 @@ struct OverloadStats {
 fn run_overload(addr: &str, pool: &[Request], mult: f64, rate: f64, seed: u64) -> OverloadStats {
     let schedule = load::poisson_schedule(rate, arrivals_for(rate, OVERLOAD_SECS), None, seed);
     let deadline_ms = u64::try_from(DEADLINE.as_millis()).unwrap_or(u64::MAX);
-    let budget = std::sync::Mutex::new(RetryBudget::new(RETRY_BUDGET, 3.0));
+    let budget = std::sync::Mutex::new(RetryBudget::new(RETRY_BUDGET));
     let (arrivals, elapsed) = load::open_loop(&schedule, |i| -> Answer {
         let req = Request {
             timeout_ms: Some(deadline_ms),

@@ -185,10 +185,7 @@ fn sweep_query(q: &BenchQuery, config: &SweepConfig, result: &mut SweepResult) {
         // verified valid predicate from any variant is equally a proof.
         let mut possible = has_unsat_tuple(&q.predicate, &subset) == Some(true);
         // SIA.
-        let mut sia = Synthesizer::new(SiaConfig {
-            seed: q.id as u64 + 1,
-            ..config.sia.clone()
-        });
+        let mut sia = Synthesizer::new(config.sia.clone());
         if let Ok(r) = sia.synthesize(&q.predicate, &subset) {
             possible |= r.predicate.as_ref().is_some_and(|p| !p.is_true());
             cat.sia.record(&subset, &r);
@@ -203,17 +200,11 @@ fn sweep_query(q: &BenchQuery, config: &SweepConfig, result: &mut SweepResult) {
             }
         }
         if config.run_baselines {
-            let mut v1 = Synthesizer::new(SiaConfig {
-                seed: q.id as u64 + 1,
-                ..SiaConfig::v1()
-            });
+            let mut v1 = Synthesizer::new(SiaConfig::v1());
             if let Ok(r) = v1.synthesize(&q.predicate, &subset) {
                 cat.v1.record(&subset, &r);
             }
-            let mut v2 = Synthesizer::new(SiaConfig {
-                seed: q.id as u64 + 1,
-                ..SiaConfig::v2()
-            });
+            let mut v2 = Synthesizer::new(SiaConfig::v2());
             if let Ok(r) = v2.synthesize(&q.predicate, &subset) {
                 cat.v2.record(&subset, &r);
             }

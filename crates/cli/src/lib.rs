@@ -64,10 +64,12 @@ serve speaks line-delimited JSON over TCP (one request object per line,
 see `sia batch` input: {\"id\":…,\"predicate\":…,\"cols\":\"a,b\",\"timeout_ms\":…});
 batch sends a file of such requests and prints one response per line.
 --snapshot-ms makes serve write periodic crash-safe cache snapshots;
---delay-budget-ms (default 250, 0 = off) turns on overload resilience:
-AIMD admission targeting that queue-delay budget, cheap/expensive
-request lanes with expensive-first shedding, deadline expiry charged
-from admission, and a brownout ladder under sustained pressure;
+--delay-budget-ms (default 250, at least 1) is the queue-delay budget
+of the one admission law: AIMD limit targeting it, cheap/expensive
+request lanes that shed expensive work once its oldest queued job has
+waited past it, deadline expiry charged from admission, and a brownout
+ladder under sustained pressure (a queue that should never shed passes
+a large budget);
 --slow-log appends a response exemplar (trace ID + phase breakdown) for
 every request slower than --slow-ms (default 1000) to FILE;
 --retries makes batch retry overloaded/failed requests with jittered
@@ -722,7 +724,6 @@ impl Plan {
         let db = registry_db();
         let config = sia_engine::OptimizerConfig {
             move_around: self.mode,
-            ..sia_engine::OptimizerConfig::default()
         };
         let (optimized, report) = db
             .optimized_plan(&query, config)
@@ -811,16 +812,18 @@ impl Baseline {
 
 impl Serve {
     fn build(a: &Args) -> Result<Command, String> {
-        // 0 disables adaptive admission, two-lane shedding, and
-        // brownout (fixed queue cap).
         let delay_budget_ms: u64 = a.num("--delay-budget-ms")?.unwrap_or(250);
+        if delay_budget_ms == 0 {
+            return Err("--delay-budget-ms must be at least 1 \
+                        (pass a large budget for a queue that never sheds)"
+                .to_string());
+        }
         let config = ServeConfig {
             addr: a.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
             workers: a.num("--workers")?.unwrap_or(2),
             cache_capacity: a.num("--cache-capacity")?.unwrap_or(1024),
             queue_depth: a.num("--queue-depth")?.unwrap_or(64),
-            admission_delay_budget: (delay_budget_ms > 0)
-                .then(|| Duration::from_millis(delay_budget_ms)),
+            admission_delay_budget: Some(Duration::from_millis(delay_budget_ms)),
             default_timeout_ms: a.num("--timeout-ms")?,
             cache_file: a.text("--cache-file"),
             snapshot_interval: a.num("--snapshot-ms")?.map(Duration::from_millis),
@@ -940,7 +943,6 @@ impl Batch {
             let policy = sia_serve::RetryPolicy {
                 attempts: self.retries.saturating_add(1),
                 budget_ratio: f64::from(self.retry_budget) / 100.0,
-                ..sia_serve::RetryPolicy::default()
             };
             let outcome = client::run_batch_retry(addr, &requests, self.concurrency, &policy);
             (outcome.responses, outcome.retried, outcome.shed)

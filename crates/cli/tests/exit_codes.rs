@@ -100,6 +100,19 @@ fn flag_of_another_subcommand_exits_one() {
     );
 }
 
+/// There is one admission law, and a zero queue-delay budget is not one
+/// of its settings: refused before anything binds.
+#[test]
+fn serve_with_a_zero_delay_budget_exits_one() {
+    let out = sia(&["serve", "--delay-budget-ms", "0", "--addr", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--delay-budget-ms must be at least 1"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn synth_timeout_exits_two() {
     let out = sia(&["synth", HARD, "--cols", "a1", "--timeout-ms", "5"]);

@@ -14,10 +14,12 @@
 //! * **Non-linear arithmetic** — a product/quotient of two columns is
 //!   folded into one opaque *composite column* provided its constituents
 //!   do not occur elsewhere in the predicate (the paper's side condition);
-//!   otherwise encoding fails.
+//!   otherwise encoding fails. A quotient by a constant truncates, so it
+//!   too is one opaque term (real-sorted: it may divide a `DOUBLE`), with
+//!   no side condition: proofs say nothing about `e` through `e / k`.
 
 use sia_analyze::Analyzer;
-use sia_expr::linear::linearize;
+use sia_expr::linear::{is_quotient_term, linearize};
 use sia_expr::CmpOp;
 use sia_expr::{DataType, LinAtom, NonLinearPolicy, Pred};
 use sia_smt::{Formula, LinTerm, Solver, Sort, VarId};
@@ -117,7 +119,9 @@ impl PredEncoder {
         if let Some(&v) = self.value_vars.get(col) {
             return v;
         }
+        // A quotient `(e / k)` may divide a DOUBLE: relax it to the reals.
         let sort = match (self.col_type)(col) {
+            _ if is_quotient_term(col) => Sort::Real,
             DataType::Double => Sort::Real,
             _ => Sort::Int,
         };
@@ -142,9 +146,10 @@ impl PredEncoder {
     }
 
     /// A static analyzer agreeing with this encoder's model of the columns
-    /// `preds` mention: `DOUBLE` columns are real-valued, everything else —
-    /// composite columns included, which are sorted as integers — is
-    /// integer-valued, and null-ability follows the nullable set.
+    /// `preds` mention: `DOUBLE` columns and quotients `(e / k)` are
+    /// real-valued, everything else — composite columns included, which
+    /// are sorted as integers — is integer-valued, and null-ability follows
+    /// the nullable set.
     pub(crate) fn analyzer(&self, preds: &[&Pred]) -> Analyzer {
         let mut cols = BTreeSet::new();
         for p in preds {
@@ -174,7 +179,9 @@ impl PredEncoder {
                     for side in [lhs, rhs] {
                         let lin = linearize(side, NonLinearPolicy::FoldComposite)
                             .map_err(|e| EncodeError::NonLinear(e.0))?;
-                        for c in lin.columns() {
+                        // A quotient `(e / k)` only relaxes, whatever else
+                        // mentions `e`: only `col OP col` is a composite.
+                        for c in lin.columns().into_iter().filter(|c| !is_quotient_term(c)) {
                             if c.contains('*') || c.contains('/') {
                                 composite.insert(c);
                             } else {
@@ -449,12 +456,15 @@ mod tests {
 
     #[test]
     fn division_by_constant() {
+        // `a / 2` truncates: it is one opaque term, and `a` occurring on
+        // its own as well is no overlap.
         let mut enc = PredEncoder::new();
-        let p = parse_predicate("a / 2 > 10").unwrap();
+        let p = parse_predicate("a / 2 > 10 AND a < 5").unwrap();
         let f = enc.encode(&p).unwrap();
         let r = enc.solver().check(&f);
         let m = r.model().unwrap();
-        assert!(m.int(enc.value_var("a")) > sia_num::BigInt::from(20i64));
+        assert!(m.rat(enc.value_var("(a / 2)")) > BigRat::from(10));
+        assert!(m.int(enc.value_var("a")) < sia_num::BigInt::from(5i64));
     }
 
     #[test]

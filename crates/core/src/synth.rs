@@ -14,6 +14,10 @@ use sia_rand::SeedableRng;
 use sia_smt::{Budget, Formula, QeConfig, VarId};
 use std::time::{Duration, Instant};
 
+/// RNG seed for sample diversification: one fixed value, so the same
+/// request always takes the same path to the same answer.
+const SEED: u64 = 0xC0FFEE;
+
 /// Synthesis configuration. [`SiaConfig::default`] matches the paper's
 /// SIA row in Table 1 (max 41 iterations, 10+10 initial samples, 5 new
 /// samples per iteration); [`SiaConfig::v1`] and [`SiaConfig::v2`] are the
@@ -33,8 +37,6 @@ pub struct SiaConfig {
     /// Quantifier-elimination budgets. Over budget, FALSE samples come
     /// from [`crate::cegqi`] instead of the eliminated region.
     pub qe: QeConfig,
-    /// RNG seed for sample diversification.
-    pub seed: u64,
     /// Deadline/cancel token for the whole run. Cloned into the SMT
     /// solver (whose CDCL/simplex loops poll it) and checked between
     /// CEGIS phases; exhaustion surfaces as
@@ -51,7 +53,6 @@ impl Default for SiaConfig {
             per_iteration: 5,
             learn: LearnConfig::default(),
             qe: QeConfig::default(),
-            seed: 0xC0FFEE,
             budget: Budget::unlimited(),
         }
     }
@@ -305,7 +306,7 @@ impl Synthesizer {
             }
         }
         // Build the FALSE-sample machinery.
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x9e3779b97f4a7c15);
         // Cooper QE computes the unsatisfaction region once, exactly; on a
         // budget error this is None and FALSE samples come from CEGQI.
         // Statically-dead disjuncts of p are pruned first: they admit no
@@ -318,10 +319,10 @@ impl Synthesizer {
             };
             unsat_region(&qe_f, &others, &self.config.qe).ok()
         };
-        let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), self.config.seed);
+        let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), SEED);
         let mut fs_sampler = false_region
             .clone()
-            .map(|r| Sampler::new(r, keep.clone(), self.config.seed ^ 1));
+            .map(|r| Sampler::new(r, keep.clone(), SEED ^ 1));
         let mut cegqi_seen: Vec<Vec<BigInt>> = Vec::new();
         // Closure-free helper for FALSE sampling under an extra constraint.
         // Cooper elimination with non-unit coefficients can produce regions

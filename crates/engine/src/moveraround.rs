@@ -71,7 +71,7 @@ impl MoveAround {
         match s {
             "off" => Ok(MoveAround::Off),
             "static" => Ok(MoveAround::Static),
-            "synth" | "synthesis" => Ok(MoveAround::Synthesis),
+            "synth" => Ok(MoveAround::Synthesis),
             other => Err(format!(
                 "--mode must be off, static, or synth, got {other:?}"
             )),

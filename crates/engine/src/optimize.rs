@@ -11,24 +11,13 @@ use crate::plan::Plan;
 use sia_expr::{Pred, Schema};
 use std::collections::BTreeSet;
 
-/// Which rewrite rules to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How far the optimizer moves predicates. The local rules always run;
+/// the unoptimized plan (`Database::plan`) is the reference without them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptimizerConfig {
-    /// Enable predicate push-down below joins. Turning this off is the
-    /// ablation that shows where Sia's runtime win comes from.
-    pub pushdown: bool,
     /// Plan-wide predicate move-around mode (runs as a pre-pass before
     /// the local rules; see [`crate::moveraround`]).
     pub move_around: MoveAround,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            pushdown: true,
-            move_around: MoveAround::Off,
-        }
-    }
 }
 
 /// Resolve the output columns of a plan (schema oracle for push-down
@@ -46,15 +35,18 @@ fn output_columns(plan: &Plan, table_schema: &impl Fn(&str) -> Vec<String>) -> B
     }
 }
 
-/// Optimize a plan to a fixed point.
+/// Optimize a plan to a fixed point. The local rules have no switches:
+/// `config`'s move-around pass runs before them (in
+/// `Database::optimized_plan`), and callers hand the one config they
+/// built for the whole pipeline.
 pub fn optimize(
     plan: Plan,
     table_schema: &impl Fn(&str) -> Vec<String>,
-    config: OptimizerConfig,
+    _config: OptimizerConfig,
 ) -> Plan {
     let mut current = plan;
     for _ in 0..64 {
-        let next = pass(current.clone(), table_schema, config);
+        let next = pass(current.clone(), table_schema);
         if next == current {
             return next;
         }
@@ -63,12 +55,12 @@ pub fn optimize(
     current
 }
 
-fn pass(plan: Plan, table_schema: &impl Fn(&str) -> Vec<String>, config: OptimizerConfig) -> Plan {
+fn pass(plan: Plan, table_schema: &impl Fn(&str) -> Vec<String>) -> Plan {
     match plan {
         Plan::Scan { .. } => plan,
         Plan::Project { columns, input } => Plan::Project {
             columns,
-            input: Box::new(pass(*input, table_schema, config)),
+            input: Box::new(pass(*input, table_schema)),
         },
         Plan::HashJoin {
             left,
@@ -76,13 +68,13 @@ fn pass(plan: Plan, table_schema: &impl Fn(&str) -> Vec<String>, config: Optimiz
             left_key,
             right_key,
         } => Plan::HashJoin {
-            left: Box::new(pass(*left, table_schema, config)),
-            right: Box::new(pass(*right, table_schema, config)),
+            left: Box::new(pass(*left, table_schema)),
+            right: Box::new(pass(*right, table_schema)),
             left_key,
             right_key,
         },
         Plan::Filter { pred, input } => {
-            let input = pass(*input, table_schema, config);
+            let input = pass(*input, table_schema);
             // MergeFilters: Filter(p, Filter(q, x)) → Filter(p ∧ q, x).
             let (pred, input) = match input {
                 Plan::Filter {
@@ -96,45 +88,43 @@ fn pass(plan: Plan, table_schema: &impl Fn(&str) -> Vec<String>, config: Optimiz
             }
             // PushFilterThroughJoin: route conjuncts to the side that
             // provides all of their columns.
-            if config.pushdown {
-                if let Plan::HashJoin {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                } = input
-                {
-                    let left_cols = output_columns(&left, table_schema);
-                    let right_cols = output_columns(&right, table_schema);
-                    let mut left_preds = Vec::new();
-                    let mut right_preds = Vec::new();
-                    let mut keep = Vec::new();
-                    for conj in pred.conjuncts() {
-                        let cols: BTreeSet<String> = conj.columns().into_iter().collect();
-                        if !cols.is_empty() && cols.is_subset(&left_cols) {
-                            left_preds.push(conj.clone());
-                        } else if !cols.is_empty() && cols.is_subset(&right_cols) {
-                            right_preds.push(conj.clone());
-                        } else {
-                            keep.push(conj.clone());
-                        }
+            if let Plan::HashJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+            } = input
+            {
+                let left_cols = output_columns(&left, table_schema);
+                let right_cols = output_columns(&right, table_schema);
+                let mut left_preds = Vec::new();
+                let mut right_preds = Vec::new();
+                let mut keep = Vec::new();
+                for conj in pred.conjuncts() {
+                    let cols: BTreeSet<String> = conj.columns().into_iter().collect();
+                    if !cols.is_empty() && cols.is_subset(&left_cols) {
+                        left_preds.push(conj.clone());
+                    } else if !cols.is_empty() && cols.is_subset(&right_cols) {
+                        right_preds.push(conj.clone());
+                    } else {
+                        keep.push(conj.clone());
                     }
-                    if !left_preds.is_empty() || !right_preds.is_empty() {
-                        let new_left = left.filter(Pred::and_all(left_preds));
-                        let new_right = right.filter(Pred::and_all(right_preds));
-                        let joined = new_left.hash_join(new_right, left_key, right_key);
-                        return pass(joined.filter(Pred::and_all(keep)), table_schema, config);
-                    }
-                    return Plan::Filter {
-                        pred,
-                        input: Box::new(Plan::HashJoin {
-                            left,
-                            right,
-                            left_key,
-                            right_key,
-                        }),
-                    };
                 }
+                if !left_preds.is_empty() || !right_preds.is_empty() {
+                    let new_left = left.filter(Pred::and_all(left_preds));
+                    let new_right = right.filter(Pred::and_all(right_preds));
+                    let joined = new_left.hash_join(new_right, left_key, right_key);
+                    return pass(joined.filter(Pred::and_all(keep)), table_schema);
+                }
+                return Plan::Filter {
+                    pred,
+                    input: Box::new(Plan::HashJoin {
+                        left,
+                        right,
+                        left_key,
+                        right_key,
+                    }),
+                };
             }
             Plan::Filter {
                 pred,
@@ -177,19 +167,6 @@ mod tests {
         assert_eq!(opt.filters_below_joins(), 2, "plan:\n{opt}");
         let s = opt.to_string();
         assert!(s.contains("Filter (l_shipdate - o_orderdate < 20)"));
-    }
-
-    #[test]
-    fn pushdown_disabled() {
-        let plan = Plan::scan("lineitem")
-            .hash_join(Plan::scan("orders"), "l_orderkey", "o_orderkey")
-            .filter(col("l_shipdate").lt(lit(100)));
-        let config = OptimizerConfig {
-            pushdown: false,
-            ..OptimizerConfig::default()
-        };
-        let opt = optimize(plan, &schemas, config);
-        assert_eq!(opt.filters_below_joins(), 0);
     }
 
     #[test]

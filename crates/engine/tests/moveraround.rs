@@ -18,10 +18,7 @@ fn gen_db(rows: usize, seed: u64) -> Database {
 }
 
 fn config(mode: MoveAround) -> OptimizerConfig {
-    OptimizerConfig {
-        move_around: mode,
-        ..OptimizerConfig::default()
-    }
+    OptimizerConfig { move_around: mode }
 }
 
 /// Sorted row-major rendering of a result, for order-insensitive
@@ -146,6 +143,31 @@ fn chain_pushes_more_filters_than_local_rules() {
     // And the report says so.
     assert!(!st.moved.derived.is_empty());
     assert!(st.moved.scans_pushed() >= 1);
+}
+
+/// `t1(a) ⋈ t2(b)` over the keys 15..=25: the executor truncates integer
+/// division, so `a / 2 <= 10` keeps a = 21 (21 / 2 = 10). A bound derived
+/// by reading the quotient as rational (`b <= 20`) would drop that row.
+#[test]
+fn integer_division_keeps_its_truncated_rows_in_every_mode() {
+    let mut db = Database::new();
+    let keys: Vec<Vec<Value>> = (15..=25).map(|k| vec![Value::Int(k)]).collect();
+    for (table, column) in [("t1", "a"), ("t2", "b")] {
+        let schema = sia_expr::Schema::new(vec![sia_expr::ColumnDef::new(
+            column,
+            sia_expr::DataType::Integer,
+        )]);
+        db.insert(table, Table::from_rows(schema, &keys));
+    }
+    for filter in ["a / 2 <= 10", "a / -2 >= -10"] {
+        let sql = format!("SELECT * FROM t1, t2 WHERE a = b AND {filter}");
+        let q = sia_sql::parse_query(&sql).expect("parse");
+        for mode in [MoveAround::Off, MoveAround::Static, MoveAround::Synthesis] {
+            let r = db.run(&q, config(mode)).expect("run");
+            assert_eq!(r.table.num_rows(), 7, "{mode:?} on {sql}\n{}", r.plan);
+        }
+        assert_equivalent(&db, &sql);
+    }
 }
 
 #[test]

@@ -68,7 +68,6 @@ const BLOCKED_BOUNDARY: &str =
     "SELECT * FROM t1, t4 WHERE id1 = id4 AND 2 * v1 <= 3 * v4 AND v4 <= 20";
 
 const SYNTHESIS: OptimizerConfig = OptimizerConfig {
-    pushdown: true,
     move_around: MoveAround::Synthesis,
 };
 

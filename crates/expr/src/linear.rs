@@ -9,8 +9,13 @@
 //! (§5.2): `a * b` becomes the single opaque column `"a*b"`. The caller
 //! (`sia-core`) is responsible for checking the paper's side condition that
 //! the constituent columns do not occur elsewhere in the predicate.
+//!
+//! Integer division truncates (`sia_expr::eval` and the engine agree), so a
+//! quotient by a constant is not the rational `e · (1/k)`: it folds into
+//! one opaque term, and nothing is proved about `e` through it.
 
 use crate::expr::{ArithOp, CmpOp, Expr, Pred};
+use crate::types::Value;
 use sia_num::{BigInt, BigRat};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -243,7 +248,9 @@ pub enum NonLinearPolicy {
     #[default]
     Reject,
     /// Fold `col OP col` into a composite column named `"lhs OP rhs"`
-    /// (§5.2). Only *syntactically pure* column-only operands fold.
+    /// (§5.2); only *syntactically pure* column-only operands fold. A
+    /// quotient by a constant, `e / k`, folds into the opaque term
+    /// `"(e / k)"` whatever `e` is.
     FoldComposite,
 }
 
@@ -274,21 +281,34 @@ pub fn linearize(e: &Expr, policy: NonLinearPolicy) -> Result<LinExpr, NonLinear
                     }
                 }
                 ArithOp::Div => {
-                    if r.is_constant() {
-                        if r.constant_term().is_zero() {
-                            Err(NonLinear(format!("division by zero in {e}")))
-                        } else {
-                            Ok(l.scale(&r.constant_term().recip()))
+                    if r.is_constant() && r.constant_term().is_zero() {
+                        Err(NonLinear(format!("division by zero in {e}")))
+                    } else if e.columns().is_empty() {
+                        // Column-free: computed as the executor computes it.
+                        match crate::eval::eval_expr(e, &|_: &str| Value::Null) {
+                            Value::Int(v) => linearize(&Expr::Int(v), policy),
+                            Value::Double(v) => linearize(&Expr::Double(v), policy),
+                            _ => Err(NonLinear(format!("division by zero in {e}"))),
                         }
-                    } else if policy == NonLinearPolicy::FoldComposite {
-                        fold_composite(op, lhs, rhs)
-                    } else {
+                    } else if policy == NonLinearPolicy::Reject {
                         Err(NonLinear(e.to_string()))
+                    } else if r.is_constant() {
+                        // Integer division truncates, so `e / k` is not
+                        // `e · (1/k)`: keep the quotient one opaque term.
+                        Ok(LinExpr::column(format!("({e})")))
+                    } else {
+                        fold_composite(op, lhs, rhs)
                     }
                 }
             }
         }
     }
+}
+
+/// Whether a column of a linear form is an opaque quotient `(e / k)`
+/// rather than a table column or a `col OP col` composite.
+pub fn is_quotient_term(name: &str) -> bool {
+    name.starts_with('(')
 }
 
 fn fold_composite(op: &ArithOp, lhs: &Expr, rhs: &Expr) -> Result<LinExpr, NonLinear> {
@@ -389,11 +409,20 @@ mod tests {
 
     #[test]
     fn linearize_division_by_constant() {
-        // a / 2 → (1/2)a
-        let e = col("a").div(lit(2));
-        let l = linearize(&e, NonLinearPolicy::Reject).unwrap();
-        assert_eq!(l.coeff("a"), q(1, 2));
-        assert!(linearize(&col("a").div(lit(0)), NonLinearPolicy::Reject).is_err());
+        // a / 2 truncates: one opaque term, never (1/2)a.
+        let e = col("a").add(lit(1)).div(lit(-2));
+        assert!(linearize(&e, NonLinearPolicy::Reject).is_err());
+        let l = linearize(&e, NonLinearPolicy::FoldComposite).unwrap();
+        assert_eq!(l.columns(), vec!["((a + 1) / -2)".to_string()]);
+        assert!(is_quotient_term(&l.columns()[0]));
+        // Column-free quotients are computed as the executor computes them.
+        let seven = |d: Expr| linearize(&d.div(lit(2)), NonLinearPolicy::Reject).unwrap();
+        assert_eq!(seven(lit(7)).constant_term(), &BigRat::from(3));
+        assert_eq!(seven(Expr::Double(7.0)).constant_term(), &q(7, 2));
+        for policy in [NonLinearPolicy::Reject, NonLinearPolicy::FoldComposite] {
+            assert!(linearize(&col("a").div(lit(0)), policy).is_err());
+            assert!(linearize(&lit(1).div(lit(0)), policy).is_err());
+        }
     }
 
     #[test]

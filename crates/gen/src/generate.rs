@@ -299,7 +299,9 @@ impl Ctx<'_> {
     /// Single-variable scaled or divided atoms (`2*c ⋈ k`, `c/3 ⋈ q`) do NOT
     /// qualify: canonicalization normalizes their coefficient back to one.
     /// Ineligibility needs two variables whose coefficients cannot both be
-    /// normalized: `c + d ⋈ k`, `k*c - d ⋈ k`, or `c/k - d ⋈ q`.
+    /// normalized: `c + d ⋈ k`, `k*c - d ⋈ k`, or `c/k + d ⋈ q` (a
+    /// truncating quotient is one opaque variable, so `c/k - d` would be a
+    /// plain difference).
     fn ineligible_atom(&self, t: f64, rng: &mut StdRng) -> Pred {
         let numeric = self.numeric_cols();
         let Some((c, d)) = self.ineligible_pair(&numeric, rng) else {
@@ -309,9 +311,9 @@ impl Ctx<'_> {
         };
         let both_int = c.ty == sia_expr::DataType::Integer && d.ty == sia_expr::DataType::Integer;
         let lhs = if both_int && rng.gen_bool(self.cfg.div_rate) {
-            // Divisibility-style: `c / k - d ⋈ q`.
+            // Divisibility-style: `c / k + d ⋈ q`.
             let k = rng.gen_range(2..=7_i64);
-            Expr::col(c.name).div(Expr::Int(k)).sub(Expr::col(d.name))
+            Expr::col(c.name).div(Expr::Int(k)).add(Expr::col(d.name))
         } else if rng.gen_bool_fair() {
             // Scaled: `k*c - d ⋈ q`.
             let k = rng.gen_range(2..=5_i64);

@@ -12,15 +12,17 @@
 //! [`sia_analyze::Analyzer::derive`]). A queue at its admission limit is
 //! the admission control: the reader answers `overloaded` (with a
 //! `retry_after_ms` back-off hint) immediately instead of letting
-//! latency grow without bound, and under pressure the expensive lane is
-//! shed first while cheap requests keep flowing. The limit itself is
-//! either the fixed `queue_depth` or, when
-//! [`ServeConfig::admission_delay_budget`](crate::ServeConfig) is set,
-//! moved by [`Admission`], an AIMD controller targeting that queue-delay
-//! budget. Under sustained pressure its hysteresis walks a **brownout
-//! ladder**: first CEGIS refinement rounds are disabled, then static
-//! `Derivation::Bounds` results are served flagged
-//! `degraded:"brownout"`, then the expensive lane is shed outright.
+//! latency grow without bound. The limit is moved by [`Admission`], one
+//! AIMD controller targeting the queue-delay budget
+//! ([`ServeConfig::admission_delay_budget`](crate::ServeConfig); unset,
+//! the budget is unbounded and the limit stays at `queue_depth`). The
+//! expensive lane is shed on measured delay: once its oldest job has
+//! waited past the budget, new expensive requests are refused while
+//! cheap ones keep flowing. Under sustained pressure the law's
+//! hysteresis walks a **brownout ladder**: first CEGIS refinement rounds
+//! are disabled, then static `Derivation::Bounds` results are served
+//! flagged `degraded:"brownout"`, then the expensive lane is shed
+//! outright.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
@@ -59,9 +61,9 @@ const BROWNOUT_MAX_LEVEL: usize = 3;
 /// the next tick will judge.
 #[derive(Debug)]
 pub(crate) struct Admission {
-    /// Queue-delay budget in µs. `None` = fixed queue cap: `limit` and
-    /// `level` never move and the expensive lane is never shed.
-    budget_us: Option<u64>,
+    /// Queue-delay budget in µs. `u64::MAX` is unbounded: no wait is
+    /// over it, so the limit and the level never move.
+    budget_us: u64,
     max_limit: usize,
     /// Current admission limit (jobs in queue beyond it are rejected).
     limit: usize,
@@ -77,10 +79,10 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
-    pub(crate) fn new(queue_depth: usize, delay_budget: Option<Duration>) -> Admission {
+    pub(crate) fn new(queue_depth: usize, delay_budget: Duration) -> Admission {
         let max_limit = queue_depth.max(1);
         Admission {
-            budget_us: delay_budget.map(micros),
+            budget_us: micros(delay_budget),
             max_limit,
             limit: max_limit,
             level: 0,
@@ -99,25 +101,22 @@ impl Admission {
         self.level
     }
 
-    /// Cap on the expensive lane: `None` = never shed (fixed cap),
-    /// `Some(0)` = shed every expensive request (brownout level 3),
-    /// otherwise half the limit so cheap requests always have room to
-    /// flow.
-    pub(crate) fn expensive_cap(&self) -> Option<usize> {
-        self.budget_us?;
-        if self.level >= BROWNOUT_MAX_LEVEL {
-            return Some(0);
-        }
-        Some(self.limit.div_ceil(2))
-    }
-
     /// Whether a job for `lane` must be turned away from a queue holding
-    /// `depth` jobs, `expensive` of them in the expensive lane.
-    fn refuses(&self, lane: Lane, depth: usize, expensive: usize) -> Option<Reject> {
+    /// `depth` jobs, whose oldest expensive job has waited
+    /// `oldest_expensive_us` (0 for an empty lane). An expensive job is
+    /// shed on measured delay — once the lane's head is past the budget,
+    /// a newcomer behind it would be too — or at brownout level 3; a
+    /// calm burst fills the queue to its limit in either lane.
+    pub(crate) fn refuses(
+        &self,
+        lane: Lane,
+        depth: usize,
+        oldest_expensive_us: u64,
+    ) -> Option<Reject> {
         if depth >= self.limit {
             Some(Reject::Full)
         } else if lane == Lane::Expensive
-            && self.expensive_cap().is_some_and(|cap| expensive >= cap)
+            && (self.level >= BROWNOUT_MAX_LEVEL || oldest_expensive_us > self.budget_us)
         {
             Some(Reject::Shed)
         } else {
@@ -128,17 +127,12 @@ impl Admission {
     /// Back-off hint for `overloaded` responses: roughly two control
     /// windows of observed queue delay, clamped to a sane range.
     pub(crate) fn retry_after_ms(&self) -> u64 {
-        match self.budget_us {
-            Some(_) => (2 * self.last_p99_us / 1000).clamp(10, 2000),
-            None => 50,
-        }
+        (2 * self.last_p99_us / 1000).clamp(10, 2000)
     }
 
     /// Record one dequeue's queue wait into the current control window.
     pub(crate) fn observe_wait(&mut self, wait_us: u64) {
-        if self.budget_us.is_some() {
-            self.waits.push(wait_us);
-        }
+        self.waits.push(wait_us);
     }
 
     /// One control tick over the queue waits fed since the last tick.
@@ -146,14 +140,11 @@ impl Admission {
     /// Otherwise: raise it by one (additive increase). Three consecutive
     /// over-budget ticks climb the brownout ladder; five consecutive
     /// calm ticks (p99 under half the budget, or an idle window) step
-    /// back down. A no-op under a fixed cap.
+    /// back down.
     pub(crate) fn tick(&mut self) {
-        let Some(budget_us) = self.budget_us else {
-            return;
-        };
         let p99 = percentile_99(&self.waits);
-        let over = !self.waits.is_empty() && p99 > budget_us;
-        let calm = self.waits.is_empty() || p99 <= budget_us / 2;
+        let over = !self.waits.is_empty() && p99 > self.budget_us;
+        let calm = self.waits.is_empty() || p99 <= self.budget_us / 2;
         self.waits.clear();
         self.last_p99_us = p99;
         if over {
@@ -222,7 +213,7 @@ pub(crate) struct Job {
 pub(crate) enum Reject {
     /// Queue at the admission limit.
     Full,
-    /// Expensive lane at its cap (or brownout level 3): shed.
+    /// Expensive lane past the delay budget (or brownout level 3): shed.
     Shed,
     /// Server shutting down.
     Closed,
@@ -256,9 +247,9 @@ pub(crate) struct QueueSnapshot {
 
 /// The bounded two-lane work queue. Cheap jobs are always popped before
 /// expensive ones, the admission limit is dynamic ([`Admission`] moves
-/// it), and the expensive lane has its own cap so a burst of slow
-/// requests cannot crowd out cheap ones. Generic in the job so the
-/// queueing and the law are exercised without a socket.
+/// it), and a lagging expensive lane is shed so slow requests cannot
+/// crowd out cheap ones. Generic in the job so the queueing and the law
+/// are exercised without a socket.
 pub(crate) struct JobQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
@@ -301,16 +292,21 @@ impl<T> JobQueue<T> {
         (queue, sender)
     }
 
-    /// Admit a job under the current limit, or hand it back. Returns the
-    /// queue depth after the push.
-    fn admit(&self, lane: Lane, job: T) -> Result<usize, Rejected<T>> {
-        let now = Instant::now();
+    /// Admit a job arriving at `now` under the current limit, or hand it
+    /// back. Returns the queue depth after the push. The queue reads the
+    /// expensive lane's age off its own enqueue times, so the law is fed
+    /// a number, not a clock.
+    fn admit(&self, lane: Lane, job: T, now: Instant) -> Result<usize, Rejected<T>> {
         let mut st = lock(&self.state);
         let depth = st.cheap.len() + st.expensive.len();
         let why = if st.closed {
             Some(Reject::Closed)
         } else {
-            st.admission.refuses(lane, depth, st.expensive.len())
+            let oldest = st
+                .expensive
+                .front()
+                .map_or(0, |(at, _)| micros(now.saturating_duration_since(*at)));
+            st.admission.refuses(lane, depth, oldest)
         };
         if let Some(why) = why {
             return Err(Rejected {
@@ -352,15 +348,11 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Run one control tick (a no-op under a fixed cap) and count what
-    /// it changed — after the lock is released, since a counter may
-    /// write to a trace sink.
+    /// Run one control tick and count what it changed — after the lock
+    /// is released, since a counter may write to a trace sink.
     pub(crate) fn tick(&self) {
         let (before, after) = {
             let mut st = lock(&self.state);
-            if st.admission.budget_us.is_none() {
-                return;
-            }
             let before = st.snapshot();
             st.admission.tick();
             (before, st.snapshot())
@@ -399,7 +391,7 @@ pub(crate) struct QueueSender<T>(Arc<JobQueue<T>>);
 
 impl<T> QueueSender<T> {
     pub(crate) fn admit(&self, lane: Lane, job: T) -> Result<usize, Rejected<T>> {
-        self.0.admit(lane, job)
+        self.0.admit(lane, job, Instant::now())
     }
 }
 
@@ -421,16 +413,16 @@ impl<T> Drop for QueueSender<T> {
 #[cfg(test)]
 mod tests {
     //! The law and the queue without a socket or a sleep: jobs are plain
-    //! integers, waits are fed as numbers, ticks are told.
+    //! integers, waits and ages are fed as numbers, ticks are told.
     use super::*;
 
-    const BUDGET: Option<Duration> = Some(Duration::from_millis(1));
+    const BUDGET: Duration = Duration::from_millis(1);
 
     fn queue(admission: Admission) -> (Arc<JobQueue<u32>>, QueueSender<u32>) {
         JobQueue::new(admission)
     }
 
-    /// An adaptive law driven to the top of the brownout ladder.
+    /// A law driven to the top of the brownout ladder.
     fn at_level_three(queue_depth: usize) -> Admission {
         let mut a = Admission::new(queue_depth, BUDGET);
         for _ in 0..3 * BROWNOUT_ENTER_STREAK {
@@ -447,7 +439,7 @@ mod tests {
 
     #[test]
     fn a_burst_admits_exactly_the_limit_then_answers_full() {
-        for budget in [None, BUDGET] {
+        for budget in [Duration::MAX, BUDGET] {
             let (q, tx) = queue(Admission::new(6, budget));
             for i in 0..6 {
                 assert_eq!(tx.admit(Lane::Cheap, i).ok(), Some(i as usize + 1));
@@ -463,24 +455,35 @@ mod tests {
     }
 
     #[test]
-    fn expensive_jobs_beyond_half_the_limit_are_shed_while_cheap_flow() {
-        // limit 5 → watermark ⌈5/2⌉ = 3.
-        let (q, tx) = queue(Admission::new(5, BUDGET));
-        for i in 0..3 {
-            assert!(tx.admit(Lane::Expensive, i).is_ok());
+    fn a_calm_law_admits_a_burst_of_queue_depth_expensive_jobs() {
+        // A pipelined batch arrives at once: nothing has waited yet, so
+        // the expensive lane fills to the limit like the cheap one.
+        let (q, _tx) = queue(Admission::new(64, Duration::from_millis(250)));
+        let now = Instant::now();
+        for i in 0..64 {
+            assert_eq!(q.admit(Lane::Expensive, i, now).ok(), Some(i as usize + 1));
         }
-        assert_eq!(why(tx.admit(Lane::Expensive, 3)), Some(Reject::Shed));
-        assert!(tx.admit(Lane::Cheap, 4).is_ok());
-        assert!(tx.admit(Lane::Cheap, 5).is_ok());
-        assert_eq!(why(tx.admit(Lane::Cheap, 6)), Some(Reject::Full));
-        // Cheap jobs are served first, whatever the arrival order.
-        let order: Vec<u32> = (0..5).filter_map(|_| q.pop()).map(|p| p.job).collect();
-        assert_eq!(order, [4, 5, 0, 1, 2]);
-        // A fixed cap has no watermark: the lane fills to the limit.
-        let (_q, tx) = queue(Admission::new(5, None));
-        for i in 0..5 {
-            assert!(tx.admit(Lane::Expensive, i).is_ok());
-        }
+        assert_eq!(why(q.admit(Lane::Expensive, 64, now)), Some(Reject::Full));
+    }
+
+    #[test]
+    fn an_expensive_lane_past_the_budget_sheds_while_cheap_flow() {
+        let (q, _tx) = queue(Admission::new(5, BUDGET));
+        let t0 = Instant::now();
+        let (within, past) = (t0 + BUDGET, t0 + 2 * BUDGET);
+        assert!(q.admit(Lane::Expensive, 0, t0).is_ok());
+        assert!(q.admit(Lane::Expensive, 1, within).is_ok(), "at the budget");
+        assert_eq!(why(q.admit(Lane::Expensive, 2, past)), Some(Reject::Shed));
+        assert!(q.admit(Lane::Cheap, 3, past).is_ok());
+        assert!(q.admit(Lane::Cheap, 4, past).is_ok());
+        assert!(q.admit(Lane::Cheap, 5, past).is_ok());
+        assert_eq!(why(q.admit(Lane::Cheap, 6, past)), Some(Reject::Full));
+        // Cheap jobs are served first, whatever the arrival order; with
+        // the lagging head gone, the lane's age is the next job's.
+        let order: Vec<u32> = (0..4).filter_map(|_| q.pop()).map(|p| p.job).collect();
+        assert_eq!(order, [3, 4, 5, 0]);
+        assert!(q.admit(Lane::Expensive, 7, within).is_ok());
+        assert_eq!(q.snapshot().depth, 2);
     }
 
     #[test]
@@ -504,30 +507,30 @@ mod tests {
             while tx.admit(Lane::Cheap, 0).is_ok() {}
             tx.admit(Lane::Cheap, 0).err().map(|r| r.retry_after_ms)
         };
-        assert_eq!(hint(Admission::new(2, None)), Some(50), "fixed cap");
-        // hint = clamp(2 · p99 of the last window, 10, 2000) ms.
-        for (p99_us, want_ms) in [(0, 10), (4_000, 10), (40_000, 80), (5_000_000, 2000)] {
-            let mut a = Admission::new(2, BUDGET);
-            a.observe_wait(p99_us);
-            a.tick();
-            assert_eq!(a.retry_after_ms(), want_ms);
-            assert_eq!(hint(a), Some(want_ms), "p99 {p99_us} µs");
+        // hint = clamp(2 · p99 of the last window, 10, 2000) ms, whatever
+        // the budget.
+        for budget in [Duration::MAX, BUDGET] {
+            for (p99_us, want_ms) in [(0, 10), (4_000, 10), (40_000, 80), (5_000_000, 2000)] {
+                let mut a = Admission::new(2, budget);
+                a.observe_wait(p99_us);
+                a.tick();
+                assert_eq!(a.retry_after_ms(), want_ms);
+                assert_eq!(hint(a), Some(want_ms), "p99 {p99_us} µs");
+            }
         }
     }
 
     #[test]
-    fn a_fixed_cap_never_moves_whatever_it_is_fed() {
-        let mut a = Admission::new(8, None);
+    fn an_unbounded_budget_never_moves_the_limit_or_the_level() {
+        let mut a = Admission::new(8, Duration::MAX);
         for round in 0..40_u64 {
             for _ in 0..round % 5 {
-                a.observe_wait(round * 1_000_000);
+                a.observe_wait(round * 1_000_000_000);
             }
             a.tick();
             assert_eq!((a.limit(), a.level()), (8, 0));
-            assert_eq!(a.expensive_cap(), None);
-            assert_eq!(a.retry_after_ms(), 50);
+            assert_eq!(a.refuses(Lane::Expensive, 7, u64::MAX - 1), None);
         }
-        assert!(a.waits.is_empty(), "a fixed cap keeps no window");
     }
 
     #[test]
@@ -539,7 +542,7 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for budget in [None, BUDGET] {
+        for budget in [Duration::MAX, BUDGET] {
             let (q, tx) = queue(Admission::new(7, budget));
             let (mut pushes, mut pops) = (0_usize, 0_usize);
             for step in 0..2_000_u32 {
@@ -568,7 +571,10 @@ mod tests {
             }
             // The last lease closes the queue; what was admitted drains.
             drop(tx);
-            assert_eq!(why(q.admit(Lane::Cheap, 0)), Some(Reject::Closed));
+            assert_eq!(
+                why(q.admit(Lane::Cheap, 0, Instant::now())),
+                Some(Reject::Closed)
+            );
             while q.pop().is_some() {
                 pops += 1;
             }

@@ -91,59 +91,53 @@ fn wire_line(request: &Request) -> String {
     }
 }
 
+/// Backoff before the second attempt; doubles per attempt.
+const BASE_DELAY: Duration = Duration::from_millis(10);
+
+/// Upper bound on the backoff delay.
+const MAX_DELAY: Duration = Duration::from_millis(500);
+
+/// Initial retry-budget allowance, letting small batches retry a few
+/// times before the earn rate dominates.
+const BUDGET_BURST: f64 = 3.0;
+
 /// Client-side retry policy for [`run_batch_retry`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per request (first try included). At least 1.
     pub attempts: u32,
-    /// Backoff before the second attempt; doubles per attempt.
-    pub base_delay: Duration,
-    /// Upper bound on the backoff delay.
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter.
-    pub seed: u64,
     /// Retry-budget earn rate: tokens earned per fresh request sent.
     /// The default 0.1 caps sustained retry volume at 10% of fresh
     /// traffic, so a retrying client cannot amplify an overload.
     pub budget_ratio: f64,
-    /// Initial retry-budget allowance, letting small batches retry a
-    /// few times before the earn rate dominates.
-    pub budget_burst: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             attempts: 4,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(500),
-            seed: 0x51A_C11E47,
             budget_ratio: 0.1,
-            budget_burst: 3.0,
         }
     }
 }
 
-impl RetryPolicy {
-    /// The jittered delay before attempt `attempt` (1-based over
-    /// retries): exponential in the attempt number, scaled by a
-    /// deterministic jitter in `[0.5, 1.0)` so retrying clients
-    /// desynchronize instead of stampeding together.
-    fn delay(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1 << attempt.saturating_sub(1).min(16))
-            .min(self.max_delay);
-        let jitter = crate::splitmix64(self.seed ^ u64::from(attempt));
-        #[allow(clippy::cast_precision_loss)]
-        let scale = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
-        exp.mul_f64(scale)
-    }
+/// The jittered delay before retry `attempt` (1-based): exponential in
+/// the attempt number, scaled by a jitter in `[0.5, 1.0)` drawn from
+/// `salt`. Each batch draws a fresh salt, so retrying clients
+/// desynchronize instead of stampeding together.
+fn backoff(attempt: u32, salt: u64) -> Duration {
+    let exp = BASE_DELAY
+        .saturating_mul(1 << attempt.saturating_sub(1).min(16))
+        .min(MAX_DELAY);
+    let jitter = crate::splitmix64(salt ^ u64::from(attempt));
+    #[allow(clippy::cast_precision_loss)]
+    let scale = 0.5 + (jitter >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+    exp.mul_f64(scale)
 }
 
 /// A token-bucket retry budget: each fresh request earns `ratio`
 /// tokens, each retry spends one, and the bucket starts with a small
-/// `burst` allowance. With the default ratio of 0.1 a client's retry
+/// burst allowance. With the default ratio of 0.1 a client's retry
 /// volume stays within ~10% of its fresh traffic (plus the burst), so
 /// retries against an overloaded server cannot amplify the overload —
 /// budget-starved requests are shed client-side instead of re-sent.
@@ -155,10 +149,10 @@ pub struct RetryBudget {
 
 impl RetryBudget {
     /// A budget earning `ratio` tokens per fresh request, starting with
-    /// `burst` tokens in hand.
-    pub fn new(ratio: f64, burst: f64) -> RetryBudget {
+    /// a burst of three tokens in hand.
+    pub fn new(ratio: f64) -> RetryBudget {
         RetryBudget {
-            tokens: burst.max(0.0),
+            tokens: BUDGET_BURST,
             ratio: ratio.max(0.0),
         }
     }
@@ -217,8 +211,9 @@ pub fn run_batch_retry(
     let mut out: Vec<Option<Response>> = vec![None; requests.len()];
     let mut pending: Vec<usize> = (0..requests.len()).collect();
     let mut ever_retried: Vec<bool> = vec![false; requests.len()];
-    let mut budget = RetryBudget::new(policy.budget_ratio, policy.budget_burst);
+    let mut budget = RetryBudget::new(policy.budget_ratio);
     budget.earn(requests.len());
+    let salt = fresh_trace_id();
     let mut hint = Duration::ZERO;
     for attempt in 0..policy.attempts.max(1) {
         if pending.is_empty() {
@@ -234,7 +229,7 @@ pub fn run_batch_retry(
             for &i in &pending {
                 ever_retried[i] = true;
             }
-            std::thread::sleep(policy.delay(attempt).max(hint));
+            std::thread::sleep(backoff(attempt, salt).max(hint));
         }
         let (still, retry_after) = send_pending(addr, requests, &pending, concurrency, &mut out);
         pending = still;
@@ -394,4 +389,24 @@ fn exchange(addr: &str, lines: &[String]) -> std::io::Result<Vec<Response>> {
         out.push(Response::parse(line.trim()).map_err(std::io::Error::other)?);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn two_batches_back_off_by_different_jittered_delays() {
+        let (one, two) = (fresh_trace_id(), fresh_trace_id());
+        let delays = |salt| (1..=4).map(|k| backoff(k, salt)).collect::<Vec<_>>();
+        assert_ne!(delays(one), delays(two));
+        for salt in [one, two] {
+            for (k, d) in (1..=4).zip(delays(salt)) {
+                let exp = BASE_DELAY * (1 << (k - 1));
+                assert!(exp / 2 <= d && d < exp, "attempt {k}: {d:?} of {exp:?}");
+            }
+        }
+        let capped = backoff(30, one);
+        assert!(MAX_DELAY / 2 <= capped && capped < MAX_DELAY, "{capped:?}");
+    }
 }

@@ -186,8 +186,8 @@ pub struct StatsInfo {
     pub expired: u64,
     /// Expensive-lane requests shed under pressure.
     pub shed: u64,
-    /// Current adaptive admission limit (the fixed queue cap when the
-    /// AIMD controller is disabled).
+    /// Current admission limit (the queue depth while no control window
+    /// has been over the delay budget).
     pub admission_limit: u64,
     /// Current brownout ladder level (0 = normal, 1 = no CEGIS
     /// refinement, 2 = static bounds only, 3 = shed expensive lane).

@@ -95,13 +95,15 @@ pub struct ServeConfig {
     /// cannot tell date columns from integer ones and so stays silent on
     /// date/integer confusions.
     pub lint_schemas: Vec<Schema>,
-    /// Queue-delay budget for the adaptive (AIMD) admission controller.
-    /// `None` keeps the legacy fixed cap at [`ServeConfig::queue_depth`].
-    /// When set, the admission limit is cut multiplicatively whenever the
-    /// p99 queue wait of a control window exceeds this budget and raised
-    /// additively otherwise, and sustained pressure walks the brownout
-    /// ladder (see [`StatsInfo::brownout`]). A reasonable value is ¼ of
-    /// the default request deadline.
+    /// Queue-delay budget of the AIMD admission law (`None` =
+    /// unbounded, so the limit stays at [`ServeConfig::queue_depth`] and
+    /// only a full queue refuses). The admission limit is cut
+    /// multiplicatively whenever the p99 queue wait of a control window
+    /// exceeds this budget and raised additively otherwise, an expensive
+    /// request is shed once the oldest queued expensive job has waited
+    /// past it, and sustained pressure walks the brownout ladder (see
+    /// [`StatsInfo::brownout`]). A reasonable value is ¼ of the default
+    /// request deadline.
     pub admission_delay_budget: Option<Duration>,
 }
 
@@ -219,7 +221,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     };
     let (queue, tx) = JobQueue::new(Admission::new(
         config.queue_depth,
-        config.admission_delay_budget,
+        config.admission_delay_budget.unwrap_or(Duration::MAX),
     ));
     let shared = Arc::new(Shared {
         addr,
@@ -618,12 +620,12 @@ mod tests {
     //! The six control-law tests that predate `admission.rs`, under the
     //! names they have always had; the rest of the law's tests sit
     //! beside it in that module.
-    use crate::admission::{percentile_99, Admission};
+    use crate::admission::{percentile_99, Admission, Lane, Reject};
     use std::time::Duration;
 
-    /// An adaptive law with a 1 ms queue-delay budget.
+    /// A law with a 1 ms queue-delay budget.
     fn law(max_limit: usize) -> Admission {
-        Admission::new(max_limit, Some(Duration::from_micros(1_000)))
+        Admission::new(max_limit, Duration::from_micros(1_000))
     }
 
     /// Feed one control window, then tick.
@@ -714,21 +716,26 @@ mod tests {
 
     #[test]
     fn overload_expensive_cap_tracks_the_ladder() {
-        let fixed = Admission::new(64, None);
-        assert_eq!(fixed.expensive_cap(), None, "a fixed cap never sheds");
-        let budget = Some(Duration::from_millis(100));
-        assert_eq!(Admission::new(64, budget).expensive_cap(), Some(32));
-        assert_eq!(Admission::new(5, budget).expensive_cap(), Some(3));
-        let mut adaptive = Admission::new(64, budget);
+        let mut adaptive = Admission::new(64, Duration::from_millis(100));
+        assert_eq!(
+            adaptive.refuses(Lane::Expensive, 63, 100_000),
+            None,
+            "a calm lane within its budget fills to the limit"
+        );
+        assert_eq!(
+            adaptive.refuses(Lane::Expensive, 0, 100_001),
+            Some(Reject::Shed)
+        );
         for _ in 0..9 {
             tick(&mut adaptive, &[1_000_000; 4]);
         }
         assert_eq!(adaptive.level(), 3);
         assert_eq!(
-            adaptive.expensive_cap(),
-            Some(0),
+            adaptive.refuses(Lane::Expensive, 0, 0),
+            Some(Reject::Shed),
             "level 3 sheds the whole expensive lane"
         );
+        assert_eq!(adaptive.refuses(Lane::Cheap, 0, 0), None);
     }
 
     #[test]

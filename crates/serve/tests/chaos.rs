@@ -260,7 +260,6 @@ fn shed_fallback_answers_when_server_is_unreachable() {
     let requests: Vec<Request> = (0..3).map(|i| synth_req(&format!("s{i}"))).collect();
     let policy = RetryPolicy {
         attempts: 2,
-        base_delay: Duration::from_millis(1),
         ..RetryPolicy::default()
     };
     let outcome = client::run_batch_retry("127.0.0.1:1", &requests, 2, &policy);

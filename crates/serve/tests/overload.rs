@@ -108,8 +108,8 @@ fn queued_request_past_its_deadline_expires_without_running() {
     handle.shutdown().expect("clean shutdown");
 }
 
-/// Two-lane scheduling: with adaptive admission on, the expensive lane
-/// has a watermark (half the limit) and overflow there is shed with a
+/// Two-lane scheduling: once the oldest queued expensive job has waited
+/// past the delay budget, a new expensive request is shed with a
 /// `retry_after_ms` hint — while cheap requests keep being admitted and
 /// answered non-degraded.
 #[test]
@@ -118,9 +118,10 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
     let handle = server::start(ServeConfig {
         workers: 1,
         queue_depth: 4,
-        // A budget nothing here exceeds: the AIMD controller never cuts
-        // the limit, so only the lane watermark (4/2 = 2) is in play.
-        admission_delay_budget: Some(Duration::from_secs(10)),
+        // The held worker keeps the expensive lane waiting ~1.3 s, far
+        // past this budget. No job dequeues before the shed, so the AIMD
+        // limit stays at 4 and only the lane's age is in play.
+        admission_delay_budget: Some(Duration::from_millis(100)),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -135,8 +136,9 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
     };
     std::thread::sleep(Duration::from_millis(200));
 
-    // Two expensive requests fill the lane watermark; their tiny
-    // deadlines expire while the occupier holds the worker.
+    // Two expensive requests arrive together into an empty lane and are
+    // admitted; their tiny deadlines expire while the occupier holds the
+    // worker.
     let expensive: Vec<_> = (0..2)
         .map(|i| {
             let addr = addr.clone();
@@ -154,8 +156,9 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
     let wire = client::health(&addr).expect("health over tcp");
     assert_eq!(wire.health.expect("health payload").queue, 2);
 
-    // The third expensive request overflows the watermark: shed now,
-    // with a back-pressure hint, instead of joining a doomed queue.
+    // The lane's head has now waited ~200 ms, past the 100 ms budget:
+    // the third expensive request is shed, with a back-pressure hint,
+    // instead of joining a doomed queue.
     let shed =
         client::request_one(&addr, &request("e2", HARD, &["a1"], Some(30))).expect("shed answered");
     assert_eq!(shed.status, Status::Overloaded, "{shed:?}");

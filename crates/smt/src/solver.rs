@@ -82,26 +82,14 @@ impl Model {
     }
 }
 
-/// Tunable resource limits.
-#[derive(Debug, Clone)]
-pub struct SolverConfig {
-    /// Maximum lazy DPLL(T) rounds before `Unknown`.
-    pub max_rounds: u64,
-    /// Maximum branch-and-bound nodes per theory check before `Unknown`.
-    pub max_bb_nodes: u64,
-}
+/// Maximum lazy DPLL(T) rounds before `Unknown`. Formulas from query
+/// predicates solve in tens of lazy rounds; thousands signal a
+/// pathological (Cooper-blowup) region that callers handle by degrading
+/// to CEGQI — so fail fast.
+const MAX_ROUNDS: u64 = 4_000;
 
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            // Formulas from query predicates solve in tens of lazy rounds;
-            // thousands signal a pathological (Cooper-blowup) region that
-            // callers handle by degrading to CEGQI — so fail fast.
-            max_rounds: 4_000,
-            max_bb_nodes: 5_000,
-        }
-    }
-}
+/// Maximum branch-and-bound nodes per theory check before `Unknown`.
+const MAX_BB_NODES: u64 = 5_000;
 
 /// Cumulative statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -122,8 +110,6 @@ pub struct SolverStats {
 #[derive(Debug, Default)]
 pub struct Solver {
     vars: VarTable,
-    /// Resource limits.
-    pub config: SolverConfig,
     /// Statistics.
     pub stats: SolverStats,
     /// Cooperative deadline/cancel token. Cloned into the CDCL and simplex
@@ -136,14 +122,6 @@ impl Solver {
     /// Fresh solver.
     pub fn new() -> Self {
         Solver::default()
-    }
-
-    /// Solver with explicit limits.
-    pub fn with_config(config: SolverConfig) -> Self {
-        Solver {
-            config,
-            ..Solver::default()
-        }
     }
 
     /// Declare a variable.
@@ -167,7 +145,7 @@ impl Solver {
     pub fn check(&mut self, f: &Formula) -> SmtResult {
         self.stats.checks += 1;
         let _span = sia_obs::span("smt.check");
-        let mut ctx = CheckCtx::new(&self.vars, &self.config, false, self.budget.clone());
+        let mut ctx = CheckCtx::new(&self.vars, false, self.budget.clone());
         let result = ctx.run(f);
         self.stats.rounds += ctx.rounds;
         self.stats.theory_lemmas += ctx.lemmas;
@@ -204,7 +182,7 @@ impl Solver {
     pub fn check_with_certificate(&mut self, f: &Formula) -> (SmtResult, Option<CertifiedUnsat>) {
         self.stats.checks += 1;
         let _span = sia_obs::span("smt.check");
-        let mut ctx = CheckCtx::new(&self.vars, &self.config, true, self.budget.clone());
+        let mut ctx = CheckCtx::new(&self.vars, true, self.budget.clone());
         let result = ctx.run(f);
         self.stats.rounds += ctx.rounds;
         self.stats.theory_lemmas += ctx.lemmas;
@@ -299,7 +277,6 @@ fn ineq_of(key: &ComboKey, spec: &BoundSpec, raw: &BoundSpec) -> LinearIneq {
 
 struct CheckCtx<'a> {
     vars: &'a VarTable,
-    config: &'a SolverConfig,
     sat: SatSolver,
     simplex: Simplex,
     /// VarId → simplex var (for arithmetic vars incl. fresh ones).
@@ -329,19 +306,13 @@ struct CheckCtx<'a> {
 }
 
 impl<'a> CheckCtx<'a> {
-    fn new(
-        vars: &'a VarTable,
-        config: &'a SolverConfig,
-        certify: bool,
-        budget: crate::Budget,
-    ) -> Self {
+    fn new(vars: &'a VarTable, certify: bool, budget: crate::Budget) -> Self {
         let mut sat = SatSolver::new();
         sat.budget = budget.clone();
         let mut simplex = Simplex::new();
         simplex.budget = budget.clone();
         CheckCtx {
             vars,
-            config,
             certify,
             budget,
             sat,
@@ -643,7 +614,7 @@ impl<'a> CheckCtx<'a> {
             }
         }
         loop {
-            if self.rounds >= self.config.max_rounds || self.budget.is_exhausted() {
+            if self.rounds >= MAX_ROUNDS || self.budget.is_exhausted() {
                 return SmtResult::Unknown;
             }
             self.rounds += 1;
@@ -692,7 +663,7 @@ impl<'a> CheckCtx<'a> {
                 }
                 None => {
                     // Rational model found; enforce integrality.
-                    let mut budget = self.config.max_bb_nodes;
+                    let mut budget = MAX_BB_NODES;
                     let bb = self.branch_and_bound(&mut budget, 0);
                     match bb {
                         BbResult::Sat => {

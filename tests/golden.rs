@@ -8,7 +8,7 @@
 //! commit before `sia-num` gained its inline form.
 
 use sia::core::{SiaConfig, SynthesisResult, Synthesizer};
-use sia::expr::Pred;
+use sia::expr::{eval_pred, Pred, Value};
 use sia::sql::parse_predicate;
 use sia_gen::{GenConfig, ZonePolicy};
 
@@ -98,6 +98,26 @@ fn zone_ineligible_requests_are_pinned() {
         })
         .collect();
     assert_golden("zone_ineligible", &got, ZONE_INELIGIBLE);
+}
+
+/// The executor truncates integer division, so `a / 2 <= 10` admits
+/// a = 21: an answer over `a` may not read the quotient as rational and
+/// answer `a <= 20`. Every `a` the input accepts (with b = 0) must pass.
+#[test]
+fn integer_division_is_proved_as_the_executor_computes_it() {
+    let p = parse_predicate("a / 2 <= 10 AND b < 5").unwrap();
+    let got = synthesize(&p, &["a".to_string()]);
+    let q = got.predicate.unwrap_or(Pred::Lit(true));
+    assert_ne!(q.to_string(), "a <= 20");
+    for a in -60..=60 {
+        let row = |c: &str| match c {
+            "a" => Value::Int(a),
+            _ => Value::Int(0),
+        };
+        if eval_pred(&p, &row) == Some(true) {
+            assert_eq!(eval_pred(&q, &row), Some(true), "{q} drops a = {a}");
+        }
+    }
 }
 
 const MOTIVATING: &[&str] = &["a2 <= 18 AND a2 - a1 >= -28 | optimal=true"];

@@ -1,22 +1,25 @@
 //! Property-based checks for the predicate closure engine: everything the
-//! closure derives must be implied by its input (checked against a
-//! concrete Kleene evaluator on random tuples), column substitution under
-//! an equality must preserve three-valued results, and closing a closed
-//! conjunction must be a no-op.
+//! closure derives must be implied by its input (checked with
+//! `sia_expr::eval_pred`, the executor's semantics — integer division
+//! truncates — on random tuples and, around every truncated quotient, on
+//! a boundary grid), column substitution under an equality must preserve
+//! three-valued results, and closing a closed conjunction must be a no-op.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use sia_analyze::Analyzer;
-use sia_expr::{col, lit, ArithOp, CmpOp, Expr, Pred};
+use sia_expr::{col, eval_pred, lit, ArithOp, CmpOp, Expr, Pred, Value};
 use sia_rand::rngs::StdRng;
 use sia_rand::{Rng, SeedableRng};
 
 const COLS: [&str; 4] = ["a", "b", "c", "n"];
 const NULLABLE: &str = "n";
 
+type Tuple = HashMap<String, Value>;
+
 /// A random atom from the fragments the closure engine works over:
-/// unary bounds, unit differences, constant-scaled comparisons, and
-/// column equalities that feed the union-find.
+/// unary bounds, unit differences, constant-scaled comparisons, column
+/// equalities that feed the union-find, and truncated quotients.
 fn rand_atom(g: &mut StdRng) -> Pred {
     let var = |g: &mut StdRng| col(COLS[g.gen_range(0usize..COLS.len())]);
     let op = match g.gen_range(0u32..5) {
@@ -26,7 +29,7 @@ fn rand_atom(g: &mut StdRng) -> Pred {
         3 => CmpOp::Ge,
         _ => CmpOp::Eq,
     };
-    match g.gen_range(0u32..5) {
+    match g.gen_range(0u32..6) {
         // Column equality: seeds an equivalence class.
         0 => var(g).eq_(var(g)),
         // Unary bound.
@@ -38,6 +41,11 @@ fn rand_atom(g: &mut StdRng) -> Pred {
         3 => var(g)
             .mul(lit(g.gen_range(2i64..=3)))
             .cmp(op, lit(g.gen_range(-8i64..=8))),
+        // Truncated quotient by k in ±2..=7.
+        4 => {
+            let k = g.gen_range(2i64..=7) * if g.gen_range(0u32..2) == 0 { 1 } else { -1 };
+            var(g).div(lit(k)).cmp(op, lit(g.gen_range(-8i64..=8)))
+        }
         // Two-sided scaled comparison.
         _ => var(g)
             .mul(lit(g.gen_range(2i64..=3)))
@@ -50,74 +58,64 @@ fn rand_conjunction(g: &mut StdRng) -> Pred {
     Pred::and_all((0..n).map(|_| rand_atom(g)))
 }
 
-fn rand_tuple(g: &mut StdRng) -> BTreeMap<String, Option<i128>> {
+fn rand_tuple(g: &mut StdRng) -> Tuple {
     COLS.iter()
         .map(|&c| {
             let v = if c == NULLABLE && g.gen_range(0u32..3) == 0 {
-                None
+                Value::Null
             } else {
-                Some(i128::from(g.gen_range(-10i64..=10)))
+                Value::Int(g.gen_range(-10i64..=10))
             };
             (c.to_string(), v)
         })
         .collect()
 }
 
-fn eval_expr(e: &Expr, t: &BTreeMap<String, Option<i128>>) -> Option<i128> {
-    match e {
-        Expr::Column(c) => *t.get(c).expect("known column"),
-        Expr::Int(v) => Some(i128::from(*v)),
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval_expr(lhs, t)?;
-            let r = eval_expr(rhs, t)?;
-            match op {
-                ArithOp::Add => Some(l + r),
-                ArithOp::Sub => Some(l - r),
-                ArithOp::Mul => Some(l * r),
-                ArithOp::Div => panic!("generator is division-free"),
+/// The integer constants of `p`, and the divisors it truncates by.
+fn constants_and_divisors(p: &Pred, ints: &mut Vec<i64>, divisors: &mut Vec<i64>) {
+    fn expr(e: &Expr, ints: &mut Vec<i64>, divisors: &mut Vec<i64>) {
+        match e {
+            Expr::Int(v) => ints.push(*v),
+            Expr::Binary { op, lhs, rhs } => {
+                if let (ArithOp::Div, Expr::Int(k)) = (op, rhs.as_ref()) {
+                    divisors.push(*k);
+                }
+                expr(lhs, ints, divisors);
+                expr(rhs, ints, divisors);
+            }
+            _ => {}
+        }
+    }
+    match p {
+        Pred::Cmp { lhs, rhs, .. } => {
+            expr(lhs, ints, divisors);
+            expr(rhs, ints, divisors);
+        }
+        Pred::And(ps) | Pred::Or(ps) => {
+            for q in ps {
+                constants_and_divisors(q, ints, divisors);
             }
         }
-        other => panic!("generator never emits {other:?}"),
+        Pred::Not(q) => constants_and_divisors(q, ints, divisors),
+        Pred::Lit(_) => {}
     }
 }
 
-fn eval_pred(p: &Pred, t: &BTreeMap<String, Option<i128>>) -> Option<bool> {
-    match p {
-        Pred::Lit(b) => Some(*b),
-        Pred::Cmp { op, lhs, rhs } => {
-            let l = eval_expr(lhs, t)?;
-            let r = eval_expr(rhs, t)?;
-            Some(match op {
-                CmpOp::Lt => l < r,
-                CmpOp::Le => l <= r,
-                CmpOp::Gt => l > r,
-                CmpOp::Ge => l >= r,
-                CmpOp::Eq => l == r,
-                CmpOp::Ne => l != r,
-            })
-        }
-        Pred::And(ps) => {
-            let vs: Vec<Option<bool>> = ps.iter().map(|q| eval_pred(q, t)).collect();
-            if vs.contains(&Some(false)) {
-                Some(false)
-            } else if vs.iter().any(Option::is_none) {
-                None
-            } else {
-                Some(true)
-            }
-        }
-        Pred::Or(ps) => {
-            let vs: Vec<Option<bool>> = ps.iter().map(|q| eval_pred(q, t)).collect();
-            if vs.contains(&Some(true)) {
-                Some(true)
-            } else if vs.iter().any(Option::is_none) {
-                None
-            } else {
-                Some(false)
-            }
-        }
-        Pred::Not(q) => eval_pred(q, t).map(|b| !b),
+/// Where truncation bites: every integer within ±2|k| of each constant
+/// of `preds` (the input and what was derived from it), for the largest
+/// divisor `k` of `p`. Empty when `p` does not divide.
+fn boundary_grid(p: &Pred, preds: &[&Pred]) -> BTreeSet<i64> {
+    let (mut ints, mut divisors) = (Vec::new(), Vec::new());
+    constants_and_divisors(p, &mut ints, &mut divisors);
+    let Some(reach) = divisors.iter().map(|k| 2 * k.abs()).max() else {
+        return BTreeSet::new();
+    };
+    for q in preds {
+        constants_and_divisors(q, &mut ints, &mut Vec::new());
     }
+    ints.iter()
+        .flat_map(|c| (c - reach)..=(c + reach))
+        .collect()
 }
 
 fn analyzer() -> Analyzer {
@@ -128,45 +126,64 @@ fn analyzer() -> Analyzer {
 fn closure_is_implied_by_its_input() {
     let mut g = StdRng::seed_from_u64(0xC105_0001);
     let an = analyzer();
-    let mut true_hits = 0usize;
+    let scopes: Vec<Vec<String>> = [&["a"][..], &["a", "b"], &["b", "c", "n"]]
+        .iter()
+        .map(|s| s.iter().map(|c| c.to_string()).collect())
+        .collect();
+    let (mut true_hits, mut grid_hits) = (0usize, 0usize);
     for _ in 0..400 {
         let p = rand_conjunction(&mut g);
         let cl = an.close(&p);
+        let entailed: Vec<Pred> = scopes.iter().map(|s| cl.entailed_over(&an, s)).collect();
+        let derived: Vec<&Pred> = cl
+            .atoms
+            .iter()
+            .chain(&cl.derived)
+            .chain(&entailed)
+            .collect();
+        let grid = boundary_grid(&p, &derived);
         for _ in 0..24 {
-            let tuple = rand_tuple(&mut g);
-            if eval_pred(&p, &tuple) != Some(true) {
-                continue;
-            }
-            true_hits += 1;
-            // Every atom the closure carries — input and derived — must
-            // be TRUE whenever the input conjunction is TRUE.
-            for atom in cl.atoms.iter().chain(&cl.derived) {
-                assert_eq!(
-                    eval_pred(atom, &tuple),
-                    Some(true),
-                    "closure of `{p}` carries `{atom}` which is not TRUE on {tuple:?}"
+            let random = rand_tuple(&mut g);
+            // The random tuple, then every one-column move of it onto the
+            // boundary grid.
+            let moved = COLS.iter().flat_map(|&c| {
+                grid.iter().map(|&v| {
+                    let mut t = random.clone();
+                    t.insert(c.to_string(), Value::Int(v));
+                    t
+                })
+            });
+            for (i, tuple) in std::iter::once(random.clone()).chain(moved).enumerate() {
+                if eval_pred(&p, &tuple) != Some(true) {
+                    continue;
+                }
+                if i == 0 {
+                    true_hits += 1;
+                } else {
+                    grid_hits += 1;
+                }
+                // Every atom the closure carries — input and derived — and
+                // the strongest entailed predicate over each scope must be
+                // TRUE whenever the input conjunction is TRUE.
+                for atom in &derived {
+                    assert_eq!(
+                        eval_pred(atom, &tuple),
+                        Some(true),
+                        "closure of `{p}` carries `{atom}` which is not TRUE on {tuple:?}"
+                    );
+                }
+                // A contradiction verdict forbids any TRUE tuple.
+                assert!(
+                    !cl.contradictory(),
+                    "`{p}` declared contradictory but {tuple:?} satisfies it"
                 );
             }
-            // So must the strongest entailed predicate over any scope.
-            for keep in [&["a"][..], &["a", "b"][..], &["b", "c", "n"][..]] {
-                let keep: Vec<String> = keep.iter().map(|s| s.to_string()).collect();
-                let e = cl.entailed_over(&an, &keep);
-                assert_eq!(
-                    eval_pred(&e, &tuple),
-                    Some(true),
-                    "entailed_over({keep:?}) of `{p}` yields `{e}`, not TRUE on {tuple:?}"
-                );
-            }
-            // A contradiction verdict forbids any TRUE tuple.
-            assert!(
-                !cl.contradictory(),
-                "`{p}` declared contradictory but {tuple:?} satisfies it"
-            );
         }
     }
-    // Random conjunctions must actually produce satisfying tuples or the
-    // test is vacuous.
+    // Random conjunctions must actually produce satisfying tuples, and
+    // the grid must reach some, or the test is vacuous.
     assert!(true_hits > 100, "too few TRUE tuples ({true_hits})");
+    assert!(grid_hits > 100, "too few TRUE grid tuples ({grid_hits})");
 }
 
 #[test]
@@ -188,7 +205,7 @@ fn substitution_under_equality_preserves_three_valued_results() {
             // Force the equality `from = to` to hold with both sides
             // non-NULL — the precondition substitution relies on (an
             // equality atom being TRUE pins both columns).
-            let v = Some(i128::from(g.gen_range(-10i64..=10)));
+            let v = Value::Int(g.gen_range(-10i64..=10));
             tuple.insert(from.to_string(), v);
             tuple.insert(to.to_string(), v);
             assert_eq!(

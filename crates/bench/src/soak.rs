@@ -2,22 +2,19 @@
 //! serve pool under injected faults while continuously checking the
 //! invariants the service promises — zero soundness violations (sampled
 //! answers re-verified against the solver oracle), zero lost requests,
-//! bounded cache memory, a healed worker pool, and stable tail latency
-//! across time windows.
+//! bounded cache memory, and stable tail latency across time windows.
 //!
 //! The driver is [`load::open_loop`] over a Poisson schedule. Results
 //! land in `BENCH_soak.json` (or `--out`).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sia_core::{verify_implies, PredEncoder, Validity};
 use sia_expr::Pred;
 use sia_gen::GenConfig;
 use sia_obs::Counter;
 use sia_rand::SplitMix64;
-use sia_serve::{
-    client, server, Request, Response, RetryPolicy, ServeConfig, ServerHandle, Status,
-};
+use sia_serve::{client, server, Request, Response, RetryPolicy, ServeConfig, Status};
 use sia_sql::parse_predicate;
 
 use crate::load::{self, percentile, unit, Answer, Arrival};
@@ -42,7 +39,7 @@ const WARMUP_TIMEOUT_MS: u64 = 3000;
 const ORACLE_RATE: f64 = 0.05;
 /// Tail-latency window width.
 const WINDOW: Duration = Duration::from_secs(5);
-/// Cadence of the cache snapshots the supervisor writes *during* the
+/// Cadence of the cache snapshots the server writes *during* the
 /// soak. The fault mix tears the first two apart (`cache.rename`
 /// failpoint) to prove the atomic-rename protocol rides out mid-write
 /// failures under live traffic.
@@ -76,7 +73,7 @@ pub struct SoakConfig {
     pub workers: usize,
     /// Total fault budget in percent, split across failpoints: half
     /// worker panics, half synthesis errors, plus a fixed trickle of
-    /// 1 ms solver-pivot delays and three outright worker deaths.
+    /// 1 ms solver-pivot delays.
     pub fault_percent: u32,
     /// Seed for arrivals, fault sites, and oracle sampling.
     pub seed: u64,
@@ -148,10 +145,6 @@ pub struct SoakReport {
     pub hit_rate: f64,
     /// Fraction of synthesis runs discharged by static derivation.
     pub derive_static_rate: f64,
-    /// Did the worker pool return to full strength after the faults?
-    pub pool_healed: bool,
-    /// Supervisor respawns observed.
-    pub restarts: u64,
     /// Faults actually injected.
     pub faults_injected: u64,
     /// Per-window tail latency.
@@ -198,8 +191,7 @@ impl SoakReport {
             "{{\"offered\":{},\"answered\":{},\"lost\":{},\"shed\":{},\"ok\":{},\"degraded\":{},\
              \"timeouts\":{},\"retried\":{},\"oracle_checks\":{},\"violations\":{},\
              \"cache_len\":{},\"cache_capacity\":{},\"hit_rate\":{},\
-             \"derive_static_rate\":{},\"pool_healed\":{},\"restarts\":{},\
-             \"faults_injected\":{},\"p99_drift\":{},\"elapsed_s\":{},\
+             \"derive_static_rate\":{},\"faults_injected\":{},\"p99_drift\":{},\"elapsed_s\":{},\
              \"pool_size\":{},\"pool_kept\":{},\"snapshot_recovered\":{},\
              \"windows\":[{windows}]}}",
             self.offered,
@@ -216,8 +208,6 @@ impl SoakReport {
             self.cache_capacity,
             sia_obs::json_number(self.hit_rate),
             sia_obs::json_number(self.derive_static_rate),
-            u8::from(self.pool_healed),
-            self.restarts,
             self.faults_injected,
             sia_obs::json_number(self.p99_drift),
             sia_obs::json_number(self.elapsed_s),
@@ -244,19 +234,6 @@ fn silence_injected_panics() {
             default_hook(info);
         }
     }));
-}
-
-/// Poll until the worker pool reports full strength, or `budget` runs
-/// out. Returns whether the pool healed.
-fn wait_for_full_pool(handle: &ServerHandle, target: u64, budget: Duration) -> bool {
-    let t0 = Instant::now();
-    while t0.elapsed() < budget {
-        if handle.health().workers == target {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
 }
 
 /// Send one request with bounded retries on transport errors and
@@ -360,7 +337,6 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         )?;
         sia_fault::configure("synth.run", &format!("{half}%error(injected synth error)"))?;
         sia_fault::configure("smt.simplex.pivot", "1%delay(1)")?;
-        sia_fault::configure("serve.worker.die", "3*panic(injected worker death)")?;
         // Tear the first two mid-soak snapshots apart at the atomic
         // rename. Count-limited so the budget is exhausted well before
         // shutdown's final save, which must succeed.
@@ -374,10 +350,7 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         load::open_loop(&schedule, |i| send_with_retry(&addr, &pool[i % pool.len()]));
     let elapsed_s = elapsed.as_secs_f64();
 
-    // Pool-health and fault bookkeeping before shutdown.
-    #[allow(clippy::cast_possible_truncation)]
-    let pool_healed = wait_for_full_pool(&handle, cfg.workers as u64, Duration::from_secs(30));
-    let restarts = handle.health().restarts;
+    // Fault and cache bookkeeping before shutdown.
     let faults_injected = counter(Counter::FaultInjected);
     sia_fault::clear();
     let cache_len = handle.cache().len();
@@ -487,8 +460,6 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         cache_capacity: CACHE_CAPACITY,
         hit_rate,
         derive_static_rate,
-        pool_healed,
-        restarts,
         faults_injected,
         windows,
         p99_drift,
@@ -551,14 +522,12 @@ pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
     );
     println!(
         "invariants: {} oracle checks, {} violations | cache {}/{} entries, hit rate {:.1}% \
-         | pool healed: {} ({} restarts) | p99 drift {:.2}x | {} faults injected",
+         | p99 drift {:.2}x | {} faults injected",
         report.oracle_checks,
         report.violations,
         report.cache_len,
         report.cache_capacity,
         100.0 * report.hit_rate,
-        report.pool_healed,
-        report.restarts,
         report.p99_drift,
         report.faults_injected
     );
@@ -586,7 +555,6 @@ pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
         report.lost == 0,
         format!("{} lost requests in soak", report.lost),
     );
-    gates.require(report.pool_healed, "worker pool never healed".to_string());
     gates.require(
         report.cache_len <= report.cache_capacity,
         format!(

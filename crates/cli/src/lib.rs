@@ -130,6 +130,25 @@ impl From<&str> for CliError {
         CliError::from(message.to_string())
     }
 }
+
+/// The one way to stdout: `text` and a newline, flushed. A closed pipe
+/// (`sia gen | head -1`) is the end of the output, not an error, so the
+/// command's own exit code stands; the result says whether anyone is
+/// still reading.
+///
+/// # Errors
+///
+/// Any other write failure, described.
+pub fn print_line(text: &str) -> Result<bool, String> {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("cannot write to stdout: {e}")),
+    }
+}
+
 /// A parsed CLI invocation: one variant per [`SUBCOMMANDS`] row, each
 /// holding that subcommand's arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -700,7 +719,7 @@ impl Lint {
         if errors > 0 {
             // Findings still belong on stdout; only the verdict goes
             // to stderr via the error path (the batch precedent).
-            println!("{out}");
+            print_line(&out)?;
             return Err(CliError {
                 message: format!("lint: {errors} error-severity finding(s)"),
                 code: EXIT_LINT,
@@ -845,15 +864,15 @@ impl Serve {
         let cache_file = self.config.cache_file.clone();
         let handle = server::start(self.config).map_err(|e| format!("cannot start server: {e}"))?;
         if let (Some(path), Some(load)) = (cache_file, handle.cache_load()) {
-            println!(
+            print_line(&format!(
                 "cache file {path}: recovered {} records, dropped {}",
                 load.recovered, load.dropped
-            );
+            ))?;
         }
         // Announce readiness immediately, and last: `run` only returns
         // output after shutdown, and clients wait for this line.
         let addr = handle.addr().to_string();
-        println!("sia-serve listening on {addr}");
+        print_line(&format!("sia-serve listening on {addr}"))?;
         let cache = handle.cache_arc();
         let last = handle
             .wait()
@@ -923,9 +942,7 @@ impl Batch {
                     r.timeout_ms = r.timeout_ms.or(self.timeout_ms);
                     requests.push(r);
                 }
-                protocol::RequestLine::Shutdown
-                | protocol::RequestLine::Health
-                | protocol::RequestLine::Stats => {
+                protocol::RequestLine::Shutdown | protocol::RequestLine::Stats => {
                     return Err(format!(
                         "{file}:{}: control requests are not allowed in a batch",
                         lineno + 1
@@ -972,7 +989,7 @@ impl Batch {
         if timeouts + expired + failed > 0 {
             // Responses still belong on stdout; only the verdict goes to
             // stderr via the error path.
-            println!("{out}");
+            print_line(&out)?;
             return Err(CliError {
                 message: format!(
                     "batch: {timeouts} timed out, {expired} expired, {failed} failed of {} \
@@ -1050,9 +1067,11 @@ impl Top {
                 // only one when --iterations 1, the scriptable mode).
                 return Ok(frame);
             }
-            // Clear screen + cursor home, like `top`.
-            println!("\u{1b}[2J\u{1b}[H{frame}");
-            std::io::Write::flush(&mut std::io::stdout()).ok();
+            // Clear screen + cursor home, like `top`; stop once nobody
+            // is reading.
+            if !print_line(&format!("\u{1b}[2J\u{1b}[H{frame}"))? {
+                return Ok(frame);
+            }
             std::thread::sleep(Duration::from_millis(self.interval_ms.max(50)));
         }
     }
@@ -1066,17 +1085,7 @@ fn render_top(addr: &str, resp: &sia_serve::Response) -> String {
     let dur_us = |us: u64| sia_obs::fmt_duration(Duration::from_micros(us));
     let mut out = String::new();
     let _ = writeln!(out, "sia top — {addr} (uptime {})", dur_ms(s.uptime_ms));
-    if let Some(h) = &resp.health {
-        let _ = writeln!(
-            out,
-            "workers  {}/{}  queue {}  restarts {}  breaker {}",
-            h.workers,
-            h.target,
-            h.queue,
-            h.restarts,
-            if h.breaker_open { "open" } else { "closed" }
-        );
-    }
+    let _ = writeln!(out, "workers  {}  queue {}", s.workers, s.queue);
     let _ = writeln!(
         out,
         "requests {} accepted / {} completed / {} rejected\n\
@@ -1340,7 +1349,7 @@ mod tests {
         .expect("top frame");
         assert!(out.contains(&format!("sia top — {addr}")), "{out}");
         assert!(out.contains("requests 1 accepted"), "{out}");
-        assert!(out.contains("workers  1/1"), "{out}");
+        assert!(out.contains("workers  1  queue 0"), "{out}");
         assert!(out.contains("latency  p50"), "{out}");
         handle.shutdown().expect("clean shutdown");
     }

@@ -15,17 +15,20 @@
 //! requests (all-timeout batches also exit 2), 3 error-severity lint
 //! findings.
 
-use sia_cli::{run, Command};
+use sia_cli::{print_line, run, Command};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match Command::parse(&args) {
         Ok(cmd) => match run(cmd) {
-            Ok(output) => {
-                println!("{output}");
-                ExitCode::SUCCESS
-            }
+            Ok(output) => match print_line(&output) {
+                Ok(_) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
+            },
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::from(e.code)

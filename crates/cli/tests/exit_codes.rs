@@ -113,6 +113,23 @@ fn serve_with_a_zero_delay_budget_exits_one() {
     );
 }
 
+/// A reader that leaves early (`sia gen | head -1`) ends the output; it
+/// is not a panic, and the exit code stays the command's own.
+#[test]
+fn closed_stdout_is_the_end_of_output_not_a_panic() {
+    let mut child = Command::new(SIA)
+        .args(["gen", "--count", "3000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sia binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("sia exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn synth_timeout_exits_two() {
     let out = sia(&["synth", HARD, "--cols", "a1", "--timeout-ms", "5"]);

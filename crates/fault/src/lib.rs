@@ -286,7 +286,7 @@ fn ensure_init() {
 /// # Panics
 ///
 /// Panics when the site's policy says `panic` — that is the injected
-/// fault, intended to be observed by `catch_unwind` supervisors.
+/// fault, intended to be observed by a caller's `catch_unwind`.
 #[inline]
 pub fn fire(site: &str) -> Option<String> {
     match STATE.load(Ordering::Relaxed) {
@@ -375,13 +375,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub const CATALOG: &[(&str, &str, &str)] = &[
     (
         "serve.worker.request",
-        "sia-serve worker, inside catch_unwind, before synthesis",
+        "sia-serve worker, top of the job's catch_unwind domain",
         "a crash while processing one request (degraded fallback expected)",
-    ),
-    (
-        "serve.worker.die",
-        "sia-serve worker loop, outside catch_unwind, between requests",
-        "a worker thread dying outright (supervisor respawn expected)",
     ),
     (
         "synth.run",

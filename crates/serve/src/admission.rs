@@ -39,7 +39,7 @@ use sia_smt::Budget;
 use crate::protocol::Request;
 use crate::{lock, micros};
 
-/// AIMD control-tick interval: how often the supervisor has the queue
+/// AIMD control-tick interval: how often the control thread has the queue
 /// re-evaluate the admission limit and brownout level from the queue
 /// waits observed since the last tick.
 pub(crate) const CONTROL_TICK: Duration = Duration::from_millis(100);

@@ -7,9 +7,9 @@
 //! a timeout, an internal error, a brownout — the request degrades to
 //! its *original* predicate (always valid, never optimal) or to
 //! solver-free static bounds, never to a different predicate and never
-//! to silence: the worker runs `process` under
-//! [`std::panic::catch_unwind`], and [`JobGuard`] answers even if the
-//! worker thread itself unwinds.
+//! to silence: the worker runs each job in one
+//! [`std::panic::catch_unwind`] domain and writes its one reply outside
+//! it.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -51,10 +51,6 @@ pub(crate) fn process(
         r
     };
 
-    if sia_fault::fire("serve.worker.request").is_some() {
-        return finish(degraded(&req.id, &req.predicate, "internal"));
-    }
-
     let (p, canon) = match &job.parsed {
         Ok(pair) => pair,
         Err(e) => {
@@ -68,18 +64,21 @@ pub(crate) fn process(
         let _lint_span = sia_obs::span("lint");
         lint_warnings(linter, p)
     };
+    // The `cache` phase is the probe and, on a hit, the answer rendered
+    // from it.
     let cache_span = sia_obs::span("cache");
-    let hit = cache.lookup(canon, &req.cols);
-    drop(cache_span);
-    if let Some(hit) = hit {
-        return finish(Response {
+    if let Some(hit) = cache.lookup(canon, &req.cols) {
+        let response = Response {
             predicate: (!hit.predicate.is_true()).then(|| hit.predicate.to_string()),
             optimal: hit.optimal,
             cached: true,
             warnings,
             ..Response::plain(&req.id, Status::Ok)
-        });
+        };
+        drop(cache_span);
+        return finish(response);
     }
+    drop(cache_span);
 
     // Brownout level 2+: if static zone projection yields sound bounds,
     // serve them as a flagged degraded result instead of synthesizing.
@@ -173,36 +172,6 @@ pub(crate) fn degraded_body(id: &str, status: Status) -> Response {
     Response {
         degraded: true,
         ..Response::plain(id, status)
-    }
-}
-
-/// Answers the in-flight request with a degraded fallback if the worker
-/// thread unwinds while still holding it.
-pub(crate) struct JobGuard<'a> {
-    job: &'a Job,
-    armed: bool,
-}
-
-impl<'a> JobGuard<'a> {
-    pub(crate) fn armed(job: &'a Job) -> JobGuard<'a> {
-        JobGuard { job, armed: true }
-    }
-
-    pub(crate) fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for JobGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            sia_obs::add(Counter::ServePanics, 1);
-            let request = &self.job.request;
-            respond(
-                &self.job.out,
-                &degraded(&request.id, &request.predicate, "panic"),
-            );
-        }
     }
 }
 

@@ -18,8 +18,7 @@ use std::time::Duration;
 use sia_obs::Counter;
 
 use crate::protocol::{
-    fresh_trace_id, render_health, render_request, render_shutdown, render_stats, Request,
-    Response, Status,
+    fresh_trace_id, render_request, render_shutdown, render_stats, Request, Response, Status,
 };
 
 /// Send `requests` over `concurrency` connections and collect every
@@ -328,15 +327,6 @@ pub fn request_one(addr: &str, request: &Request) -> std::io::Result<Response> {
     result
 }
 
-/// Ask the server for its worker-pool health.
-///
-/// # Errors
-///
-/// Fails on connect/write errors or a malformed response.
-pub fn health(addr: &str) -> std::io::Result<Response> {
-    control(addr, render_health())
-}
-
 /// Ask the server to drain and stop; returns its `bye` response.
 ///
 /// # Errors
@@ -346,8 +336,9 @@ pub fn shutdown(addr: &str) -> std::io::Result<Response> {
     control(addr, render_shutdown())
 }
 
-/// Ask the server for its live telemetry: cumulative counters, latency
-/// percentiles, cache hit rates, and per-phase wall-time totals.
+/// Ask the server for its live telemetry: workers, queue depth,
+/// cumulative counters, latency percentiles, cache hit rates, and
+/// per-phase wall-time totals.
 /// Answered by the connection's reader thread without queueing, so it
 /// works even when the pool is saturated.
 ///

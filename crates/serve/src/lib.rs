@@ -1,4 +1,4 @@
-//! `sia-serve`: a concurrent, supervised predicate-synthesis service.
+//! `sia-serve`: a concurrent predicate-synthesis service.
 //!
 //! Synthesis requests arrive as line-delimited JSON over TCP, pass
 //! through admission control into a bounded queue, and are executed by a
@@ -7,10 +7,11 @@
 //! *shapes* (the common case in query workloads) are answered in
 //! microseconds instead of re-running CEGIS.
 //!
-//! The service is built to degrade, not drop: requests run under a
-//! panic guard and answer with a fallback (the original predicate,
-//! marked `degraded`) when synthesis dies; a supervisor respawns dead
-//! workers with backoff and a restart-storm breaker; cache snapshots are
+//! The service is built to degrade, not drop: a worker runs each job it
+//! pops in one unwind domain and writes exactly one reply for it — a
+//! fallback (the original predicate, marked `degraded`) when anything in
+//! that domain panics — so a worker never dies with a job in hand and
+//! leaves its loop only when the queue closes; cache snapshots are
 //! written crash-safely (temp file + fsync + atomic rename, CRC-checked
 //! records); and the client retries `overloaded` rejections with
 //! jittered backoff before shedding client-side.
@@ -21,37 +22,37 @@
 //! each response carries a per-phase wall-time breakdown (queue wait,
 //! parse, lint, cache probe, synthesis). Live telemetry — cumulative
 //! counters, log-bucket latency percentiles, cache hit rates, per-phase
-//! totals — is answered queue-free by the `stats` op, and requests over
-//! a configurable threshold leave exemplars in a slow-request log.
+//! totals, worker count and queue depth — is answered queue-free by the
+//! `stats` op, and requests over a configurable threshold leave
+//! exemplars in a slow-request log.
 //!
 //! - [`protocol`] — the wire format (requests, responses, statuses,
-//!   health, stats, trace IDs).
+//!   stats, trace IDs).
 //! - [`server`] — [`server::start`], [`server::ServeConfig`], and the
 //!   worker-pool [`server::ServerHandle`]; behind it, one module per
 //!   responsibility: `admission` (the two-lane queue and the AIMD /
 //!   brownout law that moves its limit), `answer` (running one request,
-//!   degrading on failure), `supervisor` (keeping the pool alive) and
-//!   `telemetry` (live counters, phase totals, the slow log).
+//!   degrading on failure) and `telemetry` (live counters, phase totals,
+//!   the slow log).
 //! - [`client`] — blocking helpers: [`client::run_batch`],
 //!   [`client::run_batch_retry`], [`client::request_one`],
-//!   [`client::health`], [`client::stats`], [`client::shutdown`].
+//!   [`client::stats`], [`client::shutdown`].
 //!
 //! Built entirely on `std` (threads, a `Mutex` + `Condvar` queue,
 //! `TcpListener`); cooperative cancellation comes from
 //! `sia_smt::Budget`, which the solver's inner loops poll, and fault
-//! injection comes from `sia_fault` failpoints (`serve.worker.request`,
-//! `serve.worker.die`).
+//! injection comes from `sia_fault` failpoints (`serve.worker.request`
+//! at the top of each job's unwind domain).
 
 mod admission;
 mod answer;
 pub mod client;
 pub mod protocol;
 pub mod server;
-mod supervisor;
 mod telemetry;
 
 pub use client::{BatchOutcome, RetryBudget, RetryPolicy};
-pub use protocol::{fresh_trace_id, HealthInfo, Request, Response, StatsInfo, Status};
+pub use protocol::{fresh_trace_id, Request, Response, StatsInfo, Status};
 pub use server::{start, ServeConfig, ServerHandle};
 
 /// A duration in whole microseconds, saturating.

@@ -8,8 +8,6 @@
 //! ```text
 //! → {"id":"q1","predicate":"x < 10 AND y > 2","cols":"x","timeout_ms":500}
 //! ← {"id":"q1","status":"ok","predicate":"x < 10","optimal":1,"cached":0,"micros":814}
-//! → {"op":"health"}
-//! ← {"id":"","status":"ok","optimal":0,"cached":0,"micros":0,"workers":2,"target":2,"restarts":0,"queue":0,"breaker_open":0}
 //! → {"op":"shutdown"}
 //! ← {"id":"","status":"bye","optimal":0,"cached":0,"micros":0}
 //! ```
@@ -41,9 +39,9 @@
 //! them exactly.
 //!
 //! **Live stats**: `{"op":"stats"}` is answered queue-free by the
-//! connection's reader thread (like `health`) with cumulative counters,
-//! log-bucket latency percentiles, cache hit rates, and per-phase totals
-//! (`stats_*` fields plus `phases`), alongside the usual health fields.
+//! connection's reader thread with the worker count, queue depth,
+//! cumulative counters, log-bucket latency percentiles, cache hit rates,
+//! and per-phase totals (`stats_*` fields plus `phases`).
 
 use sia_obs::{json_string, parse_object, JsonValue};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,13 +66,10 @@ pub struct Request {
 pub enum RequestLine {
     /// A synthesis request.
     Synth(Request),
-    /// Ask the server for its worker-pool health (answered immediately by
-    /// the connection's reader thread, bypassing the queue).
-    Health,
-    /// Ask the server for live telemetry — counters, latency
-    /// percentiles, cache hit rates, per-phase totals. Answered
-    /// immediately by the reader thread, bypassing the queue, so it
-    /// works even when the pool is saturated.
+    /// Ask the server for live telemetry — workers, queue depth,
+    /// counters, latency percentiles, cache hit rates, per-phase totals.
+    /// Answered immediately by the reader thread, bypassing the queue,
+    /// so it works even when the pool is saturated.
     Stats,
     /// Ask the server to drain and stop.
     Shutdown,
@@ -128,22 +123,6 @@ impl Status {
     }
 }
 
-/// Worker-pool health, attached to the answer of a `health` request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthInfo {
-    /// Worker threads currently alive.
-    pub workers: u64,
-    /// Configured pool size (the supervisor restores `workers` to this).
-    pub target: u64,
-    /// Workers respawned by the supervisor since startup.
-    pub restarts: u64,
-    /// Requests currently queued.
-    pub queue: u64,
-    /// Whether the restart-storm circuit breaker is open (respawns
-    /// paused).
-    pub breaker_open: bool,
-}
-
 /// Live server telemetry, attached to the answer of a `stats` request.
 /// All counters are cumulative since startup; percentiles come from the
 /// server's log-bucket latency histogram (≤9% relative error).
@@ -192,12 +171,16 @@ pub struct StatsInfo {
     /// Current brownout ladder level (0 = normal, 1 = no CEGIS
     /// refinement, 2 = static bounds only, 3 = shed expensive lane).
     pub brownout: u64,
+    /// Worker threads serving the queue.
+    pub workers: u64,
+    /// Requests currently queued.
+    pub queue: u64,
 }
 
 impl StatsInfo {
     /// Every field under its wire name (sent as `stats_<name>`), in
     /// wire order.
-    fn fields(&mut self) -> [(&'static str, &mut u64); 20] {
+    fn fields(&mut self) -> [(&'static str, &mut u64); 22] {
         [
             ("uptime_ms", &mut self.uptime_ms),
             ("requests", &mut self.requests),
@@ -219,6 +202,8 @@ impl StatsInfo {
             ("shed", &mut self.shed),
             ("admission_limit", &mut self.admission_limit),
             ("brownout", &mut self.brownout),
+            ("workers", &mut self.workers),
+            ("queue", &mut self.queue),
         ]
     }
 
@@ -238,7 +223,7 @@ impl StatsInfo {
 /// A response line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
-    /// The request id this answers (empty for `bye`/`health`).
+    /// The request id this answers (empty for `bye`/`stats`).
     pub id: String,
     /// Outcome.
     pub status: Status,
@@ -266,8 +251,6 @@ pub struct Response {
     /// `"; "`-joined string field, omitted when empty; individual
     /// messages never contain `"; "`.
     pub warnings: Vec<String>,
-    /// Pool health, present on answers to the `health` op.
-    pub health: Option<HealthInfo>,
     /// The request's trace ID, echoed back when the request carried one.
     pub trace: Option<u64>,
     /// Per-phase wall-time breakdown of this request: `(span path,
@@ -298,7 +281,6 @@ impl Response {
             degraded: false,
             reason: None,
             warnings: Vec::new(),
-            health: None,
             trace: None,
             phases: Vec::new(),
             stats: None,
@@ -349,16 +331,6 @@ impl Response {
                 json_string(&self.warnings.join("; "))
             ));
         }
-        if let Some(h) = &self.health {
-            out.push_str(&format!(
-                ",\"workers\":{},\"target\":{},\"restarts\":{},\"queue\":{},\"breaker_open\":{}",
-                h.workers,
-                h.target,
-                h.restarts,
-                h.queue,
-                u8::from(h.breaker_open)
-            ));
-        }
         if let Some(mut s) = self.stats {
             for (name, v) in s.fields() {
                 out.push_str(&format!(",\"stats_{name}\":{v}"));
@@ -373,9 +345,6 @@ impl Response {
 
     /// Parse a response line.
     pub fn parse(line: &str) -> Result<Response, String> {
-        fn health(resp: &mut Response) -> &mut HealthInfo {
-            resp.health.get_or_insert_default()
-        }
         let fields = parse_object(line)?;
         let mut resp = Response::plain("", Status::Error);
         let mut saw_status = false;
@@ -419,11 +388,6 @@ impl Response {
                         })
                         .collect();
                 }
-                ("workers", JsonValue::Num(n)) => health(&mut resp).workers = as_u64(n),
-                ("target", JsonValue::Num(n)) => health(&mut resp).target = as_u64(n),
-                ("restarts", JsonValue::Num(n)) => health(&mut resp).restarts = as_u64(n),
-                ("queue", JsonValue::Num(n)) => health(&mut resp).queue = as_u64(n),
-                ("breaker_open", JsonValue::Num(n)) => health(&mut resp).breaker_open = n != 0.0,
                 _ => {}
             }
         }
@@ -473,11 +437,6 @@ pub fn render_shutdown() -> String {
     "{\"op\":\"shutdown\"}".to_string()
 }
 
-/// Render the health request line.
-pub fn render_health() -> String {
-    "{\"op\":\"health\"}".to_string()
-}
-
 /// Render the stats request line.
 pub fn render_stats() -> String {
     "{\"op\":\"stats\"}".to_string()
@@ -494,7 +453,6 @@ pub fn parse_request(line: &str) -> Result<RequestLine, String> {
     for (name, value) in fields {
         match (name.as_str(), value) {
             ("op", JsonValue::Str(s)) if s == "shutdown" => return Ok(RequestLine::Shutdown),
-            ("op", JsonValue::Str(s)) if s == "health" => return Ok(RequestLine::Health),
             ("op", JsonValue::Str(s)) if s == "stats" => return Ok(RequestLine::Stats),
             ("op", JsonValue::Str(s)) => return Err(format!("unknown op {s:?}")),
             ("id", JsonValue::Str(s)) => id = Some(s),
@@ -558,10 +516,6 @@ mod tests {
             parse_request(&render_shutdown()).unwrap(),
             RequestLine::Shutdown
         );
-        assert_eq!(
-            parse_request(&render_health()).unwrap(),
-            RequestLine::Health
-        );
         assert_eq!(parse_request(&render_stats()).unwrap(), RequestLine::Stats);
     }
 
@@ -593,13 +547,6 @@ mod tests {
     #[test]
     fn stats_response_round_trips() {
         let r = Response {
-            health: Some(HealthInfo {
-                workers: 4,
-                target: 4,
-                restarts: 0,
-                queue: 1,
-                breaker_open: false,
-            }),
             stats: Some(StatsInfo {
                 uptime_ms: 12_345,
                 requests: 100,
@@ -621,6 +568,8 @@ mod tests {
                 shed: 6,
                 admission_limit: 48,
                 brownout: 1,
+                workers: 4,
+                queue: 1,
             }),
             phases: vec![("queue".into(), 500_000), ("synth".into(), 8_000_000)],
             ..Response::plain("", Status::Ok)
@@ -633,6 +582,7 @@ mod tests {
         assert_eq!(s.shed, 6);
         assert_eq!(s.admission_limit, 48);
         assert_eq!(s.brownout, 1);
+        assert_eq!((s.workers, s.queue), (4, 1));
         assert!((s.hit_rate() - 60.0 / 97.0).abs() < 1e-9);
         // The stats payload does not clobber the response-level flags.
         assert!(!back.degraded);
@@ -735,26 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn health_response_round_trips() {
-        let r = Response {
-            health: Some(HealthInfo {
-                workers: 3,
-                target: 4,
-                restarts: 7,
-                queue: 2,
-                breaker_open: true,
-            }),
-            ..Response::plain("", Status::Ok)
-        };
-        let back = Response::parse(&r.to_line()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.health.unwrap().restarts, 7);
-    }
-
-    #[test]
     fn malformed_requests_are_rejected() {
         assert!(parse_request("{\"id\":\"a\"}").is_err());
         assert!(parse_request("{\"op\":\"dance\"}").is_err());
+        assert!(parse_request("{\"op\":\"health\"}").is_err());
         assert!(parse_request("nonsense").is_err());
         assert!(Response::parse("{\"id\":\"a\"}").is_err());
     }

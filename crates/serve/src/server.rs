@@ -9,33 +9,37 @@
 //! - **Reader threads** parse request lines, anchor each request's
 //!   deadline and [`Budget`] *at admission*, and offer the job to the
 //!   queue (`admission.rs`); a refused job is answered on the spot.
-//!   `health` and `stats` requests are answered inline by the reader,
-//!   bypassing the queue, so health and live telemetry stay observable
-//!   even when the pool is saturated. Each synthesis request gets a
-//!   trace ID (the client's if it sent one, a fresh one otherwise) and
-//!   an open `serve.request` root span ([`sia_obs::SpanContext`]) that
-//!   travels with the job through the queue.
+//!   `stats` requests are answered inline by the reader, bypassing the
+//!   queue, so live telemetry stays observable even when the pool is
+//!   saturated. Each synthesis request gets a trace ID (the client's if
+//!   it sent one, a fresh one otherwise) and an open `serve.request`
+//!   root span ([`sia_obs::SpanContext`]) that travels with the job
+//!   through the queue.
 //! - **Worker threads** drain the queue, adopt the job's span context
 //!   (so every span they record — lint, cache probe, the synthesizer's
 //!   own `synth/...` tree — nests under `serve.request` and carries the
 //!   request's trace ID), and answer it (`answer.rs`): queue wait is
 //!   charged against the deadline, and a job whose deadline already
 //!   passed while queued is answered `expired` without running
-//!   synthesis at all.
-//! - A **supervisor thread** keeps the pool alive (`supervisor.rs`).
+//!   synthesis at all. All of that runs in one unwind domain per job, so
+//!   a worker answers every job it pops exactly once and leaves its loop
+//!   only when the queue closes.
+//! - A **control thread** ticks the admission law, writes periodic cache
+//!   snapshots, and joins the workers at shutdown.
 //!
 //! Shutdown is cooperative: a `{"op":"shutdown"}` request sets the stop
 //! flag and wakes the accept thread with a loopback connection; readers
 //! notice the flag within one read timeout, drop their queue senders,
 //! and the workers exit once the queue drains — already-queued requests
-//! are still answered. The supervisor joins the drained workers and the
-//! final cache save goes through the same atomic temp-file + rename
+//! are still answered. The control thread joins the drained workers and
+//! the final cache save goes through the same atomic temp-file + rename
 //! path as the snapshots.
 
 use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,17 +47,16 @@ use std::time::{Duration, Instant};
 use sia_analyze::Analyzer;
 use sia_cache::{canonicalize, LoadReport, PredicateCache};
 use sia_expr::Schema;
-use sia_obs::{Counter, Hist, SpanContext};
+use sia_obs::{AdoptGuard, Counter, Hist, SpanContext};
 use sia_smt::Budget;
 use sia_sql::parse_predicate;
 
-use crate::admission::{Admission, Job, JobQueue, Lane, QueueSender, QueueSnapshot, Reject};
-use crate::answer::{degraded, degraded_body, process, respond, JobGuard};
+use crate::admission::{Admission, Job, JobQueue, Lane, Popped, QueueSender, Reject, CONTROL_TICK};
+use crate::answer::{degraded, degraded_body, process, respond};
 use crate::micros;
 use crate::protocol::{
-    fresh_trace_id, parse_request, HealthInfo, Request, RequestLine, Response, StatsInfo, Status,
+    fresh_trace_id, parse_request, Request, RequestLine, Response, StatsInfo, Status,
 };
-use crate::supervisor::{spawn_worker, supervise, PoolState};
 use crate::telemetry::{SlowLog, Telemetry};
 
 /// How long reader threads block on a socket before re-checking the
@@ -79,9 +82,9 @@ pub struct ServeConfig {
     /// shutdown (and periodically, see
     /// [`ServeConfig::snapshot_interval`]).
     pub cache_file: Option<String>,
-    /// When set together with `cache_file`, the supervisor writes an
-    /// atomic cache snapshot this often, so a crash loses at most one
-    /// interval of cache warmth.
+    /// When set together with `cache_file`, the control thread writes an
+    /// atomic cache snapshot this often (checked every 100 ms control
+    /// tick), so a crash loses at most one interval of cache warmth.
     pub snapshot_interval: Option<Duration>,
     /// Slow-request log: when set, every request whose total wall time
     /// (queue wait included) meets [`ServeConfig::slow_threshold`]
@@ -129,38 +132,34 @@ impl Default for ServeConfig {
 /// hold a [`QueueSender`] lease each; workers reach the queue through
 /// here, so the queue closes once the accept thread and every reader
 /// have dropped their leases.
-pub(crate) struct Shared {
+struct Shared {
     addr: SocketAddr,
-    pub(crate) stop: AtomicBool,
-    pub(crate) queue: Arc<JobQueue<Job>>,
-    pub(crate) cache: Arc<PredicateCache>,
-    pub(crate) pool: PoolState,
+    stop: AtomicBool,
+    queue: Arc<JobQueue<Job>>,
+    cache: Arc<PredicateCache>,
+    /// Worker threads: a worker leaves only when the queue closes, so
+    /// this is also how many are serving.
+    workers: usize,
     telemetry: Telemetry,
     linter: Analyzer,
     default_timeout_ms: Option<u64>,
 }
 
 impl Shared {
-    /// A point-in-time [`HealthInfo`] from the pool counters and the
-    /// queue's own depth (the `health` and `stats` ops and
-    /// [`ServerHandle::health`] all answer from here).
-    fn health(&self, queue: QueueSnapshot) -> HealthInfo {
-        HealthInfo {
-            workers: self.pool.alive.load(Ordering::Relaxed) as u64,
-            target: self.pool.target as u64,
-            restarts: self.pool.restarts.load(Ordering::Relaxed),
-            queue: queue.depth as u64,
-            breaker_open: self.pool.breaker_open.load(Ordering::Relaxed),
+    /// Live telemetry from one queue snapshot — what the `stats` op and
+    /// [`ServerHandle::stats`] report.
+    fn stats(&self) -> StatsInfo {
+        StatsInfo {
+            workers: self.workers as u64,
+            ..self.telemetry.stats(&self.cache, self.queue.snapshot())
         }
     }
 
-    /// The `stats` op's answer: health, live telemetry and the
-    /// cumulative phase totals, from one queue snapshot.
+    /// The `stats` op's answer: live telemetry and the cumulative phase
+    /// totals.
     fn stats_response(&self) -> Response {
-        let queue = self.queue.snapshot();
         Response {
-            health: Some(self.health(queue)),
-            stats: Some(self.telemetry.stats(&self.cache, queue)),
+            stats: Some(self.stats()),
             phases: self.telemetry.phase_totals(),
             ..Response::plain("", Status::Ok)
         }
@@ -176,7 +175,7 @@ impl Shared {
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    /// The accept and supervisor threads, until joined.
+    /// The accept and control threads, until joined.
     threads: Vec<JoinHandle<()>>,
     cache_file: Option<String>,
     cache_load: Option<LoadReport>,
@@ -228,17 +227,30 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         stop: AtomicBool::new(false),
         queue,
         cache,
-        pool: PoolState::new(config.workers),
+        workers: config.workers.max(1),
         telemetry: Telemetry::new(slow_log),
         linter: Analyzer::with_schemas(&config.lint_schemas),
         default_timeout_ms: config.default_timeout_ms,
     });
 
-    let slots = (0..shared.pool.target)
-        .map(|i| spawn_worker(i, &shared).map(Some))
+    // Each worker holds a sender it never sends on: the channel
+    // disconnects the moment the last worker leaves its loop.
+    let (alive, all_gone) = mpsc::channel::<()>();
+    let workers = (0..shared.workers)
+        .map(|i| {
+            let shared = Arc::clone(&shared);
+            let alive = alive.clone();
+            std::thread::Builder::new()
+                .name(format!("sia-worker-{i}"))
+                .spawn(move || {
+                    worker_loop(&shared);
+                    drop(alive);
+                })
+        })
         .collect::<std::io::Result<Vec<_>>>()?;
+    drop(alive);
 
-    let supervisor = {
+    let control = {
         let shared = Arc::clone(&shared);
         let snapshot = config
             .cache_file
@@ -246,8 +258,8 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
             .zip(config.snapshot_interval)
             .filter(|(_, every)| !every.is_zero());
         std::thread::Builder::new()
-            .name("sia-supervisor".to_string())
-            .spawn(move || supervise(slots, &shared, snapshot.as_ref()))?
+            .name("sia-control".to_string())
+            .spawn(move || control_loop(&shared, &all_gone, snapshot.as_ref(), workers))?
     };
 
     let accept = {
@@ -259,7 +271,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 
     Ok(ServerHandle {
         shared,
-        threads: vec![accept, supervisor],
+        threads: vec![accept, control],
         cache_file: config.cache_file,
         cache_load,
     })
@@ -288,19 +300,10 @@ impl ServerHandle {
         self.cache_load
     }
 
-    /// A point-in-time snapshot of worker-pool health — the same numbers
-    /// the `health` op reports over the wire.
-    pub fn health(&self) -> HealthInfo {
-        self.shared.health(self.shared.queue.snapshot())
-    }
-
     /// Live telemetry — the same numbers the `stats` op reports over
     /// the wire.
     pub fn stats(&self) -> StatsInfo {
-        let shared = &self.shared;
-        shared
-            .telemetry
-            .stats(&shared.cache, shared.queue.snapshot())
+        self.shared.stats()
     }
 
     /// Cumulative per-phase wall-time totals across completed requests,
@@ -404,10 +407,6 @@ fn reader_loop(stream: TcpStream, shared: &Shared, tx: &QueueSender<Job>) {
                 respond(&out, &Response::plain("", Status::Bye));
                 break;
             }
-            Ok(RequestLine::Health) => Response {
-                health: Some(shared.health(shared.queue.snapshot())),
-                ..Response::plain("", Status::Ok)
-            },
             Ok(RequestLine::Stats) => {
                 sia_obs::add(Counter::ServeStatsOps, 1);
                 shared.stats_response()
@@ -535,84 +534,118 @@ fn admit_request(
     true
 }
 
-pub(crate) fn worker_loop(shared: &Shared) {
-    loop {
-        // The `serve.worker.die` failpoint kills the worker *between*
-        // jobs — no request is held, so nothing is lost and the
-        // supervisor's respawn is the only observable effect.
-        if let Some(msg) = sia_fault::fire("serve.worker.die") {
-            panic!("{msg}");
+/// The control thread: tick the admission law every [`CONTROL_TICK`],
+/// write the periodic cache snapshot when one is configured, and once
+/// the last worker has left the drained queue, join them all.
+fn control_loop(
+    shared: &Shared,
+    all_gone: &Receiver<()>,
+    snapshot: Option<&(String, Duration)>,
+    workers: Vec<JoinHandle<()>>,
+) {
+    let mut last_snapshot = Instant::now();
+    while let Err(RecvTimeoutError::Timeout) = all_gone.recv_timeout(CONTROL_TICK) {
+        shared.queue.tick();
+        if let Some((path, every)) = snapshot {
+            if !shared.stop.load(Ordering::SeqCst) && last_snapshot.elapsed() >= *every {
+                let _ = shared.cache.save_file(path);
+                last_snapshot = Instant::now();
+            }
         }
-        let Some(popped) = shared.queue.pop() else {
-            break; // queue drained and all senders gone
-        };
-        let job = popped.job;
-        // Adopt the request's span context: everything recorded below
-        // nests under `serve.request` and carries its trace ID. The
-        // request-local recorder captures the same phases into a private
-        // map so the response can report them even when the global
-        // collector is off. The reader's pre-queue phases (parse,
-        // classification) are replayed first so the breakdown still
-        // covers the whole request, and the `queue` phase is read only
-        // after that bookkeeping, so it runs from admission right up to
-        // the start of work with no gap for the replay itself.
-        let adopted = job.span.adopt();
-        sia_obs::local_begin();
-        for (name, dur) in &job.pre_phases {
-            sia_obs::record_complete(name, *dur);
-        }
-        let queue_wait = popped.enqueued.elapsed();
-        sia_obs::record_complete("queue", queue_wait);
-        #[allow(clippy::cast_precision_loss)]
-        sia_obs::record(Hist::ServeQueueWaitUs, queue_wait.as_micros() as f64);
-        // Belt and braces: if anything below unwinds past catch_unwind
-        // (it cannot today, but this code evolves), the guard still
-        // answers the request before the worker dies.
-        let guard = JobGuard::armed(&job);
-        let result = if job.budget.is_exhausted() {
-            // The deadline passed while the job was queued: answer
-            // `expired` without burning a worker on doomed synthesis.
-            Ok(Response {
-                predicate: Some(job.request.predicate.clone()),
-                reason: Some("expired".into()),
-                ..degraded_body(&job.request.id, Status::Expired)
-            })
-        } else {
-            catch_unwind(AssertUnwindSafe(|| {
-                process(&job, &shared.cache, &shared.linter, popped.level)
-            }))
-        };
-        guard.disarm();
-        let mut response = match result {
-            Ok(response) => response,
+    }
+    for worker in workers {
+        let _ = worker.join();
+    }
+}
+
+/// A worker answers every job it pops exactly once, and leaves only
+/// when the queue has closed and drained. Everything done with a job
+/// until its reply is fixed runs in one unwind domain ([`run_job`]); a
+/// panic anywhere in it is answered `degraded` with reason `panic`. The
+/// one reply is written outside the domain.
+fn worker_loop(shared: &Shared) {
+    while let Some(popped) = shared.queue.pop() {
+        let job = &popped.job;
+        let (response, adopted) = match catch_unwind(AssertUnwindSafe(|| run_job(shared, &popped)))
+        {
+            Ok((response, adopted)) => (response, Some(adopted)),
             Err(_) => {
                 sia_obs::add(Counter::ServePanics, 1);
-                degraded(&job.request.id, &job.request.predicate, "panic")
+                let response = Response {
+                    trace: job.request.trace,
+                    micros: micros(job.span.elapsed()),
+                    ..degraded(&job.request.id, &job.request.predicate, "panic")
+                };
+                (response, None)
             }
         };
-        // Echo the trace ID and attach the phase breakdown, restating
-        // `micros` as the root span's full wall time (queue wait
-        // included) so the phases decompose exactly the number they
-        // ride along with.
-        response.trace = job.request.trace;
-        response.phases = sia_obs::local_take()
-            .into_iter()
-            .map(|(path, us)| match path.strip_prefix("serve.request/") {
-                Some(rel) => (rel.to_string(), us),
-                None => (path.into_owned(), us),
-            })
-            .collect();
-        response.micros = micros(job.span.elapsed());
         let respond_start = Instant::now();
         respond(&job.out, &response);
         let respond_time = respond_start.elapsed();
         sia_obs::record_complete("respond", respond_time);
         drop(adopted);
-        let total = job.span.finish();
+        let total = popped.job.span.finish();
         shared
             .telemetry
             .finish_request(&response, total, respond_time);
     }
+}
+
+/// One job's unwind domain: everything from adopting its span to
+/// collecting its phases. Returns the reply, its content fixed, and the
+/// adoption, which the worker holds until the reply is written.
+fn run_job<'a>(shared: &Shared, popped: &'a Popped<Job>) -> (Response, AdoptGuard<'a>) {
+    let injected = sia_fault::fire("serve.worker.request");
+    let job = &popped.job;
+    let request = &job.request;
+    // Adopt the request's span context: everything recorded below
+    // nests under `serve.request` and carries its trace ID. The
+    // request-local recorder captures the same phases into a private
+    // map so the response can report them even when the global
+    // collector is off. The reader's pre-queue phases (parse,
+    // classification) are replayed first so the breakdown still covers
+    // the whole request, and the `queue` phase is read only after that
+    // bookkeeping and the wait histogram, so it runs from admission right
+    // up to the start of work with no gap for either.
+    let adopted = job.span.adopt();
+    sia_obs::local_begin();
+    for (name, dur) in &job.pre_phases {
+        sia_obs::record_complete(name, *dur);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    sia_obs::record(
+        Hist::ServeQueueWaitUs,
+        popped.enqueued.elapsed().as_micros() as f64,
+    );
+    sia_obs::record_complete("queue", popped.enqueued.elapsed());
+    let mut response = if injected.is_some() {
+        degraded(&request.id, &request.predicate, "internal")
+    } else if job.budget.is_exhausted() {
+        // The deadline passed while the job was queued: answer
+        // `expired` without burning a worker on doomed synthesis.
+        Response {
+            predicate: Some(request.predicate.clone()),
+            reason: Some("expired".into()),
+            ..degraded_body(&request.id, Status::Expired)
+        }
+    } else {
+        process(job, &shared.cache, &shared.linter, popped.level)
+    };
+    // Echo the trace ID and restate `micros` as the root span's full
+    // wall time (queue wait included), read before the phases are
+    // collected: the collection is bookkeeping about a reply whose
+    // content is already fixed, so the phases decompose exactly the
+    // number they ride along with.
+    response.trace = request.trace;
+    response.micros = micros(job.span.elapsed());
+    response.phases = sia_obs::local_take()
+        .into_iter()
+        .map(|(path, us)| match path.strip_prefix("serve.request/") {
+            Some(rel) => (rel.to_string(), us),
+            None => (path.into_owned(), us),
+        })
+        .collect();
+    (response, adopted)
 }
 
 #[cfg(test)]

@@ -73,9 +73,10 @@ impl Telemetry {
         bump(&mut lock(&self.totals).counts);
     }
 
-    /// A point-in-time [`StatsInfo`] for the `stats` op. Cache hit/miss
-    /// counts come from the shared predicate cache itself, the admission
-    /// limit and brownout level from the queue's own snapshot.
+    /// A point-in-time [`StatsInfo`] for the `stats` op, but for the
+    /// worker count. Cache hit/miss counts come from the shared predicate
+    /// cache itself, the queue depth, admission limit and brownout level
+    /// from the queue's own snapshot.
     pub(crate) fn stats(&self, cache: &PredicateCache, queue: QueueSnapshot) -> StatsInfo {
         let (counts, lat) = {
             let totals = lock(&self.totals);
@@ -95,6 +96,7 @@ impl Telemetry {
             p999_us: us(lat.p999()),
             admission_limit: queue.limit as u64,
             brownout: queue.level as u64,
+            queue: queue.depth as u64,
             ..counts
         }
     }

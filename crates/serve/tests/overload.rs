@@ -151,10 +151,10 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
     std::thread::sleep(Duration::from_millis(200));
 
     // Both are parked behind the occupier, and the handle reports the
-    // queue depth the `health` op reports over the wire.
-    assert_eq!(handle.health().queue, 2);
-    let wire = client::health(&addr).expect("health over tcp");
-    assert_eq!(wire.health.expect("health payload").queue, 2);
+    // queue depth the `stats` op reports over the wire.
+    assert_eq!(handle.stats().queue, 2);
+    let wire = client::stats(&addr).expect("stats over tcp");
+    assert_eq!(wire.stats.expect("stats payload").queue, 2);
 
     // The lane's head has now waited ~200 ms, past the 100 ms budget:
     // the third expensive request is shed, with a back-pressure hint,

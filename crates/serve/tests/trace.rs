@@ -188,9 +188,8 @@ fn stats_op_reports_live_telemetry_without_queueing() {
                     resp.phases
                 );
             }
-            // Pool health rides along too.
-            let health = resp.health.expect("health payload");
-            assert_eq!(health.workers, 2, "{health:?}");
+            // So do the worker count and the queue depth.
+            assert_eq!((stats.workers, stats.queue), (2, 0), "{stats:?}");
             break stats;
         }
         assert!(

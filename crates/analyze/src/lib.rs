@@ -114,8 +114,13 @@ impl Analyzer {
     /// Whether a variable ranges over the reals: a `DOUBLE` column, or an
     /// opaque quotient `(e / k)`, which may divide a `DOUBLE` and so is
     /// never tightened to an integer.
-    pub(crate) fn is_real(&self, var: &str) -> bool {
+    pub fn is_real(&self, var: &str) -> bool {
         self.real.contains(var) || is_quotient_term(var)
+    }
+
+    /// Whether a column may be NULL.
+    pub fn is_nullable(&self, col: &str) -> bool {
+        self.nullable.contains(col)
     }
 
     /// Mark columns as `DATE`-typed (used by the linter's type checks).

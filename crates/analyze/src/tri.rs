@@ -51,15 +51,6 @@ impl Tri {
         }
     }
 
-    /// The two-valued top `{TRUE, FALSE}` (no NULL possible).
-    pub fn bool_any() -> Tri {
-        Tri {
-            can_true: true,
-            can_false: true,
-            can_null: false,
-        }
-    }
-
     /// The predicate is TRUE on every tuple (`{TRUE}` exactly).
     pub fn certainly_true(self) -> bool {
         self.can_true && !self.can_false && !self.can_null

@@ -11,8 +11,6 @@
 //! | `limitations` (§6.7) | [`limitations`] | one hand predicate |
 //! | `serve` | [`serve`] over [`load`] | → `BENCH_serve.json` |
 //! | `soak` | [`soak`] over [`load`] | → `BENCH_soak.json` |
-//! | `analyze` | [`analyze`] | → `BENCH_analyze.json` |
-//! | `engine` | [`engine`] | → `BENCH_engine.json` |
 //! | `obs-overhead` | [`obs_overhead`] | — |
 //!
 //! Any list of views in one invocation shares one sweep; `--queries N`
@@ -22,9 +20,7 @@
 
 #![warn(missing_docs)]
 
-pub mod analyze;
 pub mod casestudy;
-pub mod engine;
 pub mod limitations;
 pub mod load;
 pub mod motivating;

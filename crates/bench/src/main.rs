@@ -13,8 +13,7 @@ use std::time::Duration;
 use sia_bench::soak::SoakConfig;
 use sia_bench::suite::{run_sweep, SweepConfig, SweepResult};
 use sia_bench::{
-    analyze, casestudy, engine, limitations, motivating, obs_overhead, report, runtime, serve,
-    soak, util, Gates,
+    casestudy, limitations, motivating, obs_overhead, report, runtime, serve, soak, util, Gates,
 };
 
 const USAGE: &str = "\
@@ -25,7 +24,7 @@ usage:
       200, the paper's count); the SIA_v1/v2 baselines run iff table2 or
       table3 is among them. `all` writes BENCH_all.json, table3 alone
       BENCH_table3.json.
-  sia-exp serve | analyze | engine | obs-overhead
+  sia-exp serve | obs-overhead
   sia-exp soak [--requests N] [--duration-s F] [--rate F] [--workers N]
                [--fault-percent N] [--seed N] [--out FILE]
       Gates run at the one scale CI uses, print and write their results
@@ -77,11 +76,9 @@ const VIEWS: [(&str, Sweep, View); 8] = [
 type Gate = fn(&Args) -> Result<Gates, String>;
 
 /// The CI gates.
-const GATES: [(&str, Gate); 5] = [
+const GATES: [(&str, Gate); 3] = [
     ("serve", |_| Ok(serve::run())),
     ("soak", |a| soak::run(&a.soak, &a.out)),
-    ("analyze", |_| Ok(analyze::run())),
-    ("engine", |_| Ok(engine::run())),
     ("obs-overhead", |_| Ok(obs_overhead::run())),
 ];
 

@@ -7,137 +7,82 @@
 //! `col = const` equalities for constant propagation), which is exactly why
 //! they miss the arithmetic-heavy predicates the benchmark generates.
 
+use sia_analyze::{Bound, Zone};
 use sia_expr::{CmpOp, LinAtom, LinExpr, NonLinearPolicy, Pred};
 use sia_num::BigRat;
 use std::collections::BTreeMap;
-
-/// A bound `u - v ⋖ w` where ⋖ is `<` (strict) or `≤`, with `v = None`
-/// meaning the virtual zero node (`u ⋖ w`).
-#[derive(Debug, Clone, PartialEq)]
-struct DiffBound {
-    weight: BigRat,
-    strict: bool,
-}
-
-impl DiffBound {
-    fn tighter(&self, other: &DiffBound) -> bool {
-        self.weight < other.weight || (self.weight == other.weight && self.strict && !other.strict)
-    }
-
-    fn compose(&self, other: &DiffBound) -> DiffBound {
-        DiffBound {
-            weight: &self.weight + &other.weight,
-            strict: self.strict || other.strict,
-        }
-    }
-}
 
 /// Transitive-closure inference: derive difference/bound predicates over
 /// `cols` implied by chains of unit-coefficient comparisons in `p`'s
 /// conjuncts (Ioannidis & Ramakrishnan, VLDB 1988 style).
 ///
 /// Returns the conjunction of *newly derived* constraints whose columns
-/// all lie in `cols`, or `None` when nothing new is derivable. Only
-/// conjuncts of the syntactic shapes `x ⋖ y + c`, `x ⋖ c` participate —
-/// matching the baseline's documented weakness.
+/// all lie in `cols`, or `None` when nothing new is derivable or the
+/// chains contradict each other. Only conjuncts of the syntactic shapes
+/// `x ⋖ y + c`, `x ⋖ c` participate — matching the baseline's documented
+/// weakness. The chains are closed in a rational [`Zone`] (no integer
+/// tightening: the rule is syntactic, not arithmetic).
 pub fn transitive_closure(p: &Pred, cols: &[String]) -> Option<Pred> {
-    // Node 0 is the virtual zero; nodes 1.. are columns in discovery order.
-    let mut nodes: Vec<String> = vec![String::new()];
-    let mut index: BTreeMap<String, usize> = BTreeMap::new();
-    let node_of = |name: &str, nodes: &mut Vec<String>, index: &mut BTreeMap<String, usize>| {
-        *index.entry(name.to_string()).or_insert_with(|| {
-            nodes.push(name.to_string());
-            nodes.len() - 1
+    let bounds: Vec<_> = p
+        .conjuncts()
+        .into_iter()
+        .filter_map(|conj| match conj {
+            Pred::Cmp { op, lhs, rhs } => {
+                LinAtom::from_cmp(*op, lhs, rhs, NonLinearPolicy::Reject).ok()
+            }
+            _ => None,
+        })
+        .flat_map(|atom| difference_form(&atom))
+        .collect();
+    // Columns in discovery order; matrix index 0 is the zero variable.
+    let mut vars: Vec<String> = Vec::new();
+    for c in bounds
+        .iter()
+        .flat_map(|(pos, neg, ..)| [pos, neg])
+        .flatten()
+    {
+        if !vars.contains(c) {
+            vars.push(c.clone());
+        }
+    }
+    let at = |c: &Option<String>| {
+        c.as_ref().map_or(0, |c| {
+            1 + vars.iter().position(|v| v == c).expect("discovered")
         })
     };
-    // edges[(u, v)] = tightest bound on u - v.
-    let mut edges: BTreeMap<(usize, usize), DiffBound> = BTreeMap::new();
-    let add_edge =
-        |u: usize, v: usize, b: DiffBound, edges: &mut BTreeMap<(usize, usize), DiffBound>| {
-            match edges.get(&(u, v)) {
-                Some(existing) if !b.tighter(existing) => {}
-                _ => {
-                    edges.insert((u, v), b);
-                }
-            }
-        };
-    let mut original: Vec<(usize, usize, DiffBound)> = Vec::new();
-    for conj in p.conjuncts() {
-        let Pred::Cmp { op, lhs, rhs } = conj else {
-            continue;
-        };
-        let Ok(atom) = LinAtom::from_cmp(*op, lhs, rhs, NonLinearPolicy::Reject) else {
-            continue;
-        };
-        // Accept shapes: ±x ∓ y + c ⋖ 0 or ±x + c ⋖ 0 with unit coeffs.
-        let bounds = difference_form(&atom);
-        for (pos, neg, weight, strict) in bounds {
-            let u = pos
-                .map(|c| node_of(&c, &mut nodes, &mut index))
-                .unwrap_or(0);
-            let v = neg
-                .map(|c| node_of(&c, &mut nodes, &mut index))
-                .unwrap_or(0);
-            if u == v {
-                continue;
-            }
-            let b = DiffBound { weight, strict };
-            original.push((u, v, b.clone()));
-            add_edge(u, v, b, &mut edges);
-        }
+    let original: Vec<(usize, usize, Bound)> = bounds
+        .into_iter()
+        .map(|(pos, neg, value, strict)| (at(&pos), at(&neg), Bound { value, strict }))
+        .collect();
+    let mut zone = Zone::top(vars, &|_| false);
+    for (u, v, b) in &original {
+        zone.constrain(*u, *v, b.clone());
     }
-    // Floyd–Warshall closure.
-    let n = nodes.len();
-    for k in 0..n {
-        for i in 0..n {
-            if i == k {
-                continue;
-            }
-            let Some(ik) = edges.get(&(i, k)).cloned() else {
-                continue;
-            };
-            for j in 0..n {
-                if j == i || j == k {
-                    continue;
-                }
-                let Some(kj) = edges.get(&(k, j)).cloned() else {
-                    continue;
-                };
-                let composed = ik.compose(&kj);
-                match edges.get(&(i, j)) {
-                    Some(existing) if !composed.tighter(existing) => {}
-                    _ => {
-                        edges.insert((i, j), composed);
-                    }
-                }
-            }
-        }
+    if !zone.close() {
+        return None;
     }
-    // Emit derived constraints whose columns are all in `cols`, skipping
-    // ones equal to an original conjunct.
-    let in_target = |i: usize| i == 0 || cols.contains(&nodes[i]);
-    let mut derived: Vec<Pred> = Vec::new();
-    for ((u, v), b) in &edges {
-        if !in_target(*u) || !in_target(*v) || (*u == 0 && *v == 0) {
-            continue;
-        }
-        if original
-            .iter()
-            .any(|(ou, ov, ob)| ou == u && ov == v && !b.tighter(ob))
-        {
-            continue;
-        }
-        // u - v ⋖ w  as a predicate.
-        let mut expr = LinExpr::constant(-b.weight.clone());
-        if *u != 0 {
-            expr = expr.add(&LinExpr::column(nodes[*u].clone()));
-        }
-        if *v != 0 {
-            expr = expr.sub(&LinExpr::column(nodes[*v].clone()));
-        }
-        let op = if b.strict { CmpOp::Lt } else { CmpOp::Le };
-        derived.push(LinAtom { op, expr }.to_pred());
-    }
+    // Emit the closed bounds whose columns are all in `cols`, skipping
+    // ones no tighter than a conjunct on the same pair.
+    let in_target = |i: usize| i == 0 || cols.contains(&zone.vars()[i - 1]);
+    let derived: Vec<Pred> = zone
+        .constraints()
+        .into_iter()
+        .filter(|(u, v, b)| {
+            in_target(*u) && in_target(*v) && !original.contains(&(*u, *v, b.clone()))
+        })
+        .map(|(u, v, b)| {
+            // u - v ⋖ w  as a predicate.
+            let mut expr = LinExpr::constant(-b.value);
+            if u != 0 {
+                expr = expr.add(&LinExpr::column(zone.vars()[u - 1].clone()));
+            }
+            if v != 0 {
+                expr = expr.sub(&LinExpr::column(zone.vars()[v - 1].clone()));
+            }
+            let op = if b.strict { CmpOp::Lt } else { CmpOp::Le };
+            LinAtom { op, expr }.to_pred()
+        })
+        .collect();
     if derived.is_empty() {
         None
     } else {

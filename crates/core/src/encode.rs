@@ -21,7 +21,7 @@
 use sia_analyze::Analyzer;
 use sia_expr::linear::{is_quotient_term, linearize};
 use sia_expr::CmpOp;
-use sia_expr::{DataType, LinAtom, NonLinearPolicy, Pred};
+use sia_expr::{LinAtom, NonLinearPolicy, Pred};
 use sia_smt::{Formula, LinTerm, Solver, Sort, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,55 +57,30 @@ impl std::error::Error for EncodeError {}
 /// shares the variable space, so results of different encodings can be
 /// conjoined freely (which is how `NotOld`, validity, and optimality
 /// queries are assembled).
+#[derive(Debug, Default)]
 pub struct PredEncoder {
     solver: Solver,
     value_vars: BTreeMap<String, VarId>,
     null_vars: BTreeMap<String, VarId>,
-    /// Columns that may be NULL. Empty by default: the paper's benchmark
-    /// columns are `NOT NULL`, and non-nullable verification is strictly
+    /// The column facts — sorts and null-ability — shared with the static
+    /// tier. Every column defaults to `INTEGER NOT NULL`: the paper's
+    /// benchmark columns are, and non-nullable verification is strictly
     /// stronger for them.
-    nullable: BTreeSet<String>,
-    col_type: Box<dyn Fn(&str) -> DataType + Send>,
-}
-
-impl std::fmt::Debug for PredEncoder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PredEncoder")
-            .field("value_vars", &self.value_vars)
-            .field("null_vars", &self.null_vars)
-            .field("nullable", &self.nullable)
-            .finish()
-    }
-}
-
-impl Default for PredEncoder {
-    fn default() -> Self {
-        PredEncoder::new()
-    }
+    columns: Analyzer,
 }
 
 impl PredEncoder {
     /// Encoder where every column defaults to `INTEGER` and `NOT NULL`.
     pub fn new() -> Self {
-        PredEncoder {
-            solver: Solver::new(),
-            value_vars: BTreeMap::new(),
-            null_vars: BTreeMap::new(),
-            nullable: BTreeSet::new(),
-            col_type: Box::new(|_| DataType::Integer),
-        }
+        PredEncoder::default()
     }
 
-    /// Set the column-type oracle (e.g. a catalog lookup).
-    pub fn with_types(mut self, f: impl Fn(&str) -> DataType + Send + 'static) -> Self {
-        self.col_type = Box::new(f);
-        self
-    }
-
-    /// Mark columns as nullable (they get *(value, isnull)* pairs and the
-    /// three-valued encoding in [`PredEncoder::encode_is_true_3v`]).
-    pub fn with_nullable(mut self, cols: impl IntoIterator<Item = String>) -> Self {
-        self.nullable.extend(cols);
+    /// Take column sorts and null-ability from `columns`: its real-valued
+    /// columns get `Real` variables, and its nullable ones *(value, isnull)*
+    /// pairs and the three-valued encoding in
+    /// [`PredEncoder::encode_is_true_3v`].
+    pub fn with_columns(mut self, columns: Analyzer) -> Self {
+        self.columns = columns;
         self
     }
 
@@ -119,11 +94,11 @@ impl PredEncoder {
         if let Some(&v) = self.value_vars.get(col) {
             return v;
         }
-        // A quotient `(e / k)` may divide a DOUBLE: relax it to the reals.
-        let sort = match (self.col_type)(col) {
-            _ if is_quotient_term(col) => Sort::Real,
-            DataType::Double => Sort::Real,
-            _ => Sort::Int,
+        // A quotient `(e / k)` may divide a DOUBLE: it is real-sorted too.
+        let sort = if self.columns.is_real(col) {
+            Sort::Real
+        } else {
+            Sort::Int
         };
         let v = self.solver.declare(col.to_string(), sort);
         self.value_vars.insert(col.to_string(), v);
@@ -145,23 +120,12 @@ impl PredEncoder {
         self.value_vars.iter().map(|(c, v)| (c.as_str(), *v))
     }
 
-    /// A static analyzer agreeing with this encoder's model of the columns
-    /// `preds` mention: `DOUBLE` columns and quotients `(e / k)` are
-    /// real-valued, everything else — composite columns included, which
-    /// are sorted as integers — is integer-valued, and null-ability follows
-    /// the nullable set.
-    pub(crate) fn analyzer(&self, preds: &[&Pred]) -> Analyzer {
-        let mut cols = BTreeSet::new();
-        for p in preds {
-            p.collect_columns(&mut cols);
-        }
-        let real = cols
-            .iter()
-            .filter(|c| (self.col_type)(c) == DataType::Double);
-        let nullable = cols.iter().filter(|c| self.nullable.contains(*c));
-        Analyzer::new()
-            .with_real(real.cloned())
-            .with_nullable(nullable.cloned())
+    /// The static analyzer over this encoder's column facts, so both tiers
+    /// see the same sorts (real-valued columns and quotients `(e / k)`
+    /// real, everything else — composite columns included — integer) and
+    /// the same null-ability.
+    pub(crate) fn analyzer(&self) -> &Analyzer {
+        &self.columns
     }
 
     fn check_composites(&self, p: &Pred) -> Result<(), EncodeError> {
@@ -292,7 +256,7 @@ impl PredEncoder {
                 rhs.collect_columns(&mut cols);
                 let mut nn = Formula::True;
                 for c in &cols {
-                    if self.nullable.contains(c) {
+                    if self.columns.is_nullable(c) {
                         let nv = self.null_var(c);
                         nn = nn.and(Formula::BoolVar(nv).not());
                     }
@@ -416,7 +380,7 @@ mod tests {
     fn three_valued_null_blocks_truth() {
         // With a nullable, (a < 5) OR (b < 5) can be TRUE while a is NULL
         // (via b); any candidate over {a} alone cannot be implied.
-        let mut enc = PredEncoder::new().with_nullable(vec!["a".to_string()]);
+        let mut enc = PredEncoder::new().with_columns(Analyzer::new().with_nullable(["a"]));
         let p = parse_predicate("a < 5 OR b < 5").unwrap();
         let p_true = enc.encode_is_true_3v(&p).unwrap();
         let cand = parse_predicate("a < 5").unwrap();
@@ -445,7 +409,7 @@ mod tests {
     #[test]
     fn three_valued_negation_is_not_classical() {
         // NOT(a < 5) with nullable a: TRUE requires a non-NULL and a >= 5.
-        let mut enc = PredEncoder::new().with_nullable(vec!["a".to_string()]);
+        let mut enc = PredEncoder::new().with_columns(Analyzer::new().with_nullable(["a"]));
         let p = parse_predicate("NOT a < 5").unwrap();
         let pt = enc.encode_is_true_3v(&p).unwrap();
         let r = enc.solver().check(&pt);
@@ -469,26 +433,24 @@ mod tests {
 
     #[test]
     fn analyzer_mirrors_encoder_types() {
-        let enc = PredEncoder::new()
-            .with_types(|c| {
-                if c == "d" {
-                    DataType::Double
-                } else {
-                    DataType::Integer
-                }
-            })
-            .with_nullable(["n".to_string()]);
+        let mut enc =
+            PredEncoder::new().with_columns(Analyzer::new().with_real(["d"]).with_nullable(["n"]));
+        // 0 < d < 1 is satisfiable for a DOUBLE column, in both tiers…
         let p = parse_predicate("d > 0 AND d < 1").unwrap();
-        let an = enc.analyzer(&[&p]);
-        // 0 < d < 1 is satisfiable for a DOUBLE column.
-        assert!(!an.statically_unsat(&p));
+        assert!(!enc.analyzer().statically_unsat(&p));
+        let f = enc.encode(&p).unwrap();
+        assert!(enc.solver().check(&f).is_sat());
 
+        // …and 0 < i < 1 is not for an INTEGER one.
         let q = parse_predicate("i > 0 AND i < 1").unwrap();
-        let an = enc.analyzer(&[&q]);
-        assert!(an.statically_unsat(&q));
+        assert!(enc.analyzer().statically_unsat(&q));
+        let f = enc.encode(&q).unwrap();
+        assert!(enc.solver().check(&f).is_unsat());
 
         let r = parse_predicate("n <> 0 OR n = 0").unwrap();
-        let an = enc.analyzer(&[&r]);
-        assert!(!an.statically_true(&r), "nullable n can make this NULL");
+        assert!(
+            !enc.analyzer().statically_true(&r),
+            "nullable n can make this NULL"
+        );
     }
 }

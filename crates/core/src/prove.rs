@@ -4,7 +4,7 @@
 //! [`Prover`] walks the tiers cheapest-first and reports which one answered:
 //! [`Tier::Static`] is `sia-analyze`'s oracle (itself ordered canonical-form
 //! match → intervals with congruence and 3VL null-ability → zone closure),
-//! configured by `PredEncoder::analyzer` to speak about exactly the
+//! sharing the encoder's column facts so it speaks about exactly the
 //! formulas the solver would see; [`Tier::Smt`] is the solver on the encoded
 //! refutation formula.
 //!
@@ -53,14 +53,14 @@ impl Prover<'_> {
         // an error rather than a static verdict.
         let p_true = self.0.encode_is_true_3v(p)?;
         let refutation = p_true.and(self.0.encode_is_true_3v(q)?.not());
-        let proven = self.0.analyzer(&[p, q]).implies(p, q);
+        let proven = self.0.analyzer().implies(p, q);
         let claim = || format!("`{p}` implies `{q}`");
         self.decide(Counter::AnalyzeImplied, proven, claim, |_| Ok(refutation))
     }
 
     /// Can `p` never evaluate TRUE (the WHERE-clause notion of emptiness)?
     pub fn unsat(&mut self, p: &Pred) -> Result<(Validity, Tier), EncodeError> {
-        let proven = self.0.analyzer(&[p]).statically_unsat(p);
+        let proven = self.0.analyzer().statically_unsat(p);
         let claim = || format!("`{p}` is unsatisfiable");
         self.decide(Counter::AnalyzeUnsat, proven, claim, |enc| enc.encode(p))
     }
@@ -71,7 +71,6 @@ impl Prover<'_> {
     /// callers re-verify under three-valued logic. An operand that cannot
     /// be encoded is kept.
     pub fn drop_implied(&mut self, mut parts: Vec<Pred>, connective: Connective) -> Vec<Pred> {
-        let analyzer = self.0.analyzer(&parts.iter().collect::<Vec<_>>());
         let mut i = 0;
         while i < parts.len() && parts.len() > 1 {
             let mut rest = parts.clone();
@@ -80,7 +79,7 @@ impl Prover<'_> {
                 Connective::And => (Pred::and_all(rest), part),
                 Connective::Or => (part, Pred::or_all(rest)),
             };
-            let proven = analyzer.implies(&p, &q);
+            let proven = self.0.analyzer().implies(&p, &q);
             let claim = || format!("`{p}` implies `{q}`");
             let refutation = |enc: &mut PredEncoder| Ok(enc.encode(&p)?.and(enc.encode(&q)?.not()));
             match self.decide(Counter::AnalyzeImplied, proven, claim, refutation) {
@@ -95,7 +94,7 @@ impl Prover<'_> {
     /// `None` when there are none. Static tier only: a solver call per
     /// disjunct would cost more than the elimination work pruning saves.
     pub fn prune_dead_disjuncts(&mut self, p: &Pred) -> Option<Pred> {
-        let (live, pruned) = self.0.analyzer(&[p]).prune_never_true_disjuncts(p);
+        let (live, pruned) = self.0.analyzer().prune_never_true_disjuncts(p);
         if pruned == 0 {
             return None;
         }

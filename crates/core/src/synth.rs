@@ -174,25 +174,14 @@ impl Synthesizer {
     }
 
     /// Synthesize a valid (ideally optimal) predicate over `cols`, implied
-    /// by `p`. All columns are treated as INTEGER/DATE (integral); for
-    /// custom types use [`Synthesizer::synthesize_with_encoder`].
+    /// by `p`. All columns are treated as INTEGER/DATE (integral) and
+    /// `NOT NULL`.
     pub fn synthesize(
         &mut self,
         p: &Pred,
         cols: &[String],
     ) -> Result<SynthesisResult, SynthesisError> {
-        let mut enc = PredEncoder::new();
-        self.synthesize_with_encoder(&mut enc, p, cols)
-    }
-
-    /// Synthesize with a caller-prepared encoder (column types, nullable
-    /// sets).
-    pub fn synthesize_with_encoder(
-        &mut self,
-        enc: &mut PredEncoder,
-        p: &Pred,
-        cols: &[String],
-    ) -> Result<SynthesisResult, SynthesisError> {
+        let enc = &mut PredEncoder::new();
         if cols.is_empty() {
             return Err(SynthesisError::NoColumns);
         }
@@ -263,7 +252,7 @@ impl Synthesizer {
         let mut warm_bounds: Option<Pred> = None;
         let derivation = {
             let _derive_span = sia_obs::span("derive");
-            enc.analyzer(&[p]).derive(p, cols)
+            enc.analyzer().derive(p, cols)
         };
         match derivation {
             Some(sia_analyze::Derivation::Exact(q)) if !q.is_false() => {

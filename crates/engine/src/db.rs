@@ -112,11 +112,6 @@ impl Database {
         self.tables.get(name)
     }
 
-    /// Table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-
     fn columns_of(&self, table: &str) -> Vec<String> {
         self.tables
             .get(table)

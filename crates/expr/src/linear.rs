@@ -93,11 +93,6 @@ impl LinExpr {
         self.terms.is_empty()
     }
 
-    /// Number of columns with non-zero coefficient.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Column names with non-zero coefficients.
     pub fn columns(&self) -> Vec<String> {
         self.terms.keys().cloned().collect()

@@ -3,14 +3,14 @@
 //!
 //! `paper_6_3` delegates to `sia-tpch`'s generator, which is the original
 //! source of the workload — the preset is byte-for-byte identical to what
-//! the `sia-exp analyze` and `sia-exp serve` gates used to build inline.
+//! the benchmark binaries used to build inline.
 
 use sia_tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
 
 use crate::config::GenConfig;
 use crate::generate::GenRequest;
 
-/// The §6.3 seed shared by `sia-exp analyze` and `sia-exp serve`.
+/// The §6.3 seed shared by `sia-exp serve` and the static-tier test.
 pub const SEED_6_3_SERVE: u64 = 0x51A_5E4E;
 
 /// The paper's full §6.3 workload (200 queries, 3–8 conjuncts, the paper

@@ -16,7 +16,7 @@
 
 #![warn(missing_docs)]
 
-use sia_num::{BigInt, BigRat};
+use sia_num::BigInt;
 
 mod rational;
 
@@ -345,14 +345,6 @@ impl IntHyperplane {
     /// True iff every weight is zero (degenerate plane).
     pub fn is_degenerate(&self) -> bool {
         self.weights.iter().all(|w| w.is_zero())
-    }
-
-    /// Rational view of the weights (for diagnostics).
-    pub fn weights_rat(&self) -> Vec<BigRat> {
-        self.weights
-            .iter()
-            .map(|w| BigRat::from_int(w.clone()))
-            .collect()
     }
 }
 

@@ -50,7 +50,7 @@ fn motivating_example_is_pinned() {
     assert_golden("motivating", &[got], MOTIVATING);
 }
 
-/// The first 8 §6.3 tasks under the `sia-exp analyze` / `sia-exp serve` seed.
+/// The first 8 §6.3 tasks under the `sia-exp serve` / static-tier seed.
 #[test]
 fn paper_6_3_tasks_are_pinned() {
     let got: Vec<String> = sia_gen::paper_6_3_tasks(24, 2, 4, sia_gen::SEED_6_3_SERVE)

@@ -361,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn constant_propagation_through_classes() {
+    fn constants_propagate_through_classes() {
         let an = Analyzer::new();
         let p = eq("a", "b").and(col("a").eq_(lit(5)));
         let cl = an.close(&p);

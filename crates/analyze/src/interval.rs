@@ -149,18 +149,6 @@ impl Interval {
         Interval { lo, hi }
     }
 
-    /// Every member `x` satisfies `x <= b` (assumes the interval non-empty).
-    pub fn all_le(&self, b: &BigRat) -> bool {
-        self.hi.as_ref().is_some_and(|h| h.value <= *b)
-    }
-
-    /// Every member `x` satisfies `x < b` (assumes the interval non-empty).
-    pub fn all_lt(&self, b: &BigRat) -> bool {
-        self.hi
-            .as_ref()
-            .is_some_and(|h| h.value < *b || (h.value == *b && h.strict))
-    }
-
     /// Interval negation: `{-x | x ∈ self}`.
     pub fn neg(&self) -> Interval {
         let flip = |b: &Bound| Bound {
@@ -215,18 +203,6 @@ impl Interval {
                 hi: self.lo.as_ref().map(mul),
             }
         }
-    }
-
-    /// Every member `x` satisfies `x >= b` (assumes the interval non-empty).
-    pub fn all_ge(&self, b: &BigRat) -> bool {
-        self.lo.as_ref().is_some_and(|l| l.value >= *b)
-    }
-
-    /// Every member `x` satisfies `x > b` (assumes the interval non-empty).
-    pub fn all_gt(&self, b: &BigRat) -> bool {
-        self.lo
-            .as_ref()
-            .is_some_and(|l| l.value > *b || (l.value == *b && l.strict))
     }
 }
 
@@ -333,13 +309,17 @@ mod tests {
 
     #[test]
     fn entailment_checks() {
+        // Every member satisfies `x ⋈ b` iff no member lies in the region
+        // of its negation — the emptiness test `State::can_sat` makes.
         let i = Interval::at_least(r(2), false).intersect(&Interval::at_most(r(5), true));
-        assert!(i.all_le(&r(5)));
-        assert!(i.all_lt(&r(5)));
-        assert!(!i.all_lt(&r(4)));
-        assert!(i.all_ge(&r(2)));
-        assert!(!i.all_gt(&r(2)));
-        assert!(i.all_gt(&r(1)));
-        assert!(!Interval::top().all_le(&r(100)));
+        let none_in = |region: Interval| i.intersect(&region).is_empty();
+        assert!(none_in(Interval::at_least(r(5), true))); // x <= 5
+        assert!(none_in(Interval::at_least(r(5), false))); // x < 5
+        assert!(!none_in(Interval::at_least(r(4), false))); // not x < 4
+        assert!(none_in(Interval::at_most(r(2), true))); // x >= 2
+        assert!(!none_in(Interval::at_most(r(2), false))); // not x > 2
+        assert!(none_in(Interval::at_most(r(1), false))); // x > 1
+        let top_above = Interval::top().intersect(&Interval::at_least(r(100), true));
+        assert!(!top_above.is_empty()); // top is not x <= 100
     }
 }

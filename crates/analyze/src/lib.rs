@@ -63,16 +63,6 @@ pub use zone::Zone;
 
 use state::State;
 
-/// The result of [`Analyzer::simplify`]: the rewritten predicate plus how
-/// many sub-predicates were replaced by literals.
-#[derive(Debug, Clone)]
-pub struct Simplified {
-    /// The simplified predicate, three-valued-equivalent to the input.
-    pub pred: Pred,
-    /// Number of sub-predicates replaced by `TRUE`/`FALSE` literals.
-    pub replaced: usize,
-}
-
 /// The static analyzer: abstract interpretation configured with column
 /// type/null-ability facts.
 ///
@@ -216,15 +206,6 @@ impl Analyzer {
         st.bottom || self.tri_conjunct(q, &st).certainly_true()
     }
 
-    /// Replace sub-predicates that are certainly TRUE / certainly FALSE
-    /// (in the full three-valued sense) with literals. The result is
-    /// 3VL-equivalent to the input on every tuple.
-    pub fn simplify(&self, p: &Pred) -> Simplified {
-        let mut replaced = 0usize;
-        let pred = self.simplify_rec(p, &mut replaced);
-        Simplified { pred, replaced }
-    }
-
     /// Drop top-level disjuncts that can never evaluate TRUE, returning the
     /// pruned predicate and how many disjuncts were removed.
     ///
@@ -250,28 +231,6 @@ impl Analyzer {
             }
             _ if self.tri(p).never_true() => (Pred::false_(), 1),
             _ => (p.clone(), 0),
-        }
-    }
-
-    fn simplify_rec(&self, p: &Pred, replaced: &mut usize) -> Pred {
-        let t = self.tri(p);
-        if t.certainly_true() {
-            if !p.is_true() {
-                *replaced += 1;
-            }
-            return Pred::true_();
-        }
-        if t.certainly_false() {
-            if !p.is_false() {
-                *replaced += 1;
-            }
-            return Pred::false_();
-        }
-        match p {
-            Pred::And(ps) => Pred::and_all(ps.iter().map(|q| self.simplify_rec(q, replaced))),
-            Pred::Or(ps) => Pred::or_all(ps.iter().map(|q| self.simplify_rec(q, replaced))),
-            Pred::Not(q) => self.simplify_rec(q, replaced).not(),
-            _ => p.clone(),
         }
     }
 
@@ -533,10 +492,6 @@ mod tests {
         // FALSE (columns non-null by default), so it folds away.
         let dead = cmp(CmpOp::Lt, col("x"), lit(1)).and(cmp(CmpOp::Gt, col("x"), lit(2)));
         let live = cmp(CmpOp::Ge, col("y"), lit(0));
-        let s = a.simplify(&dead.clone().or(live.clone()));
-        assert_eq!(s.pred, live);
-        assert_eq!(s.replaced, 1);
-
         let (pruned, n) = a.prune_never_true_disjuncts(&dead.or(live.clone()));
         assert_eq!(pruned, live);
         assert_eq!(n, 1);
@@ -554,7 +509,7 @@ mod tests {
     fn tri_of_literals_and_unknown_atoms() {
         let a = Analyzer::new();
         assert!(a.tri(&Pred::true_()).certainly_true());
-        assert!(a.tri(&Pred::false_()).certainly_false());
+        assert_eq!(a.tri(&Pred::false_()), Tri::false_());
         // (a+1)*(b+1) < 3 does not linearize even with composite folding.
         let odd = cmp(
             CmpOp::Lt,

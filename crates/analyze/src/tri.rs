@@ -56,13 +56,6 @@ impl Tri {
         self.can_true && !self.can_false && !self.can_null
     }
 
-    /// The predicate is FALSE on every tuple (`{FALSE}` exactly) — it can
-    /// neither be TRUE nor NULL, so replacing it by the literal FALSE is a
-    /// full three-valued equivalence.
-    pub fn certainly_false(self) -> bool {
-        self.can_false && !self.can_true && !self.can_null
-    }
-
     /// The predicate can never evaluate to TRUE (it may still be NULL):
     /// no tuple passes a WHERE clause using it.
     pub fn never_true(self) -> bool {
@@ -182,7 +175,6 @@ mod tests {
     #[test]
     fn classifications() {
         assert!(Tri::true_().certainly_true());
-        assert!(Tri::false_().certainly_false());
         assert!(Tri::false_().never_true());
         assert!(!Tri::any().never_true());
         let null_or_false = Tri {
@@ -191,6 +183,6 @@ mod tests {
             can_null: true,
         };
         assert!(null_or_false.never_true());
-        assert!(!null_or_false.certainly_false());
+        assert_ne!(null_or_false, Tri::false_());
     }
 }

@@ -35,21 +35,6 @@ fn tighter_ub(a: Option<&Bound>, b: Option<&Bound>) -> Option<Bound> {
     }
 }
 
-/// Pick the looser of two upper bounds (`None` = unbounded wins).
-fn looser_ub(a: Option<&Bound>, b: Option<&Bound>) -> Option<Bound> {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            let pick_x = match x.value.cmp(&y.value) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => !x.strict || y.strict,
-            };
-            Some(if pick_x { x.clone() } else { y.clone() })
-        }
-        _ => None,
-    }
-}
-
 /// `a` is at least as tight as `b` (every point satisfying `x ≤ₐ` also
 /// satisfies `x ≤ᵦ`). An absent `b` is the trivial bound, satisfied by all.
 fn entails_ub(a: Option<&Bound>, b: Option<&Bound>) -> bool {
@@ -202,45 +187,6 @@ impl Zone {
         })
     }
 
-    /// Pointwise meet (both zones must be over the same variables).
-    #[must_use]
-    pub fn meet(&self, other: &Zone) -> Zone {
-        debug_assert_eq!(self.vars, other.vars);
-        let mut out = self.clone();
-        for (c, o) in out.m.iter_mut().zip(&other.m) {
-            *c = tighter_ub(c.as_ref(), o.as_ref());
-        }
-        out
-    }
-
-    /// Pointwise join: the tightest zone containing both operands. Exact as
-    /// a zone-join only on *closed* operands (otherwise still sound, just
-    /// looser).
-    #[must_use]
-    pub fn join(&self, other: &Zone) -> Zone {
-        debug_assert_eq!(self.vars, other.vars);
-        let mut out = self.clone();
-        for (c, o) in out.m.iter_mut().zip(&other.m) {
-            *c = looser_ub(c.as_ref(), o.as_ref());
-        }
-        out
-    }
-
-    /// Standard DBM widening: keep an entry only where `other` does not
-    /// exceed it; growing entries go straight to unbounded, so any ascending
-    /// chain stabilizes after finitely many steps.
-    #[must_use]
-    pub fn widen(&self, other: &Zone) -> Zone {
-        debug_assert_eq!(self.vars, other.vars);
-        let mut out = self.clone();
-        for (c, o) in out.m.iter_mut().zip(&other.m) {
-            if !entails_ub(o.as_ref(), c.as_ref()) {
-                *c = None;
-            }
-        }
-        out
-    }
-
     /// Does the (closed) zone entail `xᵢ - xⱼ ≤ bound` (or `<` when
     /// `bound.strict`)?
     pub fn entails(&self, i: usize, j: usize, bound: &Bound) -> bool {
@@ -381,29 +327,6 @@ mod tests {
         assert_eq!(p.vars(), ["a".to_string()]);
         assert!(p.entails(1, 0, &Bound::closed(r(105))));
         assert!(!p.entails(1, 0, &Bound::closed(r(104))));
-    }
-
-    #[test]
-    fn meet_join_widen_lattice_behaviour() {
-        let mut x = int_zone(&["a"]);
-        x.constrain(1, 0, Bound::closed(r(5)));
-        let mut y = int_zone(&["a"]);
-        y.constrain(1, 0, Bound::closed(r(9)));
-
-        let m = x.meet(&y);
-        assert_eq!(m.get(1, 0), Some(&Bound::closed(r(5))));
-        let j = x.join(&y);
-        assert_eq!(j.get(1, 0), Some(&Bound::closed(r(9))));
-
-        // Widening x by a looser bound abandons the entry; by a tighter or
-        // equal bound keeps it.
-        let w = x.widen(&y);
-        assert_eq!(w.get(1, 0), None);
-        let w2 = y.widen(&x);
-        assert_eq!(w2.get(1, 0), Some(&Bound::closed(r(9))));
-        // Stability: widening by something already entailed changes nothing.
-        let w3 = x.widen(&x);
-        assert_eq!(w3.get(1, 0), Some(&Bound::closed(r(5))));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sia_serve::{client, server, Request, Response, RetryPolicy, ServeConfig, Sta
 use sia_sql::parse_predicate;
 
 use crate::load::{self, percentile, unit, Answer, Arrival};
-use crate::util::{self, counter};
+use crate::util;
 use crate::Gates;
 
 /// Per-arrival retry attempts before a request is declared lost.
@@ -344,14 +344,14 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
     }
 
     let schedule = load::poisson_schedule(cfg.rate, cfg.requests, cfg.duration, cfg.seed);
-    let static_before = counter(Counter::AnalyzeDeriveStatic);
-    let miss_before = counter(Counter::AnalyzeDeriveMiss);
+    let static_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveStatic);
+    let miss_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveMiss);
     let (arrivals, elapsed) =
         load::open_loop(&schedule, |i| send_with_retry(&addr, &pool[i % pool.len()]));
     let elapsed_s = elapsed.as_secs_f64();
 
     // Fault and cache bookkeeping before shutdown.
-    let faults_injected = counter(Counter::FaultInjected);
+    let faults_injected = sia_obs::snapshot().counter(Counter::FaultInjected);
     sia_fault::clear();
     let cache_len = handle.cache().len();
     let hit_rate = handle.cache().stats().hit_rate();
@@ -437,8 +437,8 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         1.0
     };
 
-    let static_hits = counter(Counter::AnalyzeDeriveStatic) - static_before;
-    let misses = counter(Counter::AnalyzeDeriveMiss) - miss_before;
+    let static_hits = sia_obs::snapshot().counter(Counter::AnalyzeDeriveStatic) - static_before;
+    let misses = sia_obs::snapshot().counter(Counter::AnalyzeDeriveMiss) - miss_before;
     let derive_static_rate = if static_hits + misses == 0 {
         0.0
     } else {

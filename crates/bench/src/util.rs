@@ -57,15 +57,6 @@ pub fn avg_ms(ds: &[Duration]) -> f64 {
     ds.iter().map(|d| d.as_secs_f64()).sum::<f64>() / ds.len() as f64 * 1000.0
 }
 
-/// Read one counter out of the global [`sia_obs`] snapshot.
-pub fn counter(c: sia_obs::Counter) -> u64 {
-    sia_obs::snapshot()
-        .counters
-        .iter()
-        .find(|(k, _)| *k == c)
-        .map_or(0, |(_, v)| *v)
-}
-
 /// Write a results file, logging (not failing) on IO errors so a
 /// read-only working directory never aborts an experiment run.
 pub fn write_results(path: &str, json: &str) {

@@ -149,7 +149,7 @@ pub fn print_line(text: &str) -> Result<bool, String> {
     }
 }
 
-/// A parsed CLI invocation: one variant per [`SUBCOMMANDS`] row, each
+/// A parsed CLI invocation: one variant per `SUBCOMMANDS` row, each
 /// holding that subcommand's arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {

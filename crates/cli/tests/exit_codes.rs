@@ -48,15 +48,33 @@ fn synth_trace_is_wellformed_jsonl() {
     assert!(out.status.success(), "{out:?}");
     let text = std::fs::read_to_string(&path).expect("trace written");
     std::fs::remove_file(&path).ok();
-    // `parse_trace` rejects any line that is not a flat JSON object of a
-    // known event type.
-    let stats = sia_obs::parse_trace(&text).expect("well-formed JSONL");
-    assert!(!stats.torn_tail, "trace not flushed: {stats:?}");
+    // Every line is a flat JSON object of a known event type naming a
+    // span `path` or a metric `key`, and the last line is complete.
+    assert!(text.ends_with('\n'), "trace not flushed: {text:?}");
+    let (mut enters, mut exits) = (0, 0);
+    for line in text.lines() {
+        let fields = sia_obs::parse_object(line).expect("well-formed JSONL");
+        let get = |name: &str| {
+            let field = fields.iter().find(|(k, _)| k == name);
+            field.and_then(|(_, v)| v.as_str())
+        };
+        let name = match get("type") {
+            Some("span_enter") => {
+                enters += 1;
+                get("path")
+            }
+            Some("span_exit") => {
+                exits += 1;
+                get("path")
+            }
+            Some("counter" | "hist") => get("key"),
+            other => panic!("unknown event type {other:?}: {line}"),
+        };
+        assert!(name.is_some_and(|n| !n.is_empty()), "{line}");
+    }
     assert!(
-        stats.enters > 0 && stats.enters == stats.exits,
-        "{} enters, {} exits",
-        stats.enters,
-        stats.exits
+        enters > 0 && enters == exits,
+        "{enters} enters, {exits} exits"
     );
 }
 

@@ -1,16 +1,14 @@
-//! Syntax-driven baselines (§2, §6.3): the transitive-closure
-//! transformation and constant propagation.
+//! The syntax-driven baseline of §2 and §6.3: the transitive-closure
+//! transformation.
 //!
-//! These are the state of the art Sia is compared against in Table 2. Both
-//! are *syntactic*: they only fire when conjuncts have a specific shape
-//! (unit-coefficient difference constraints for transitive closure;
-//! `col = const` equalities for constant propagation), which is exactly why
-//! they miss the arithmetic-heavy predicates the benchmark generates.
+//! This is the state of the art Sia is compared against in Table 2. It is
+//! *syntactic*: it only fires when conjuncts are unit-coefficient
+//! difference constraints, which is exactly why it misses the
+//! arithmetic-heavy predicates the benchmark generates.
 
 use sia_analyze::{Bound, Zone};
 use sia_expr::{CmpOp, LinAtom, LinExpr, NonLinearPolicy, Pred};
 use sia_num::BigRat;
-use std::collections::BTreeMap;
 
 /// Transitive-closure inference: derive difference/bound predicates over
 /// `cols` implied by chains of unit-coefficient comparisons in `p`'s
@@ -146,96 +144,6 @@ fn difference_form(atom: &LinAtom) -> Vec<(Option<String>, Option<String>, BigRa
     }
 }
 
-/// Constant propagation (§2): substitute `col = const` conjuncts into the
-/// remaining conjuncts and fold. Returns the rewritten predicate when at
-/// least one substitution fired.
-pub fn constant_propagation(p: &Pred) -> Option<Pred> {
-    let conjuncts = p.conjuncts();
-    let mut constants: BTreeMap<String, i64> = BTreeMap::new();
-    for conj in &conjuncts {
-        let Pred::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = conj
-        else {
-            continue;
-        };
-        let Ok(atom) = LinAtom::from_cmp(CmpOp::Eq, lhs, rhs, NonLinearPolicy::Reject) else {
-            continue;
-        };
-        let terms: Vec<(String, BigRat)> = atom
-            .expr
-            .terms()
-            .map(|(c, k)| (c.to_string(), k.clone()))
-            .collect();
-        if terms.len() == 1 && terms[0].1.abs() == BigRat::one() {
-            // ±col + c = 0 → col = ∓c
-            let val = -(atom.expr.constant_term() / &terms[0].1);
-            if val.is_integer() {
-                if let Some(v) = val.numer().to_i64() {
-                    constants.insert(terms[0].0.clone(), v);
-                }
-            }
-        }
-    }
-    if constants.is_empty() {
-        return None;
-    }
-    // A defining equality (`col = const` itself) is kept verbatim —
-    // substituting into it would fold it to TRUE and lose the constraint.
-    let is_defining = |conj: &Pred| -> bool {
-        let Pred::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = conj
-        else {
-            return false;
-        };
-        matches!(
-            (lhs, rhs),
-            (sia_expr::Expr::Column(_), sia_expr::Expr::Int(_))
-                | (sia_expr::Expr::Int(_), sia_expr::Expr::Column(_))
-        )
-    };
-    let mut changed = false;
-    let rewritten: Vec<Pred> = conjuncts
-        .iter()
-        .map(|conj| match conj {
-            Pred::Cmp { op, lhs, rhs } if !is_defining(conj) => {
-                let nl = substitute_constants(lhs, &constants);
-                let nr = substitute_constants(rhs, &constants);
-                if &nl != lhs || &nr != rhs {
-                    changed = true;
-                }
-                nl.cmp(*op, nr)
-            }
-            other => (*other).clone(),
-        })
-        .collect();
-    if !changed {
-        return None;
-    }
-    Some(Pred::and_all(rewritten))
-}
-
-fn substitute_constants(e: &sia_expr::Expr, constants: &BTreeMap<String, i64>) -> sia_expr::Expr {
-    use sia_expr::Expr;
-    match e {
-        Expr::Column(c) => match constants.get(c) {
-            Some(v) => Expr::Int(*v),
-            None => e.clone(),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(substitute_constants(lhs, constants)),
-            rhs: Box::new(substitute_constants(rhs, constants)),
-        },
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,17 +224,42 @@ mod tests {
     }
 
     #[test]
-    fn constant_propagation_example() {
-        // x = 5 && x + y = 20 → 5 + y = 20 (the §2 example).
-        let p = parse_predicate("x = 5 AND x + y = 20").unwrap();
-        let out = constant_propagation(&p).unwrap();
-        let s = out.to_string();
-        assert!(s.contains("5 + y = 20") || s.contains("y = 15"), "{s}");
-    }
-
-    #[test]
-    fn constant_propagation_none_without_equalities() {
-        let p = parse_predicate("x < 5 AND y > 3").unwrap();
-        assert!(constant_propagation(&p).is_none());
+    fn pins_rendering_on_section_6_3_conjunctions() {
+        // Date-column chains of the §6.3 workload's shape. Each case pins
+        // the exact derived conjunction; a bound equal to an original
+        // conjunct on the same pair is not re-emitted.
+        let cases = [
+            (
+                "o_orderdate < l_shipdate AND l_shipdate <= l_commitdate \
+                 AND o_orderdate >= DATE '1995-03-15'",
+                &["l_shipdate", "l_commitdate"][..],
+                "0 - l_shipdate < -9204 AND 0 - l_commitdate < -9204",
+            ),
+            (
+                "l_shipdate = o_orderdate AND o_orderdate < DATE '1996-01-01' \
+                 AND l_receiptdate > o_orderdate",
+                &["l_shipdate", "l_receiptdate"][..],
+                "l_shipdate < 9496 AND l_shipdate - l_receiptdate < 0",
+            ),
+            (
+                "o_orderdate <= l_commitdate AND l_commitdate < l_receiptdate \
+                 AND o_orderdate > DATE '1994-06-30' AND l_receiptdate <= DATE '1994-12-31'",
+                &["l_commitdate", "l_receiptdate"][..],
+                "0 - l_commitdate < -8946 AND 0 - l_receiptdate < -8946 \
+                 AND l_commitdate < 9130 AND l_receiptdate - l_commitdate < 184",
+            ),
+        ];
+        for (pred, cols, want) in cases {
+            let p = parse_predicate(pred).unwrap();
+            let out = transitive_closure(&p, &strs(cols)).expect(pred);
+            assert_eq!(out.to_string(), want, "{pred}");
+        }
+        // A contradictory chain closes to an empty zone: nothing to emit.
+        let p = parse_predicate(
+            "o_orderdate < l_shipdate AND l_shipdate < l_commitdate \
+             AND l_commitdate <= o_orderdate",
+        )
+        .unwrap();
+        assert!(transitive_closure(&p, &strs(&["l_shipdate", "l_commitdate"])).is_none());
     }
 }

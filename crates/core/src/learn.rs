@@ -68,45 +68,20 @@ impl LearnedPlane {
         }
         .to_pred()
     }
-
-    /// Number of non-zero weights (columns actually used).
-    pub fn used_columns(&self) -> usize {
-        self.weights.iter().filter(|w| !w.is_zero()).count()
-    }
 }
 
-/// Learning configuration.
-#[derive(Debug, Clone)]
-pub struct LearnConfig {
-    /// SVM hyper-parameters.
-    pub svm: SvmConfig,
-    /// Bound on continued-fraction denominators during rationalization.
-    pub max_denominator: u64,
-    /// Maximum number of disjuncts (Alg 2 loop bound for non-separable
-    /// data).
-    pub max_models: usize,
-}
+/// Bound on continued-fraction denominators during rationalization.
+const MAX_DENOMINATOR: u64 = 4;
 
-impl Default for LearnConfig {
-    fn default() -> Self {
-        LearnConfig {
-            svm: SvmConfig::default(),
-            max_denominator: 4,
-            max_models: 8,
-        }
-    }
-}
+/// Maximum number of disjuncts (Alg 2 loop bound for non-separable data).
+const MAX_MODELS: usize = 8;
 
-/// Train the disjunction-of-planes classifier of Alg 2.
+/// Train the disjunction-of-planes classifier of Alg 2 with the default
+/// SVM hyper-parameters.
 ///
 /// Returns `None` when learning is impossible (no TRUE samples, no FALSE
 /// samples, or every trained plane degenerates).
-pub fn learn(
-    cols: &[String],
-    ts: &[Vec<BigInt>],
-    fs: &[Vec<BigInt>],
-    cfg: &LearnConfig,
-) -> Option<LearnOutput> {
+pub fn learn(cols: &[String], ts: &[Vec<BigInt>], fs: &[Vec<BigInt>]) -> Option<LearnOutput> {
     if ts.is_empty() || fs.is_empty() {
         return None;
     }
@@ -131,7 +106,8 @@ pub fn learn(
     let f_samples: Vec<Sample> = fs.iter().map(|t| Sample::new(to_f64(t), false)).collect();
     let mut remaining: Vec<Vec<BigInt>> = ts.to_vec();
     let mut planes: Vec<LearnedPlane> = Vec::new();
-    for _ in 0..cfg.max_models {
+    let svm = SvmConfig::default();
+    for _ in 0..MAX_MODELS {
         if remaining.is_empty() {
             break;
         }
@@ -140,8 +116,8 @@ pub fn learn(
             .map(|t| Sample::new(to_f64(t), true))
             .collect();
         batch.extend(f_samples.iter().cloned());
-        let float_plane = train(&batch, &cfg.svm);
-        let int_plane = rationalize(&float_plane, cfg.max_denominator);
+        let float_plane = train(&batch, &svm);
+        let int_plane = rationalize(&float_plane, MAX_DENOMINATOR);
         if int_plane.is_degenerate() {
             break;
         }
@@ -225,7 +201,7 @@ mod tests {
     fn separable_single_plane() {
         let ts = vec![pt(&[5]), pt(&[7]), pt(&[10])];
         let fs = vec![pt(&[-5]), pt(&[-1]), pt(&[0])];
-        let out = learn(&cols(&["a"]), &ts, &fs, &LearnConfig::default()).unwrap();
+        let out = learn(&cols(&["a"]), &ts, &fs).unwrap();
         assert!(out.covered_all);
         assert_eq!(out.planes.len(), 1);
         for t in &ts {
@@ -253,7 +229,7 @@ mod tests {
             pt(&[-53, -2]),
             pt(&[-48, -2]),
         ];
-        let out = learn(&cols(&["a1", "a2"]), &ts, &fs, &LearnConfig::default()).unwrap();
+        let out = learn(&cols(&["a1", "a2"]), &ts, &fs).unwrap();
         assert!(out.covered_all);
         for t in &ts {
             assert!(out.planes.iter().any(|p| p.accepts(t)), "missed {t:?}");
@@ -271,7 +247,7 @@ mod tests {
         // TRUE at both ends, FALSE in the middle.
         let ts = vec![pt(&[-10]), pt(&[-12]), pt(&[10]), pt(&[12])];
         let fs = vec![pt(&[-1]), pt(&[0]), pt(&[1])];
-        let out = learn(&cols(&["a"]), &ts, &fs, &LearnConfig::default()).unwrap();
+        let out = learn(&cols(&["a"]), &ts, &fs).unwrap();
         // Symmetric opposing clusters defeat a hinge-loss linear learner
         // (§6.7): the contract we can assert is *consistency* — whenever
         // covered_all is reported, every TRUE sample really is covered.
@@ -299,7 +275,7 @@ mod tests {
         // loss prefers a plane through the margin (sacrificing the small
         // far TRUE pair) over the degenerate all-one-class planes.
         let fs: Vec<Vec<BigInt>> = (-50..=50).map(|x| pt(&[x])).collect();
-        let out = learn(&cols(&["x"]), &ts, &fs, &LearnConfig::default()).unwrap();
+        let out = learn(&cols(&["x"]), &ts, &fs).unwrap();
         assert!(out.covered_all, "planes: {:?}", out.planes);
         assert!(out.planes.len() >= 2, "planes: {:?}", out.planes);
         for t in &ts {
@@ -320,8 +296,8 @@ mod tests {
     #[test]
     fn empty_inputs_return_none() {
         let ts = vec![pt(&[1])];
-        assert!(learn(&cols(&["a"]), &ts, &[], &LearnConfig::default()).is_none());
-        assert!(learn(&cols(&["a"]), &[], &ts, &LearnConfig::default()).is_none());
+        assert!(learn(&cols(&["a"]), &ts, &[]).is_none());
+        assert!(learn(&cols(&["a"]), &[], &ts).is_none());
     }
 
     #[test]
@@ -334,7 +310,6 @@ mod tests {
         // over integers).
         let p = plane.to_pred(&cols(&["a1", "a2"]));
         assert_eq!(p.to_string(), "a1 - a2 >= -29");
-        assert_eq!(plane.used_columns(), 2);
     }
 
     #[test]
@@ -344,7 +319,7 @@ mod tests {
         let ts = vec![pt(&[5, 3]), pt(&[9, 1])];
         let fs = vec![pt(&[-5, -3]), pt(&[-9, -1])];
         let names = cols(&["x", "y"]);
-        let out = learn(&names, &ts, &fs, &LearnConfig::default()).unwrap();
+        let out = learn(&names, &ts, &fs).unwrap();
         for (tuple, expect) in ts
             .iter()
             .map(|t| (t, true))

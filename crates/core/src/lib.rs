@@ -36,7 +36,7 @@ pub mod synth;
 pub mod verify;
 
 pub use encode::{EncodeError, PredEncoder};
-pub use learn::{learn, LearnConfig, LearnOutput, LearnedPlane};
+pub use learn::{learn, LearnOutput, LearnedPlane};
 pub use prove::{Connective, Prover, Tier};
 pub use rewrite::{rewrite_query, RewriteError, RewriteOutcome};
 pub use samples::{SampleOutcome, Sampler};

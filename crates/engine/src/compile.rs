@@ -2,7 +2,7 @@
 //! the per-row evaluation loop does no string hashing.
 
 use crate::table::{Column, ColumnData, Table};
-use sia_expr::{ArithOp, CmpOp, DataType, Expr, Pred, Schema};
+use sia_expr::{ArithOp, CmpOp, Expr, Pred, Schema};
 use std::cmp::Ordering;
 
 /// A compiled arithmetic expression over column indices.
@@ -292,27 +292,11 @@ impl CPred {
     }
 }
 
-/// Verify the predicate's columns exist and yield comparable types
-/// (lightweight semantic check used by the planner).
-pub fn typecheck(p: &Pred, schema: &Schema) -> Result<(), UnknownColumn> {
-    for c in p.columns() {
-        if schema.index_of(&c).is_none() {
-            return Err(UnknownColumn(c));
-        }
-    }
-    Ok(())
-}
-
-/// Result type helper used by the planner to decide join key types.
-pub fn column_type(schema: &Schema, name: &str) -> Option<DataType> {
-    schema.column(name).map(|c| c.ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::{Column, Table};
-    use sia_expr::ColumnDef;
+    use sia_expr::{ColumnDef, DataType};
     use sia_sql::parse_predicate;
 
     pub(super) fn schema() -> Schema {
@@ -398,8 +382,7 @@ mod tests {
     fn unknown_column_errors() {
         let t = table();
         assert!(compile_pred(&parse_predicate("zzz > 0").unwrap(), &t.schema).is_err());
-        assert!(typecheck(&parse_predicate("zzz > 0").unwrap(), &t.schema).is_err());
-        assert!(typecheck(&parse_predicate("a > 0").unwrap(), &t.schema).is_ok());
+        assert!(compile_pred(&parse_predicate("a > 0").unwrap(), &t.schema).is_ok());
     }
 
     #[test]

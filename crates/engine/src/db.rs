@@ -1,5 +1,5 @@
-//! The database: named tables, query planning, and the run-a-SQL-string
-//! entry point used by the benchmark harness.
+//! The database: named tables, query planning and execution, and
+//! `run_sql`, a parse-and-run convenience for tests.
 
 use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats, Scratch};
 use crate::moveraround::{move_around_cached, MoveAroundReport};

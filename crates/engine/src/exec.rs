@@ -2,14 +2,14 @@
 //! equi-joins over the columnar tables.
 //!
 //! No operator copies a base column. Operators hand each other a borrowed
-//! relation ([`Rel`]): columns that still live in the [`Database`], and
+//! relation (`Rel`): columns that still live in the [`Database`], and
 //! per source table a selection vector naming the payload row behind each
 //! relation row. A scan borrows, a filter and a join shorten or compose
 //! selections, and only [`execute`] materializes, once, at the plan root.
 //!
 //! Every row-number buffer an operator needs — a filter's selection, a
 //! join's bucket heads, chains and match lists, a composed selection — is
-//! borrowed from the database's [`Scratch`] and handed back once the
+//! borrowed from the database's `Scratch` and handed back once the
 //! result is gathered, so a query's only large allocations are its
 //! result's columns.
 

@@ -2,7 +2,7 @@
 //! whole plan tree, with synthesis at join boundaries where static
 //! reasoning runs out of columns (the paper's contribution).
 //!
-//! The local rewriter in [`crate::optimize`] only routes existing
+//! The local rewriter in [`mod@crate::optimize`] only routes existing
 //! conjuncts below a single join. This pass reasons globally:
 //!
 //! 1. **Pull-up** ([`pull_up`]): collect every filter conjunct and every

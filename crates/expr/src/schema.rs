@@ -152,11 +152,6 @@ impl Catalog {
             _ => Err(format!("ambiguous column {name:?}")),
         }
     }
-
-    /// The data type of a (possibly qualified) column, if resolvable.
-    pub fn column_type(&self, name: &str) -> Option<DataType> {
-        self.resolve(name).ok().map(|(_, c)| c.ty)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -246,8 +241,8 @@ mod tests {
     #[test]
     fn column_type_helper() {
         let cat = catalog();
-        assert_eq!(cat.column_type("o_orderdate"), Some(DataType::Date));
-        assert_eq!(cat.column_type("zzz"), None);
+        assert_eq!(cat.resolve("o_orderdate").unwrap().1.ty, DataType::Date);
+        assert!(cat.resolve("zzz").is_err());
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub struct GenConfig {
     /// Probability an atom over a dictionary column becomes an IN-list
     /// (encoded as a disjunction of equalities).
     pub in_list_rate: f64,
-    /// Maximum IN-list length.
-    pub max_in_list: usize,
     /// Probability a range atom widens into a BETWEEN (two-sided bound).
     pub between_rate: f64,
     /// Probability an atom uses divisibility-style integer division
@@ -83,10 +81,6 @@ pub struct GenConfig {
     pub target_selectivity: Option<f64>,
     /// Acceptable absolute deviation from the target.
     pub selectivity_tolerance: f64,
-    /// Number of rows sampled per table for selectivity estimation.
-    pub sample_rows: usize,
-    /// Fresh-template redraw budget when chasing a selectivity target.
-    pub max_retries: usize,
     /// Probability a request repeats an earlier template (the cache-hit
     /// knob): identical predicate modulo optional parameter drift.
     pub repeat_rate: f64,
@@ -106,15 +100,12 @@ impl Default for GenConfig {
             cnf_weight: 0.75,
             nest_rate: 0.25,
             in_list_rate: 0.15,
-            max_in_list: 5,
             between_rate: 0.2,
             div_rate: 0.3,
             null_weight: 0.0,
             zone: ZonePolicy::Any,
             target_selectivity: None,
             selectivity_tolerance: 0.1,
-            sample_rows: 256,
-            max_retries: 16,
             repeat_rate: 0.0,
             drift_rate: 0.0,
         }
@@ -143,7 +134,6 @@ impl GenConfig {
         push(&mut s, "cnf_weight", json_number(self.cnf_weight));
         push(&mut s, "nest_rate", json_number(self.nest_rate));
         push(&mut s, "in_list_rate", json_number(self.in_list_rate));
-        push(&mut s, "max_in_list", json_number(self.max_in_list as f64));
         push(&mut s, "between_rate", json_number(self.between_rate));
         push(&mut s, "div_rate", json_number(self.div_rate));
         push(&mut s, "null_weight", json_number(self.null_weight));
@@ -156,8 +146,6 @@ impl GenConfig {
             "selectivity_tolerance",
             json_number(self.selectivity_tolerance),
         );
-        push(&mut s, "sample_rows", json_number(self.sample_rows as f64));
-        push(&mut s, "max_retries", json_number(self.max_retries as f64));
         push(&mut s, "repeat_rate", json_number(self.repeat_rate));
         push(&mut s, "drift_rate", json_number(self.drift_rate));
         s.push('}');
@@ -183,15 +171,12 @@ impl GenConfig {
                 ("cnf_weight", JsonValue::Num(n)) => cfg.cnf_weight = *n,
                 ("nest_rate", JsonValue::Num(n)) => cfg.nest_rate = *n,
                 ("in_list_rate", JsonValue::Num(n)) => cfg.in_list_rate = *n,
-                ("max_in_list", JsonValue::Num(n)) => cfg.max_in_list = *n as usize,
                 ("between_rate", JsonValue::Num(n)) => cfg.between_rate = *n,
                 ("div_rate", JsonValue::Num(n)) => cfg.div_rate = *n,
                 ("null_weight", JsonValue::Num(n)) => cfg.null_weight = *n,
                 ("zone", JsonValue::Str(s)) => cfg.zone = ZonePolicy::parse(s)?,
                 ("target_selectivity", JsonValue::Num(n)) => cfg.target_selectivity = Some(*n),
                 ("selectivity_tolerance", JsonValue::Num(n)) => cfg.selectivity_tolerance = *n,
-                ("sample_rows", JsonValue::Num(n)) => cfg.sample_rows = *n as usize,
-                ("max_retries", JsonValue::Num(n)) => cfg.max_retries = *n as usize,
                 ("repeat_rate", JsonValue::Num(n)) => cfg.repeat_rate = *n,
                 ("drift_rate", JsonValue::Num(n)) => cfg.drift_rate = *n,
                 _ => {}
@@ -224,6 +209,14 @@ mod tests {
         cfg.count = 42;
         let back = GenConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(cfg, back);
+        // A header written when the IN-list cap, sample size and retry
+        // budget were settings still parses: the keys are ignored.
+        let old = cfg.to_json().replacen(
+            '{',
+            "{\"max_in_list\":5,\"sample_rows\":256,\"max_retries\":16,",
+            1,
+        );
+        assert_eq!(GenConfig::from_json(&old).unwrap(), cfg);
     }
 
     #[test]

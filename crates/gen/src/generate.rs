@@ -16,6 +16,15 @@ use crate::schema::{table, ColumnSpec, TableSpec};
 /// the predicate draws are independent streams.
 const SAMPLE_SALT: u64 = 0x005A_3ED0_u64;
 
+/// Maximum IN-list length.
+const MAX_IN_LIST: usize = 5;
+
+/// Number of rows sampled per table for selectivity estimation.
+const SAMPLE_ROWS: usize = 256;
+
+/// Fresh-template redraw budget when chasing a selectivity target.
+const MAX_RETRIES: usize = 16;
+
 /// One generated predicate-synthesis request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenRequest {
@@ -277,7 +286,7 @@ impl Ctx<'_> {
             crate::schema::Dist::IntDict { cardinality } => cardinality.max(1),
             _ => 8,
         };
-        let want = ((t * card as f64).round() as usize).clamp(1, self.cfg.max_in_list);
+        let want = ((t * card as f64).round() as usize).clamp(1, MAX_IN_LIST);
         let mut codes: Vec<i64> = Vec::with_capacity(want);
         while codes.len() < want {
             let code = rng.gen_range(0..card);
@@ -543,7 +552,7 @@ pub fn generate(cfg: &GenConfig) -> Result<Vec<GenRequest>, String> {
         }
     }
     let spec = table(&cfg.table).ok_or_else(|| format!("unknown table {:?}", cfg.table))?;
-    let samples = SampleSet::new(&spec, cfg.sample_rows, cfg.seed ^ SAMPLE_SALT);
+    let samples = SampleSet::new(&spec, SAMPLE_ROWS, cfg.seed ^ SAMPLE_SALT);
     let ctx = Ctx {
         cfg,
         spec: &spec,
@@ -586,7 +595,7 @@ pub fn generate(cfg: &GenConfig) -> Result<Vec<GenRequest>, String> {
         if let Some(target) = cfg.target_selectivity {
             let tol = cfg.selectivity_tolerance.max(0.005);
             let mut tries = 0;
-            while (best_sel - target).abs() > tol && tries < cfg.max_retries {
+            while (best_sel - target).abs() > tol && tries < MAX_RETRIES {
                 add(Counter::GenRetries, 1);
                 tries += 1;
                 let cand = ctx.predicate(&mut rng);

@@ -192,11 +192,6 @@ keys! {
         CegisRoundFalse => "cegis.round_false",
         /// Request-queue depth observed at each enqueue.
         ServeQueueDepth => "serve.queue_depth",
-        /// End-to-end request latency in microseconds, measured at the
-        /// worker.
-        ServeLatencyUs => "serve.latency_us",
-        /// Per-request queue wait in microseconds, measured at dequeue.
-        ServeQueueWaitUs => "serve.latency.queue_us",
         /// Adaptive admission limit sampled at each AIMD control tick.
         ServeAdmissionLimit => "serve.admission.limit",
         /// Per query, microseconds the move-around pass spent closing the

@@ -33,7 +33,6 @@ mod key;
 mod sink;
 mod span;
 mod summary;
-mod trace;
 
 pub use jsonl::{parse_object, JsonValue};
 pub use key::{Counter, Hist};
@@ -45,7 +44,6 @@ pub use span::{
     SpanGuard,
 };
 pub use summary::{fmt_duration, HistData, MetricsSummary, Snapshot, SpanStat};
-pub use trace::{parse_trace, TraceStats};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

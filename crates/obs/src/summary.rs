@@ -159,6 +159,14 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A counter's value (0 when it was never incremented).
+    pub fn counter(&self, key: Counter) -> u64 {
+        self.counters
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map_or(0, |&(_, v)| v)
+    }
+
     /// The aggregate for an exact span path, if recorded.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans

@@ -83,14 +83,8 @@ fn concurrent_counter_increments_all_land() {
         }
     });
     let snap = sia_obs::snapshot();
-    let get = |c: Counter| {
-        snap.counters
-            .iter()
-            .find(|&&(k, _)| k == c)
-            .map(|&(_, v)| v)
-    };
-    assert_eq!(get(Counter::SatPropagations), Some(THREADS * PER_THREAD));
-    assert_eq!(get(Counter::SmtChecks), Some(THREADS));
+    assert_eq!(snap.counter(Counter::SatPropagations), THREADS * PER_THREAD);
+    assert_eq!(snap.counter(Counter::SmtChecks), THREADS);
     sia_obs::disable();
 }
 
@@ -316,12 +310,38 @@ fn concurrent_jsonl_sink_writes_never_tear_lines() {
     drop(sia_obs::take_sink()); // flush + close
 
     let text = std::fs::read_to_string(&path).expect("trace readable");
-    let stats = sia_obs::parse_trace(&text).expect("interleaved writes parse");
-    assert!(!stats.torn_tail, "no torn tail from live interleaving");
-    assert_eq!(stats.enters, stats.exits, "spans balance");
-    assert_eq!(stats.enters, THREADS * (SPANS + 1));
+    // Every line is one whole event: a known type naming a span `path`
+    // or a metric `key`, and the last line is complete.
+    assert!(text.ends_with('\n'), "torn tail from live interleaving");
+    let (mut enters, mut exits, mut counters) = (0, 0, 0);
+    for line in text.lines() {
+        let fields = sia_obs::parse_object(line).expect("interleaved writes parse");
+        let get = |name: &str| {
+            let field = fields.iter().find(|(k, _)| k == name);
+            field.and_then(|(_, v)| v.as_str())
+        };
+        let name = match get("type") {
+            Some("span_enter") => {
+                enters += 1;
+                get("path")
+            }
+            Some("span_exit") => {
+                exits += 1;
+                get("path")
+            }
+            Some("counter") => {
+                counters += 1;
+                get("key")
+            }
+            Some("hist") => get("key"),
+            other => panic!("unknown event type {other:?}: {line}"),
+        };
+        assert!(name.is_some_and(|n| !n.is_empty()), "{line}");
+    }
+    assert_eq!(enters, exits, "spans balance");
+    assert_eq!(enters, THREADS * (SPANS + 1));
     // SmtChecks per step, plus trace.roots + trace.adopted per thread.
-    assert_eq!(stats.counters, THREADS * (SPANS + 2));
+    assert_eq!(counters, THREADS * (SPANS + 2));
     std::fs::remove_file(&path).ok();
     sia_obs::disable();
 }

@@ -14,13 +14,12 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use sia_analyze::{Analyzer, Derivation};
 use sia_cache::PredicateCache;
 use sia_core::{SiaConfig, SynthesisError, Synthesizer};
 use sia_expr::Pred;
-use sia_obs::{Counter, Hist};
+use sia_obs::Counter;
 
 use crate::admission::Job;
 use crate::lock;
@@ -38,26 +37,15 @@ pub(crate) fn process(
     linter: &Analyzer,
     brownout_level: usize,
 ) -> Response {
-    let start = Instant::now();
     let req = &job.request;
-    let finish = |mut r: Response| {
-        #[allow(clippy::cast_precision_loss)]
-        let micros = start.elapsed().as_micros() as f64;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        {
-            r.micros = micros as u64;
-        }
-        sia_obs::record(Hist::ServeLatencyUs, micros);
-        r
-    };
 
     let (p, canon) = match &job.parsed {
         Ok(pair) => pair,
         Err(e) => {
-            return finish(Response {
+            return Response {
                 error: Some(e.clone()),
                 ..Response::plain(&req.id, Status::Error)
-            });
+            };
         }
     };
     let warnings = {
@@ -76,7 +64,7 @@ pub(crate) fn process(
             ..Response::plain(&req.id, Status::Ok)
         };
         drop(cache_span);
-        return finish(response);
+        return response;
     }
     drop(cache_span);
 
@@ -87,17 +75,17 @@ pub(crate) fn process(
     if brownout_level >= 2 {
         if let Some(Derivation::Bounds(bounds)) = linter.derive(p, &req.cols) {
             sia_obs::add(Counter::ServeBrownoutServed, 1);
-            return finish(Response {
+            return Response {
                 predicate: Some(bounds.to_string()),
                 reason: Some("brownout".into()),
                 warnings,
                 ..degraded_body(&req.id, Status::Ok)
-            });
+            };
         }
     }
 
     let mut config = SiaConfig {
-        budget: job.budget.clone(),
+        budget: job.budget,
         ..SiaConfig::default()
     };
     if brownout_level >= 1 {
@@ -110,34 +98,34 @@ pub(crate) fn process(
         Ok(result) => {
             let predicate = result.predicate.unwrap_or_else(Pred::true_);
             cache.insert(canon, &req.cols, &predicate, result.optimal);
-            finish(Response {
+            Response {
                 predicate: (!predicate.is_true()).then(|| predicate.to_string()),
                 optimal: result.optimal,
                 warnings,
                 ..Response::plain(&req.id, Status::Ok)
-            })
+            }
         }
         Err(SynthesisError::Timeout) => {
             // Deadline expiry keeps its distinct status (clients and the
             // CLI exit code depend on it) but now also carries the
             // fallback predicate, so callers can proceed un-optimized.
-            finish(Response {
+            Response {
                 predicate: Some(req.predicate.clone()),
                 reason: Some("timeout".into()),
                 warnings,
                 ..degraded_body(&req.id, Status::Timeout)
-            })
+            }
         }
-        Err(SynthesisError::Internal(msg)) => finish(Response {
+        Err(SynthesisError::Internal(msg)) => Response {
             error: Some(msg),
             warnings,
             ..degraded(&req.id, &req.predicate, "internal")
-        }),
-        Err(e) => finish(Response {
+        },
+        Err(e) => Response {
             error: Some(e.to_string()),
             warnings,
             ..Response::plain(&req.id, Status::Error)
-        }),
+        },
     }
 }
 

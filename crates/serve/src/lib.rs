@@ -39,10 +39,10 @@
 //!   [`client::stats`], [`client::shutdown`].
 //!
 //! Built entirely on `std` (threads, a `Mutex` + `Condvar` queue,
-//! `TcpListener`); cooperative cancellation comes from
-//! `sia_smt::Budget`, which the solver's inner loops poll, and fault
-//! injection comes from `sia_fault` failpoints (`serve.worker.request`
-//! at the top of each job's unwind domain).
+//! `TcpListener`); deadlines come from `sia_smt::Budget`, which the
+//! solver's inner loops poll, and fault injection comes from `sia_fault`
+//! failpoints (`serve.worker.request` at the top of each job's unwind
+//! domain).
 
 mod admission;
 mod answer;

@@ -605,18 +605,13 @@ fn run_job<'a>(shared: &Shared, popped: &'a Popped<Job>) -> (Response, AdoptGuar
     // collector is off. The reader's pre-queue phases (parse,
     // classification) are replayed first so the breakdown still covers
     // the whole request, and the `queue` phase is read only after that
-    // bookkeeping and the wait histogram, so it runs from admission right
-    // up to the start of work with no gap for either.
+    // bookkeeping, so it runs from admission right up to the start of
+    // work with no gap.
     let adopted = job.span.adopt();
     sia_obs::local_begin();
     for (name, dur) in &job.pre_phases {
         sia_obs::record_complete(name, *dur);
     }
-    #[allow(clippy::cast_precision_loss)]
-    sia_obs::record(
-        Hist::ServeQueueWaitUs,
-        popped.enqueued.elapsed().as_micros() as f64,
-    );
     sia_obs::record_complete("queue", popped.enqueued.elapsed());
     let mut response = if injected.is_some() {
         degraded(&request.id, &request.predicate, "internal")

@@ -1,119 +1,41 @@
-//! Cooperative cancellation and deadlines for the solver's main loops.
+//! Deadlines for the solver's main loops.
 //!
-//! A [`Budget`] is a cheap, cloneable token carrying an optional wall-clock
-//! deadline and a shared cancel flag. Clones share the same underlying
-//! state, so a caller can hand a clone to a long-running solve, keep one
-//! for itself, and flip the flag from another thread. The solver polls the
-//! token at its loop heads — every few hundred CDCL steps, every few dozen
-//! simplex pivots, every DPLL(T) round, every branch-and-bound node — and
-//! bails out with an `Unknown`/interrupted verdict instead of wedging.
+//! A [`Budget`] is an optional wall-clock deadline. The solver polls it at
+//! its loop heads — every few hundred CDCL steps, every few dozen simplex
+//! pivots, every DPLL(T) round, every branch-and-bound node — and bails out
+//! with an `Unknown`/interrupted verdict instead of wedging.
 //!
-//! The default ([`Budget::unlimited`]) carries no state at all: polling it
-//! is a single `Option` discriminant test, so un-budgeted solving pays
-//! nothing for the hooks.
+//! The default ([`Budget::unlimited`]) has no deadline: polling it is a
+//! single `Option` discriminant test, so un-budgeted solving pays nothing
+//! for the hooks.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A shared deadline + cancel token threaded through solver loops.
-#[derive(Debug, Clone, Default)]
+/// An optional deadline threaded through solver loops.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Budget {
-    inner: Option<Arc<BudgetInner>>,
-}
-
-#[derive(Debug)]
-struct BudgetInner {
-    cancelled: AtomicBool,
     deadline: Option<Instant>,
 }
 
 impl Budget {
-    /// A budget that never expires and cannot be cancelled (the default).
+    /// A budget that never expires (the default).
     pub fn unlimited() -> Budget {
         Budget::default()
     }
 
-    /// A budget that expires `limit` from now (and can also be cancelled).
+    /// A budget that expires `limit` from now.
     pub fn with_deadline(limit: Duration) -> Budget {
         Budget {
-            inner: Some(Arc::new(BudgetInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + limit),
-            })),
+            deadline: Some(Instant::now() + limit),
         }
     }
 
-    /// A budget that expires at an absolute instant — used when the clock
-    /// started before this call, e.g. a serve deadline set at admission
-    /// that must charge queue wait against the request.
-    pub fn with_deadline_at(deadline: Instant) -> Budget {
-        Budget {
-            inner: Some(Arc::new(BudgetInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
-            })),
-        }
-    }
-
-    /// A budget with no deadline that can still be cancelled via
-    /// [`Budget::cancel`] on any clone.
-    pub fn cancellable() -> Budget {
-        Budget {
-            inner: Some(Arc::new(BudgetInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// True when this is [`Budget::unlimited`] — no deadline, no cancel
-    /// flag, polling is free.
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.is_none()
-    }
-
-    /// Flip the shared cancel flag: every clone of this budget (and every
-    /// solver loop polling one) observes exhaustion from now on.
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// True once the budget has been cancelled (deadline not consulted).
-    pub fn is_cancelled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.cancelled.load(Ordering::Relaxed))
-    }
-
-    /// The poll: true when cancelled or past the deadline. This is the
-    /// call sprinkled through the CDCL, simplex, DPLL(T), and
-    /// branch-and-bound loops.
+    /// The poll: true once past the deadline. This is the call sprinkled
+    /// through the CDCL, simplex, DPLL(T), and branch-and-bound loops.
     #[inline]
     pub fn is_exhausted(&self) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        if inner.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        inner
-            .deadline
+        self.deadline
             .is_some_and(|deadline| Instant::now() >= deadline)
-    }
-
-    /// Wall time left before the deadline (`None` when there is no
-    /// deadline; `Some(ZERO)` once expired or cancelled).
-    pub fn remaining(&self) -> Option<Duration> {
-        let inner = self.inner.as_ref()?;
-        if inner.cancelled.load(Ordering::Relaxed) {
-            return Some(Duration::ZERO);
-        }
-        inner
-            .deadline
-            .map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -123,42 +45,23 @@ mod tests {
 
     #[test]
     fn unlimited_never_exhausts() {
-        let b = Budget::unlimited();
-        assert!(b.is_unlimited());
-        assert!(!b.is_exhausted());
-        assert!(!b.is_cancelled());
-        assert_eq!(b.remaining(), None);
-        b.cancel(); // no-op on the unlimited budget
-        assert!(!b.is_exhausted());
+        assert!(!Budget::unlimited().is_exhausted());
     }
 
     #[test]
     fn deadline_expires() {
-        let b = Budget::with_deadline(Duration::ZERO);
-        assert!(b.is_exhausted());
-        assert!(!b.is_cancelled());
-        let b = Budget::with_deadline(Duration::from_secs(3600));
-        assert!(!b.is_exhausted());
-        assert!(b.remaining().expect("has deadline") > Duration::from_secs(3599));
+        assert!(Budget::with_deadline(Duration::ZERO).is_exhausted());
+        assert!(!Budget::with_deadline(Duration::from_secs(3600)).is_exhausted());
     }
 
     #[test]
     fn absolute_deadline_charges_elapsed_time() {
-        let b = Budget::with_deadline_at(Instant::now());
-        assert!(b.is_exhausted());
-        let b = Budget::with_deadline_at(Instant::now() + Duration::from_secs(3600));
-        assert!(!b.is_exhausted());
-        assert!(b.remaining().expect("has deadline") > Duration::from_secs(3599));
-    }
-
-    #[test]
-    fn cancel_is_shared_across_clones() {
-        let b = Budget::cancellable();
-        let clone = b.clone();
-        assert!(!clone.is_exhausted());
-        b.cancel();
-        assert!(clone.is_exhausted());
-        assert!(clone.is_cancelled());
-        assert_eq!(clone.remaining(), Some(Duration::ZERO));
+        // The deadline is fixed when the budget is made (serve makes it at
+        // admission), so time spent before the first poll counts against
+        // it, in every copy.
+        let b = Budget::with_deadline(Duration::from_millis(5));
+        let copy = b;
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(b.is_exhausted() && copy.is_exhausted());
     }
 }

@@ -16,10 +16,10 @@
 //!   CEGQI alternative used for ablation;
 //! * [`audit`] — a sampling soundness auditor for quantifier elimination,
 //!   run on every elimination under the `checked` cargo feature;
-//! * [`budget`] — cooperative cancellation: a cloneable deadline/cancel
-//!   token ([`Budget`]) polled by the CDCL, simplex, DPLL(T), and
-//!   branch-and-bound loops so a caller-imposed time limit turns into an
-//!   `Unknown` verdict instead of a wedged solve.
+//! * [`budget`] — deadlines: a copyable optional deadline ([`Budget`])
+//!   polled by the CDCL, simplex, DPLL(T), and branch-and-bound loops so
+//!   a caller-imposed time limit turns into an `Unknown` verdict instead
+//!   of a wedged solve.
 //!
 //! Formulas ([`Formula`]) are built over linear terms ([`LinTerm`]) with
 //! variables declared on the solver.

@@ -131,7 +131,7 @@ pub struct SatSolver {
     proof: Option<Vec<ProofStep>>,
     /// Statistics for the current lifetime of the solver.
     pub stats: SatStats,
-    /// Cooperative cancellation token, polled every few hundred search
+    /// The deadline, polled every few hundred search
     /// steps inside [`SatSolver::solve`]. Unlimited by default.
     pub budget: crate::Budget,
 }
@@ -441,7 +441,7 @@ impl SatSolver {
         let mut restart_limit = 64 * luby(restart_idx);
         let mut steps = 0u64;
         loop {
-            // Cooperative cancellation: one search step is one
+            // Deadline poll: one search step is one
             // propagate/analyze-or-decide round, so this polls the budget
             // every 512 conflicts-or-decisions regardless of which branch
             // the search is stuck in.

@@ -165,7 +165,7 @@ pub struct Simplex {
     pub pivots: u64,
     /// Bound assertions that actually narrowed a bound (statistics).
     pub tightenings: u64,
-    /// Cooperative cancellation token, polled every few dozen pivots
+    /// The deadline, polled every few dozen pivots
     /// inside [`Simplex::check`]. Unlimited by default.
     pub budget: crate::Budget,
     /// Set when the last [`Simplex::check`] bailed out on an exhausted

@@ -112,9 +112,9 @@ pub struct Solver {
     vars: VarTable,
     /// Statistics.
     pub stats: SolverStats,
-    /// Cooperative deadline/cancel token. Cloned into the CDCL and simplex
-    /// cores on every [`Solver::check`], which return `Unknown` promptly
-    /// once it is exhausted. Unlimited by default.
+    /// The deadline. Copied into the CDCL and simplex cores on every
+    /// [`Solver::check`], which return `Unknown` promptly once it is
+    /// exhausted. Unlimited by default.
     pub budget: crate::Budget,
 }
 
@@ -145,7 +145,7 @@ impl Solver {
     pub fn check(&mut self, f: &Formula) -> SmtResult {
         self.stats.checks += 1;
         let _span = sia_obs::span("smt.check");
-        let mut ctx = CheckCtx::new(&self.vars, false, self.budget.clone());
+        let mut ctx = CheckCtx::new(&self.vars, false, self.budget);
         let result = ctx.run(f);
         self.stats.rounds += ctx.rounds;
         self.stats.theory_lemmas += ctx.lemmas;
@@ -182,7 +182,7 @@ impl Solver {
     pub fn check_with_certificate(&mut self, f: &Formula) -> (SmtResult, Option<CertifiedUnsat>) {
         self.stats.checks += 1;
         let _span = sia_obs::span("smt.check");
-        let mut ctx = CheckCtx::new(&self.vars, true, self.budget.clone());
+        let mut ctx = CheckCtx::new(&self.vars, true, self.budget);
         let result = ctx.run(f);
         self.stats.rounds += ctx.rounds;
         self.stats.theory_lemmas += ctx.lemmas;
@@ -297,8 +297,8 @@ struct CheckCtx<'a> {
     next_fresh: u32,
     /// record a proof log and atom table for an Unsat certificate.
     certify: bool,
-    /// Cooperative cancellation token, also cloned into `sat` and
-    /// `simplex`; polled once per lazy round and branch-and-bound node.
+    /// The deadline, also copied into `sat` and `simplex`; polled once
+    /// per lazy round and branch-and-bound node.
     budget: crate::Budget,
     rounds: u64,
     lemmas: u64,
@@ -308,9 +308,9 @@ struct CheckCtx<'a> {
 impl<'a> CheckCtx<'a> {
     fn new(vars: &'a VarTable, certify: bool, budget: crate::Budget) -> Self {
         let mut sat = SatSolver::new();
-        sat.budget = budget.clone();
+        sat.budget = budget;
         let mut simplex = Simplex::new();
-        simplex.budget = budget.clone();
+        simplex.budget = budget;
         CheckCtx {
             vars,
             certify,

@@ -190,6 +190,7 @@ fn missing_atom_entry_is_caught() {
 #[cfg(feature = "checked")]
 #[test]
 fn checked_solving_emits_check_metrics() {
+    use sia_obs::Counter as C;
     let mut s = Solver::new();
     let x = s.declare("x", Sort::Real);
     // x ≥ 2 ∧ x ≤ 1 — a rational conflict, so a Farkas lemma is certain.
@@ -199,20 +200,16 @@ fn checked_solving_emits_check_metrics() {
     sia_obs::enable();
     assert!(s.check(&f).is_unsat());
     sia_obs::disable();
-    let counter = |name: &str| {
-        sia_obs::snapshot()
-            .counters
-            .iter()
-            .find(|(k, _)| k.name() == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    assert!(counter("check.certificates") >= 1, "no certificate counted");
-    assert!(counter("check.rup_steps") >= 1, "no RUP steps counted");
+    let snap = sia_obs::snapshot();
     assert!(
-        counter("check.farkas_lemmas") >= 1,
+        snap.counter(C::CheckCertificates) >= 1,
+        "no certificate counted"
+    );
+    assert!(snap.counter(C::CheckRupSteps) >= 1, "no RUP steps counted");
+    assert!(
+        snap.counter(C::CheckFarkasLemmas) >= 1,
         "no Farkas lemma counted"
     );
-    let snap = sia_obs::snapshot();
     assert!(
         snap.span("check.verify").is_some() || snap.span("smt.check/check.verify").is_some(),
         "certificate verification span missing"

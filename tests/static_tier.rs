@@ -9,14 +9,6 @@
 use sia::core::{SiaConfig, Synthesizer};
 use sia::obs::Counter;
 
-fn counter(key: Counter) -> u64 {
-    sia::obs::snapshot()
-        .counters
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map_or(0, |(_, v)| *v)
-}
-
 #[test]
 #[allow(clippy::cast_precision_loss)]
 fn static_tier_prunes_and_derives_on_the_6_3_preset() {
@@ -29,6 +21,8 @@ fn static_tier_prunes_and_derives_on_the_6_3_preset() {
             .expect("synthesis succeeds");
     }
     sia::obs::disable();
+    let snap = sia::obs::snapshot();
+    let counter = |key| snap.counter(key);
 
     // Prune rate over the questions the static tier may answer: validity
     // and feasibility, not sample-generation model queries.

@@ -21,7 +21,7 @@ pub struct VariantStats {
     pub optimal: usize,
     /// Per-run sample generation time.
     pub generation: Vec<Duration>,
-    /// Per-run SVM training time.
+    /// Per-run learning time.
     pub learning: Vec<Duration>,
     /// Per-run verification/optimality time.
     pub validation: Vec<Duration>,

@@ -1780,6 +1780,9 @@ mod tests {
             assert!(out.contains(phase), "missing phase {phase}: {out}");
         }
         assert!(out.contains("sat.decisions"), "{out}");
+        // The learner's work is a counter; synthesis trains no SVM.
+        assert!(out.contains("learn.directions"), "{out}");
+        assert!(!out.contains("svm."), "{out}");
         // The attributed share is printed and meets the ≥95% bar.
         let cov_line = out
             .lines()

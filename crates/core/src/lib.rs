@@ -12,8 +12,8 @@
 //!   is accepted (Lemma 4), decided via Cooper quantifier elimination.
 //!
 //! The synthesis loop is counter-example guided (Alg 1): an SMT solver
-//! generates TRUE/FALSE training samples, a linear SVM learns a candidate
-//! (Alg 2), verification either certifies it or yields counter-examples
+//! generates TRUE/FALSE training samples, an exact search over small
+//! integer directions learns a candidate (Alg 2), verification either certifies it or yields counter-examples
 //! that sharpen the next round.
 //!
 //! Module map: [`encode`] (SQL predicate → SMT formula, §5.2),
@@ -36,7 +36,7 @@ pub mod synth;
 pub mod verify;
 
 pub use encode::{EncodeError, PredEncoder};
-pub use learn::{learn, LearnOutput, LearnedPlane};
+pub use learn::{atom_directions, learn, LearnOutput, LearnedPlane};
 pub use prove::{Connective, Prover, Tier};
 pub use rewrite::{rewrite_query, RewriteError, RewriteOutcome};
 pub use samples::{SampleOutcome, Sampler};

@@ -7,8 +7,8 @@
 //! call, exactly as in the paper; on top of that we apply the paper's
 //! "additional heuristics" (§5.3) — prefer non-zero values and scatter
 //! samples with random box constraints — because solver models otherwise
-//! cluster at the first vertex the simplex finds, which starves the SVM of
-//! signal.
+//! cluster at the first vertex the simplex finds, which starves the learner
+//! of signal.
 
 use sia_num::{BigInt, BigRat};
 use sia_rand::rngs::StdRng;

@@ -3,7 +3,7 @@
 
 use crate::cegqi;
 use crate::encode::{EncodeError, PredEncoder};
-use crate::learn::learn;
+use crate::learn::{atom_directions, learn};
 use crate::prove::{self, Prover};
 use crate::samples::{SampleOutcome, Sampler};
 use crate::verify::{unsat_region, verify_implies, Validity};
@@ -90,7 +90,7 @@ pub struct SynthStats {
     pub false_samples: usize,
     /// Time in sample/counter-example generation (solver models + QE).
     pub generation_time: Duration,
-    /// Time training SVMs.
+    /// Time in the learner (Alg 2).
     pub learning_time: Duration,
     /// Time in validity/optimality checks.
     pub validation_time: Duration,
@@ -202,9 +202,9 @@ impl Synthesizer {
         }
         bail_if_exhausted!();
         // Phase spans: `synth` is the root; `generate` / `learn` /
-        // `verify` / `optimality` are its children, with `smt.check`,
-        // `qe.eliminate`, and `svm.train` nesting below (the `--metrics`
-        // breakdown). Guards close on every early return.
+        // `verify` / `optimality` are its children, with `smt.check` and
+        // `qe.eliminate` nesting below (the `--metrics` breakdown).
+        // Guards close on every early return.
         let _synth_span = sia_obs::span("synth");
         // Chaos hook: an injected error/panic/stall at the very top of a
         // run, after request validation (so injected faults model
@@ -239,7 +239,7 @@ impl Synthesizer {
         // Tier 0: static derivation. When the difference-bound fragment of
         // `p` is rich enough, projecting its closed zone onto the target
         // columns *is* the quantifier elimination ∃ others . p — no
-        // sampling, no learning, no SVM. An exact derivation is verified
+        // sampling, no learning. An exact derivation is verified
         // through the exact pipeline (`verify_implies`) and returned
         // directly; a partial one (sound bounds, possibly not optimal)
         // seeds the sampler and warm-starts the CEGIS loop. Under
@@ -436,6 +436,7 @@ impl Synthesizer {
         // from any partially derived bounds. p₁ (None = trivial TRUE).
         let mut valid_pred: Option<Pred> = warm_bounds;
         let mut optimal = false;
+        let atoms = atom_directions(p, cols);
         while stats.iterations < self.config.max_iterations {
             bail_if_exhausted!();
             stats.iterations += 1;
@@ -446,11 +447,25 @@ impl Synthesizer {
                 #[allow(clippy::cast_precision_loss)]
                 sia_obs::record(sia_obs::Hist::CegisRoundFalse, fs.len() as f64);
             }
-            // Learn (Alg 2).
+            // Learn (Alg 2), against only the FALSE samples p₁ still
+            // accepts: p₃ = p₁ ∧ learned rejects the rest whatever is
+            // learned, and separating them too would cost planes.
             let learn_start = Instant::now();
             let learned = {
                 let _learn_span = sia_obs::span("learn");
-                learn(cols, &ts, &fs)
+                let live: Vec<Vec<BigInt>>;
+                let fs_live = match &valid_pred {
+                    Some(p1) => {
+                        live = fs
+                            .iter()
+                            .filter(|f| accepted_by(p1, cols, f))
+                            .cloned()
+                            .collect();
+                        &live
+                    }
+                    None => &fs,
+                };
+                learn(cols, &atoms, &ts, fs_live)
             };
             stats.learning_time += learn_start.elapsed();
             let Some(learned) = learned else { break };
@@ -566,17 +581,14 @@ impl Synthesizer {
 /// Two-valued evaluation of a predicate at a concrete integer tuple.
 fn accepted_by(p: &Pred, cols: &[String], tuple: &[BigInt]) -> bool {
     use sia_expr::{eval_pred, Value};
-    let m: std::collections::HashMap<String, Value> = cols
-        .iter()
-        .zip(tuple)
-        .map(|(c, v)| {
-            (
-                c.clone(),
-                Value::Int(v.to_i64().expect("sample value fits i64")),
-            )
-        })
-        .collect();
-    eval_pred(p, &m) == Some(true)
+    let row = |name: &str| {
+        cols.iter()
+            .position(|c| c == name)
+            .map_or(Value::Null, |i| {
+                Value::Int(tuple[i].to_i64().expect("sample value fits i64"))
+            })
+    };
+    eval_pred(p, &row) == Some(true)
 }
 
 /// `⋁ᵢ (⋀ⱼ colⱼ = tᵢⱼ)` — the exact predicate for a finite tuple set.

@@ -11,7 +11,7 @@
 //! * [`eval`] — three-valued-logic evaluation (the executable semantics a
 //!   synthesized predicate must preserve);
 //! * [`linear`] — exact-rational linearization, the bridge to the SMT
-//!   solver and the SVM.
+//!   solver and the learner.
 
 #![warn(missing_docs)]
 

@@ -2,7 +2,7 @@
 //! `Σ coeffᵢ·colᵢ + c` form over exact rationals.
 //!
 //! This is the bridge between the SQL AST and both the SMT solver and the
-//! SVM: atoms handed to the solver are linear, and learned hyperplanes come
+//! learner: atoms handed to the solver are linear, and learned hyperplanes come
 //! back as linear forms that must be rendered as SQL again.
 //!
 //! Non-linear column products/quotients are folded into *composite columns*

@@ -6,7 +6,7 @@ use sia_obs::{json_number, json_string, parse_object, JsonValue};
 /// Zone-fragment eligibility policy for generated atoms.
 ///
 /// The static derivation tier (difference-bound matrices) can discharge a
-/// request without touching the SVM/solver only when every atom is a
+/// request without touching the learner/solver only when every atom is a
 /// unit-coefficient bound (`c ⋈ k`) or difference (`c - d ⋈ k`). The policy
 /// controls whether generated predicates stay inside that fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,7 +17,7 @@ pub enum ZonePolicy {
     /// Every atom is zone-eligible (static derivation can fire).
     Eligible,
     /// At least one ineligible atom per request (static derivation cannot
-    /// produce an exact result, so the SVM/solver path is exercised).
+    /// produce an exact result, so the learner/solver path is exercised).
     Ineligible,
 }
 

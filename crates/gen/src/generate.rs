@@ -153,7 +153,7 @@ fn literal(v: Value, ty: sia_expr::DataType) -> Expr {
 enum Family {
     /// Unit-coefficient bound or difference: static derivation stays exact.
     Eligible,
-    /// Sum, scaled, or divided column: forces the SVM/solver path.
+    /// Sum, scaled, or divided column: forces the learner/solver path.
     Ineligible,
 }
 
@@ -303,7 +303,7 @@ impl Ctx<'_> {
 
     /// A zone-ineligible atom — one whose canonical linear form has a
     /// non-unit coefficient key, which downgrades static derivation from
-    /// exact to bounds and forces the SVM/solver path.
+    /// exact to bounds and forces the learner/solver path.
     ///
     /// Single-variable scaled or divided atoms (`2*c ⋈ k`, `c/3 ⋈ q`) do NOT
     /// qualify: canonicalization normalizes their coefficient back to one.

@@ -10,7 +10,7 @@
 //!   target within a tolerance;
 //! - **zone eligibility** — whether predicates stay inside the static
 //!   derivation tier's difference-bound fragment or are forced out of it,
-//!   so benchmarks can separate the static tier from SVM/solver costs;
+//!   so benchmarks can separate the static tier from learner/solver costs;
 //! - **repetition and drift** — the cache-hit knob: requests replay earlier
 //!   templates verbatim (canonical cache hits) or with drifted constants
 //!   (near-miss traffic).

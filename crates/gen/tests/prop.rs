@@ -190,7 +190,7 @@ fn zone_knob_controls_static_derivability() {
         }
     }
     // Ineligible: static derivation must never produce an exact result, so
-    // the synthesizer cannot discharge the request without SVM/solver work.
+    // the synthesizer cannot discharge the request without learner/solver work.
     let ineligible = GenConfig {
         count: 20,
         zone: ZonePolicy::Ineligible,

@@ -30,8 +30,9 @@ pub use bigrat::BigRat;
 /// Greatest common divisor of two `u64`s (binary GCD).
 ///
 /// Exposed because several callers (coefficient normalization in
-/// `sia-smt`, weight rationalization in `sia-svm`) need a fast machine-word
-/// GCD before falling back to bignums.
+/// `sia-smt`, direction scaling in `sia-core`'s learner, through
+/// [`lcm_u64`]) need a fast machine-word GCD before falling back to
+/// bignums.
 pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;

@@ -72,8 +72,12 @@ keys! {
         SimplexTightenings => "simplex.tightenings",
         /// Cooper variable eliminations performed.
         QeEliminations => "qe.eliminations",
-        /// SVM training runs.
+        /// SVM training runs (the benchmark's kernel probe; synthesis does
+        /// not train).
         SvmTrainings => "svm.trainings",
+        /// Candidate directions the learner examined, summed over the
+        /// rounds of one `learn` call.
+        LearnDirections => "learn.directions",
         /// CEGIS loop iterations.
         CegisRounds => "cegis.rounds",
         /// TRUE samples drawn across the run.
@@ -118,7 +122,7 @@ keys! {
         /// pruned counts) of the pre-screen hit rate.
         AnalyzeFallbacks => "analyze.fallbacks",
         /// Synthesis requests discharged entirely by static zone
-        /// projection — no sampling, learning, or SVM training ran.
+        /// projection — no sampling or learning ran.
         AnalyzeDeriveStatic => "analyze.derive.static",
         /// Synthesis requests where zone projection produced sound but
         /// possibly non-optimal bounds that seeded the sampler and

@@ -1,26 +1,16 @@
 //! A linear support vector machine trained with dual coordinate descent
 //! (the LIBLINEAR algorithm: Hsieh et al., *A Dual Coordinate Descent
-//! Method for Large-scale Linear SVM*, ICML 2008), replacing the LibSVM
-//! dependency of the paper (§5.4).
+//! Method for Large-scale Linear SVM*, ICML 2008), the LibSVM stand-in of
+//! the paper (§5.4).
 //!
-//! Sia needs exactly two things from its learner:
-//!
-//! 1. an **interpretable** model — a separating hyperplane `w·x + b` that
-//!    maps back to a SQL predicate, and
-//! 2. **decidable verification** — linear weights keep the follow-up SMT
-//!    query inside linear arithmetic.
-//!
-//! [`train`] produces a float hyperplane; [`rationalize`] converts it to
-//! small integer coefficients (continued-fraction approximation) so the
-//! synthesized predicate is clean SQL and exact for the SMT verifier.
+//! Synthesis no longer trains it: `sia-core`'s learner searches the
+//! finite set of integer directions a rounded SVM plane could have, which
+//! is exact and deterministic. [`train`] and [`train_with_stats`] stay
+//! only because the benchmark's kernel probe (`bench/src/kernels.rs`)
+//! links them; the benchmark change that drops that probe removes this
+//! crate.
 
 #![warn(missing_docs)]
-
-use sia_num::BigInt;
-
-mod rational;
-
-pub use rational::{rationalize, rationalize_value};
 
 /// A labelled training sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,38 +306,6 @@ impl XorShift64 {
     }
 }
 
-/// An integer-coefficient hyperplane `Σ wᵢ·xᵢ + b > 0` over exact
-/// integers, produced by [`rationalize`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntHyperplane {
-    /// Integer weights.
-    pub weights: Vec<BigInt>,
-    /// Integer bias.
-    pub bias: BigInt,
-}
-
-impl IntHyperplane {
-    /// Exact decision value at an integer point.
-    pub fn decision(&self, x: &[BigInt]) -> BigInt {
-        debug_assert_eq!(x.len(), self.weights.len());
-        let mut acc = self.bias.clone();
-        for (w, v) in self.weights.iter().zip(x) {
-            acc = acc + w * v;
-        }
-        acc
-    }
-
-    /// Classify an integer point.
-    pub fn classify(&self, x: &[BigInt]) -> bool {
-        self.decision(x).is_positive()
-    }
-
-    /// True iff every weight is zero (degenerate plane).
-    pub fn is_degenerate(&self) -> bool {
-        self.weights.iter().all(|w| w.is_zero())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,23 +456,5 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn empty_panics() {
         let _ = train(&[], &SvmConfig::default());
-    }
-
-    #[test]
-    fn int_hyperplane_decisions() {
-        let h = IntHyperplane {
-            weights: vec![BigInt::from(2i64), BigInt::from(1i64)],
-            bias: BigInt::from(50i64),
-        };
-        // Paper's first learned predicate 2·a1 + a2 + 50 > 0.
-        let at = |a: i64, b: i64| vec![BigInt::from(a), BigInt::from(b)];
-        assert!(h.classify(&at(-5, 1)));
-        assert!(!h.classify(&at(-40, -2)));
-        assert!(!h.is_degenerate());
-        assert!(IntHyperplane {
-            weights: vec![BigInt::zero()],
-            bias: BigInt::one()
-        }
-        .is_degenerate());
     }
 }

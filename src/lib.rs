@@ -10,8 +10,6 @@
 //!
 //! * [`smt`] — an SMT solver (CDCL(T) with a simplex core, integer
 //!   branch-and-bound, and Cooper quantifier elimination) replacing Z3,
-//! * [`svm`] — a linear SVM trained by dual coordinate descent replacing
-//!   LibSVM,
 //! * [`sql`] / [`expr`] — a SQL front-end and predicate language replacing
 //!   Apache Calcite,
 //! * [`engine`] — an in-memory columnar execution engine with a rule-based
@@ -25,6 +23,7 @@
 //!   (intervals, congruence, 3VL null-ability) whose implication and
 //!   contradiction oracle prunes SMT calls and powers `sia lint`,
 //! * [`core`] — Sia itself: the counter-example guided synthesis loop,
+//!   with an exact search over integer directions replacing LibSVM,
 //! * [`cache`] — a canonicalizing predicate cache (alpha-renamed templates,
 //!   sharded LRU, JSONL persistence),
 //! * [`serve`] — a concurrent synthesis service (worker pool, admission
@@ -57,5 +56,4 @@ pub use sia_obs as obs;
 pub use sia_serve as serve;
 pub use sia_smt as smt;
 pub use sia_sql as sql;
-pub use sia_svm as svm;
 pub use sia_tpch as tpch;

@@ -61,11 +61,6 @@ impl Sampler {
         &self.seen
     }
 
-    /// The region formula.
-    pub fn region(&self) -> &Formula {
-        &self.region
-    }
-
     /// `NotOld` for one tuple: ¬(x₁=v₁ ∧ … ∧ xₖ=vₖ) ⇔ x₁≠v₁ ∨ … ∨ xₖ≠vₖ.
     fn differs_from(&self, tuple: &[BigInt]) -> Formula {
         let mut differs = Formula::False;
@@ -126,7 +121,7 @@ impl Sampler {
                 .and(extra.clone())
                 .and(self.not_old_subset(&active));
             let model = if use_scatter {
-                let scattered = base.clone().and(self.scatter_box()).and(self.nonzero());
+                let scattered = base.and(self.scatter_box()).and(self.nonzero());
                 match solver.check(&scattered) {
                     SmtResult::Sat(m) => m,
                     _ => {

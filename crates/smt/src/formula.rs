@@ -216,6 +216,35 @@ impl Formula {
         go(self, false)
     }
 
+    /// True iff `self.nnf() == *self`: negation wraps only boolean
+    /// variables, and every `And` / `Or` has at least two children, none a
+    /// constant or a connective of its own kind (`nnf` folds and flattens
+    /// those).
+    pub(crate) fn is_nnf(&self) -> bool {
+        let flat = |fs: &[Formula], same: fn(&Formula) -> bool| {
+            fs.len() >= 2
+                && fs
+                    .iter()
+                    .all(|g| !same(g) && !matches!(g, Formula::True | Formula::False) && g.is_nnf())
+        };
+        match self {
+            Formula::Not(g) => matches!(**g, Formula::BoolVar(_)),
+            Formula::And(fs) => flat(fs, |g| matches!(g, Formula::And(_))),
+            Formula::Or(fs) => flat(fs, |g| matches!(g, Formula::Or(_))),
+            _ => true,
+        }
+    }
+
+    /// True iff a `Divides` / `NotDivides` literal occurs anywhere.
+    pub(crate) fn has_divisibility(&self) -> bool {
+        match self {
+            Formula::Divides(..) | Formula::NotDivides(..) => true,
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().any(Formula::has_divisibility),
+            Formula::Not(g) => g.has_divisibility(),
+            _ => false,
+        }
+    }
+
     /// Collect free variables (arithmetic and boolean) into `out`.
     pub fn collect_vars(&self, out: &mut BTreeSet<VarId>) {
         match self {

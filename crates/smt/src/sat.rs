@@ -124,6 +124,12 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    /// True once conflict analysis has bumped an activity. Until then
+    /// every activity is zero and the decision is the lowest unassigned
+    /// variable, which `cursor` finds without a scan.
+    bumped: bool,
+    /// Every variable below `cursor` is assigned.
+    cursor: usize,
     phase: Vec<bool>,
     unsat: bool,
     /// Chronological clause-proof log; `None` until
@@ -332,6 +338,7 @@ impl SatSolver {
     }
 
     fn bump_var(&mut self, v: usize) {
+        self.bumped = true;
         self.activity[v] += self.var_inc;
         if self.activity[v] > 1e100 {
             for a in &mut self.activity {
@@ -407,12 +414,30 @@ impl SatSolver {
                 self.phase[v] = self.assign[v].unwrap();
                 self.assign[v] = None;
                 self.reason[v] = None;
+                self.cursor = self.cursor.min(v);
             }
         }
         self.qhead = self.trail.len();
     }
 
+    /// The unassigned variable of highest activity, the lowest index on
+    /// a tie, with its saved phase.
     fn decide(&mut self) -> Option<Lit> {
+        let best = if self.bumped {
+            self.most_active()
+        } else {
+            while self.cursor < self.num_vars() && self.assign[self.cursor].is_some() {
+                self.cursor += 1;
+            }
+            let first = (self.cursor < self.num_vars()).then_some(self.cursor);
+            #[cfg(feature = "checked")]
+            assert_eq!(first, self.most_active(), "decision cursor left the scan");
+            first
+        };
+        best.map(|v| Lit::with_sign(v, self.phase[v]))
+    }
+
+    fn most_active(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for v in 0..self.num_vars() {
             if self.assign[v].is_none() && best.is_none_or(|b| self.activity[v] > self.activity[b])
@@ -420,7 +445,7 @@ impl SatSolver {
                 best = Some(v);
             }
         }
-        best.map(|v| Lit::with_sign(v, self.phase[v]))
+        best
     }
 
     /// Solve the current clause set.

@@ -14,6 +14,7 @@ use crate::term::{LinTerm, Rel};
 use crate::var::{Sort, VarId, VarTable};
 use sia_check::{AtomTable, CertifiedUnsat, FarkasCertificate, Justification, LinearIneq};
 use sia_num::{BigInt, BigRat};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Result of an SMT `check`.
@@ -228,11 +229,10 @@ struct AtomInfo {
     on_true: BoundSpec,
     /// Bound asserted when the atom literal is FALSE (the negation).
     on_false: BoundSpec,
-    /// `≤`-form inequality over original variables for the TRUE literal,
-    /// as the certificate checker sees it.
-    true_ineq: LinearIneq,
-    /// Same for the FALSE (negated) literal.
-    false_ineq: LinearIneq,
+    /// `≤`-form inequalities over original variables for the TRUE and the
+    /// FALSE literal, as the certificate checker sees them. Built only
+    /// when the check certifies.
+    ineqs: Option<(LinearIneq, LinearIneq)>,
 }
 
 #[derive(Debug, Clone)]
@@ -358,6 +358,22 @@ impl<'a> CheckCtx<'a> {
         s
     }
 
+    /// The formula Tseitin encodes: `f` in NNF with its divisibility
+    /// literals lowered. `f` itself when it already is one, so a check
+    /// copies its input only when it must rewrite it.
+    fn prepare<'f>(&mut self, f: &'f Formula) -> Cow<'f, Formula> {
+        let nnf = if f.is_nnf() {
+            Cow::Borrowed(f)
+        } else {
+            Cow::Owned(f.nnf())
+        };
+        if nnf.has_divisibility() {
+            Cow::Owned(self.lower_divisibility(&nnf))
+        } else {
+            nnf
+        }
+    }
+
     /// Rewrite divisibility literals into linear constraints with fresh
     /// integer witnesses: `m | t` ⇒ `t = m·k`; `m ∤ t` ⇒ `t = m·k + r ∧
     /// 1 ≤ r ≤ m-1`. The formula must already be in NNF.
@@ -394,32 +410,26 @@ impl<'a> CheckCtx<'a> {
     /// Get/create the SAT variable for a canonical atom, registering its
     /// bound translation.
     fn atom_sat_var(&mut self, rel: Rel, term: &LinTerm) -> Lit {
-        // term rel 0  ⇔  Σ aᵢxᵢ rel -c. Normalize the variable part.
-        let combo_term = term.without_constant().normalize_integer();
-        // normalize_integer on just the var part: compute the positive
-        // scale factor f such that combo = f · var_part; then the bound is
-        // -c · f ... easier: find factor by comparing a leading coeff.
-        let lead = term.iter().next().expect("atom with variables").0;
-        let orig_lead = term.coeff(lead);
-        let norm_lead = combo_term.coeff(lead);
-        // factor = norm/orig (may be negative if normalize flipped sign —
-        // it cannot: normalize_integer multiplies by a positive rational).
-        let factor = &norm_lead / &orig_lead;
-        debug_assert!(factor.is_positive());
-        let bound_val = -(term.constant_term() * &factor);
-        // Canonical: make leading coefficient positive so that `combo` and
-        // `-combo` share a slack variable.
-        let (combo_term, bound_val, flipped) = if combo_term.coeff(lead).is_negative() {
-            (combo_term.negated(), -bound_val, true)
+        // term rel 0  ⇔  Σ aᵢxᵢ rel -c. Scale the variable part to
+        // integers with gcd 1 and a positive leading coefficient, so that
+        // `combo` and `-combo` share a slack variable; `flipped` records
+        // that the scale was negative, which turns the relation around.
+        let (_, lead) = term.iter().next().expect("atom with variables");
+        let flipped = lead.is_negative();
+        let factor = if flipped {
+            -term.coeff_scale()
         } else {
-            (combo_term, bound_val, false)
+            term.coeff_scale()
         };
-        let key: ComboKey = combo_term.iter().map(|(v, k)| (v, k.clone())).collect();
-        let memo_key = (rel, flipped, bound_val.clone(), key.clone());
+        let bound_val = -(term.constant_term() * &factor);
+        let key: ComboKey = term.iter().map(|(v, k)| (v, k * &factor)).collect();
+        let memo_key = (rel, flipped, bound_val, key);
         if let Some(&sv) = self.atom_memo.get(&memo_key) {
             return Lit::pos(sv);
         }
-        let simplex_var = match self.combos.get(&key) {
+        let (_, _, bound_val, key) = &memo_key;
+        let bound_val = bound_val.clone();
+        let simplex_var = match self.combos.get(key) {
             Some(&s) => s,
             None => {
                 let s = if key.len() == 1 && key[0].1 == BigRat::one() {
@@ -494,16 +504,19 @@ impl<'a> CheckCtx<'a> {
         } else {
             (raw_true.clone(), raw_false.clone())
         };
-        let true_ineq = ineq_of(&key, &on_true, &raw_true);
-        let false_ineq = ineq_of(&key, &on_false, &raw_false);
+        let ineqs = self.certify.then(|| {
+            (
+                ineq_of(key, &on_true, &raw_true),
+                ineq_of(key, &on_false, &raw_false),
+            )
+        });
         let sv = self.sat.new_var();
         debug_assert_eq!(sv, self.atoms.len());
         self.atoms.push(Some(AtomInfo {
             simplex_var,
             on_true,
             on_false,
-            true_ineq,
-            false_ineq,
+            ineqs,
         }));
         self.atom_memo.insert(memo_key, sv);
         Lit::pos(sv)
@@ -596,11 +609,8 @@ impl<'a> CheckCtx<'a> {
         if self.certify {
             self.sat.enable_proof();
         }
-        let nnf = f.nnf();
-        let lowered = self.lower_divisibility(&nnf);
-        // lower_divisibility introduces Eq0 (And of atoms) inside; it is
-        // still NNF. Re-normalize in case constant folding exposed literals.
-        match self.tseitin(&lowered) {
+        let input = self.prepare(f);
+        match self.tseitin(&input) {
             Err(false) => {
                 // The encoding collapsed to ⊥ by constant folding: log an
                 // axiomatic empty clause so the certificate closes.
@@ -824,9 +834,10 @@ impl<'a> CheckCtx<'a> {
             let Some(info) = info else {
                 continue;
             };
+            let (true_ineq, false_ineq) = info.ineqs.clone().expect("certifying check");
             let lit = sv as i64 + 1;
-            table.entries.insert(lit, info.true_ineq.clone());
-            table.entries.insert(-lit, info.false_ineq.clone());
+            table.entries.insert(lit, true_ineq);
+            table.entries.insert(-lit, false_ineq);
         }
         for v in self.arith_map.keys() {
             if self.sort_of(*v) == Sort::Int {
@@ -1123,6 +1134,88 @@ mod tests {
                 SmtResult::Unknown => panic!("case {i}: unknown"),
             }
         }
+    }
+
+    /// A random term over `vs` with at least one variable and integer
+    /// coefficients.
+    fn random_term(rng: &mut impl sia_rand::Rng, vs: &[VarId]) -> LinTerm {
+        let mut t = LinTerm::constant(BigRat::from(rng.gen_range(-6i64..=6)));
+        while t.is_constant() {
+            for &v in vs {
+                if rng.gen_range(0..2) == 0 {
+                    t = t.add(&t1(v).scale(&BigRat::from(rng.gen_range(-3i64..=3))));
+                }
+            }
+        }
+        t
+    }
+
+    /// A random formula built with the raw constructors, so it carries the
+    /// shapes `nnf` rewrites: negated connectives, one-child and nested
+    /// connectives, constant children and divisibility literals.
+    fn random_formula(rng: &mut impl sia_rand::Rng, vs: &[VarId], p: VarId, depth: u32) -> F {
+        if depth == 0 || rng.gen_range(0..3) == 0 {
+            return match rng.gen_range(0..12) {
+                0 => F::True,
+                1 => F::False,
+                2 | 3 => F::BoolVar(p),
+                4 => F::Divides(BigInt::from(rng.gen_range(2i64..=4)), random_term(rng, vs)),
+                5 => F::NotDivides(BigInt::from(rng.gen_range(2i64..=4)), random_term(rng, vs)),
+                6..=8 => F::Atom(crate::term::Atom::le(random_term(rng, vs))),
+                _ => F::Atom(crate::term::Atom::lt(random_term(rng, vs))),
+            };
+        }
+        let shape = rng.gen_range(0..5);
+        let mut kids: Vec<F> = (0..rng.gen_range(1..=3))
+            .map(|_| random_formula(rng, vs, p, depth - 1))
+            .collect();
+        match shape {
+            0 | 1 => F::And(kids),
+            2 | 3 => F::Or(kids),
+            _ => F::Not(Box::new(kids.swap_remove(0))),
+        }
+    }
+
+    #[test]
+    fn a_check_encodes_its_input_unchanged_only_when_nnf_would_not_change_it() {
+        use sia_rand::SeedableRng;
+        let mut rng = sia_rand::rngs::StdRng::seed_from_u64(0x0a7f);
+        let (mut s, vs) = int_solver(&["x", "y", "z"]);
+        let p = s.declare("p", Sort::Bool);
+        let (mut direct, mut rewritten) = (0, 0);
+        for _ in 0..600 {
+            let f = random_formula(&mut rng, &vs, p, 3);
+            let nnf = f.nnf();
+            let mut ctx = CheckCtx::new(&s.vars, false, crate::Budget::default());
+            let prepared = ctx.prepare(&f);
+            // What a check encoded before it skipped anything: the NNF
+            // copy with its divisibility lowered.
+            let mut full = CheckCtx::new(&s.vars, false, crate::Budget::default());
+            assert_eq!(*prepared, full.lower_divisibility(&nnf), "{f}");
+            if let Cow::Borrowed(g) = prepared {
+                assert!(std::ptr::eq(g, &f));
+                assert_eq!(nnf, f, "{f}");
+                assert!(!f.has_divisibility(), "{f}");
+                direct += 1;
+            } else {
+                rewritten += 1;
+            }
+            match (s.check(&f), s.check(&nnf)) {
+                (SmtResult::Sat(a), SmtResult::Sat(b)) => {
+                    for &v in &vs {
+                        assert_eq!(a.rat(v), b.rat(v), "{f}: model of {v}");
+                    }
+                    assert_eq!(a.boolean(p), b.boolean(p), "{f}: model of p");
+                }
+                (SmtResult::Unsat, SmtResult::Unsat) | (SmtResult::Unknown, SmtResult::Unknown) => {
+                }
+                (a, b) => panic!("{f}: verdicts differ: {a:?} against {b:?}"),
+            }
+        }
+        assert!(
+            direct > 100 && rewritten > 100,
+            "{direct} direct, {rewritten} rewritten"
+        );
     }
 
     #[test]

@@ -1796,6 +1796,28 @@ mod tests {
             .parse()
             .expect("numeric coverage");
         assert!(pct >= 95.0, "attributed {pct}% < 95%: {out}");
+
+        // A `serve_cegis` bed request: its regions sit far from the
+        // sampler's scatter boxes, which the bounds presolve refutes.
+        let out = run(Command::Synth(Synth {
+            predicate: "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65"
+                .into(),
+            cols: strs(&["l_commitdate", "l_orderdate", "l_orderkey", "l_quantity"]),
+            variant: Variant::Sia,
+            max_iter: None,
+            timeout_ms: None,
+            metrics: true,
+            trace: None,
+        }))
+        .unwrap();
+        let presolved: u64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("smt.presolved"))
+            .expect("smt.presolved counter line")
+            .trim()
+            .parse()
+            .expect("numeric counter");
+        assert!(presolved > 0, "{out}");
     }
 
     #[test]

@@ -111,17 +111,21 @@ impl Sampler {
         let mut active: Vec<usize> =
             (self.seen.len().saturating_sub(RECENT)..self.seen.len()).collect();
         let mut use_scatter = true;
+        // `region ∧ extra ∧ NotOld(active)`, rebuilt only when `active`
+        // changes.
+        let mut cached: Option<Formula> = None;
         // Each round either returns a fresh sample, tightens the active
         // exclusion set by one duplicate, or drops the scatter heuristic;
         // with at worst every seen tuple excluded, it terminates.
         loop {
-            let base = self
-                .region
-                .clone()
-                .and(extra.clone())
-                .and(self.not_old_subset(&active));
+            let base = cached.get_or_insert_with(|| {
+                self.region
+                    .clone()
+                    .and(extra.clone())
+                    .and(self.not_old_subset(&active))
+            });
             let model = if use_scatter {
-                let scattered = base.and(self.scatter_box()).and(self.nonzero());
+                let scattered = base.clone().and(self.scatter_box()).and(self.nonzero());
                 match solver.check(&scattered) {
                     SmtResult::Sat(m) => m,
                     _ => {
@@ -132,7 +136,7 @@ impl Sampler {
                     }
                 }
             } else {
-                match solver.check(&base) {
+                match solver.check(base) {
                     SmtResult::Sat(m) => m,
                     SmtResult::Unsat => {
                         if active.len() == self.seen.len() {
@@ -141,6 +145,7 @@ impl Sampler {
                         // Region minus the active exclusions is empty; the
                         // real verdict needs the full history excluded.
                         active = (0..self.seen.len()).collect();
+                        cached = None;
                         continue;
                     }
                     SmtResult::Unknown => return SampleOutcome::Unknown,
@@ -151,6 +156,7 @@ impl Sampler {
                 Some(idx) => {
                     // Stale duplicate: exclude it specifically and retry.
                     active.push(idx);
+                    cached = None;
                 }
                 None => {
                     self.seen.push(tuple.clone());

@@ -60,6 +60,9 @@ keys! {
         SatRestarts => "sat.restarts",
         /// Top-level SMT `check` calls.
         SmtChecks => "smt.checks",
+        /// `check` calls the bounds presolve refuted before any search
+        /// (also counted in `smt.checks`).
+        SmtPresolved => "smt.presolved",
         /// Lazy DPLL(T) rounds.
         SmtRounds => "smt.rounds",
         /// Theory lemmas learned.

@@ -142,10 +142,17 @@ impl Solver {
     /// feature, every `Unsat` verdict additionally carries a certificate
     /// that is verified by the independent `sia-check` crate; a rejected
     /// certificate panics rather than returning an unsound verdict.
+    ///
+    /// Before it searches, a check tries the bounds presolve, which can
+    /// only answer `Unsat` (`smt.presolved` counts how often it does).
     #[cfg(not(feature = "checked"))]
     pub fn check(&mut self, f: &Formula) -> SmtResult {
         self.stats.checks += 1;
         let _span = sia_obs::span("smt.check");
+        if self.presolve(f) {
+            sia_obs::add(sia_obs::Counter::SmtChecks, 1);
+            return SmtResult::Unsat;
+        }
         let mut ctx = CheckCtx::new(&self.vars, false, self.budget);
         let result = ctx.run(f);
         self.stats.rounds += ctx.rounds;
@@ -158,8 +165,12 @@ impl Solver {
     /// Decide satisfiability of `f`, self-verifying every verdict (the
     /// `checked` build): `Sat` models replay through the evaluator, and
     /// `Unsat` certificates must pass [`sia_check::check_refutation`].
+    /// The certified search runs even on a formula the bounds presolve
+    /// refutes, and a model of it panics; its `Unknown` is inconclusive,
+    /// so the presolved `Unsat` stands, as in the default build.
     #[cfg(feature = "checked")]
     pub fn check(&mut self, f: &Formula) -> SmtResult {
+        let presolved = self.presolve(f);
         let (result, cert) = self.check_with_certificate(f);
         if let Some(cert) = cert {
             let _span = sia_obs::span("check.verify");
@@ -174,7 +185,25 @@ impl Solver {
                 Err(e) => panic!("unsound Unsat verdict: certificate rejected: {e}"),
             }
         }
+        if presolved {
+            assert!(
+                !result.is_sat(),
+                "unsound bounds presolve: the search found a model of {f}"
+            );
+            return SmtResult::Unsat;
+        }
         result
+    }
+
+    /// Whether the bounds presolve refutes `f`, counted in `smt.presolved`.
+    /// It does not run once the budget is exhausted, so such a check still
+    /// answers `Unknown`.
+    fn presolve(&self, f: &Formula) -> bool {
+        let refuted = !self.budget.is_exhausted() && refuted_by_bounds(f);
+        if refuted {
+            sia_obs::add(sia_obs::Counter::SmtPresolved, 1);
+        }
+        refuted
     }
 
     /// Like `check`, but when the verdict is `Unsat` also return the
@@ -216,6 +245,140 @@ fn record_check_metrics(ctx: &CheckCtx<'_>) {
     sia_obs::add(C::SmtRounds, ctx.rounds);
     sia_obs::add(C::SmtTheoryLemmas, ctx.lemmas);
     sia_obs::add(C::SmtBbNodes, ctx.bb_nodes);
+}
+
+/// One end of an interval: `value`, excluded when `strict`.
+struct End {
+    value: BigRat,
+    strict: bool,
+}
+
+impl End {
+    /// Whether `self` is a tighter upper end than `other` (`upper`), or a
+    /// tighter lower end (`!upper`).
+    fn tighter(&self, other: &End, upper: bool) -> bool {
+        match self.value.cmp(&other.value) {
+            std::cmp::Ordering::Equal => self.strict && !other.strict,
+            ord => (ord == std::cmp::Ordering::Less) == upper,
+        }
+    }
+}
+
+/// The interval hull of each variable bounded by a top-level one-variable
+/// atom: `(variable, lower end, upper end)`.
+type Hull = Vec<(VarId, Option<End>, Option<End>)>;
+
+/// The bounds presolve: true when `f` is unsatisfiable over the reals by
+/// its own variable bounds alone. The hull of each variable comes from the
+/// one-variable atoms of `f`'s top-level conjunction, so every model of `f`
+/// lies in it; `f` is refuted when two bounds on one variable cross, or
+/// when `f` reads false in Kleene three-valued logic over the hull (an
+/// atom is false when its term's range over the hull lies wholly on the
+/// wrong side of zero; divisibility and boolean literals are unknown).
+/// It only ever answers "refuted", so a check it decides returns what the
+/// search would have, and one it does not decide runs the search.
+fn refuted_by_bounds(f: &Formula) -> bool {
+    let mut hull = Hull::new();
+    collect_hull(f, &mut hull);
+    if hull.is_empty() {
+        return false;
+    }
+    let crossed = hull.iter().any(|(_, lo, hi)| match (lo, hi) {
+        (Some(lo), Some(hi)) => {
+            lo.value > hi.value || (lo.value == hi.value && (lo.strict || hi.strict))
+        }
+        _ => false,
+    });
+    crossed || kleene(f, &hull) == Some(false)
+}
+
+/// Narrow `hull` by each one-variable atom of `f`'s top-level conjunction.
+fn collect_hull(f: &Formula, hull: &mut Hull) {
+    match f {
+        Formula::And(fs) => fs.iter().for_each(|g| collect_hull(g, hull)),
+        Formula::Atom(a) if a.term.num_vars() == 1 => {
+            // c·v + k ⋈ 0  ⇔  v ⋈ -k/c, flipped when c < 0.
+            let (v, c) = a.term.iter().next().expect("one variable");
+            let end = End {
+                value: -(a.term.constant_term() / c),
+                strict: a.rel == Rel::Lt,
+            };
+            let upper = c.is_positive();
+            let slot = match hull.iter().position(|(w, ..)| *w == v) {
+                Some(i) => &mut hull[i],
+                None => {
+                    hull.push((v, None, None));
+                    hull.last_mut().expect("just pushed")
+                }
+            };
+            let side = if upper { &mut slot.2 } else { &mut slot.1 };
+            if side.as_ref().is_none_or(|old| end.tighter(old, upper)) {
+                *side = Some(end);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The greatest (`upper`) or least value of `t` over the hull, with
+/// whether it is excluded; `None` when `t` is unbounded that way.
+fn term_extreme(t: &LinTerm, hull: &Hull, upper: bool) -> Option<End> {
+    let mut acc = End {
+        value: t.constant_term().clone(),
+        strict: false,
+    };
+    for (v, c) in t.iter() {
+        let (_, lo, hi) = hull.iter().find(|(w, ..)| *w == v)?;
+        let end = if c.is_positive() == upper { hi } else { lo };
+        let end = end.as_ref()?;
+        acc.value += &(c * &end.value);
+        acc.strict |= end.strict;
+    }
+    Some(acc)
+}
+
+/// `f`'s truth value over every point of the hull: `Some(b)` when all of
+/// them agree, `None` when they may not.
+fn kleene(f: &Formula, hull: &Hull) -> Option<bool> {
+    match f {
+        Formula::True => Some(true),
+        Formula::False => Some(false),
+        Formula::Atom(a) => {
+            let lt = a.rel == Rel::Lt;
+            // t ≤ 0 fails where t > 0 everywhere, t < 0 where t ≥ 0.
+            let min = term_extreme(&a.term, hull, false);
+            if min.is_some_and(|m| m.value.is_positive() || (m.value.is_zero() && (lt || m.strict)))
+            {
+                return Some(false);
+            }
+            let max = term_extreme(&a.term, hull, true);
+            if max
+                .is_some_and(|m| m.value.is_negative() || (m.value.is_zero() && (!lt || m.strict)))
+            {
+                return Some(true);
+            }
+            None
+        }
+        Formula::Divides(..) | Formula::NotDivides(..) | Formula::BoolVar(_) => None,
+        Formula::Not(g) => kleene(g, hull).map(|b| !b),
+        Formula::And(fs) => fold_kleene(fs, hull, false),
+        Formula::Or(fs) => fold_kleene(fs, hull, true),
+    }
+}
+
+/// Kleene disjunction (`absorbing` true) or conjunction (`absorbing`
+/// false): one child reading `absorbing` decides it, and an unknown child
+/// leaves it unknown otherwise.
+fn fold_kleene(fs: &[Formula], hull: &Hull, absorbing: bool) -> Option<bool> {
+    let mut acc = Some(!absorbing);
+    for g in fs {
+        match kleene(g, hull) {
+            Some(b) if b == absorbing => return Some(absorbing),
+            Some(_) => {}
+            None => acc = None,
+        }
+    }
+    acc
 }
 
 /// Canonical key for an arithmetic atom's variable combination.
@@ -1215,6 +1378,135 @@ mod tests {
         assert!(
             direct > 100 && rewritten > 100,
             "{direct} direct, {rewritten} rewritten"
+        );
+    }
+
+    /// `lo ≤ v` (`lo < v` when strict) and `v ≤ hi` (`v < hi`).
+    fn bound(v: VarId, lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> F {
+        let atom = |t: LinTerm, strict: bool| if strict { F::lt0(t) } else { F::le0(t) };
+        let lo = lo.map_or(F::True, |(b, strict)| atom(c(b).sub(&t1(v)), strict));
+        let hi = hi.map_or(F::True, |(b, strict)| atom(t1(v).sub(&c(b)), strict));
+        lo.and(hi)
+    }
+
+    #[test]
+    fn bounds_presolve_refutes_crossed_bounds() {
+        let (mut s, vs) = int_solver(&["x", "y"]);
+        let (x, y) = (vs[0], vs[1]);
+        let open = F::le0(t1(x).add(&t1(y)));
+        for (lo, hi, refuted) in [
+            ((5, false), (2, false), true),
+            ((3, false), (3, false), false),
+            ((3, true), (3, false), true),
+            ((3, false), (3, true), true),
+            ((-4, true), (9, true), false),
+        ] {
+            let f = bound(x, Some(lo), Some(hi)).and(open.clone());
+            assert_eq!(refuted_by_bounds(&f), refuted, "{f}");
+            assert_eq!(s.check(&f).is_unsat(), refuted, "{f}");
+        }
+        // A later, tighter bound on the same variable crosses an earlier one.
+        let f = bound(x, Some((0, false)), Some((10, false)))
+            .and(bound(x, None, Some((-1, false))))
+            .and(bound(y, Some((0, false)), None));
+        assert!(refuted_by_bounds(&f), "{f}");
+    }
+
+    #[test]
+    fn bounds_presolve_refutes_a_disjunction_its_box_falsifies() {
+        let (mut s, vs) = int_solver(&["x", "y"]);
+        let (x, y) = (vs[0], vs[1]);
+        // (x + y ≤ -10 ∨ 2x - y > 50) over 0 ≤ x ≤ 10, 0 ≤ y ≤ 20: the sum
+        // is at least 0 and 2x - y at most 20 on the whole box.
+        let either = F::le0(t1(x).add(&t1(y)).add(&c(10))).or(F::lt0(
+            c(50).sub(&t1(x).scale(&BigRat::from(2))).add(&t1(y)),
+        ));
+        let f = either
+            .clone()
+            .and(bound(x, Some((0, false)), Some((10, false))))
+            .and(bound(y, Some((0, false)), Some((20, false))));
+        assert!(refuted_by_bounds(&f), "{f}");
+        assert!(s.check(&f).is_unsat());
+        // Negated as a whole, the same disjunction reads true on the box.
+        let g = F::Not(Box::new(either))
+            .and(bound(x, Some((0, false)), Some((10, false))))
+            .and(bound(y, Some((0, false)), Some((20, false))));
+        assert!(!refuted_by_bounds(&g), "{g}");
+        assert!(s.check(&g).is_sat());
+    }
+
+    #[test]
+    fn bounds_presolve_leaves_what_the_hull_cannot_decide_to_the_search() {
+        let (mut s, vs) = int_solver(&["x", "y"]);
+        let (x, y) = (vs[0], vs[1]);
+        // x + y = 5 with x, y ∈ [0, 2]: the sum ranges over [0, 4] and the
+        // equality's `-(x + y) + 5 ≤ 0` half is false everywhere.
+        let box2 = || {
+            bound(x, Some((0, false)), Some((2, false))).and(bound(
+                y,
+                Some((0, false)),
+                Some((2, false)),
+            ))
+        };
+        let sum = F::eq0(t1(x).add(&t1(y)).sub(&c(5)));
+        assert!(refuted_by_bounds(&sum.clone().and(box2())));
+        // x + y = 3 meets the box: undecided, and the search finds a model.
+        let f = F::eq0(t1(x).add(&t1(y)).sub(&c(3))).and(box2());
+        assert!(!refuted_by_bounds(&f), "{f}");
+        assert!(s.check(&f).is_sat());
+        // 2x = 2y + 1 is unsat over ℤ but not over the reals: the presolve
+        // leaves it to branch and bound.
+        let two = BigRat::from(2);
+        let g = F::eq0(t1(x).scale(&two).sub(&t1(y).scale(&two)).sub(&c(1))).and(box2());
+        assert!(!refuted_by_bounds(&g), "{g}");
+        assert!(s.check(&g).is_unsat());
+        // Divisibility and boolean literals read unknown.
+        let p = s.declare("p", Sort::Bool);
+        let h = F::divides(BigInt::from(3i64), t1(x).add(&t1(y)).sub(&c(5)))
+            .or(F::BoolVar(p))
+            .and(box2());
+        assert!(!refuted_by_bounds(&h), "{h}");
+        // An exhausted budget answers Unknown even where bounds would refute.
+        s.budget = crate::Budget::with_deadline(std::time::Duration::ZERO);
+        assert!(matches!(s.check(&sum.and(box2())), SmtResult::Unknown));
+    }
+
+    #[test]
+    fn bounds_presolve_never_refutes_what_the_certified_search_satisfies() {
+        use sia_rand::{Rng, SeedableRng};
+        let mut rng = sia_rand::rngs::StdRng::seed_from_u64(0xb0c5);
+        let (mut s, vs) = int_solver(&["x", "y", "z"]);
+        let p = s.declare("p", Sort::Bool);
+        let (mut refuted, mut kept) = (0, 0);
+        for _ in 0..800 {
+            let mut f = random_formula(&mut rng, &vs, p, 3);
+            for &v in &vs {
+                let end = |rng: &mut sia_rand::rngs::StdRng| {
+                    (rng.gen_range(0..4) > 0)
+                        .then(|| (rng.gen_range(-8i64..=8), rng.gen_range(0..3) == 0))
+                };
+                let (lo, hi) = (end(&mut rng), end(&mut rng));
+                f = f.and(bound(v, lo, hi));
+            }
+            if !refuted_by_bounds(&f) {
+                kept += 1;
+                continue;
+            }
+            refuted += 1;
+            let (verdict, cert) = s.check_with_certificate(&f);
+            assert!(
+                verdict.is_unsat(),
+                "{f}: presolved, but the search says {verdict:?}"
+            );
+            if let Err(e) = sia_check::check_refutation(&cert.expect("unsat carries a certificate"))
+            {
+                panic!("{f}: certificate rejected: {e}");
+            }
+            assert!(s.check(&f).is_unsat(), "{f}");
+        }
+        assert!(
+            refuted > 100 && kept > 100,
+            "{refuted} refuted, {kept} kept"
         );
     }
 

@@ -181,6 +181,11 @@ impl Synthesizer {
         if cols.is_empty() {
             return Err(SynthesisError::NoColumns);
         }
+        // The answer depends on the column set, not on how it is listed.
+        let mut cols = cols.to_vec();
+        cols.sort();
+        cols.dedup();
+        let cols = &cols[..];
         let p_cols = p.columns();
         for c in cols {
             if !p_cols.contains(c) {

@@ -3,7 +3,9 @@
 
 use crate::table::{Column, ColumnData, Table};
 use sia_expr::{ArithOp, CmpOp, Expr, Pred, Schema};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::slice;
 
 /// A compiled arithmetic expression over column indices.
 #[derive(Debug, Clone)]
@@ -120,28 +122,42 @@ impl<'a> ColRef<'a> {
         self.sel.map_or(p, |sel| sel[p as usize]) as usize
     }
 
-    fn gather<T: Copy>(&self, values: &[T], cand: &[u32]) -> Vec<T> {
-        cand.iter().map(|&p| values[self.row(p)]).collect()
+    /// `values` (the payload or its validity mask) on the candidates, which
+    /// ascend: borrowed in place when they are one dense run of an
+    /// unselected column, else gathered.
+    fn gather<T: Copy>(&self, values: &'a [T], cand: &[u32]) -> Cow<'a, [T]> {
+        if let (None, Some(&first), Some(&last)) = (self.sel, cand.first(), cand.last()) {
+            if (last - first) as usize == cand.len() - 1 {
+                return Cow::Borrowed(&values[first as usize..=last as usize]);
+            }
+        }
+        Cow::Owned(match self.sel {
+            None => cand.iter().map(|&p| values[p as usize]).collect(),
+            Some(sel) => cand
+                .iter()
+                .map(|&p| values[sel[p as usize] as usize])
+                .collect(),
+        })
     }
 }
 
 /// One chunk of values; a lane of length 1 is a constant, broadcast.
-enum Lane {
-    I(Vec<i64>),
-    F(Vec<f64>),
+enum Lane<'a> {
+    I(Cow<'a, [i64]>),
+    F(Cow<'a, [f64]>),
 }
 
-impl Lane {
-    fn into_f64(self) -> Vec<f64> {
+impl<'a> Lane<'a> {
+    fn into_f64(self) -> Cow<'a, [f64]> {
         match self {
-            Lane::I(v) => v.into_iter().map(|x| x as f64).collect(),
+            Lane::I(v) => Cow::Owned(v.iter().map(|&x| x as f64).collect()),
             Lane::F(v) => v,
         }
     }
 }
 
 /// Which rows of a lane are not NULL; `None` = all of them.
-type Valid = Option<Vec<bool>>;
+type Valid<'a> = Option<Cow<'a, [bool]>>;
 
 /// `f` over two lanes row by row, a length-1 lane broadcast over the other.
 fn zip<A: Copy, B: Copy, U>(a: &[A], b: &[B], f: impl Fn(A, B) -> U) -> Vec<U> {
@@ -152,9 +168,9 @@ fn zip<A: Copy, B: Copy, U>(a: &[A], b: &[B], f: impl Fn(A, B) -> U) -> Vec<U> {
     }
 }
 
-fn both_valid(a: Valid, b: Valid) -> Valid {
+fn both_valid<'a>(a: Valid<'a>, b: Valid<'a>) -> Valid<'a> {
     match (a, b) {
-        (Some(a), Some(b)) => Some(zip(&a, &b, |x, y| x && y)),
+        (Some(a), Some(b)) => Some(Cow::Owned(zip(&a, &b, |x, y| x && y))),
         (a, b) => a.or(b),
     }
 }
@@ -178,20 +194,83 @@ fn compare<T: Copy + PartialOrd>(op: CmpOp, a: &[T], b: &[T]) -> Vec<u8> {
     zip(a, b, |x, y| x.partial_cmp(&y).map_or(NULL, of))
 }
 
+/// Move the candidates `keep` accepts (by position) to the front, in
+/// order, and return how many there are, without a data-dependent branch.
+fn compact(cand: &mut [u32], keep: impl Fn(usize) -> bool) -> usize {
+    let mut kept = 0;
+    for k in 0..cand.len() {
+        cand[kept] = cand[k];
+        kept += usize::from(keep(k));
+    }
+    kept
+}
+
+/// [`compact`] the candidates on which the comparison is TRUE: both sides
+/// valid and `op` holding between them. Unordered (NaN) holds under no
+/// operator, `<>` included.
+fn keep_cmp<T: Copy + PartialOrd>(
+    op: CmpOp,
+    cand: &mut [u32],
+    a: &[T],
+    b: &[T],
+    valid: Option<&[bool]>,
+) -> usize {
+    match op {
+        CmpOp::Lt => keep_where(cand, a, b, valid, |x, y| x < y),
+        CmpOp::Le => keep_where(cand, a, b, valid, |x, y| x <= y),
+        CmpOp::Gt => keep_where(cand, a, b, valid, |x, y| x > y),
+        CmpOp::Ge => keep_where(cand, a, b, valid, |x, y| x >= y),
+        CmpOp::Eq => keep_where(cand, a, b, valid, |x, y| x == y),
+        // Not `x != y`, which NaN satisfies.
+        CmpOp::Ne => keep_where(cand, a, b, valid, |x, y| {
+            x.partial_cmp(&y).is_some_and(Ordering::is_ne)
+        }),
+    }
+}
+
+/// [`compact`] the candidates where `valid` (if any) and `holds` are both
+/// true of the two lanes, a length-1 lane or mask broadcast over the rest.
+fn keep_where<T: Copy>(
+    cand: &mut [u32],
+    a: &[T],
+    b: &[T],
+    valid: Option<&[bool]>,
+    holds: impl Fn(T, T) -> bool,
+) -> usize {
+    let n = cand.len();
+    // A mask of length 1 is a constant's too (`a / 2`), broadcast.
+    let valid = match valid {
+        Some([true]) => None,
+        Some([false]) => return 0,
+        valid => valid,
+    };
+    match (a, b, valid) {
+        // Constant against constant: one verdict for every candidate.
+        ([x], [y], _) => n * usize::from(holds(*x, *y)),
+        ([x], _, None) => compact(cand, |k| holds(*x, b[k])),
+        (_, [y], None) => compact(cand, |k| holds(a[k], *y)),
+        (_, _, None) => compact(cand, |k| holds(a[k], b[k])),
+        ([x], _, Some(v)) => compact(cand, |k| v[k] & holds(*x, b[k])),
+        (_, [y], Some(v)) => compact(cand, |k| v[k] & holds(a[k], *y)),
+        (_, _, Some(v)) => compact(cand, |k| v[k] & holds(a[k], b[k])),
+    }
+}
+
 impl CExpr {
-    /// The expression's values on one or more candidate rows.
-    fn lanes(&self, cols: &[ColRef<'_>], cand: &[u32]) -> (Lane, Valid) {
+    /// The expression's values on one or more candidate rows, which
+    /// ascend.
+    fn lanes<'a>(&'a self, cols: &[ColRef<'a>], cand: &[u32]) -> (Lane<'a>, Valid<'a>) {
         match self {
             CExpr::Col(i) => {
-                let c = &cols[*i];
+                let c = cols[*i];
                 let lane = match &c.col.data {
                     ColumnData::Int(v) => Lane::I(c.gather(v, cand)),
                     ColumnData::Double(v) => Lane::F(c.gather(v, cand)),
                 };
-                (lane, c.col.validity.as_ref().map(|m| c.gather(m, cand)))
+                (lane, c.col.validity.as_deref().map(|m| c.gather(m, cand)))
             }
-            CExpr::ConstI(v) => (Lane::I(vec![*v]), None),
-            CExpr::ConstF(v) => (Lane::F(vec![*v]), None),
+            CExpr::ConstI(v) => (Lane::I(Cow::Borrowed(slice::from_ref(v))), None),
+            CExpr::ConstF(v) => (Lane::F(Cow::Borrowed(slice::from_ref(v))), None),
             CExpr::Bin(op, l, r) => {
                 let ((l, l_valid), (r, r_valid)) = (l.lanes(cols, cand), r.lanes(cols, cand));
                 // `x / 0` is NULL; the quotient written under it is never read.
@@ -200,22 +279,22 @@ impl CExpr {
                     Lane::F(b) => b.iter().map(|&y| y != 0.0).collect(),
                 });
                 let lane = match (l, r) {
-                    (Lane::I(a), Lane::I(b)) => Lane::I(match op {
+                    (Lane::I(a), Lane::I(b)) => Lane::I(Cow::Owned(match op {
                         ArithOp::Add => zip(&a, &b, i64::saturating_add),
                         ArithOp::Sub => zip(&a, &b, i64::saturating_sub),
                         ArithOp::Mul => zip(&a, &b, i64::saturating_mul),
                         ArithOp::Div => {
                             zip(&a, &b, |x, y| x.wrapping_div(if y == 0 { 1 } else { y }))
                         }
-                    }),
+                    })),
                     (a, b) => {
                         let (a, b) = (a.into_f64(), b.into_f64());
-                        Lane::F(match op {
+                        Lane::F(Cow::Owned(match op {
                             ArithOp::Add => zip(&a, &b, |x, y| x + y),
                             ArithOp::Sub => zip(&a, &b, |x, y| x - y),
                             ArithOp::Mul => zip(&a, &b, |x, y| x * y),
                             ArithOp::Div => zip(&a, &b, |x, y| x / y),
-                        })
+                        }))
                     }
                 };
                 (lane, both_valid(both_valid(l_valid, r_valid), nonzero))
@@ -242,27 +321,38 @@ impl CPred {
         out
     }
 
-    /// Move the candidates the predicate is TRUE on to the front, in
-    /// order, and return how many there are. A conjunction hands each
-    /// conjunct only what the ones before it kept.
+    /// Move the candidates (ascending) the predicate is TRUE on to the
+    /// front, in order, and return how many there are. A conjunction hands
+    /// each conjunct only what the ones before it kept, and a comparison
+    /// keeps rows in the pass that compares them; only `OR` and `NOT` need
+    /// the three-valued [`CPred::truth`].
     fn narrow(&self, cols: &[ColRef<'_>], cand: &mut [u32]) -> usize {
         if cand.is_empty() {
             return 0;
         }
-        if let CPred::And(ps) = self {
-            let all = cand.len();
-            return ps.iter().fold(all, |n, p| p.narrow(cols, &mut cand[..n]));
+        match self {
+            CPred::Lit(b) => cand.len() * usize::from(*b),
+            CPred::Cmp(op, l, r) => {
+                let ((l, l_valid), (r, r_valid)) = (l.lanes(cols, cand), r.lanes(cols, cand));
+                let valid = both_valid(l_valid, r_valid);
+                match (l, r) {
+                    (Lane::I(a), Lane::I(b)) => keep_cmp(*op, cand, &a, &b, valid.as_deref()),
+                    (a, b) => keep_cmp(*op, cand, &a.into_f64(), &b.into_f64(), valid.as_deref()),
+                }
+            }
+            CPred::And(ps) => {
+                let all = cand.len();
+                ps.iter().fold(all, |n, p| p.narrow(cols, &mut cand[..n]))
+            }
+            CPred::Or(_) | CPred::Not(_) => {
+                let truth = self.truth(cols, cand);
+                compact(cand, |k| truth[k] == TRUE)
+            }
         }
-        let mut kept = 0;
-        for (k, t) in self.truth(cols, cand).into_iter().enumerate() {
-            cand[kept] = cand[k];
-            kept += usize::from(t == TRUE);
-        }
-        kept
     }
 
     /// Three-valued truth of the predicate on each of one or more
-    /// candidates.
+    /// candidates, which ascend.
     fn truth(&self, cols: &[ColRef<'_>], cand: &[u32]) -> Vec<u8> {
         let n = cand.len();
         let of = |p: &CPred| p.truth(cols, cand);
@@ -329,18 +419,47 @@ mod tests {
     }
 
     /// Compile `sql`, check the chunked evaluator against
-    /// `sia_expr::eval_pred` on every row, and return the selected rows.
+    /// `sia_expr::eval_pred` on every row under each candidate shape, and
+    /// return the selected rows. The shapes: (a) the table unselected;
+    /// (b) the same rows through a permuting selection vector; (c) the
+    /// candidates a conjunct before it leaves, every row whose number is
+    /// not a multiple of three, over (a) and over (b).
     pub(super) fn select(sql: &str, t: &Table) -> Vec<u32> {
         let pred = parse_predicate(sql).unwrap();
-        let p = compile_pred(&pred, &t.schema).unwrap();
-        let cols: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
-        let rows = p.select(&cols, t.num_rows() as u32, Vec::new());
-        let reference: Vec<u32> = (0..t.num_rows())
-            .filter(|&row| sia_expr::eval_pred(&pred, &|c: &str| t.value(row, c)) == Some(true))
-            .map(|row| row as u32)
+        let n = t.num_rows() as u32;
+        let reference: Vec<u32> = (0..n)
+            .filter(|&row| {
+                sia_expr::eval_pred(&pred, &|c: &str| t.value(row as usize, c)) == Some(true)
+            })
             .collect();
-        assert_eq!(rows, reference, "{sql} over {} rows", t.num_rows());
-        rows
+        // Relation row `p` is payload row `n - 1 - p` of a reversed copy.
+        let rev: Vec<u32> = (0..n).rev().collect();
+        let reversed: Vec<Column> = t.columns.iter().map(|c| c.gather(&rev)).collect();
+        let whole: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
+        let through: Vec<_> = reversed
+            .iter()
+            .map(|col| ColRef {
+                col,
+                sel: Some(&rev),
+            })
+            .collect();
+        // Column `k`, after the table's, is the relation row number.
+        let k = Column::int((0..i64::from(n)).collect());
+        let mut defs = t.schema.columns().to_vec();
+        defs.push(ColumnDef::new("k", DataType::Integer));
+        let with_k = Schema::new(defs);
+        let p = compile_pred(&pred, &with_k).unwrap();
+        let sparse = compile_pred(&parse_predicate("k - k / 3 * 3 <> 0").unwrap(), &with_k);
+        let after_sparse = CPred::And(vec![sparse.unwrap(), p.clone()]);
+        let thinned: Vec<u32> = reference.iter().copied().filter(|r| r % 3 != 0).collect();
+        for (shape, cols) in [("unselected", whole), ("selected", through)] {
+            let cols = [&cols[..], &[ColRef::whole(&k)]].concat();
+            let rows = p.select(&cols, n, Vec::new());
+            assert_eq!(rows, reference, "{sql} over {n} rows, {shape}");
+            let rows = after_sparse.select(&cols, n, Vec::new());
+            assert_eq!(rows, thinned, "{sql} over {n} rows, {shape}, sparse");
+        }
+        reference
     }
 
     #[test]
@@ -435,6 +554,55 @@ mod tests {
             let dropped = select("NOT (a - b < 3 OR d > 4.0)", &t);
             let nulls = (0..len).filter(|r| r % 4 == 1).count();
             assert_eq!(kept.len() + dropped.len() + nulls, len);
+        }
+    }
+
+    /// Every operator over NULL, NaN, ±0.0, `x / 0` and saturation, under
+    /// every candidate shape and on both sides of every chunk edge.
+    #[test]
+    fn every_candidate_shape_matches_the_reference() {
+        let mut base = Table::new(
+            schema(),
+            vec![
+                Column::int(vec![i64::MAX, 5, -3, 0, 7, i64::MIN, 2]),
+                Column::int(vec![1, 2, 0, 0, -1, -1, 7]),
+                Column::double(vec![f64::NAN, -0.0, 0.0, 4.5, f64::NAN, -2.5, 1.0]),
+            ],
+        );
+        base.columns[0].validity = Some(vec![true, false, true, true, true, true, false]);
+        base.columns[2].validity = Some(vec![true, true, true, true, true, false, true]);
+        let mut preds = Vec::new();
+        for op in ["<", "<=", ">", ">=", "=", "<>"] {
+            for cmp in [
+                "a {} b",
+                "d {} 0.0",
+                "d {} -0.0",
+                "d {} d",
+                "0 {} d",
+                "a {} d",
+            ] {
+                preds.push(cmp.replace("{}", op));
+            }
+            preds.push(format!("NOT (d {op} 0.0) OR a {op} b"));
+            preds.push(format!("a + 1 {op} a AND b - 1 {op} b"));
+        }
+        preds.extend(
+            [
+                "a / 0 = 0",
+                "a / b >= 0",
+                "d / 0 <= 0 OR d / 0.0 > 0",
+                "d / b < 1",
+                "a + 1 >= 9223372036854775807",
+                "a * b < 0 AND a - b > -9223372036854775808",
+                "NOT (a / 0 = 0)",
+            ]
+            .map(String::from),
+        );
+        for len in LENGTHS {
+            let t = tiled(&base, len);
+            for sql in &preds {
+                select(sql, &t);
+            }
         }
     }
 

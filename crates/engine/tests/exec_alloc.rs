@@ -175,6 +175,26 @@ fn a_join_allocates_per_column_not_per_key() {
     );
 }
 
+/// A filter directly over a scan reads its columns in place and keeps rows
+/// in the pass that compares them: its allocations are the same few at
+/// ten times the rows, not some per chunk of them.
+#[test]
+fn a_filter_over_a_scan_allocates_nothing_per_chunk() {
+    for sql in ["t1 < 50", "t2 >= t0"] {
+        let allocs = [10_000, 100_000].map(|rows| {
+            let mut db = Database::new();
+            db.insert("t", table("t", rows, 3));
+            let (out, _, meter) = measured(&Plan::scan("t").filter(pred(sql)), &db);
+            assert!(out.num_rows() > 0, "{sql} keeps rows");
+            meter.allocs
+        });
+        assert_eq!(
+            allocs[0], allocs[1],
+            "{sql}: allocations at 10 000 and 100 000 rows"
+        );
+    }
+}
+
 /// What the scratch a `Database` owns must not cost it.
 const _: () = {
     const fn send_and_sync<T: Send + Sync>() {}

@@ -269,15 +269,22 @@ impl Parser {
             return Ok(e);
         }
         if self.eat(&Token::Minus) {
-            let e = self.factor()?;
-            return Ok(match e {
-                Expr::Int(v) => Expr::Int(-v),
+            // A negated literal may have i64::MIN's magnitude, 2⁶³.
+            if let Some(&Token::Int(m)) = self.peek() {
+                self.pos += 1;
+                return 0i64
+                    .checked_sub_unsigned(m)
+                    .map(Expr::Int)
+                    .ok_or_else(|| out_of_range(m));
+            }
+            return Ok(match self.factor()? {
+                Expr::Int(v) => Expr::Int(v.checked_neg().ok_or_else(|| out_of_range(v))?),
                 Expr::Double(v) => Expr::Double(-v),
                 other => Expr::int(0).sub(other),
             });
         }
         match self.next() {
-            Some(Token::Int(v)) => Ok(Expr::Int(v)),
+            Some(Token::Int(m)) => Ok(Expr::Int(int_literal(m)?)),
             Some(Token::Double(v)) => Ok(Expr::Double(v)),
             Some(Token::Str(s)) => {
                 // A bare string literal must be a date (the only string-typed
@@ -298,7 +305,7 @@ impl Parser {
                         .trim()
                         .parse()
                         .map_err(|_| ParseError(format!("invalid interval {lit:?}")))?,
-                    Some(Token::Int(v)) => v,
+                    Some(Token::Int(m)) => int_literal(m)?,
                     other => {
                         return Err(ParseError(format!(
                             "expected interval value, found {}",
@@ -316,6 +323,15 @@ impl Parser {
             ))),
         }
     }
+}
+
+fn out_of_range(v: impl std::fmt::Display) -> ParseError {
+    ParseError(format!("integer literal out of range: \"{v}\""))
+}
+
+/// An unsigned literal's value: its magnitude must fit an `i64`.
+fn int_literal(m: u64) -> Result<i64, ParseError> {
+    i64::try_from(m).map_err(|_| out_of_range(m))
 }
 
 /// Parse a full query.
@@ -469,6 +485,32 @@ mod tests {
             let q = parse_query(src).unwrap();
             let q2 = parse_query(&q.to_string()).unwrap();
             assert_eq!(q, q2, "roundtrip failed for {src}");
+        }
+    }
+
+    #[test]
+    fn printed_predicates_reparse_at_the_i64_extremes() {
+        use sia_expr::{col, lit};
+        let (min, max) = (lit(i64::MIN), lit(i64::MAX));
+        for p in [
+            col("a").ge(min.clone()),
+            col("a").le(max.clone()),
+            col("a").sub(min.clone()).lt(max.clone().mul(col("b"))),
+            min.clone().mul(col("a")).add(col("b")).ne_(lit(3)),
+            col("a").eq_(min.clone()).not().or(col("b").gt(max)),
+            min.sub(col("a")).le(lit(0)),
+        ] {
+            assert_eq!(parse_predicate(&p.to_string()).unwrap(), p, "{p}");
+        }
+        // 2⁶³ fits only negated.
+        for bare in [
+            "a >= 9223372036854775808",
+            "a >= -(9223372036854775808)",
+            "a >= -(-9223372036854775808)",
+            "a >= 9223372036854775809",
+        ] {
+            let err = parse_predicate(bare).unwrap_err();
+            assert!(err.0.contains("out of range"), "{bare}: {err}");
         }
     }
 }

@@ -9,8 +9,9 @@ pub enum Token {
     /// are recognized case-insensitively by the parser). May be qualified
     /// (`t.c`).
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal: its magnitude, at most 2⁶³ (`-9223372036854775808`
+    /// is `i64::MIN`); a sign is a [`Token::Minus`] of its own.
+    Int(u64),
     /// Floating-point literal.
     Double(f64),
     /// Single-quoted string literal (quotes stripped).
@@ -182,9 +183,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                     out.push(Token::Double(v));
                 } else {
                     let text = &input[start..i];
-                    let v: i64 = text
+                    let v = text
                         .parse()
-                        .map_err(|_| format!("integer literal out of range: {text:?}"))?;
+                        .ok()
+                        .filter(|&v| v <= i64::MIN.unsigned_abs())
+                        .ok_or_else(|| format!("integer literal out of range: {text:?}"))?;
                     out.push(Token::Int(v));
                 }
             }
@@ -274,6 +277,12 @@ mod tests {
         assert!(tokenize("a ! b").is_err());
         assert!(tokenize("a ? b").is_err());
         assert!(tokenize("99999999999999999999").is_err());
+        assert!(tokenize("9223372036854775809").is_err());
+        // i64::MIN's magnitude; the parser accepts it only negated.
+        assert_eq!(
+            tokenize("9223372036854775808").unwrap(),
+            vec![Token::Int(1 << 63)]
+        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! effect on the TPC-H-style data (paper: 94 s → 50 s on Postgres at
 //! SF 10; here the *ratio* is the reproduction target).
 
-use crate::runtime::tpch_catalog;
 use sia_core::{rewrite_query, RewriteOutcome, Synthesizer};
 use sia_engine::{Database, OptimizerConfig, QueryResult};
 use sia_sql::{parse_query, Query};
@@ -35,9 +34,8 @@ pub fn q2_paper() -> Query {
 
 /// Run Sia on Q1, targeting `lineitem`.
 pub fn rewrite_q1() -> RewriteOutcome {
-    let catalog = tpch_catalog();
     let mut syn = Synthesizer::default();
-    rewrite_query(&mut syn, &q1(), &catalog, "lineitem").expect("Q1 rewrites")
+    rewrite_query(&mut syn, &q1(), &sia_tpch::catalog(), "lineitem").expect("Q1 rewrites")
 }
 
 /// Measurements for the three plan variants.

@@ -4,7 +4,7 @@
 
 use sia_core::{rewrite_query, Synthesizer};
 use sia_engine::{Database, OptimizerConfig};
-use sia_expr::{Catalog, Pred, Schema};
+use sia_expr::Pred;
 use sia_sql::Query;
 use sia_tpch::{generate, generate_workload, TpchConfig, WorkloadConfig};
 use std::time::Duration;
@@ -88,15 +88,6 @@ pub fn summarize(points: &[RuntimePoint]) -> RuntimeSummary {
     s
 }
 
-/// The TPC-H catalog (the two benchmark tables).
-pub fn tpch_catalog() -> Catalog {
-    let mut cat = Catalog::new();
-    let to_schema = |s: &Schema| s.clone();
-    cat.add_table("orders", to_schema(&sia_tpch::orders_schema()));
-    cat.add_table("lineitem", to_schema(&sia_tpch::lineitem_schema()));
-    cat
-}
-
 /// A rewritable workload query with its synthesized predicate.
 #[derive(Debug, Clone)]
 pub struct RewrittenQuery {
@@ -119,7 +110,7 @@ pub fn rewrite_workload(
     seed: u64,
     base: &sia_core::SiaConfig,
 ) -> (Vec<RewrittenQuery>, usize) {
-    let catalog = tpch_catalog();
+    let catalog = sia_tpch::catalog();
     let workload = generate_workload(&WorkloadConfig {
         count,
         seed,

@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use sia_core::baselines::transitive_closure;
 use sia_core::{rewrite_query, PredEncoder, SiaConfig, SynthesisError, Synthesizer};
-use sia_expr::Catalog;
 use sia_serve::{client, protocol, server, ServeConfig};
 use sia_smt::{Budget, QeConfig, SmtResult};
 use sia_sql::{parse_predicate, parse_query};
@@ -35,7 +34,6 @@ usage:
               [--slow-ms N] [--metrics]
   sia batch   <requests.jsonl> [--addr HOST:PORT] [--concurrency N]
               [--timeout-ms N] [--retries N] [--retry-budget PCT]
-              [--workload]
   sia gen     [--out FILE] [--table NAME] [--count N] [--seed N]
               [--min-terms N] [--max-terms N] [--zone any|eligible|ineligible]
               [--selectivity F] [--tolerance F] [--repeat-rate F]
@@ -62,8 +60,10 @@ per-scan derivation report.
 --trace streams every span/counter event as JSONL to FILE.
 serve speaks line-delimited JSON over TCP (one request object per line,
 see `sia batch` input: {\"id\":…,\"predicate\":…,\"cols\":\"a,b\",\"timeout_ms\":…});
-batch sends a file of such requests and prints one response per line.
---snapshot-ms makes serve write periodic crash-safe cache snapshots;
+batch sends a file of such requests, or a `sia gen` workload file (told
+apart by its header line), and prints one response per line.
+--snapshot-ms makes serve write periodic crash-safe snapshots of its
+--cache-file;
 --delay-budget-ms (default 250, at least 1) is the queue-delay budget
 of the one admission law: AIMD limit targeting it, cheap/expensive
 request lanes that shed expensive work once its oldest queued job has
@@ -81,7 +81,6 @@ config, then one request per line) from the typed schema registry;
 --zone steers zone-fragment eligibility, --selectivity targets a
 measured selectivity on sampled rows, --repeat-rate/--drift-rate
 control template repetition (the cache-hit knob) and parameter drift.
-batch --workload replays such a file against a running server.
 top polls the server's queue-free {\"op\":\"stats\"} endpoint every
 --interval-ms (default 1000) and redraws a terminal view of live
 counters, latency percentiles, cache hit rate, and per-phase totals;
@@ -305,9 +304,6 @@ pub struct Batch {
     /// Retry-budget cap as a percentage of fresh requests (default
     /// 10): retries beyond the budget are shed client-side.
     pub retry_budget: u32,
-    /// Treat the file as a `sia gen` workload (header + typed
-    /// requests) instead of raw protocol request lines.
-    pub workload: bool,
 }
 
 /// `sia gen` arguments.
@@ -375,8 +371,7 @@ static SUBCOMMANDS: &[Sub] = &[
     ),
     sub(
         "batch",
-        "<requests.jsonl> --addr= --concurrency= --timeout-ms= --retries= --retry-budget= \
-         --workload",
+        "<requests.jsonl> --addr= --concurrency= --timeout-ms= --retries= --retry-budget=",
         Batch::build,
     ),
     sub(
@@ -797,11 +792,9 @@ impl Rewrite {
 
     fn run(self) -> Result<String, CliError> {
         let q = parse_query(&self.sql).map_err(|e| e.to_string())?;
-        let mut cat = Catalog::new();
-        cat.add_table("orders", sia_tpch::orders_schema());
-        cat.add_table("lineitem", sia_tpch::lineitem_schema());
         let mut syn = Synthesizer::default();
-        let outcome = rewrite_query(&mut syn, &q, &cat, &self.table).map_err(|e| e.to_string())?;
+        let outcome = rewrite_query(&mut syn, &q, &sia_tpch::catalog(), &self.table)
+            .map_err(|e| e.to_string())?;
         match outcome.rewritten {
             Some(rw) => Ok(format!(
                 "synthesized: {}\nrewritten: {rw}",
@@ -837,6 +830,17 @@ impl Serve {
                         (pass a large budget for a queue that never sheds)"
                 .to_string());
         }
+        // A flag that would change nothing is refused, not dropped.
+        let snapshot_ms: Option<u64> = a.num("--snapshot-ms")?;
+        if snapshot_ms == Some(0) {
+            return Err("--snapshot-ms must be at least 1".to_string());
+        }
+        if snapshot_ms.is_some() && !a.has("--cache-file") {
+            return Err("--snapshot-ms needs --cache-file to write to".to_string());
+        }
+        if a.has("--slow-ms") && !a.has("--slow-log") {
+            return Err("--slow-ms needs --slow-log to write to".to_string());
+        }
         let config = ServeConfig {
             addr: a.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
             workers: a.num("--workers")?.unwrap_or(2),
@@ -845,7 +849,7 @@ impl Serve {
             admission_delay_budget: Some(Duration::from_millis(delay_budget_ms)),
             default_timeout_ms: a.num("--timeout-ms")?,
             cache_file: a.text("--cache-file"),
-            snapshot_interval: a.num("--snapshot-ms")?.map(Duration::from_millis),
+            snapshot_interval: snapshot_ms.map(Duration::from_millis),
             slow_log_file: a.text("--slow-log"),
             slow_threshold: Duration::from_millis(a.num("--slow-ms")?.unwrap_or(1000)),
             lint_schemas: sia_gen::schemas().into_iter().map(|(_, s)| s).collect(),
@@ -907,7 +911,6 @@ impl Batch {
             timeout_ms: a.num("--timeout-ms")?,
             retries: a.num("--retries")?.unwrap_or(0),
             retry_budget: a.num("--retry-budget")?.unwrap_or(10),
-            workload: a.has("--workload"),
         }))
     }
 
@@ -916,9 +919,13 @@ impl Batch {
     fn requests(&self) -> Result<Vec<sia_serve::Request>, String> {
         let file = &self.file;
         let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        if self.workload {
-            // A `sia gen` workload file: typed requests behind a config
-            // header, replayed as plain synthesis requests.
+        // A `sia gen` workload file: typed requests behind a header line
+        // that has a `sia_workload` key, replayed as plain synthesis
+        // requests. Any other file is protocol request lines.
+        let header = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
+        let is_workload = sia_obs::parse_object(header)
+            .is_ok_and(|fields| fields.iter().any(|(k, _)| k == "sia_workload"));
+        if is_workload {
             let wl = sia_gen::from_str(&text).map_err(|e| format!("{file}: {e}"))?;
             let requests = wl.requests.into_iter().map(|r| sia_serve::Request {
                 id: r.id,
@@ -1215,7 +1222,7 @@ mod tests {
         };
         let every_row: Vec<&str> = SUBCOMMANDS.iter().map(|r| r.accepts).collect();
         let all_flags = names(&every_row.join(" "));
-        assert_eq!(all_flags.len(), 38);
+        assert_eq!(all_flags.len(), 37);
 
         // The synopsis: from `usage:` to the first blank line; a line
         // that does not open with `sia <name>` continues the one above.
@@ -1622,19 +1629,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_batch_workload() {
-        let cmd = Command::parse(&strs(&["batch", "w.jsonl", "--workload"])).unwrap();
-        assert!(matches!(cmd, Command::Batch(Batch { workload: true, .. })));
-        assert!(Command::parse(&strs(&["serve", "--workload"])).is_err());
-    }
-
-    #[test]
     fn run_gen_roundtrips_and_batch_replays() {
-        // `sia gen --out` writes a workload file that `sia batch
-        // --workload` replays against a live server.
+        // `sia gen --out` writes a workload file that `sia batch` replays
+        // against a live server, as it does a file of request lines: the
+        // header line tells the two kinds apart.
         let dir = std::env::temp_dir();
         let path = dir.join(format!("sia_cli_gen_{}.jsonl", std::process::id()));
-        let path_str = path.to_str().expect("utf-8 temp path").to_string();
         let config = sia_gen::GenConfig {
             count: 6,
             max_terms: 3,
@@ -1643,7 +1643,7 @@ mod tests {
             ..sia_gen::GenConfig::default()
         };
         let out = run(Command::Gen(Gen {
-            out: Some(path_str.clone()),
+            out: Some(path.to_str().expect("utf-8 temp path").to_string()),
             config: config.clone(),
         }))
         .unwrap();
@@ -1665,42 +1665,31 @@ mod tests {
             ..sia_serve::ServeConfig::default()
         })
         .expect("server starts");
-        let out = run(Command::Batch(Batch {
-            file: path_str,
-            addr: handle.addr().to_string(),
-            concurrency: 2,
-            timeout_ms: Some(30_000),
-            retries: 0,
-            retry_budget: 10,
-            workload: true,
-        }))
-        .unwrap();
-        assert!(out.contains("batch: 6 ok / 0 timeout / 0 failed"), "{out}");
-        handle.shutdown().expect("clean shutdown");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn run_batch_rejects_non_workload_file() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("sia_cli_notwl_{}.jsonl", std::process::id()));
+        let lines = dir.join(format!("sia_cli_lines_{}.jsonl", std::process::id()));
         std::fs::write(
-            &path,
+            &lines,
             "{\"id\":\"q0\",\"predicate\":\"a < 1\",\"cols\":\"a\"}\n",
         )
         .expect("write");
-        let err = run(Command::Batch(Batch {
-            file: path.to_str().expect("utf-8").to_string(),
-            addr: "127.0.0.1:1".into(),
-            concurrency: 1,
-            timeout_ms: None,
-            retries: 0,
-            retry_budget: 10,
-            workload: true,
-        }))
-        .unwrap_err();
-        assert!(err.message.contains("sia_workload"), "{err}");
+        let batch = |file: &std::path::Path| {
+            run(Command::Batch(Batch {
+                file: file.to_str().expect("utf-8 temp path").to_string(),
+                addr: handle.addr().to_string(),
+                concurrency: 2,
+                timeout_ms: Some(30_000),
+                retries: 0,
+                retry_budget: 10,
+            }))
+            .unwrap()
+        };
+        let out = batch(&path);
+        assert!(out.contains("batch: 6 ok / 0 timeout / 0 failed"), "{out}");
+        let out = batch(&lines);
+        assert!(out.contains("\"id\":\"q0\""), "{out}");
+        assert!(out.contains("batch: 1 ok / 0 timeout / 0 failed"), "{out}");
+        handle.shutdown().expect("clean shutdown");
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&lines).ok();
     }
 
     #[test]

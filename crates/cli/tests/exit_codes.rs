@@ -131,6 +131,28 @@ fn serve_with_a_zero_delay_budget_exits_one() {
     );
 }
 
+/// A flag that would change nothing is refused the same way, not
+/// silently dropped.
+#[test]
+fn serve_flags_that_would_do_nothing_exit_one() {
+    for (flags, message) in [
+        (
+            &["--snapshot-ms", "100"][..],
+            "--snapshot-ms needs --cache-file",
+        ),
+        (
+            &["--snapshot-ms", "0", "--cache-file", "c.jsonl"][..],
+            "--snapshot-ms must be at least 1",
+        ),
+        (&["--slow-ms", "10"][..], "--slow-ms needs --slow-log"),
+    ] {
+        let out = sia(&[&["serve", "--addr", "127.0.0.1:0"][..], flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+    }
+}
+
 /// A reader that leaves early (`sia gen | head -1`) ends the output; it
 /// is not a panic, and the exit code stays the command's own.
 #[test]

@@ -20,8 +20,8 @@
 //! [`samples`] (§5.3), [`learn`](mod@crate::learn) (§5.4), [`verify`](mod@crate::verify) + [`cegqi`] (§5.5),
 //! [`prove`] (the one implication ladder every validity, feasibility and
 //! redundancy question walks),
-//! [`synth`] (Alg 1), [`baselines`] (transitive closure / constant
-//! propagation), [`rewrite`] (query-level integration).
+//! [`synth`] (Alg 1), [`baselines`] (the transitive-closure baseline),
+//! [`rewrite`] (query-level integration).
 
 #![warn(missing_docs)]
 

@@ -31,8 +31,9 @@ pub fn verify_implies(
 /// `¬∃ others . p` (Def 4), computed exactly with Cooper elimination.
 ///
 /// `p_formula` must be the two-valued encoding of `p`; `others` are the
-/// solver variables to project out. All variables must be integer-sorted
-/// (callers with `DOUBLE` columns fall back to the CEGQI sampler).
+/// solver variables to project out. All variables must be integer-sorted.
+/// Every caller's are: synthesis encodes with [`PredEncoder::new`], which
+/// treats every column, `DOUBLE` ones included, as an integer.
 pub fn unsat_region(
     p_formula: &Formula,
     others: &[VarId],

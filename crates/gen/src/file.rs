@@ -1,6 +1,7 @@
 //! The workload file format: JSONL with a header line echoing the generator
-//! config, then one flat object per request. Replayable (`sia batch
-//! --workload`) and diffable across PRs.
+//! config, then one flat object per request. Replayable (`sia batch`
+//! tells it from a file of request lines by its header) and diffable
+//! across PRs.
 //!
 //! Every value is a string or a number — the workspace's hand-rolled JSON
 //! parser (`sia_obs::parse_object`) knows no other shapes, on purpose.

@@ -4,7 +4,7 @@
 //! layer of the synthesis stack: typed counters and histograms (see
 //! [`Counter`] / [`Hist`] for the key taxonomy), nested wall-time spans
 //! with a thread-local stack and monotonic-clock timing, and a pluggable
-//! event sink (no-op, in-memory, or JSONL file).
+//! event sink (no-op, or JSONL to any writer).
 //!
 //! The collector is process-global and **disabled by default**: every
 //! instrumentation call first performs one relaxed atomic load and bails,
@@ -20,7 +20,7 @@
 //!     let _run = sia_obs::span("run");
 //!     let _phase = sia_obs::span("phase");
 //!     sia_obs::add(sia_obs::Counter::SmtChecks, 1);
-//!     sia_obs::record(sia_obs::Hist::SvmIterations, 12.0);
+//!     sia_obs::record(sia_obs::Hist::SatLearnedLen, 12.0);
 //! }
 //! let summary = sia_obs::summary();
 //! assert!(summary.snapshot.span("run/phase").is_some());
@@ -36,9 +36,7 @@ mod summary;
 
 pub use jsonl::{parse_object, JsonValue};
 pub use key::{Counter, Hist};
-pub use sink::{
-    json_number, json_string, Event, JsonlSink, MemorySink, NoopSink, OwnedEvent, Sink,
-};
+pub use sink::{json_number, json_string, Event, JsonlSink, NoopSink, Sink};
 pub use span::{
     current_trace, local_begin, local_take, record_complete, span, AdoptGuard, SpanContext,
     SpanGuard,

@@ -2,14 +2,13 @@
 //!
 //! The collector aggregates counters, histograms, and span timings in
 //! memory regardless of sink; a sink additionally receives every event as
-//! it happens. Three implementations cover the needs of the stack:
-//! [`NoopSink`] (drop everything — the overhead-measurement baseline),
-//! [`MemorySink`] (buffer owned events for tests), and [`JsonlSink`]
-//! (stream one hand-rolled JSON object per line, no serde).
+//! it happens. Two implementations cover the needs of the stack:
+//! [`NoopSink`] (drop everything — the overhead-measurement baseline)
+//! and [`JsonlSink`] (stream one hand-rolled JSON object per line, no
+//! serde), which tests read back with [`crate::parse_object`].
 
 use crate::key::{Counter, Hist};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 /// A single observability event, borrowed from the emitting call site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,30 +54,6 @@ pub enum Event<'a> {
 }
 
 impl Event<'_> {
-    /// Convert to an owned event (for buffering).
-    pub fn to_owned_event(&self) -> OwnedEvent {
-        match *self {
-            Event::SpanEnter { path, trace, t_us } => OwnedEvent::SpanEnter {
-                path: path.to_string(),
-                trace,
-                t_us,
-            },
-            Event::SpanExit {
-                path,
-                trace,
-                t_us,
-                dur_us,
-            } => OwnedEvent::SpanExit {
-                path: path.to_string(),
-                trace,
-                t_us,
-                dur_us,
-            },
-            Event::Counter { key, add, t_us } => OwnedEvent::Counter { key, add, t_us },
-            Event::Hist { key, value, t_us } => OwnedEvent::Hist { key, value, t_us },
-        }
-    }
-
     /// Render as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         // The trace ID is omitted when 0 so untraced runs keep their
@@ -119,49 +94,6 @@ impl Event<'_> {
     }
 }
 
-/// An [`Event`] with owned strings, as buffered by [`MemorySink`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedEvent {
-    /// See [`Event::SpanEnter`].
-    SpanEnter {
-        /// Full span path.
-        path: String,
-        /// Request trace ID (0 = untraced).
-        trace: u64,
-        /// Microseconds since the collector epoch.
-        t_us: u64,
-    },
-    /// See [`Event::SpanExit`].
-    SpanExit {
-        /// Full span path.
-        path: String,
-        /// Request trace ID (0 = untraced).
-        trace: u64,
-        /// Microseconds since the collector epoch (at exit).
-        t_us: u64,
-        /// Span duration in microseconds.
-        dur_us: u64,
-    },
-    /// See [`Event::Counter`].
-    Counter {
-        /// Which counter.
-        key: Counter,
-        /// Increment amount.
-        add: u64,
-        /// Microseconds since the collector epoch.
-        t_us: u64,
-    },
-    /// See [`Event::Hist`].
-    Hist {
-        /// Which histogram.
-        key: Hist,
-        /// Observed value.
-        value: f64,
-        /// Microseconds since the collector epoch.
-        t_us: u64,
-    },
-}
-
 /// Receives every event as it is emitted.
 pub trait Sink: Send {
     /// Handle one event. Must not call back into the collector.
@@ -177,34 +109,6 @@ pub struct NoopSink;
 
 impl Sink for NoopSink {
     fn event(&mut self, _e: &Event<'_>) {}
-}
-
-/// Buffers owned events in memory; the handle returned by
-/// [`MemorySink::new`] stays valid after the sink is installed.
-#[derive(Debug)]
-pub struct MemorySink {
-    events: Arc<Mutex<Vec<OwnedEvent>>>,
-}
-
-impl MemorySink {
-    /// A fresh sink plus a shared handle to its event buffer.
-    pub fn new() -> (MemorySink, Arc<Mutex<Vec<OwnedEvent>>>) {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        (
-            MemorySink {
-                events: Arc::clone(&events),
-            },
-            events,
-        )
-    }
-}
-
-impl Sink for MemorySink {
-    fn event(&mut self, e: &Event<'_>) {
-        if let Ok(mut v) = self.events.lock() {
-            v.push(e.to_owned_event());
-        }
-    }
 }
 
 /// Streams one JSON object per event to a writer. Writes are best-effort:

@@ -4,10 +4,47 @@
 //! The collector is process-global, so every test here serializes on one
 //! lock and resets state up front.
 
-use sia_obs::{Counter, Event, Hist, JsonValue, MemorySink, OwnedEvent};
-use std::sync::Mutex;
+use sia_obs::{Counter, Event, Hist, JsonValue, JsonlSink};
+use std::sync::{Arc, Mutex};
 
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// A buffer a [`JsonlSink`] writes into while the test keeps a handle
+/// to read the lines back.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+type Fields = Vec<(String, JsonValue)>;
+
+impl SharedBuf {
+    /// Every event written so far, each line parsed.
+    fn events(&self) -> Vec<Fields> {
+        let bytes = self.0.lock().unwrap();
+        let text = std::str::from_utf8(&bytes).expect("utf-8 JSONL");
+        text.lines()
+            .map(|line| sia_obs::parse_object(line).expect("well-formed JSONL"))
+            .collect()
+    }
+}
+
+fn field<'a>(event: &'a Fields, name: &str) -> Option<&'a JsonValue> {
+    event.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+}
+
+fn text_of<'a>(event: &'a Fields, name: &str) -> Option<&'a str> {
+    field(event, name).and_then(JsonValue::as_str)
+}
 
 fn isolated() -> std::sync::MutexGuard<'static, ()> {
     let guard = LOCK
@@ -89,38 +126,30 @@ fn concurrent_counter_increments_all_land() {
 }
 
 #[test]
-fn memory_sink_sees_the_event_stream() {
+fn jsonl_sink_sees_the_event_stream() {
     let _guard = isolated();
-    let (sink, events) = MemorySink::new();
-    sia_obs::set_sink(Box::new(sink));
+    let buf = SharedBuf::default();
+    sia_obs::set_sink(Box::new(JsonlSink::new(buf.clone())));
     {
         let _s = sia_obs::span("root");
         sia_obs::add(Counter::QeEliminations, 3);
         sia_obs::record(Hist::QeBlowup, 1.5);
     }
     drop(sia_obs::take_sink());
-    let events = events.lock().unwrap();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, OwnedEvent::SpanEnter { path, .. } if path == "root")));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, OwnedEvent::SpanExit { path, .. } if path == "root")));
-    assert!(events.iter().any(|e| matches!(
-        e,
-        OwnedEvent::Counter {
-            key: Counter::QeEliminations,
-            add: 3,
-            ..
-        }
-    )));
-    assert!(events.iter().any(|e| matches!(
-        e,
-        OwnedEvent::Hist {
-            key: Hist::QeBlowup,
-            ..
-        }
-    )));
+    let events = buf.events();
+    let seen = |kind: &str, name_field: &str, name: &str| {
+        events
+            .iter()
+            .any(|e| text_of(e, "type") == Some(kind) && text_of(e, name_field) == Some(name))
+    };
+    assert!(seen("span_enter", "path", "root"));
+    assert!(seen("span_exit", "path", "root"));
+    assert!(events.iter().any(|e| {
+        text_of(e, "type") == Some("counter")
+            && text_of(e, "key") == Some(Counter::QeEliminations.name())
+            && field(e, "add").and_then(JsonValue::as_num) == Some(3.0)
+    }));
+    assert!(seen("hist", "key", Hist::QeBlowup.name()));
     sia_obs::disable();
 }
 
@@ -209,8 +238,8 @@ fn jsonl_round_trips_through_hand_parser() {
 #[test]
 fn span_context_adoption_links_threads_under_one_trace() {
     let _guard = isolated();
-    let (sink, events) = MemorySink::new();
-    sia_obs::set_sink(Box::new(sink));
+    let buf = SharedBuf::default();
+    sia_obs::set_sink(Box::new(JsonlSink::new(buf.clone())));
     const TRACE: u64 = 42;
 
     // Reader thread opens the root; a different (worker) thread adopts
@@ -244,13 +273,14 @@ fn span_context_adoption_links_threads_under_one_trace() {
     );
 
     drop(sia_obs::take_sink());
-    let events = events.lock().unwrap();
+    let events = buf.events();
+    // An untraced event has no `trace` field: trace 0.
     let span_trace = |path: &str, enter: bool| {
-        events.iter().find_map(|e| match e {
-            OwnedEvent::SpanEnter { path: p, trace, .. } if enter && p == path => Some(*trace),
-            OwnedEvent::SpanExit { path: p, trace, .. } if !enter && p == path => Some(*trace),
-            _ => None,
-        })
+        let kind = if enter { "span_enter" } else { "span_exit" };
+        events
+            .iter()
+            .find(|e| text_of(e, "type") == Some(kind) && text_of(e, "path") == Some(path))
+            .map(|e| field(e, "trace").and_then(JsonValue::as_num).unwrap_or(0.0) as u64)
     };
     // Client/root, queue, and worker spans all share the one trace ID.
     assert_eq!(span_trace("serve.request", true), Some(TRACE));

@@ -6,19 +6,39 @@
 //! The collector is process-global, so the tests here serialize on one
 //! lock and reset collector state on entry.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sia_obs::{MemorySink, OwnedEvent};
+use sia_obs::{JsonValue, JsonlSink};
 use sia_serve::{client, server, Request, ServeConfig, Status};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// A buffer a [`JsonlSink`] writes into while the test keeps a handle
+/// to read the lines back.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 fn obs_guard() -> MutexGuard<'static, ()> {
     let guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     drop(sia_obs::take_sink());
     sia_obs::reset();
     guard
+}
+
+fn field<'a>(event: &'a [(String, JsonValue)], name: &str) -> Option<&'a JsonValue> {
+    event.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 fn strs(v: &[&str]) -> Vec<String> {
@@ -39,8 +59,8 @@ fn synth_req(id: &str, trace: Option<u64>) -> Request {
 fn traced_request_links_client_queue_and_worker_spans() {
     let _guard = obs_guard();
     sia_obs::enable();
-    let (sink, events) = MemorySink::new();
-    sia_obs::set_sink(Box::new(sink));
+    let buf = SharedBuf::default();
+    sia_obs::set_sink(Box::new(JsonlSink::new(buf.clone())));
 
     let handle = server::start(ServeConfig {
         workers: 1,
@@ -89,23 +109,26 @@ fn traced_request_links_client_queue_and_worker_spans() {
     drop(sia_obs::take_sink());
     sia_obs::disable();
 
-    // The trace file links the client span, the server root (begun on
+    // The JSONL stream links the client span, the server root (begun on
     // the reader thread), and the worker-side spans under one trace ID.
-    let events = events.lock().unwrap();
-    let enters: Vec<&str> = events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::SpanEnter { path, trace, .. } if *trace == TRACE => Some(path.as_str()),
-            _ => None,
-        })
+    let bytes = buf.0.lock().unwrap();
+    let events: Vec<Vec<(String, JsonValue)>> = std::str::from_utf8(&bytes)
+        .expect("utf-8 JSONL")
+        .lines()
+        .map(|line| sia_obs::parse_object(line).expect("well-formed JSONL"))
         .collect();
-    let exits: Vec<&str> = events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::SpanExit { path, trace, .. } if *trace == TRACE => Some(path.as_str()),
-            _ => None,
-        })
-        .collect();
+    let traced_paths = |kind: &str| -> Vec<&str> {
+        events
+            .iter()
+            .filter(|e| {
+                field(e, "type").and_then(JsonValue::as_str) == Some(kind)
+                    && field(e, "trace").and_then(JsonValue::as_num) == Some(TRACE as f64)
+            })
+            .filter_map(|e| field(e, "path")?.as_str())
+            .collect()
+    };
+    let enters = traced_paths("span_enter");
+    let exits = traced_paths("span_exit");
     for root in ["client.request", "serve.request"] {
         assert!(enters.contains(&root), "missing root {root}: {enters:?}");
     }

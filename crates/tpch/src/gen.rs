@@ -11,7 +11,7 @@
 //! data).
 
 use sia_engine::{Column, Database, Table};
-use sia_expr::{ColumnDef, DataType, Date, Schema};
+use sia_expr::{Catalog, ColumnDef, DataType, Date, Schema};
 use sia_rand::rngs::StdRng;
 use sia_rand::{Rng, SeedableRng};
 
@@ -38,8 +38,16 @@ pub fn orders_at(scale_factor: f64) -> usize {
     (150_000.0 * scale_factor).round().max(1.0) as usize
 }
 
+/// The catalog of the two benchmark tables, `orders` then `lineitem`.
+pub fn catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    cat.add_table("orders", orders_schema());
+    cat.add_table("lineitem", lineitem_schema());
+    cat
+}
+
 /// The `orders` schema (columns used by the benchmark).
-pub fn orders_schema() -> Schema {
+fn orders_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("o_orderkey", DataType::Integer),
         ColumnDef::new("o_orderdate", DataType::Date),
@@ -48,7 +56,7 @@ pub fn orders_schema() -> Schema {
 }
 
 /// The `lineitem` schema (columns used by the benchmark).
-pub fn lineitem_schema() -> Schema {
+fn lineitem_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("l_orderkey", DataType::Integer),
         ColumnDef::new("l_linenumber", DataType::Integer),

@@ -6,7 +6,7 @@
 pub mod gen;
 pub mod workload;
 
-pub use gen::{generate, lineitem_schema, orders_schema, TpchConfig};
+pub use gen::{catalog, generate, TpchConfig};
 pub use workload::{
     generate_workload, is_satisfiable, BenchQuery, WorkloadConfig, LINEITEM_COLS, ORDERS_COL,
 };

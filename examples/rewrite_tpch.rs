@@ -8,9 +8,8 @@
 
 use sia::core::{rewrite_query, Synthesizer};
 use sia::engine::OptimizerConfig;
-use sia::expr::Catalog;
 use sia::sql::parse_query;
-use sia::tpch::{generate, lineitem_schema, orders_schema, TpchConfig};
+use sia::tpch::{catalog, generate, TpchConfig};
 
 fn main() {
     let q1 = parse_query(
@@ -22,13 +21,9 @@ fn main() {
     .expect("Q1 parses");
     println!("Q1: {q1}\n");
 
-    let mut catalog = Catalog::new();
-    catalog.add_table("orders", orders_schema());
-    catalog.add_table("lineitem", lineitem_schema());
-
     let mut synthesizer = Synthesizer::default();
     let outcome =
-        rewrite_query(&mut synthesizer, &q1, &catalog, "lineitem").expect("rewrite succeeds");
+        rewrite_query(&mut synthesizer, &q1, &catalog(), "lineitem").expect("rewrite succeeds");
     let rewritten = outcome.rewritten.expect("Q1 admits a lineitem predicate");
     println!("synthesized predicate: {}", outcome.synthesized.unwrap());
     println!("rewritten query: {rewritten}\n");

@@ -3,17 +3,10 @@
 
 use sia::core::{rewrite_query, SiaConfig, Synthesizer};
 use sia::engine::OptimizerConfig;
-use sia::expr::{eval_pred, Catalog, Value};
+use sia::expr::{eval_pred, Value};
 use sia::sql::{parse_predicate, parse_query};
-use sia::tpch::{generate, lineitem_schema, orders_schema, TpchConfig};
+use sia::tpch::{catalog, generate, TpchConfig};
 use std::collections::HashMap;
-
-fn catalog() -> Catalog {
-    let mut cat = Catalog::new();
-    cat.add_table("orders", orders_schema());
-    cat.add_table("lineitem", lineitem_schema());
-    cat
-}
 
 /// The full §2 pipeline: parse Q1, synthesize, rewrite, execute, compare.
 #[test]

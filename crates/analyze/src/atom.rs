@@ -52,40 +52,20 @@ impl CanonAtom {
     ) -> Option<CanonAtom> {
         let atom =
             sia_expr::LinAtom::from_cmp(op, lhs, rhs, NonLinearPolicy::FoldComposite).ok()?;
-        let (cleared, _mult) = atom.expr.clear_denominators();
-
-        // Integer coefficients and constant; gather terms in sorted order
-        // (LinExpr stores a BTreeMap, so the iterator is already sorted).
-        let mut terms: Vec<(String, BigInt)> = cleared
-            .terms()
-            .map(|(name, coeff)| {
-                debug_assert!(coeff.is_integer());
-                (name.to_string(), coeff.numer().clone())
-            })
-            .collect();
-        // `form + constant op 0` ⇔ `form op -constant`.
-        let mut bound = -cleared.constant_term().clone();
-        let mut op = atom.op;
-
-        if let Some(g) = terms
+        // `form + constant op 0` ⇔ `f·form op -f·constant` for the
+        // primitive scale `f`, whose sign turns the comparison around.
+        let f = atom.expr.primitive_scale();
+        let terms: FormKey = atom
+            .expr
             .iter()
-            .map(|(_, a)| a.abs())
-            .reduce(|acc, a| acc.gcd(&a))
-        {
-            if !g.is_one() {
-                for (_, a) in &mut terms {
-                    *a = a.div_floor(&g);
-                }
-                bound = &bound * &BigRat::from_int(g).recip();
-            }
-        }
-        if terms.first().is_some_and(|(_, a)| a.is_negative()) {
-            for (_, a) in &mut terms {
-                *a = -a.clone();
-            }
-            bound = -bound;
-            op = op.flipped();
-        }
+            .map(|(name, coeff)| (name.clone(), (coeff * &f).numer().clone()))
+            .collect();
+        let bound = -(atom.expr.constant_term() * &f);
+        let op = if f.is_negative() {
+            atom.op.flipped()
+        } else {
+            atom.op
+        };
         let int_form = terms.iter().all(|(name, _)| !is_real(name));
         Some(CanonAtom {
             key: terms,

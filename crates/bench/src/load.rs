@@ -19,33 +19,17 @@ pub fn unit(rng: &mut SplitMix64) -> f64 {
     u
 }
 
-/// Poisson arrival offsets at `rate` req/s (exponential inter-arrival
-/// gaps): `count` of them, or — when `horizon` is set — as many as fall
-/// inside it. Never empty.
-pub fn poisson_schedule(
-    rate: f64,
-    count: usize,
-    horizon: Option<Duration>,
-    seed: u64,
-) -> Vec<Duration> {
+/// `count` Poisson arrival offsets at `rate` req/s (exponential
+/// inter-arrival gaps).
+pub fn poisson_schedule(rate: f64, count: usize, seed: u64) -> Vec<Duration> {
     let mut rng = SplitMix64::new(seed);
-    let mut offsets = Vec::new();
     let mut t = 0.0f64;
-    loop {
-        t += -(1.0 - unit(&mut rng)).ln() / rate;
-        let done = match horizon {
-            Some(h) => t > h.as_secs_f64(),
-            None => offsets.len() >= count,
-        };
-        if done {
-            break;
-        }
-        offsets.push(Duration::from_secs_f64(t));
-    }
-    if offsets.is_empty() {
-        offsets.push(Duration::ZERO);
-    }
-    offsets
+    (0..count)
+        .map(|_| {
+            t += -(1.0 - unit(&mut rng)).ln() / rate;
+            Duration::from_secs_f64(t)
+        })
+        .collect()
 }
 
 /// One arrival's outcome, timed from the start of the drive.
@@ -150,20 +134,11 @@ mod tests {
 
     #[test]
     fn schedule_is_seeded_increasing_and_bounded() {
-        let by_count = poisson_schedule(100.0, 50, None, 7);
+        let by_count = poisson_schedule(100.0, 50, 7);
         assert_eq!(by_count.len(), 50);
         assert!(by_count.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(by_count, poisson_schedule(100.0, 50, None, 7));
-        let horizon = Duration::from_millis(200);
-        let by_time = poisson_schedule(100.0, 0, Some(horizon), 7);
-        assert!(by_time.iter().all(|t| *t <= horizon));
-        // The two modes walk the same arrival process.
-        assert_eq!(by_time[..], by_count[..by_time.len()]);
-        // A horizon too short for any arrival still offers one.
-        assert_eq!(
-            poisson_schedule(1.0, 0, Some(Duration::ZERO), 7),
-            [Duration::ZERO]
-        );
+        assert_eq!(by_count, poisson_schedule(100.0, 50, 7));
+        assert_ne!(by_count, poisson_schedule(100.0, 50, 8));
     }
 
     #[test]

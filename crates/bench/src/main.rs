@@ -4,13 +4,11 @@
 //! sia-exp all                              # every paper view, paper order → BENCH_all.json
 //! sia-exp table2 table3 --queries 8        # two views, one shared sweep
 //! sia-exp serve                            # a CI gate → BENCH_serve.json, exit 1 on a missed bar
-//! sia-exp soak --requests 5000 --rate 100  # the chaos soak → BENCH_soak.json
+//! sia-exp soak                             # the chaos soak → BENCH_soak.json
 //! ```
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use sia_bench::soak::SoakConfig;
 use sia_bench::suite::{run_sweep, SweepConfig, SweepResult};
 use sia_bench::{
     casestudy, limitations, motivating, obs_overhead, report, runtime, serve, soak, util, Gates,
@@ -24,9 +22,7 @@ usage:
       200, the paper's count); the SIA_v1/v2 baselines run iff table2 or
       table3 is among them. `all` writes BENCH_all.json, table3 alone
       BENCH_table3.json.
-  sia-exp serve | obs-overhead
-  sia-exp soak [--requests N] [--duration-s F] [--rate F] [--workers N]
-               [--fault-percent N] [--seed N] [--out FILE]
+  sia-exp serve | soak | obs-overhead
       Gates run at the one scale CI uses, print and write their results
       (BENCH_<gate>.json), then exit 1 if a bar was missed.";
 
@@ -73,20 +69,18 @@ const VIEWS: [(&str, Sweep, View); 8] = [
     ("limitations", Sweep::None, |_, _| limitations::report()),
 ];
 
-type Gate = fn(&Args) -> Result<Gates, String>;
+type Gate = fn() -> Result<Gates, String>;
 
 /// The CI gates.
 const GATES: [(&str, Gate); 3] = [
-    ("serve", |_| Ok(serve::run())),
-    ("soak", |a| soak::run(&a.soak, &a.out)),
-    ("obs-overhead", |_| Ok(obs_overhead::run())),
+    ("serve", || Ok(serve::run())),
+    ("soak", soak::run),
+    ("obs-overhead", || Ok(obs_overhead::run())),
 ];
 
 struct Args {
     names: Vec<String>,
     queries: usize,
-    soak: SoakConfig,
-    out: String,
 }
 
 fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, String> {
@@ -95,49 +89,19 @@ fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, Str
         .map_err(|_| format!("{flag}: invalid value"))
 }
 
-/// Apply one of `soak`'s seven flags.
-fn soak_flag(parsed: &mut Args, flag: &str, arg: Option<String>) -> Result<(), String> {
-    let soak = &mut parsed.soak;
-    match flag {
-        "--requests" => soak.requests = value(flag, arg)?,
-        "--duration-s" => {
-            // 0 keeps the run request-budgeted.
-            let secs: f64 = value(flag, arg)?;
-            soak.duration = (secs.is_finite() && secs > 0.0).then(|| Duration::from_secs_f64(secs));
-        }
-        "--rate" => {
-            soak.rate = value(flag, arg)?;
-            if !(soak.rate.is_finite() && soak.rate > 0.0) {
-                return Err("--rate must be positive".to_string());
-            }
-        }
-        "--workers" => soak.workers = value(flag, arg)?,
-        "--fault-percent" => soak.fault_percent = value(flag, arg)?,
-        "--seed" => soak.seed = value(flag, arg)?,
-        "--out" => parsed.out = value(flag, arg)?,
-        _ => return Err(format!("unknown flag {flag:?}")),
-    }
-    Ok(())
-}
-
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         names: Vec::new(),
         queries: 200,
-        soak: SoakConfig::default(),
-        out: "BENCH_soak.json".to_string(),
     };
-    let (mut sized, mut for_soak) = (false, None);
+    let mut sized = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--queries" => {
                 parsed.queries = value(&arg, args.next())?;
                 sized = true;
             }
-            flag if flag.starts_with("--") => {
-                soak_flag(&mut parsed, flag, args.next())?;
-                for_soak = Some(arg);
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
             "all" => parsed.names.extend(VIEWS.iter().map(|v| v.0.to_string())),
             name if VIEWS.iter().any(|v| v.0 == name) || GATES.iter().any(|g| g.0 == name) => {
                 parsed.names.push(arg);
@@ -151,9 +115,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let picked = |name: &str| parsed.names.iter().any(|n| n == name);
     if sized && !VIEWS.iter().any(|v| picked(v.0)) {
         return Err("--queries sizes the paper views".to_string());
-    }
-    if let (Some(flag), false) = (for_soak, picked("soak")) {
-        return Err(format!("{flag} applies to soak"));
     }
     Ok(parsed)
 }
@@ -224,7 +185,7 @@ fn main() -> ExitCode {
         if !args.names.iter().any(|n| n == name) {
             continue;
         }
-        let failures = match gate(&args) {
+        let failures = match gate() {
             Ok(gates) => gates.failures().to_vec(),
             Err(e) => vec![e],
         };

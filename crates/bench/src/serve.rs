@@ -157,7 +157,7 @@ fn arrivals_for(rate: f64, secs: f64) -> usize {
 
 /// Offer `rate` req/s for [`LOAD_SECS`] against a running server.
 fn run_load(addr: &str, pool: &[Request], rate: f64, seed: u64) -> LoadStats {
-    let schedule = load::poisson_schedule(rate, arrivals_for(rate, LOAD_SECS), None, seed);
+    let schedule = load::poisson_schedule(rate, arrivals_for(rate, LOAD_SECS), seed);
     let (arrivals, _) = load::open_loop(&schedule, |i| {
         client::request_one(addr, &pool[i % pool.len()])
     });
@@ -220,7 +220,7 @@ struct OverloadStats {
 /// shared token-bucket retry budget and sleeping the server's
 /// `retry_after_ms` hint first.
 fn run_overload(addr: &str, pool: &[Request], mult: f64, rate: f64, seed: u64) -> OverloadStats {
-    let schedule = load::poisson_schedule(rate, arrivals_for(rate, OVERLOAD_SECS), None, seed);
+    let schedule = load::poisson_schedule(rate, arrivals_for(rate, OVERLOAD_SECS), seed);
     let deadline_ms = u64::try_from(DEADLINE.as_millis()).unwrap_or(u64::MAX);
     let budget = std::sync::Mutex::new(RetryBudget::new(RETRY_BUDGET));
     let (arrivals, elapsed) = load::open_loop(&schedule, |i| -> Answer {

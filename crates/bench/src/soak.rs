@@ -5,7 +5,7 @@
 //! bounded cache memory, and stable tail latency across time windows.
 //!
 //! The driver is [`load::open_loop`] over a Poisson schedule. Results
-//! land in `BENCH_soak.json` (or `--out`).
+//! land in `BENCH_soak.json`.
 
 use std::time::Duration;
 
@@ -59,38 +59,18 @@ fn pool_config() -> GenConfig {
     }
 }
 
-/// The load `sia-exp soak`'s flags shape.
-#[derive(Debug, Clone)]
-pub struct SoakConfig {
-    /// Total arrivals to offer (ignored when `duration` is set).
-    pub requests: usize,
-    /// Wall-clock budget; when set, arrivals are offered for this long
-    /// instead of counting to `requests`.
-    pub duration: Option<Duration>,
-    /// Offered arrival rate, req/s (Poisson).
-    pub rate: f64,
-    /// Server worker threads.
-    pub workers: usize,
-    /// Total fault budget in percent, split across failpoints: half
-    /// worker panics, half synthesis errors, plus a fixed trickle of
-    /// 1 ms solver-pivot delays.
-    pub fault_percent: u32,
-    /// Seed for arrivals, fault sites, and oracle sampling.
-    pub seed: u64,
-}
-
-impl Default for SoakConfig {
-    fn default() -> Self {
-        SoakConfig {
-            requests: 5000,
-            duration: None,
-            rate: 80.0,
-            workers: 4,
-            fault_percent: 10,
-            seed: 0x51A_50AC,
-        }
-    }
-}
+/// Total arrivals offered, at CI's scale.
+const REQUESTS: usize = 5000;
+/// Offered arrival rate, req/s (Poisson).
+const RATE: f64 = 100.0;
+/// Server worker threads.
+const WORKERS: usize = 4;
+/// Total fault budget in percent, split across failpoints: half worker
+/// panics, half synthesis errors, plus a fixed trickle of 1 ms
+/// solver-pivot delays.
+const FAULT_PERCENT: u32 = 10;
+/// Seed for arrivals, fault sites, and oracle sampling.
+const SEED: u64 = 0x51A_50AC;
 
 /// Tail-latency and outcome counts for one time window.
 #[derive(Debug, Clone)]
@@ -276,7 +256,7 @@ fn oracle_refutes(original: &Pred, resp: &Response) -> bool {
 /// Drive one full soak, persisting the cache to `cache_file`: generate,
 /// start, load, verify, report.
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
-fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
+fn run_soak(cache_file: &str) -> Result<SoakReport, String> {
     let pool_reqs = sia_gen::generate(&pool_config())?;
     let pool: Vec<Request> = pool_reqs
         .iter()
@@ -287,7 +267,7 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
     }
 
     let handle = server::start(ServeConfig {
-        workers: cfg.workers,
+        workers: WORKERS,
         cache_capacity: CACHE_CAPACITY,
         queue_depth: QUEUE_DEPTH,
         cache_file: Some(cache_file.to_string()),
@@ -313,8 +293,7 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         .collect();
     let mut keep = vec![false; pool.len()];
     for (ci, chunk) in warmup.chunks(WARMUP_CHUNK).enumerate() {
-        let outcome =
-            client::run_batch_retry(&addr, chunk, cfg.workers * 2, &RetryPolicy::default());
+        let outcome = client::run_batch_retry(&addr, chunk, WORKERS * 2, &RetryPolicy::default());
         for (j, resp) in outcome.responses.iter().enumerate() {
             keep[ci * WARMUP_CHUNK + j] = resp.status == Status::Ok && !resp.degraded;
         }
@@ -328,22 +307,20 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
     let pool: Vec<Request> = kept_idx.iter().map(|&i| pool[i].clone()).collect();
     let pool_preds: Vec<&Pred> = kept_idx.iter().map(|&i| &pool_reqs[i].predicate).collect();
 
-    if cfg.fault_percent > 0 {
-        sia_fault::set_seed(cfg.seed ^ 0xFA17);
-        let half = (cfg.fault_percent / 2).max(1);
-        sia_fault::configure(
-            "serve.worker.request",
-            &format!("{half}%panic(injected worker panic)"),
-        )?;
-        sia_fault::configure("synth.run", &format!("{half}%error(injected synth error)"))?;
-        sia_fault::configure("smt.simplex.pivot", "1%delay(1)")?;
-        // Tear the first two mid-soak snapshots apart at the atomic
-        // rename. Count-limited so the budget is exhausted well before
-        // shutdown's final save, which must succeed.
-        sia_fault::configure("cache.rename", "2*error(injected torn snapshot)")?;
-    }
+    sia_fault::set_seed(SEED ^ 0xFA17);
+    let half = FAULT_PERCENT / 2;
+    sia_fault::configure(
+        "serve.worker.request",
+        &format!("{half}%panic(injected worker panic)"),
+    )?;
+    sia_fault::configure("synth.run", &format!("{half}%error(injected synth error)"))?;
+    sia_fault::configure("smt.simplex.pivot", "1%delay(1)")?;
+    // Tear the first two mid-soak snapshots apart at the atomic
+    // rename. Count-limited so the budget is exhausted well before
+    // shutdown's final save, which must succeed.
+    sia_fault::configure("cache.rename", "2*error(injected torn snapshot)")?;
 
-    let schedule = load::poisson_schedule(cfg.rate, cfg.requests, cfg.duration, cfg.seed);
+    let schedule = load::poisson_schedule(RATE, REQUESTS, SEED);
     let static_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveStatic);
     let miss_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveMiss);
     let (arrivals, elapsed) =
@@ -366,7 +343,7 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
         .recovered;
 
     // Outcome tallies + soundness oracle on a deterministic sample.
-    let mut oracle_rng = SplitMix64::new(cfg.seed ^ 0x0AC1E);
+    let mut oracle_rng = SplitMix64::new(SEED ^ 0x0AC1E);
     let mut lost = 0usize;
     let mut shed = 0usize;
     let mut ok = 0usize;
@@ -470,14 +447,14 @@ fn run_soak(cfg: &SoakConfig, cache_file: &str) -> Result<SoakReport, String> {
     })
 }
 
-/// The `soak` gate: run `cfg`, print the windows and totals, write
-/// `out`, and report the missed bars.
+/// The `soak` gate at CI's one scale: run it, print the windows and
+/// totals, write `BENCH_soak.json`, and report the missed bars.
 ///
 /// # Errors
 ///
 /// Fails when the soak cannot run at all: the server does not start, or
 /// warmup caches no shape.
-pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
+pub fn run() -> Result<Gates, String> {
     silence_injected_panics();
     sia_obs::reset();
     sia_obs::enable();
@@ -486,16 +463,9 @@ pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
         std::env::temp_dir().join(format!("sia_soak_cache_{}.bin", std::process::id()));
     std::fs::remove_file(&cache_path).ok();
     println!(
-        "== soak: {} arrivals at {:.0} rps, {} workers, {}% faults ==",
-        cfg.duration.map_or_else(
-            || cfg.requests.to_string(),
-            |d| format!("{:.0}s of", d.as_secs_f64())
-        ),
-        cfg.rate,
-        cfg.workers,
-        cfg.fault_percent
+        "== soak: {REQUESTS} arrivals at {RATE:.0} rps, {WORKERS} workers, {FAULT_PERCENT}% faults =="
     );
-    let result = run_soak(cfg, cache_path.to_str().expect("utf-8 temp path"));
+    let result = run_soak(cache_path.to_str().expect("utf-8 temp path"));
     std::fs::remove_file(&cache_path).ok();
     let report = result?;
     for w in &report.windows {
@@ -536,7 +506,7 @@ pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
         report.snapshot_recovered
     );
     util::write_results(
-        out,
+        "BENCH_soak.json",
         &format!(
             "{{\"experiment\":\"soak\",\"report\":{},\"gen_config\":{},\"metrics\":{}}}\n",
             report.to_json(),
@@ -567,7 +537,7 @@ pub fn run(cfg: &SoakConfig, out: &str) -> Result<Gates, String> {
         "oracle never sampled an answer".to_string(),
     );
     gates.require(
-        cfg.fault_percent == 0 || report.faults_injected > 0,
+        report.faults_injected > 0,
         "fault injection never fired".to_string(),
     );
     gates.require(

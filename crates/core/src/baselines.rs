@@ -72,10 +72,10 @@ pub fn transitive_closure(p: &Pred, cols: &[String]) -> Option<Pred> {
             // u - v ⋖ w  as a predicate.
             let mut expr = LinExpr::constant(-b.value);
             if u != 0 {
-                expr = expr.add(&LinExpr::column(zone.vars()[u - 1].clone()));
+                expr = expr.add(&LinExpr::var(zone.vars()[u - 1].clone()));
             }
             if v != 0 {
-                expr = expr.sub(&LinExpr::column(zone.vars()[v - 1].clone()));
+                expr = expr.sub(&LinExpr::var(zone.vars()[v - 1].clone()));
             }
             let op = if b.strict { CmpOp::Lt } else { CmpOp::Le };
             LinAtom { op, expr }.to_pred()
@@ -103,10 +103,7 @@ fn difference_form(atom: &LinAtom) -> Vec<(Option<String>, Option<String>, BigRa
         CmpOp::Ge => (expr.scale(&-BigRat::one()), CmpOp::Le),
         other => (expr.clone(), other),
     };
-    let terms: Vec<(String, BigRat)> = expr
-        .terms()
-        .map(|(c, k)| (c.to_string(), k.clone()))
-        .collect();
+    let terms: Vec<(String, BigRat)> = expr.iter().map(|(c, k)| (c.clone(), k.clone())).collect();
     let unit = |k: &BigRat| k.abs() == BigRat::one();
     let (pos, neg) = match terms.len() {
         1 if unit(&terms[0].1) => {

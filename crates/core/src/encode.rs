@@ -145,11 +145,11 @@ impl PredEncoder {
                             .map_err(|e| EncodeError::NonLinear(e.0))?;
                         // A quotient `(e / k)` only relaxes, whatever else
                         // mentions `e`: only `col OP col` is a composite.
-                        for c in lin.columns().into_iter().filter(|c| !is_quotient_term(c)) {
+                        for c in lin.keys().filter(|c| !is_quotient_term(c)) {
                             if c.contains('*') || c.contains('/') {
-                                composite.insert(c);
+                                composite.insert(c.clone());
                             } else {
-                                plain.insert(c);
+                                plain.insert(c.clone());
                             }
                         }
                     }
@@ -174,13 +174,15 @@ impl PredEncoder {
         Ok(())
     }
 
+    /// The atom's form keyed by solver variable; columns are walked in
+    /// order, so a first sight declares its variable in column order.
     fn atom_term(&mut self, atom: &LinAtom) -> LinTerm {
-        let mut t = LinTerm::constant(atom.expr.constant_term().clone());
-        for (col, k) in atom.expr.terms() {
-            let v = self.value_var(col);
-            t = t.add(&LinTerm::var(v).scale(k));
-        }
-        t
+        let coeffs: Vec<_> = atom
+            .expr
+            .iter()
+            .map(|(col, k)| (self.value_var(col), k.clone()))
+            .collect();
+        LinTerm::from_parts(coeffs, atom.expr.constant_term().clone())
     }
 
     fn cmp_formula(&mut self, op: CmpOp, atom: &LinAtom) -> Formula {

@@ -64,7 +64,7 @@ impl LearnedPlane {
 
     /// Render as a predicate `Σ wᵢ·colᵢ ≥ threshold`.
     pub fn to_pred(&self, cols: &[String]) -> Pred {
-        let expr = LinExpr::from_terms(
+        let expr = LinExpr::from_parts(
             cols.iter()
                 .zip(&self.weights)
                 .map(|(c, w)| (c.clone(), BigRat::from_int(w.clone()))),
@@ -165,19 +165,14 @@ pub fn atom_directions(p: &Pred, cols: &[String]) -> Vec<Vec<BigInt>> {
                 let Ok(atom) = LinAtom::from_cmp(*op, lhs, rhs, NonLinearPolicy::Reject) else {
                     return;
                 };
-                if atom.expr.is_constant()
-                    || atom.expr.terms().any(|(c, _)| !cols.iter().any(|k| k == c))
-                {
+                if atom.expr.is_constant() || atom.expr.keys().any(|c| !cols.contains(c)) {
                     return;
                 }
-                let coeffs: Vec<BigRat> = cols.iter().map(|c| atom.expr.coeff(c)).collect();
-                let scale = coeffs.iter().fold(BigInt::one(), |l, k| l.lcm(k.denom()));
-                let ints: Vec<BigInt> = coeffs
+                let f = atom.expr.primitive_scale();
+                let w: Vec<BigInt> = cols
                     .iter()
-                    .map(|k| (k * &BigRat::from_int(scale.clone())).numer().clone())
+                    .map(|c| (atom.expr.coeff(c) * &f).numer().clone())
                     .collect();
-                let g = ints.iter().fold(BigInt::zero(), |g, v| g.gcd(v));
-                let w: Vec<BigInt> = ints.iter().map(|v| v / &g).collect();
                 out.push(w.iter().map(|v| -v).collect());
                 out.push(w);
             }

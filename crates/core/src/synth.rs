@@ -313,6 +313,9 @@ impl Synthesizer {
         let mut fs_sampler = false_region
             .clone()
             .map(|r| Sampler::new(r, keep.clone(), SEED ^ 1));
+        if fs_sampler.is_none() {
+            sia_obs::add(sia_obs::Counter::CegisCegqiFallbacks, 1);
+        }
         let mut cegqi_seen: Vec<Vec<BigInt>> = Vec::new();
         // Closure-free helper for FALSE sampling under an extra constraint.
         // Cooper elimination with non-unit coefficients can produce regions
@@ -335,6 +338,7 @@ impl Synthesizer {
                 };
                 if matches!(out, SampleOutcome::Unknown) {
                     if let Some(s) = fs_sampler.take() {
+                        sia_obs::add(sia_obs::Counter::CegisCegqiFallbacks, 1);
                         cegqi_seen.extend(s.seen().iter().cloned());
                         out = cegqi::false_sample(
                             $enc.solver(),

@@ -16,8 +16,7 @@
 
 use crate::expr::{ArithOp, CmpOp, Expr, Pred};
 use crate::types::Value;
-use sia_num::{BigInt, BigRat};
-use std::collections::BTreeMap;
+use sia_num::{BigInt, BigRat, LinForm};
 use std::fmt;
 
 /// Error for expressions outside linear arithmetic.
@@ -32,209 +31,9 @@ impl fmt::Display for NonLinear {
 
 impl std::error::Error for NonLinear {}
 
-/// A linear form `Σ coeffᵢ·colᵢ + constant` with exact rational
-/// coefficients. Zero coefficients are never stored.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LinExpr {
-    terms: BTreeMap<String, BigRat>,
-    constant: BigRat,
-}
-
-impl LinExpr {
-    /// The zero form.
-    pub fn zero() -> Self {
-        LinExpr::default()
-    }
-
-    /// A constant form.
-    pub fn constant(c: BigRat) -> Self {
-        LinExpr {
-            terms: BTreeMap::new(),
-            constant: c,
-        }
-    }
-
-    /// The form `1·col`.
-    pub fn column(name: impl Into<String>) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(name.into(), BigRat::one());
-        LinExpr {
-            terms,
-            constant: BigRat::zero(),
-        }
-    }
-
-    /// Build from explicit terms, dropping zero coefficients.
-    pub fn from_terms(terms: impl IntoIterator<Item = (String, BigRat)>, constant: BigRat) -> Self {
-        let mut out = LinExpr::constant(constant);
-        for (c, k) in terms {
-            out.add_term(&c, &k);
-        }
-        out
-    }
-
-    /// The constant term.
-    pub fn constant_term(&self) -> &BigRat {
-        &self.constant
-    }
-
-    /// Iterate `(column, coefficient)` pairs in column order.
-    pub fn terms(&self) -> impl Iterator<Item = (&str, &BigRat)> {
-        self.terms.iter().map(|(c, k)| (c.as_str(), k))
-    }
-
-    /// Coefficient of `col` (zero if absent).
-    pub fn coeff(&self, col: &str) -> BigRat {
-        self.terms.get(col).cloned().unwrap_or_else(BigRat::zero)
-    }
-
-    /// True iff the form has no column terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Column names with non-zero coefficients.
-    pub fn columns(&self) -> Vec<String> {
-        self.terms.keys().cloned().collect()
-    }
-
-    fn add_term(&mut self, col: &str, k: &BigRat) {
-        if k.is_zero() {
-            return;
-        }
-        match self.terms.get_mut(col) {
-            Some(existing) => {
-                *existing += k;
-                if existing.is_zero() {
-                    self.terms.remove(col);
-                }
-            }
-            None => {
-                self.terms.insert(col.to_string(), k.clone());
-            }
-        }
-    }
-
-    /// `self + other`
-    pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += &other.constant;
-        for (c, k) in &other.terms {
-            out.add_term(c, k);
-        }
-        out
-    }
-
-    /// `self - other`
-    pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(&-BigRat::one()))
-    }
-
-    /// `k * self`
-    pub fn scale(&self, k: &BigRat) -> LinExpr {
-        if k.is_zero() {
-            return LinExpr::zero();
-        }
-        LinExpr {
-            terms: self.terms.iter().map(|(c, v)| (c.clone(), v * k)).collect(),
-            constant: &self.constant * k,
-        }
-    }
-
-    /// Scale by the LCM of all coefficient denominators so every
-    /// coefficient becomes an integer; returns the scaled form and the
-    /// (positive) scale factor used.
-    pub fn clear_denominators(&self) -> (LinExpr, BigInt) {
-        let mut l = self.constant.denom().clone();
-        for k in self.terms.values() {
-            l = l.lcm(k.denom());
-        }
-        let factor = BigRat::from_int(l.clone());
-        (self.scale(&factor), l)
-    }
-
-    /// Render as an [`Expr`] AST. Rational coefficients are cleared first
-    /// (multiplying by a positive constant preserves every comparison with
-    /// zero, so callers comparing the result to `0` are unaffected).
-    ///
-    /// Cleared coefficients outside the `i64` range saturate instead of
-    /// panicking: a learned plane with astronomically large weights
-    /// renders to a *wrong* atom rather than killing the worker, and the
-    /// downstream verification step rejects wrong candidates anyway.
-    pub fn to_expr(&self) -> Expr {
-        let (scaled, _) = self.clear_denominators();
-        let mut acc: Option<Expr> = None;
-        // Lead with a positive term when one exists, so `y2 - y1` renders
-        // instead of `0 - y1 + y2`.
-        let mut ordered: Vec<(&String, &BigRat)> = scaled.terms.iter().collect();
-        ordered.sort_by_key(|(_, k)| k.is_negative());
-        for (c, k) in ordered {
-            let k = sat_i64(k.numer());
-            let term = match k {
-                1 => Expr::col(c.clone()),
-                -1 => Expr::col(c.clone()),
-                _ => Expr::int(k.abs()).mul(Expr::col(c.clone())),
-            };
-            acc = Some(match acc {
-                None => {
-                    if k < 0 {
-                        Expr::int(0).sub(term)
-                    } else {
-                        term
-                    }
-                }
-                Some(a) => {
-                    if k < 0 {
-                        a.sub(term)
-                    } else {
-                        a.add(term)
-                    }
-                }
-            });
-        }
-        let c = sat_i64(scaled.constant.numer());
-        match acc {
-            None => Expr::int(c),
-            Some(a) if c == 0 => a,
-            Some(a) if c < 0 => a.sub(Expr::int(-c)),
-            Some(a) => a.add(Expr::int(c)),
-        }
-    }
-
-    /// Evaluate the form given exact integer column values.
-    pub fn eval_int(&self, get: &impl Fn(&str) -> BigInt) -> BigRat {
-        let mut acc = self.constant.clone();
-        for (c, k) in &self.terms {
-            acc += &(k * &BigRat::from_int(get(c)));
-        }
-        acc
-    }
-}
-
-impl fmt::Display for LinExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (c, k) in &self.terms {
-            if first {
-                write!(f, "{k}*{c}")?;
-                first = false;
-            } else if k.is_negative() {
-                write!(f, " - {}*{c}", k.abs())?;
-            } else {
-                write!(f, " + {k}*{c}")?;
-            }
-        }
-        if first {
-            write!(f, "{}", self.constant)
-        } else if self.constant.is_negative() {
-            write!(f, " - {}", self.constant.abs())
-        } else if !self.constant.is_zero() {
-            write!(f, " + {}", self.constant)
-        } else {
-            Ok(())
-        }
-    }
-}
+/// A linear form `Σ coeffᵢ·colᵢ + constant` over columns: the
+/// workspace's one linear form, keyed by column name.
+pub type LinExpr = LinForm<String>;
 
 /// How to treat products/quotients of columns during linearization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,7 +51,7 @@ pub enum NonLinearPolicy {
 /// Linearize an arithmetic expression.
 pub fn linearize(e: &Expr, policy: NonLinearPolicy) -> Result<LinExpr, NonLinear> {
     match e {
-        Expr::Column(c) => Ok(LinExpr::column(c.clone())),
+        Expr::Column(c) => Ok(LinExpr::var(c.clone())),
         Expr::Int(v) => Ok(LinExpr::constant(BigRat::from(*v))),
         Expr::Date(d) => Ok(LinExpr::constant(BigRat::from(d.to_days()))),
         Expr::Double(v) => BigRat::from_f64(*v)
@@ -290,7 +89,7 @@ pub fn linearize(e: &Expr, policy: NonLinearPolicy) -> Result<LinExpr, NonLinear
                     } else if r.is_constant() {
                         // Integer division truncates, so `e / k` is not
                         // `e · (1/k)`: keep the quotient one opaque term.
-                        Ok(LinExpr::column(format!("({e})")))
+                        Ok(LinExpr::var(format!("({e})")))
                     } else {
                         fold_composite(op, lhs, rhs)
                     }
@@ -308,7 +107,7 @@ pub fn is_quotient_term(name: &str) -> bool {
 
 fn fold_composite(op: &ArithOp, lhs: &Expr, rhs: &Expr) -> Result<LinExpr, NonLinear> {
     match (lhs, rhs) {
-        (Expr::Column(a), Expr::Column(b)) => Ok(LinExpr::column(format!("{a}{op}{b}"))),
+        (Expr::Column(a), Expr::Column(b)) => Ok(LinExpr::var(format!("{a}{op}{b}"))),
         _ => Err(NonLinear(format!("{lhs} {op} {rhs}"))),
     }
 }
@@ -340,14 +139,58 @@ impl LinAtom {
 
     /// Render back to a predicate AST (`linexpr ⋈ 0`, constant moved to the
     /// right-hand side for readability: `Σ terms ⋈ -constant`).
+    ///
+    /// Rational coefficients are cleared first (multiplying by a positive
+    /// constant preserves the comparison). Cleared parts outside the `i64`
+    /// range saturate instead of panicking: a learned plane with
+    /// astronomically large weights renders to a *wrong* atom rather than
+    /// killing the worker, and the downstream verification step rejects
+    /// wrong candidates anyway.
     pub fn to_pred(&self) -> Pred {
-        let (scaled, _) = self.expr.clear_denominators();
-        let lhs = LinExpr {
-            terms: scaled.terms.clone(),
-            constant: BigRat::zero(),
+        let scaled = self.expr.clear_denominators();
+        let rhs = -scaled.constant_term();
+        let lhs = scaled.add(&LinExpr::constant(rhs.clone()));
+        to_expr(&lhs).cmp(self.op, Expr::int(sat_i64(rhs.numer())))
+    }
+}
+
+/// Render a form with integer parts as an [`Expr`] AST, leading with a
+/// positive term when one exists, so `y2 - y1` renders instead of
+/// `0 - y1 + y2`.
+fn to_expr(form: &LinExpr) -> Expr {
+    let mut acc: Option<Expr> = None;
+    let mut ordered: Vec<(&String, &BigRat)> = form.iter().collect();
+    ordered.sort_by_key(|(_, k)| k.is_negative());
+    for (c, k) in ordered {
+        let k = sat_i64(k.numer());
+        let term = match k {
+            1 => Expr::col(c.clone()),
+            -1 => Expr::col(c.clone()),
+            _ => Expr::int(k.abs()).mul(Expr::col(c.clone())),
         };
-        let rhs = -scaled.constant.clone();
-        lhs.to_expr().cmp(self.op, Expr::int(sat_i64(rhs.numer())))
+        acc = Some(match acc {
+            None => {
+                if k < 0 {
+                    Expr::int(0).sub(term)
+                } else {
+                    term
+                }
+            }
+            Some(a) => {
+                if k < 0 {
+                    a.sub(term)
+                } else {
+                    a.add(term)
+                }
+            }
+        });
+    }
+    let c = sat_i64(form.constant_term().numer());
+    match acc {
+        None => Expr::int(c),
+        Some(a) if c == 0 => a,
+        Some(a) if c < 0 => a.sub(Expr::int(-c)),
+        Some(a) => a.add(Expr::int(c)),
     }
 }
 
@@ -408,8 +251,8 @@ mod tests {
         let e = col("a").add(lit(1)).div(lit(-2));
         assert!(linearize(&e, NonLinearPolicy::Reject).is_err());
         let l = linearize(&e, NonLinearPolicy::FoldComposite).unwrap();
-        assert_eq!(l.columns(), vec!["((a + 1) / -2)".to_string()]);
-        assert!(is_quotient_term(&l.columns()[0]));
+        assert_eq!(l.keys().collect::<Vec<_>>(), ["((a + 1) / -2)"]);
+        assert!(l.keys().all(|c| is_quotient_term(c)));
         // Column-free quotients are computed as the executor computes them.
         let seven = |d: Expr| linearize(&d.div(lit(2)), NonLinearPolicy::Reject).unwrap();
         assert_eq!(seven(lit(7)).constant_term(), &BigRat::from(3));
@@ -425,10 +268,10 @@ mod tests {
         let e = col("a").mul(col("b"));
         assert!(linearize(&e, NonLinearPolicy::Reject).is_err());
         let l = linearize(&e, NonLinearPolicy::FoldComposite).unwrap();
-        assert_eq!(l.columns(), vec!["a*b".to_string()]);
+        assert_eq!(l.keys().collect::<Vec<_>>(), ["a*b"]);
         let d = col("a").div(col("b"));
         let l2 = linearize(&d, NonLinearPolicy::FoldComposite).unwrap();
-        assert_eq!(l2.columns(), vec!["a/b".to_string()]);
+        assert_eq!(l2.keys().collect::<Vec<_>>(), ["a/b"]);
         // compound non-linear operand still rejected
         let bad = col("a").add(lit(1)).mul(col("b"));
         assert!(linearize(&bad, NonLinearPolicy::FoldComposite).is_err());
@@ -458,12 +301,11 @@ mod tests {
 
     #[test]
     fn clear_denominators() {
-        let l = LinExpr::from_terms(
+        let l = LinExpr::from_parts(
             vec![("a".to_string(), q(1, 2)), ("b".to_string(), q(1, 3))],
             q(1, 6),
         );
-        let (scaled, factor) = l.clear_denominators();
-        assert_eq!(factor, BigInt::from(6i64));
+        let scaled = l.clear_denominators();
         assert_eq!(scaled.coeff("a"), BigRat::from(3));
         assert_eq!(scaled.coeff("b"), BigRat::from(2));
         assert_eq!(scaled.constant_term(), &BigRat::one());
@@ -471,14 +313,14 @@ mod tests {
 
     #[test]
     fn to_expr_roundtrip_via_eval() {
-        let l = LinExpr::from_terms(
+        let l = LinExpr::from_parts(
             vec![
                 ("a".to_string(), BigRat::from(2)),
                 ("b".to_string(), BigRat::from(-1)),
             ],
             BigRat::from(7),
         );
-        let e = l.to_expr();
+        let e = to_expr(&l);
         assert_eq!(e.to_string(), "2 * a - b + 7");
         let back = linearize(&e, NonLinearPolicy::Reject).unwrap();
         assert_eq!(back, l);
@@ -486,21 +328,21 @@ mod tests {
 
     #[test]
     fn to_expr_edge_cases() {
-        assert_eq!(LinExpr::zero().to_expr().to_string(), "0");
+        assert_eq!(to_expr(&LinExpr::zero()).to_string(), "0");
         assert_eq!(
-            LinExpr::constant(BigRat::from(-3)).to_expr().to_string(),
+            to_expr(&LinExpr::constant(BigRat::from(-3))).to_string(),
             "-3"
         );
         let neg_first =
-            LinExpr::from_terms(vec![("a".to_string(), BigRat::from(-1))], BigRat::zero());
-        assert_eq!(neg_first.to_expr().to_string(), "0 - a");
+            LinExpr::from_parts(vec![("a".to_string(), BigRat::from(-1))], BigRat::zero());
+        assert_eq!(to_expr(&neg_first).to_string(), "0 - a");
     }
 
     #[test]
     fn atom_to_pred() {
         let a = LinAtom {
             op: CmpOp::Gt,
-            expr: LinExpr::from_terms(
+            expr: LinExpr::from_parts(
                 vec![
                     ("a1".to_string(), BigRat::from(2)),
                     ("a2".to_string(), BigRat::one()),
@@ -520,29 +362,22 @@ mod tests {
         let huge = BigRat::from_int(BigInt::from(i64::MAX) * &BigInt::from(16));
         let a = LinAtom {
             op: CmpOp::Ge,
-            expr: LinExpr::from_terms(vec![("a".to_string(), BigRat::one())], -huge.clone()),
+            expr: LinExpr::from_parts(vec![("a".to_string(), BigRat::one())], -huge.clone()),
         };
         assert_eq!(a.to_pred().to_string(), format!("a >= {}", i64::MAX));
         let b = LinAtom {
             op: CmpOp::Le,
-            expr: LinExpr::from_terms(vec![("a".to_string(), huge.clone())], BigRat::zero()),
+            expr: LinExpr::from_parts(vec![("a".to_string(), huge.clone())], BigRat::zero()),
         };
         // The coefficient clamps too; the sign survives.
         assert_eq!(b.to_pred().to_string(), format!("{} * a <= 0", i64::MAX));
-        let c = LinExpr::from_terms(Vec::new(), -huge);
-        assert_eq!(c.to_expr().to_string(), (i64::MIN + 1).to_string());
-    }
-
-    #[test]
-    fn eval_int() {
-        let l = LinExpr::from_terms(vec![("a".to_string(), q(1, 2))], BigRat::from(1));
-        let v = l.eval_int(&|_| BigInt::from(5i64));
-        assert_eq!(v, q(7, 2));
+        let c = LinExpr::from_parts(Vec::new(), -huge);
+        assert_eq!(to_expr(&c).to_string(), (i64::MIN + 1).to_string());
     }
 
     #[test]
     fn display() {
-        let l = LinExpr::from_terms(
+        let l = LinExpr::from_parts(
             vec![
                 ("a".to_string(), BigRat::from(2)),
                 ("b".to_string(), BigRat::from(-3)),
@@ -590,7 +425,7 @@ mod proptests {
             let x = g.gen_range(-9i64..9);
             let y = g.gen_range(-9i64..9);
             let lin = linearize(&e, NonLinearPolicy::Reject).unwrap();
-            let from_lin = lin.eval_int(&|c| sia_num::BigInt::from(if c == "x" { x } else { y }));
+            let from_lin = lin.eval(|c| BigRat::from(if c == "x" { x } else { y }));
             let tuple: HashMap<String, Value> = [
                 ("x".to_string(), Value::Int(x)),
                 ("y".to_string(), Value::Int(y)),
@@ -611,7 +446,7 @@ mod proptests {
         for _ in 0..256 {
             let e = rand_linear_expr(&mut g, 3);
             let lin = linearize(&e, NonLinearPolicy::Reject).unwrap();
-            let back = linearize(&lin.to_expr(), NonLinearPolicy::Reject).unwrap();
+            let back = linearize(&to_expr(&lin), NonLinearPolicy::Reject).unwrap();
             assert_eq!(back, lin);
         }
     }

@@ -30,5 +30,5 @@ pub mod schema;
 pub use config::{GenConfig, ZonePolicy};
 pub use file::{from_str, to_string, Workload, WORKLOAD_VERSION};
 pub use generate::{generate, GenRequest};
-pub use preset::{paper_6_3, paper_6_3_tasks, star_schema_configs, with_repeats, SEED_6_3_SERVE};
+pub use preset::{paper_6_3, paper_6_3_tasks, with_repeats, SEED_6_3_SERVE};
 pub use schema::{schemas, table, tables, ColumnSpec, Dist, TableSpec};

@@ -7,7 +7,6 @@
 
 use sia_tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
 
-use crate::config::GenConfig;
 use crate::generate::GenRequest;
 
 /// The §6.3 seed shared by `sia-exp serve` and the static-tier test.
@@ -95,58 +94,6 @@ pub fn with_repeats(tasks: &[GenRequest], reps: usize) -> Vec<GenRequest> {
     out
 }
 
-/// Star-schema traffic mix: (table, weight in percent). Fact tables carry
-/// most of the load, small dimensions the tail — the usual TPC-H star shape.
-const STAR_MIX: &[(&str, usize)] = &[
-    ("lineitem", 50),
-    ("orders", 20),
-    ("partsupp", 10),
-    ("part", 8),
-    ("customer", 6),
-    ("supplier", 3),
-    ("nation", 2),
-    ("region", 1),
-];
-
-/// A star-schema workload preset: splits `count` requests across the eight
-/// TPC-H tables with a fact-heavy mix (lineitem 50%, orders 20%, partsupp
-/// 10%, part 8%, customer 6%, supplier 3%, nation 2%, region 1%). Rounding
-/// uses largest remainders so the per-table counts always sum to `count`.
-/// Each table draws from its own deterministic stream (`seed` xor the
-/// table's position), so regenerating any one table's slice is independent
-/// of the others.
-#[must_use]
-pub fn star_schema_configs(count: usize, seed: u64) -> Vec<GenConfig> {
-    // Integer shares first, then distribute the remainder to the largest
-    // fractional parts (ties broken by mix order, fact tables first).
-    let mut shares: Vec<(usize, usize, usize)> = STAR_MIX
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, w))| (i, count * w / 100, (count * w) % 100))
-        .collect();
-    let assigned: usize = shares.iter().map(|&(_, q, _)| q).sum();
-    let mut leftover = count - assigned;
-    shares.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    for share in &mut shares {
-        if leftover == 0 {
-            break;
-        }
-        share.1 += 1;
-        leftover -= 1;
-    }
-    shares.sort_by_key(|&(i, _, _)| i);
-    shares
-        .into_iter()
-        .filter(|&(_, n, _)| n > 0)
-        .map(|(i, n, _)| GenConfig {
-            table: STAR_MIX[i].0.to_string(),
-            count: n,
-            seed: seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(i as u64 + 1)),
-            ..GenConfig::default()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,38 +139,6 @@ mod tests {
                 .map(|r| (r.id, r.predicate.to_string(), r.cols))
                 .collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn star_schema_mix_sums_and_leans_on_facts() {
-        for count in [1, 7, 100, 137, 1000] {
-            let cfgs = star_schema_configs(count, 0x51A_57A2);
-            let total: usize = cfgs.iter().map(|c| c.count).sum();
-            assert_eq!(total, count, "mix must conserve the request count");
-            assert!(cfgs.iter().all(|c| c.count > 0));
-        }
-        let cfgs = star_schema_configs(1000, 0x51A_57A2);
-        let tables: Vec<&str> = cfgs.iter().map(|c| c.table.as_str()).collect();
-        assert_eq!(
-            tables,
-            [
-                "lineitem", "orders", "partsupp", "part", "customer", "supplier", "nation",
-                "region"
-            ]
-        );
-        assert_eq!(cfgs[0].count, 500, "lineitem carries half the load");
-        assert_eq!(cfgs[7].count, 10, "region carries the 1% tail");
-        // Every table draws from a distinct deterministic stream.
-        let seeds: std::collections::HashSet<u64> = cfgs.iter().map(|c| c.seed).collect();
-        assert_eq!(seeds.len(), cfgs.len());
-        // All the named tables exist in the registry and generate cleanly.
-        for cfg in &cfgs {
-            let small = GenConfig {
-                count: 2,
-                ..cfg.clone()
-            };
-            assert!(crate::generate(&small).is_ok(), "table {}", cfg.table);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sia_sql::parse_predicate;
 
 /// A spread of configs covering the knob space.
 fn configs() -> Vec<GenConfig> {
-    vec![
+    let mut configs = vec![
         GenConfig {
             count: 20,
             ..GenConfig::default()
@@ -48,7 +48,16 @@ fn configs() -> Vec<GenConfig> {
             seed: 0x5EED,
             ..GenConfig::default()
         },
-    ]
+    ];
+    // The remaining TPC-H tables, each from its own stream.
+    let rest = ["partsupp", "customer", "supplier", "nation", "region"];
+    configs.extend(rest.iter().zip(1u64..).map(|(t, i)| GenConfig {
+        table: t.to_string(),
+        count: 10,
+        seed: 0x51A_57A2 ^ i,
+        ..GenConfig::default()
+    }));
+    configs
 }
 
 #[test]

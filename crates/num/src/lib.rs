@@ -18,22 +18,24 @@
 //! operand as two limbs on the stack. [`BigRat`] follows: with all four
 //! parts inline it cross-multiplies in `i128`, which cannot overflow (each
 //! part is below 2^63 in magnitude, so `a*d + c*b` is below 2^127).
+//!
+//! [`LinForm`] is the linear form `Σ aᵢ·xᵢ + c` every layer above handles —
+//! keyed by column name in the predicate language, by variable in the
+//! solver — with its integer normalizations.
 
 #![warn(missing_docs)]
 
 mod bigint;
 mod bigrat;
+mod linform;
 
 pub use bigint::BigInt;
 pub use bigrat::BigRat;
+pub use linform::LinForm;
 
-/// Greatest common divisor of two `u64`s (binary GCD).
-///
-/// Exposed because several callers (coefficient normalization in
-/// `sia-smt`, direction scaling in `sia-core`'s learner, through
-/// [`lcm_u64`]) need a fast machine-word GCD before falling back to
-/// bignums.
-pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+/// Greatest common divisor of two `u64`s (binary GCD): the machine-word
+/// path of [`BigInt::gcd`] and of [`lcm_u64`].
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -68,7 +70,8 @@ pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     }
 }
 
-/// Least common multiple of two `u64`s; panics on overflow.
+/// Least common multiple of two `u64`s; panics on overflow. `sia-core`'s
+/// learner scales its enumerated directions with it.
 pub fn lcm_u64(a: u64, b: u64) -> u64 {
     if a == 0 || b == 0 {
         return 0;

@@ -87,6 +87,10 @@ keys! {
         CegisTrueSamples => "cegis.true_samples",
         /// FALSE samples drawn across the run.
         CegisFalseSamples => "cegis.false_samples",
+        /// Runs whose FALSE samples came from CEGQI: Cooper elimination
+        /// over budget, or sampling its region answered `Unknown`. At most
+        /// one per run.
+        CegisCegqiFallbacks => "cegis.cegqi_fallbacks",
         /// Unsat certificates verified by the checker.
         CheckCertificates => "check.certificates",
         /// RUP steps replayed during certificate checking.

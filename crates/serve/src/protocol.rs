@@ -17,11 +17,21 @@
 //! paper's NULL result).
 //!
 //! **Graceful degradation**: when a recoverable failure interrupts
-//! synthesis (a worker panic, a deadline, load shedding), the response
-//! carries `degraded:1`, a `reason` (`panic` / `timeout` / `internal` /
-//! `shed`), and echoes the *original* predicate — the always-valid,
-//! never-optimal fallback. Clients treat it exactly like "no useful
-//! reduction found": keep the original query plan.
+//! synthesis, the response carries `degraded:1` and a `reason`, and
+//! echoes the *original* predicate — the always-valid, never-optimal
+//! fallback. Clients treat it exactly like "no useful reduction found":
+//! keep the original query plan. The six reasons, five sent by the
+//! server and one made by the client:
+//!
+//! - `panic`: the job panicked on its worker (status `ok`);
+//! - `timeout`: the deadline passed during synthesis (status `timeout`);
+//! - `internal`: synthesis failed, or a fault was injected (status `ok`);
+//! - `brownout`: from brownout level 2 on, the server answered with
+//!   static zone bounds in place of the original predicate (status `ok`);
+//! - `expired`: the deadline passed while the job was queued, so it never
+//!   ran (status `expired`);
+//! - `shed`: the retrying client ran out of attempts against an
+//!   overloaded or unreachable server and answered for it (status `ok`).
 //!
 //! **Lint warnings**: responses may carry a `warnings` field — static
 //! analysis findings about the request predicate (contradictions,
@@ -242,8 +252,8 @@ pub struct Response {
     /// True when this is a fallback result: synthesis did not complete
     /// and the original predicate is echoed back instead.
     pub degraded: bool,
-    /// Why the response is degraded (`panic` / `timeout` / `internal` /
-    /// `shed`).
+    /// Why the response is degraded: one of the six reasons listed in
+    /// the [module docs](self).
     pub reason: Option<String>,
     /// Static-analysis lint warnings about the *request* predicate
     /// (contradictory, tautological, or type-suspect conjuncts). Purely

@@ -105,16 +105,19 @@ fn every_popped_job_degrades(policy: &str, reason: &str) {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn panicking_requests_degrade_instead_of_dropping() {
     every_popped_job_degrades("panic(injected for test)", "panic");
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn erroring_requests_degrade_instead_of_dropping() {
     every_popped_job_degrades("error(injected for test)", "internal");
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn retry_client_rides_out_mixed_faults_without_losing_requests() {
     let _lock = fault_guard();
     let _clear = ClearOnDrop;
@@ -150,6 +153,7 @@ fn retry_client_rides_out_mixed_faults_without_losing_requests() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn slow_requests_leave_an_exemplar_in_the_slow_log() {
     let _lock = fault_guard();
     let _clear = ClearOnDrop;
@@ -205,6 +209,7 @@ fn slow_requests_leave_an_exemplar_in_the_slow_log() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn shed_fallback_answers_when_server_is_unreachable() {
     // No failpoints needed: the address refuses connections, every
     // attempt fails, and the client must shed with degraded fallbacks

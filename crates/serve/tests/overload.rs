@@ -59,6 +59,7 @@ fn request(id: &str, predicate: &str, cols: &[&str], timeout_ms: Option<u64>) ->
 /// in the queue is answered `expired` at dequeue — the queue wait shows
 /// up in its phase breakdown and no synthesis ever runs for it.
 #[test]
+#[cfg_attr(miri, ignore)]
 fn queued_request_past_its_deadline_expires_without_running() {
     let _hold = hold_worker(2000);
     let handle = server::start(ServeConfig {
@@ -113,6 +114,7 @@ fn queued_request_past_its_deadline_expires_without_running() {
 /// `retry_after_ms` hint — while cheap requests keep being admitted and
 /// answered non-degraded.
 #[test]
+#[cfg_attr(miri, ignore)]
 fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
     let _hold = hold_worker(1500);
     let handle = server::start(ServeConfig {
@@ -201,6 +203,7 @@ fn expensive_lane_sheds_under_pressure_while_cheap_flows() {
 /// `stats` — and additive recovery keeps it below the configured depth
 /// for a while after.
 #[test]
+#[cfg_attr(miri, ignore)]
 fn adaptive_admission_tightens_the_limit_under_queue_delay() {
     let _hold = hold_worker(1000);
     let handle = server::start(ServeConfig {

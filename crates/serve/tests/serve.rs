@@ -15,6 +15,7 @@ fn strs(v: &[&str]) -> Vec<String> {
 const HARD: &str = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn batch_cache_timeout_and_shutdown() {
     let handle = server::start(ServeConfig {
         workers: 2,
@@ -136,6 +137,7 @@ fn batch_cache_timeout_and_shutdown() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn admission_control_rejects_when_queue_is_full() {
     // One worker, queue of 1: a burst must produce `overloaded` answers.
     let handle = server::start(ServeConfig {
@@ -170,6 +172,7 @@ fn admission_control_rejects_when_queue_is_full() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn malformed_lines_get_error_responses() {
     let handle = server::start(ServeConfig::default()).expect("server starts");
     let addr = handle.addr().to_string();
@@ -198,6 +201,7 @@ fn malformed_lines_get_error_responses() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn contradictory_predicate_carries_warnings() {
     let handle = server::start(ServeConfig {
         workers: 1,
@@ -246,6 +250,7 @@ fn contradictory_predicate_carries_warnings() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn cache_persists_across_restarts() {
     let dir = std::env::temp_dir().join(format!("sia-serve-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -322,6 +327,7 @@ fn cache_persists_across_restarts() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn seeded_lint_schemas_type_responses() {
     use sia_expr::{ColumnDef, DataType, Schema};
 

@@ -56,6 +56,7 @@ fn synth_req(id: &str, trace: Option<u64>) -> Request {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn traced_request_links_client_queue_and_worker_spans() {
     let _guard = obs_guard();
     sia_obs::enable();
@@ -153,6 +154,7 @@ fn traced_request_links_client_queue_and_worker_spans() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn requests_without_a_trace_id_get_one_assigned_at_the_client() {
     let _guard = obs_guard();
     sia_obs::disable();
@@ -175,6 +177,7 @@ fn requests_without_a_trace_id_get_one_assigned_at_the_client() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn stats_op_reports_live_telemetry_without_queueing() {
     // Telemetry must work with the global collector disabled (the
     // production default): the per-request recorder is independent.

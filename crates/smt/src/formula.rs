@@ -249,8 +249,8 @@ impl Formula {
     pub fn collect_vars(&self, out: &mut BTreeSet<VarId>) {
         match self {
             Formula::True | Formula::False => {}
-            Formula::Atom(a) => out.extend(a.term.vars()),
-            Formula::Divides(_, t) | Formula::NotDivides(_, t) => out.extend(t.vars()),
+            Formula::Atom(a) => out.extend(a.term.keys()),
+            Formula::Divides(_, t) | Formula::NotDivides(_, t) => out.extend(t.keys()),
             Formula::BoolVar(v) => {
                 out.insert(*v);
             }
@@ -274,8 +274,8 @@ impl Formula {
     pub fn mentions(&self, v: VarId) -> bool {
         match self {
             Formula::True | Formula::False => false,
-            Formula::Atom(a) => a.term.mentions(v),
-            Formula::Divides(_, t) | Formula::NotDivides(_, t) => t.mentions(v),
+            Formula::Atom(a) => a.term.mentions(&v),
+            Formula::Divides(_, t) | Formula::NotDivides(_, t) => t.mentions(&v),
             Formula::BoolVar(b) => *b == v,
             Formula::And(fs) | Formula::Or(fs) => fs.iter().any(|f| f.mentions(v)),
             Formula::Not(f) => f.mentions(v),
@@ -289,10 +289,12 @@ impl Formula {
             Formula::False => Formula::False,
             Formula::Atom(a) => Formula::atom_simplified(Atom {
                 rel: a.rel,
-                term: a.term.subst(v, replacement),
+                term: a.term.subst(&v, replacement),
             }),
-            Formula::Divides(m, t) => Formula::divides(m.clone(), t.subst(v, replacement)),
-            Formula::NotDivides(m, t) => Formula::divides(m.clone(), t.subst(v, replacement)).not(),
+            Formula::Divides(m, t) => Formula::divides(m.clone(), t.subst(&v, replacement)),
+            Formula::NotDivides(m, t) => {
+                Formula::divides(m.clone(), t.subst(&v, replacement)).not()
+            }
             Formula::BoolVar(b) => Formula::BoolVar(*b),
             Formula::And(fs) => Formula::and_all(fs.iter().map(|f| f.subst(v, replacement))),
             Formula::Or(fs) => Formula::or_all(fs.iter().map(|f| f.subst(v, replacement))),
@@ -309,11 +311,11 @@ impl Formula {
             Formula::False => false,
             Formula::Atom(a) => a.eval(arith),
             Formula::Divides(m, t) => {
-                let v = t.eval(arith);
+                let v = t.eval(|v| arith(*v));
                 v.is_integer() && v.numer().mod_floor(m).is_zero()
             }
             Formula::NotDivides(m, t) => {
-                let v = t.eval(arith);
+                let v = t.eval(|v| arith(*v));
                 !(v.is_integer() && v.numer().mod_floor(m).is_zero())
             }
             Formula::BoolVar(v) => boolv(*v),

@@ -106,8 +106,8 @@ pub fn eliminate_exists(f: &Formula, vars: &[VarId], cfg: &QeConfig) -> Result<F
 
 fn count_atom_occurrences(f: &Formula, x: VarId) -> usize {
     match f {
-        Formula::Atom(a) => usize::from(a.term.mentions(x)),
-        Formula::Divides(_, t) | Formula::NotDivides(_, t) => usize::from(t.mentions(x)),
+        Formula::Atom(a) => usize::from(a.term.mentions(&x)),
+        Formula::Divides(_, t) | Formula::NotDivides(_, t) => usize::from(t.mentions(&x)),
         Formula::And(fs) | Formula::Or(fs) => fs.iter().map(|g| count_atom_occurrences(g, x)).sum(),
         Formula::Not(g) => count_atom_occurrences(g, x),
         _ => 0,
@@ -170,7 +170,7 @@ fn eliminate_one(f: &Formula, x: VarId, cfg: &QeConfig) -> Result<Formula, QeErr
 /// Normalize every atom that mentions `x` to coprime integer coefficients.
 fn normalize_atoms(f: &Formula, x: VarId) -> Formula {
     map_atoms(f, &|a: &Atom| {
-        if a.term.mentions(x) {
+        if a.term.mentions(&x) {
             Formula::Atom(Atom {
                 rel: a.rel,
                 term: a.term.normalize_integer(),
@@ -184,14 +184,14 @@ fn normalize_atoms(f: &Formula, x: VarId) -> Formula {
 fn collect_coeff_lcm(f: &Formula, x: VarId, acc: &mut BigInt) {
     match f {
         Formula::Atom(a) => {
-            let c = a.term.coeff(x);
+            let c = a.term.coeff(&x);
             if !c.is_zero() {
                 debug_assert!(c.is_integer(), "atoms must be integer-normalized");
                 *acc = acc.lcm(c.numer());
             }
         }
         Formula::Divides(_, t) | Formula::NotDivides(_, t) => {
-            let c = t.coeff(x);
+            let c = t.coeff(&x);
             if !c.is_zero() {
                 // `scale_to_unit` multiplies this term by δ₁/|c|, which must
                 // be a positive integer, so δ₁ needs the RAW numerator of c
@@ -217,7 +217,7 @@ fn collect_coeff_lcm(f: &Formula, x: VarId, acc: &mut BigInt) {
 fn scale_to_unit(f: &Formula, x: VarId, delta1: &BigInt) -> Formula {
     match f {
         Formula::Atom(a) => {
-            let c = a.term.coeff(x);
+            let c = a.term.coeff(&x);
             if c.is_zero() {
                 return Formula::Atom(a.clone());
             }
@@ -226,8 +226,8 @@ fn scale_to_unit(f: &Formula, x: VarId, delta1: &BigInt) -> Formula {
             let scaled = a.term.scale(&m);
             // Reinterpret coefficient of x: it is now ±δ₁; under x' = δ₁·x
             // the term Σ…±δ₁·x… becomes …±1·x'….
-            let sign = scaled.coeff(x).signum();
-            let rest = scaled.sub(&LinTerm::var(x).scale(&scaled.coeff(x)));
+            let sign = scaled.coeff(&x).signum();
+            let rest = scaled.sub(&LinTerm::var(x).scale(&scaled.coeff(&x)));
             let unit = rest.add(&LinTerm::var(x).scale(&BigRat::from(sign as i64)));
             let term = match a.rel {
                 Rel::Lt => unit,
@@ -237,7 +237,7 @@ fn scale_to_unit(f: &Formula, x: VarId, delta1: &BigInt) -> Formula {
             Formula::lt0(term)
         }
         Formula::Divides(d, t) => {
-            let c = t.coeff(x);
+            let c = t.coeff(&x);
             if c.is_zero() {
                 return Formula::Divides(d.clone(), t.clone());
             }
@@ -246,8 +246,8 @@ fn scale_to_unit(f: &Formula, x: VarId, delta1: &BigInt) -> Formula {
             let m = &BigRat::from_int(delta1.clone()) / &a_abs;
             debug_assert!(m.is_positive() && m.is_integer());
             let scaled = t.scale(&m);
-            let sign = scaled.coeff(x).signum();
-            let rest = scaled.sub(&LinTerm::var(x).scale(&scaled.coeff(x)));
+            let sign = scaled.coeff(&x).signum();
+            let rest = scaled.sub(&LinTerm::var(x).scale(&scaled.coeff(&x)));
             let unit = rest.add(&LinTerm::var(x).scale(&BigRat::from(sign as i64)));
             Formula::divides(d * m.numer(), unit)
         }
@@ -270,7 +270,7 @@ fn abs_numer_over_denom(c: &BigRat) -> BigRat {
 fn collect_bounds_and_moduli(f: &Formula, x: VarId, lower: &mut Vec<LinTerm>, delta: &mut BigInt) {
     match f {
         Formula::Atom(a) => {
-            let c = a.term.coeff(x);
+            let c = a.term.coeff(&x);
             if c.is_zero() {
                 return;
             }
@@ -281,7 +281,7 @@ fn collect_bounds_and_moduli(f: &Formula, x: VarId, lower: &mut Vec<LinTerm>, de
                 lower.push(b);
             }
         }
-        Formula::Divides(d, t) | Formula::NotDivides(d, t) if t.mentions(x) => {
+        Formula::Divides(d, t) | Formula::NotDivides(d, t) if t.mentions(&x) => {
             *delta = delta.lcm(d);
         }
         Formula::And(fs) | Formula::Or(fs) => {
@@ -311,7 +311,7 @@ fn dedup_terms(ts: &mut Vec<LinTerm>) {
 fn lower_limit(f: &Formula, x: VarId) -> Formula {
     match f {
         Formula::Atom(a) => {
-            let c = a.term.coeff(x);
+            let c = a.term.coeff(&x);
             if c.is_zero() {
                 Formula::Atom(a.clone())
             } else if c.is_positive() {

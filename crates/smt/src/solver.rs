@@ -304,10 +304,10 @@ fn collect_hull(f: &Formula, hull: &mut Hull) {
                 strict: a.rel == Rel::Lt,
             };
             let upper = c.is_positive();
-            let slot = match hull.iter().position(|(w, ..)| *w == v) {
+            let slot = match hull.iter().position(|(w, ..)| w == v) {
                 Some(i) => &mut hull[i],
                 None => {
-                    hull.push((v, None, None));
+                    hull.push((*v, None, None));
                     hull.last_mut().expect("just pushed")
                 }
             };
@@ -328,7 +328,7 @@ fn term_extreme(t: &LinTerm, hull: &Hull, upper: bool) -> Option<End> {
         strict: false,
     };
     for (v, c) in t.iter() {
-        let (_, lo, hi) = hull.iter().find(|(w, ..)| *w == v)?;
+        let (_, lo, hi) = hull.iter().find(|(w, ..)| w == v)?;
         let end = if c.is_positive() == upper { hi } else { lo };
         let end = end.as_ref()?;
         acc.value += &(c * &end.value);
@@ -573,19 +573,15 @@ impl<'a> CheckCtx<'a> {
     /// Get/create the SAT variable for a canonical atom, registering its
     /// bound translation.
     fn atom_sat_var(&mut self, rel: Rel, term: &LinTerm) -> Lit {
-        // term rel 0  ⇔  Σ aᵢxᵢ rel -c. Scale the variable part to
-        // integers with gcd 1 and a positive leading coefficient, so that
-        // `combo` and `-combo` share a slack variable; `flipped` records
-        // that the scale was negative, which turns the relation around.
-        let (_, lead) = term.iter().next().expect("atom with variables");
-        let flipped = lead.is_negative();
-        let factor = if flipped {
-            -term.coeff_scale()
-        } else {
-            term.coeff_scale()
-        };
+        // term rel 0  ⇔  Σ aᵢxᵢ rel -c. Scale the variable part to its
+        // primitive form, so that `combo` and `-combo` share a slack
+        // variable; `flipped` records that the scale was negative, which
+        // turns the relation around.
+        assert!(!term.is_constant(), "atom with variables");
+        let factor = term.primitive_scale();
+        let flipped = factor.is_negative();
         let bound_val = -(term.constant_term() * &factor);
-        let key: ComboKey = term.iter().map(|(v, k)| (v, k * &factor)).collect();
+        let key: ComboKey = term.iter().map(|(v, k)| (*v, k * &factor)).collect();
         let memo_key = (rel, flipped, bound_val, key);
         if let Some(&sv) = self.atom_memo.get(&memo_key) {
             return Lit::pos(sv);

@@ -1,7 +1,7 @@
 //! Predicate compilation: resolve column names to column indices once, so
 //! the per-row evaluation loop does no string hashing.
 
-use crate::table::{Column, ColumnData, Table};
+use crate::table::{Column, ColumnData};
 use sia_expr::{ArithOp, CmpOp, Expr, Pred, Schema};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -81,21 +81,6 @@ pub fn compile_pred(p: &Pred, schema: &Schema) -> Result<CPred, UnknownColumn> {
         ),
         Pred::Not(q) => CPred::Not(Box::new(compile_pred(q, schema)?)),
     })
-}
-
-impl CPred {
-    /// The fraction of rows accepted (selectivity; 1.0 on empty input).
-    ///
-    /// # Panics
-    /// Panics on a table of more than `u32::MAX` rows.
-    pub fn selectivity(&self, table: &Table) -> f64 {
-        let rows = u32::try_from(table.num_rows()).expect("at most u32::MAX rows");
-        let cols: Vec<_> = table.columns.iter().map(ColRef::whole).collect();
-        match rows {
-            0 => 1.0,
-            _ => self.select(&cols, rows, Vec::new()).len() as f64 / f64::from(rows),
-        }
-    }
 }
 
 /// Rows evaluated at a time: the few lanes a predicate needs stay in L1.
@@ -385,6 +370,7 @@ impl CPred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Scratch;
     use crate::table::{Column, Table};
     use sia_expr::{ColumnDef, DataType};
     use sia_sql::parse_predicate;
@@ -414,7 +400,9 @@ mod tests {
     /// `base`'s rows repeated cyclically up to `len` rows.
     pub(super) fn tiled(base: &Table, len: usize) -> Table {
         let rows: Vec<u32> = (0..len).map(|i| (i % base.num_rows()) as u32).collect();
-        let columns = base.columns.iter().map(|c| c.gather(&rows)).collect();
+        let scratch = Scratch::default();
+        let columns = base.columns.iter().map(|c| c.gather(Some(&rows), &scratch));
+        let columns = columns.collect();
         Table::new(base.schema.clone(), columns)
     }
 
@@ -434,7 +422,9 @@ mod tests {
             .collect();
         // Relation row `p` is payload row `n - 1 - p` of a reversed copy.
         let rev: Vec<u32> = (0..n).rev().collect();
-        let reversed: Vec<Column> = t.columns.iter().map(|c| c.gather(&rev)).collect();
+        let scratch = Scratch::default();
+        let reversed = t.columns.iter().map(|c| c.gather(Some(&rev), &scratch));
+        let reversed: Vec<Column> = reversed.collect();
         let whole: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
         let through: Vec<_> = reversed
             .iter()
@@ -466,9 +456,6 @@ mod tests {
     fn filter_rows() {
         let t = table();
         assert_eq!(select("a > b", &t), vec![1, 2]);
-        let p = compile_pred(&parse_predicate("a > b").unwrap(), &t.schema).unwrap();
-        assert_eq!(p.selectivity(&t), 0.5);
-        assert_eq!(p.selectivity(&tiled(&t, 0)), 1.0);
     }
 
     #[test]

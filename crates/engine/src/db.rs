@@ -1,7 +1,8 @@
 //! The database: named tables, query planning and execution, and
 //! `run_sql`, a parse-and-run convenience for tests.
 
-use crate::exec::{execute_analyze, ExecError, ExecStats, OpStats, Scratch};
+use crate::compile::{compile_pred, ColRef};
+use crate::exec::{execute_analyze, row_count, ExecError, ExecStats, OpStats, Scratch};
 use crate::moveraround::{move_around_cached, MoveAroundReport};
 use crate::optimize::{optimize, OptimizerConfig};
 use crate::plan::Plan;
@@ -11,6 +12,7 @@ use sia_expr::{Pred, Schema};
 use sia_sql::{Query, SelectList};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Boundary syntheses a database remembers (least recently used go
@@ -26,9 +28,9 @@ pub struct Database {
     /// canonical context + target columns. No schema or row data enters a
     /// key, so `insert` has nothing to invalidate.
     synthesized: PredicateCache,
-    /// The row-number buffers execution borrows: what one query hands
-    /// back, the next one reuses.
-    pub(crate) scratch: Scratch,
+    /// The buffers execution borrows: what one query, or its dropped
+    /// result, hands back, the next one reuses.
+    pub(crate) scratch: Arc<Scratch>,
 }
 
 impl Default for Database {
@@ -36,7 +38,7 @@ impl Default for Database {
         Database {
             tables: HashMap::new(),
             synthesized: PredicateCache::new(SYNTHESIS_CACHE_ENTRIES),
-            scratch: Scratch::default(),
+            scratch: Arc::default(),
         }
     }
 }
@@ -261,13 +263,22 @@ impl Database {
             .map_err(|e| e.to_string())
     }
 
-    /// Measured selectivity of a predicate against one table.
+    /// Measured selectivity of a predicate against one table: the
+    /// fraction of rows accepted, 1.0 on an empty table.
     pub fn selectivity(&self, table: &str, pred: &Pred) -> Result<f64, ExecError> {
         let t = self
             .table(table)
             .ok_or_else(|| ExecError::UnknownTable(table.to_string()))?;
-        let compiled = crate::compile::compile_pred(pred, &t.schema)?;
-        Ok(compiled.selectivity(t))
+        let compiled = compile_pred(pred, &t.schema)?;
+        let rows = row_count(t.num_rows())?;
+        if rows == 0 {
+            return Ok(1.0);
+        }
+        let cols: Vec<_> = t.columns.iter().map(ColRef::whole).collect();
+        let keep = compiled.select(&cols, rows, self.scratch.take(rows as usize));
+        let share = keep.len() as f64 / f64::from(rows);
+        self.scratch.give(keep);
+        Ok(share)
     }
 }
 
@@ -430,6 +441,14 @@ mod tests {
         let db = db();
         let p = sia_sql::parse_predicate("l_shipdate < 8").unwrap();
         assert_eq!(db.selectivity("lineitem", &p).unwrap(), 0.6);
+        let mut db = db;
+        let empty = Table::empty(db.table("lineitem").unwrap().schema.clone());
+        db.insert("none", empty);
+        assert_eq!(db.selectivity("none", &p).unwrap(), 1.0);
+        assert!(matches!(
+            db.selectivity("nope", &p),
+            Err(ExecError::UnknownTable(_))
+        ));
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! relation row. A scan borrows, a filter and a join shorten or compose
 //! selections, and only [`execute`] materializes, once, at the plan root.
 //!
-//! Every row-number buffer an operator needs — a filter's selection, a
-//! join's bucket heads, chains and match lists, a composed selection — is
-//! borrowed from the database's `Scratch` and handed back once the
-//! result is gathered, so a query's only large allocations are its
-//! result's columns.
+//! Every buffer a query needs — a filter's selection, a join's bucket
+//! heads, chains and match lists, a composed selection, and the result's
+//! columns — is borrowed from the database's `Scratch`. Row numbers go
+//! back once the result is gathered, and the result's columns when it is
+//! dropped, so a repeated query whose earlier results were dropped maps
+//! no fresh pages.
 
 use crate::compile::{compile_pred, ColRef, UnknownColumn};
 use crate::db::Database;
@@ -92,16 +93,13 @@ pub(crate) fn execute_analyze(
     let start = Instant::now();
     let (rel, _) = run(plan, db, &mut stats, &mut ops)?;
     // The one place rows are copied: each output column, once, through its
-    // source's selection (a bare scan has none and is cloned).
+    // source's selection (a bare scan has none and is copied whole).
     let columns = rel
         .cols
         .iter()
-        .map(|&(source, col)| match &rel.sels[source] {
-            Some(rows) => col.gather(rows),
-            None => col.clone(),
-        })
+        .map(|&(source, col)| col.gather(rel.sels[source].as_deref(), &db.scratch))
         .collect();
-    let table = Table::new(rel.schema, columns);
+    let table = Table::new(rel.schema, columns).lent_by(&db.scratch);
     rel.sels
         .into_iter()
         .flatten()
@@ -109,55 +107,162 @@ pub(crate) fn execute_analyze(
     Ok((table, start.elapsed(), stats, ops))
 }
 
-/// Row-number buffers execution borrows and hands back, owned by a
-/// [`Database`] and dropped with it. A buffer comes out empty and its
-/// taker initializes what it reads, so nothing a query sees depends on the
-/// one before; between queries at most [`SCRATCH_BUFFERS`] are kept, the
-/// largest.
+/// The buffers execution borrows and hands back, owned by a [`Database`]
+/// and dropped with it: row numbers for selections and joins, and typed
+/// payloads and validity masks for result columns. A dropped result hands
+/// its columns back, so a repeated query whose earlier results were
+/// dropped maps no fresh pages. A buffer comes out empty and its taker
+/// writes everything it reads, so nothing a query sees depends on the one
+/// before. Between queries at most [`SCRATCH_BUFFERS`] row-number buffers
+/// are kept, the largest, and column buffers up to the bytes of the
+/// largest result handed back so far, the smallest dropped first: at most
+/// one result's worth, memory the process already needed.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Free buffers, ascending by capacity.
-    free: Mutex<Vec<Vec<u32>>>,
+    free: Mutex<Free>,
 }
 
-/// About as many buffers as one query holds at once: a join's heads,
-/// chains and two match lists beside its inputs' selections.
+/// [`Scratch`]'s free lists, each ascending by capacity.
+#[derive(Debug, Default)]
+pub(crate) struct Free {
+    rows: Vec<Vec<u32>>,
+    ints: Vec<Vec<i64>>,
+    doubles: Vec<Vec<f64>>,
+    masks: Vec<Vec<bool>>,
+    /// Bytes of the largest result handed back so far: the column lists
+    /// never hold more.
+    kept: usize,
+}
+
+/// An element type [`Scratch`] lends buffers of.
+pub(crate) trait Lent: Sized {
+    /// The free list of such buffers.
+    fn shelf(free: &mut Free) -> &mut Vec<Vec<Self>>;
+}
+
+impl Lent for u32 {
+    fn shelf(free: &mut Free) -> &mut Vec<Vec<u32>> {
+        &mut free.rows
+    }
+}
+
+impl Lent for i64 {
+    fn shelf(free: &mut Free) -> &mut Vec<Vec<i64>> {
+        &mut free.ints
+    }
+}
+
+impl Lent for f64 {
+    fn shelf(free: &mut Free) -> &mut Vec<Vec<f64>> {
+        &mut free.doubles
+    }
+}
+
+impl Lent for bool {
+    fn shelf(free: &mut Free) -> &mut Vec<Vec<bool>> {
+        &mut free.masks
+    }
+}
+
+/// About as many row-number buffers as one query holds at once: a join's
+/// heads, chains and two match lists beside its inputs' selections.
 const SCRATCH_BUFFERS: usize = 8;
 
-impl Scratch {
-    fn free(&self) -> MutexGuard<'_, Vec<Vec<u32>>> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+impl Free {
+    /// Put `buf` in its place on its list; an empty one is not worth it.
+    fn shelve<T: Lent>(&mut self, buf: Vec<T>) {
+        if buf.capacity() > 0 {
+            let shelf = T::shelf(self);
+            let at = shelf.partition_point(|b| b.capacity() < buf.capacity());
+            shelf.insert(at, buf);
+        }
     }
 
-    /// An empty buffer with room for `len` values: the smallest free one
-    /// that has it, else the largest, grown.
-    pub(crate) fn take(&self, len: usize) -> Vec<u32> {
-        let mut buf = {
-            let mut free = self.free();
-            let fits = free.partition_point(|b| b.capacity() < len);
-            match free.len() {
-                0 => Vec::new(),
-                n => free.remove(fits.min(n - 1)),
+    /// Drop the smallest column buffers until the lists hold at most
+    /// `kept` bytes.
+    fn trim(&mut self) {
+        fn room<T>(buf: &Vec<T>) -> usize {
+            buf.capacity() * size_of::<T>()
+        }
+        fn total<T>(shelf: &[Vec<T>]) -> usize {
+            shelf.iter().map(room).sum()
+        }
+        let mut held = total(&self.ints) + total(&self.doubles) + total(&self.masks);
+        while held > self.kept {
+            let firsts = [
+                self.ints.first().map_or(usize::MAX, room),
+                self.doubles.first().map_or(usize::MAX, room),
+                self.masks.first().map_or(usize::MAX, room),
+            ];
+            let (at, least) = (0..3)
+                .zip(firsts)
+                .min_by_key(|&(_, bytes)| bytes)
+                .expect("three lists");
+            held -= least;
+            match at {
+                0 => drop(self.ints.remove(0)),
+                1 => drop(self.doubles.remove(0)),
+                _ => drop(self.masks.remove(0)),
             }
-        };
-        buf.clear();
-        buf.reserve(len);
-        buf
-    }
-
-    /// Hand a buffer back for the next taker.
-    pub(crate) fn give(&self, buf: Vec<u32>) {
-        let mut free = self.free();
-        let at = free.partition_point(|b| b.capacity() < buf.capacity());
-        free.insert(at, buf);
-        if free.len() > SCRATCH_BUFFERS {
-            free.remove(0);
         }
     }
 }
 
+impl Scratch {
+    fn free(&self) -> MutexGuard<'_, Free> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty buffer with room for `len` values: the smallest free one
+    /// that has it, else the largest, grown to exactly `len`.
+    pub(crate) fn take<T: Lent>(&self, len: usize) -> Vec<T> {
+        let mut buf = {
+            let mut free = self.free();
+            let shelf = T::shelf(&mut free);
+            let fits = shelf.partition_point(|b| b.capacity() < len);
+            match shelf.len() {
+                0 => Vec::new(),
+                n => shelf.remove(fits.min(n - 1)),
+            }
+        };
+        buf.clear();
+        buf.reserve_exact(len);
+        buf
+    }
+
+    /// Hand a row-number buffer back for the next taker.
+    pub(crate) fn give(&self, buf: Vec<u32>) {
+        let mut free = self.free();
+        free.shelve(buf);
+        if free.rows.len() > SCRATCH_BUFFERS {
+            free.rows.remove(0);
+        }
+    }
+
+    /// Take back a dropped result's columns, keeping at most the bytes of
+    /// the largest result handed back so far.
+    pub(crate) fn hand_back(&self, columns: Vec<Column>) {
+        let bytes = columns.iter().map(|c| {
+            let width = size_of::<i64>() + usize::from(c.validity.is_some());
+            c.len() * width
+        });
+        let mut free = self.free();
+        free.kept = free.kept.max(bytes.sum());
+        for col in columns {
+            match col.data {
+                ColumnData::Int(v) => free.shelve(v),
+                ColumnData::Double(v) => free.shelve(v),
+            }
+            if let Some(mask) = col.validity {
+                free.shelve(mask);
+            }
+        }
+        free.trim();
+    }
+}
+
 /// Row numbers are `u32` from the scan on; a longer table is refused.
-fn row_count(rows: usize) -> Result<u32, ExecError> {
+pub(crate) fn row_count(rows: usize) -> Result<u32, ExecError> {
     u32::try_from(rows)
         .map_err(|_| ExecError::Unsupported(format!("{rows} rows exceed the u32::MAX limit")))
 }
@@ -528,6 +633,72 @@ mod tests {
             execute(&by_nothing, &db).unwrap_err(),
             ExecError::UnknownColumn("zzz".to_string())
         );
+    }
+
+    /// Two threads run the same queries against one database, each
+    /// dropping the other's results, so buffers cross threads both ways
+    /// while queries gather into them; every result is the serial one.
+    #[test]
+    fn results_dropped_on_another_thread_match_the_serial_run() {
+        use sia_expr::Value;
+        use std::sync::mpsc;
+        let mut db = db();
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Integer),
+            ColumnDef::nullable("v", DataType::Integer),
+            ColumnDef::new("d", DataType::Double),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..3000i64)
+            .map(|r| {
+                let v = if r % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(r % 101)
+                };
+                vec![Value::Int(r % 500), v, Value::Double(r as f64 / 3.0)]
+            })
+            .collect();
+        db.insert("t", Table::from_rows(schema, &rows));
+        let pred = |sql: &str| sia_sql::parse_predicate(sql).unwrap();
+        let plans = [
+            Plan::scan("t"),
+            Plan::scan("t").filter(pred("v < 50 AND d > 10")),
+            Plan::scan("t").filter(pred("k < 100")).hash_join(
+                Plan::scan("lineitem"),
+                "k",
+                "l_orderkey",
+            ),
+            Plan::scan("orders")
+                .hash_join(Plan::scan("t"), "o_orderkey", "k")
+                .filter(pred("v + o_orderdate < 40")),
+            Plan::scan("t").project(vec!["v".to_string(), "d".to_string()]),
+        ];
+        let cells = |t: &Table| -> Vec<Vec<Value>> {
+            let row = |r| t.columns.iter().map(|c| c.get(r)).collect();
+            (0..t.num_rows()).map(row).collect()
+        };
+        let serial: Vec<_> = plans
+            .iter()
+            .map(|p| cells(&execute(p, &db).unwrap().0))
+            .collect();
+        let (to_b, from_a) = mpsc::channel::<(usize, Table)>();
+        let (to_a, from_b) = mpsc::channel::<(usize, Table)>();
+        let (db, plans, serial) = (&db, &plans, &serial);
+        std::thread::scope(|s| {
+            for (to_other, from_other) in [(to_b, from_b), (to_a, from_a)] {
+                s.spawn(move || {
+                    let check = |(i, t): (usize, Table)| assert_eq!(cells(&t), serial[i]);
+                    for _ in 0..20 {
+                        for (i, plan) in plans.iter().enumerate() {
+                            to_other.send((i, execute(plan, db).unwrap().0)).unwrap();
+                            from_other.try_iter().for_each(check);
+                        }
+                    }
+                    drop(to_other);
+                    from_other.into_iter().for_each(check);
+                });
+            }
+        });
     }
 
     #[test]

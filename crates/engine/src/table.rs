@@ -1,6 +1,9 @@
 //! In-memory columnar tables.
 
+use crate::exec::Scratch;
 use sia_expr::{DataType, Schema, Value};
+use std::fmt;
+use std::sync::{Arc, Weak};
 
 /// Column storage: one typed vector per column, with an optional validity
 /// mask (absent ⇒ all rows valid).
@@ -33,10 +36,6 @@ impl ColumnData {
             ColumnData::Double(v) => Value::Double(v[row]),
         }
     }
-}
-
-fn pick<T: Copy>(values: &[T], rows: &[u32]) -> Vec<T> {
-    rows.iter().map(|&r| values[r as usize]).collect()
 }
 
 /// A column with its validity mask.
@@ -75,13 +74,23 @@ impl Column {
         self.data.get(row)
     }
 
-    /// Materialize the rows a selection vector names, in its order.
-    pub fn gather(&self, rows: &[u32]) -> Column {
+    /// Materialize the rows a selection vector names, in its order (every
+    /// row when there is none), into buffers borrowed from `scratch`.
+    pub(crate) fn gather(&self, rows: Option<&[u32]>, scratch: &Scratch) -> Column {
+        fn fill<T: Copy>(mut out: Vec<T>, values: &[T], rows: Option<&[u32]>) -> Vec<T> {
+            match rows {
+                Some(rows) => out.extend(rows.iter().map(|&r| values[r as usize])),
+                None => out.extend_from_slice(values),
+            }
+            out
+        }
+        let len = rows.map_or(self.len(), <[u32]>::len);
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
-            ColumnData::Double(v) => ColumnData::Double(pick(v, rows)),
+            ColumnData::Int(v) => ColumnData::Int(fill(scratch.take(len), v, rows)),
+            ColumnData::Double(v) => ColumnData::Double(fill(scratch.take(len), v, rows)),
         };
-        let validity = self.validity.as_ref().map(|m| pick(m, rows));
+        let validity = self.validity.as_ref();
+        let validity = validity.map(|m| fill(scratch.take(len), m, rows));
         Column { data, validity }
     }
 
@@ -96,13 +105,35 @@ impl Column {
     }
 }
 
-/// A materialized table: schema plus columns.
-#[derive(Debug, Clone)]
+/// A materialized table: schema plus columns. A query result hands its
+/// column buffers back to the database that gathered it when dropped.
+#[derive(Clone)]
 pub struct Table {
     /// Column names/types (order matches `columns`).
     pub schema: Schema,
     /// Column payloads.
     pub columns: Vec<Column>,
+    /// Where a result's columns go when it is dropped; a base table has
+    /// none, and a database dropped before its result takes none back.
+    lender: Option<Weak<Scratch>>,
+}
+
+/// The schema and columns only: where the buffers go is not content.
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("columns", &self.columns)
+            .finish()
+    }
+}
+
+impl Drop for Table {
+    fn drop(&mut self) {
+        if let Some(scratch) = self.lender.as_ref().and_then(Weak::upgrade) {
+            scratch.hand_back(std::mem::take(&mut self.columns));
+        }
+    }
 }
 
 impl Table {
@@ -116,7 +147,7 @@ impl Table {
                 _ => Column::int(Vec::new()),
             })
             .collect();
-        Table { schema, columns }
+        Table::new(schema, columns)
     }
 
     /// Build from row-major values (e.g. `sia-gen` samples, which encode
@@ -184,7 +215,17 @@ impl Table {
                 "ragged columns"
             );
         }
-        Table { schema, columns }
+        Table {
+            schema,
+            columns,
+            lender: None,
+        }
+    }
+
+    /// This table as a result `scratch` lent the buffers of.
+    pub(crate) fn lent_by(mut self, scratch: &Arc<Scratch>) -> Self {
+        self.lender = Some(Arc::downgrade(scratch));
+        self
     }
 
     /// Number of rows.
@@ -245,16 +286,20 @@ mod tests {
 
     #[test]
     fn gather() {
+        let scratch = Scratch::default();
         let mut a = Column::int(vec![1, 2, 3, 4]);
         a.validity = Some(vec![true, false, true, true]);
         let d = Column::double(vec![0.0, 1.0, 2.0, 3.0]);
-        let (a, d) = (a.gather(&[3, 1, 3]), d.gather(&[3, 1, 3]));
+        let rows = Some(&[3, 1, 3][..]);
+        let (a, d) = (a.gather(rows, &scratch), d.gather(rows, &scratch));
         assert_eq!(a.len(), 3);
         assert_eq!(a.get(0), Value::Int(4));
         assert_eq!(a.get(1), Value::Null);
         assert_eq!(d.get(1), Value::Double(1.0));
         assert_eq!(d.get(2), Value::Double(3.0));
-        assert!(d.gather(&[]).is_empty());
+        assert!(d.gather(Some(&[]), &scratch).is_empty());
+        let whole = d.gather(None, &scratch);
+        assert_eq!((whole.len(), whole.get(1)), (3, Value::Double(1.0)));
     }
 
     #[test]

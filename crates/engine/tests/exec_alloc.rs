@@ -1,13 +1,14 @@
-//! "The executor never copies a base column", pinned by what it allocates
-//! rather than by a stopwatch: a counting global allocator measures, on
-//! the calling thread only, the allocation calls made during `execute`,
-//! how many of them were large enough for glibc to map fresh pages, and
-//! the high-water mark of live bytes over what was live before it.
+//! "The executor never copies a base column" and "a dropped result hands
+//! its columns back", pinned by what it allocates rather than by a
+//! stopwatch: a counting global allocator measures, on the calling thread
+//! only, the allocation calls made during `execute`, how many of them were
+//! large enough for glibc to map fresh pages, and the high-water mark of
+//! live bytes over what was live before it.
 
 #![allow(unsafe_code)]
 
-use sia_engine::{execute, Column, Database, Plan, Table};
-use sia_expr::{ColumnDef, DataType, Schema};
+use sia_engine::{execute, Column, Database, Plan, QueryResult, Table};
+use sia_expr::{ColumnDef, DataType, Schema, Value};
 use sia_sql::parse_predicate;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -195,10 +196,13 @@ fn a_filter_over_a_scan_allocates_nothing_per_chunk() {
     }
 }
 
-/// What the scratch a `Database` owns must not cost it.
+/// What the scratch a `Database` owns, and the handle a result keeps to
+/// it, must not cost them.
 const _: () = {
     const fn send_and_sync<T: Send + Sync>() {}
     send_and_sync::<Database>();
+    send_and_sync::<QueryResult>();
+    send_and_sync::<Table>();
 };
 
 /// A repeated query borrows every selection, bucket and match buffer the
@@ -235,5 +239,90 @@ fn a_repeated_query_allocates_its_result_and_little_else() {
         "peak {} B, bound {bound} B (a {} B result)",
         meter.peak,
         bytes_of(&out)
+    );
+}
+
+/// Once a result is dropped, its columns are the next query's: a repeat
+/// gathers into them, so it maps nothing, and at its high-water mark it
+/// holds only the evaluator's chunk-sized lanes and the result's headers.
+#[test]
+fn a_repeated_query_after_its_result_is_dropped_maps_nothing() {
+    let mut db = Database::new();
+    db.insert("a", table("a", 50_000, 3));
+    db.insert("b", table("b", 50_000, 3));
+    // The plan of the test above.
+    let plan = Plan::scan("a")
+        .filter(pred("a1 < 50"))
+        .hash_join(Plan::scan("b"), "a0", "b0")
+        .filter(pred("a1 + b1 < 80 AND b2 >= a0"));
+    let (first, _, _) = measured(&plan, &db);
+    let first_rows = format!("{first:?}");
+    drop(first);
+    let (out, _, meter) = measured(&plan, &db);
+    assert_eq!((out.num_rows(), out.columns.len()), (20_000, 6));
+    assert_eq!(format!("{out:?}"), first_rows);
+    assert_eq!(meter.big, 0, "large allocations in a repeat");
+    assert!(
+        meter.peak <= 64 * 1024,
+        "peak {} B over what was live before (a {} B result)",
+        meter.peak,
+        bytes_of(&out)
+    );
+}
+
+/// Whatever ran before, a database keeps at most one result's worth of
+/// column buffers: after one large result and twenty smaller ones of
+/// other shapes and types, all dropped, what it holds beyond its tables
+/// is the large result's bytes plus its row-number buffers.
+#[test]
+fn a_database_keeps_at_most_one_result() {
+    let mut db = Database::new();
+    db.insert("big", table("big", 100_000, 3));
+    db.insert("a", table("a", 1_000, 3));
+    db.insert("b", table("b", 1_000, 3));
+    // DOUBLE columns, one with NULLs: buffers the large result has none of.
+    let doubles = Schema::new(vec![
+        ColumnDef::new("d0", DataType::Double),
+        ColumnDef::nullable("d1", DataType::Double),
+    ]);
+    let rows: Vec<Vec<Value>> = (0..10_000)
+        .map(|r| {
+            let d1 = if r % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Double(r as f64)
+            };
+            vec![Value::Double(r as f64 / 2.0), d1]
+        })
+        .collect();
+    db.insert("d", Table::from_rows(doubles, &rows));
+    let smalls: Vec<Plan> = (0..20)
+        .map(|i| match i % 4 {
+            0 => Plan::scan("d"),
+            1 => Plan::scan("d").project(vec!["d1".to_string()]),
+            2 => Plan::scan("a").hash_join(Plan::scan("b"), "a0", "b0"),
+            _ => Plan::scan("a")
+                .filter(pred(&format!("a1 < {i}")))
+                .hash_join(Plan::scan("b"), "a0", "b0"),
+        })
+        .collect();
+
+    METER.with(|m| m.set(Meter { on: true, ..IDLE }));
+    let (large, _, _) = execute(&Plan::scan("big"), &db).expect("the scan runs");
+    let large_bytes = bytes_of(&large);
+    drop(large);
+    for plan in &smalls {
+        let (small, _, _) = execute(plan, &db).expect("the plan runs");
+        assert!(bytes_of(&small) < large_bytes);
+    }
+    let meter = METER.with(|m| m.replace(IDLE));
+
+    // The scratch keeps at most eight row-number buffers, here none longer
+    // than a 1 000-row join's 2 048 bucket heads.
+    let row_buffers = 8 * 2048 * 4;
+    assert!(
+        meter.live <= large_bytes + row_buffers,
+        "{} B held after the queries, a {large_bytes} B largest result",
+        meter.live
     );
 }

@@ -14,7 +14,8 @@
 //!   `depends on:` list is that crate's `sia-*` `[dependencies]` and
 //!   whose `pinned by:` names a test; README.md's crate table lists
 //!   exactly the crates under `crates/`, and its `--example` lines name
-//!   files in `examples/`.
+//!   files in `examples/`. EXPERIMENTS.md's index of `sia-exp` views and
+//!   gates is the `VIEWS` and `GATES` of `crates/bench/src/main.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -334,6 +335,76 @@ fn readme_lists_the_crates_and_examples_that_exist() {
     assert!(problems.is_empty(), "README.md drifted: {problems:#?}");
 }
 
+/// The first-column names of EXPERIMENTS.md's `sia-exp` index, as
+/// (views, gates): a row whose content opens `— (gate)` is a gate, and
+/// `all`, which names every view, is neither.
+fn indexed_experiments(experiments: &str) -> (BTreeSet<String>, BTreeSet<String>) {
+    let index = experiments
+        .split("\n## ")
+        .find(|section| section.starts_with("Index: `sia-exp` views and gates"))
+        .unwrap_or_default();
+    let (mut views, mut gates) = (BTreeSet::new(), BTreeSet::new());
+    for row in index.lines().filter_map(|line| line.strip_prefix("| `")) {
+        let Some((name, rest)) = row.split_once('`') else {
+            continue;
+        };
+        if name == "all" || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
+            continue;
+        }
+        let content = rest.trim_start_matches([' ', '|']);
+        let kind = if content.starts_with("— (gate)") {
+            &mut gates
+        } else {
+            &mut views
+        };
+        kind.insert(name.to_string());
+    }
+    (views, gates)
+}
+
+/// The names in `const {array}: … = [ … ];` of a Rust source, one
+/// `("name", …` entry a line.
+fn declared_names(source: &str, array: &str) -> BTreeSet<String> {
+    let body = source
+        .split_once(&format!("const {array}:"))
+        .and_then(|(_, rest)| rest.split_once("\n];"))
+        .map_or("", |(body, _)| body);
+    body.lines()
+        .filter_map(|line| line.trim_start().strip_prefix("(\""))
+        .filter_map(|rest| rest.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Where EXPERIMENTS.md's index and `sia-exp`'s `VIEWS` / `GATES` in
+/// `main_rs` disagree: each name on one side only.
+fn experiment_drift(experiments: &str, main_rs: &str) -> Vec<String> {
+    let (views, gates) = indexed_experiments(experiments);
+    let mut problems = Vec::new();
+    for (kind, documented, array) in [("view", views, "VIEWS"), ("gate", gates, "GATES")] {
+        let declared = declared_names(main_rs, array);
+        for name in documented.symmetric_difference(&declared) {
+            let side = if declared.contains(name) {
+                "missing from EXPERIMENTS.md"
+            } else {
+                "not in sia-exp"
+            };
+            problems.push(format!("{kind} {name}: {side}"));
+        }
+    }
+    problems
+}
+
+#[test]
+fn experiments_index_lists_the_views_and_gates_sia_exp_runs() {
+    let experiments = repo_file("EXPERIMENTS.md").expect("EXPERIMENTS.md reads");
+    let main_rs = repo_file("crates/bench/src/main.rs").expect("sia-exp's main reads");
+    let (views, gates) = indexed_experiments(&experiments);
+    assert!(views.len() >= 8 && gates.len() >= 3, "{views:?} {gates:?}");
+    let problems = experiment_drift(&experiments, &main_rs);
+    assert!(problems.is_empty(), "EXPERIMENTS.md drifted: {problems:#?}");
+}
+
 /// The parsers on synthetic text: a clean document passes, and each
 /// drift a check exists for fails it.
 mod drift {
@@ -399,6 +470,36 @@ mod drift {
             readme_drift(&example, &crates, &examples),
             ["--example trip is not in examples/"]
         );
+    }
+
+    #[test]
+    fn an_experiment_missing_from_the_index_is_reported() {
+        let index = "# Experiments\n\n## Index: `sia-exp` views and gates\n\n\
+            | `sia-exp …` | Paper content |\n|---|---|\n\
+            | `fig7` | Fig 7 |\n| `fig9` | Fig 9 |\n| `all` | every view |\n\
+            | `soak` | — (gate) no violations |\n\n## Next\n\n| `fig1` | elsewhere |\n";
+        let main_rs = "const VIEWS: [(&str, View); 2] = [\n    (\"fig7\", |_| {\n        \
+            report::fig7()\n    }),\n    (\"fig9\", |_| runtime::report()),\n];\n\n\
+            const GATES: [(&str, Gate); 1] = [\n    (\"soak\", soak::run),\n];\n";
+        assert_eq!(experiment_drift(index, main_rs), Vec::<String>::new());
+        let renamed = main_rs.replace("\"fig9\"", "\"fig10\"");
+        assert_eq!(
+            experiment_drift(index, &renamed),
+            [
+                "view fig10: missing from EXPERIMENTS.md",
+                "view fig9: not in sia-exp"
+            ]
+        );
+        let gated = main_rs.replace(
+            "(\"soak\", soak::run),",
+            "(\"soak\", soak::run),\n    (\"serve\", serve::run),",
+        );
+        assert_eq!(
+            experiment_drift(index, &gated),
+            ["gate serve: missing from EXPERIMENTS.md"]
+        );
+        let as_view = index.replace("| `soak` | — (gate)", "| `soak` |");
+        assert_eq!(experiment_drift(&as_view, main_rs).len(), 2);
     }
 
     #[test]

@@ -3,22 +3,29 @@
 
 use crate::compile::{compile_pred, ColRef};
 use crate::exec::{execute_analyze, row_count, ExecError, ExecStats, OpStats, Scratch};
+#[cfg(debug_assertions)]
+use crate::moveraround::move_around;
 use crate::moveraround::{move_around_cached, MoveAroundReport};
 use crate::optimize::{optimize, OptimizerConfig};
 use crate::plan::Plan;
 use crate::table::Table;
 use sia_cache::{CacheStats, PredicateCache};
-use sia_expr::{Pred, Schema};
+use sia_expr::{Catalog, Pred, Schema};
 use sia_sql::{Query, SelectList};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Boundary syntheses a database remembers (least recently used go
 /// first). An entry is a canonical predicate and a learned one — a few
 /// hundred bytes — and a query template has a handful of boundaries.
 const SYNTHESIS_CACHE_ENTRIES: usize = 1024;
+
+/// Optimized plans a database remembers (least recently used go first).
+/// An entry is a query, its plan and its move-around report: 7 KiB on
+/// average for the benchmark's `engine_join` queries (3 to 12 KiB).
+const PLAN_MEMO_ENTRIES: usize = 1024;
 
 /// A collection of named in-memory tables.
 #[derive(Debug)]
@@ -28,6 +35,9 @@ pub struct Database {
     /// canonical context + target columns. No schema or row data enters a
     /// key, so `insert` has nothing to invalidate.
     synthesized: PredicateCache,
+    /// The optimized plans of queries planned before. A plan reads the
+    /// schemas of its tables, so `insert` empties it.
+    plans: Mutex<PlanMemo>,
     /// The buffers execution borrows: what one query, or its dropped
     /// result, hands back, the next one reuses.
     pub(crate) scratch: Arc<Scratch>,
@@ -38,9 +48,83 @@ impl Default for Database {
         Database {
             tables: HashMap::new(),
             synthesized: PredicateCache::new(SYNTHESIS_CACHE_ENTRIES),
+            plans: Mutex::default(),
             scratch: Arc::default(),
         }
     }
+}
+
+/// A plan and the report a repeat of its query returns.
+type Memoized = Arc<(Plan, MoveAroundReport)>;
+
+/// A bounded LRU map from a query's printed SQL and its config to the
+/// optimized plan. Two queries that print alike share a slot, never a
+/// plan: a hit must equal the stored `Query`.
+#[derive(Debug, Default)]
+struct PlanMemo {
+    entries: HashMap<(String, OptimizerConfig), MemoEntry>,
+    /// Logical clock for recency.
+    tick: u64,
+    stats: CacheStats,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    query: Query,
+    planned: Memoized,
+    last_used: u64,
+}
+
+impl PlanMemo {
+    fn lookup(&mut self, key: &(String, OptimizerConfig), query: &Query) -> Option<Memoized> {
+        self.tick += 1;
+        match self.entries.get_mut(key) {
+            Some(entry) if entry.query == *query => {
+                entry.last_used = self.tick;
+                self.stats.hits += 1;
+                Some(Arc::clone(&entry.planned))
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Store `planned`, evicting the least recently used entry when full.
+    fn insert(&mut self, key: (String, OptimizerConfig), query: Query, planned: Memoized) {
+        self.tick += 1;
+        if !self.entries.contains_key(&key) && self.entries.len() >= PLAN_MEMO_ENTRIES {
+            let victim = self.entries.iter().min_by_key(|(_, e)| e.last_used);
+            if let Some(victim) = victim.map(|(k, _)| k.clone()) {
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+        let last_used = self.tick;
+        let entry = MemoEntry {
+            query,
+            planned,
+            last_used,
+        };
+        self.entries.insert(key, entry);
+        self.stats.inserts += 1;
+    }
+}
+
+/// Everything a report says apart from which tier answered.
+#[cfg(debug_assertions)]
+fn moves(r: &MoveAroundReport) -> impl PartialEq + std::fmt::Debug + '_ {
+    (&r.gathered, &r.derived, &r.synthesized, r.contradiction)
+}
+
+/// What a repeat of a first sight reports: every boundary synthesis
+/// answered from the cache.
+fn as_repeat(mut moved: MoveAroundReport) -> MoveAroundReport {
+    moved.synthesis_hits += moved.synthesis_misses;
+    moved.synthesis_misses = 0;
+    moved.synthesized_cached.fill(true);
+    moved
 }
 
 /// The result of running one query.
@@ -104,9 +188,11 @@ impl Database {
         Database::default()
     }
 
-    /// Register (or replace) a table.
+    /// Register (or replace) a table. Forgets every memoized plan.
     pub fn insert(&mut self, name: impl Into<String>, table: Table) {
         self.tables.insert(name.into(), table);
+        let memo = self.plans.get_mut().expect("plan memo poisoned");
+        memo.entries.clear();
     }
 
     /// Look up a table.
@@ -126,35 +212,67 @@ impl Database {
         self.tables.get(table).map(|t| t.schema.clone())
     }
 
-    /// Which table (among the query's FROM list) owns a column.
-    fn owner_of(&self, tables: &[String], col: &str) -> Option<String> {
-        if let Some((t, c)) = col.split_once('.') {
-            if tables.iter().any(|n| n == t) && self.columns_of(t).iter().any(|n| n == c) {
-                return Some(t.to_string());
+    /// `query` with every column reference in WHERE and the SELECT list
+    /// resolved against its FROM tables and written bare, as the executor
+    /// and the move-around pass read names, and the table that owns each
+    /// bare name. A qualifier outside FROM or a column no FROM table has
+    /// is [`ExecError::UnknownColumn`]; a column name two FROM tables
+    /// share, qualified or not, is [`ExecError::Unsupported`], since the
+    /// executor names columns bare.
+    fn resolve(&self, query: &Query) -> Result<(Query, HashMap<String, String>), ExecError> {
+        let mut catalog = Catalog::new();
+        for t in &query.tables {
+            let table = self
+                .tables
+                .get(t)
+                .ok_or_else(|| ExecError::UnknownTable(t.clone()))?;
+            if catalog.table(t).is_none() {
+                catalog.add_table(t.clone(), table.schema.clone());
             }
-            return None;
         }
-        let mut hit = None;
-        for t in tables {
-            if self.columns_of(t).iter().any(|n| n == col) {
-                if hit.is_some() {
-                    return None; // ambiguous
+        let mut names = query
+            .predicate
+            .as_ref()
+            .map_or_else(Vec::new, Pred::columns);
+        if let SelectList::Columns(cols) = &query.select {
+            names.extend(cols.iter().cloned());
+        }
+        let lookup = |name: &str| {
+            catalog.resolve(name).map_err(|why| {
+                if why.starts_with("ambiguous") {
+                    ExecError::Unsupported(why)
+                } else {
+                    ExecError::UnknownColumn(name.to_string())
                 }
-                hit = Some(t.clone());
-            }
+            })
+        };
+        let (mut bare, mut owner) = (HashMap::new(), HashMap::new());
+        for name in names {
+            let (table, column) = lookup(&name)?;
+            lookup(&column.name)?;
+            owner.insert(column.name.clone(), table.name.clone());
+            bare.insert(name, column.name.clone());
         }
-        hit
+        let rename = |c: &str| bare[c].clone();
+        let resolved = Query {
+            select: match &query.select {
+                SelectList::Star => SelectList::Star,
+                SelectList::Columns(cols) => {
+                    SelectList::Columns(cols.iter().map(|c| rename(c)).collect())
+                }
+            },
+            tables: query.tables.clone(),
+            predicate: query.predicate.as_ref().map(|p| p.map_columns(&rename)),
+        };
+        Ok((resolved, owner))
     }
 
     /// Build a logical plan for a query: left-deep join tree over the FROM
     /// list using equi-join conjuncts from the WHERE clause, remaining
-    /// predicate as a filter on top, then the projection.
+    /// predicate as a filter on top, then the projection. Column names are
+    /// resolved here, qualified or bare, so a name that plans also runs.
     pub fn plan(&self, query: &Query) -> Result<Plan, ExecError> {
-        for t in &query.tables {
-            if !self.tables.contains_key(t) {
-                return Err(ExecError::UnknownTable(t.clone()));
-            }
-        }
+        let (query, owner) = self.resolve(query)?;
         let pred = query.predicate_or_true();
         // Partition conjuncts into equi-join conditions and filters.
         let mut join_conds: Vec<(String, String, String, String)> = Vec::new(); // (t1, c1, t2, c2)
@@ -166,15 +284,10 @@ impl Database {
                 rhs: sia_expr::Expr::Column(b),
             } = conj
             {
-                let (oa, ob) = (
-                    self.owner_of(&query.tables, a),
-                    self.owner_of(&query.tables, b),
-                );
-                if let (Some(ta), Some(tb)) = (oa, ob) {
-                    if ta != tb {
-                        join_conds.push((ta, a.clone(), tb, b.clone()));
-                        continue;
-                    }
+                let (ta, tb) = (&owner[a], &owner[b]);
+                if ta != tb {
+                    join_conds.push((ta.clone(), a.clone(), tb.clone(), b.clone()));
+                    continue;
                 }
             }
             filters.push(conj.clone());
@@ -224,15 +337,62 @@ impl Database {
     /// local rewrite rules, which then merge and route whatever it
     /// attached; a boundary synthesis this database has answered before
     /// is answered from its cache.
+    ///
+    /// A query this database has planned before under the same `config`
+    /// is answered from its plan memo without planning: the stored plan,
+    /// and the report a repeat makes (every synthesis a cache hit). A
+    /// first sight is memoized only when every boundary synthesis
+    /// returned an answer; `insert` empties the memo. No lock is held
+    /// while planning, so two first sights of one query may both plan.
     pub fn optimized_plan(
         &self,
         query: &Query,
         config: OptimizerConfig,
     ) -> Result<(Plan, MoveAroundReport), ExecError> {
+        let key = (query.to_string(), config);
+        let hit = self.memo().lookup(&key, query);
+        if let Some(planned) = hit {
+            let (plan, moved) = (planned.0.clone(), planned.1.clone());
+            #[cfg(debug_assertions)]
+            {
+                let fresh = self.reference_plan(query, config);
+                let (fresh_plan, fresh_moved) = fresh.expect("a memoized query plans");
+                debug_assert_eq!(fresh_plan, plan, "memoized plan of {query}");
+                debug_assert_eq!(
+                    moves(&fresh_moved),
+                    moves(&moved),
+                    "memoized moves of {query}"
+                );
+            }
+            return Ok((plan, moved));
+        }
         let plan = self.plan(query)?;
         let schema_of = |t: &str| self.schema_of(t);
-        let (plan, moved) =
+        let (plan, moved, answered) =
             move_around_cached(plan, &schema_of, config.move_around, &self.synthesized);
+        let plan = optimize(plan, &|t| self.columns_of(t), config);
+        if answered {
+            let planned = Arc::new((plan.clone(), as_repeat(moved.clone())));
+            self.memo().insert(key, query.clone(), planned);
+        }
+        Ok((plan, moved))
+    }
+
+    /// The plan memo, locked; it is never held while planning.
+    fn memo(&self) -> std::sync::MutexGuard<'_, PlanMemo> {
+        self.plans.lock().expect("plan memo poisoned")
+    }
+
+    /// `optimized_plan` with neither memo nor synthesis cache: the free
+    /// [`move_around`] and [`optimize`], which a memo hit must equal.
+    #[cfg(debug_assertions)]
+    fn reference_plan(
+        &self,
+        query: &Query,
+        config: OptimizerConfig,
+    ) -> Result<(Plan, MoveAroundReport), ExecError> {
+        let schema_of = |t: &str| self.schema_of(t);
+        let (plan, moved) = move_around(self.plan(query)?, &schema_of, config.move_around);
         Ok((optimize(plan, &|t| self.columns_of(t), config), moved))
     }
 
@@ -240,6 +400,12 @@ impl Database {
     /// cache since this database was created.
     pub fn synthesis_cache(&self) -> CacheStats {
         self.synthesized.stats()
+    }
+
+    /// Hits, misses, inserts and evictions of the plan memo since this
+    /// database was created.
+    pub fn plan_cache(&self) -> CacheStats {
+        self.memo().stats
     }
 
     /// Plan, optimize, and execute a query.
@@ -449,6 +615,55 @@ mod tests {
             db.selectivity("nope", &p),
             Err(ExecError::UnknownTable(_))
         ));
+    }
+
+    /// A column named with its table plans and runs as its bare name
+    /// does, in every mode; a qualifier outside FROM fails in `plan`.
+    #[test]
+    fn qualified_names_run_as_their_bare_names() {
+        use crate::moveraround::MoveAround;
+        let mut db = Database::new();
+        for name in ["lineitem", "orders"] {
+            let spec = sia_gen::table(name).expect("a registry table");
+            db.insert(name, Table::from_rows(spec.schema(), &spec.sample(600, 9)));
+        }
+        let join = "FROM orders, lineitem WHERE orders.o_orderkey = lineitem.l_orderkey \
+                    AND orders.o_orderdate < DATE '1994-01-01'";
+        let queries = [
+            "SELECT * FROM lineitem WHERE lineitem.l_quantity < 3".to_string(),
+            format!("SELECT * {join}"),
+            format!("SELECT lineitem.l_orderkey {join}"),
+        ];
+        let cells = |t: &Table| -> Vec<Vec<Value>> {
+            let row = |i| t.columns.iter().map(|c| c.get(i)).collect();
+            (0..t.num_rows()).map(row).collect()
+        };
+        for qualified in queries {
+            let bare = qualified
+                .replace("lineitem.l_", "l_")
+                .replace("orders.o_", "o_");
+            let qualified = sia_sql::parse_query(&qualified).unwrap();
+            let bare = sia_sql::parse_query(&bare).unwrap();
+            for mode in [MoveAround::Off, MoveAround::Static, MoveAround::Synthesis] {
+                let config = OptimizerConfig { move_around: mode };
+                let (q, b) = (db.run(&qualified, config), db.run(&bare, config));
+                let (q, b) = (q.expect("qualified"), b.expect("bare"));
+                assert!(b.table.num_rows() > 0, "{bare}");
+                assert_eq!(q.plan, b.plan, "{qualified}");
+                assert_eq!(q.stats, b.stats, "{qualified}");
+                assert_eq!(q.table.schema, b.table.schema, "{qualified}");
+                assert_eq!(cells(&q.table), cells(&b.table), "{qualified}");
+            }
+        }
+        let outside = "SELECT * FROM orders WHERE nope.o_orderdate < DATE '1994-01-01'";
+        let err = db.plan(&sia_sql::parse_query(outside).unwrap());
+        let want = ExecError::UnknownColumn("nope.o_orderdate".into());
+        assert_eq!(err, Err(want));
+        let spec = sia_gen::table("lineitem").expect("a registry table");
+        db.insert("copy", Table::from_rows(spec.schema(), &[]));
+        let shared = "SELECT * FROM lineitem, copy WHERE lineitem.l_quantity < 3";
+        let err = db.plan(&sia_sql::parse_query(shared).unwrap());
+        assert!(matches!(err, Err(ExecError::Unsupported(_))), "{err:?}");
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //! There is one pass and two callers. [`move_around`] synthesizes every
 //! blocked boundary afresh and is the reference; [`crate::Database`] runs
 //! the same pass with the synthesis step answered from its
-//! [`PredicateCache`] — the only cache there is: `Synthesizer` holds none,
-//! and nothing is memoized per query or per plan.
+//! [`PredicateCache`] (`Synthesizer` holds no cache of its own). Above the
+//! pass, [`crate::Database::optimized_plan`] memoizes the whole optimized
+//! plan of a query it has planned before, so a verbatim repeat runs no
+//! pass at all; the synthesis cache serves first sights, whose boundaries
+//! may repeat across queries.
 //!
 //! # Soundness
 //!
@@ -54,7 +57,7 @@ use sia_expr::{Expr, Pred, Schema};
 use sia_obs::{Counter, Hist};
 
 /// How much predicate movement the optimizer may do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MoveAround {
     /// No global movement (the local push-down rules still apply).
     #[default]
@@ -80,7 +83,7 @@ impl MoveAround {
 }
 
 /// One predicate gathered by pull-up, with provenance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatheredPred {
     /// The predicate (a single conjunct, or a join-key equality).
     pub pred: Pred,
@@ -274,15 +277,17 @@ pub fn move_around(
 /// `(ctx, target)` and the canonical key holds both, constants included,
 /// so a hit is the predicate a miss would learn (mapped back to this
 /// query's column names); a `None` result is stored as TRUE, so "nothing
-/// learnable here" hits too. An error is not stored.
+/// learnable here" hits too. An error is not stored, and the returned
+/// flag is false when any boundary synthesis returned one.
 pub(crate) fn move_around_cached(
     plan: Plan,
     schema_of: &impl Fn(&str) -> Option<Schema>,
     mode: MoveAround,
     cache: &PredicateCache,
-) -> (Plan, MoveAroundReport) {
+) -> (Plan, MoveAroundReport, bool) {
     let mut syn = Synthesizer::new(SiaConfig::default());
-    pass(plan, schema_of, mode, |ctx, target| {
+    let mut answered = true;
+    let (plan, report) = pass(plan, schema_of, mode, |ctx, target| {
         let canon = canonicalize(ctx);
         if let Some(hit) = cache.lookup(&canon, target) {
             debug_assert!(
@@ -304,13 +309,17 @@ pub(crate) fn move_around_cached(
                 cache.insert(&canon, target, stored, r.optimal);
                 r.predicate
             }
-            Err(_) => None,
+            Err(_) => {
+                answered = false;
+                None
+            }
         };
         Learned {
             predicate,
             cached: false,
         }
-    })
+    });
+    (plan, report, answered)
 }
 
 /// Run `f`, recording its wall time in µs under `h` when the collector is

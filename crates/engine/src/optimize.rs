@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// How far the optimizer moves predicates. The local rules always run;
 /// the unoptimized plan (`Database::plan`) is the reference without them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OptimizerConfig {
     /// Plan-wide predicate move-around mode (runs as a pre-pass before
     /// the local rules; see [`crate::moveraround`]).

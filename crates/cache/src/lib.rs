@@ -11,7 +11,8 @@
 //!   unsound, because the synthesized predicate depends on them.
 //! - [`PredicateCache`] is a sharded in-memory LRU keyed on
 //!   `(canonical predicate, target column set)`, counting its own
-//!   hits, misses, inserts and evictions ([`CacheStats`]).
+//!   hits, misses, inserts and evictions ([`CacheStats`]). Each shard is
+//!   an [`Lru`], the workspace's one bounded map.
 //! - Entries persist to a checksummed snapshot file (one CRC32-guarded
 //!   record per line, rendered predicates re-parsed on load) written via
 //!   write-to-temp + fsync + atomic rename, so a server restart starts
@@ -24,6 +25,7 @@ mod lru;
 mod persist;
 
 pub use canon::{canonicalize, Canonical};
+pub use lru::Lru;
 pub use persist::{crc32, LoadReport};
 
 use std::collections::hash_map::DefaultHasher;
@@ -73,6 +75,9 @@ impl CacheStats {
     }
 }
 
+/// One shard of a [`PredicateCache`]: canonical key to canonical result.
+type Shard = Lru<String, CachedResult>;
+
 /// A concurrent predicate cache keyed on canonical form + target columns.
 ///
 /// Thread-safe: lookups and inserts take a per-shard mutex, so disjoint
@@ -80,7 +85,7 @@ impl CacheStats {
 /// (every lookup misses, inserts are dropped).
 #[derive(Debug)]
 pub struct PredicateCache {
-    shards: Vec<Mutex<lru::Shard>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -98,7 +103,7 @@ impl PredicateCache {
         };
         PredicateCache {
             shards: (0..num_shards)
-                .map(|_| Mutex::new(lru::Shard::new(per_shard)))
+                .map(|_| Mutex::new(Lru::new(per_shard)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -149,7 +154,7 @@ impl PredicateCache {
         let key = self.key(canon, cols);
         let hit = {
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-            shard.get(&key)
+            shard.get(&key).cloned()
         };
         match hit {
             Some(cached) => {
@@ -212,12 +217,7 @@ impl PredicateCache {
         let mut entries = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
-            entries.extend(
-                shard
-                    .entries()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect::<Vec<_>>(),
-            );
+            entries.extend(shard.entries().map(|(k, v)| (k.clone(), v.clone())));
         }
         let tmp = format!("{path}.tmp.{}", std::process::id());
         let n = {
@@ -272,7 +272,7 @@ impl PredicateCache {
         format!("{}|{}", canon.key_fragment(), canon_cols.join(","))
     }
 
-    fn shard(&self, key: &str) -> &Mutex<lru::Shard> {
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         #[allow(clippy::cast_possible_truncation)]

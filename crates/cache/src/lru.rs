@@ -1,58 +1,76 @@
-//! A single LRU shard: a hash map with a logical clock for recency.
+//! The workspace's one bounded map: a hash map with a logical clock for
+//! recency, evicting the least recently used entry when full.
 //!
-//! Eviction scans for the minimum tick, which is O(n) in the shard size —
-//! acceptable because shards are small (capacity is split across shards)
-//! and eviction only runs when a shard is full. This buys us a plain
-//! `HashMap` with no intrusive list and no unsafe code.
+//! Eviction scans for the minimum tick, which is O(n) in the map's size —
+//! acceptable because the maps are small (a [`crate::PredicateCache`]
+//! splits its capacity across shards, and the engine's plan memo holds
+//! 1 024 plans) and eviction only runs when one is full. This buys a
+//! plain `HashMap` with no intrusive list and no unsafe code.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use crate::CachedResult;
-
+/// A map holding at most `capacity` entries; inserting into a full map
+/// first evicts the entry least recently read or written.
 #[derive(Debug)]
-pub(crate) struct Shard {
-    map: HashMap<String, Entry>,
+pub struct Lru<K, V> {
+    map: HashMap<K, Entry<V>>,
     capacity: usize,
     tick: u64,
 }
 
 #[derive(Debug)]
-struct Entry {
-    value: CachedResult,
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-impl Shard {
-    pub(crate) fn new(capacity: usize) -> Shard {
-        Shard {
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    /// An empty map bounded at `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        Lru {
             map: HashMap::new(),
             capacity,
             tick: 0,
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.map.len()
     }
 
+    /// True when the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
     /// Look up `key`, bumping its recency on a hit.
-    pub(crate) fn get(&mut self, key: &str) -> Option<CachedResult> {
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.tick += 1;
-        let tick = self.tick;
         let e = self.map.get_mut(key)?;
-        e.last_used = tick;
-        Some(e.value.clone())
+        e.last_used = self.tick;
+        Some(&e.value)
     }
 
     /// Membership probe that leaves recency untouched — admission-control
     /// classification must not perturb the LRU order or hit statistics.
-    pub(crate) fn contains(&self, key: &str) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.contains_key(key)
     }
 
-    /// Insert `key`, evicting the least-recently-used entry when the
-    /// shard is at capacity. Returns the number of evictions (0 or 1).
-    pub(crate) fn insert(&mut self, key: String, value: CachedResult) -> u64 {
+    /// Insert `key`, evicting the least-recently-used entry when the map
+    /// is at capacity. Returns the number of evictions (0 or 1).
+    pub fn insert(&mut self, key: K, value: V) -> u64 {
         self.tick += 1;
         let mut evicted = 0;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
@@ -66,42 +84,34 @@ impl Shard {
                 evicted = 1;
             }
         }
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: self.tick,
-            },
-        );
+        let last_used = self.tick;
+        self.map.insert(key, Entry { value, last_used });
         evicted
     }
 
+    /// Drop every entry.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+
     /// All `(key, value)` pairs, in unspecified order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &CachedResult)> {
-        self.map.iter().map(|(k, e)| (k.as_str(), &e.value))
+    pub fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter().map(|(k, e)| (k, &e.value))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sia_expr::{col, lit};
-
-    fn result(n: i64) -> CachedResult {
-        CachedResult {
-            predicate: col("x").lt(lit(n)),
-            optimal: true,
-        }
-    }
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut s = Shard::new(2);
-        assert_eq!(s.insert("a".into(), result(1)), 0);
-        assert_eq!(s.insert("b".into(), result(2)), 0);
+        let mut s = Lru::new(2);
+        assert_eq!(s.insert("a".to_string(), 1), 0);
+        assert_eq!(s.insert("b".to_string(), 2), 0);
         // Touch "a" so "b" becomes the LRU victim.
         assert!(s.get("a").is_some());
-        assert_eq!(s.insert("c".into(), result(3)), 1);
+        assert_eq!(s.insert("c".to_string(), 3), 1);
         assert!(s.get("a").is_some());
         assert!(s.get("b").is_none());
         assert!(s.get("c").is_some());
@@ -110,9 +120,9 @@ mod tests {
 
     #[test]
     fn reinsert_updates_without_evicting() {
-        let mut s = Shard::new(1);
-        s.insert("a".into(), result(1));
-        assert_eq!(s.insert("a".into(), result(9)), 0);
-        assert_eq!(s.get("a").unwrap().predicate, col("x").lt(lit(9)));
+        let mut s = Lru::new(1);
+        s.insert("a".to_string(), 1);
+        assert_eq!(s.insert("a".to_string(), 9), 0);
+        assert_eq!(s.get("a"), Some(&9));
     }
 }

@@ -6,10 +6,10 @@ use crate::exec::{execute_analyze, row_count, ExecError, ExecStats, OpStats, Scr
 #[cfg(debug_assertions)]
 use crate::moveraround::move_around;
 use crate::moveraround::{move_around_cached, MoveAroundReport};
-use crate::optimize::{optimize, OptimizerConfig};
+use crate::optimize::{optimize, schema_columns, OptimizerConfig};
 use crate::plan::Plan;
 use crate::table::Table;
-use sia_cache::{CacheStats, PredicateCache};
+use sia_cache::{CacheStats, Lru, PredicateCache};
 use sia_expr::{Catalog, Pred, Schema};
 use sia_sql::{Query, SelectList};
 use std::collections::HashMap;
@@ -48,7 +48,10 @@ impl Default for Database {
         Database {
             tables: HashMap::new(),
             synthesized: PredicateCache::new(SYNTHESIS_CACHE_ENTRIES),
-            plans: Mutex::default(),
+            plans: Mutex::new(PlanMemo {
+                entries: Lru::new(PLAN_MEMO_ENTRIES),
+                stats: CacheStats::default(),
+            }),
             scratch: Arc::default(),
         }
     }
@@ -60,29 +63,18 @@ type Memoized = Arc<(Plan, MoveAroundReport)>;
 /// A bounded LRU map from a query's printed SQL and its config to the
 /// optimized plan. Two queries that print alike share a slot, never a
 /// plan: a hit must equal the stored `Query`.
-#[derive(Debug, Default)]
-struct PlanMemo {
-    entries: HashMap<(String, OptimizerConfig), MemoEntry>,
-    /// Logical clock for recency.
-    tick: u64,
-    stats: CacheStats,
-}
-
 #[derive(Debug)]
-struct MemoEntry {
-    query: Query,
-    planned: Memoized,
-    last_used: u64,
+struct PlanMemo {
+    entries: Lru<(String, OptimizerConfig), (Query, Memoized)>,
+    stats: CacheStats,
 }
 
 impl PlanMemo {
     fn lookup(&mut self, key: &(String, OptimizerConfig), query: &Query) -> Option<Memoized> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) if entry.query == *query => {
-                entry.last_used = self.tick;
+        match self.entries.get(key) {
+            Some((stored, planned)) if stored == query => {
                 self.stats.hits += 1;
-                Some(Arc::clone(&entry.planned))
+                Some(Arc::clone(planned))
             }
             _ => {
                 self.stats.misses += 1;
@@ -93,21 +85,7 @@ impl PlanMemo {
 
     /// Store `planned`, evicting the least recently used entry when full.
     fn insert(&mut self, key: (String, OptimizerConfig), query: Query, planned: Memoized) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= PLAN_MEMO_ENTRIES {
-            let victim = self.entries.iter().min_by_key(|(_, e)| e.last_used);
-            if let Some(victim) = victim.map(|(k, _)| k.clone()) {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        let last_used = self.tick;
-        let entry = MemoEntry {
-            query,
-            planned,
-            last_used,
-        };
-        self.entries.insert(key, entry);
+        self.stats.evictions += self.entries.insert(key, (query, planned));
         self.stats.inserts += 1;
     }
 }
@@ -203,7 +181,7 @@ impl Database {
     fn columns_of(&self, table: &str) -> Vec<String> {
         self.tables
             .get(table)
-            .map(|t| t.schema.columns().iter().map(|c| c.name.clone()).collect())
+            .map(|t| schema_columns(&t.schema))
             .unwrap_or_default()
     }
 
@@ -216,9 +194,10 @@ impl Database {
     /// resolved against its FROM tables and written bare, as the executor
     /// and the move-around pass read names, and the table that owns each
     /// bare name. A qualifier outside FROM or a column no FROM table has
-    /// is [`ExecError::UnknownColumn`]; a column name two FROM tables
-    /// share, qualified or not, is [`ExecError::Unsupported`], since the
-    /// executor names columns bare.
+    /// is [`ExecError::UnknownColumn`]. A column name two FROM tables
+    /// share is [`ExecError::Unsupported`] whether or not the query names
+    /// it, since the executor names columns bare and a join's output
+    /// could not hold both.
     fn resolve(&self, query: &Query) -> Result<(Query, HashMap<String, String>), ExecError> {
         let mut catalog = Catalog::new();
         for t in &query.tables {
@@ -226,9 +205,20 @@ impl Database {
                 .tables
                 .get(t)
                 .ok_or_else(|| ExecError::UnknownTable(t.clone()))?;
-            if catalog.table(t).is_none() {
-                catalog.add_table(t.clone(), table.schema.clone());
+            if catalog.table(t).is_some() {
+                continue;
             }
+            for other in catalog.tables() {
+                if let Some(c) =
+                    (table.schema.columns().iter()).find(|c| other.schema.column(&c.name).is_some())
+                {
+                    return Err(ExecError::Unsupported(format!(
+                        "column {} is in both {} and {}",
+                        c.name, other.name, t
+                    )));
+                }
+            }
+            catalog.add_table(t.clone(), table.schema.clone());
         }
         let mut names = query
             .predicate
@@ -237,19 +227,10 @@ impl Database {
         if let SelectList::Columns(cols) = &query.select {
             names.extend(cols.iter().cloned());
         }
-        let lookup = |name: &str| {
-            catalog.resolve(name).map_err(|why| {
-                if why.starts_with("ambiguous") {
-                    ExecError::Unsupported(why)
-                } else {
-                    ExecError::UnknownColumn(name.to_string())
-                }
-            })
-        };
         let (mut bare, mut owner) = (HashMap::new(), HashMap::new());
         for name in names {
-            let (table, column) = lookup(&name)?;
-            lookup(&column.name)?;
+            let (table, column) =
+                (catalog.resolve(&name)).map_err(|_| ExecError::UnknownColumn(name.clone()))?;
             owner.insert(column.name.clone(), table.name.clone());
             bare.insert(name, column.name.clone());
         }
@@ -664,6 +645,36 @@ mod tests {
         let shared = "SELECT * FROM lineitem, copy WHERE lineitem.l_quantity < 3";
         let err = db.plan(&sia_sql::parse_query(shared).unwrap());
         assert!(matches!(err, Err(ExecError::Unsupported(_))), "{err:?}");
+    }
+
+    /// Two tables that share a column the query never names: running the
+    /// query in every mode is an `Unsupported` error from `plan`, and
+    /// executing a hand-built join of them one from the join; no panic.
+    #[test]
+    fn a_column_two_tables_share_is_refused_unnamed() {
+        use crate::moveraround::MoveAround;
+        let int = |name: &str| ColumnDef::new(name, DataType::Integer);
+        let mut db = Database::new();
+        let rows = vec![Column::int(vec![1, 2]), Column::int(vec![3, 4])];
+        db.insert(
+            "t",
+            Table::new(Schema::new(vec![int("a"), int("x")]), rows.clone()),
+        );
+        db.insert("u", Table::new(Schema::new(vec![int("b"), int("x")]), rows));
+        let sql = "SELECT * FROM t, u WHERE a = b";
+        let refused = "unsupported: column x is in both t and u";
+        let err = db.run_sql(sql).map(|r| r.table.num_rows());
+        assert_eq!(err, Err(refused.to_string()));
+        let query = sia_sql::parse_query(sql).unwrap();
+        for mode in [MoveAround::Off, MoveAround::Static, MoveAround::Synthesis] {
+            let run = db.run(&query, OptimizerConfig { move_around: mode });
+            let err = run.map(|r| r.table.num_rows()).unwrap_err();
+            assert_eq!(err.to_string(), refused, "{mode:?}");
+        }
+        let join = Plan::scan("t").hash_join(Plan::scan("u"), "a", "b");
+        let err = crate::exec::execute(&join, &db).map(|r| r.1).unwrap_err();
+        let want = ExecError::Unsupported("column x is in both inputs of a join".into());
+        assert_eq!(err, want);
     }
 
     #[test]

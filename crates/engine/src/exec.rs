@@ -467,7 +467,8 @@ fn matches(build: &Key<'_>, probe: &Key<'_>, scratch: &Scratch) -> (Vec<u32>, Ve
 }
 
 /// Hash join on integer keys. Builds on the smaller input; output rows are
-/// probe-side-major, columns left then right.
+/// probe-side-major, columns left then right. Columns are named bare, so
+/// inputs that share a column name are refused.
 fn hash_join<'a>(
     mut left: Rel<'a>,
     mut right: Rel<'a>,
@@ -475,6 +476,11 @@ fn hash_join<'a>(
     right_key: &str,
     scratch: &Scratch,
 ) -> Result<Rel<'a>, ExecError> {
+    let mut right_columns = right.schema.columns().iter();
+    if let Some(c) = right_columns.find(|c| left.schema.column(&c.name).is_some()) {
+        let why = format!("column {} is in both inputs of a join", c.name);
+        return Err(ExecError::Unsupported(why));
+    }
     let (left_rows, right_rows) = {
         let (lk, rk) = (Key::of(&left, left_key)?, Key::of(&right, right_key)?);
         if left.rows <= right.rows {

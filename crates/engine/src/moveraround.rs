@@ -6,8 +6,7 @@
 //! conjuncts below a single join. This pass reasons globally:
 //!
 //! 1. **Pull-up** ([`pull_up`]): collect every filter conjunct and every
-//!    join-equality predicate in the tree, with provenance (which node,
-//!    which column scope).
+//!    join-equality predicate in the tree, with provenance (which node).
 //! 2. **Transition**: close the gathered conjunction with
 //!    [`sia_analyze::Closure`] — union-find equivalence classes over the
 //!    join keys, constant propagation, substitution, and transitive zone
@@ -19,14 +18,15 @@
 //!    [`Synthesizer::synthesize`] to *learn* a pushable predicate from
 //!    the boundary conjunction.
 //!
-//! There is one pass and two callers. [`move_around`] synthesizes every
-//! blocked boundary afresh and is the reference; [`crate::Database`] runs
-//! the same pass with the synthesis step answered from its
-//! [`PredicateCache`] (`Synthesizer` holds no cache of its own). Above the
-//! pass, [`crate::Database::optimized_plan`] memoizes the whole optimized
-//! plan of a query it has planned before, so a verbatim repeat runs no
-//! pass at all; the synthesis cache serves first sights, whose boundaries
-//! may repeat across queries.
+//! There is one pass, and one place in it that synthesizes: a boundary
+//! synthesis is looked up in a [`PredicateCache`] first and stored there
+//! after (`Synthesizer` holds no cache of its own). [`crate::Database`]
+//! runs the pass over its own cache; [`move_around`], the reference, runs
+//! it over a disabled one, so every blocked boundary is synthesized
+//! afresh. Above the pass, [`crate::Database::optimized_plan`] memoizes
+//! the whole optimized plan of a query it has planned before, so a
+//! verbatim repeat runs no pass at all; the synthesis cache serves first
+//! sights, whose boundaries may repeat across queries.
 //!
 //! # Soundness
 //!
@@ -90,35 +90,14 @@ pub struct GatheredPred {
     /// Node label: `Filter@/l/r`-style path from the root (`l`/`r` are
     /// join sides, `0` a unary input).
     pub node: String,
-    /// Column scope at that node (output columns of the node's input).
-    pub scope: Vec<String>,
 }
 
 /// Walk the tree and gather every filter conjunct and join equality with
 /// provenance. Pull-up is scope-safe for this plan algebra: `Filter` and
 /// `Project` preserve rows, and `HashJoin` is inner, so every gathered
 /// predicate holds (evaluates TRUE) on every row of the final output.
-pub fn pull_up(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Vec<GatheredPred> {
-    fn scope(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Vec<String> {
-        match plan {
-            Plan::Scan { table } => schema_of(table)
-                .map(|s| s.columns().iter().map(|c| c.name.clone()).collect())
-                .unwrap_or_default(),
-            Plan::Filter { input, .. } => scope(input, schema_of),
-            Plan::Project { columns, .. } => columns.clone(),
-            Plan::HashJoin { left, right, .. } => {
-                let mut s = scope(left, schema_of);
-                s.extend(scope(right, schema_of));
-                s
-            }
-        }
-    }
-    fn go(
-        plan: &Plan,
-        path: &str,
-        schema_of: &impl Fn(&str) -> Option<Schema>,
-        out: &mut Vec<GatheredPred>,
-    ) {
+pub fn pull_up(plan: &Plan) -> Vec<GatheredPred> {
+    fn go(plan: &Plan, path: &str, out: &mut Vec<GatheredPred>) {
         match plan {
             Plan::Scan { .. } => {}
             Plan::Filter { pred, input } => {
@@ -126,12 +105,11 @@ pub fn pull_up(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Vec<
                     out.push(GatheredPred {
                         pred: c.clone(),
                         node: format!("Filter@{path}"),
-                        scope: scope(input, schema_of),
                     });
                 }
-                go(input, &format!("{path}/0"), schema_of, out);
+                go(input, &format!("{path}/0"), out);
             }
-            Plan::Project { input, .. } => go(input, &format!("{path}/0"), schema_of, out),
+            Plan::Project { input, .. } => go(input, &format!("{path}/0"), out),
             Plan::HashJoin {
                 left,
                 right,
@@ -141,15 +119,14 @@ pub fn pull_up(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Vec<
                 out.push(GatheredPred {
                     pred: Expr::Column(left_key.clone()).eq_(Expr::Column(right_key.clone())),
                     node: format!("HashJoin@{path}"),
-                    scope: scope(plan, schema_of),
                 });
-                go(left, &format!("{path}/l"), schema_of, out);
-                go(right, &format!("{path}/r"), schema_of, out);
+                go(left, &format!("{path}/l"), out);
+                go(right, &format!("{path}/r"), out);
             }
         }
     }
     let mut out = Vec::new();
-    go(plan, "", schema_of, &mut out);
+    go(plan, "", &mut out);
     out
 }
 
@@ -245,81 +222,19 @@ fn attach(plan: Plan, preds: &BTreeMap<String, Pred>) -> Plan {
     }
 }
 
-/// The answer to one boundary synthesis.
-struct Learned {
-    /// The predicate over the target columns; `None` when nothing beyond
-    /// TRUE is learnable (or synthesis could not run).
-    predicate: Option<Pred>,
-    /// The cache answered.
-    cached: bool,
-}
-
-/// Run the move-around pass. Returns the rewritten plan (derived
+/// Run the move-around pass with every boundary synthesized afresh: the
+/// pass over a disabled cache. Returns the rewritten plan (derived
 /// predicates attached above scans — the local rules then merge and order
 /// them) and a report of what moved. `mode == Off` returns the plan
-/// unchanged. Every blocked boundary is synthesized afresh; this is the
-/// reference [`crate::Database::optimized_plan`]'s cached pass is tested
-/// against.
+/// unchanged. This is the reference [`crate::Database::optimized_plan`]'s
+/// cached pass and plan memo are tested against.
 pub fn move_around(
     plan: Plan,
     schema_of: &impl Fn(&str) -> Option<Schema>,
     mode: MoveAround,
 ) -> (Plan, MoveAroundReport) {
-    let mut syn = Synthesizer::new(SiaConfig::default());
-    pass(plan, schema_of, mode, |ctx, target| Learned {
-        predicate: syn.synthesize(ctx, target).ok().and_then(|r| r.predicate),
-        cached: false,
-    })
-}
-
-/// [`move_around`] with each boundary synthesis answered from `cache`
-/// when it has been seen before. `synthesize` is a pure function of
-/// `(ctx, target)` and the canonical key holds both, constants included,
-/// so a hit is the predicate a miss would learn (mapped back to this
-/// query's column names); a `None` result is stored as TRUE, so "nothing
-/// learnable here" hits too. An error is not stored, and the returned
-/// flag is false when any boundary synthesis returned one.
-pub(crate) fn move_around_cached(
-    plan: Plan,
-    schema_of: &impl Fn(&str) -> Option<Schema>,
-    mode: MoveAround,
-    cache: &PredicateCache,
-) -> (Plan, MoveAroundReport, bool) {
-    let mut syn = Synthesizer::new(SiaConfig::default());
-    let mut answered = true;
-    let (plan, report) = pass(plan, schema_of, mode, |ctx, target| {
-        let canon = canonicalize(ctx);
-        if let Some(hit) = cache.lookup(&canon, target) {
-            debug_assert!(
-                matches!(
-                    Prover(&mut PredEncoder::new()).implies(ctx, &hit.predicate),
-                    Ok((Validity::Valid, _))
-                ),
-                "cached `{}` is not implied by `{ctx}`",
-                hit.predicate
-            );
-            return Learned {
-                predicate: (!hit.predicate.is_true()).then_some(hit.predicate),
-                cached: true,
-            };
-        }
-        let predicate = match syn.synthesize(ctx, target) {
-            Ok(r) => {
-                let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
-                cache.insert(&canon, target, stored, r.optimal);
-                r.predicate
-            }
-            Err(_) => {
-                answered = false;
-                None
-            }
-        };
-        Learned {
-            predicate,
-            cached: false,
-        }
-    });
-    (plan, report, answered)
+    let (plan, report, _) = move_around_cached(plan, schema_of, mode, &PredicateCache::new(0));
+    (plan, report)
 }
 
 /// Run `f`, recording its wall time in µs under `h` when the collector is
@@ -346,21 +261,25 @@ struct Scan {
     new_parts: Vec<Pred>,
 }
 
-/// The pass behind [`move_around`] and [`move_around_cached`]; `synthesize`
-/// answers "a predicate over these target columns implied by this
-/// boundary context".
-fn pass(
+/// The move-around pass, with each boundary synthesis answered from
+/// `cache` when it has been seen before. [`Synthesizer::synthesize`] is a
+/// pure function of `(ctx, target)` and the canonical key holds both,
+/// constants included, so a hit is the predicate a miss would learn (mapped back to
+/// this query's column names); a `None` result is stored as TRUE, so
+/// "nothing learnable here" hits too. An error is not stored, and the
+/// returned flag is false when any boundary synthesis returned one.
+pub(crate) fn move_around_cached(
     plan: Plan,
     schema_of: &impl Fn(&str) -> Option<Schema>,
     mode: MoveAround,
-    mut synthesize: impl FnMut(&Pred, &[String]) -> Learned,
-) -> (Plan, MoveAroundReport) {
+    cache: &PredicateCache,
+) -> (Plan, MoveAroundReport, bool) {
     if mode == MoveAround::Off {
-        return (plan, MoveAroundReport::default());
+        return (plan, MoveAroundReport::default(), true);
     }
-    let gathered = pull_up(&plan, schema_of);
+    let gathered = pull_up(&plan);
     if gathered.is_empty() {
-        return (plan, MoveAroundReport::default());
+        return (plan, MoveAroundReport::default(), true);
     }
     let tables = scan_tables(&plan);
     let (analyzer, closure) = timed(Hist::EngineMoveCloseUs, || {
@@ -427,7 +346,9 @@ fn pass(
     // Synthesis at blocked join boundaries: a gathered predicate that
     // straddles a scan (mentions its columns and others) with no static
     // fact covering its columns there.
+    let mut answered = true;
     if mode == MoveAround::Synthesis {
+        let mut syn = Synthesizer::new(SiaConfig::default());
         timed(Hist::EngineMoveSynthUs, || {
             for scan in &mut scans {
                 let known: Vec<Pred> = scan.local.iter().chain(&scan.new_parts).cloned().collect();
@@ -448,20 +369,44 @@ fn pass(
                     // Context the learner may assume: the boundary predicate
                     // plus everything entailed about its *other* columns.
                     let ctx = g.pred.clone().and(entailed_over(&others));
-                    let learned = synthesize(&ctx, &target);
-                    if learned.cached {
+                    let canon = canonicalize(&ctx);
+                    let (learned, cached) = match cache.lookup(&canon, &target) {
+                        Some(hit) => {
+                            debug_assert!(
+                                matches!(
+                                    Prover(&mut PredEncoder::new()).implies(&ctx, &hit.predicate),
+                                    Ok((Validity::Valid, _))
+                                ),
+                                "cached `{}` is not implied by `{ctx}`",
+                                hit.predicate
+                            );
+                            ((!hit.predicate.is_true()).then_some(hit.predicate), true)
+                        }
+                        None => match syn.synthesize(&ctx, &target) {
+                            Ok(r) => {
+                                let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
+                                cache.insert(&canon, &target, stored, r.optimal);
+                                (r.predicate, false)
+                            }
+                            Err(_) => {
+                                answered = false;
+                                (None, false)
+                            }
+                        },
+                    };
+                    if cached {
                         report.synthesis_hits += 1;
                     } else {
                         report.synthesis_misses += 1;
                     }
-                    let Some(p) = learned.predicate else { continue };
+                    let Some(p) = learned else { continue };
                     if analyzer.statically_true(&p)
                         || (!known.is_empty() && analyzer.implies(&known_conj, &p))
                     {
                         continue;
                     }
                     report.synthesized.push((scan.table.clone(), p.clone()));
-                    report.synthesized_cached.push(learned.cached);
+                    report.synthesized_cached.push(cached);
                     scan.new_parts.push(p);
                 }
             }
@@ -480,7 +425,7 @@ fn pass(
         .filter(|s| !s.new_parts.is_empty())
         .map(|s| (s.table, Pred::and_all(s.new_parts)))
         .collect();
-    (attach(plan, &attachments), report)
+    (attach(plan, &attachments), report, answered)
 }
 
 /// Plan-level lint: unreachable filters, redundant predicates, and join
@@ -498,7 +443,7 @@ pub fn lint_plan(plan: &Plan, schema_of: &impl Fn(&str) -> Option<Schema>) -> Ve
             });
         }
     };
-    let gathered = pull_up(plan, schema_of);
+    let gathered = pull_up(plan);
     if gathered.is_empty() {
         return out;
     }
@@ -594,14 +539,11 @@ mod tests {
 
     #[test]
     fn pull_up_gathers_filters_and_join_keys() {
-        let g = pull_up(&chain_plan(), &schema_of);
+        let g = pull_up(&chain_plan());
         // 1 filter conjunct + 3 join equalities.
         assert_eq!(g.len(), 4);
         assert!(g.iter().any(|x| x.node == "Filter@"));
         assert!(g.iter().filter(|x| x.node.starts_with("HashJoin@")).count() == 3);
-        // Scope of the filter is the full join output.
-        let f = g.iter().find(|x| x.node == "Filter@").unwrap();
-        assert_eq!(f.scope.len(), 8);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The static pass's output, pinned at the commit before `Closure` began
-//! building its abstract state once per query: what `move_around` derives
-//! (and whether it finds a contradiction) for `engine_join`'s 41 queries
-//! and `engine_synth`'s 16 templates in `Static` mode, and what `close` →
+//! building its abstract state once per query: what
+//! `Database::optimized_plan` reports derived (and whether it finds a
+//! contradiction) for `engine_join`'s 41 queries and `engine_synth`'s 16
+//! templates in `Static` mode, and what `close` →
 //! `contradictory` / `entailed_over` answer for 200 seeded `sia-gen`
 //! conjunctions over every single column and each table's column set
 //! (and `contradictory` again with an entailed conjunct negated).
@@ -16,7 +17,7 @@
 use std::fmt::Write as _;
 
 use sia_analyze::Analyzer;
-use sia_engine::{move_around, Database, MoveAround, Table};
+use sia_engine::{Database, MoveAround, OptimizerConfig, Table};
 use sia_expr::{col, Pred, Schema};
 use sia_gen::GenConfig;
 
@@ -36,10 +37,12 @@ fn empty_db() -> Database {
 
 fn plans(out: &mut String) {
     let db = empty_db();
+    let config = OptimizerConfig {
+        move_around: MoveAround::Static,
+    };
     for sql in GOLDEN.lines().filter_map(|l| l.strip_prefix("Q ")) {
         let query = sia_sql::parse_query(sql).expect("golden SQL parses");
-        let plan = db.plan(&query).expect("golden SQL plans");
-        let (_, report) = move_around(plan, &|t| db.schema_of(t), MoveAround::Static);
+        let (_, report) = db.optimized_plan(&query, config).expect("golden SQL plans");
         writeln!(out, "Q {sql}").unwrap();
         writeln!(out, "  contradiction: {}", report.contradiction).unwrap();
         for (table, pred) in &report.derived {

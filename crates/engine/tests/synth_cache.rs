@@ -115,9 +115,7 @@ fn reference() -> &'static [(Plan, MoveAroundReport)] {
 
 /// Everything a report says apart from which tier answered.
 fn moves(r: &MoveAroundReport) -> String {
-    let gathered: Vec<_> = (r.gathered.iter())
-        .map(|g| (&g.pred, &g.node, &g.scope))
-        .collect();
+    let gathered: Vec<_> = (r.gathered.iter()).map(|g| (&g.pred, &g.node)).collect();
     format!(
         "{gathered:?} {:?} {:?} {}",
         r.derived, r.synthesized, r.contradiction

@@ -4,8 +4,8 @@
 
 use sia_core::{rewrite_query, RewriteOutcome, Synthesizer};
 use sia_engine::{Database, OptimizerConfig, QueryResult};
+use sia_gen::tpch::{generate, TpchConfig};
 use sia_sql::{parse_query, Query};
-use sia_tpch::{generate, TpchConfig};
 
 /// The paper's Q1 (join + three conditions, §2).
 pub fn q1() -> Query {
@@ -35,7 +35,7 @@ pub fn q2_paper() -> Query {
 /// Run Sia on Q1, targeting `lineitem`.
 pub fn rewrite_q1() -> RewriteOutcome {
     let mut syn = Synthesizer::default();
-    rewrite_query(&mut syn, &q1(), &sia_tpch::catalog(), "lineitem").expect("Q1 rewrites")
+    rewrite_query(&mut syn, &q1(), &sia_gen::tpch::catalog(), "lineitem").expect("Q1 rewrites")
 }
 
 /// Measurements for the three plan variants.

@@ -5,8 +5,8 @@
 use sia_core::{rewrite_query, Synthesizer};
 use sia_engine::{Database, OptimizerConfig};
 use sia_expr::Pred;
+use sia_gen::tpch::{generate, generate_workload, TpchConfig, WorkloadConfig};
 use sia_sql::Query;
-use sia_tpch::{generate, generate_workload, TpchConfig, WorkloadConfig};
 use std::time::Duration;
 
 /// One query's measurement at one scale factor.
@@ -110,7 +110,7 @@ pub fn rewrite_workload(
     seed: u64,
     base: &sia_core::SiaConfig,
 ) -> (Vec<RewrittenQuery>, usize) {
-    let catalog = sia_tpch::catalog();
+    let catalog = sia_gen::tpch::catalog();
     let workload = generate_workload(&WorkloadConfig {
         count,
         seed,

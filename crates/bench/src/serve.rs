@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use sia_cache::CacheStats;
+use sia_gen::tpch::ORDERS_COL;
 use sia_serve::{client, server, Request, RetryBudget, ServeConfig, Status};
-use sia_tpch::ORDERS_COL;
 
 use crate::load::{self, percentile, Answer, Arrival};
 use crate::{util, Gates};

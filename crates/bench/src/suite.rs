@@ -7,8 +7,8 @@
 
 use sia_core::baselines::transitive_closure;
 use sia_core::{unsat_region, PredEncoder, SiaConfig, SynthStats, Synthesizer};
+use sia_gen::tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
 use sia_smt::QeConfig;
-use sia_tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
 use std::time::Duration;
 
 /// Aggregated outcome of one synthesizer variant in one category.

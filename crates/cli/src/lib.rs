@@ -792,9 +792,15 @@ impl Rewrite {
 
     fn run(self) -> Result<String, CliError> {
         let q = parse_query(&self.sql).map_err(|e| e.to_string())?;
+        // Columns resolve against the generator registry, as in `plan`
+        // and `lint`.
+        let mut catalog = sia_expr::Catalog::new();
+        for (name, schema) in sia_gen::schemas() {
+            catalog.add_table(name, schema);
+        }
         let mut syn = Synthesizer::default();
-        let outcome = rewrite_query(&mut syn, &q, &sia_tpch::catalog(), &self.table)
-            .map_err(|e| e.to_string())?;
+        let outcome =
+            rewrite_query(&mut syn, &q, &catalog, &self.table).map_err(|e| e.to_string())?;
         match outcome.rewritten {
             Some(rw) => Ok(format!(
                 "synthesized: {}\nrewritten: {rw}",

@@ -10,10 +10,9 @@
 //! up. Used when QE exceeds its budget, or when sampling the eliminated
 //! region comes back `Unknown`.
 
-use crate::samples::SampleOutcome;
+use crate::samples::{differs_from, scatter_box, SampleOutcome};
 use sia_num::{BigInt, BigRat};
 use sia_rand::rngs::StdRng;
-use sia_rand::Rng;
 use sia_smt::{Formula, LinTerm, SmtResult, Solver, VarId};
 
 /// Candidate guesses per requested sample before giving up.
@@ -36,7 +35,7 @@ pub fn false_sample(
         // Scatter on early attempts for diversity; drop it later so the
         // exhaustion check below stays authoritative.
         let candidate_formula = if attempt < MAX_TRIES / 2 {
-            let scattered = base.clone().and(scatter(keep, rng));
+            let scattered = base.clone().and(scatter_box(keep, rng));
             match solver.check(&scattered) {
                 SmtResult::Sat(m) => Some(m),
                 _ => match solver.check(&base) {
@@ -79,30 +78,6 @@ fn not_old(keep: &[VarId], seen: &[Vec<BigInt>]) -> Formula {
     let mut acc = Formula::True;
     for tuple in seen {
         acc = acc.and(differs_from(keep, tuple));
-    }
-    acc
-}
-
-fn differs_from(keep: &[VarId], tuple: &[BigInt]) -> Formula {
-    let mut differs = Formula::False;
-    for (&v, val) in keep.iter().zip(tuple) {
-        let t = LinTerm::var(v).sub(&LinTerm::constant(BigRat::from_int(val.clone())));
-        differs = differs.or(Formula::ne0(t));
-    }
-    differs
-}
-
-fn scatter(keep: &[VarId], rng: &mut StdRng) -> Formula {
-    let mut acc = Formula::True;
-    for &v in keep {
-        let c: i64 = rng.gen_range(-120..=120);
-        acc = acc
-            .and(Formula::le0(
-                LinTerm::constant(BigRat::from(c - 40)).sub(&LinTerm::var(v)),
-            ))
-            .and(Formula::le0(
-                LinTerm::var(v).sub(&LinTerm::constant(BigRat::from(c + 40))),
-            ));
     }
     acc
 }

@@ -37,10 +37,37 @@ pub struct Sampler {
     /// Tuples already produced (excluded by `NotOld`).
     seen: Vec<Vec<BigInt>>,
     rng: StdRng,
-    /// Half-width of the random scatter box.
-    box_radius: i64,
-    /// Center magnitude for random scatter.
-    scatter_range: i64,
+}
+
+/// Largest magnitude of a scatter box's centre.
+const SCATTER_CENTRE: i64 = 120;
+
+/// Half-width of a scatter box.
+const SCATTER_RADIUS: i64 = 40;
+
+/// `NotOld` for one tuple: ¬(x₁=v₁ ∧ … ∧ xₖ=vₖ) ⇔ x₁≠v₁ ∨ … ∨ xₖ≠vₖ.
+pub(crate) fn differs_from(vars: &[VarId], tuple: &[BigInt]) -> Formula {
+    let mut differs = Formula::False;
+    for (v, val) in vars.iter().zip(tuple) {
+        let t = LinTerm::var(*v).sub(&LinTerm::constant(BigRat::from_int(val.clone())));
+        differs = differs.or(Formula::ne0(t));
+    }
+    differs
+}
+
+/// A random box `c - SCATTER_RADIUS ≤ v ≤ c + SCATTER_RADIUS` around each
+/// of `vars`, with `c` uniform in `±SCATTER_CENTRE`, drawn in `vars` order.
+pub(crate) fn scatter_box(vars: &[VarId], rng: &mut StdRng) -> Formula {
+    let mut acc = Formula::True;
+    for &v in vars {
+        let c = rng.gen_range(-SCATTER_CENTRE..=SCATTER_CENTRE);
+        let lo = BigRat::from(c - SCATTER_RADIUS);
+        let hi = BigRat::from(c + SCATTER_RADIUS);
+        acc = acc
+            .and(Formula::le0(LinTerm::constant(lo).sub(&LinTerm::var(v))))
+            .and(Formula::le0(LinTerm::var(v).sub(&LinTerm::constant(hi))));
+    }
+    acc
 }
 
 impl Sampler {
@@ -51,8 +78,6 @@ impl Sampler {
             vars,
             seen: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            box_radius: 40,
-            scatter_range: 120,
         }
     }
 
@@ -61,33 +86,13 @@ impl Sampler {
         &self.seen
     }
 
-    /// `NotOld` for one tuple: ¬(x₁=v₁ ∧ … ∧ xₖ=vₖ) ⇔ x₁≠v₁ ∨ … ∨ xₖ≠vₖ.
-    fn differs_from(&self, tuple: &[BigInt]) -> Formula {
-        let mut differs = Formula::False;
-        for (v, val) in self.vars.iter().zip(tuple) {
-            let t = LinTerm::var(*v).sub(&LinTerm::constant(BigRat::from_int(val.clone())));
-            differs = differs.or(Formula::ne0(t));
-        }
-        differs
-    }
-
     /// `NotOld` over a subset of the seen tuples (by index).
     fn not_old_subset(&self, active: &[usize]) -> Formula {
-        Formula::and_all(active.iter().map(|&i| self.differs_from(&self.seen[i])))
-    }
-
-    fn scatter_box(&mut self) -> Formula {
-        let mut acc = Formula::True;
-        for &v in &self.vars {
-            let c = self.rng.gen_range(-self.scatter_range..=self.scatter_range);
-            let lo = BigRat::from(c - self.box_radius);
-            let hi = BigRat::from(c + self.box_radius);
-            // lo ≤ v ≤ hi
-            acc = acc
-                .and(Formula::le0(LinTerm::constant(lo).sub(&LinTerm::var(v))))
-                .and(Formula::le0(LinTerm::var(v).sub(&LinTerm::constant(hi))));
-        }
-        acc
+        Formula::and_all(
+            active
+                .iter()
+                .map(|&i| differs_from(&self.vars, &self.seen[i])),
+        )
     }
 
     fn nonzero(&self) -> Formula {
@@ -125,7 +130,10 @@ impl Sampler {
                     .and(self.not_old_subset(&active))
             });
             let model = if use_scatter {
-                let scattered = base.clone().and(self.scatter_box()).and(self.nonzero());
+                let scattered = base
+                    .clone()
+                    .and(scatter_box(&self.vars, &mut self.rng))
+                    .and(self.nonzero());
                 match solver.check(&scattered) {
                     SmtResult::Sat(m) => m,
                     _ => {

@@ -194,10 +194,10 @@ impl Database {
     /// resolved against its FROM tables and written bare, as the executor
     /// and the move-around pass read names, and the table that owns each
     /// bare name. A qualifier outside FROM or a column no FROM table has
-    /// is [`ExecError::UnknownColumn`]. A column name two FROM tables
-    /// share is [`ExecError::Unsupported`] whether or not the query names
-    /// it, since the executor names columns bare and a join's output
-    /// could not hold both.
+    /// is [`ExecError::UnknownColumn`]. A table listed twice in FROM, and
+    /// a column name two FROM tables share, are [`ExecError::Unsupported`]
+    /// whether or not the query names the column, since the executor
+    /// names columns bare and a join's output could not hold both.
     fn resolve(&self, query: &Query) -> Result<(Query, HashMap<String, String>), ExecError> {
         let mut catalog = Catalog::new();
         for t in &query.tables {
@@ -206,7 +206,9 @@ impl Database {
                 .get(t)
                 .ok_or_else(|| ExecError::UnknownTable(t.clone()))?;
             if catalog.table(t).is_some() {
-                continue;
+                return Err(ExecError::Unsupported(format!(
+                    "table {t} is listed twice in FROM; self-joins need aliases"
+                )));
             }
             for other in catalog.tables() {
                 if let Some(c) =
@@ -675,6 +677,23 @@ mod tests {
         let err = crate::exec::execute(&join, &db).map(|r| r.1).unwrap_err();
         let want = ExecError::Unsupported("column x is in both inputs of a join".into());
         assert_eq!(err, want);
+    }
+
+    /// A self-join without aliases is refused as one in every mode, not
+    /// reported as a join with no equi-join condition.
+    #[test]
+    fn a_table_listed_twice_is_refused_as_a_self_join() {
+        use crate::moveraround::MoveAround;
+        let mut db = Database::new();
+        let schema = Schema::new(vec![ColumnDef::new("a", DataType::Integer)]);
+        db.insert("t", Table::new(schema, vec![Column::int(vec![1, 2])]));
+        let query = sia_sql::parse_query("SELECT * FROM t, t WHERE a = a").unwrap();
+        let want = "unsupported: table t is listed twice in FROM; self-joins need aliases";
+        for mode in [MoveAround::Off, MoveAround::Static, MoveAround::Synthesis] {
+            let run = db.run(&query, OptimizerConfig { move_around: mode });
+            let err = run.map(|r| r.table.num_rows()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{mode:?}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ use sia_analyze::{Analyzer, Warning};
 use sia_cache::{canonicalize, PredicateCache};
 use sia_core::{PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
 use sia_expr::{Expr, Pred, Schema};
-use sia_obs::{Counter, Hist};
+use sia_obs::Hist;
 
 /// How much predicate movement the optimizer may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -413,13 +413,6 @@ pub(crate) fn move_around_cached(
         });
     }
     report.gathered = gathered;
-
-    sia_obs::add(Counter::EngineMoveDerived, report.derived.len() as u64);
-    sia_obs::add(
-        Counter::EngineMoveSynthesized,
-        report.synthesized.len() as u64,
-    );
-    sia_obs::add(Counter::EngineMovePushed, report.scans_pushed() as u64);
     let attachments: BTreeMap<String, Pred> = scans
         .into_iter()
         .filter(|s| !s.new_parts.is_empty())

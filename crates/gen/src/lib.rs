@@ -16,8 +16,9 @@
 //!   (near-miss traffic).
 //!
 //! Same config + seed → byte-identical workload; see `tests/prop.rs` for
-//! the property suite. The §6.3 presets reproduce the paper workload the
-//! benchmark binaries previously built inline.
+//! the property suite. [`tpch`] builds the paper's TPC-H data and its §6.3
+//! workload from the registry's `orders` and `lineitem`, and the §6.3
+//! presets wrap that workload for the benchmark binaries.
 
 #![warn(missing_docs)]
 
@@ -26,6 +27,7 @@ pub mod file;
 pub mod generate;
 pub mod preset;
 pub mod schema;
+pub mod tpch;
 
 pub use config::{GenConfig, ZonePolicy};
 pub use file::{from_str, to_string, Workload, WORKLOAD_VERSION};

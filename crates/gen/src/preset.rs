@@ -1,19 +1,18 @@
 //! Presets reproducing the paper's §6.3 workload, so the benchmark binaries
 //! share one builder instead of three hand-copied ones.
 //!
-//! `paper_6_3` delegates to `sia-tpch`'s generator, which is the original
-//! source of the workload — the preset is byte-for-byte identical to what
-//! the benchmark binaries used to build inline.
-
-use sia_tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
+//! `paper_6_3` delegates to [`crate::tpch::generate_workload`], so the
+//! preset is byte-for-byte identical to what the benchmark binaries used to
+//! build inline.
 
 use crate::generate::GenRequest;
+use crate::tpch::{generate_workload, BenchQuery, WorkloadConfig, LINEITEM_COLS};
 
 /// The §6.3 seed shared by `sia-exp serve` and the static-tier test.
 pub const SEED_6_3_SERVE: u64 = 0x51A_5E4E;
 
 /// The paper's full §6.3 workload (200 queries, 3–8 conjuncts, the paper
-/// seed) exactly as `sia_tpch::generate_workload` produces it.
+/// seed) exactly as [`generate_workload`] produces it.
 pub fn paper_6_3() -> Vec<BenchQuery> {
     generate_workload(&WorkloadConfig::default())
 }

@@ -175,8 +175,10 @@ fn date_uniform(lo: &str, hi: &str) -> Dist {
 
 /// All tables the generator knows about.
 ///
-/// `orders` and `lineitem` mirror the distributions of `sia-tpch`'s data
-/// generator; the remaining TPC-H tables use TPC-H-spec-style ranges with
+/// `orders` and `lineitem` are the one declaration of the benchmark's
+/// tables: [`crate::tpch`] draws its data and projects its schemas from
+/// them (`lineitem` also carries the order date its offsets start from).
+/// The remaining TPC-H tables use TPC-H-spec-style ranges with
 /// text columns dictionary-encoded as small integer domains; `wide` is a
 /// synthetic 16-column table with NULL-heavy and categorical columns.
 pub fn tables() -> Vec<TableSpec> {

@@ -177,12 +177,6 @@ keys! {
         ClientRetryBudgetSpent => "client.retry_budget.spent",
         /// Retries suppressed because the client's retry budget was empty.
         ClientRetryBudgetExhausted => "client.retry_budget.exhausted",
-        /// Predicates statically derived by the move-around pass.
-        EngineMoveDerived => "engine.moveraround.derived",
-        /// Scans that received at least one moved predicate.
-        EngineMovePushed => "engine.moveraround.pushed",
-        /// Predicates learned by synthesis at blocked join boundaries.
-        EngineMoveSynthesized => "engine.moveraround.synthesized",
     }
 }
 

@@ -39,6 +39,6 @@ pub mod var;
 pub use budget::Budget;
 pub use formula::Formula;
 pub use qe::{eliminate_exists, QeConfig, QeError};
-pub use solver::{Model, SmtResult, Solver, SolverStats};
+pub use solver::{Model, SmtResult, Solver};
 pub use term::{Atom, LinTerm, Rel};
 pub use var::{Sort, VarId, VarTable};

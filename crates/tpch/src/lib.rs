@@ -1,12 +1,5 @@
-//! TPC-H-style data generation and the paper's 200-query benchmark
-//! workload (§6.3), replacing dbgen and the authors' query generator.
+//! The former home of the TPC-H data and §6.3 workload generator, which
+//! live in [`sia_gen::tpch`]; the crate keeps the names callers outside
+//! the workspace still import from it.
 
-#![warn(missing_docs)]
-
-pub mod gen;
-pub mod workload;
-
-pub use gen::{catalog, generate, TpchConfig};
-pub use workload::{
-    generate_workload, is_satisfiable, BenchQuery, WorkloadConfig, LINEITEM_COLS, ORDERS_COL,
-};
+pub use sia_gen::tpch::{generate, generate_workload, TpchConfig, WorkloadConfig};

@@ -9,6 +9,8 @@ use sia::num::BigRat;
 use sia::smt::{eliminate_exists, Formula, LinTerm, QeConfig, SmtResult, Solver, Sort};
 
 fn main() {
+    // The solver's counts go to the metrics collector, printed at the end.
+    sia::obs::enable();
     let mut solver = Solver::new();
     let x = solver.declare("x", Sort::Int);
     let y = solver.declare("y", Sort::Int);
@@ -66,10 +68,7 @@ fn main() {
         println!("∃b1.p at (a1={a1v}, a2={a2v}): {truth} (expected {expect})");
         assert_eq!(truth, expect);
     }
-    println!(
-        "\nsolver stats: {} checks, {} lazy rounds, {} theory lemmas, {} B&B nodes",
-        solver.stats.checks, solver.stats.rounds, solver.stats.theory_lemmas, solver.stats.bb_nodes
-    );
+    println!("\nsolver metrics:\n{}", sia::obs::summary());
 }
 
 fn verdict(r: SmtResult) -> &'static str {

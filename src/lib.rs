@@ -14,7 +14,8 @@
 //!   Apache Calcite,
 //! * [`engine`] — an in-memory columnar execution engine with a rule-based
 //!   optimizer replacing PostgreSQL,
-//! * [`tpch`] — a TPC-H-style generator and the paper's 200-query workload,
+//! * [`tpch`] — the TPC-H `orders` / `lineitem` data and the paper's
+//!   200-query workload, built from `sia-gen`'s table registry,
 //! * [`obs`] — zero-dependency structured tracing and metrics instrumenting
 //!   every layer above,
 //! * [`fault`] — deterministic fault injection (named failpoints) driving
@@ -51,9 +52,9 @@ pub use sia_core as core;
 pub use sia_engine as engine;
 pub use sia_expr as expr;
 pub use sia_fault as fault;
+pub use sia_gen::tpch;
 pub use sia_num as num;
 pub use sia_obs as obs;
 pub use sia_serve as serve;
 pub use sia_smt as smt;
 pub use sia_sql as sql;
-pub use sia_tpch as tpch;

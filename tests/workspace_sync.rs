@@ -16,6 +16,8 @@
 //!   exactly the crates under `crates/`, and its `--example` lines name
 //!   files in `examples/`. EXPERIMENTS.md's index of `sia-exp` views and
 //!   gates is the `VIEWS` and `GATES` of `crates/bench/src/main.rs`.
+//! - **`sia-tpch`**: the crate is one `lib.rs` of `pub use sia_gen::…`
+//!   items and doc comments, so no logic grows back beside `sia_gen::tpch`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -405,6 +407,39 @@ fn experiments_index_lists_the_views_and_gates_sia_exp_runs() {
     assert!(problems.is_empty(), "EXPERIMENTS.md drifted: {problems:#?}");
 }
 
+/// The statements of `source` other than `pub use sia_gen::…;` items,
+/// by their first line; `//!` and `///` doc comments are skipped.
+fn non_reexports(source: &str) -> Vec<String> {
+    let code: Vec<&str> = source
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//!") && !l.trim_start().starts_with("///"))
+        .collect();
+    code.join("\n")
+        .split(';')
+        .map(str::trim)
+        .filter(|item| !item.is_empty() && !item.starts_with("pub use sia_gen::"))
+        .map(|item| item.lines().next().unwrap_or_default().to_string())
+        .collect()
+}
+
+#[test]
+fn sia_tpch_only_re_exports_sia_gen() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/tpch/src");
+    let files: Vec<String> = std::fs::read_dir(src)
+        .expect("crates/tpch/src reads")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(files, ["lib.rs"], "sia-tpch holds more than its lib.rs");
+    let lib = repo_file("crates/tpch/src/lib.rs").expect("sia-tpch's lib.rs reads");
+    let extra = non_reexports(&lib);
+    assert!(
+        extra.is_empty(),
+        "crates/tpch/src/lib.rs holds more than `pub use sia_gen::…` items \
+         (the code belongs in sia_gen::tpch): {extra:?}"
+    );
+}
+
 /// The parsers on synthetic text: a clean document passes, and each
 /// drift a check exists for fails it.
 mod drift {
@@ -500,6 +535,24 @@ mod drift {
         );
         let as_view = index.replace("| `soak` | — (gate)", "| `soak` |");
         assert_eq!(experiment_drift(&as_view, main_rs).len(), 2);
+    }
+
+    #[test]
+    fn logic_in_the_re_export_crate_is_reported() {
+        let lib = "//! Former names.\n\n/// The builder.\n\
+            pub use sia_gen::tpch::{\n    generate, TpchConfig,\n};\n\
+            pub use sia_gen::tpch::generate_workload;\n";
+        assert_eq!(non_reexports(lib), Vec::<String>::new());
+        let grown = format!(
+            "{lib}\n/// Orders at a scale.\npub fn orders_at(sf: f64) -> usize {{\n    \
+             (150_000.0 * sf) as usize\n}}\n"
+        );
+        assert_eq!(
+            non_reexports(&grown),
+            ["pub fn orders_at(sf: f64) -> usize {"]
+        );
+        let other = lib.replace("pub use sia_gen::tpch::generate_workload", "use std::fmt");
+        assert_eq!(non_reexports(&other), ["use std::fmt"]);
     }
 
     #[test]

@@ -8,15 +8,79 @@
 //! Sound and allocation-light, but each verdict costs a solver call and
 //! exhaustion can only be certified when the candidate space itself dries
 //! up. Used when QE exceeds its budget, or when sampling the eliminated
-//! region comes back `Unknown`.
+//! region comes back `Unknown`: `FalseSource` makes that switch.
 
-use crate::samples::{differs_from, scatter_box, SampleOutcome};
+use crate::samples::{differs_from, scatter_box, SampleOutcome, Sampler};
 use sia_num::{BigInt, BigRat};
 use sia_rand::rngs::StdRng;
+use sia_rand::SeedableRng;
 use sia_smt::{Formula, LinTerm, SmtResult, Solver, VarId};
 
 /// Candidate guesses per requested sample before giving up.
 const MAX_TRIES: usize = 50;
+
+/// Where a synthesis run's FALSE samples come from: the Cooper-eliminated
+/// unsatisfaction region while it answers, and [`false_sample`] from the
+/// first `Unknown` on (or from the start, when elimination failed). Cooper
+/// elimination with non-unit coefficients can produce regions whose
+/// divisibility structure overwhelms the solver; CEGQI only ever solves
+/// the (easy) original formula with grounded candidates.
+#[derive(Debug)]
+pub(crate) struct FalseSource {
+    /// The region's sampler, until the switch to CEGQI.
+    region: Option<Sampler>,
+    /// The original predicate's formula.
+    p: Formula,
+    /// Solver variables of the target columns, in output order.
+    keep: Vec<VarId>,
+    /// CEGQI's `NotOld` set: every FALSE sample drawn so far.
+    seen: Vec<Vec<BigInt>>,
+    rng: StdRng,
+}
+
+impl FalseSource {
+    /// FALSE samples of `p` over `keep`, drawn from `region` (`None` when
+    /// elimination failed) while it answers.
+    pub(crate) fn new(region: Option<Formula>, p: Formula, keep: Vec<VarId>, seed: u64) -> Self {
+        let mut source = FalseSource {
+            region: region.map(|r| Sampler::new(r, keep.clone(), seed ^ 1)),
+            p,
+            keep,
+            seen: Vec::new(),
+            rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
+        };
+        if source.region.is_none() {
+            source.switch_to_cegqi();
+        }
+        source
+    }
+
+    /// Draw one FALSE sample from `extra`, distinct from every earlier one.
+    pub(crate) fn sample_with(&mut self, solver: &mut Solver, extra: &Formula) -> SampleOutcome {
+        if let Some(region) = &mut self.region {
+            match region.sample_with(solver, extra) {
+                SampleOutcome::Unknown => self.switch_to_cegqi(),
+                out => return out,
+            }
+        }
+        false_sample(
+            solver,
+            &self.p,
+            &self.keep,
+            extra,
+            &mut self.seen,
+            &mut self.rng,
+        )
+    }
+
+    /// Sample through CEGQI from now on, keeping the region's samples out.
+    fn switch_to_cegqi(&mut self) {
+        sia_obs::add(sia_obs::Counter::CegisCegqiFallbacks, 1);
+        if let Some(region) = self.region.take() {
+            self.seen.extend(region.seen().iter().cloned());
+        }
+    }
+}
 
 /// Draw one unsatisfaction tuple of `p_formula` over `keep`, subject to
 /// `extra` (e.g. the current valid predicate for `CounterF`) and distinct

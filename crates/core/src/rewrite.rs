@@ -135,13 +135,8 @@ pub fn rewrite_query(
     let mut all_optimal = true;
     let mut agg_stats = crate::synth::SynthStats::default();
     for subset in &subsets {
-        let r = synthesizer.synthesize(&filter, subset)?;
-        agg_stats.iterations += r.stats.iterations;
-        agg_stats.true_samples += r.stats.true_samples;
-        agg_stats.false_samples += r.stats.false_samples;
-        agg_stats.generation_time += r.stats.generation_time;
-        agg_stats.learning_time += r.stats.learning_time;
-        agg_stats.validation_time += r.stats.validation_time;
+        let mut r = synthesizer.synthesize(&filter, subset)?;
+        agg_stats += std::mem::take(&mut r.stats);
         all_optimal &= r.optimal;
         if let Some(p) = &r.predicate {
             if !p.is_true() {

@@ -179,22 +179,33 @@ impl Sampler {
         self.sample_with(solver, &Formula::True)
     }
 
-    /// Draw up to `n` samples; stops early on exhaustion/unknown.
-    pub fn take(&mut self, solver: &mut Solver, n: usize) -> (Vec<Vec<BigInt>>, SampleOutcome) {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.sample(solver) {
-                SampleOutcome::Sample(t) => out.push(t),
-                other => return (out, other),
-            }
-        }
-        let status = if out.is_empty() {
-            SampleOutcome::Exhausted
-        } else {
-            SampleOutcome::Sample(out.last().unwrap().clone())
-        };
-        (out, status)
+    /// Draw up to `n` samples from the region. The status is `None` when
+    /// all `n` were drawn (`n = 0` included), and otherwise the
+    /// [`SampleOutcome::Exhausted`] or [`SampleOutcome::Unknown`] that cut
+    /// the run short.
+    pub fn take(
+        &mut self,
+        solver: &mut Solver,
+        n: usize,
+    ) -> (Vec<Vec<BigInt>>, Option<SampleOutcome>) {
+        draw(n, || self.sample(solver))
     }
+}
+
+/// Draw up to `n` samples, one `next()` at a time, with the status of
+/// [`Sampler::take`]: every sample the synthesizer draws goes through here.
+pub(crate) fn draw(
+    n: usize,
+    mut next: impl FnMut() -> SampleOutcome,
+) -> (Vec<Vec<BigInt>>, Option<SampleOutcome>) {
+    let mut out = Vec::new();
+    while out.len() < n {
+        match next() {
+            SampleOutcome::Sample(t) => out.push(t),
+            stop => return (out, Some(stop)),
+        }
+    }
+    (out, None)
 }
 
 #[cfg(test)]
@@ -234,7 +245,7 @@ mod tests {
         let (mut enc, mut sampler) = setup("a >= 0 AND a <= 2", &["a"]);
         let (samples, status) = sampler.take(enc.solver(), 10);
         assert_eq!(samples.len(), 3);
-        assert_eq!(status, SampleOutcome::Exhausted);
+        assert_eq!(status, Some(SampleOutcome::Exhausted));
         let mut vals: Vec<i64> = samples.iter().map(|s| s[0].to_i64().unwrap()).collect();
         vals.sort();
         assert_eq!(vals, vec![0, 1, 2]);
@@ -261,7 +272,21 @@ mod tests {
         let (rest, status) = sampler.take(enc.solver(), 5);
         assert_eq!(rest.len(), 1);
         assert_ne!(rest[0], first[0]);
-        assert_eq!(status, SampleOutcome::Exhausted);
+        assert_eq!(status, Some(SampleOutcome::Exhausted));
+    }
+
+    #[test]
+    fn drawing_nothing_is_a_full_draw() {
+        // Zero samples asked for, zero drawn: that says nothing about the
+        // region, so it must not read as a finite (exhausted) one.
+        let (mut enc, mut sampler) = setup("a >= 0 AND a <= 1", &["a"]);
+        assert_eq!(sampler.take(enc.solver(), 0), (Vec::new(), None));
+        let (all, status) = sampler.take(enc.solver(), 2);
+        assert_eq!((all.len(), status), (2, None));
+        assert_eq!(
+            sampler.take(enc.solver(), 1),
+            (Vec::new(), Some(SampleOutcome::Exhausted))
+        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The `Synthesize` procedure (Alg 1): counter-example guided learning of
 //! a valid, optimal dimensionality reduction.
 
-use crate::cegqi;
+use crate::cegqi::FalseSource;
 use crate::encode::{EncodeError, PredEncoder};
 use crate::learn::{atom_directions, learn};
 use crate::prove::{self, Prover};
-use crate::samples::{SampleOutcome, Sampler};
+use crate::samples::{draw, SampleOutcome, Sampler};
 use crate::verify::{unsat_region, verify_implies, Validity};
+use sia_analyze::Derivation;
 use sia_expr::{col, CmpOp, Expr, Pred};
-use sia_num::BigInt;
-use sia_rand::rngs::StdRng;
-use sia_rand::SeedableRng;
+use sia_num::{BigInt, BigRat};
 use sia_smt::{Budget, Formula, QeConfig, VarId};
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// RNG seed for sample diversification: one fixed value, so the same
@@ -96,6 +96,17 @@ pub struct SynthStats {
     pub validation_time: Duration,
 }
 
+impl std::ops::AddAssign for SynthStats {
+    fn add_assign(&mut self, other: SynthStats) {
+        self.iterations += other.iterations;
+        self.true_samples += other.true_samples;
+        self.false_samples += other.false_samples;
+        self.generation_time += other.generation_time;
+        self.learning_time += other.learning_time;
+        self.validation_time += other.validation_time;
+    }
+}
+
 /// Result of a synthesis run.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
@@ -128,9 +139,10 @@ pub enum SynthesisError {
     NoColumns,
     /// The run's [`Budget`] deadline passed before synthesis completed.
     Timeout,
-    /// An internal failure that says nothing about the request itself
-    /// (today: an injected `synth.run` fault). Callers may treat it as
-    /// recoverable and fall back to the original predicate.
+    /// An internal failure: an injected `synth.run` fault, or an exact
+    /// answer holding a constant no 64-bit INTEGER literal can write.
+    /// Callers may treat it as recoverable and fall back to the original
+    /// predicate.
     Internal(String),
 }
 
@@ -156,6 +168,21 @@ impl From<EncodeError> for SynthesisError {
     }
 }
 
+/// What one exit of the driver answers: the predicate, whether it is
+/// certified optimal, and whether the static tier produced it.
+type Answer = (Option<Pred>, bool, bool);
+
+/// Where the learning loop starts once neither region turned out finite.
+struct Opening {
+    ts_sampler: Sampler,
+    falses: FalseSource,
+    /// Solver variables of the target columns, in `cols` order.
+    keep: Vec<VarId>,
+    ts: Vec<Vec<BigInt>>,
+    fs: Vec<Vec<BigInt>>,
+    warm_bounds: Option<Pred>,
+}
+
 /// The Sia synthesizer (Fig 5's ① component).
 #[derive(Debug, Default)]
 pub struct Synthesizer {
@@ -177,7 +204,6 @@ impl Synthesizer {
         p: &Pred,
         cols: &[String],
     ) -> Result<SynthesisResult, SynthesisError> {
-        let enc = &mut PredEncoder::new();
         if cols.is_empty() {
             return Err(SynthesisError::NoColumns);
         }
@@ -185,27 +211,57 @@ impl Synthesizer {
         let mut cols = cols.to_vec();
         cols.sort();
         cols.dedup();
-        let cols = &cols[..];
         let p_cols = p.columns();
-        for c in cols {
-            if !p_cols.contains(c) {
-                return Err(SynthesisError::ColumnNotInPredicate(c.clone()));
-            }
+        if let Some(c) = cols.iter().find(|c| !p_cols.contains(*c)) {
+            return Err(SynthesisError::ColumnNotInPredicate(c.clone()));
         }
         let mut stats = SynthStats::default();
+        let (predicate, optimal, derived_static) = self.run(p, &cols, &mut stats)?;
+        Ok(SynthesisResult {
+            predicate,
+            optimal,
+            derived_static,
+            stats,
+        })
+    }
+
+    /// `Err(Timeout)` once the run's budget is spent.
+    fn in_budget(&self) -> Result<(), SynthesisError> {
+        if self.config.budget.is_exhausted() {
+            return Err(SynthesisError::Timeout);
+        }
+        Ok(())
+    }
+
+    /// [`draw`], with an `Unknown` on a spent budget read as a timeout.
+    fn draw(
+        &self,
+        n: usize,
+        next: impl FnMut() -> SampleOutcome,
+    ) -> Result<(Vec<Vec<BigInt>>, Option<SampleOutcome>), SynthesisError> {
+        let (samples, stop) = draw(n, next);
+        if stop == Some(SampleOutcome::Unknown) {
+            self.in_budget()?;
+        }
+        Ok((samples, stop))
+    }
+
+    /// Alg 1 over the sorted, checked `cols`. Its exits, in the order it
+    /// takes them: `p` unsatisfiable, an exact zone derivation, a finite
+    /// TRUE region, a finite FALSE region (each in [`Synthesizer::open`]),
+    /// and the end of the learning loop.
+    fn run(
+        &self,
+        p: &Pred,
+        cols: &[String],
+        stats: &mut SynthStats,
+    ) -> Result<Answer, SynthesisError> {
+        let enc = &mut PredEncoder::new();
         // Thread the deadline into the solver so its CDCL and simplex
         // loops poll it; the driver re-checks it between phases and
         // converts exhaustion into an explicit Timeout.
-        let budget = self.config.budget;
-        enc.solver().budget = budget;
-        macro_rules! bail_if_exhausted {
-            () => {
-                if budget.is_exhausted() {
-                    return Err(SynthesisError::Timeout);
-                }
-            };
-        }
-        bail_if_exhausted!();
+        enc.solver().budget = self.config.budget;
+        self.in_budget()?;
         // Phase spans: `synth` is the root; `generate` / `learn` /
         // `verify` / `optimality` are its children, with `smt.check` and
         // `qe.eliminate` nesting below (the `--metrics` breakdown).
@@ -221,233 +277,30 @@ impl Synthesizer {
         }
         let gen_span = sia_obs::span("generate");
         let gen_start = Instant::now();
-        let p_f = enc.encode(p)?;
-        // Degenerate: p unsatisfiable ⇒ FALSE is a valid, optimal
-        // reduction (it is implied by p and rejects everything).
-        if Prover(enc).unsat(p)?.0 == Validity::Valid {
-            stats.generation_time += gen_start.elapsed();
-            return Ok(SynthesisResult {
-                predicate: Some(Pred::false_()),
-                optimal: true,
-                derived_static: false,
-                stats,
-            });
-        }
-        bail_if_exhausted!();
-        let keep: Vec<VarId> = cols.iter().map(|c| enc.value_var(c)).collect();
-        let arith_vars: Vec<VarId> = enc.columns().map(|(_, v)| v).collect();
-        let others: Vec<VarId> = arith_vars
-            .iter()
-            .copied()
-            .filter(|v| !keep.contains(v))
-            .collect();
-        // Tier 0: static derivation. When the difference-bound fragment of
-        // `p` is rich enough, projecting its closed zone onto the target
-        // columns *is* the quantifier elimination ∃ others . p — no
-        // sampling, no learning. An exact derivation is verified
-        // through the exact pipeline (`verify_implies`) and returned
-        // directly; a partial one (sound bounds, possibly not optimal)
-        // seeds the sampler and warm-starts the CEGIS loop. Under
-        // `checked`, exact discharges are additionally cross-checked
-        // against a solver-computed unsatisfaction region.
-        let mut warm_bounds: Option<Pred> = None;
-        let derivation = {
-            let _derive_span = sia_obs::span("derive");
-            enc.analyzer().derive(p, cols)
-        };
-        match derivation {
-            Some(sia_analyze::Derivation::Exact(q)) if !q.is_false() => {
-                let val_start = Instant::now();
-                let ok = q.is_true() || verify_implies(enc, p, &q)? == Validity::Valid;
-                stats.validation_time += val_start.elapsed();
-                if ok {
-                    let claim = || format!("statically derived `{q}` is optimal for `{p}`");
-                    let beyond = |enc: &mut PredEncoder| {
-                        let region = unsat_region(&p_f, &others, &self.config.qe).ok()?;
-                        Some(enc.encode(&q).ok()?.and(region))
-                    };
-                    prove::audit(enc, sia_obs::Counter::AnalyzeDeriveStatic, 1, claim, beyond);
-                    stats.generation_time += gen_start.elapsed();
-                    return Ok(SynthesisResult {
-                        predicate: if q.is_true() { None } else { Some(q) },
-                        optimal: true,
-                        derived_static: true,
-                        stats,
-                    });
-                }
-                sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
-            }
-            Some(sia_analyze::Derivation::Bounds(q)) => {
-                let val_start = Instant::now();
-                let ok = verify_implies(enc, p, &q)? == Validity::Valid;
-                stats.validation_time += val_start.elapsed();
-                if ok {
-                    sia_obs::add(sia_obs::Counter::AnalyzeDerivePartial, 1);
-                    warm_bounds = Some(q);
-                } else {
-                    sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
-                }
-            }
-            // Exact(FALSE) cannot be sound here — p was just proven
-            // satisfiable — so like no derivation at all it is a miss, and
-            // the full pipeline will surface the disagreement.
-            Some(sia_analyze::Derivation::Exact(_)) | None => {
-                sia_obs::add(sia_obs::Counter::AnalyzeDeriveMiss, 1);
-            }
-        }
-        // Build the FALSE-sample machinery.
-        let mut rng = StdRng::seed_from_u64(SEED ^ 0x9e3779b97f4a7c15);
-        // Cooper QE computes the unsatisfaction region once, exactly; on a
-        // budget error this is None and FALSE samples come from CEGQI.
-        // Statically-dead disjuncts of p are pruned first: they admit no
-        // TRUE tuple, so the projection ∃ others . p is unchanged while
-        // Cooper elimination skips their atoms entirely.
-        let false_region: Option<Formula> = {
-            let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
-                Some(live) => enc.encode(&live)?,
-                None => p_f.clone(),
-            };
-            unsat_region(&qe_f, &others, &self.config.qe).ok()
-        };
-        let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), SEED);
-        let mut fs_sampler = false_region
-            .clone()
-            .map(|r| Sampler::new(r, keep.clone(), SEED ^ 1));
-        if fs_sampler.is_none() {
-            sia_obs::add(sia_obs::Counter::CegisCegqiFallbacks, 1);
-        }
-        let mut cegqi_seen: Vec<Vec<BigInt>> = Vec::new();
-        // Closure-free helper for FALSE sampling under an extra constraint.
-        // Cooper elimination with non-unit coefficients can produce regions
-        // whose divisibility structure overwhelms the solver; a sampling
-        // verdict of Unknown permanently degrades to the CEGQI path, which
-        // only ever solves the (easy) original formula with grounded
-        // candidates.
-        macro_rules! false_sample {
-            ($enc:expr, $extra:expr) => {{
-                let mut out = match &mut fs_sampler {
-                    Some(s) => s.sample_with($enc.solver(), $extra),
-                    None => cegqi::false_sample(
-                        $enc.solver(),
-                        &p_f,
-                        &keep,
-                        $extra,
-                        &mut cegqi_seen,
-                        &mut rng,
-                    ),
-                };
-                if matches!(out, SampleOutcome::Unknown) {
-                    if let Some(s) = fs_sampler.take() {
-                        sia_obs::add(sia_obs::Counter::CegisCegqiFallbacks, 1);
-                        cegqi_seen.extend(s.seen().iter().cloned());
-                        out = cegqi::false_sample(
-                            $enc.solver(),
-                            &p_f,
-                            &keep,
-                            $extra,
-                            &mut cegqi_seen,
-                            &mut rng,
-                        );
-                    }
-                }
-                out
-            }};
-        }
-        // Initial TRUE samples. A finite satisfaction region short-circuits
-        // to the exact disjunction-of-equalities predicate (§5.3).
-        let mut ts: Vec<Vec<BigInt>> = Vec::new();
-        let mut exhausted_true = false;
-        for _ in 0..self.config.initial_true {
-            match ts_sampler.sample(enc.solver()) {
-                SampleOutcome::Sample(t) => ts.push(t),
-                SampleOutcome::Exhausted => {
-                    exhausted_true = true;
-                    break;
-                }
-                SampleOutcome::Unknown => {
-                    bail_if_exhausted!();
-                    break;
-                }
-            }
-        }
-        if exhausted_true {
-            stats.generation_time += gen_start.elapsed();
-            stats.true_samples = ts.len();
-            let pred = exact_disjunction(cols, &ts);
-            return Ok(SynthesisResult {
-                predicate: Some(pred),
-                optimal: true,
-                derived_static: false,
-                stats,
-            });
-        }
-        // Initial FALSE samples. An empty unsatisfaction region means the
-        // trivial predicate TRUE is already optimal — nothing useful to
-        // synthesize (the paper's NULL result, and the negative case of
-        // the case study's "symbolically relevant" test).
-        // A partial derivation `q` restricts sampling to its interior: any
-        // unsatisfaction tuple outside q is already rejected by q, so only
-        // the ones q still accepts can drive further progress.
-        let false_extra = match &warm_bounds {
-            Some(q) => enc.encode(q)?,
-            None => Formula::True,
-        };
-        let mut fs: Vec<Vec<BigInt>> = Vec::new();
-        let mut exhausted_false = false;
-        for _ in 0..self.config.initial_false {
-            match false_sample!(enc, &false_extra) {
-                SampleOutcome::Sample(t) => fs.push(t),
-                SampleOutcome::Exhausted => {
-                    exhausted_false = true;
-                    break;
-                }
-                SampleOutcome::Unknown => {
-                    bail_if_exhausted!();
-                    break;
-                }
-            }
-        }
-        // Accumulate (never overwrite) so the initial segment and every
-        // later counter-example round all contribute to the total.
+        let opening = self.open(enc, p, cols, stats);
+        // Accumulate (never overwrite) so the opening and every later
+        // counter-example round all contribute to the total.
         stats.generation_time += gen_start.elapsed();
         drop(gen_span);
-        sia_obs::add(sia_obs::Counter::CegisTrueSamples, ts.len() as u64);
-        sia_obs::add(sia_obs::Counter::CegisFalseSamples, fs.len() as u64);
-        if exhausted_false {
-            let derived_static = warm_bounds.is_some();
-            if fs.is_empty() {
-                // No unsatisfaction tuple inside the warm bounds: the
-                // bounds themselves (or trivial TRUE without them) are
-                // already optimal.
-                return Ok(SynthesisResult {
-                    predicate: warm_bounds,
-                    optimal: true,
-                    derived_static,
-                    stats,
-                });
-            }
-            // Finite unsatisfaction set: its complement — within the warm
-            // bounds when present — is the optimal reduction (§5.3).
-            stats.false_samples = fs.len();
-            let neg = exact_disjunction(cols, &fs).not();
-            let pred = match warm_bounds {
-                Some(q) => q.and(neg),
-                None => neg,
-            };
-            return Ok(SynthesisResult {
-                predicate: Some(pred),
-                optimal: true,
-                derived_static,
-                stats,
-            });
-        }
+        let Opening {
+            mut ts_sampler,
+            mut falses,
+            keep,
+            mut ts,
+            mut fs,
+            warm_bounds,
+        } = match opening? {
+            ControlFlow::Break(answer) => return Ok(answer),
+            ControlFlow::Continue(opening) => opening,
+        };
         // The counter-example guided learning loop (Alg 1), warm-started
         // from any partially derived bounds. p₁ (None = trivial TRUE).
         let mut valid_pred: Option<Pred> = warm_bounds;
         let mut optimal = false;
         let atoms = atom_directions(p, cols);
+        let per_round = self.config.per_iteration.max(1);
         while stats.iterations < self.config.max_iterations {
-            bail_if_exhausted!();
+            self.in_budget()?;
             stats.iterations += 1;
             sia_obs::add(sia_obs::Counter::CegisRounds, 1);
             if sia_obs::enabled() {
@@ -462,19 +315,18 @@ impl Synthesizer {
             let learn_start = Instant::now();
             let learned = {
                 let _learn_span = sia_obs::span("learn");
-                let live: Vec<Vec<BigInt>>;
-                let fs_live = match &valid_pred {
+                match &valid_pred {
                     Some(p1) => {
-                        live = fs
+                        let p1_f = enc.encode(p1)?;
+                        let live: Vec<Vec<BigInt>> = fs
                             .iter()
-                            .filter(|f| accepted_by(p1, cols, f))
+                            .filter(|f| accepts(&p1_f, &keep, f))
                             .cloned()
                             .collect();
-                        &live
+                        learn(cols, &atoms, &ts, &live)
                     }
-                    None => &fs,
-                };
-                learn(cols, &atoms, &ts, fs_live)
+                    None => learn(cols, &atoms, &ts, &fs),
+                }
             };
             stats.learning_time += learn_start.elapsed();
             let Some(learned) = learned else { break };
@@ -494,47 +346,26 @@ impl Synthesizer {
                     // CounterF (optimality probe): unsatisfaction tuples
                     // accepted by p3.
                     let _opt_span = sia_obs::span("optimality");
-                    let p3 = match &valid_pred {
-                        None => learned_pred.clone(),
-                        Some(p1) => p1.clone().and(learned_pred.clone()),
+                    let p3 = match valid_pred {
+                        None => learned_pred,
+                        Some(p1) => p1.and(learned_pred),
                     };
                     let gen_start = Instant::now();
                     let p3_f = enc.encode(&p3)?;
-                    let mut new_false = Vec::new();
-                    let mut certified = false;
-                    let mut unknown = false;
-                    for _ in 0..self.config.per_iteration.max(1) {
-                        match false_sample!(enc, &p3_f) {
-                            SampleOutcome::Sample(t) => new_false.push(t),
-                            SampleOutcome::Exhausted => {
-                                certified = new_false.is_empty();
-                                break;
-                            }
-                            SampleOutcome::Unknown => {
-                                unknown = true;
-                                break;
-                            }
-                        }
-                    }
+                    let (new_false, stop) =
+                        self.draw(per_round, || falses.sample_with(enc.solver(), &p3_f))?;
                     stats.generation_time += gen_start.elapsed();
-                    if unknown {
-                        bail_if_exhausted!();
-                    }
-                    if certified {
+                    valid_pred = Some(p3);
+                    if stop == Some(SampleOutcome::Exhausted) && new_false.is_empty() {
                         // `NotOld` hides unsatisfaction tuples we have
                         // already drawn; if p3 still accepts one of them
                         // it is not optimal (the learner could not
                         // separate it, §6.7) — and no *new* sample can
                         // drive further progress, so stop either way.
-                        optimal = !fs.iter().any(|t| accepted_by(&p3, cols, t));
-                        valid_pred = Some(p3);
+                        optimal = !fs.iter().any(|t| accepts(&p3_f, &keep, t));
                         break;
                     }
-                    valid_pred = Some(p3);
-                    if unknown || new_false.is_empty() && self.config.per_iteration == 0 {
-                        break;
-                    }
-                    if new_false.is_empty() {
+                    if stop == Some(SampleOutcome::Unknown) {
                         break;
                     }
                     sia_obs::add(sia_obs::Counter::CegisFalseSamples, new_false.len() as u64);
@@ -546,23 +377,19 @@ impl Synthesizer {
                     let _gen_span = sia_obs::span("generate");
                     let gen_start = Instant::now();
                     let not_learned = enc.encode(&learned_pred)?.not();
-                    let mut new_true = Vec::new();
-                    for _ in 0..self.config.per_iteration.max(1) {
-                        match ts_sampler.sample_with(enc.solver(), &not_learned) {
-                            SampleOutcome::Sample(t) => new_true.push(t),
-                            _ => break,
-                        }
-                    }
+                    let (new_true, _) = draw(per_round, || {
+                        ts_sampler.sample_with(enc.solver(), &not_learned)
+                    });
                     stats.generation_time += gen_start.elapsed();
                     if new_true.is_empty() {
-                        bail_if_exhausted!();
+                        self.in_budget()?;
                         break;
                     }
                     sia_obs::add(sia_obs::Counter::CegisTrueSamples, new_true.len() as u64);
                     ts.extend(new_true);
                 }
                 Validity::Unknown => {
-                    bail_if_exhausted!();
+                    self.in_budget()?;
                     break;
                 }
             }
@@ -578,38 +405,165 @@ impl Synthesizer {
             stats.validation_time += val_start.elapsed();
             simplified
         });
-        Ok(SynthesisResult {
-            predicate,
-            optimal,
-            derived_static: false,
-            stats,
-        })
+        Ok((predicate, optimal, false))
+    }
+
+    /// Everything before the learning loop: decide satisfiability, try
+    /// the static tier, build both samplers and draw the initial samples.
+    /// `Break` is an exit's answer; `Continue` is where the loop starts.
+    fn open(
+        &self,
+        enc: &mut PredEncoder,
+        p: &Pred,
+        cols: &[String],
+        stats: &mut SynthStats,
+    ) -> Result<ControlFlow<Answer, Opening>, SynthesisError> {
+        let p_f = enc.encode(p)?;
+        // Degenerate: p unsatisfiable ⇒ FALSE is a valid, optimal
+        // reduction (it is implied by p and rejects everything).
+        if Prover(enc).unsat(p)?.0 == Validity::Valid {
+            return Ok(ControlFlow::Break((Some(Pred::false_()), true, false)));
+        }
+        self.in_budget()?;
+        let keep: Vec<VarId> = cols.iter().map(|c| enc.value_var(c)).collect();
+        let others: Vec<VarId> = enc
+            .columns()
+            .map(|(_, v)| v)
+            .filter(|v| !keep.contains(v))
+            .collect();
+        // Tier 0: static derivation. When the difference-bound fragment of
+        // `p` is rich enough, projecting its closed zone onto the target
+        // columns *is* the quantifier elimination ∃ others . p — no
+        // sampling, no learning. An exact derivation is verified
+        // through the exact pipeline (`verify_implies`) and returned
+        // directly; a partial one (sound bounds, possibly not optimal)
+        // seeds the sampler and warm-starts the CEGIS loop. Under
+        // `checked`, exact discharges are additionally cross-checked
+        // against a solver-computed unsatisfaction region. Exact(FALSE)
+        // cannot be sound here — p was just proven satisfiable — so like
+        // no derivation at all it is a miss, and the full pipeline will
+        // surface the disagreement.
+        let derived = {
+            let _derive_span = sia_obs::span("derive");
+            match enc.analyzer().derive(p, cols) {
+                Some(Derivation::Exact(q)) if !q.is_false() => Some((q, true)),
+                Some(Derivation::Bounds(q)) => Some((q, false)),
+                _ => None,
+            }
+        };
+        let mut warm_bounds: Option<Pred> = None;
+        if let Some((q, exact)) = derived {
+            let val_start = Instant::now();
+            let valid = (exact && q.is_true()) || verify_implies(enc, p, &q)? == Validity::Valid;
+            stats.validation_time += val_start.elapsed();
+            if valid && exact {
+                let claim = || format!("statically derived `{q}` is optimal for `{p}`");
+                let beyond = |enc: &mut PredEncoder| {
+                    let region = unsat_region(&p_f, &others, &self.config.qe).ok()?;
+                    Some(enc.encode(&q).ok()?.and(region))
+                };
+                prove::audit(enc, sia_obs::Counter::AnalyzeDeriveStatic, 1, claim, beyond);
+                let predicate = if q.is_true() { None } else { Some(q) };
+                return Ok(ControlFlow::Break((predicate, true, true)));
+            }
+            warm_bounds = valid.then_some(q);
+        }
+        let derive_outcome = if warm_bounds.is_some() {
+            sia_obs::Counter::AnalyzeDerivePartial
+        } else {
+            sia_obs::Counter::AnalyzeDeriveMiss
+        };
+        sia_obs::add(derive_outcome, 1);
+        // Cooper QE computes the unsatisfaction region once, exactly; on a
+        // budget error FALSE samples come from CEGQI. Statically-dead
+        // disjuncts of p are pruned first: they admit no TRUE tuple, so
+        // the projection ∃ others . p is unchanged while Cooper
+        // elimination skips their atoms entirely.
+        let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
+            Some(live) => enc.encode(&live)?,
+            None => p_f.clone(),
+        };
+        let false_region = unsat_region(&qe_f, &others, &self.config.qe).ok();
+        let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), SEED);
+        let mut falses = FalseSource::new(false_region, p_f, keep.clone(), SEED);
+        // Initial TRUE samples. A finite satisfaction region short-circuits
+        // to the exact disjunction-of-equalities predicate (§5.3).
+        let (ts, stop) = self.draw(self.config.initial_true, || ts_sampler.sample(enc.solver()))?;
+        if stop == Some(SampleOutcome::Exhausted) {
+            stats.true_samples = ts.len();
+            let predicate = exact_disjunction(cols, &ts)?;
+            return Ok(ControlFlow::Break((Some(predicate), true, false)));
+        }
+        // Initial FALSE samples. An empty unsatisfaction region means the
+        // trivial predicate TRUE is already optimal — nothing useful to
+        // synthesize (the paper's NULL result, and the negative case of
+        // the case study's "symbolically relevant" test).
+        // A partial derivation `q` restricts sampling to its interior: any
+        // unsatisfaction tuple outside q is already rejected by q, so only
+        // the ones q still accepts can drive further progress.
+        let false_extra = match &warm_bounds {
+            Some(q) => enc.encode(q)?,
+            None => Formula::True,
+        };
+        let (fs, stop) = self.draw(self.config.initial_false, || {
+            falses.sample_with(enc.solver(), &false_extra)
+        })?;
+        sia_obs::add(sia_obs::Counter::CegisTrueSamples, ts.len() as u64);
+        sia_obs::add(sia_obs::Counter::CegisFalseSamples, fs.len() as u64);
+        if stop == Some(SampleOutcome::Exhausted) {
+            let derived_static = warm_bounds.is_some();
+            if fs.is_empty() {
+                // No unsatisfaction tuple inside the warm bounds: the
+                // bounds themselves (or trivial TRUE without them) are
+                // already optimal.
+                return Ok(ControlFlow::Break((warm_bounds, true, derived_static)));
+            }
+            // Finite unsatisfaction set: its complement — within the warm
+            // bounds when present — is the optimal reduction (§5.3).
+            stats.false_samples = fs.len();
+            let neg = exact_disjunction(cols, &fs)?.not();
+            let predicate = match warm_bounds {
+                Some(q) => q.and(neg),
+                None => neg,
+            };
+            return Ok(ControlFlow::Break((Some(predicate), true, derived_static)));
+        }
+        Ok(ControlFlow::Continue(Opening {
+            ts_sampler,
+            falses,
+            keep,
+            ts,
+            fs,
+            warm_bounds,
+        }))
     }
 }
 
-/// Two-valued evaluation of a predicate at a concrete integer tuple.
-fn accepted_by(p: &Pred, cols: &[String], tuple: &[BigInt]) -> bool {
-    use sia_expr::{eval_pred, Value};
-    let row = |name: &str| {
-        cols.iter()
-            .position(|c| c == name)
-            .map_or(Value::Null, |i| {
-                Value::Int(tuple[i].to_i64().expect("sample value fits i64"))
-            })
+/// Whether the encoded predicate `f` accepts `tuple` (the values of
+/// `keep`, in order), in exact arithmetic: a sample need not fit an `i64`.
+fn accepts(f: &Formula, keep: &[VarId], tuple: &[BigInt]) -> bool {
+    let value = |v: VarId| {
+        keep.iter()
+            .position(|&k| k == v)
+            .map_or_else(BigRat::zero, |i| BigRat::from_int(tuple[i].clone()))
     };
-    eval_pred(p, &row) == Some(true)
+    f.eval(&value, &|_| false)
 }
 
-/// `⋁ᵢ (⋀ⱼ colⱼ = tᵢⱼ)` — the exact predicate for a finite tuple set.
-fn exact_disjunction(cols: &[String], tuples: &[Vec<BigInt>]) -> Pred {
-    Pred::or_all(tuples.iter().map(|t| {
-        Pred::and_all(cols.iter().zip(t).map(|(c, v)| {
-            col(c.clone()).cmp(
-                CmpOp::Eq,
-                Expr::int(v.to_i64().expect("sample value fits i64")),
-            )
-        }))
-    }))
+/// `⋁ᵢ (⋀ⱼ colⱼ = tᵢⱼ)` — the exact predicate for a finite tuple set, or
+/// [`SynthesisError::Internal`] when a value has no INTEGER literal.
+fn exact_disjunction(cols: &[String], tuples: &[Vec<BigInt>]) -> Result<Pred, SynthesisError> {
+    let eq = |(c, v): (&String, &BigInt)| match v.to_i64() {
+        Some(v) => Ok(col(c.clone()).cmp(CmpOp::Eq, Expr::int(v))),
+        None => Err(SynthesisError::Internal(format!(
+            "the exact answer needs {c} = {v}, which no 64-bit INTEGER literal writes"
+        ))),
+    };
+    let conjunctions = tuples.iter().map(|t| {
+        let literals = cols.iter().zip(t).map(eq);
+        literals.collect::<Result<Vec<_>, _>>().map(Pred::and_all)
+    });
+    Ok(Pred::or_all(conjunctions.collect::<Result<Vec<_>, _>>()?))
 }
 
 #[cfg(test)]
@@ -776,6 +730,34 @@ mod tests {
             let m: HashMap<String, Value> =
                 [("a".to_string(), Value::Int(v))].into_iter().collect();
             assert_eq!(eval_pred(&learned, &m), Some(expect), "at a={v}");
+        }
+    }
+
+    #[test]
+    fn samples_beyond_i64_are_evaluated_exactly() {
+        // Every TRUE tuple lies beyond 2⁶⁴, and the FALSE samples the
+        // learned bound accepts lie past `i64::MAX` too. Reading either as
+        // an `i64` used to panic; the answer is a valid bound instead.
+        let p = parse_predicate("a - 9223372036854775807 - 9223372036854775807 > 5").unwrap();
+        let mut syn = Synthesizer::new(SiaConfig {
+            max_iterations: 3,
+            ..SiaConfig::default()
+        });
+        let r = syn.synthesize(&p, &strs(&["a"])).unwrap();
+        assert_eq!(r.predicate.unwrap().to_string(), "a >= 9223372036854775807");
+        assert!(!r.optimal);
+        // A finite region there has no exact answer to print: an error
+        // the caller can fall back from, not a panic.
+        for op in ["=", "<>"] {
+            let p = parse_predicate(&format!(
+                "a - 9223372036854775807 - 9223372036854775807 {op} 5"
+            ))
+            .unwrap();
+            let err = Synthesizer::default().synthesize(&p, &strs(&["a"]));
+            assert!(
+                matches!(err, Err(SynthesisError::Internal(_))),
+                "{op}: {err:?}"
+            );
         }
     }
 

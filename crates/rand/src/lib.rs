@@ -110,20 +110,23 @@ pub trait SampleRange<T> {
     fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
-/// Uniform `u64` in `[0, n)` by Lemire's multiply-shift with rejection.
+/// Uniform `u64` in `[0, n)` by Lemire's multiply-shift with rejection, in
+/// its nearly-divisionless form: a draw is rejected when the product's low
+/// word is below `2⁶⁴ mod n`, and since that threshold is below `n`, the
+/// division that computes it is paid only when the low word is below `n`.
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
     if n.is_power_of_two() {
         return rng.next_u64() & (n - 1);
     }
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let x = rng.next_u64();
-        let m = u128::from(x) * u128::from(n);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let threshold = n.wrapping_neg() % n;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(n);
         }
     }
+    (m >> 64) as u64
 }
 
 /// Uniform `f64` in `[0, 1)` from the top 53 bits.
@@ -248,6 +251,58 @@ mod tests {
         let mut sm2 = SplitMix64::new(1234567);
         assert_eq!(sm2.next_u64(), first);
         assert_eq!(sm2.next_u64(), second);
+    }
+
+    /// The threshold computed on every draw, as the nearly-divisionless
+    /// form must reproduce it.
+    fn uniform_u64_always_divided(rng: &mut impl RngCore, n: u64) -> u64 {
+        if n.is_power_of_two() {
+            return rng.next_u64() & (n - 1);
+        }
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn nearly_divisionless_draws_match_the_divided_ones() {
+        // Spans just past 2⁶³ reject about half of all draws, so both
+        // branches of the rejection are exercised.
+        let spans = [
+            1,
+            2,
+            3,
+            7,
+            10,
+            1000,
+            (1 << 32) + 1,
+            1 << 40,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX / 3 * 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for seed in 0..6 {
+            for n in spans {
+                let mut fast = rngs::StdRng::seed_from_u64(seed);
+                let mut divided = rngs::StdRng::seed_from_u64(seed);
+                for _ in 0..500 {
+                    assert_eq!(
+                        uniform_u64(&mut fast, n),
+                        uniform_u64_always_divided(&mut divided, n),
+                        "seed {seed}, span {n}"
+                    );
+                }
+                // Both consumed the same draws.
+                assert_eq!(fast.next_u64(), divided.next_u64(), "seed {seed}, span {n}");
+            }
+        }
     }
 
     #[test]

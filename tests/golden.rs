@@ -11,8 +11,11 @@
 
 use sia::core::{SiaConfig, SynthesisResult, Synthesizer};
 use sia::expr::{eval_pred, Pred, Value};
+use sia::obs::Counter;
+use sia::smt::{Budget, QeConfig};
 use sia::sql::parse_predicate;
 use sia_gen::{GenConfig, ZonePolicy};
+use std::time::Duration;
 
 fn synthesize(p: &Pred, cols: &[String]) -> SynthesisResult {
     Synthesizer::new(SiaConfig::default())
@@ -158,6 +161,107 @@ fn integer_division_is_proved_as_the_executor_computes_it() {
     }
 }
 
+/// One request per exit of `Synthesizer::synthesize`, in the order the
+/// driver takes them, plus the two one-shot baselines and an expired
+/// budget. Each line pins the answer, the flags, the path (iterations and
+/// final sample counts) and how many runs switched their FALSE sampling
+/// to CEGQI. The `cegis.cegqi_fallbacks` delta is read from the
+/// process-wide collector; no other request in this file falls back, so
+/// tests running alongside cannot move it.
+#[test]
+fn every_exit_is_pinned() {
+    let over_qe_budget = SiaConfig {
+        qe: QeConfig {
+            max_disjuncts: 0,
+            ..QeConfig::default()
+        },
+        ..SiaConfig::default()
+    };
+    let expired = SiaConfig {
+        budget: Budget::with_deadline(Duration::ZERO),
+        ..SiaConfig::default()
+    };
+    let motivating = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0";
+    let requests: [(&str, &str, &[&str], SiaConfig); 11] = [
+        (
+            "unsat",
+            "a < 0 AND a > 0 AND b = 1",
+            &["b"],
+            SiaConfig::default(),
+        ),
+        (
+            "zone exact",
+            "a + 10 > b + 20 AND b + 10 > 20",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "zone bounds",
+            motivating,
+            &["a1", "a2"],
+            SiaConfig::default(),
+        ),
+        (
+            "finite TRUE",
+            "a + a + b >= 0 AND a + a <= 4 AND b = 0",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "finite FALSE",
+            "a + a <> 6 AND b > 0",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "finite FALSE in bounds",
+            "a + a <> 6 AND a >= 0 AND a <= 10",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "CEGQI over QE budget",
+            "2*a - 3*b < 5 AND b < 0 AND 0 - b < 10",
+            &["a"],
+            over_qe_budget,
+        ),
+        (
+            "CEGQI on Unknown",
+            "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
+            &["n_nationkey"],
+            SiaConfig::default(),
+        ),
+        ("SIA_v1", motivating, &["a1", "a2"], SiaConfig::v1()),
+        ("SIA_v2", motivating, &["a1", "a2"], SiaConfig::v2()),
+        ("expired budget", motivating, &["a1", "a2"], expired),
+    ];
+    let got: Vec<String> = requests
+        .into_iter()
+        .map(|(name, predicate, cols, config)| {
+            let p = parse_predicate(predicate).unwrap();
+            let cols: Vec<String> = cols.iter().map(ToString::to_string).collect();
+            sia::obs::enable();
+            let before = sia::obs::snapshot().counter(Counter::CegisCegqiFallbacks);
+            let result = Synthesizer::new(config).synthesize(&p, &cols);
+            let fallbacks = sia::obs::snapshot().counter(Counter::CegisCegqiFallbacks) - before;
+            let outcome = match result {
+                Ok(s) => format!(
+                    "{} | derived_static={} | iterations={} true={} false={}",
+                    rendered(&s),
+                    s.derived_static,
+                    s.stats.iterations,
+                    s.stats.true_samples,
+                    s.stats.false_samples
+                ),
+                Err(e) => format!("error: {e}"),
+            };
+            format!("{name}: {outcome} | fallbacks={fallbacks}")
+        })
+        .collect();
+    sia::obs::disable();
+    assert_golden("exits", &got, EXITS);
+}
+
 const MOTIVATING: &[&str] = &["a2 <= 18 AND a2 - a1 >= -28 | optimal=true"];
 
 const PAPER_6_3: &[&str] = &[
@@ -187,4 +291,18 @@ const ZONE_INELIGIBLE: &[&str] = &[
     "l_commitdate + l_orderdate < 18744 AND l_orderdate <= DATE '1995-07-26' => l_orderdate <= 9337 AND 0 - l_commitdate - l_orderdate >= -18743 | optimal=true | iterations=13 true=70 false=10",
     "l_receiptdate + l_commitdate <= 18815 AND l_shipdate >= DATE '1995-03-08' => l_shipdate >= 9197 | optimal=false | iterations=18 true=95 false=10",
     "5 * l_extendedprice - l_orderkey > -623105.35 AND l_receiptdate < DATE '1995-10-23' => l_receiptdate <= 9425 AND 5 * l_extendedprice - l_orderkey >= -623105 | optimal=true | iterations=17 true=90 false=10",
+];
+
+const EXITS: &[&str] = &[
+    "unsat: FALSE | optimal=true | derived_static=false | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone exact: a >= 22 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=2 true=15 false=10 | fallbacks=0",
+    "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | derived_static=false | iterations=0 true=3 false=0 | fallbacks=0",
+    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=0 false=1 | fallbacks=0",
+    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=0 false=1 | fallbacks=0",
+    "CEGQI over QE budget: 0 - a >= 0 | optimal=false | derived_static=false | iterations=1 true=10 false=10 | fallbacks=1",
+    "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | derived_static=false | iterations=2 true=10 false=15 | fallbacks=1",
+    "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=110 false=110 | fallbacks=0",
+    "SIA_v2: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=220 false=220 | fallbacks=0",
+    "expired budget: error: synthesis budget exhausted (timeout) | fallbacks=0",
 ];

@@ -6,11 +6,25 @@ use crate::load::percentile;
 use crate::runtime::{summarize, RuntimePoint};
 use crate::suite::SweepResult;
 use crate::util::{avg_ms, histogram, render_table};
+use sia_core::SiaConfig;
 
 const CATEGORY_NAMES: [&str; 3] = ["one", "two", "three"];
 
-/// Table 1: the baseline configurations (static).
+/// Table 1: the baseline configurations, read off [`SiaConfig`].
 pub fn table1() -> String {
+    let row = |name: &str, c: SiaConfig| {
+        let per_iteration = match c.per_iteration {
+            0 => "N/A".to_string(),
+            n => n.to_string(),
+        };
+        vec![
+            name.to_string(),
+            c.max_iterations.to_string(),
+            c.initial_true.to_string(),
+            c.initial_false.to_string(),
+            per_iteration,
+        ]
+    };
     render_table(
         &[
             "",
@@ -20,27 +34,9 @@ pub fn table1() -> String {
             "# Samples per Iteration",
         ],
         &[
-            vec![
-                "SIA_v1".into(),
-                "1".into(),
-                "110".into(),
-                "110".into(),
-                "N/A".into(),
-            ],
-            vec![
-                "SIA_v2".into(),
-                "1".into(),
-                "220".into(),
-                "220".into(),
-                "N/A".into(),
-            ],
-            vec![
-                "SIA".into(),
-                "41".into(),
-                "10".into(),
-                "10".into(),
-                "5".into(),
-            ],
+            row("SIA_v1", SiaConfig::v1()),
+            row("SIA_v2", SiaConfig::v2()),
+            row("SIA", SiaConfig::default()),
         ],
     )
 }
@@ -142,8 +138,7 @@ pub fn fig7(r: &SweepResult) -> String {
     out
 }
 
-/// Fig 8: distribution of TRUE/FALSE sample counts at the final
-/// iteration.
+/// Fig 8: distribution of the TRUE/FALSE sample counts drawn per run.
 pub fn fig8(r: &SweepResult) -> String {
     let mut out = String::new();
     for (i, c) in r.categories.iter().enumerate() {
@@ -316,6 +311,20 @@ mod tests {
         assert!(table3(&r).contains("SIA Gen(ms)"));
         assert!(fig7(&r).contains("Fig 7"));
         assert!(fig8(&r).contains("Fig 8a"));
+    }
+
+    #[test]
+    fn table1_renders_the_three_configs() {
+        let expected = [
+            "+--------+-----------------+------------------------+-------------------------+-------------------------+",
+            "|        | Max Iteration # | # Initial True Samples | # Initial False Samples | # Samples per Iteration |",
+            "+--------+-----------------+------------------------+-------------------------+-------------------------+",
+            "| SIA_v1 | 1               | 110                    | 110                     | N/A                     |",
+            "| SIA_v2 | 1               | 220                    | 220                     | N/A                     |",
+            "| SIA    | 41              | 10                     | 10                      | 5                       |",
+            "+--------+-----------------+------------------------+-------------------------+-------------------------+",
+        ];
+        assert_eq!(table1(), expected.map(|l| format!("{l}\n")).concat());
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct VariantStats {
     pub validation: Vec<Duration>,
     /// Learning-loop iterations (successful runs only).
     pub iterations: Vec<u32>,
-    /// TRUE samples at the final iteration (successful runs only).
+    /// TRUE samples drawn in the run (successful runs only).
     pub true_samples: Vec<usize>,
-    /// FALSE samples at the final iteration (successful runs only).
+    /// FALSE samples drawn in the run (successful runs only).
     pub false_samples: Vec<usize>,
     /// Iterations for runs that ended certified-optimal.
     pub iterations_to_optimal: Vec<u32>,

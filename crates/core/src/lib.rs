@@ -29,6 +29,7 @@ pub mod baselines;
 pub mod cegqi;
 pub mod encode;
 pub mod learn;
+mod ledger;
 pub mod prove;
 pub mod rewrite;
 pub mod samples;

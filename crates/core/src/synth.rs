@@ -4,6 +4,7 @@
 use crate::cegqi::FalseSource;
 use crate::encode::{EncodeError, PredEncoder};
 use crate::learn::{atom_directions, learn};
+use crate::ledger::{Ledger, Phase};
 use crate::prove::{self, Prover};
 use crate::samples::{draw, SampleOutcome, Sampler};
 use crate::verify::{unsat_region, verify_implies, Validity};
@@ -12,7 +13,7 @@ use sia_expr::{col, CmpOp, Expr, Pred};
 use sia_num::{BigInt, BigRat};
 use sia_smt::{Budget, Formula, QeConfig, VarId};
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// RNG seed for sample diversification: one fixed value, so the same
 /// request always takes the same path to the same answer.
@@ -80,19 +81,24 @@ impl SiaConfig {
 }
 
 /// Timing and volume statistics for one synthesis run (Table 3, Figs 7–8).
+/// The three times partition the run's phases: time charged to a phase
+/// nested in another is not charged to the outer one too, so they never
+/// sum past the run's wall time.
 #[derive(Debug, Clone, Default)]
 pub struct SynthStats {
     /// Learning-loop iterations executed.
     pub iterations: u32,
-    /// TRUE samples at the final iteration.
+    /// TRUE samples drawn in the run.
     pub true_samples: usize,
-    /// FALSE samples at the final iteration.
+    /// FALSE samples drawn in the run.
     pub false_samples: usize,
-    /// Time in sample/counter-example generation (solver models + QE).
+    /// Time in sample/counter-example generation (solver models + QE),
+    /// `CounterF`'s optimality probe included.
     pub generation_time: Duration,
     /// Time in the learner (Alg 2).
     pub learning_time: Duration,
-    /// Time in validity/optimality checks.
+    /// Time in validity checks (a derived bound's included) and in
+    /// stripping redundant planes.
     pub validation_time: Duration,
 }
 
@@ -178,8 +184,6 @@ struct Opening {
     falses: FalseSource,
     /// Solver variables of the target columns, in `cols` order.
     keep: Vec<VarId>,
-    ts: Vec<Vec<BigInt>>,
-    fs: Vec<Vec<BigInt>>,
     warm_bounds: Option<Pred>,
 }
 
@@ -215,8 +219,21 @@ impl Synthesizer {
         if let Some(c) = cols.iter().find(|c| !p_cols.contains(*c)) {
             return Err(SynthesisError::ColumnNotInPredicate(c.clone()));
         }
-        let mut stats = SynthStats::default();
-        let (predicate, optimal, derived_static) = self.run(p, &cols, &mut stats)?;
+        let mut ledger = Ledger::default();
+        let answer = self.run(p, &cols, &mut ledger);
+        // Every run that started is counted, timed out or not, from its
+        // one record.
+        let stats = ledger.into_stats();
+        sia_obs::add(sia_obs::Counter::CegisRounds, u64::from(stats.iterations));
+        sia_obs::add(
+            sia_obs::Counter::CegisTrueSamples,
+            stats.true_samples as u64,
+        );
+        sia_obs::add(
+            sia_obs::Counter::CegisFalseSamples,
+            stats.false_samples as u64,
+        );
+        let (predicate, optimal, derived_static) = answer?;
         Ok(SynthesisResult {
             predicate,
             optimal,
@@ -249,12 +266,13 @@ impl Synthesizer {
     /// Alg 1 over the sorted, checked `cols`. Its exits, in the order it
     /// takes them: `p` unsatisfiable, an exact zone derivation, a finite
     /// TRUE region, a finite FALSE region (each in [`Synthesizer::open`]),
-    /// and the end of the learning loop.
+    /// and the end of the learning loop. Every phase, sample and round is
+    /// written to `ledger`.
     fn run(
         &self,
         p: &Pred,
         cols: &[String],
-        stats: &mut SynthStats,
+        ledger: &mut Ledger,
     ) -> Result<Answer, SynthesisError> {
         let enc = &mut PredEncoder::new();
         // Thread the deadline into the solver so its CDCL and simplex
@@ -263,9 +281,10 @@ impl Synthesizer {
         enc.solver().budget = self.config.budget;
         self.in_budget()?;
         // Phase spans: `synth` is the root; `generate` / `learn` /
-        // `verify` / `optimality` are its children, with `smt.check` and
-        // `qe.eliminate` nesting below (the `--metrics` breakdown).
-        // Guards close on every early return.
+        // `verify` / `optimality` are its children (opened by
+        // `Ledger::phase`), with `smt.check` and `qe.eliminate` nesting
+        // below (the `--metrics` breakdown). Guards close on every early
+        // return.
         let _synth_span = sia_obs::span("synth");
         // Chaos hook: an injected error/panic/stall at the very top of a
         // run, after request validation (so injected faults model
@@ -275,19 +294,11 @@ impl Synthesizer {
         if let Some(msg) = sia_fault::fire("synth.run") {
             return Err(SynthesisError::Internal(msg));
         }
-        let gen_span = sia_obs::span("generate");
-        let gen_start = Instant::now();
-        let opening = self.open(enc, p, cols, stats);
-        // Accumulate (never overwrite) so the opening and every later
-        // counter-example round all contribute to the total.
-        stats.generation_time += gen_start.elapsed();
-        drop(gen_span);
+        let opening = ledger.phase(Phase::Generate, |ledger| self.open(enc, p, cols, ledger));
         let Opening {
             mut ts_sampler,
             mut falses,
             keep,
-            mut ts,
-            mut fs,
             warm_bounds,
         } = match opening? {
             ControlFlow::Break(answer) => return Ok(answer),
@@ -299,11 +310,11 @@ impl Synthesizer {
         let mut optimal = false;
         let atoms = atom_directions(p, cols);
         let per_round = self.config.per_iteration.max(1);
-        while stats.iterations < self.config.max_iterations {
+        while ledger.rounds() < self.config.max_iterations {
             self.in_budget()?;
-            stats.iterations += 1;
-            sia_obs::add(sia_obs::Counter::CegisRounds, 1);
+            ledger.round();
             if sia_obs::enabled() {
+                let (ts, fs) = (ledger.true_samples(), ledger.false_samples());
                 #[allow(clippy::cast_precision_loss)]
                 sia_obs::record(sia_obs::Hist::CegisRoundTrue, ts.len() as f64);
                 #[allow(clippy::cast_precision_loss)]
@@ -312,10 +323,9 @@ impl Synthesizer {
             // Learn (Alg 2), against only the FALSE samples p₁ still
             // accepts: p₃ = p₁ ∧ learned rejects the rest whatever is
             // learned, and separating them too would cost planes.
-            let learn_start = Instant::now();
-            let learned = {
-                let _learn_span = sia_obs::span("learn");
-                match &valid_pred {
+            let learned = ledger.phase(Phase::Learn, |ledger| {
+                let (ts, fs) = (ledger.true_samples(), ledger.false_samples());
+                Ok(match &valid_pred {
                     Some(p1) => {
                         let p1_f = enc.encode(p1)?;
                         let live: Vec<Vec<BigInt>> = fs
@@ -323,70 +333,81 @@ impl Synthesizer {
                             .filter(|f| accepts(&p1_f, &keep, f))
                             .cloned()
                             .collect();
-                        learn(cols, &atoms, &ts, &live)
+                        learn(cols, &atoms, ts, &live)
                     }
-                    None => learn(cols, &atoms, &ts, &fs),
-                }
-            };
-            stats.learning_time += learn_start.elapsed();
+                    None => learn(cols, &atoms, ts, fs),
+                })
+            })?;
             let Some(learned) = learned else { break };
+            // Every learned plane rejects the live FALSE samples and p₁
+            // accepts them, so an exactly rendered plane is never one of
+            // p₁'s conjuncts. One that is had its threshold saturated at
+            // the `i64` range, and the next round would learn it again.
+            if let Some(p1) = &valid_pred {
+                if p1.conjuncts().contains(&&learned.pred) {
+                    break;
+                }
+            }
             // Verify (§5.5). Alg 2 routinely emits planes subsumed by
             // later ones; strip them first so p₃ and the final output
             // stay readable.
-            let val_start = Instant::now();
-            let (learned_pred, validity) = {
-                let _verify_span = sia_obs::span("verify");
+            let (learned_pred, validity) = ledger.phase(Phase::Verify, |_| {
                 let lp = crate::verify::remove_redundant_disjuncts(enc, &learned.pred);
                 let v = verify_implies(enc, p, &lp)?;
-                (lp, v)
-            };
-            stats.validation_time += val_start.elapsed();
+                Ok((lp, v))
+            })?;
             match validity {
                 Validity::Valid => {
                     // CounterF (optimality probe): unsatisfaction tuples
-                    // accepted by p3.
-                    let _opt_span = sia_obs::span("optimality");
+                    // accepted by p3. `Break(optimal)` ends the loop.
                     let p3 = match valid_pred {
                         None => learned_pred,
                         Some(p1) => p1.and(learned_pred),
                     };
-                    let gen_start = Instant::now();
-                    let p3_f = enc.encode(&p3)?;
-                    let (new_false, stop) =
-                        self.draw(per_round, || falses.sample_with(enc.solver(), &p3_f))?;
-                    stats.generation_time += gen_start.elapsed();
+                    let step = ledger.phase(Phase::Optimality, |ledger| {
+                        let p3_f = enc.encode(&p3)?;
+                        let (new_false, stop) =
+                            self.draw(per_round, || falses.sample_with(enc.solver(), &p3_f))?;
+                        Ok(match stop {
+                            // `NotOld` hides unsatisfaction tuples we
+                            // have already drawn; if p3 still accepts one
+                            // of them it is not optimal (the learner could
+                            // not separate it, §6.7) — and no *new* sample
+                            // can drive further progress, so stop either
+                            // way.
+                            Some(SampleOutcome::Exhausted) if new_false.is_empty() => {
+                                let seen = ledger.false_samples();
+                                ControlFlow::Break(!seen.iter().any(|t| accepts(&p3_f, &keep, t)))
+                            }
+                            Some(SampleOutcome::Unknown) => ControlFlow::Break(false),
+                            _ => {
+                                ledger.add_false(new_false);
+                                ControlFlow::Continue(())
+                            }
+                        })
+                    })?;
                     valid_pred = Some(p3);
-                    if stop == Some(SampleOutcome::Exhausted) && new_false.is_empty() {
-                        // `NotOld` hides unsatisfaction tuples we have
-                        // already drawn; if p3 still accepts one of them
-                        // it is not optimal (the learner could not
-                        // separate it, §6.7) — and no *new* sample can
-                        // drive further progress, so stop either way.
-                        optimal = !fs.iter().any(|t| accepts(&p3_f, &keep, t));
+                    if let ControlFlow::Break(certified) = step {
+                        optimal = certified;
                         break;
                     }
-                    if stop == Some(SampleOutcome::Unknown) {
-                        break;
-                    }
-                    sia_obs::add(sia_obs::Counter::CegisFalseSamples, new_false.len() as u64);
-                    fs.extend(new_false);
                 }
                 Validity::Invalid => {
                     // CounterT: tuples satisfying p but rejected by the
                     // learned predicate.
-                    let _gen_span = sia_obs::span("generate");
-                    let gen_start = Instant::now();
-                    let not_learned = enc.encode(&learned_pred)?.not();
-                    let (new_true, _) = draw(per_round, || {
-                        ts_sampler.sample_with(enc.solver(), &not_learned)
-                    });
-                    stats.generation_time += gen_start.elapsed();
-                    if new_true.is_empty() {
+                    let drew = ledger.phase(Phase::Generate, |ledger| {
+                        let not_learned = enc.encode(&learned_pred)?.not();
+                        let (new_true, _) = draw(per_round, || {
+                            ts_sampler.sample_with(enc.solver(), &not_learned)
+                        });
+                        let drew = !new_true.is_empty();
+                        ledger.add_true(new_true);
+                        Ok(drew)
+                    })?;
+                    if !drew {
                         self.in_budget()?;
                         break;
                     }
-                    sia_obs::add(sia_obs::Counter::CegisTrueSamples, new_true.len() as u64);
-                    ts.extend(new_true);
                 }
                 Validity::Unknown => {
                     self.in_budget()?;
@@ -394,29 +415,26 @@ impl Synthesizer {
                 }
             }
         }
-        stats.true_samples = ts.len();
-        stats.false_samples = fs.len();
         // The loop conjoins one learned predicate per iteration; strip the
         // superseded ones for readable SQL output.
         let predicate = valid_pred.map(|p| {
-            let val_start = Instant::now();
-            let _verify_span = sia_obs::span("verify");
-            let simplified = crate::verify::remove_redundant_conjuncts(enc, &p);
-            stats.validation_time += val_start.elapsed();
-            simplified
+            ledger.phase(Phase::Verify, |_| {
+                Ok(crate::verify::remove_redundant_conjuncts(enc, &p))
+            })
         });
-        Ok((predicate, optimal, false))
+        Ok((predicate.transpose()?, optimal, false))
     }
 
     /// Everything before the learning loop: decide satisfiability, try
-    /// the static tier, build both samplers and draw the initial samples.
-    /// `Break` is an exit's answer; `Continue` is where the loop starts.
+    /// the static tier, build both samplers and draw the initial samples
+    /// into `ledger`. `Break` is an exit's answer; `Continue` is where the
+    /// loop starts.
     fn open(
         &self,
         enc: &mut PredEncoder,
         p: &Pred,
         cols: &[String],
-        stats: &mut SynthStats,
+        ledger: &mut Ledger,
     ) -> Result<ControlFlow<Answer, Opening>, SynthesisError> {
         let p_f = enc.encode(p)?;
         // Degenerate: p unsatisfiable ⇒ FALSE is a valid, optimal
@@ -453,9 +471,9 @@ impl Synthesizer {
         };
         let mut warm_bounds: Option<Pred> = None;
         if let Some((q, exact)) = derived {
-            let val_start = Instant::now();
-            let valid = (exact && q.is_true()) || verify_implies(enc, p, &q)? == Validity::Valid;
-            stats.validation_time += val_start.elapsed();
+            let valid = ledger.phase(Phase::Verify, |_| {
+                Ok((exact && q.is_true()) || verify_implies(enc, p, &q)? == Validity::Valid)
+            })?;
             if valid && exact {
                 let claim = || format!("statically derived `{q}` is optimal for `{p}`");
                 let beyond = |enc: &mut PredEncoder| {
@@ -489,9 +507,9 @@ impl Synthesizer {
         // Initial TRUE samples. A finite satisfaction region short-circuits
         // to the exact disjunction-of-equalities predicate (§5.3).
         let (ts, stop) = self.draw(self.config.initial_true, || ts_sampler.sample(enc.solver()))?;
+        ledger.add_true(ts);
         if stop == Some(SampleOutcome::Exhausted) {
-            stats.true_samples = ts.len();
-            let predicate = exact_disjunction(cols, &ts)?;
+            let predicate = exact_disjunction(cols, ledger.true_samples())?;
             return Ok(ControlFlow::Break((Some(predicate), true, false)));
         }
         // Initial FALSE samples. An empty unsatisfaction region means the
@@ -508,11 +526,10 @@ impl Synthesizer {
         let (fs, stop) = self.draw(self.config.initial_false, || {
             falses.sample_with(enc.solver(), &false_extra)
         })?;
-        sia_obs::add(sia_obs::Counter::CegisTrueSamples, ts.len() as u64);
-        sia_obs::add(sia_obs::Counter::CegisFalseSamples, fs.len() as u64);
+        ledger.add_false(fs);
         if stop == Some(SampleOutcome::Exhausted) {
             let derived_static = warm_bounds.is_some();
-            if fs.is_empty() {
+            if ledger.false_samples().is_empty() {
                 // No unsatisfaction tuple inside the warm bounds: the
                 // bounds themselves (or trivial TRUE without them) are
                 // already optimal.
@@ -520,8 +537,7 @@ impl Synthesizer {
             }
             // Finite unsatisfaction set: its complement — within the warm
             // bounds when present — is the optimal reduction (§5.3).
-            stats.false_samples = fs.len();
-            let neg = exact_disjunction(cols, &fs)?.not();
+            let neg = exact_disjunction(cols, ledger.false_samples())?.not();
             let predicate = match warm_bounds {
                 Some(q) => q.and(neg),
                 None => neg,
@@ -532,8 +548,6 @@ impl Synthesizer {
             ts_sampler,
             falses,
             keep,
-            ts,
-            fs,
             warm_bounds,
         }))
     }
@@ -759,6 +773,20 @@ mod tests {
                 "{op}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_saturated_plane_ends_the_loop() {
+        // The learned threshold lies past `i64::MAX` and renders saturated,
+        // as the bound p₁ already holds: the second round learns it again
+        // and stops, where it used to run to the iteration cap.
+        let p = parse_predicate("a - 9223372036854775807 - 9223372036854775807 > 5").unwrap();
+        let r = Synthesizer::default()
+            .synthesize(&p, &strs(&["a"]))
+            .unwrap();
+        assert_eq!(r.predicate.unwrap().to_string(), "a >= 9223372036854775807");
+        assert!(!r.optimal);
+        assert!(r.stats.iterations <= 2, "{:?}", r.stats);
     }
 
     #[test]

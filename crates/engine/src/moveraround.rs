@@ -46,7 +46,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::time::Instant;
 
 use crate::optimize::schema_columns;
 use crate::plan::Plan;
@@ -54,7 +53,6 @@ use sia_analyze::{Analyzer, Warning};
 use sia_cache::{canonicalize, PredicateCache};
 use sia_core::{PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
 use sia_expr::{Expr, Pred, Schema};
-use sia_obs::Hist;
 
 /// How much predicate movement the optimizer may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -237,18 +235,6 @@ pub fn move_around(
     (plan, report)
 }
 
-/// Run `f`, recording its wall time in µs under `h` when the collector is
-/// on (one relaxed load when it is off).
-fn timed<T>(h: Hist, f: impl FnOnce() -> T) -> T {
-    if !sia_obs::enabled() {
-        return f();
-    }
-    let start = Instant::now();
-    let out = f();
-    sia_obs::record(h, start.elapsed().as_secs_f64() * 1e6);
-    out
-}
-
 /// What the static half of the pass knows about one scan.
 struct Scan {
     table: String,
@@ -282,12 +268,13 @@ pub(crate) fn move_around_cached(
         return (plan, MoveAroundReport::default(), true);
     }
     let tables = scan_tables(&plan);
-    let (analyzer, closure) = timed(Hist::EngineMoveCloseUs, || {
+    let (analyzer, closure) = {
+        let _span = sia_obs::span("moveraround.close");
         let analyzer = Analyzer::with_schemas(tables.iter().filter_map(|t| schema_of(t)));
         let conj = Pred::and_all(gathered.iter().map(|g| g.pred.clone()));
         let closure = analyzer.close(&conj);
         (analyzer, closure)
-    });
+    };
     // `entailed_over` once per distinct column set: a scan's own columns,
     // and the far side of each boundary predicate.
     let mut entailed: BTreeMap<Vec<String>, Pred> = BTreeMap::new();
@@ -301,7 +288,8 @@ pub(crate) fn move_around_cached(
     };
 
     let mut scans: Vec<Scan> = Vec::new();
-    timed(Hist::EngineMoveEntailUs, || {
+    {
+        let _span = sia_obs::span("moveraround.entail");
         for table in tables {
             if scans.iter().any(|s| s.table == table) {
                 continue; // same table scanned twice: predicates already attached
@@ -332,7 +320,7 @@ pub(crate) fn move_around_cached(
                 new_parts,
             });
         }
-    });
+    }
     let derived: Vec<(String, Pred)> = scans
         .iter()
         .flat_map(|s| s.new_parts.iter().map(|p| (s.table.clone(), p.clone())))
@@ -349,68 +337,67 @@ pub(crate) fn move_around_cached(
     let mut answered = true;
     if mode == MoveAround::Synthesis {
         let mut syn = Synthesizer::new(SiaConfig::default());
-        timed(Hist::EngineMoveSynthUs, || {
-            for scan in &mut scans {
-                let known: Vec<Pred> = scan.local.iter().chain(&scan.new_parts).cloned().collect();
-                let known_conj = Pred::and_all(known.iter().cloned());
-                for g in &gathered {
-                    let gcols = g.pred.columns();
-                    let (target, others): (Vec<String>, Vec<String>) =
-                        gcols.into_iter().partition(|c| scan.cols.contains(c));
-                    if target.is_empty() || others.is_empty() {
-                        continue; // no overlap, or not a boundary predicate
-                    }
-                    let statically_covered = known
-                        .iter()
-                        .any(|k| !k.columns().is_empty() && k.over_columns(&target));
-                    if statically_covered {
-                        continue;
-                    }
-                    // Context the learner may assume: the boundary predicate
-                    // plus everything entailed about its *other* columns.
-                    let ctx = g.pred.clone().and(entailed_over(&others));
-                    let canon = canonicalize(&ctx);
-                    let (learned, cached) = match cache.lookup(&canon, &target) {
-                        Some(hit) => {
-                            debug_assert!(
-                                matches!(
-                                    Prover(&mut PredEncoder::new()).implies(&ctx, &hit.predicate),
-                                    Ok((Validity::Valid, _))
-                                ),
-                                "cached `{}` is not implied by `{ctx}`",
-                                hit.predicate
-                            );
-                            ((!hit.predicate.is_true()).then_some(hit.predicate), true)
-                        }
-                        None => match syn.synthesize(&ctx, &target) {
-                            Ok(r) => {
-                                let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
-                                cache.insert(&canon, &target, stored, r.optimal);
-                                (r.predicate, false)
-                            }
-                            Err(_) => {
-                                answered = false;
-                                (None, false)
-                            }
-                        },
-                    };
-                    if cached {
-                        report.synthesis_hits += 1;
-                    } else {
-                        report.synthesis_misses += 1;
-                    }
-                    let Some(p) = learned else { continue };
-                    if analyzer.statically_true(&p)
-                        || (!known.is_empty() && analyzer.implies(&known_conj, &p))
-                    {
-                        continue;
-                    }
-                    report.synthesized.push((scan.table.clone(), p.clone()));
-                    report.synthesized_cached.push(cached);
-                    scan.new_parts.push(p);
+        let _span = sia_obs::span("moveraround.boundaries");
+        for scan in &mut scans {
+            let known: Vec<Pred> = scan.local.iter().chain(&scan.new_parts).cloned().collect();
+            let known_conj = Pred::and_all(known.iter().cloned());
+            for g in &gathered {
+                let gcols = g.pred.columns();
+                let (target, others): (Vec<String>, Vec<String>) =
+                    gcols.into_iter().partition(|c| scan.cols.contains(c));
+                if target.is_empty() || others.is_empty() {
+                    continue; // no overlap, or not a boundary predicate
                 }
+                let statically_covered = known
+                    .iter()
+                    .any(|k| !k.columns().is_empty() && k.over_columns(&target));
+                if statically_covered {
+                    continue;
+                }
+                // Context the learner may assume: the boundary predicate
+                // plus everything entailed about its *other* columns.
+                let ctx = g.pred.clone().and(entailed_over(&others));
+                let canon = canonicalize(&ctx);
+                let (learned, cached) = match cache.lookup(&canon, &target) {
+                    Some(hit) => {
+                        debug_assert!(
+                            matches!(
+                                Prover(&mut PredEncoder::new()).implies(&ctx, &hit.predicate),
+                                Ok((Validity::Valid, _))
+                            ),
+                            "cached `{}` is not implied by `{ctx}`",
+                            hit.predicate
+                        );
+                        ((!hit.predicate.is_true()).then_some(hit.predicate), true)
+                    }
+                    None => match syn.synthesize(&ctx, &target) {
+                        Ok(r) => {
+                            let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
+                            cache.insert(&canon, &target, stored, r.optimal);
+                            (r.predicate, false)
+                        }
+                        Err(_) => {
+                            answered = false;
+                            (None, false)
+                        }
+                    },
+                };
+                if cached {
+                    report.synthesis_hits += 1;
+                } else {
+                    report.synthesis_misses += 1;
+                }
+                let Some(p) = learned else { continue };
+                if analyzer.statically_true(&p)
+                    || (!known.is_empty() && analyzer.implies(&known_conj, &p))
+                {
+                    continue;
+                }
+                report.synthesized.push((scan.table.clone(), p.clone()));
+                report.synthesized_cached.push(cached);
+                scan.new_parts.push(p);
             }
-        });
+        }
     }
     report.gathered = gathered;
     let attachments: BTreeMap<String, Pred> = scans

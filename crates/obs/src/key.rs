@@ -199,15 +199,6 @@ keys! {
         ServeQueueDepth => "serve.queue_depth",
         /// Adaptive admission limit sampled at each AIMD control tick.
         ServeAdmissionLimit => "serve.admission.limit",
-        /// Per query, microseconds the move-around pass spent closing the
-        /// gathered conjunction and building its abstract state.
-        EngineMoveCloseUs => "engine.moveraround.close_us",
-        /// Per query, microseconds spent computing and filtering the
-        /// entailed predicate of every scan.
-        EngineMoveEntailUs => "engine.moveraround.entail_us",
-        /// Per query in synthesis mode, microseconds spent in the boundary
-        /// section: contexts, cache lookups and syntheses.
-        EngineMoveSynthUs => "engine.moveraround.synth_us",
     }
 }
 

@@ -3,7 +3,7 @@
 //! sampling, exact arithmetic, an exact learner), so any change to which
 //! solver questions are asked, in what order, or which direction the
 //! learner picks shows up here as a different rendering. The `serve_cegis`
-//! bed's ledger also pins the path — iterations and final sample counts.
+//! bed's ledger also pins the path — iterations and samples drawn.
 //! The constants were re-recorded when the learner became an exact search
 //! over integer directions, from a per-request table of every answer's
 //! rows cut before and after (CHANGES.md); no bed answer cuts fewer rows
@@ -164,8 +164,8 @@ fn integer_division_is_proved_as_the_executor_computes_it() {
 /// One request per exit of `Synthesizer::synthesize`, in the order the
 /// driver takes them, plus the two one-shot baselines and an expired
 /// budget. Each line pins the answer, the flags, the path (iterations and
-/// final sample counts) and how many runs switched their FALSE sampling
-/// to CEGQI. The `cegis.cegqi_fallbacks` delta is read from the
+/// the samples drawn in the run) and how many runs switched their FALSE
+/// sampling to CEGQI. The `cegis.cegqi_fallbacks` delta is read from the
 /// process-wide collector; no other request in this file falls back, so
 /// tests running alongside cannot move it.
 #[test]
@@ -298,8 +298,8 @@ const EXITS: &[&str] = &[
     "zone exact: a >= 22 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
     "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=2 true=15 false=10 | fallbacks=0",
     "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | derived_static=false | iterations=0 true=3 false=0 | fallbacks=0",
-    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=0 false=1 | fallbacks=0",
-    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=0 false=1 | fallbacks=0",
+    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=10 false=1 | fallbacks=0",
+    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=10 false=1 | fallbacks=0",
     "CEGQI over QE budget: 0 - a >= 0 | optimal=false | derived_static=false | iterations=1 true=10 false=10 | fallbacks=1",
     "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | derived_static=false | iterations=2 true=10 false=15 | fallbacks=1",
     "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=110 false=110 | fallbacks=0",

@@ -113,6 +113,11 @@ impl Analyzer {
         self.nullable.contains(col)
     }
 
+    /// Whether a column is `DATE`-typed.
+    pub fn is_date(&self, col: &str) -> bool {
+        self.date.contains(col)
+    }
+
     /// Mark columns as `DATE`-typed (used by the linter's type checks).
     #[must_use]
     pub fn with_date(mut self, cols: impl IntoIterator<Item = impl Into<String>>) -> Analyzer {

@@ -167,6 +167,37 @@ fn measure(
     overhead_pct
 }
 
+/// What one event costs with the collector on behind a [`sia_obs::NoopSink`],
+/// in ns, best of five runs: a span entered and exited, and a counter
+/// added, each inside an open span as in synthesis. Informational.
+fn micro_costs() -> (f64, f64) {
+    const N: u32 = 100_000;
+    let per_event = |f: &dyn Fn()| {
+        let best = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..N {
+                    f();
+                }
+                start.elapsed()
+            })
+            .min()
+            .expect("five runs");
+        best.as_secs_f64() * 1e9 / f64::from(N)
+    };
+    sia_obs::reset();
+    sia_obs::enable();
+    sia_obs::set_sink(Box::new(sia_obs::NoopSink));
+    let outer = sia_obs::span("obs.micro");
+    let span_ns = per_event(&|| drop(sia_obs::span("obs.micro_span")));
+    let counter_ns = per_event(&|| sia_obs::add(sia_obs::Counter::SmtChecks, 1));
+    drop(outer);
+    drop(sia_obs::take_sink());
+    sia_obs::disable();
+    sia_obs::reset();
+    (span_ns, counter_ns)
+}
+
 /// Measure both workloads and report the ones over budget.
 pub fn run() -> Gates {
     // Gate 1: synthesis, collector disabled vs enabled behind NoopSink.
@@ -220,6 +251,12 @@ pub fn run() -> Gates {
     eprintln!(
         "serve-hot enabled+noop (informational): {:.2} ms",
         enabled.as_secs_f64() * 1e3
+    );
+
+    let (span_ns, counter_ns) = micro_costs();
+    println!(
+        "obs micro-costs (enabled+noop, informational): span enter+exit {span_ns:.0} ns, \
+         counter {counter_ns:.0} ns"
     );
 
     let mut gates = Gates::default();

@@ -28,6 +28,20 @@ use std::collections::HashMap;
 
 use sia_expr::{Expr, Pred};
 
+/// What a lint reads of one column besides its name: whether it is
+/// real-valued (`DOUBLE`), `DATE`-typed and nullable. Lint is not a pure
+/// function of a cache key, which renames columns, but it is of the key
+/// and these facts per canonical column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnFacts {
+    /// The column is real-valued.
+    pub real: bool,
+    /// The column is `DATE`-typed.
+    pub date: bool,
+    /// The column may be NULL.
+    pub nullable: bool,
+}
+
 /// A predicate in canonical form: template, parameters, and the column
 /// rename that maps the original predicate into canonical space.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +105,15 @@ impl Canonical {
             self.canonical_col(c)
                 .map_or_else(|| c.to_string(), str::to_string)
         })
+    }
+
+    /// `facts` of each original column, in canonical column order: the
+    /// column-type signature a cache entry's lint verdict is keyed on.
+    pub fn lint_signature(&self, facts: impl Fn(&str) -> ColumnFacts) -> Vec<ColumnFacts> {
+        self.rename
+            .iter()
+            .map(|(original, _)| facts(original))
+            .collect()
     }
 
     /// Map a predicate from canonical back into original column space.

@@ -24,7 +24,7 @@ pub mod canon;
 mod lru;
 mod persist;
 
-pub use canon::{canonicalize, Canonical};
+pub use canon::{canonicalize, Canonical, ColumnFacts};
 pub use lru::Lru;
 pub use persist::{crc32, LoadReport};
 
@@ -45,6 +45,11 @@ pub struct CachedResult {
     pub predicate: Pred,
     /// Whether the predicate was certified optimal.
     pub optimal: bool,
+    /// The column facts, one per canonical column, under which a request
+    /// for this entry linted clean ([`Canonical::lint_signature`]); `None`
+    /// until one has. A request with the same facts lints clean too, so
+    /// a hit that matches need not lint again. Not persisted.
+    pub clean_lint: Option<Vec<ColumnFacts>>,
 }
 
 /// Cumulative cache statistics.
@@ -161,7 +166,7 @@ impl PredicateCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(CachedResult {
                     predicate: canon.to_original_space(&cached.predicate),
-                    optimal: cached.optimal,
+                    ..cached
                 })
             }
             None => {
@@ -181,6 +186,7 @@ impl PredicateCache {
         let value = CachedResult {
             predicate: canon.to_canonical_space(predicate),
             optimal,
+            clean_lint: None,
         };
         let evicted = {
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
@@ -188,6 +194,25 @@ impl PredicateCache {
         };
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Record that a request for the entry of `canon` onto `cols` linted
+    /// clean under the column facts `signature`. No-op when the entry is
+    /// gone (evicted since its lookup, or never inserted).
+    pub fn record_clean_lint(
+        &self,
+        canon: &Canonical,
+        cols: &[String],
+        signature: Vec<ColumnFacts>,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
+        let key = self.key(canon, cols);
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        if let Some(entry) = shard.get_mut(&key) {
+            entry.clean_lint = Some(signature);
+        }
     }
 
     /// Cumulative statistics.
@@ -329,6 +354,35 @@ mod tests {
     }
 
     #[test]
+    fn a_clean_lint_is_recorded_per_canonical_column() {
+        let cache = PredicateCache::new(16);
+        let p = parse_predicate("x < 10 AND y > 20").unwrap();
+        let canon = canonicalize(&p);
+        let cols = strs(&["x"]);
+        let facts = |date: bool| ColumnFacts {
+            real: false,
+            date,
+            nullable: false,
+        };
+        // Recording on an absent entry is a no-op.
+        cache.record_clean_lint(&canon, &cols, vec![facts(false); 2]);
+        assert!(cache.lookup(&canon, &cols).is_none());
+        cache.insert(&canon, &cols, &parse_predicate("x < 10").unwrap(), true);
+        assert_eq!(cache.lookup(&canon, &cols).unwrap().clean_lint, None);
+        // In canonical column order: `x` is c0, `y` is c1.
+        let signature = canon.lint_signature(|c| facts(c == "y"));
+        assert_eq!(signature, vec![facts(false), facts(true)]);
+        cache.record_clean_lint(&canon, &cols, signature.clone());
+        // An alpha-renamed hit reads the same signature.
+        let q = canonicalize(&parse_predicate("b > 20 AND a < 10").unwrap());
+        let hit = cache.lookup(&q, &strs(&["a"])).unwrap();
+        assert_eq!(hit.clean_lint, Some(signature));
+        // Re-inserting the entry forgets the verdict.
+        cache.insert(&canon, &cols, &parse_predicate("x < 10").unwrap(), true);
+        assert_eq!(cache.lookup(&canon, &cols).unwrap().clean_lint, None);
+    }
+
+    #[test]
     fn different_constants_do_not_collide() {
         let cache = PredicateCache::new(16);
         let p = parse_predicate("x < 10").unwrap();
@@ -422,6 +476,8 @@ mod tests {
         );
         let hit = warm.lookup(&canon, &strs(&["x"])).unwrap();
         assert_eq!(hit.predicate, parse_predicate("x < 10").unwrap());
+        // A lint verdict is not persisted: the snapshot format is unchanged.
+        assert_eq!(hit.clean_lint, None);
         std::fs::remove_file(path).ok();
     }
 

@@ -58,6 +58,15 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         Some(&e.value)
     }
 
+    /// Look up `key` for writing, leaving its recency untouched.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.map.get_mut(key).map(|e| &mut e.value)
+    }
+
     /// Membership probe that leaves recency untouched — admission-control
     /// classification must not perturb the LRU order or hit statistics.
     pub fn contains<Q>(&self, key: &Q) -> bool

@@ -95,6 +95,7 @@ fn json_to_entry(json: &str) -> Option<(String, CachedResult)> {
         CachedResult {
             predicate: pred?,
             optimal,
+            clean_lint: None,
         },
     ))
 }
@@ -161,6 +162,7 @@ mod tests {
         let value = CachedResult {
             predicate: parse_predicate("c0 < DATE '1995-03-15' AND c1 >= 7").unwrap(),
             optimal: true,
+            clean_lint: None,
         };
         let line = entry_to_line("k1", &value);
         let (key, back) = line_to_entry(&line).unwrap();
@@ -174,6 +176,7 @@ mod tests {
         let value = CachedResult {
             predicate: parse_predicate("c0 < 1").unwrap(),
             optimal: false,
+            clean_lint: None,
         };
         let line = entry_to_line("k", &value);
         // Flip one payload byte: CRC must reject it.
@@ -206,6 +209,7 @@ mod tests {
         let good = CachedResult {
             predicate: parse_predicate("c0 < 1").unwrap(),
             optimal: false,
+            clean_lint: None,
         };
         let l0 = entry_to_line("a", &good);
         let l1 = entry_to_line("b", &good);

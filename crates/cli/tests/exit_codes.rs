@@ -7,8 +7,10 @@ use std::process::{Child, Command, Stdio};
 
 const SIA: &str = env!("CARGO_BIN_EXE_sia");
 
-/// A predicate hard enough that CEGIS cannot finish within a few ms.
-const HARD: &str = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
+/// A predicate hard enough that CEGIS cannot finish within a few ms: b1's
+/// coefficient 2 leaves a divisibility literal in the projection onto a1,
+/// so the projection cannot answer it (with `a2 - b1` it could, in µs).
+const HARD: &str = "a2 - 2 * b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
 
 fn sia(args: &[&str]) -> std::process::Output {
     Command::new(SIA)

@@ -7,11 +7,11 @@ use crate::learn::{atom_directions, learn};
 use crate::ledger::{Ledger, Phase};
 use crate::prove::{self, Prover};
 use crate::samples::{draw, SampleOutcome, Sampler};
-use crate::verify::{unsat_region, verify_implies, Validity};
+use crate::verify::{decode_formula, unsat_region, verify_implies, Validity};
 use sia_analyze::Derivation;
 use sia_expr::{col, CmpOp, Expr, Pred};
 use sia_num::{BigInt, BigRat};
-use sia_smt::{Budget, Formula, QeConfig, VarId};
+use sia_smt::{eliminate_exists, Budget, Formula, QeConfig, VarId};
 use std::ops::ControlFlow;
 use std::time::Duration;
 
@@ -124,9 +124,10 @@ pub struct SynthesisResult {
     /// unsatisfaction tuple is accepted).
     pub optimal: bool,
     /// Whether the result was produced (in whole or as the dominant part)
-    /// by static zone projection rather than CEGIS: either the derivation
-    /// was exact and returned directly, or a partial derivation bounded
-    /// the search so tightly that sampling finished it off exactly.
+    /// by an exact static projection (zone or Cooper) rather than CEGIS:
+    /// either the projection was exact and returned directly, or a
+    /// partial zone derivation bounded the search so tightly that
+    /// sampling finished it off exactly.
     pub derived_static: bool,
     /// Run statistics.
     pub stats: SynthStats,
@@ -264,7 +265,8 @@ impl Synthesizer {
     }
 
     /// Alg 1 over the sorted, checked `cols`. Its exits, in the order it
-    /// takes them: `p` unsatisfiable, an exact zone derivation, a finite
+    /// takes them: `p` unsatisfiable, an exact zone derivation, an exact
+    /// projection (`p` itself when `cols` keeps all its columns), a finite
     /// TRUE region, a finite FALSE region (each in [`Synthesizer::open`]),
     /// and the end of the learning loop. Every phase, sample and round is
     /// written to `ledger`.
@@ -426,9 +428,9 @@ impl Synthesizer {
     }
 
     /// Everything before the learning loop: decide satisfiability, try
-    /// the static tier, build both samplers and draw the initial samples
-    /// into `ledger`. `Break` is an exit's answer; `Continue` is where the
-    /// loop starts.
+    /// the zone tier and the exact projection, build both samplers and
+    /// draw the initial samples into `ledger`. `Break` is an exit's
+    /// answer; `Continue` is where the loop starts.
     fn open(
         &self,
         enc: &mut PredEncoder,
@@ -492,16 +494,31 @@ impl Synthesizer {
             sia_obs::Counter::AnalyzeDeriveMiss
         };
         sia_obs::add(derive_outcome, 1);
-        // Cooper QE computes the unsatisfaction region once, exactly; on a
-        // budget error FALSE samples come from CEGQI. Statically-dead
-        // disjuncts of p are pruned first: they admit no TRUE tuple, so
-        // the projection ∃ others . p is unchanged while Cooper
-        // elimination skips their atoms entirely.
+        // Tier 1: the exact projection. The strongest predicate over
+        // `cols` that p implies is ∃ others . p. Keeping every column, that
+        // is p itself, exact under any column type: answer it as given.
+        if cols.len() == p.columns().len() {
+            sia_obs::add(sia_obs::Counter::CegisProjected, 1);
+            return Ok(ControlFlow::Break((Some(p.clone()), true, true)));
+        }
+        // Cooper QE computes the projection once, exactly; its negation is
+        // the unsatisfaction region, and on a budget error FALSE samples
+        // come from CEGQI. Statically-dead disjuncts of p are pruned
+        // first: they admit no TRUE tuple, so the projection is unchanged
+        // while Cooper elimination skips their atoms entirely.
         let qe_f = match Prover(enc).prune_dead_disjuncts(p) {
             Some(live) => enc.encode(&live)?,
             None => p_f.clone(),
         };
-        let false_region = unsat_region(&qe_f, &others, &self.config.qe).ok();
+        let projection = eliminate_exists(&qe_f, &others, &self.config.qe).ok();
+        if let Some(proj) = &projection {
+            let exact = exact_projection(enc, p, &p_f, cols, proj, ledger)?;
+            if let Some(q) = exact {
+                let predicate = if q.is_true() { None } else { Some(q) };
+                return Ok(ControlFlow::Break((predicate, true, true)));
+            }
+        }
+        let false_region = projection.map(Formula::not);
         let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), SEED);
         let mut falses = FalseSource::new(false_region, p_f, keep.clone(), SEED);
         // Initial TRUE samples. A finite satisfaction region short-circuits
@@ -550,6 +567,60 @@ impl Synthesizer {
             keep,
             warm_bounds,
         }))
+    }
+}
+
+/// Cooper's projection `proj` of `p` onto `cols`, as the answer when it
+/// is exact: every eliminated variable is a column of `p` (not an opaque
+/// quotient or product, over which the projection is that of a
+/// relaxation), the decoder writes it (no divisibility literal, no
+/// constant beyond `i64`), it has no more atoms than `p`, and `p`
+/// provably implies the decoded predicate. `None` otherwise.
+fn exact_projection(
+    enc: &mut PredEncoder,
+    p: &Pred,
+    p_f: &Formula,
+    cols: &[String],
+    proj: &Formula,
+    ledger: &mut Ledger,
+) -> Result<Option<Pred>, SynthesisError> {
+    let p_cols = p.columns();
+    let named: Vec<(String, VarId)> = enc.columns().map(|(c, v)| (c.to_string(), v)).collect();
+    if named.iter().any(|(c, _)| !p_cols.contains(c)) || atoms(proj) > atoms(p_f) {
+        return Ok(None);
+    }
+    let kept: Vec<(&str, VarId)> = named
+        .iter()
+        .filter(|(c, _)| cols.contains(c))
+        .map(|(c, v)| (c.as_str(), *v))
+        .collect();
+    let Ok(q) = decode_formula(proj, &kept) else {
+        return Ok(None);
+    };
+    let verified = ledger.phase(Phase::Verify, |_| {
+        Ok((verify_implies(enc, p, &q)? == Validity::Valid)
+            .then(|| crate::verify::remove_redundant_conjuncts(enc, &q)))
+    })?;
+    let Some(q) = verified else {
+        return Ok(None);
+    };
+    let claim = || format!("`{q}` is the projection of `{p}` onto {cols:?}");
+    let differs = |enc: &mut PredEncoder| {
+        let q_f = enc.encode(&q).ok()?;
+        let beyond = q_f.clone().and(proj.clone().not());
+        Some(beyond.or(proj.clone().and(q_f.not())))
+    };
+    prove::audit(enc, sia_obs::Counter::CegisProjected, 1, claim, differs);
+    Ok(Some(q))
+}
+
+/// The arithmetic and divisibility literals of `f`.
+fn atoms(f: &Formula) -> usize {
+    match f {
+        Formula::True | Formula::False => 0,
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().map(atoms).sum(),
+        Formula::Not(g) => atoms(g),
+        _ => 1,
     }
 }
 
@@ -700,16 +771,73 @@ mod tests {
         assert_eq!(r.stats.iterations, 0);
     }
 
+    /// `p` onto `cols` is answered by its exact projection, rendered as
+    /// `expect`: no sampling, no learning.
+    fn assert_projected(p: &str, cols: &[&str], expect: &str) {
+        let r = Synthesizer::default()
+            .synthesize(&parse_predicate(p).unwrap(), &strs(cols))
+            .unwrap();
+        let answer = r.predicate.as_ref().map(ToString::to_string);
+        assert_eq!(answer.as_deref(), Some(expect), "{p}");
+        assert!(r.optimal && r.derived_static, "{p}: {r:?}");
+        assert_eq!((r.stats.iterations, r.stats.true_samples), (0, 0), "{p}");
+    }
+
     #[test]
     fn synthesizes_motivating_example() {
-        // §3.2: keep {a1, a2}; true region is a1-a2 ≤ 28 ∧ a2 ≤ 18.
-        let p = parse_predicate("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0").unwrap();
+        // §3.2: keep {a1, a2}; true region is a1-a2 ≤ 28 ∧ a2 ≤ 18. b1's
+        // coefficients are all ±1, so that is the exact projection.
+        assert_projected(
+            "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0",
+            &["a1", "a2"],
+            "a1 - a2 <= 28 AND a2 <= 18",
+        );
+        // Scaling b1 by 3 leaves a divisibility literal in the projection,
+        // so the learning loop runs.
+        let p =
+            parse_predicate("a1 - a2 < 3 * b1 + 10 AND a2 <= 18 AND b1 < 0 AND b1 > -5").unwrap();
         let mut syn = Synthesizer::default();
         let r = syn.synthesize(&p, &strs(&["a1", "a2"])).unwrap();
         let learned = r.predicate.expect("non-trivial predicate");
         assert!(learned.over_columns(&strs(&["a1", "a2"])));
         assert_valid_on_grid(&p, &learned, &["a1", "a2", "b1"], 12);
         assert!(r.stats.iterations >= 1);
+    }
+
+    #[test]
+    fn an_exact_projection_is_the_answer() {
+        // Primitive integer form, one-column atoms plain: Cooper's
+        // `-2*a + 43 < 0` reads `a >= 22`.
+        assert_projected("a + a + 10 > 3 * b + 20 AND b + 10 > 20", &["a"], "a >= 22");
+        assert_projected("a + a <> 6 AND b > 0", &["a"], "a <= 2 OR a >= 4");
+        // Keeping every column answers the input with its own literals,
+        // which an integer reading of its DOUBLE constant would round.
+        assert_projected(
+            "l_extendedprice <= 55444.21 AND l_orderkey + l_linenumber > 3",
+            &["l_extendedprice", "l_linenumber", "l_orderkey"],
+            "l_extendedprice <= 55444.21 AND l_orderkey + l_linenumber > 3",
+        );
+        // Declined: a divisibility literal, an eliminated quotient (whose
+        // projection is that of a relaxation: a = 21 passes the input), a
+        // constant past `i64`, and more atoms than the input.
+        for (p, cols) in [
+            (
+                "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
+                "n_nationkey",
+            ),
+            ("a / 2 <= 10 AND b < 5", "a"),
+            (
+                "a - 9223372036854775807 - 9223372036854775807 > 3 * b AND b > 1 AND b < 3",
+                "a",
+            ),
+            ("a + a <> 6 AND b > 0 AND b > a", "a"),
+        ] {
+            let r = Synthesizer::default()
+                .synthesize(&parse_predicate(p).unwrap(), &strs(&[cols]))
+                .unwrap();
+            assert!(!r.derived_static, "{p}: {r:?}");
+            assert!(r.stats.true_samples > 0, "{p}: {r:?}");
+        }
     }
 
     #[test]
@@ -747,12 +875,23 @@ mod tests {
         }
     }
 
+    /// Past `i64`: the region of `a` lies beyond 2⁶⁴, and its exact
+    /// projection needs a constant no INTEGER literal writes, so the tier
+    /// declines it and the loop runs.
+    const BEYOND_I64: &str =
+        "a - 9223372036854775807 - 9223372036854775807 > 3 * b AND b > 1 AND b < 3";
+
     #[test]
     fn samples_beyond_i64_are_evaluated_exactly() {
+        // Keeping its one column, the request is its own answer.
+        for op in [">", "=", "<>"] {
+            let p = format!("a - 9223372036854775807 - 9223372036854775807 {op} 5");
+            assert_projected(&p, &["a"], &p);
+        }
         // Every TRUE tuple lies beyond 2⁶⁴, and the FALSE samples the
         // learned bound accepts lie past `i64::MAX` too. Reading either as
         // an `i64` used to panic; the answer is a valid bound instead.
-        let p = parse_predicate("a - 9223372036854775807 - 9223372036854775807 > 5").unwrap();
+        let p = parse_predicate(BEYOND_I64).unwrap();
         let mut syn = Synthesizer::new(SiaConfig {
             max_iterations: 3,
             ..SiaConfig::default()
@@ -763,10 +902,7 @@ mod tests {
         // A finite region there has no exact answer to print: an error
         // the caller can fall back from, not a panic.
         for op in ["=", "<>"] {
-            let p = parse_predicate(&format!(
-                "a - 9223372036854775807 - 9223372036854775807 {op} 5"
-            ))
-            .unwrap();
+            let p = parse_predicate(&BEYOND_I64.replacen('>', op, 1)).unwrap();
             let err = Synthesizer::default().synthesize(&p, &strs(&["a"]));
             assert!(
                 matches!(err, Err(SynthesisError::Internal(_))),
@@ -780,7 +916,7 @@ mod tests {
         // The learned threshold lies past `i64::MAX` and renders saturated,
         // as the bound p₁ already holds: the second round learns it again
         // and stops, where it used to run to the iteration cap.
-        let p = parse_predicate("a - 9223372036854775807 - 9223372036854775807 > 5").unwrap();
+        let p = parse_predicate(BEYOND_I64).unwrap();
         let r = Synthesizer::default()
             .synthesize(&p, &strs(&["a"]))
             .unwrap();
@@ -879,9 +1015,12 @@ mod tests {
 
     #[test]
     fn stats_are_populated() {
-        // The 3-term atom keeps this outside the zone fragment so the
-        // sampling pipeline actually runs.
-        let p = parse_predicate("a2 + a2 - b1 < 20 AND b1 < 0").unwrap();
+        // Projected exactly: `a2 <= 9`, and no sample drawn.
+        assert_projected("a2 + a2 - b1 < 20 AND b1 < 0", &["a2"], "a2 <= 9");
+        // b1's coefficient 3 leaves a divisibility literal in the
+        // projection, and the 3-term atom keeps this outside the zone
+        // fragment, so the sampling pipeline actually runs.
+        let p = parse_predicate("2 * a2 <= 3 * b1 AND b1 <= 10 AND b1 >= 0").unwrap();
         let mut syn = Synthesizer::default();
         let r = syn.synthesize(&p, &strs(&["a2"])).unwrap();
         assert!(!r.derived_static);
@@ -891,11 +1030,13 @@ mod tests {
 
     #[test]
     fn phases_cover_the_synthesis_run() {
+        assert_projected("a + a + 10 > b + 20 AND b + 10 > 20", &["a"], "a >= 11");
         sia_obs::reset();
         sia_obs::enable();
-        // The doubled `a` keeps the atom outside the zone fragment so the
-        // full CEGIS pipeline (and all its phase spans) runs.
-        let p = parse_predicate("a + a + 10 > b + 20 AND b + 10 > 20").unwrap();
+        // The doubled `a` keeps the atom outside the zone fragment, and b's
+        // coefficient 3 leaves a divisibility literal in the projection, so
+        // the full CEGIS pipeline (and all its phase spans) runs.
+        let p = parse_predicate("2 * a <= 3 * b AND b <= 10 AND b >= 0").unwrap();
         let mut syn = Synthesizer::new(SiaConfig {
             max_iterations: 8,
             ..SiaConfig::default()

@@ -37,7 +37,8 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
         ..SiaConfig::default()
     };
     let motivating = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0";
-    let requests: [(&str, &str, &[&str], SiaConfig); 12] = [
+    let bounded = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND b1 > a1 - 100";
+    let requests: [(&str, &str, &[&str], SiaConfig); 14] = [
         (
             "unsat",
             "a < 0 AND a > 0 AND b = 1",
@@ -50,8 +51,15 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
             &["a"],
             SiaConfig::default(),
         ),
+        ("zone bounds", bounded, &["a1", "a2"], SiaConfig::default()),
         (
-            "zone bounds",
+            "keep-all",
+            "a + a <> 6 AND a >= 0 AND a <= 10",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "projection",
             motivating,
             &["a1", "a2"],
             SiaConfig::default(),
@@ -64,13 +72,13 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
         ),
         (
             "finite FALSE",
-            "a + a <> 6 AND b > 0",
+            "a + a <> 6 AND b > 0 AND b > a",
             &["a"],
             SiaConfig::default(),
         ),
         (
             "finite FALSE in bounds",
-            "a + a <> 6 AND a >= 0 AND a <= 10",
+            "a + a <> 6 AND a >= 0 AND a <= 10 AND 3 * b > a",
             &["a"],
             SiaConfig::default(),
         ),
@@ -86,8 +94,8 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
             &["n_nationkey"],
             SiaConfig::default(),
         ),
-        ("SIA_v1", motivating, &["a1", "a2"], SiaConfig::v1()),
-        ("SIA_v2", motivating, &["a1", "a2"], SiaConfig::v2()),
+        ("SIA_v1", bounded, &["a1", "a2"], SiaConfig::v1()),
+        ("SIA_v2", bounded, &["a1", "a2"], SiaConfig::v2()),
         ("expired budget", motivating, &["a1", "a2"], expired),
         (
             "warm bounds",

@@ -152,6 +152,16 @@ impl LinAtom {
         let lhs = scaled.add(&LinExpr::constant(rhs.clone()));
         to_expr(&lhs).cmp(self.op, Expr::int(sat_i64(rhs.numer())))
     }
+
+    /// [`LinAtom::to_pred`] when no part needs saturating: `None` when a
+    /// cleared coefficient or the constant lies outside the `i64` range
+    /// (or is `i64::MIN`, whose magnitude no `i64` writes).
+    pub fn to_pred_exact(&self) -> Option<Pred> {
+        let scaled = self.expr.clear_denominators();
+        let fits = |k: &BigRat| k.numer().to_i64().is_some_and(|v| v != i64::MIN);
+        let exact = scaled.iter().all(|(_, k)| fits(k)) && fits(scaled.constant_term());
+        exact.then(|| self.to_pred())
+    }
 }
 
 /// Render a form with integer parts as an [`Expr`] AST, leading with a
@@ -373,6 +383,28 @@ mod tests {
         assert_eq!(b.to_pred().to_string(), format!("{} * a <= 0", i64::MAX));
         let c = LinExpr::from_parts(Vec::new(), -huge);
         assert_eq!(to_expr(&c).to_string(), (i64::MIN + 1).to_string());
+        // The exact rendering declines what the saturating one clamps.
+        assert_eq!(a.to_pred_exact(), None);
+        assert_eq!(b.to_pred_exact(), None);
+        let min = LinAtom {
+            op: CmpOp::Ge,
+            expr: LinExpr::from_parts(
+                vec![("a".to_string(), BigRat::one())],
+                BigRat::from(i64::MIN),
+            ),
+        };
+        assert_eq!(min.to_pred_exact(), None);
+        let fits = LinAtom {
+            op: CmpOp::Ge,
+            expr: LinExpr::from_parts(
+                vec![("a".to_string(), BigRat::one())],
+                BigRat::from(-i64::MAX),
+            ),
+        };
+        assert_eq!(
+            fits.to_pred_exact().map(|p| p.to_string()),
+            Some(format!("a >= {}", i64::MAX))
+        );
     }
 
     #[test]

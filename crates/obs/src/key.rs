@@ -91,6 +91,10 @@ keys! {
         /// over budget, or sampling its region answered `Unknown`. At most
         /// one per run.
         CegisCegqiFallbacks => "cegis.cegqi_fallbacks",
+        /// Runs answered by their exact projection (Cooper's, or the
+        /// input itself when every column is kept): no sampling or
+        /// learning ran.
+        CegisProjected => "cegis.projected",
         /// Unsat certificates verified by the checker.
         CheckCertificates => "check.certificates",
         /// RUP steps replayed during certificate checking.

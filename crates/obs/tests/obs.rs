@@ -153,6 +153,48 @@ fn jsonl_sink_sees_the_event_stream() {
     sia_obs::disable();
 }
 
+/// A counter or histogram event inside a span carries the thread's last
+/// span boundary as its timestamp: it lies between the span's enter and
+/// exit, and, with a sleep between the two boundaries, no clock read made
+/// it. Outside any span the event reads the clock.
+#[test]
+fn events_inside_a_span_carry_its_last_boundary() {
+    let _guard = isolated();
+    let buf = SharedBuf::default();
+    sia_obs::set_sink(Box::new(JsonlSink::new(buf.clone())));
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    {
+        let _s = sia_obs::span("bounded");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        sia_obs::add(Counter::QeEliminations, 1);
+        sia_obs::record(Hist::QeBlowup, 2.0);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    sia_obs::add(Counter::SmtChecks, 1);
+    drop(sia_obs::take_sink());
+    sia_obs::disable();
+    let events = buf.events();
+    let t_of = |kind: &str, name_field: &str, name: &str| {
+        let e = events
+            .iter()
+            .find(|e| text_of(e, "type") == Some(kind) && text_of(e, name_field) == Some(name))
+            .unwrap_or_else(|| panic!("no {kind} {name}"));
+        field(e, "t_us").and_then(JsonValue::as_num).expect("t_us")
+    };
+    let enter = t_of("span_enter", "path", "bounded");
+    let exit = t_of("span_exit", "path", "bounded");
+    let counter = t_of("counter", "key", Counter::QeEliminations.name());
+    let hist = t_of("hist", "key", Hist::QeBlowup.name());
+    assert!(
+        enter <= counter && counter <= exit,
+        "{enter} {counter} {exit}"
+    );
+    assert_eq!((counter, hist), (enter, enter));
+    let after = t_of("counter", "key", Counter::SmtChecks.name());
+    assert!(after >= exit + 5_000.0, "{exit} {after}");
+}
+
 #[test]
 fn jsonl_round_trips_through_hand_parser() {
     let _guard = isolated();

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 
 use sia_analyze::{Analyzer, Derivation};
-use sia_cache::PredicateCache;
+use sia_cache::{ColumnFacts, PredicateCache};
 use sia_core::{SiaConfig, SynthesisError, Synthesizer};
 use sia_expr::Pred;
 use sia_obs::Counter;
@@ -48,25 +48,41 @@ pub(crate) fn process(
             };
         }
     };
-    let warnings = {
+    // The `cache` phase is the probe and, on a hit, the answer rendered
+    // from it. Lint runs unless the hit's entry linted clean under this
+    // request's column facts, which is what makes a verdict repeatable:
+    // lint reads a column's type, never its name.
+    let cache_span = sia_obs::span("cache");
+    let signature = canon.lint_signature(|c| ColumnFacts {
+        real: linter.is_real(c),
+        date: linter.is_date(c),
+        nullable: linter.is_nullable(c),
+    });
+    let hit = cache.lookup(canon, &req.cols);
+    let clean = hit
+        .as_ref()
+        .is_some_and(|h| h.clean_lint.as_ref() == Some(&signature));
+    let warnings = if clean {
+        Vec::new()
+    } else {
+        drop(cache_span);
         let _lint_span = sia_obs::span("lint");
         lint_warnings(linter, p)
     };
-    // The `cache` phase is the probe and, on a hit, the answer rendered
-    // from it.
-    let cache_span = sia_obs::span("cache");
-    if let Some(hit) = cache.lookup(canon, &req.cols) {
-        let response = Response {
+    if let Some(hit) = hit {
+        // Lint closed the probe's span; the render is cache work again.
+        let _cache_span = (!clean).then(|| sia_obs::span("cache"));
+        if !clean && warnings.is_empty() {
+            cache.record_clean_lint(canon, &req.cols, signature);
+        }
+        return Response {
             predicate: (!hit.predicate.is_true()).then(|| hit.predicate.to_string()),
             optimal: hit.optimal,
             cached: true,
             warnings,
             ..Response::plain(&req.id, Status::Ok)
         };
-        drop(cache_span);
-        return response;
     }
-    drop(cache_span);
 
     // Brownout level 2+: if static zone projection yields sound bounds,
     // serve them as a flagged degraded result instead of synthesizing.
@@ -98,6 +114,9 @@ pub(crate) fn process(
         Ok(result) => {
             let predicate = result.predicate.unwrap_or_else(Pred::true_);
             cache.insert(canon, &req.cols, &predicate, result.optimal);
+            if warnings.is_empty() {
+                cache.record_clean_lint(canon, &req.cols, signature);
+            }
             Response {
                 predicate: (!predicate.is_true()).then(|| predicate.to_string()),
                 optimal: result.optimal,

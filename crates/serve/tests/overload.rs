@@ -40,7 +40,7 @@ fn strs(v: &[&str]) -> Vec<String> {
 /// A predicate multi-variable enough that static derivation cannot
 /// discharge it exactly, so the reader classifies it into the expensive
 /// lane and its synthesis reaches the stalled `synth.run`.
-const HARD: &str = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
+const HARD: &str = "a2 - 2 * b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
 
 /// A predicate the analyzer derives exactly: cheap lane, instant answer.
 const CHEAP: &str = "x < 5 AND y > 2";

@@ -11,8 +11,10 @@ fn strs(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| (*s).to_string()).collect()
 }
 
-/// A predicate hard enough that CEGIS cannot finish within 10 ms.
-const HARD: &str = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
+/// A predicate hard enough that CEGIS cannot finish within 10 ms: b1's
+/// coefficient 2 leaves a divisibility literal in the projection onto a1,
+/// so the projection cannot answer it (with `a2 - b1` it could, in µs).
+const HARD: &str = "a2 - 2 * b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND a1 + b1 < 30";
 
 #[test]
 #[cfg_attr(miri, ignore)]
@@ -380,6 +382,68 @@ fn seeded_lint_schemas_type_responses() {
     assert!(
         !interval.warnings.iter().any(|w| w.contains("type-suspect")),
         "date difference is an interval, not type-suspect: {interval:?}"
+    );
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// A cache hit whose entry linted clean under the same column types is
+/// not linted again; one whose column types differ is.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_clean_hit_is_not_linted_again_unless_its_column_types_differ() {
+    use sia_expr::{ColumnDef, DataType, Schema};
+
+    let handle = server::start(ServeConfig {
+        workers: 1,
+        lint_schemas: vec![Schema::new(vec![
+            ColumnDef::new("w_d0", DataType::Date),
+            ColumnDef::new("w_i1", DataType::Integer),
+        ])],
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+    let ask = |id: &str, predicate: &str, col: &str| {
+        let r = client::request_one(
+            &addr,
+            &Request {
+                id: id.into(),
+                predicate: predicate.into(),
+                cols: strs(&[col]),
+                timeout_ms: None,
+                trace: None,
+            },
+        )
+        .expect("answered");
+        assert_eq!(r.status, Status::Ok, "{r:?}");
+        r
+    };
+    let linted = |r: &sia_serve::Response| r.phases.iter().any(|(p, _)| p.ends_with("lint"));
+
+    // Untyped columns: the miss lints clean and is cached.
+    let first = ask("u", "u0 < 19940101 AND u1 > 2", "u0");
+    assert!(
+        !first.cached && first.warnings.is_empty() && linted(&first),
+        "{first:?}"
+    );
+    // An alpha-renamed hit of it returns no warnings without linting.
+    let renamed = ask("v", "v1 > 2 AND v0 < 19940101", "v0");
+    assert!(renamed.cached, "{renamed:?}");
+    assert!(renamed.warnings.is_empty(), "{renamed:?}");
+    assert!(!linted(&renamed), "{renamed:?}");
+    // The same entry over a DATE column lints again, and warns.
+    let typed = ask("w", "w_d0 < 19940101 AND w_i1 > 2", "w_d0");
+    assert!(typed.cached && linted(&typed), "{typed:?}");
+    assert!(
+        typed.warnings.iter().any(|w| w.contains("type-suspect")),
+        "{typed:?}"
+    );
+    // The untyped shape still hits without linting: a verdict with
+    // warnings is not recorded over the clean one.
+    let again = ask("x", "x0 < 19940101 AND x1 > 2", "x0");
+    assert!(
+        again.cached && again.warnings.is_empty() && !linted(&again),
+        "{again:?}"
     );
     handle.shutdown().expect("clean shutdown");
 }

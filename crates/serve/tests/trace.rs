@@ -72,11 +72,13 @@ fn traced_request_links_client_queue_and_worker_spans() {
     let addr = handle.addr().to_string();
 
     const TRACE: u64 = 0x0051_A7EA_CE01;
-    // The doubled `a` keeps the atom outside the zone fragment, so CEGIS
-    // runs: the statically answered `synth_req` finishes in under a
-    // millisecond, of which the ~55 µs outside any phase is more than 5 %.
+    // The doubled `a` keeps the atom outside the zone fragment, and b's
+    // coefficient 3 leaves a divisibility literal in its projection, so
+    // CEGIS runs: a statically answered or projected request finishes in
+    // under a millisecond, of which the ~55 µs outside any phase is more
+    // than 5 %.
     let req = Request {
-        predicate: "a + a + 10 > b + 20 AND b + 10 > 20".into(),
+        predicate: "2 * a <= 3 * b AND b <= 10 AND b >= 0".into(),
         ..synth_req("t0", Some(TRACE))
     };
     let resp = client::request_one(&addr, &req).expect("traced request");

@@ -7,9 +7,12 @@
 //! The constants were re-recorded when the learner became an exact search
 //! over integer directions, from a per-request table of every answer's
 //! rows cut before and after (CHANGES.md); no bed answer cuts fewer rows
-//! than the SVM learner's did.
+//! than the SVM learner's did. They were re-recorded again when synthesis
+//! began answering an exact projection directly, and
+//! `reprojected_answers_mean_what_they_did` proves each new answer
+//! against the one it replaced.
 
-use sia::core::{SiaConfig, SynthesisResult, Synthesizer};
+use sia::core::{verify_implies, PredEncoder, SiaConfig, SynthesisResult, Synthesizer, Validity};
 use sia::expr::{eval_pred, Pred, Value};
 use sia::obs::Counter;
 use sia::smt::{Budget, QeConfig};
@@ -68,7 +71,9 @@ fn paper_6_3_tasks_are_pinned() {
 
 /// The `serve_cegis` bed's 15 zone-ineligible requests (the `GenConfig` is
 /// copied from `bench/src/workload.rs::serve_cegis`): static derivation
-/// gets no purchase, so the full CEGIS loop runs. Iterations and sample
+/// gets no purchase, and each request keeps every column of its
+/// predicate, so each is answered by its exact projection, itself, with
+/// no sampling (before that, the full CEGIS loop ran). Iterations and sample
 /// counts are pinned next to the predicate, so a change that reaches the
 /// same answer by a different path shows up too. No answer carries a
 /// constant of magnitude 10¹⁷ or more: such a constant is a learner
@@ -96,29 +101,116 @@ fn zone_ineligible_requests_are_pinned() {
     assert_golden("zone_ineligible", &got, ZONE_INELIGIBLE);
 }
 
-/// An answer depends on the column set, not on the order it is listed in:
-/// bed request 13 answers as the ledger pins it under all six orders.
+/// An answer depends on the column set, not on the order it is listed in.
+/// Bed request 13 keeps every column and is its own answer; the same shape
+/// with a fourth column scaled by 3 and eliminated keeps a divisibility
+/// literal in its projection, so the learning loop answers it (22 rounds).
+/// Each answers as pinned under all six orders of its three columns.
 #[test]
 fn column_order_does_not_change_an_answer() {
     let r = &zone_ineligible_bed()[13];
     let [a, b, c] = &r.cols[..] else {
         panic!("request 13 keeps three columns: {:?}", r.cols)
     };
-    let pinned = ZONE_INELIGIBLE[13]
-        .split(" => ")
-        .nth(1)
-        .expect("a pinned answer");
-    for cols in [
-        [a, b, c],
-        [a, c, b],
-        [b, a, c],
-        [b, c, a],
-        [c, a, b],
-        [c, b, a],
-    ] {
-        let cols: Vec<String> = cols.into_iter().cloned().collect();
-        let answer = render(&r.predicate, &cols);
-        assert!(pinned.starts_with(&answer), "{cols:?}: {answer}");
+    let scaled = parse_predicate(
+        "l_receiptdate + l_commitdate <= 18815 + 3 * l_quantity \
+         AND l_shipdate >= DATE '1995-03-08' AND l_quantity < 0 AND l_quantity > -5",
+    )
+    .unwrap();
+    let cases = [
+        (
+            &r.predicate,
+            ZONE_INELIGIBLE[13]
+                .split(" => ")
+                .nth(1)
+                .expect("a pinned answer"),
+        ),
+        (
+            &scaled,
+            "l_shipdate >= 9197 AND 0 - l_commitdate - l_receiptdate >= -18812 | optimal=true",
+        ),
+    ];
+    for (p, pinned) in cases {
+        for cols in [
+            [a, b, c],
+            [a, c, b],
+            [b, a, c],
+            [b, c, a],
+            [c, a, b],
+            [c, b, a],
+        ] {
+            let cols: Vec<String> = cols.into_iter().cloned().collect();
+            let answer = render(p, &cols);
+            assert!(pinned.starts_with(&answer), "{cols:?}: {answer}");
+        }
+    }
+}
+
+/// The semantic net under the re-recorded answers: each means what the
+/// answer it replaced meant (each implies the other, over the integer
+/// columns the encoder reads), except where the old one was wrong or not
+/// optimal. Bed 13's old answer was not optimal, and its new one is
+/// strictly stronger. Beds 5, 10 and 14 hold a DOUBLE constant that the
+/// old answers rounded: the new answer is the input, and it accepts rows
+/// the old answers wrongly rejected.
+#[test]
+fn reprojected_answers_mean_what_they_did() {
+    let answer = |line: &str| -> Pred {
+        let text = line.split(" | ").next().expect("an answer");
+        let text = text.rsplit(" => ").next().expect("an answer");
+        let text = text.split_once(": ").map_or(text, |(_, t)| t);
+        if text == "NULL" {
+            Pred::true_()
+        } else {
+            parse_predicate(text).unwrap_or_else(|e| panic!("{text}: {e}"))
+        }
+    };
+    let implies = |p: &Pred, q: &Pred| verify_implies(&mut PredEncoder::new(), p, q).unwrap();
+    let beds = PARENT_ZONE_INELIGIBLE
+        .iter()
+        .zip(ZONE_INELIGIBLE)
+        .enumerate();
+    let lines = PARENT_MOTIVATING
+        .iter()
+        .zip(MOTIVATING)
+        .chain(PARENT_PAPER_6_3.iter().zip(PAPER_6_3))
+        .map(|pair| (None, pair))
+        .chain(beds.map(|(i, pair)| (Some(i), pair)));
+    for (bed, (old_line, new_line)) in lines {
+        let (old, new) = (answer(old_line), answer(new_line));
+        match bed {
+            Some(13) => {
+                assert_eq!(implies(&new, &old), Validity::Valid, "{new_line}");
+                assert_eq!(implies(&old, &new), Validity::Invalid, "{new_line}");
+            }
+            Some(i @ (5 | 10 | 14)) => {
+                let input = new_line.split(" => ").next().expect("an input");
+                assert_eq!(new.to_string(), input, "bed {i} answers its input");
+                let witness = |c: &str| match (i, c) {
+                    (5, "l_extendedprice") => Value::Double(55444.1),
+                    (10, "l_extendedprice") => Value::Double(46807.6),
+                    (14, "l_extendedprice") => Value::Double(0.15),
+                    (14, "l_orderkey") => Value::Int(623106),
+                    (10, "l_linenumber") => Value::Int(0),
+                    (_, "l_receiptdate") => Value::Int(9000),
+                    _ => Value::Int(10_000),
+                };
+                assert_eq!(eval_pred(&new, &witness), Some(true), "bed {i}: {new}");
+                assert_eq!(eval_pred(&old, &witness), Some(false), "bed {i}: {old}");
+            }
+            _ => {
+                assert_eq!(
+                    implies(&old, &new),
+                    Validity::Valid,
+                    "{old_line} => {new_line}"
+                );
+                assert_eq!(
+                    implies(&new, &old),
+                    Validity::Valid,
+                    "{new_line} => {old_line}"
+                );
+            }
+        }
     }
 }
 
@@ -182,7 +274,11 @@ fn every_exit_is_pinned() {
         ..SiaConfig::default()
     };
     let motivating = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0";
-    let requests: [(&str, &str, &[&str], SiaConfig); 11] = [
+    // The motivating predicate with one more bound on b1: its projection
+    // is exact but has more atoms than the input, so the loop runs from
+    // the zone tier's bounds.
+    let bounded = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND b1 > a1 - 100";
+    let requests: [(&str, &str, &[&str], SiaConfig); 13] = [
         (
             "unsat",
             "a < 0 AND a > 0 AND b = 1",
@@ -195,8 +291,15 @@ fn every_exit_is_pinned() {
             &["a"],
             SiaConfig::default(),
         ),
+        ("zone bounds", bounded, &["a1", "a2"], SiaConfig::default()),
         (
-            "zone bounds",
+            "keep-all",
+            "a + a <> 6 AND a >= 0 AND a <= 10",
+            &["a"],
+            SiaConfig::default(),
+        ),
+        (
+            "projection",
             motivating,
             &["a1", "a2"],
             SiaConfig::default(),
@@ -208,14 +311,15 @@ fn every_exit_is_pinned() {
             SiaConfig::default(),
         ),
         (
+            // Its projection is exact, but has more atoms than the input.
             "finite FALSE",
-            "a + a <> 6 AND b > 0",
+            "a + a <> 6 AND b > 0 AND b > a",
             &["a"],
             SiaConfig::default(),
         ),
         (
             "finite FALSE in bounds",
-            "a + a <> 6 AND a >= 0 AND a <= 10",
+            "a + a <> 6 AND a >= 0 AND a <= 10 AND 3 * b > a",
             &["a"],
             SiaConfig::default(),
         ),
@@ -231,8 +335,8 @@ fn every_exit_is_pinned() {
             &["n_nationkey"],
             SiaConfig::default(),
         ),
-        ("SIA_v1", motivating, &["a1", "a2"], SiaConfig::v1()),
-        ("SIA_v2", motivating, &["a1", "a2"], SiaConfig::v2()),
+        ("SIA_v1", bounded, &["a1", "a2"], SiaConfig::v1()),
+        ("SIA_v2", bounded, &["a1", "a2"], SiaConfig::v2()),
         ("expired budget", motivating, &["a1", "a2"], expired),
     ];
     let got: Vec<String> = requests
@@ -262,10 +366,10 @@ fn every_exit_is_pinned() {
     assert_golden("exits", &got, EXITS);
 }
 
-const MOTIVATING: &[&str] = &["a2 <= 18 AND a2 - a1 >= -28 | optimal=true"];
+const MOTIVATING: &[&str] = &["a1 - a2 <= 28 AND a2 <= 18 | optimal=true"];
 
 const PAPER_6_3: &[&str] = &[
-    "q0: l_receiptdate - l_commitdate >= 145 AND l_receiptdate - l_commitdate - l_shipdate >= -8184 | optimal=true",
+    "q0: l_commitdate + l_shipdate - l_receiptdate <= 8184 AND l_commitdate - l_receiptdate <= -145 | optimal=true",
     "q1: l_commitdate <= 10136 AND l_commitdate - l_shipdate <= 172 | optimal=true",
     "q2: l_commitdate >= 10276 | optimal=true",
     "q3: NULL | optimal=true",
@@ -276,6 +380,56 @@ const PAPER_6_3: &[&str] = &[
 ];
 
 const ZONE_INELIGIBLE: &[&str] = &[
+    "l_orderdate >= DATE '1995-01-06' AND 5 * l_linenumber - l_quantity < -5 => l_orderdate >= DATE '1995-01-06' AND 5 * l_linenumber - l_quantity < -5 | optimal=true | iterations=0 true=0 false=0",
+    "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65 => 2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65 | optimal=true | iterations=0 true=0 false=0",
+    "l_quantity + l_orderkey < 853259 AND l_receiptdate > DATE '1995-03-14' => l_quantity + l_orderkey < 853259 AND l_receiptdate > DATE '1995-03-14' | optimal=true | iterations=0 true=0 false=0",
+    "l_linenumber - l_orderkey <= -711750 AND l_linenumber + l_quantity <= 32 => l_linenumber - l_orderkey <= -711750 AND l_linenumber + l_quantity <= 32 | optimal=true | iterations=0 true=0 false=0",
+    "l_linenumber < 5 AND l_receiptdate + l_commitdate < 18815 => l_linenumber < 5 AND l_receiptdate + l_commitdate < 18815 | optimal=true | iterations=0 true=0 false=0",
+    "l_shipdate + l_orderdate > 18337 AND l_extendedprice <= 55444.21 => l_shipdate + l_orderdate > 18337 AND l_extendedprice <= 55444.21 | optimal=true | iterations=0 true=0 false=0",
+    "3 * l_linenumber - l_quantity < -12 AND l_commitdate < DATE '1995-10-09' => 3 * l_linenumber - l_quantity < -12 AND l_commitdate < DATE '1995-10-09' | optimal=true | iterations=0 true=0 false=0",
+    "l_orderdate < DATE '1995-07-26' AND l_quantity + l_orderkey < 853259 => l_orderdate < DATE '1995-07-26' AND l_quantity + l_orderkey < 853259 | optimal=true | iterations=0 true=0 false=0",
+    "l_commitdate + l_shipdate > 18405 AND l_shipdate > DATE '1995-03-08' => l_commitdate + l_shipdate > 18405 AND l_shipdate > DATE '1995-03-08' | optimal=true | iterations=0 true=0 false=0",
+    "l_quantity > 24 AND l_shipdate + l_commitdate <= 18794 => l_quantity > 24 AND l_shipdate + l_commitdate <= 18794 | optimal=true | iterations=0 true=0 false=0",
+    "l_orderkey <= 853256 AND l_extendedprice + l_linenumber > 46807.5 => l_orderkey <= 853256 AND l_extendedprice + l_linenumber > 46807.5 | optimal=true | iterations=0 true=0 false=0",
+    "3 * l_linenumber - l_orderkey < -711736 AND l_linenumber > 4 => 3 * l_linenumber - l_orderkey < -711736 AND l_linenumber > 4 | optimal=true | iterations=0 true=0 false=0",
+    "l_commitdate + l_orderdate < 18744 AND l_orderdate <= DATE '1995-07-26' => l_commitdate + l_orderdate < 18744 AND l_orderdate <= DATE '1995-07-26' | optimal=true | iterations=0 true=0 false=0",
+    "l_receiptdate + l_commitdate <= 18815 AND l_shipdate >= DATE '1995-03-08' => l_receiptdate + l_commitdate <= 18815 AND l_shipdate >= DATE '1995-03-08' | optimal=true | iterations=0 true=0 false=0",
+    "5 * l_extendedprice - l_orderkey > -623105.35 AND l_receiptdate < DATE '1995-10-23' => 5 * l_extendedprice - l_orderkey > -623105.35 AND l_receiptdate < DATE '1995-10-23' | optimal=true | iterations=0 true=0 false=0",
+];
+
+const EXITS: &[&str] = &[
+    "unsat: FALSE | optimal=true | derived_static=false | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone exact: a >= 22 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=2 true=15 false=10 | fallbacks=0",
+    "keep-all: a + a <> 6 AND a >= 0 AND a <= 10 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
+    "projection: a1 - a2 <= 28 AND a2 <= 18 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
+    "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | derived_static=false | iterations=0 true=3 false=0 | fallbacks=0",
+    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=10 false=1 | fallbacks=0",
+    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=10 false=1 | fallbacks=0",
+    "CEGQI over QE budget: 0 - a >= 0 | optimal=false | derived_static=false | iterations=1 true=10 false=10 | fallbacks=1",
+    "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | derived_static=false | iterations=2 true=10 false=15 | fallbacks=1",
+    "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=110 false=110 | fallbacks=0",
+    "SIA_v2: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=220 false=220 | fallbacks=0",
+    "expired budget: error: synthesis budget exhausted (timeout) | fallbacks=0",
+];
+
+/// The answers pinned before synthesis answered an exact projection
+/// directly, kept so `reprojected_answers_mean_what_they_did` can prove
+/// each re-recorded line against the one it replaced.
+const PARENT_MOTIVATING: &[&str] = &["a2 <= 18 AND a2 - a1 >= -28 | optimal=true"];
+
+const PARENT_PAPER_6_3: &[&str] = &[
+    "q0: l_receiptdate - l_commitdate >= 145 AND l_receiptdate - l_commitdate - l_shipdate >= -8184 | optimal=true",
+    "q1: l_commitdate <= 10136 AND l_commitdate - l_shipdate <= 172 | optimal=true",
+    "q2: l_commitdate >= 10276 | optimal=true",
+    "q3: NULL | optimal=true",
+    "q4: l_commitdate <= 8827 | optimal=true",
+    "q5: NULL | optimal=true",
+    "q6: l_commitdate >= 10060 | optimal=true",
+    "q7: NULL | optimal=true",
+];
+
+const PARENT_ZONE_INELIGIBLE: &[&str] = &[
     "l_orderdate >= DATE '1995-01-06' AND 5 * l_linenumber - l_quantity < -5 => l_orderdate >= 9136 AND l_quantity - 5 * l_linenumber >= 6 | optimal=true | iterations=2 true=15 false=10",
     "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65 => l_commitdate - l_orderdate <= 64 AND l_orderkey - 2 * l_quantity >= 711678 | optimal=true | iterations=24 true=35 false=100",
     "l_quantity + l_orderkey < 853259 AND l_receiptdate > DATE '1995-03-14' => l_receiptdate >= 9204 AND 0 - l_orderkey - l_quantity >= -853258 | optimal=true | iterations=26 true=135 false=10",
@@ -291,18 +445,4 @@ const ZONE_INELIGIBLE: &[&str] = &[
     "l_commitdate + l_orderdate < 18744 AND l_orderdate <= DATE '1995-07-26' => l_orderdate <= 9337 AND 0 - l_commitdate - l_orderdate >= -18743 | optimal=true | iterations=13 true=70 false=10",
     "l_receiptdate + l_commitdate <= 18815 AND l_shipdate >= DATE '1995-03-08' => l_shipdate >= 9197 | optimal=false | iterations=18 true=95 false=10",
     "5 * l_extendedprice - l_orderkey > -623105.35 AND l_receiptdate < DATE '1995-10-23' => l_receiptdate <= 9425 AND 5 * l_extendedprice - l_orderkey >= -623105 | optimal=true | iterations=17 true=90 false=10",
-];
-
-const EXITS: &[&str] = &[
-    "unsat: FALSE | optimal=true | derived_static=false | iterations=0 true=0 false=0 | fallbacks=0",
-    "zone exact: a >= 22 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
-    "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=2 true=15 false=10 | fallbacks=0",
-    "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | derived_static=false | iterations=0 true=3 false=0 | fallbacks=0",
-    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=10 false=1 | fallbacks=0",
-    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=10 false=1 | fallbacks=0",
-    "CEGQI over QE budget: 0 - a >= 0 | optimal=false | derived_static=false | iterations=1 true=10 false=10 | fallbacks=1",
-    "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | derived_static=false | iterations=2 true=10 false=15 | fallbacks=1",
-    "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=110 false=110 | fallbacks=0",
-    "SIA_v2: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=220 false=220 | fallbacks=0",
-    "expired budget: error: synthesis budget exhausted (timeout) | fallbacks=0",
 ];

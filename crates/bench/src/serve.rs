@@ -21,9 +21,12 @@
 //! 3. **Overload sweep** at [`OVERLOAD_MULTS`] × the measured uncached
 //!    saturation against an overload-hardened server (adaptive
 //!    admission, two-lane shedding, brownout) with a retry-budgeted
-//!    client. Gates: nothing lost, retries within the 10 % budget, and
-//!    goodput at the highest multiple at least [`GOODPUT_FRAC`] of the
-//!    first — overload sheds load, it does not collapse throughput.
+//!    client pipelining its arrivals over a fixed set of connections
+//!    (thousands of requests a second, where a thread and a connection
+//!    per arrival would swamp the client). Gates: nothing lost, retries
+//!    within the 10 % budget, and goodput at the highest multiple at
+//!    least [`GOODPUT_FRAC`] of the first — overload sheds load, it does
+//!    not collapse throughput.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -50,6 +53,9 @@ pub const MIN_COVERAGE: f64 = 0.95;
 /// Multiples of saturation the overload sweep offers.
 pub const OVERLOAD_MULTS: [f64; 2] = [1.0, 2.0];
 const OVERLOAD_SECS: f64 = 3.0;
+/// Client connections the overload sweep pipelines its arrivals over,
+/// one per worker.
+const OVERLOAD_CONNS: usize = WORKERS;
 const DEADLINE: Duration = Duration::from_millis(1000);
 /// Client retry-token earn rate per fresh request.
 const RETRY_BUDGET: f64 = 0.1;
@@ -215,34 +221,21 @@ struct OverloadStats {
 }
 
 /// Offer `rate` req/s for [`OVERLOAD_SECS`] against an overload-hardened
-/// server. Every request carries [`DEADLINE`] as its timeout;
-/// `overloaded` rejections are retried at most once, paying from a
-/// shared token-bucket retry budget and sleeping the server's
-/// `retry_after_ms` hint first.
+/// server, over [`OVERLOAD_CONNS`] pipelined connections. Every request
+/// carries [`DEADLINE`] as its timeout; `overloaded` rejections are
+/// retried at most once, paying from a shared token-bucket retry budget
+/// and waiting the server's `retry_after_ms` hint first.
 fn run_overload(addr: &str, pool: &[Request], mult: f64, rate: f64, seed: u64) -> OverloadStats {
     let schedule = load::poisson_schedule(rate, arrivals_for(rate, OVERLOAD_SECS), seed);
     let deadline_ms = u64::try_from(DEADLINE.as_millis()).unwrap_or(u64::MAX);
     let budget = std::sync::Mutex::new(RetryBudget::new(RETRY_BUDGET));
-    let (arrivals, elapsed) = load::open_loop(&schedule, |i| -> Answer {
-        let req = Request {
-            timeout_ms: Some(deadline_ms),
-            ..pool[i % pool.len()].clone()
-        };
-        budget.lock().expect("budget lock").earn(1);
-        match client::request_one(addr, &req) {
-            Ok(first) if first.status == Status::Overloaded => {
-                if budget.lock().expect("budget lock").spend() {
-                    // Honor the server's back-pressure hint.
-                    std::thread::sleep(Duration::from_millis(first.retry_after_ms.unwrap_or(20)));
-                    (true, client::request_one(addr, &req).ok().or(Some(first)))
-                } else {
-                    (false, Some(first))
-                }
-            }
-            Ok(first) => (false, Some(first)),
-            Err(_) => (false, None),
-        }
-    });
+    let request = |i: usize| Request {
+        timeout_ms: Some(deadline_ms),
+        ..pool[i % pool.len()].clone()
+    };
+    let (arrivals, elapsed) =
+        load::open_loop_pipelined(addr, &schedule, OVERLOAD_CONNS, request, &budget)
+            .expect("overload connections open");
     overload_stats(mult, &arrivals, elapsed)
 }
 

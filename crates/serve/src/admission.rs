@@ -393,6 +393,15 @@ impl<T> QueueSender<T> {
     pub(crate) fn admit(&self, lane: Lane, job: T) -> Result<usize, Rejected<T>> {
         self.0.admit(lane, job, Instant::now())
     }
+
+    /// The back-off hint, if the queue is open and at its limit: then it
+    /// refuses a job in either lane, so the caller need not classify one.
+    pub(crate) fn full(&self) -> Option<u64> {
+        let st = lock(&self.0.state);
+        let depth = st.cheap.len() + st.expensive.len();
+        let full = !st.closed && st.admission.refuses(Lane::Cheap, depth, 0).is_some();
+        full.then(|| st.admission.retry_after_ms())
+    }
 }
 
 impl<T> Clone for QueueSender<T> {
@@ -452,6 +461,26 @@ mod tests {
             assert!(tx.admit(Lane::Cheap, 8).is_ok());
             assert_eq!(why(tx.admit(Lane::Cheap, 9)), Some(Reject::Full));
         }
+    }
+
+    #[test]
+    fn a_full_queue_is_seen_before_a_job_is_classified() {
+        let (q, tx) = queue(Admission::new(2, BUDGET));
+        assert_eq!(tx.full(), None);
+        for i in 0..2 {
+            assert!(tx.admit(Lane::Expensive, i).is_ok());
+        }
+        // At the limit every lane is refused, with the refusal's own hint.
+        let refused = tx.admit(Lane::Cheap, 2).expect_err("full");
+        assert_eq!(tx.full(), Some(refused.retry_after_ms));
+        assert!(q.pop().is_some());
+        assert_eq!(tx.full(), None);
+        // A closed queue refuses as `Closed`, which the full path leaves
+        // to admission.
+        assert!(tx.admit(Lane::Cheap, 3).is_ok());
+        q.close();
+        assert_eq!(tx.full(), None);
+        assert_eq!(why(tx.admit(Lane::Cheap, 4)), Some(Reject::Closed));
     }
 
     #[test]

@@ -354,14 +354,19 @@ fn control(addr: &str, line: String) -> std::io::Result<Response> {
     Ok(exchange(addr, &[line])?.remove(0))
 }
 
-/// The one connection exchange: connect, write every line, then read
-/// one response per line sent.
+/// The one connection exchange: connect, write every line at once, then
+/// read one response per line sent.
 fn exchange(addr: &str, lines: &[String]) -> std::io::Result<Vec<Response>> {
     let mut stream = TcpStream::connect(addr)?;
+    // Every line in one write: `writeln!` per line costs two syscalls and
+    // two loopback segments a line, and Nagle holds each later segment
+    // until the server acknowledges the one before.
+    let mut batch = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
     for line in lines {
-        writeln!(stream, "{line}")?;
+        batch.push_str(line);
+        batch.push('\n');
     }
-    stream.flush()?;
+    stream.write_all(batch.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut out = Vec::with_capacity(lines.len());
     let mut line = String::new();

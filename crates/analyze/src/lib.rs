@@ -77,6 +77,10 @@ pub struct Analyzer {
     pub(crate) real: BTreeSet<String>,
     /// Date-typed columns (integer-valued epoch days; used by the linter).
     pub(crate) date: BTreeSet<String>,
+    /// Columns a schema declares integer-valued (`INTEGER`, `DATE`,
+    /// `TIMESTAMP`). A column no schema names defaults to `INTEGER` too,
+    /// but is not declared so.
+    pub(crate) integral: BTreeSet<String>,
 }
 
 impl Analyzer {
@@ -125,12 +129,29 @@ impl Analyzer {
         self
     }
 
+    /// Declare columns integer-valued (see [`Analyzer::is_declared_integral`]).
+    #[must_use]
+    pub fn with_integral(mut self, cols: impl IntoIterator<Item = impl Into<String>>) -> Analyzer {
+        self.integral.extend(cols.into_iter().map(Into::into));
+        self
+    }
+
+    /// Whether a column is *declared* integer-valued — by a schema or
+    /// [`Analyzer::with_integral`] — rather than integral by default.
+    /// Integer tightening (`2x ≤ 15` ⟹ `x ≤ 7`) is exact only on these.
+    pub fn is_declared_integral(&self, col: &str) -> bool {
+        self.integral.contains(col)
+    }
+
     /// Import a schema's column facts: `DOUBLE` columns become real-valued,
-    /// `DATE` columns are noted for the linter, and nullable columns are
-    /// marked as such.
+    /// `DATE` columns are noted for the linter, integral columns are
+    /// declared so, and nullable columns are marked as such.
     #[must_use]
     pub fn with_schema(mut self, schema: &Schema) -> Analyzer {
         for c in schema.columns() {
+            if c.ty.is_integral() {
+                self.integral.insert(c.name.clone());
+            }
             match c.ty {
                 DataType::Double => {
                     self.real.insert(c.name.clone());

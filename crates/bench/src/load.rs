@@ -128,7 +128,7 @@ struct Book {
 /// request earns one token, and an `overloaded` reply is retried once,
 /// on its connection, after the server's `retry_after_ms` hint (20 ms
 /// without one), when the budget pays for it. An arrival unanswered
-/// [`DRAIN`] after the last was sent is lost (`None`). Returns the
+/// `DRAIN` after the last was sent is lost (`None`). Returns the
 /// arrivals in schedule order and the wall time of the whole drive.
 ///
 /// # Errors

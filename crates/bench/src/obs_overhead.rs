@@ -1,9 +1,11 @@
 //! The `obs-overhead` gate: a microbench guarding the sia-obs overhead
 //! budget ([`MAX_OVERHEAD_PCT`]), with two workloads gated independently:
 //!
-//! - **synth**: one full synthesis run — the solver-heavy path — with
-//!   the collector disabled vs enabled behind a no-op sink. Guards the
-//!   cost of *enabling* observability where spans bracket long phases.
+//! - **synth**: one synthesis run with the collector disabled vs enabled
+//!   behind a no-op sink. Its request is answered by the exact-projection
+//!   exit in ≈ 0.14 ms (four solver checks, ten spans, no learning loop),
+//!   so it guards the cost of *enabling* observability on a short path
+//!   where each span and counter flush is a visible share.
 //! - **serve-hot**: the server worker's cache-hit fast path, mirrored
 //!   without TCP — span-context begin/adopt/finish, the request-local
 //!   phase recorder, and the parse/lint/cache spans around a

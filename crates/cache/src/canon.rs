@@ -54,6 +54,9 @@ pub struct Canonical {
     pub params: Vec<Expr>,
     /// `(original, canonical)` column pairs, in canonical order.
     pub rename: Vec<(String, String)>,
+    /// The column facts the key is typed on, one per canonical column
+    /// ([`Canonical::typed`]); empty for an untyped key.
+    pub facts: Vec<ColumnFacts>,
 }
 
 /// Canonicalize a predicate.
@@ -78,15 +81,41 @@ pub fn canonicalize(p: &Pred) -> Canonical {
         template,
         params,
         rename,
+        facts: Vec::new(),
     }
 }
 
 impl Canonical {
-    /// The `template|params` part of a cache key. Target columns are
-    /// appended by the cache, which also decides the shard.
+    /// The `template|params` part of a cache key, and `|facts` when the
+    /// key is typed. Target columns are appended by the cache, which also
+    /// decides the shard.
     pub fn key_fragment(&self) -> String {
         let params: Vec<String> = self.params.iter().map(ToString::to_string).collect();
-        format!("{}|{}", self.template, params.join(","))
+        let mut key = format!("{}|{}", self.template, params.join(","));
+        if !self.facts.is_empty() {
+            key.push('|');
+            for f in &self.facts {
+                key.push(match (f.real, f.date) {
+                    (true, _) => 'r',
+                    (_, true) => 'd',
+                    _ => 'i',
+                });
+                if f.nullable {
+                    key.push('?');
+                }
+            }
+        }
+        key
+    }
+
+    /// This form keyed also on the `facts` of each original column
+    /// ([`Canonical::lint_signature`]), for a caller whose answer depends
+    /// on column types: a predicate over an INTEGER column and the same
+    /// one over a DOUBLE then never share a cache entry.
+    #[must_use]
+    pub fn typed(mut self, facts: impl Fn(&str) -> ColumnFacts) -> Canonical {
+        self.facts = self.lint_signature(facts);
+        self
     }
 
     /// Map an original column name into canonical space, if it occurs in
@@ -245,6 +274,25 @@ mod tests {
         let b = canon_str("x < 99");
         assert_eq!(a.template, b.template);
         assert_ne!(a.key_fragment(), b.key_fragment());
+    }
+
+    #[test]
+    fn typed_keys_differ_by_column_type_only() {
+        let facts = |real: bool| {
+            move |c: &str| ColumnFacts {
+                real: real && c == "p",
+                date: false,
+                nullable: false,
+            }
+        };
+        let int = canon_str("2 * p <= 5 * r AND r <= 3").typed(facts(false));
+        let double = canon_str("2 * p <= 5 * r AND r <= 3").typed(facts(true));
+        let renamed = canon_str("2 * x <= 5 * y AND y <= 3").typed(facts(false));
+        assert_ne!(int.key_fragment(), double.key_fragment());
+        assert_eq!(int.key_fragment(), renamed.key_fragment());
+        assert!(int
+            .key_fragment()
+            .starts_with(&canon_str("2 * p <= 5 * r AND r <= 3").key_fragment()));
     }
 
     #[test]

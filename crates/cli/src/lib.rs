@@ -520,6 +520,14 @@ fn registry_db() -> sia_engine::Database {
     db
 }
 
+/// The column facts of every generator-registry schema (all TPC-H tables
+/// plus the synthetic `wide` one), so DATE and DOUBLE columns are typed;
+/// a column of none defaults to INTEGER NOT NULL, as in the encoder, but
+/// is not declared so.
+fn registry_columns() -> sia_analyze::Analyzer {
+    sia_analyze::Analyzer::with_schemas(sia_gen::schemas().iter().map(|(_, s)| s))
+}
+
 /// Execute a command, returning its printable output. Failures carry the
 /// process exit code: 1 for errors, 2 for synthesis timeouts.
 pub fn run(cmd: Command) -> Result<String, CliError> {
@@ -580,7 +588,7 @@ impl Synth {
                 sia_obs::set_sink(Box::new(sink));
             }
         }
-        let mut syn = Synthesizer::new(config);
+        let mut syn = Synthesizer::new(config).with_columns(registry_columns());
         let result = syn.synthesize(&p, &self.cols).map_err(|e| CliError {
             message: e.to_string(),
             code: if e == SynthesisError::Timeout {
@@ -615,6 +623,11 @@ impl Synth {
         ));
         if let Some(summary) = summary {
             out.push_str("\n\n== metrics ==\n");
+            if let Some((input, projection)) = r.stats.projection_atoms {
+                out.push_str(&format!(
+                    "atoms: {input} in the input, {projection} projected\n"
+                ));
+            }
             out.push_str(&summary.to_string());
             if let Some(cov) = summary.snapshot.coverage("synth") {
                 out.push_str(&format!(
@@ -678,13 +691,7 @@ impl Lint {
             sia_engine::lint_plan(&p, &|t| db.schema_of(t))
         } else {
             let p = parse_predicate(&self.predicate).map_err(|e| e.to_string())?;
-            // Seed the analyzer from the generator's schema registry
-            // (all TPC-H tables plus the synthetic `wide` schema) so
-            // DATE and DOUBLE columns are typed; unknown columns
-            // default to INTEGER NOT NULL, matching the synthesizer's
-            // encoder.
-            let schemas = sia_gen::schemas();
-            sia_analyze::Analyzer::with_schemas(schemas.iter().map(|(_, s)| s)).lint(&p)
+            registry_columns().lint(&p)
         };
         let errors = warnings.iter().filter(|w| w.severity() == "error").count();
         let out = if self.format == Format::Json {
@@ -1809,10 +1816,12 @@ mod tests {
 
         // A `serve_cegis`-shaped request whose projection keeps a
         // divisibility literal: its regions sit far from the sampler's
-        // scatter boxes, which the bounds presolve refutes.
+        // scatter boxes, which the bounds presolve refutes. `linenumber`
+        // is no registry column, so it is not declared integral, the exact
+        // shadow is not tried, and the loop runs.
         let out = run(Command::Synth(Synth {
-            predicate: "2 * l_quantity - l_orderkey < 3 * l_linenumber - 711677 \
-                        AND l_linenumber > 0 AND l_linenumber < 8"
+            predicate: "2 * l_quantity - l_orderkey < 3 * linenumber - 711677 \
+                        AND linenumber > 0 AND linenumber < 8"
                 .into(),
             cols: strs(&["l_orderkey", "l_quantity"]),
             variant: Variant::Sia,
@@ -1834,13 +1843,27 @@ mod tests {
         // The two requests these used to be are answered by their exact
         // projection, with no sampling: a doubled column with b's
         // coefficients ±1, and a `serve_cegis` bed request keeping every
-        // column, which is its own answer.
-        for (predicate, cols, answer) in [
-            ("a + a + 10 > b + 20 AND b + 10 > 20", &["a"][..], "a >= 11"),
+        // column, which is its own answer. The third's projection keeps a
+        // divisibility literal, and its registry INTEGER columns let the
+        // exact shadow answer it; the atom counts show what was projected.
+        for (predicate, cols, answer, atoms) in [
+            (
+                "a + a + 10 > b + 20 AND b + 10 > 20",
+                &["a"][..],
+                "a >= 11",
+                Some("atoms: 2 in the input, 1 projected"),
+            ),
             (
                 "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65",
                 &["l_commitdate", "l_orderdate", "l_orderkey", "l_quantity"],
                 "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65",
+                None,
+            ),
+            (
+                "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
+                &["n_nationkey"],
+                "n_nationkey <= 7",
+                Some("atoms: 2 in the input, 1 projected"),
             ),
         ] {
             let out = run(Command::Synth(Synth {
@@ -1856,6 +1879,11 @@ mod tests {
             assert!(out.contains(&format!("predicate: {answer}\n")), "{out}");
             assert!(out.contains("iterations: 0"), "{out}");
             assert!(out.contains("cegis.projected"), "{out}");
+            assert_eq!(
+                out.lines().find(|l| l.starts_with("atoms:")),
+                atoms,
+                "{out}"
+            );
         }
     }
 

@@ -92,6 +92,11 @@ impl Ledger {
         self.stats.false_samples = self.fs.len();
     }
 
+    /// Note the atom counts of the input and of its projection.
+    pub(crate) fn projected(&mut self, input: usize, projection: usize) {
+        self.stats.projection_atoms = Some((input, projection));
+    }
+
     /// The TRUE samples drawn so far.
     pub(crate) fn true_samples(&self) -> &[Vec<BigInt>] {
         &self.ts

@@ -8,10 +8,10 @@ use crate::ledger::{Ledger, Phase};
 use crate::prove::{self, Prover};
 use crate::samples::{draw, SampleOutcome, Sampler};
 use crate::verify::{decode_formula, unsat_region, verify_implies, Validity};
-use sia_analyze::Derivation;
+use sia_analyze::{Analyzer, Derivation};
 use sia_expr::{col, CmpOp, Expr, Pred};
 use sia_num::{BigInt, BigRat};
-use sia_smt::{eliminate_exists, Budget, Formula, QeConfig, VarId};
+use sia_smt::{eliminate_exists, exact_shadow, Budget, Formula, QeConfig, VarId};
 use std::ops::ControlFlow;
 use std::time::Duration;
 
@@ -100,6 +100,10 @@ pub struct SynthStats {
     /// Time in validity checks (a derived bound's included) and in
     /// stripping redundant planes.
     pub validation_time: Duration,
+    /// Atoms of the input and of its projection — Cooper's, or the exact
+    /// shadow's where one was computed — when a projection was; the
+    /// projection exit declines one with more atoms than the input.
+    pub projection_atoms: Option<(usize, usize)>,
 }
 
 impl std::ops::AddAssign for SynthStats {
@@ -110,6 +114,10 @@ impl std::ops::AddAssign for SynthStats {
         self.generation_time += other.generation_time;
         self.learning_time += other.learning_time;
         self.validation_time += other.validation_time;
+        self.projection_atoms = match (self.projection_atoms, other.projection_atoms) {
+            (Some((i, p)), Some((j, q))) => Some((i + j, p + q)),
+            (mine, theirs) => mine.or(theirs),
+        };
     }
 }
 
@@ -193,12 +201,29 @@ struct Opening {
 pub struct Synthesizer {
     /// Configuration.
     pub config: SiaConfig,
+    /// The caller's column facts. Only the exact-shadow exit reads them:
+    /// it tightens `2x ≤ 15` to `x ≤ 7`, which is exact only over
+    /// integers, so it answers only when every column of the input is
+    /// declared integral. Nothing is declared by default.
+    columns: Analyzer,
 }
 
 impl Synthesizer {
     /// Synthesizer with the given configuration.
     pub fn new(config: SiaConfig) -> Self {
-        Synthesizer { config }
+        Synthesizer {
+            config,
+            columns: Analyzer::new(),
+        }
+    }
+
+    /// Take the column facts the exact-shadow exit reads from `columns`
+    /// (see [`Analyzer::is_declared_integral`]). Encoding is unchanged:
+    /// every column is still an integer to the solver.
+    #[must_use]
+    pub fn with_columns(mut self, columns: Analyzer) -> Self {
+        self.columns = columns;
+        self
     }
 
     /// Synthesize a valid (ideally optimal) predicate over `cols`, implied
@@ -241,6 +266,13 @@ impl Synthesizer {
             derived_static,
             stats,
         })
+    }
+
+    /// Whether every column of `p` is declared integral.
+    fn integral(&self, p: &Pred) -> bool {
+        p.columns()
+            .iter()
+            .all(|c| self.columns.is_declared_integral(c))
     }
 
     /// `Err(Timeout)` once the run's budget is spent.
@@ -512,8 +544,16 @@ impl Synthesizer {
         };
         let projection = eliminate_exists(&qe_f, &others, &self.config.qe).ok();
         if let Some(proj) = &projection {
-            let exact = exact_projection(enc, p, &p_f, cols, proj, ledger)?;
-            if let Some(q) = exact {
+            // A divisibility literal keeps Cooper's projection from being
+            // a predicate. The Omega test's shadow may be the same set
+            // without one; it tightens bounds as integers do, so it needs
+            // every column declared integral.
+            let shadow = (proj.has_divisibility() && self.integral(p))
+                .then(|| exact_shadow(&qe_f, &others))
+                .flatten();
+            let answer = shadow.as_ref().unwrap_or(proj);
+            ledger.projected(atoms(&p_f), atoms(answer));
+            if let Some(q) = exact_projection(enc, p, &p_f, cols, answer, proj, ledger)? {
                 let predicate = if q.is_true() { None } else { Some(q) };
                 return Ok(ControlFlow::Break((predicate, true, true)));
             }
@@ -570,23 +610,26 @@ impl Synthesizer {
     }
 }
 
-/// Cooper's projection `proj` of `p` onto `cols`, as the answer when it
+/// `answer`, a formula equivalent to Cooper's projection `proj` of `p`
+/// onto `cols` (`proj` itself or its exact shadow), as the answer when it
 /// is exact: every eliminated variable is a column of `p` (not an opaque
 /// quotient or product, over which the projection is that of a
 /// relaxation), the decoder writes it (no divisibility literal, no
 /// constant beyond `i64`), it has no more atoms than `p`, and `p`
-/// provably implies the decoded predicate. `None` otherwise.
+/// provably implies the decoded predicate. `None` otherwise. Under
+/// `checked` the answer is audited against `proj`.
 fn exact_projection(
     enc: &mut PredEncoder,
     p: &Pred,
     p_f: &Formula,
     cols: &[String],
+    answer: &Formula,
     proj: &Formula,
     ledger: &mut Ledger,
 ) -> Result<Option<Pred>, SynthesisError> {
     let p_cols = p.columns();
     let named: Vec<(String, VarId)> = enc.columns().map(|(c, v)| (c.to_string(), v)).collect();
-    if named.iter().any(|(c, _)| !p_cols.contains(c)) || atoms(proj) > atoms(p_f) {
+    if named.iter().any(|(c, _)| !p_cols.contains(c)) || atoms(answer) > atoms(p_f) {
         return Ok(None);
     }
     let kept: Vec<(&str, VarId)> = named
@@ -594,7 +637,7 @@ fn exact_projection(
         .filter(|(c, _)| cols.contains(c))
         .map(|(c, v)| (c.as_str(), *v))
         .collect();
-    let Ok(q) = decode_formula(proj, &kept) else {
+    let Ok(q) = decode_formula(answer, &kept) else {
         return Ok(None);
     };
     let verified = ledger.phase(Phase::Verify, |_| {
@@ -608,7 +651,15 @@ fn exact_projection(
     let differs = |enc: &mut PredEncoder| {
         let q_f = enc.encode(&q).ok()?;
         let beyond = q_f.clone().and(proj.clone().not());
-        Some(beyond.or(proj.clone().and(q_f.not())))
+        let differs = beyond.or(proj.clone().and(q_f.not()));
+        // Over unbounded columns, branch and bound can take seconds to
+        // refute a divisibility literal's negation (a shadow's audit);
+        // Cooper decides the closed sentence `∃ cols . differs` outright.
+        if !proj.has_divisibility() {
+            return Some(differs);
+        }
+        let closed = eliminate_exists(&differs, &differs.vars(), &QeConfig::default());
+        Some(closed.unwrap_or(differs))
     };
     prove::audit(enc, sia_obs::Counter::CegisProjected, 1, claim, differs);
     Ok(Some(q))
@@ -838,6 +889,119 @@ mod tests {
             assert!(!r.derived_static, "{p}: {r:?}");
             assert!(r.stats.true_samples > 0, "{p}: {r:?}");
         }
+    }
+
+    /// `p` onto `cols` with every column declared integral.
+    fn synthesize_integral(p: &str, cols: &[&str]) -> SynthesisResult {
+        let p = parse_predicate(p).unwrap();
+        let columns = Analyzer::new().with_integral(p.columns());
+        Synthesizer::default()
+            .with_columns(columns)
+            .synthesize(&p, &strs(cols))
+            .unwrap()
+    }
+
+    /// `answer` is the exact projection of `p` onto the first `kept` of
+    /// `grid`'s columns, judged by `eval_pred` at every point of the grid:
+    /// it accepts a point of the kept columns exactly when some point of
+    /// the other columns' ranges makes `p` TRUE.
+    fn assert_exact_on_grid(p: &str, answer: &Pred, kept: usize, grid: &[(&str, i64, i64)]) {
+        let p = parse_predicate(p).unwrap();
+        fn walk(
+            grid: &[(&str, i64, i64)],
+            m: &mut HashMap<String, Value>,
+            f: &mut dyn FnMut(&HashMap<String, Value>) -> bool,
+        ) -> bool {
+            let Some(((name, lo, hi), rest)) = grid.split_first() else {
+                return f(m);
+            };
+            (*lo..=*hi).any(|v| {
+                m.insert(name.to_string(), Value::Int(v));
+                walk(rest, m, f)
+            })
+        }
+        let (kept_grid, others) = grid.split_at(kept);
+        walk(kept_grid, &mut HashMap::new(), &mut |point| {
+            let mut m = point.clone();
+            let witnessed = walk(others, &mut m, &mut |all| eval_pred(&p, all) == Some(true));
+            assert_eq!(
+                eval_pred(answer, point),
+                Some(witnessed),
+                "{answer} at {point:?}"
+            );
+            false
+        });
+    }
+
+    /// `p` onto `cols`, every column declared integral, is answered by
+    /// its exact shadow, rendered as `expect` and exact on `grid` (the
+    /// kept columns first): no sampling, no learning.
+    fn assert_shadowed(p: &str, cols: &[&str], expect: &str, grid: &[(&str, i64, i64)]) {
+        let r = synthesize_integral(p, cols);
+        assert!(r.optimal && r.derived_static, "{p}: {r:?}");
+        assert_eq!((r.stats.iterations, r.stats.true_samples), (0, 0), "{p}");
+        let q = r.predicate.expect("a non-trivial answer");
+        assert_eq!(q.to_string(), expect, "{p}");
+        assert_exact_on_grid(p, &q, cols.len(), grid);
+    }
+
+    #[test]
+    fn an_exact_shadow_is_the_answer() {
+        // Cooper's projection of each holds a divisibility literal; every
+        // pair of bounds on the eliminated column has a unit side, so the
+        // shadow is the projection, with none.
+        let p = "2 * n_nationkey <= 5 * r_name AND r_name <= 3";
+        let grid = [("n_nationkey", -3, 12), ("r_name", -10, 10)];
+        assert_shadowed(p, &["n_nationkey"], "n_nationkey <= 7", &grid);
+        assert_eq!(
+            synthesize_integral(p, &["n_nationkey"])
+                .stats
+                .projection_atoms,
+            Some((2, 1))
+        );
+        assert_shadowed(
+            "a2 - 2 * b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0",
+            &["a1", "a2"],
+            "2 * a1 - 3 * a2 <= 37 AND a2 <= 17",
+            &[("a1", 0, 30), ("a2", 10, 20), ("b1", -40, 0)],
+        );
+        assert_shadowed(
+            "l_shipdate + l_commitdate <= 2 * o_orderdate + 100 AND o_orderdate <= 8765",
+            &["l_commitdate", "l_shipdate"],
+            "l_commitdate + l_shipdate <= 17630",
+            &[
+                ("l_commitdate", 8810, 8820),
+                ("l_shipdate", 8810, 8820),
+                ("o_orderdate", 8700, 8800),
+            ],
+        );
+    }
+
+    #[test]
+    fn the_shadow_needs_declared_integral_columns_and_coinciding_shadows() {
+        // Undeclared columns (a caller that declares nothing): the loop
+        // runs, as it did before the shadow exit.
+        let p = parse_predicate("2 * n_nationkey <= 5 * r_name AND r_name <= 3").unwrap();
+        let r = Synthesizer::default()
+            .synthesize(&p, &strs(&["n_nationkey"]))
+            .unwrap();
+        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
+        // A DOUBLE among the columns: not declared integral either.
+        let columns = Analyzer::new()
+            .with_integral(["n_nationkey"])
+            .with_real(["r_name"]);
+        let r = Synthesizer::default()
+            .with_columns(columns)
+            .synthesize(&p, &strs(&["n_nationkey"]))
+            .unwrap();
+        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
+        // 3y ≥ 2x ∧ 3y ≤ 2x + 1: the real shadow is `0 ≤ x ≤ 30` and the
+        // dark one differs (x = 2 has no witness), so the shadow declines.
+        let r = synthesize_integral(
+            "3 * y >= 2 * x AND 3 * y <= 2 * x + 1 AND x >= 0 AND x <= 30",
+            &["x"],
+        );
+        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
     }
 
     #[test]

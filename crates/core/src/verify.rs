@@ -71,9 +71,7 @@ pub fn decode_formula(f: &Formula, cols: &[(&str, VarId)]) -> Result<Pred, Strin
                 Rel::Lt => expr.add(&LinExpr::constant(BigRat::one())),
             };
             // Σ kᵢ·xᵢ + c ≤ 0 ⟺ Σ (kᵢ/g)·xᵢ + ⌈c/g⌉ ≤ 0 over the integers.
-            let expr = expr.scale(&expr.primitive_scale().abs());
-            let c = expr.constant_term();
-            let expr = expr.add(&LinExpr::constant(&BigRat::from_int(c.ceil()) - c));
+            let expr = expr.tightened_le();
             let negatives = expr.iter().filter(|(_, k)| k.is_negative()).count();
             let atom = if 2 * negatives > expr.num_vars() {
                 LinAtom {

@@ -126,6 +126,7 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
             generation_time,
             learning_time,
             validation_time,
+            ..
         } = result.stats;
         assert_eq!(
             deltas,

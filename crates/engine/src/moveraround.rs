@@ -50,7 +50,7 @@ use std::fmt;
 use crate::optimize::schema_columns;
 use crate::plan::Plan;
 use sia_analyze::{Analyzer, Warning};
-use sia_cache::{canonicalize, PredicateCache};
+use sia_cache::{canonicalize, ColumnFacts, PredicateCache};
 use sia_core::{PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
 use sia_expr::{Expr, Pred, Schema};
 
@@ -249,9 +249,10 @@ struct Scan {
 
 /// The move-around pass, with each boundary synthesis answered from
 /// `cache` when it has been seen before. [`Synthesizer::synthesize`] is a
-/// pure function of `(ctx, target)` and the canonical key holds both,
-/// constants included, so a hit is the predicate a miss would learn (mapped back to
-/// this query's column names); a `None` result is stored as TRUE, so
+/// pure function of `(ctx, target)` and the column types of `ctx`, and the
+/// typed canonical key holds all three, constants included, so a hit is
+/// the predicate a miss would learn (mapped back to this query's column
+/// names); a `None` result is stored as TRUE, so
 /// "nothing learnable here" hits too. An error is not stored, and the
 /// returned flag is false when any boundary synthesis returned one.
 pub(crate) fn move_around_cached(
@@ -336,7 +337,14 @@ pub(crate) fn move_around_cached(
     // fact covering its columns there.
     let mut answered = true;
     if mode == MoveAround::Synthesis {
-        let mut syn = Synthesizer::new(SiaConfig::default());
+        // The scan schemas declare each column's type: the exact-shadow
+        // exit reads them, so the cache key carries them too.
+        let mut syn = Synthesizer::new(SiaConfig::default()).with_columns(analyzer.clone());
+        let facts = |c: &str| ColumnFacts {
+            real: analyzer.is_real(c),
+            date: analyzer.is_date(c),
+            nullable: analyzer.is_nullable(c),
+        };
         let _span = sia_obs::span("moveraround.boundaries");
         for scan in &mut scans {
             let known: Vec<Pred> = scan.local.iter().chain(&scan.new_parts).cloned().collect();
@@ -357,7 +365,7 @@ pub(crate) fn move_around_cached(
                 // Context the learner may assume: the boundary predicate
                 // plus everything entailed about its *other* columns.
                 let ctx = g.pred.clone().and(entailed_over(&others));
-                let canon = canonicalize(&ctx);
+                let canon = canonicalize(&ctx).typed(facts);
                 let (learned, cached) = match cache.lookup(&canon, &target) {
                     Some(hit) => {
                         debug_assert!(

@@ -232,8 +232,9 @@ fn equality_classes_propagate_point_constraints() {
 /// table whose key bound reaches each spoke. `synth` carries a predicate
 /// over `r_name` — a column in no equivalence class, so neither
 /// substitution nor the zone closure can project it onto the nation
-/// scan — only CEGIS synthesis can compress `2*n_nationkey <= 5*r_name ∧
-/// r_name <= 3` to the scan-local bound `n_nationkey <= 7`.
+/// scan — only synthesis (its exact-shadow exit) can compress
+/// `2*n_nationkey <= 5*r_name ∧ r_name <= 3` to the scan-local bound
+/// `n_nationkey <= 7`.
 const WORKLOADS: [(&str, &str); 3] = [
     (
         "chain",
@@ -326,5 +327,163 @@ fn join_workloads_cut_join_inputs_with_sound_pushes() {
     assert!(
         synth_only >= 1,
         "no scan was reachable only through synthesis: synth lost its blocked join boundary"
+    );
+}
+
+/// The eight `engine_synth` templates, each at two constants: a
+/// cross-table conjunct with a non-unit coefficient over two (or three)
+/// tables. Every column is a registry INTEGER or DATE, so each boundary is
+/// answered by Cooper's projection or its exact shadow.
+const SYNTH_TEMPLATES: [(&str, &str, [&str; 2]); 8] = [
+    (
+        "nation, region",
+        "n_regionkey = r_regionkey AND 2 * n_nationkey <= 5 * r_name AND r_name <= {}",
+        ["3", "2"],
+    ),
+    (
+        "customer, nation",
+        "c_nationkey = n_nationkey AND 2 * c_mktsegment <= 3 * n_regionkey AND n_regionkey <= {}",
+        ["2", "1"],
+    ),
+    (
+        "supplier, nation",
+        "s_nationkey = n_nationkey AND 3 * s_suppkey <= 7 * n_name AND n_name <= {}",
+        ["10", "8"],
+    ),
+    (
+        "lineitem, orders",
+        "o_orderkey = l_orderkey AND 3 * l_quantity + l_linenumber <= o_orderdate - 8000 \
+         AND o_orderdate < DATE '{}'",
+        ["1992-03-01", "1992-02-01"],
+    ),
+    (
+        "lineitem, orders",
+        "o_orderkey = l_orderkey AND 2 * l_shipdate >= 3 * o_orderdate - 2000 \
+         AND o_orderdate > DATE '{}'",
+        ["1997-01-01", "1997-06-01"],
+    ),
+    (
+        "partsupp, supplier",
+        "ps_suppkey = s_suppkey AND 2 * ps_availqty <= 5 * s_nationkey AND s_nationkey <= {}",
+        ["8", "6"],
+    ),
+    (
+        "customer, nation, region",
+        "c_nationkey = n_nationkey AND n_regionkey = r_regionkey \
+         AND 2 * c_mktsegment <= 3 * r_name AND r_name <= {}",
+        ["2", "1"],
+    ),
+    (
+        "lineitem, orders",
+        "o_orderkey = l_orderkey AND l_shipdate + l_commitdate <= 2 * o_orderdate + {} \
+         AND o_orderdate < DATE '1994-01-01'",
+        ["100", "90"],
+    ),
+];
+
+/// Every `engine_synth` template keeps its rows in all three modes, and
+/// every push it gets is solver-checked. `--nocapture` prints what each
+/// synthesis run pushed.
+#[test]
+fn engine_synth_templates_keep_their_rows_in_every_mode() {
+    // `orders` and `lineitem` from the TPC-H generator, whose keys join
+    // (independently sampled ones almost never do); the rest sampled.
+    let mut db = sia_gen::tpch::generate(&sia_gen::tpch::TpchConfig {
+        scale_factor: 0.002,
+        seed: 1,
+    });
+    for spec in sia_gen::tables() {
+        let n = match spec.name {
+            "orders" | "lineitem" | "wide" => continue,
+            "nation" => 50,
+            "region" => 10,
+            _ => 400,
+        };
+        let data = spec.sample(n, 0x5E7 ^ spec.name.len() as u64);
+        db.insert(spec.name, Table::from_rows(spec.schema(), &data));
+    }
+    for (tables, filter, constants) in SYNTH_TEMPLATES {
+        for k in constants {
+            let sql = format!("SELECT * FROM {tables} WHERE {}", filter.replace("{}", k));
+            let [off, st, syn] = same_rows(&db, &sql);
+            audit(&st);
+            audit(&syn);
+            let pushed: Vec<String> = syn
+                .moved
+                .synthesized
+                .iter()
+                .map(|(t, p)| format!("{t}: {p}"))
+                .collect();
+            println!(
+                "{sql}\n  {} rows, join input {} off -> {} synthesis; synthesized [{}]",
+                off.table.num_rows(),
+                off.stats.join_input_rows,
+                syn.stats.join_input_rows,
+                pushed.join("; ")
+            );
+        }
+    }
+}
+
+/// An INTEGER boundary and the same shape over a DOUBLE kept column, in one
+/// `Database` whose synthesis cache would otherwise hand the second the
+/// first's answer: `2 * n_nationkey <= 5 * r_name AND r_name <= 3` projects
+/// exactly to `n_nationkey <= 7`, which over a DOUBLE `pp` would cut the row
+/// with `pp = 7.5`, `r = 3`. The cache key carries the column types, and
+/// the exact shadow answers only declared-integral columns, so every mode
+/// keeps that row.
+#[test]
+fn an_int_answer_is_never_served_to_a_double_column() {
+    let mut db = gen_db(0xE17, |table| match table {
+        "nation" => 50,
+        "region" => 10,
+        _ => 0,
+    });
+    let int_sql = "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey \
+                   AND 2 * n_nationkey <= 5 * r_name AND r_name <= 3";
+    let [_, _, syn] = same_rows(&db, int_sql);
+    assert!(
+        syn.moved
+            .synthesized
+            .iter()
+            .any(|(t, p)| t == "nation" && p.to_string() == "n_nationkey <= 7"),
+        "{}",
+        syn.moved
+    );
+    let schema = |cols: [(&str, sia_expr::DataType); 2]| {
+        sia_expr::Schema::new(
+            cols.iter()
+                .map(|(c, ty)| sia_expr::ColumnDef::new(*c, *ty))
+                .collect(),
+        )
+    };
+    let t = schema([
+        ("k", sia_expr::DataType::Integer),
+        ("pp", sia_expr::DataType::Double),
+    ]);
+    let u = schema([
+        ("j", sia_expr::DataType::Integer),
+        ("r", sia_expr::DataType::Integer),
+    ]);
+    let t_rows: Vec<Vec<Value>> = [(1, 7.5), (2, 7.0), (3, 8.0), (4, -1.5)]
+        .iter()
+        .map(|&(k, p)| vec![Value::Int(k), Value::Double(p)])
+        .collect();
+    let u_rows: Vec<Vec<Value>> = [(1, 3), (2, 3), (3, 3), (4, 0)]
+        .iter()
+        .map(|&(j, r)| vec![Value::Int(j), Value::Int(r)])
+        .collect();
+    db.insert("t", Table::from_rows(t, &t_rows));
+    db.insert("u", Table::from_rows(u, &u_rows));
+    let double_sql = "SELECT * FROM t, u WHERE k = j AND 2 * pp <= 5 * r AND r <= 3";
+    let [off, _, syn] = same_rows(&db, double_sql);
+    assert_eq!(off.table.num_rows(), 3, "{}", off.plan);
+    assert!(
+        syn.moved
+            .synthesized
+            .iter()
+            .all(|(_, p)| p.to_string() != "pp <= 7"),
+        "{}",
+        syn.moved
     );
 }

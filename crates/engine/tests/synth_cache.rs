@@ -47,7 +47,9 @@ const TEMPLATES: [&str; 16] = [
     CHAIN_2,
     "SELECT * FROM customer, nation, region WHERE c_nationkey = n_nationkey \
      AND n_regionkey = r_regionkey AND 2 * c_mktsegment <= 3 * r_name AND r_name <= 1",
-    NOTHING_LEARNABLE,
+    "SELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey \
+     AND l_shipdate + l_commitdate <= 2 * o_orderdate + 100 \
+     AND o_orderdate < DATE '1994-01-01'",
     "SELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey \
      AND l_shipdate + l_commitdate <= 2 * o_orderdate + 90 \
      AND o_orderdate < DATE '1994-01-01'",
@@ -58,9 +60,12 @@ const TEMPLATES: [&str; 16] = [
 const CHAIN_2: &str = "SELECT * FROM customer, nation, region WHERE c_nationkey = n_nationkey \
      AND n_regionkey = r_regionkey AND 2 * c_mktsegment <= 3 * r_name AND r_name <= 2";
 
-/// Synthesis is attempted and finds nothing pushable.
+/// Synthesis is attempted and finds nothing pushable: `o_orderdate` may
+/// be as small as it likes, so the boundary projects onto lineitem as
+/// TRUE. (The engine_synth template with `<=`, which this was, projects
+/// exactly to `l_commitdate + l_shipdate <= 17630`.)
 const NOTHING_LEARNABLE: &str = "SELECT * FROM lineitem, orders WHERE o_orderkey = l_orderkey \
-     AND l_shipdate + l_commitdate <= 2 * o_orderdate + 100 \
+     AND l_shipdate + l_commitdate >= 2 * o_orderdate + 100 \
      AND o_orderdate < DATE '1994-01-01'";
 
 /// `moveraround.rs`'s `synthesis_fires_at_blocked_boundary` shape.

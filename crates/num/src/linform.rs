@@ -224,6 +224,15 @@ impl<K: Ord + Clone> LinForm<K> {
         }
     }
 
+    /// `self ≤ 0` over integer keys, as its tightest form: coefficients
+    /// divided by their gcd into coprime integers (signs kept) and the
+    /// constant rounded up, so `2x − 15 ≤ 0` becomes `x − 7 ≤ 0`.
+    pub fn tightened_le(&self) -> Self {
+        let t = self.scale(&self.primitive_scale().abs());
+        let c = t.constant_term();
+        t.add(&Self::constant(&BigRat::from_int(c.ceil()) - c))
+    }
+
     /// Scale by the positive factor that makes every coefficient *and*
     /// the constant an integer, all with gcd 1. The sign is kept, so a
     /// comparison with zero is preserved.

@@ -139,6 +139,26 @@ pub fn add(c: Counter, n: u64) {
     }
 }
 
+/// [`add`] for several counters at once, as one flush: their events
+/// share one timestamp and one sink lock. Zero increments are skipped.
+pub fn add_all(adds: &[(Counter, u64)]) {
+    if !enabled() {
+        return;
+    }
+    let adds = || adds.iter().filter(|(_, n)| *n > 0);
+    for &(c, n) in adds() {
+        COUNTERS[c.index()].fetch_add(n, Ordering::Relaxed);
+    }
+    if SINK_ACTIVE.load(Ordering::Relaxed) {
+        let t_us = span::event_us();
+        if let Some(s) = lock(&SINK).as_mut() {
+            for &(key, add) in adds() {
+                s.event(&Event::Counter { key, add, t_us });
+            }
+        }
+    }
+}
+
 /// Record one observation `v` into histogram `h`; no-op while disabled.
 pub fn record(h: Hist, v: f64) {
     if !enabled() {

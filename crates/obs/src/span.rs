@@ -43,9 +43,10 @@ struct Node {
     path: &'static str,
     /// The collector's aggregate for `path`.
     slot: &'static SpanSlot,
-    /// The request-local recorder's total for this path, µs; `None` if no
+    /// The request-local recorder's total for this path, ns (whole µs
+    /// only when read, so closes lose nothing to truncation); `None` if no
     /// span on it has closed since [`local_begin`].
-    local_us: Option<u64>,
+    local_ns: Option<u64>,
 }
 
 struct Frame {
@@ -93,7 +94,7 @@ impl Stack {
             name,
             path,
             slot: crate::span_slot(path),
-            local_us: None,
+            local_ns: None,
         });
         self.nodes.len() - 1
     }
@@ -106,8 +107,9 @@ impl Stack {
 
     fn local_add(&mut self, node: usize, dur: Duration) {
         if local_active() {
-            let total = &mut self.nodes[node].local_us;
-            *total = Some(total.unwrap_or(0).saturating_add(dur_us(dur)));
+            let ns = dur.as_nanos().try_into().unwrap_or(u64::MAX);
+            let total = &mut self.nodes[node].local_ns;
+            *total = Some(total.unwrap_or(0).saturating_add(ns));
         }
     }
 }
@@ -153,7 +155,7 @@ fn local_active() -> bool {
 pub fn local_begin() {
     STACK.with(|stack| {
         for node in &mut stack.borrow_mut().nodes {
-            node.local_us = None;
+            node.local_ns = None;
         }
     });
     LOCAL_ON.with(|c| c.set(true));
@@ -171,7 +173,7 @@ pub fn local_take() -> Vec<(Cow<'static, str>, u64)> {
         let stack = stack.borrow();
         let nodes = stack.by_path.iter().map(|&n| &stack.nodes[n]);
         nodes
-            .filter_map(|n| Some((Cow::Borrowed(n.path), n.local_us?)))
+            .filter_map(|n| Some((Cow::Borrowed(n.path), n.local_ns? / 1_000)))
             .collect()
     })
 }

@@ -153,6 +153,33 @@ fn jsonl_sink_sees_the_event_stream() {
     sia_obs::disable();
 }
 
+#[test]
+fn a_batched_flush_counts_and_emits_each_nonzero_counter() {
+    let _guard = isolated();
+    let buf = SharedBuf::default();
+    sia_obs::set_sink(Box::new(JsonlSink::new(buf.clone())));
+    sia_obs::add_all(&[
+        (Counter::SmtChecks, 1),
+        (Counter::SatConflicts, 0),
+        (Counter::SimplexPivots, 7),
+    ]);
+    drop(sia_obs::take_sink());
+    let snap = sia_obs::snapshot();
+    assert_eq!(snap.counter(Counter::SmtChecks), 1);
+    assert_eq!(snap.counter(Counter::SimplexPivots), 7);
+    let events = buf.events();
+    let keys: Vec<&str> = events
+        .iter()
+        .filter(|e| text_of(e, "type") == Some("counter"))
+        .filter_map(|e| text_of(e, "key"))
+        .collect();
+    assert_eq!(
+        keys,
+        [Counter::SmtChecks.name(), Counter::SimplexPivots.name()]
+    );
+    sia_obs::disable();
+}
+
 /// A counter or histogram event inside a span carries the thread's last
 /// span boundary as its timestamp: it lies between the span's enter and
 /// exit, and, with a sleep between the two boundaries, no clock read made
@@ -352,6 +379,26 @@ fn local_recorder_breaks_down_phases_without_global_collector() {
     // Nothing leaked into the global collector, and the recorder is off.
     assert!(sia_obs::snapshot().spans.is_empty());
     assert!(sia_obs::local_take().is_empty());
+}
+
+#[test]
+fn local_sums_keep_sub_microsecond_closes() {
+    let _guard = isolated();
+    sia_obs::disable();
+    sia_obs::local_begin();
+    {
+        let _root = sia_obs::span("req");
+        for _ in 0..1_000 {
+            sia_obs::record_complete("lint", std::time::Duration::from_nanos(1_500));
+        }
+    }
+    let phases = sia_obs::local_take();
+    let lint = phases
+        .iter()
+        .find(|(k, _)| k == "req/lint")
+        .map(|&(_, us)| us);
+    // Truncating each close to whole µs summed them to 1 000.
+    assert!(lint.is_some_and(|us| us >= 1_500), "{phases:?}");
 }
 
 #[test]

@@ -236,7 +236,7 @@ impl Formula {
     }
 
     /// True iff a `Divides` / `NotDivides` literal occurs anywhere.
-    pub(crate) fn has_divisibility(&self) -> bool {
+    pub fn has_divisibility(&self) -> bool {
         match self {
             Formula::Divides(..) | Formula::NotDivides(..) => true,
             Formula::And(fs) | Formula::Or(fs) => fs.iter().any(Formula::has_divisibility),

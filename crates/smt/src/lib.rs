@@ -14,6 +14,10 @@
 //!   `∃cols′. … ∧ ∀others. ¬p` formulas Sia uses to generate FALSE
 //!   samples and decide optimality (§4.2, §5.3, §5.5), and a model-based
 //!   CEGQI alternative used for ablation;
+//! * [`omega`] — the Omega test's real and dark shadows: the exact
+//!   integer projection, without divisibility literals, where every pair
+//!   of bounds on an eliminated variable has a unit coefficient on one
+//!   side;
 //! * [`audit`] — a sampling soundness auditor for quantifier elimination,
 //!   run on every elimination under the `checked` cargo feature;
 //! * [`budget`] — deadlines: a copyable optional deadline ([`Budget`])
@@ -29,6 +33,7 @@
 pub mod audit;
 pub mod budget;
 pub mod formula;
+pub mod omega;
 pub mod qe;
 pub mod sat;
 pub mod simplex;
@@ -38,6 +43,7 @@ pub mod var;
 
 pub use budget::Budget;
 pub use formula::Formula;
+pub use omega::exact_shadow;
 pub use qe::{eliminate_exists, QeConfig, QeError};
 pub use solver::{Model, SmtResult, Solver};
 pub use term::{Atom, LinTerm, Rel};

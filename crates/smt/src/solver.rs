@@ -204,7 +204,8 @@ impl Solver {
 ///
 /// The CDCL and simplex hot loops keep plain local counters (`SatStats`,
 /// `Simplex::pivots`, …); batching the flush here — once per `check`
-/// rather than per decision/propagation/pivot — is what keeps the no-op
+/// rather than per decision/propagation/pivot, and as one
+/// [`sia_obs::add_all`] rather than ten `add`s — is what keeps the
 /// instrumentation overhead inside the <3% budget.
 fn record_check_metrics(ctx: &CheckCtx<'_>) {
     if !sia_obs::enabled() {
@@ -212,16 +213,18 @@ fn record_check_metrics(ctx: &CheckCtx<'_>) {
     }
     use sia_obs::Counter as C;
     let sat = &ctx.sat.stats;
-    sia_obs::add(C::SmtChecks, 1);
-    sia_obs::add(C::SatDecisions, sat.decisions);
-    sia_obs::add(C::SatConflicts, sat.conflicts);
-    sia_obs::add(C::SatPropagations, sat.propagations);
-    sia_obs::add(C::SatRestarts, sat.restarts);
-    sia_obs::add(C::SimplexPivots, ctx.simplex.pivots);
-    sia_obs::add(C::SimplexTightenings, ctx.simplex.tightenings);
-    sia_obs::add(C::SmtRounds, ctx.rounds);
-    sia_obs::add(C::SmtTheoryLemmas, ctx.lemmas);
-    sia_obs::add(C::SmtBbNodes, ctx.bb_nodes);
+    sia_obs::add_all(&[
+        (C::SmtChecks, 1),
+        (C::SatDecisions, sat.decisions),
+        (C::SatConflicts, sat.conflicts),
+        (C::SatPropagations, sat.propagations),
+        (C::SatRestarts, sat.restarts),
+        (C::SimplexPivots, ctx.simplex.pivots),
+        (C::SimplexTightenings, ctx.simplex.tightenings),
+        (C::SmtRounds, ctx.rounds),
+        (C::SmtTheoryLemmas, ctx.lemmas),
+        (C::SmtBbNodes, ctx.bb_nodes),
+    ]);
 }
 
 /// One end of an interval: `value`, excluded when `strict`.

@@ -123,8 +123,6 @@ pub struct SoakReport {
     pub cache_capacity: usize,
     /// Whole-run cache hit rate.
     pub hit_rate: f64,
-    /// Fraction of synthesis runs discharged by static derivation.
-    pub derive_static_rate: f64,
     /// Faults actually injected.
     pub faults_injected: u64,
     /// Per-window tail latency.
@@ -171,7 +169,7 @@ impl SoakReport {
             "{{\"offered\":{},\"answered\":{},\"lost\":{},\"shed\":{},\"ok\":{},\"degraded\":{},\
              \"timeouts\":{},\"retried\":{},\"oracle_checks\":{},\"violations\":{},\
              \"cache_len\":{},\"cache_capacity\":{},\"hit_rate\":{},\
-             \"derive_static_rate\":{},\"faults_injected\":{},\"p99_drift\":{},\"elapsed_s\":{},\
+             \"faults_injected\":{},\"p99_drift\":{},\"elapsed_s\":{},\
              \"pool_size\":{},\"pool_kept\":{},\"snapshot_recovered\":{},\
              \"windows\":[{windows}]}}",
             self.offered,
@@ -187,7 +185,6 @@ impl SoakReport {
             self.cache_len,
             self.cache_capacity,
             sia_obs::json_number(self.hit_rate),
-            sia_obs::json_number(self.derive_static_rate),
             self.faults_injected,
             sia_obs::json_number(self.p99_drift),
             sia_obs::json_number(self.elapsed_s),
@@ -321,8 +318,6 @@ fn run_soak(cache_file: &str) -> Result<SoakReport, String> {
     sia_fault::configure("cache.rename", "2*error(injected torn snapshot)")?;
 
     let schedule = load::poisson_schedule(RATE, REQUESTS, SEED);
-    let static_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveStatic);
-    let miss_before = sia_obs::snapshot().counter(Counter::AnalyzeDeriveMiss);
     let (arrivals, elapsed) =
         load::open_loop(&schedule, |i| send_with_retry(&addr, &pool[i % pool.len()]));
     let elapsed_s = elapsed.as_secs_f64();
@@ -414,14 +409,6 @@ fn run_soak(cache_file: &str) -> Result<SoakReport, String> {
         1.0
     };
 
-    let static_hits = sia_obs::snapshot().counter(Counter::AnalyzeDeriveStatic) - static_before;
-    let misses = sia_obs::snapshot().counter(Counter::AnalyzeDeriveMiss) - miss_before;
-    let derive_static_rate = if static_hits + misses == 0 {
-        0.0
-    } else {
-        static_hits as f64 / (static_hits + misses) as f64
-    };
-
     Ok(SoakReport {
         offered: arrivals.len(),
         answered: arrivals.len() - lost,
@@ -436,7 +423,6 @@ fn run_soak(cache_file: &str) -> Result<SoakReport, String> {
         cache_len,
         cache_capacity: CACHE_CAPACITY,
         hit_rate,
-        derive_static_rate,
         faults_injected,
         windows,
         p99_drift,

@@ -614,12 +614,9 @@ impl Synth {
             Some(q) => out.push_str(&format!("predicate: {q}\n")),
             None => out.push_str("predicate: TRUE (nothing non-trivial is valid)\n"),
         }
-        if r.derived_static {
-            out.push_str("derived: static\n");
-        }
         out.push_str(&format!(
-            "optimal: {}\niterations: {}\nsamples: {} TRUE / {} FALSE",
-            r.optimal, r.stats.iterations, r.stats.true_samples, r.stats.false_samples
+            "exit: {}\noptimal: {}\niterations: {}\nsamples: {} TRUE / {} FALSE",
+            r.exit, r.optimal, r.stats.iterations, r.stats.true_samples, r.stats.false_samples
         ));
         if let Some(summary) = summary {
             out.push_str("\n\n== metrics ==\n");
@@ -818,7 +815,7 @@ impl Rewrite {
         for (name, schema) in sia_gen::schemas() {
             catalog.add_table(name, schema);
         }
-        let mut syn = Synthesizer::default();
+        let mut syn = Synthesizer::default().with_columns(registry_columns());
         let outcome =
             rewrite_query(&mut syn, &q, &catalog, &self.table).map_err(|e| e.to_string())?;
         match outcome.rewritten {
@@ -1572,6 +1569,31 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_and_plan_read_the_registry_columns_alike() {
+        // The registry declares both columns INTEGER, so the exact shadow
+        // answers the boundary in `rewrite` as it does in `plan`, whose
+        // explanation names the exit.
+        let sql = "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey \
+                   AND 2 * n_nationkey <= 5 * r_name AND r_name <= 3";
+        let out = run(Command::Rewrite(Rewrite {
+            sql: sql.into(),
+            table: "nation".into(),
+        }))
+        .unwrap();
+        assert!(out.starts_with("synthesized: n_nationkey <= 7\n"), "{out}");
+        let out = run(Command::Plan(Plan {
+            sql: sql.into(),
+            mode: MoveAround::Synthesis,
+            explain: true,
+        }))
+        .unwrap();
+        assert!(
+            out.contains("synthesized for scan nation: n_nationkey <= 7 (shadow)\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
     fn run_lint_plan() {
         // A filter that can never be TRUE below a join: error severity,
         // exit 3.
@@ -1750,7 +1772,7 @@ mod tests {
         assert!(out.contains("a >= 22"), "{out}");
         // This predicate is pure difference bounds: the zone projection
         // discharges it without CEGIS and says so.
-        assert!(out.contains("derived: static"), "{out}");
+        assert!(out.contains("exit: zone\n"), "{out}");
     }
 
     #[test]
@@ -1768,8 +1790,9 @@ mod tests {
             trace: None,
         }))
         .unwrap();
-        assert!(out.contains("derived: static"), "{out}");
+        assert!(out.contains("exit: zone\n"), "{out}");
         assert!(out.contains("analyze.derive.static"), "{out}");
+        assert!(out.contains("synth.exit.zone"), "{out}");
     }
 
     #[test]
@@ -1846,23 +1869,26 @@ mod tests {
         // column, which is its own answer. The third's projection keeps a
         // divisibility literal, and its registry INTEGER columns let the
         // exact shadow answer it; the atom counts show what was projected.
-        for (predicate, cols, answer, atoms) in [
+        for (predicate, cols, answer, exit, atoms) in [
             (
                 "a + a + 10 > b + 20 AND b + 10 > 20",
                 &["a"][..],
                 "a >= 11",
+                "projection",
                 Some("atoms: 2 in the input, 1 projected"),
             ),
             (
                 "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65",
                 &["l_commitdate", "l_orderdate", "l_orderkey", "l_quantity"],
                 "2 * l_quantity - l_orderkey < -711677 AND l_orderdate - l_commitdate > -65",
+                "keep_all",
                 None,
             ),
             (
                 "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
                 &["n_nationkey"],
                 "n_nationkey <= 7",
+                "shadow",
                 Some("atoms: 2 in the input, 1 projected"),
             ),
         ] {
@@ -1878,7 +1904,8 @@ mod tests {
             .unwrap();
             assert!(out.contains(&format!("predicate: {answer}\n")), "{out}");
             assert!(out.contains("iterations: 0"), "{out}");
-            assert!(out.contains("cegis.projected"), "{out}");
+            assert!(out.contains(&format!("exit: {exit}\n")), "{out}");
+            assert!(out.contains(&format!("synth.exit.{exit} ")), "{out}");
             assert_eq!(
                 out.lines().find(|l| l.starts_with("atoms:")),
                 atoms,

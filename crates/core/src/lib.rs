@@ -41,7 +41,7 @@ pub use learn::{atom_directions, learn, LearnOutput, LearnedPlane};
 pub use prove::{Connective, Prover, Tier};
 pub use rewrite::{rewrite_query, RewriteError, RewriteOutcome};
 pub use samples::{SampleOutcome, Sampler};
-pub use synth::{SiaConfig, SynthStats, SynthesisError, SynthesisResult, Synthesizer};
+pub use synth::{Exit, SiaConfig, SynthStats, SynthesisError, SynthesisResult, Synthesizer};
 pub use verify::{
     decode_formula, remove_redundant_conjuncts, unsat_region, verify_implies, Validity,
 };

@@ -101,7 +101,8 @@ impl Prover<'_> {
         let claim = || format!("pruning `{p}` to `{live}` keeps its models");
         let lost =
             |enc: &mut PredEncoder| Some(enc.encode(p).ok()?.and(enc.encode(&live).ok()?.not()));
-        audit(self.0, Counter::AnalyzeDisjunctsPruned, pruned, claim, lost);
+        sia_obs::add(Counter::AnalyzeDisjunctsPruned, pruned as u64);
+        audit(self.0, claim, lost);
         Some(live)
     }
 
@@ -116,7 +117,8 @@ impl Prover<'_> {
         refutation: impl FnOnce(&mut PredEncoder) -> Result<Formula, EncodeError>,
     ) -> Result<(Validity, Tier), EncodeError> {
         if proven {
-            audit(self.0, counter, 1, claim, |enc| refutation(enc).ok());
+            sia_obs::add(counter, 1);
+            audit(self.0, claim, |enc| refutation(enc).ok());
             return Ok((Validity::Valid, Tier::Static));
         }
         sia_obs::add(Counter::AnalyzeFallbacks, 1);
@@ -130,18 +132,16 @@ impl Prover<'_> {
     }
 }
 
-/// Record `count` solver-skipping verdicts and, under `checked`, cross-check
-/// them: a model of `refutation` is a soundness violation, worded by
-/// `claim`. No formula (encoding or QE budget failure) and `Unknown` are not
-/// refutations — the analyzer may know more than a budget-limited solver.
+/// Under `checked`, cross-check a solver-skipping verdict: a model of
+/// `refutation` is a soundness violation, worded by `claim`. No formula
+/// (encoding or QE budget failure) and `Unknown` are not refutations — the
+/// analyzer may know more than a budget-limited solver. Callers count the
+/// verdict themselves.
 pub(crate) fn audit(
     enc: &mut PredEncoder,
-    counter: Counter,
-    count: usize,
     claim: impl FnOnce() -> String,
     refutation: impl FnOnce(&mut PredEncoder) -> Option<Formula>,
 ) {
-    sia_obs::add(counter, count as u64);
     if cfg!(feature = "checked") {
         sia_obs::add(Counter::AnalyzeChecks, 1);
         let model = refutation(enc).map(|f| enc.solver().check(&f));

@@ -11,6 +11,7 @@ use crate::verify::{decode_formula, unsat_region, verify_implies, Validity};
 use sia_analyze::{Analyzer, Derivation};
 use sia_expr::{col, CmpOp, Expr, Pred};
 use sia_num::{BigInt, BigRat};
+use sia_obs::Counter;
 use sia_smt::{eliminate_exists, exact_shadow, Budget, Formula, QeConfig, VarId};
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -129,14 +130,11 @@ pub struct SynthesisResult {
     /// NULL result).
     pub predicate: Option<Pred>,
     /// Whether the predicate was certified optimal (Lemma 4: no
-    /// unsatisfaction tuple is accepted).
+    /// unsatisfaction tuple is accepted). Every exit but [`Exit::Cegis`]
+    /// answers exactly, so only a `Cegis` answer can be `false`.
     pub optimal: bool,
-    /// Whether the result was produced (in whole or as the dominant part)
-    /// by an exact static projection (zone or Cooper) rather than CEGIS:
-    /// either the projection was exact and returned directly, or a
-    /// partial zone derivation bounded the search so tightly that
-    /// sampling finished it off exactly.
-    pub derived_static: bool,
+    /// The exit that produced the answer.
+    pub exit: Exit,
     /// Run statistics.
     pub stats: SynthStats,
 }
@@ -183,9 +181,97 @@ impl From<EncodeError> for SynthesisError {
     }
 }
 
-/// What one exit of the driver answers: the predicate, whether it is
-/// certified optimal, and whether the static tier produced it.
-type Answer = (Option<Pred>, bool, bool);
+/// The exit of [`Synthesizer::synthesize`] that produced an answer. The
+/// variants are listed, and [`Exit::ALL`] holds them, in the order a run
+/// tries them; each is counted as `synth.exit.<name>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Exit {
+    /// `p` is unsatisfiable: FALSE.
+    Unsat,
+    /// The target columns keep every column of `p`: `p` itself.
+    KeepAll,
+    /// The zone tier derived the projection exactly.
+    Zone,
+    /// Cooper's projection, decoded to a predicate.
+    Projection,
+    /// The exact Omega shadow of Cooper's projection.
+    Shadow,
+    /// The TRUE region is finite: the disjunction of its tuples.
+    FiniteTrue,
+    /// The FALSE region (within any warm bounds) is finite: the
+    /// complement of its tuples.
+    FiniteFalse,
+    /// The learning loop ended; the only exit that may not be optimal.
+    Cegis,
+}
+
+impl Exit {
+    /// Every exit, in run order.
+    pub const ALL: [Exit; 8] = [
+        Exit::Unsat,
+        Exit::KeepAll,
+        Exit::Zone,
+        Exit::Projection,
+        Exit::Shadow,
+        Exit::FiniteTrue,
+        Exit::FiniteFalse,
+        Exit::Cegis,
+    ];
+
+    /// The exit's name, as `sia synth` prints it: its counter's
+    /// `synth.exit.<name>`.
+    pub fn name(self) -> &'static str {
+        let counter = self.counter().name();
+        counter.strip_prefix("synth.exit.").unwrap_or(counter)
+    }
+
+    fn counter(self) -> Counter {
+        match self {
+            Exit::Unsat => Counter::SynthExitUnsat,
+            Exit::KeepAll => Counter::SynthExitKeepAll,
+            Exit::Zone => Counter::SynthExitZone,
+            Exit::Projection => Counter::SynthExitProjection,
+            Exit::Shadow => Counter::SynthExitShadow,
+            Exit::FiniteTrue => Counter::SynthExitFiniteTrue,
+            Exit::FiniteFalse => Counter::SynthExitFiniteFalse,
+            Exit::Cegis => Counter::SynthExitCegis,
+        }
+    }
+}
+
+impl std::fmt::Display for Exit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// What one exit of the driver answers.
+struct Answer {
+    predicate: Option<Pred>,
+    optimal: bool,
+    exit: Exit,
+}
+
+/// An exact exit's answer, optimal by construction (TRUE is `None`), as
+/// the `Break` that ends the run before the learning loop.
+fn exact_exit<T>(exit: Exit, predicate: Pred) -> ControlFlow<Answer, T> {
+    ControlFlow::Break(Answer {
+        predicate: (!predicate.is_true()).then_some(predicate),
+        optimal: true,
+        exit,
+    })
+}
+
+/// What the samplers start from once no exact exit answered.
+struct Inexact {
+    p_f: Formula,
+    /// Solver variables of the target columns, in `cols` order.
+    keep: Vec<VarId>,
+    /// Sound bounds a partial zone derivation proved.
+    warm_bounds: Option<Pred>,
+    /// Cooper's projection, when elimination stayed within budget.
+    projection: Option<Formula>,
+}
 
 /// Where the learning loop starts once neither region turned out finite.
 struct Opening {
@@ -259,11 +345,16 @@ impl Synthesizer {
             sia_obs::Counter::CegisFalseSamples,
             stats.false_samples as u64,
         );
-        let (predicate, optimal, derived_static) = answer?;
+        let Answer {
+            predicate,
+            optimal,
+            exit,
+        } = answer?;
+        sia_obs::add(exit.counter(), 1);
         Ok(SynthesisResult {
             predicate,
             optimal,
-            derived_static,
+            exit,
             stats,
         })
     }
@@ -297,11 +388,10 @@ impl Synthesizer {
     }
 
     /// Alg 1 over the sorted, checked `cols`. Its exits, in the order it
-    /// takes them: `p` unsatisfiable, an exact zone derivation, an exact
-    /// projection (`p` itself when `cols` keeps all its columns), a finite
-    /// TRUE region, a finite FALSE region (each in [`Synthesizer::open`]),
-    /// and the end of the learning loop. Every phase, sample and round is
-    /// written to `ledger`.
+    /// tries them, are [`Exit::ALL`]: the exact ones in
+    /// [`Synthesizer::exact`], the finite regions in
+    /// [`Synthesizer::open`], then the end of the learning loop. Every
+    /// phase, sample and round is written to `ledger`.
     fn run(
         &self,
         p: &Pred,
@@ -328,7 +418,12 @@ impl Synthesizer {
         if let Some(msg) = sia_fault::fire("synth.run") {
             return Err(SynthesisError::Internal(msg));
         }
-        let opening = ledger.phase(Phase::Generate, |ledger| self.open(enc, p, cols, ledger));
+        let opening = ledger.phase(Phase::Generate, |ledger| {
+            match self.exact(enc, p, cols, ledger)? {
+                ControlFlow::Break(answer) => Ok(ControlFlow::Break(answer)),
+                ControlFlow::Continue(inexact) => self.open(enc, cols, inexact, ledger),
+            }
+        });
         let Opening {
             mut ts_sampler,
             mut falses,
@@ -456,45 +551,55 @@ impl Synthesizer {
                 Ok(crate::verify::remove_redundant_conjuncts(enc, &p))
             })
         });
-        Ok((predicate.transpose()?, optimal, false))
+        Ok(Answer {
+            predicate: predicate.transpose()?,
+            optimal,
+            exit: Exit::Cegis,
+        })
     }
 
-    /// Everything before the learning loop: decide satisfiability, try
-    /// the zone tier and the exact projection, build both samplers and
-    /// draw the initial samples into `ledger`. `Break` is an exit's
-    /// answer; `Continue` is where the loop starts.
-    fn open(
+    /// The exact exits, in the order a run tries them: `p` unsatisfiable,
+    /// `cols` keeping every column of `p`, an exact zone derivation,
+    /// Cooper's projection and its exact shadow. `Break` is an exit's
+    /// answer; `Continue` is what the samplers start from.
+    fn exact(
         &self,
         enc: &mut PredEncoder,
         p: &Pred,
         cols: &[String],
         ledger: &mut Ledger,
-    ) -> Result<ControlFlow<Answer, Opening>, SynthesisError> {
+    ) -> Result<ControlFlow<Answer, Inexact>, SynthesisError> {
         let p_f = enc.encode(p)?;
         // Degenerate: p unsatisfiable ⇒ FALSE is a valid, optimal
         // reduction (it is implied by p and rejects everything).
         if Prover(enc).unsat(p)?.0 == Validity::Valid {
-            return Ok(ControlFlow::Break((Some(Pred::false_()), true, false)));
+            return Ok(exact_exit(Exit::Unsat, Pred::false_()));
         }
         self.in_budget()?;
+        // The strongest predicate over `cols` that p implies is
+        // ∃ others . p. Keeping every column, that is p itself, exact under
+        // any column type: answer it as given, before any tier reads its
+        // constants as integers.
+        if cols.len() == p.columns().len() {
+            return Ok(exact_exit(Exit::KeepAll, p.clone()));
+        }
         let keep: Vec<VarId> = cols.iter().map(|c| enc.value_var(c)).collect();
         let others: Vec<VarId> = enc
             .columns()
             .map(|(_, v)| v)
             .filter(|v| !keep.contains(v))
             .collect();
-        // Tier 0: static derivation. When the difference-bound fragment of
-        // `p` is rich enough, projecting its closed zone onto the target
-        // columns *is* the quantifier elimination ∃ others . p — no
-        // sampling, no learning. An exact derivation is verified
-        // through the exact pipeline (`verify_implies`) and returned
-        // directly; a partial one (sound bounds, possibly not optimal)
-        // seeds the sampler and warm-starts the CEGIS loop. Under
-        // `checked`, exact discharges are additionally cross-checked
-        // against a solver-computed unsatisfaction region. Exact(FALSE)
-        // cannot be sound here — p was just proven satisfiable — so like
-        // no derivation at all it is a miss, and the full pipeline will
-        // surface the disagreement.
+        // Static derivation. When the difference-bound fragment of `p` is
+        // rich enough, projecting its closed zone onto the target columns
+        // *is* the quantifier elimination ∃ others . p — no sampling, no
+        // learning. An exact derivation is verified through the exact
+        // pipeline (`verify_implies`) and returned directly; a partial one
+        // (sound bounds, possibly not optimal) seeds the sampler and
+        // warm-starts the CEGIS loop. Under `checked`, exact discharges are
+        // additionally cross-checked against a solver-computed
+        // unsatisfaction region. Exact(FALSE) cannot be sound here — p was
+        // just proven satisfiable — so like no derivation at all it is a
+        // miss, and the full pipeline will surface the disagreement.
         let derived = {
             let _derive_span = sia_obs::span("derive");
             match enc.analyzer().derive(p, cols) {
@@ -514,25 +619,18 @@ impl Synthesizer {
                     let region = unsat_region(&p_f, &others, &self.config.qe).ok()?;
                     Some(enc.encode(&q).ok()?.and(region))
                 };
-                prove::audit(enc, sia_obs::Counter::AnalyzeDeriveStatic, 1, claim, beyond);
-                let predicate = if q.is_true() { None } else { Some(q) };
-                return Ok(ControlFlow::Break((predicate, true, true)));
+                sia_obs::add(Counter::AnalyzeDeriveStatic, 1);
+                prove::audit(enc, claim, beyond);
+                return Ok(exact_exit(Exit::Zone, q));
             }
             warm_bounds = valid.then_some(q);
         }
         let derive_outcome = if warm_bounds.is_some() {
-            sia_obs::Counter::AnalyzeDerivePartial
+            Counter::AnalyzeDerivePartial
         } else {
-            sia_obs::Counter::AnalyzeDeriveMiss
+            Counter::AnalyzeDeriveMiss
         };
         sia_obs::add(derive_outcome, 1);
-        // Tier 1: the exact projection. The strongest predicate over
-        // `cols` that p implies is ∃ others . p. Keeping every column, that
-        // is p itself, exact under any column type: answer it as given.
-        if cols.len() == p.columns().len() {
-            sia_obs::add(sia_obs::Counter::CegisProjected, 1);
-            return Ok(ControlFlow::Break((Some(p.clone()), true, true)));
-        }
         // Cooper QE computes the projection once, exactly; its negation is
         // the unsatisfaction region, and on a budget error FALSE samples
         // come from CEGQI. Statically-dead disjuncts of p are pruned
@@ -551,13 +649,40 @@ impl Synthesizer {
             let shadow = (proj.has_divisibility() && self.integral(p))
                 .then(|| exact_shadow(&qe_f, &others))
                 .flatten();
-            let answer = shadow.as_ref().unwrap_or(proj);
+            let (answer, exit) = match &shadow {
+                Some(shadow) => (shadow, Exit::Shadow),
+                None => (proj, Exit::Projection),
+            };
             ledger.projected(atoms(&p_f), atoms(answer));
             if let Some(q) = exact_projection(enc, p, &p_f, cols, answer, proj, ledger)? {
-                let predicate = if q.is_true() { None } else { Some(q) };
-                return Ok(ControlFlow::Break((predicate, true, true)));
+                return Ok(exact_exit(exit, q));
             }
         }
+        Ok(ControlFlow::Continue(Inexact {
+            p_f,
+            keep,
+            warm_bounds,
+            projection,
+        }))
+    }
+
+    /// The sampler set-up once no exact exit answered: build both samplers
+    /// and draw the initial samples into `ledger`, taking the finite exits
+    /// — a finite TRUE region, then a finite FALSE region. `Break` is an
+    /// exit's answer; `Continue` is where the loop starts.
+    fn open(
+        &self,
+        enc: &mut PredEncoder,
+        cols: &[String],
+        inexact: Inexact,
+        ledger: &mut Ledger,
+    ) -> Result<ControlFlow<Answer, Opening>, SynthesisError> {
+        let Inexact {
+            p_f,
+            keep,
+            warm_bounds,
+            projection,
+        } = inexact;
         let false_region = projection.map(Formula::not);
         let mut ts_sampler = Sampler::new(p_f.clone(), keep.clone(), SEED);
         let mut falses = FalseSource::new(false_region, p_f, keep.clone(), SEED);
@@ -567,7 +692,7 @@ impl Synthesizer {
         ledger.add_true(ts);
         if stop == Some(SampleOutcome::Exhausted) {
             let predicate = exact_disjunction(cols, ledger.true_samples())?;
-            return Ok(ControlFlow::Break((Some(predicate), true, false)));
+            return Ok(exact_exit(Exit::FiniteTrue, predicate));
         }
         // Initial FALSE samples. An empty unsatisfaction region means the
         // trivial predicate TRUE is already optimal — nothing useful to
@@ -585,21 +710,16 @@ impl Synthesizer {
         })?;
         ledger.add_false(fs);
         if stop == Some(SampleOutcome::Exhausted) {
-            let derived_static = warm_bounds.is_some();
-            if ledger.false_samples().is_empty() {
-                // No unsatisfaction tuple inside the warm bounds: the
-                // bounds themselves (or trivial TRUE without them) are
-                // already optimal.
-                return Ok(ControlFlow::Break((warm_bounds, true, derived_static)));
-            }
             // Finite unsatisfaction set: its complement — within the warm
-            // bounds when present — is the optimal reduction (§5.3).
-            let neg = exact_disjunction(cols, ledger.false_samples())?.not();
-            let predicate = match warm_bounds {
-                Some(q) => q.and(neg),
-                None => neg,
+            // bounds when present — is the optimal reduction (§5.3). With
+            // no unsatisfaction tuple inside them, the bounds themselves
+            // (or trivial TRUE without them) are already optimal.
+            let bounds = warm_bounds.unwrap_or_else(Pred::true_);
+            let predicate = match ledger.false_samples() {
+                [] => bounds,
+                fs => bounds.and(exact_disjunction(cols, fs)?.not()),
             };
-            return Ok(ControlFlow::Break((Some(predicate), true, derived_static)));
+            return Ok(exact_exit(Exit::FiniteFalse, predicate));
         }
         Ok(ControlFlow::Continue(Opening {
             ts_sampler,
@@ -661,7 +781,7 @@ fn exact_projection(
         let closed = eliminate_exists(&differs, &differs.vars(), &QeConfig::default());
         Some(closed.unwrap_or(differs))
     };
-    prove::audit(enc, sia_obs::Counter::CegisProjected, 1, claim, differs);
+    prove::audit(enc, claim, differs);
     Ok(Some(q))
 }
 
@@ -779,7 +899,7 @@ mod tests {
         let p = parse_predicate("a + 10 > b + 20 AND b + 10 > 20").unwrap();
         let mut syn = Synthesizer::default();
         let r = syn.synthesize(&p, &strs(&["a"])).unwrap();
-        assert!(r.derived_static, "expected static derivation");
+        assert_eq!(r.exit, Exit::Zone);
         assert!(r.optimal);
         assert_eq!(r.stats.iterations, 0);
         let learned = r.predicate.expect("non-trivial predicate");
@@ -818,19 +938,19 @@ mod tests {
         let r = syn.synthesize(&p, &strs(&["a"])).unwrap();
         assert!(r.predicate.is_none());
         assert!(r.optimal);
-        assert!(r.derived_static);
+        assert_eq!(r.exit, Exit::Zone);
         assert_eq!(r.stats.iterations, 0);
     }
 
-    /// `p` onto `cols` is answered by its exact projection, rendered as
-    /// `expect`: no sampling, no learning.
-    fn assert_projected(p: &str, cols: &[&str], expect: &str) {
+    /// `p` onto `cols` is answered by `exit`, an exact projection (Cooper's
+    /// or `p` itself), rendered as `expect`: no sampling, no learning.
+    fn assert_projected(p: &str, cols: &[&str], exit: Exit, expect: &str) {
         let r = Synthesizer::default()
             .synthesize(&parse_predicate(p).unwrap(), &strs(cols))
             .unwrap();
         let answer = r.predicate.as_ref().map(ToString::to_string);
         assert_eq!(answer.as_deref(), Some(expect), "{p}");
-        assert!(r.optimal && r.derived_static, "{p}: {r:?}");
+        assert!(r.optimal && r.exit == exit, "{p}: {r:?}");
         assert_eq!((r.stats.iterations, r.stats.true_samples), (0, 0), "{p}");
     }
 
@@ -841,6 +961,7 @@ mod tests {
         assert_projected(
             "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0",
             &["a1", "a2"],
+            Exit::Projection,
             "a1 - a2 <= 28 AND a2 <= 18",
         );
         // Scaling b1 by 3 leaves a divisibility literal in the projection,
@@ -859,34 +980,56 @@ mod tests {
     fn an_exact_projection_is_the_answer() {
         // Primitive integer form, one-column atoms plain: Cooper's
         // `-2*a + 43 < 0` reads `a >= 22`.
-        assert_projected("a + a + 10 > 3 * b + 20 AND b + 10 > 20", &["a"], "a >= 22");
-        assert_projected("a + a <> 6 AND b > 0", &["a"], "a <= 2 OR a >= 4");
+        let projection = Exit::Projection;
+        assert_projected(
+            "a + a + 10 > 3 * b + 20 AND b + 10 > 20",
+            &["a"],
+            projection,
+            "a >= 22",
+        );
+        assert_projected(
+            "a + a <> 6 AND b > 0",
+            &["a"],
+            projection,
+            "a <= 2 OR a >= 4",
+        );
         // Keeping every column answers the input with its own literals,
         // which an integer reading of its DOUBLE constant would round.
         assert_projected(
             "l_extendedprice <= 55444.21 AND l_orderkey + l_linenumber > 3",
             &["l_extendedprice", "l_linenumber", "l_orderkey"],
+            Exit::KeepAll,
             "l_extendedprice <= 55444.21 AND l_orderkey + l_linenumber > 3",
+        );
+        // Before the zone tier, which reads the constants as integers and
+        // would answer `l_extendedprice >= 1` (0.5 passes the input).
+        assert_projected(
+            "l_extendedprice + 0.1 >= 0.3",
+            &["l_extendedprice"],
+            Exit::KeepAll,
+            "l_extendedprice + 0.1 >= 0.3",
         );
         // Declined: a divisibility literal, an eliminated quotient (whose
         // projection is that of a relaxation: a = 21 passes the input), a
         // constant past `i64`, and more atoms than the input.
-        for (p, cols) in [
+        for (p, cols, exit) in [
             (
                 "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
                 "n_nationkey",
+                Exit::Cegis,
             ),
-            ("a / 2 <= 10 AND b < 5", "a"),
+            ("a / 2 <= 10 AND b < 5", "a", Exit::FiniteFalse),
             (
                 "a - 9223372036854775807 - 9223372036854775807 > 3 * b AND b > 1 AND b < 3",
                 "a",
+                Exit::Cegis,
             ),
-            ("a + a <> 6 AND b > 0 AND b > a", "a"),
+            ("a + a <> 6 AND b > 0 AND b > a", "a", Exit::FiniteFalse),
         ] {
             let r = Synthesizer::default()
                 .synthesize(&parse_predicate(p).unwrap(), &strs(&[cols]))
                 .unwrap();
-            assert!(!r.derived_static, "{p}: {r:?}");
+            assert_eq!(r.exit, exit, "{p}: {r:?}");
             assert!(r.stats.true_samples > 0, "{p}: {r:?}");
         }
     }
@@ -938,7 +1081,7 @@ mod tests {
     /// kept columns first): no sampling, no learning.
     fn assert_shadowed(p: &str, cols: &[&str], expect: &str, grid: &[(&str, i64, i64)]) {
         let r = synthesize_integral(p, cols);
-        assert!(r.optimal && r.derived_static, "{p}: {r:?}");
+        assert!(r.optimal && r.exit == Exit::Shadow, "{p}: {r:?}");
         assert_eq!((r.stats.iterations, r.stats.true_samples), (0, 0), "{p}");
         let q = r.predicate.expect("a non-trivial answer");
         assert_eq!(q.to_string(), expect, "{p}");
@@ -985,7 +1128,7 @@ mod tests {
         let r = Synthesizer::default()
             .synthesize(&p, &strs(&["n_nationkey"]))
             .unwrap();
-        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
+        assert!(r.exit == Exit::Cegis && r.stats.true_samples > 0, "{r:?}");
         // A DOUBLE among the columns: not declared integral either.
         let columns = Analyzer::new()
             .with_integral(["n_nationkey"])
@@ -994,14 +1137,14 @@ mod tests {
             .with_columns(columns)
             .synthesize(&p, &strs(&["n_nationkey"]))
             .unwrap();
-        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
+        assert!(r.exit == Exit::Cegis && r.stats.true_samples > 0, "{r:?}");
         // 3y ≥ 2x ∧ 3y ≤ 2x + 1: the real shadow is `0 ≤ x ≤ 30` and the
         // dark one differs (x = 2 has no witness), so the shadow declines.
         let r = synthesize_integral(
             "3 * y >= 2 * x AND 3 * y <= 2 * x + 1 AND x >= 0 AND x <= 30",
             &["x"],
         );
-        assert!(!r.derived_static && r.stats.true_samples > 0, "{r:?}");
+        assert!(r.exit == Exit::Cegis && r.stats.true_samples > 0, "{r:?}");
     }
 
     #[test]
@@ -1050,7 +1193,7 @@ mod tests {
         // Keeping its one column, the request is its own answer.
         for op in [">", "=", "<>"] {
             let p = format!("a - 9223372036854775807 - 9223372036854775807 {op} 5");
-            assert_projected(&p, &["a"], &p);
+            assert_projected(&p, &["a"], Exit::KeepAll, &p);
         }
         // Every TRUE tuple lies beyond 2⁶⁴, and the FALSE samples the
         // learned bound accepts lie past `i64::MAX` too. Reading either as
@@ -1117,7 +1260,7 @@ mod tests {
             ..SiaConfig::default()
         });
         let r = syn.synthesize(&p, &strs(&["a"])).unwrap();
-        assert!(!r.derived_static);
+        assert_eq!(r.exit, Exit::Cegis);
         let learned = r.predicate.expect("non-trivial predicate");
         // valid: every a the original admits is accepted (b = -1 is the
         // best witness, 2a < 2, so the satisfiable region is a ≤ 0).
@@ -1162,6 +1305,32 @@ mod tests {
     }
 
     #[test]
+    fn limitation_differing_shadows() {
+        // §6.7 where no exact exit answers: 3y ≥ 2x ∧ 3y ≤ 2x + 1 has a
+        // witness y only when x ≢ 2 (mod 3), so Cooper's projection keeps
+        // a divisibility literal and the real and dark shadows differ.
+        // The loop ends at the bounds `0 <= x <= 30`, valid but accepting
+        // every x ≡ 2 (mod 3) in them.
+        let r = synthesize_integral(
+            "3 * y >= 2 * x AND 3 * y <= 2 * x + 1 AND x >= 0 AND x <= 30",
+            &["x"],
+        );
+        assert_eq!((r.exit, r.optimal), (Exit::Cegis, false), "{r:?}");
+        let learned = r.predicate.expect("a non-trivial answer");
+        for (x, expect) in [
+            (-1i64, false),
+            (0, true),
+            (2, true),
+            (30, true),
+            (31, false),
+        ] {
+            let m: HashMap<String, Value> =
+                [("x".to_string(), Value::Int(x))].into_iter().collect();
+            assert_eq!(eval_pred(&learned, &m), Some(expect), "{learned} at x={x}");
+        }
+    }
+
+    #[test]
     fn expired_budget_times_out() {
         let p = parse_predicate("a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0").unwrap();
         let mut syn = Synthesizer::new(SiaConfig {
@@ -1180,21 +1349,31 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         // Projected exactly: `a2 <= 9`, and no sample drawn.
-        assert_projected("a2 + a2 - b1 < 20 AND b1 < 0", &["a2"], "a2 <= 9");
+        assert_projected(
+            "a2 + a2 - b1 < 20 AND b1 < 0",
+            &["a2"],
+            Exit::Projection,
+            "a2 <= 9",
+        );
         // b1's coefficient 3 leaves a divisibility literal in the
         // projection, and the 3-term atom keeps this outside the zone
         // fragment, so the sampling pipeline actually runs.
         let p = parse_predicate("2 * a2 <= 3 * b1 AND b1 <= 10 AND b1 >= 0").unwrap();
         let mut syn = Synthesizer::default();
         let r = syn.synthesize(&p, &strs(&["a2"])).unwrap();
-        assert!(!r.derived_static);
+        assert_eq!(r.exit, Exit::Cegis);
         assert!(r.stats.true_samples > 0);
         assert!(r.stats.generation_time > Duration::ZERO);
     }
 
     #[test]
     fn phases_cover_the_synthesis_run() {
-        assert_projected("a + a + 10 > b + 20 AND b + 10 > 20", &["a"], "a >= 11");
+        assert_projected(
+            "a + a + 10 > b + 20 AND b + 10 > 20",
+            &["a"],
+            Exit::Projection,
+            "a >= 11",
+        );
         sia_obs::reset();
         sia_obs::enable();
         // The doubled `a` keeps the atom outside the zone fragment, and b's

@@ -1,6 +1,7 @@
 //! A synthesis run keeps one record, its `SynthStats`: the `cegis.*`
 //! counters are read off it, and its three phase times partition the
-//! run. Checked on one request per exit of `Synthesizer::synthesize` (the
+//! run. Its answer's exit is counted once, under its own `synth.exit.*`
+//! key. Checked on one request per exit of `Synthesizer::synthesize` (the
 //! requests of `tests/golden.rs::every_exit_is_pinned`) and on a
 //! warm-started run whose opening validates a derived bound. The `sia-obs`
 //! collector is process-wide, so this lives alone in its own test binary
@@ -21,6 +22,15 @@ const COUNTERS: [Counter; 3] = [
 fn counters() -> [u64; 3] {
     let snapshot = sia_obs::snapshot();
     COUNTERS.map(|c| snapshot.counter(c))
+}
+
+/// Every `synth.exit.*` counter, by name.
+fn exits() -> Vec<(&'static str, u64)> {
+    let snapshot = sia_obs::snapshot();
+    let keys = Counter::ALL.into_iter();
+    keys.filter(|c| c.name().starts_with("synth.exit."))
+        .map(|c| (c.name(), snapshot.counter(c)))
+        .collect()
 }
 
 #[test]
@@ -108,17 +118,24 @@ fn stats_are_one_record_that_the_counters_and_the_clock_agree_with() {
     for (name, predicate, cols, config) in requests {
         let p = parse_predicate(predicate).unwrap();
         let cols: Vec<String> = cols.iter().map(ToString::to_string).collect();
-        let before = counters();
+        let (before, exits_before) = (counters(), exits());
         let start = Instant::now();
         let result = Synthesizer::new(config).synthesize(&p, &cols);
         let wall = start.elapsed();
         let after = counters();
         let deltas: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let counted: Vec<(&str, u64)> = (exits().into_iter().zip(exits_before))
+            .map(|((key, a), (_, b))| (key, a - b))
+            .filter(|(_, delta)| *delta > 0)
+            .collect();
         let Ok(result) = result else {
             // The budget was spent before the run drew or learned anything.
             assert_eq!(deltas, [0, 0, 0], "{name}: {result:?}");
+            assert_eq!(counted, [], "{name}: no exit was taken");
             continue;
         };
+        let key = format!("synth.exit.{}", result.exit);
+        assert_eq!(counted, [(key.as_str(), 1)], "{name}");
         let SynthStats {
             iterations,
             true_samples,

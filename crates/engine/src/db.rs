@@ -5,7 +5,7 @@ use crate::compile::{compile_pred, ColRef};
 use crate::exec::{execute_analyze, row_count, ExecError, ExecStats, OpStats, Scratch};
 #[cfg(debug_assertions)]
 use crate::moveraround::move_around;
-use crate::moveraround::{move_around_cached, MoveAroundReport};
+use crate::moveraround::{move_around_cached, MoveAroundReport, Source};
 use crate::optimize::{optimize, schema_columns, OptimizerConfig};
 use crate::plan::Plan;
 use crate::table::Table;
@@ -90,10 +90,12 @@ impl PlanMemo {
     }
 }
 
-/// Everything a report says apart from which tier answered.
+/// Everything a report says apart from where its pushes came from: the
+/// tables and predicates only.
 #[cfg(debug_assertions)]
 fn moves(r: &MoveAroundReport) -> impl PartialEq + std::fmt::Debug + '_ {
-    (&r.gathered, &r.derived, &r.synthesized, r.contradiction)
+    let synthesized: Vec<_> = r.synthesized.iter().map(|s| (&s.table, &s.pred)).collect();
+    (&r.gathered, &r.derived, synthesized, r.contradiction)
 }
 
 /// What a repeat of a first sight reports: every boundary synthesis
@@ -101,7 +103,9 @@ fn moves(r: &MoveAroundReport) -> impl PartialEq + std::fmt::Debug + '_ {
 fn as_repeat(mut moved: MoveAroundReport) -> MoveAroundReport {
     moved.synthesis_hits += moved.synthesis_misses;
     moved.synthesis_misses = 0;
-    moved.synthesized_cached.fill(true);
+    for s in &mut moved.synthesized {
+        s.source = Source::Cached;
+    }
     moved
 }
 

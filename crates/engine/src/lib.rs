@@ -30,7 +30,9 @@ pub mod table;
 pub use compile::{compile_pred, CPred, ColRef};
 pub use db::{Database, QueryResult};
 pub use exec::{execute, ExecError, ExecStats, OpStats};
-pub use moveraround::{lint_plan, move_around, GatheredPred, MoveAround, MoveAroundReport};
+pub use moveraround::{
+    lint_plan, move_around, GatheredPred, MoveAround, MoveAroundReport, Source, Synthesized,
+};
 pub use optimize::{optimize, OptimizerConfig};
 pub use plan::Plan;
 pub use table::{Column, ColumnData, Table};

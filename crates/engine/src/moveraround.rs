@@ -51,7 +51,7 @@ use crate::optimize::schema_columns;
 use crate::plan::Plan;
 use sia_analyze::{Analyzer, Warning};
 use sia_cache::{canonicalize, ColumnFacts, PredicateCache};
-use sia_core::{PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
+use sia_core::{Exit, PredEncoder, Prover, SiaConfig, Synthesizer, Validity};
 use sia_expr::{Expr, Pred, Schema};
 
 /// How much predicate movement the optimizer may do.
@@ -128,6 +128,35 @@ pub fn pull_up(plan: &Plan) -> Vec<GatheredPred> {
     out
 }
 
+/// Where a synthesized push came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The synthesizer answered it, through this exit.
+    Exit(Exit),
+    /// The synthesis cache answered it, or the plan memo did.
+    Cached,
+}
+
+impl fmt::Display for Source {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Source::Exit(exit) => write!(f, "{exit}"),
+            Source::Cached => f.write_str("cached"),
+        }
+    }
+}
+
+/// One synthesis-learned predicate the pass pushed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Synthesized {
+    /// The scan table it is attached above.
+    pub table: String,
+    /// The predicate.
+    pub pred: Pred,
+    /// Where it came from.
+    pub source: Source,
+}
+
 /// What the move-around pass did to one plan.
 #[derive(Debug, Clone, Default)]
 pub struct MoveAroundReport {
@@ -136,9 +165,7 @@ pub struct MoveAroundReport {
     /// Per scan table: the statically derived predicate attached there.
     pub derived: Vec<(String, Pred)>,
     /// Per scan table: the synthesis-learned predicate attached there.
-    pub synthesized: Vec<(String, Pred)>,
-    /// For each entry of `synthesized`, whether the cache answered it.
-    pub synthesized_cached: Vec<bool>,
+    pub synthesized: Vec<Synthesized>,
     /// Boundary syntheses the cache answered (a "nothing learnable here"
     /// answer included).
     pub synthesis_hits: usize,
@@ -154,7 +181,7 @@ impl MoveAroundReport {
     pub fn scans_pushed(&self) -> usize {
         let mut tables: BTreeSet<&str> = BTreeSet::new();
         tables.extend(self.derived.iter().map(|(t, _)| t.as_str()));
-        tables.extend(self.synthesized.iter().map(|(t, _)| t.as_str()));
+        tables.extend(self.synthesized.iter().map(|s| s.table.as_str()));
         tables.len()
     }
 
@@ -177,10 +204,12 @@ impl fmt::Display for MoveAroundReport {
         for (t, p) in &self.derived {
             writeln!(f, "derived for scan {t}: {p}")?;
         }
-        for (i, (t, p)) in self.synthesized.iter().enumerate() {
-            let cached = self.synthesized_cached.get(i) == Some(&true);
-            let tier = if cached { " (cached)" } else { "" };
-            writeln!(f, "synthesized for scan {t}: {p}{tier}")?;
+        for s in &self.synthesized {
+            writeln!(
+                f,
+                "synthesized for scan {}: {} ({})",
+                s.table, s.pred, s.source
+            )?;
         }
         if self.derived.is_empty() && self.synthesized.is_empty() {
             writeln!(f, "nothing new to push")?;
@@ -366,7 +395,7 @@ pub(crate) fn move_around_cached(
                 // plus everything entailed about its *other* columns.
                 let ctx = g.pred.clone().and(entailed_over(&others));
                 let canon = canonicalize(&ctx).typed(facts);
-                let (learned, cached) = match cache.lookup(&canon, &target) {
+                let (learned, source) = match cache.lookup(&canon, &target) {
                     Some(hit) => {
                         debug_assert!(
                             matches!(
@@ -376,33 +405,34 @@ pub(crate) fn move_around_cached(
                             "cached `{}` is not implied by `{ctx}`",
                             hit.predicate
                         );
-                        ((!hit.predicate.is_true()).then_some(hit.predicate), true)
+                        report.synthesis_hits += 1;
+                        (
+                            (!hit.predicate.is_true()).then_some(hit.predicate),
+                            Source::Cached,
+                        )
                     }
-                    None => match syn.synthesize(&ctx, &target) {
-                        Ok(r) => {
-                            let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
-                            cache.insert(&canon, &target, stored, r.optimal);
-                            (r.predicate, false)
-                        }
-                        Err(_) => {
+                    None => {
+                        report.synthesis_misses += 1;
+                        let Ok(r) = syn.synthesize(&ctx, &target) else {
                             answered = false;
-                            (None, false)
-                        }
-                    },
+                            continue;
+                        };
+                        let stored = r.predicate.as_ref().unwrap_or(&Pred::Lit(true));
+                        cache.insert(&canon, &target, stored, r.optimal);
+                        (r.predicate, Source::Exit(r.exit))
+                    }
                 };
-                if cached {
-                    report.synthesis_hits += 1;
-                } else {
-                    report.synthesis_misses += 1;
-                }
                 let Some(p) = learned else { continue };
                 if analyzer.statically_true(&p)
                     || (!known.is_empty() && analyzer.implies(&known_conj, &p))
                 {
                     continue;
                 }
-                report.synthesized.push((scan.table.clone(), p.clone()));
-                report.synthesized_cached.push(cached);
+                report.synthesized.push(Synthesized {
+                    table: scan.table.clone(),
+                    pred: p.clone(),
+                    source,
+                });
                 scan.new_parts.push(p);
             }
         }
@@ -588,8 +618,8 @@ mod tests {
         let t1_learned: Vec<&Pred> = report
             .synthesized
             .iter()
-            .filter(|(t, _)| t == "t1")
-            .map(|(_, p)| p)
+            .filter(|s| s.table == "t1")
+            .map(|s| &s.pred)
             .collect();
         assert!(
             !t1_learned.is_empty(),

@@ -80,7 +80,9 @@ fn same_rows(db: &Database, sql: &str) -> [QueryResult; 3] {
 /// the scans) must imply each of them. Returns how many were checked.
 fn audit(r: &QueryResult) -> usize {
     let gathered = r.moved.gathered_conjunction();
-    let pushes: Vec<_> = r.moved.derived.iter().chain(&r.moved.synthesized).collect();
+    let derived = r.moved.derived.iter().map(|(t, p)| (t, p));
+    let synthesized = r.moved.synthesized.iter().map(|s| (&s.table, &s.pred));
+    let pushes: Vec<_> = derived.chain(synthesized).collect();
     for (table, pred) in &pushes {
         let verdict = verify_implies(&mut PredEncoder::new(), &gathered, pred);
         assert_eq!(
@@ -300,7 +302,7 @@ fn join_workloads_cut_join_inputs_with_sound_pushes() {
             .moved
             .synthesized
             .iter()
-            .filter(|(t, _)| !st.moved.derived.iter().any(|(dt, _)| dt == t))
+            .filter(|s| !st.moved.derived.iter().any(|(dt, _)| *dt == s.table))
             .count();
         println!(
             "{name}: rows-into-joins {base} -> {static_rows} static ({:.1}% cut) -> \
@@ -412,7 +414,7 @@ fn engine_synth_templates_keep_their_rows_in_every_mode() {
                 .moved
                 .synthesized
                 .iter()
-                .map(|(t, p)| format!("{t}: {p}"))
+                .map(|s| format!("{}: {}", s.table, s.pred))
                 .collect();
             println!(
                 "{sql}\n  {} rows, join input {} off -> {} synthesis; synthesized [{}]",
@@ -446,7 +448,7 @@ fn an_int_answer_is_never_served_to_a_double_column() {
         syn.moved
             .synthesized
             .iter()
-            .any(|(t, p)| t == "nation" && p.to_string() == "n_nationkey <= 7"),
+            .any(|s| s.table == "nation" && s.pred.to_string() == "n_nationkey <= 7"),
         "{}",
         syn.moved
     );
@@ -482,7 +484,7 @@ fn an_int_answer_is_never_served_to_a_double_column() {
         syn.moved
             .synthesized
             .iter()
-            .all(|(_, p)| p.to_string() != "pp <= 7"),
+            .all(|s| s.pred.to_string() != "pp <= 7"),
         "{}",
         syn.moved
     );

@@ -6,7 +6,7 @@
 //! `optimized_plan`), so each hit below is checked twice.
 
 use sia_engine::{
-    Database, ExecError, MoveAround, MoveAroundReport, OptimizerConfig, QueryResult, Table,
+    Database, ExecError, MoveAround, MoveAroundReport, OptimizerConfig, QueryResult, Source, Table,
 };
 use sia_expr::{ColumnDef, DataType, Schema, Value};
 
@@ -57,11 +57,14 @@ fn cells(r: &QueryResult) -> (Schema, Vec<Vec<Value>>) {
     (t.schema.clone(), rows.collect())
 }
 
-/// Everything a report says apart from which tier answered.
+/// Everything a report says apart from where its pushes came from.
 fn moves(r: &MoveAroundReport) -> String {
+    let synthesized: Vec<_> = (r.synthesized.iter())
+        .map(|s| (&s.table, &s.pred))
+        .collect();
     format!(
-        "{:?} {:?} {:?} {}",
-        r.gathered, r.derived, r.synthesized, r.contradiction
+        "{:?} {:?} {synthesized:?} {}",
+        r.gathered, r.derived, r.contradiction
     )
 }
 
@@ -90,7 +93,8 @@ fn a_repeat_is_answered_from_the_memo_cell_for_cell() {
             let calls = first.moved.synthesis_hits + first.moved.synthesis_misses;
             let (hits, misses) = (second.moved.synthesis_hits, second.moved.synthesis_misses);
             assert_eq!((hits, misses), (calls, 0), "{mode:?} {sql}");
-            assert!(second.moved.synthesized_cached.iter().all(|c| *c));
+            let sources = second.moved.synthesized.iter().map(|s| s.source);
+            assert!(sources.into_iter().all(|s| s == Source::Cached));
         }
     }
     let stats = db.plan_cache();

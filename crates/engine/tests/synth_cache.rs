@@ -9,9 +9,10 @@
 use std::sync::{Barrier, OnceLock};
 
 use sia_analyze::Analyzer;
-use sia_core::{verify_implies, PredEncoder, Validity};
+use sia_core::{verify_implies, Exit, PredEncoder, Validity};
 use sia_engine::{
-    move_around, optimize, Database, MoveAround, MoveAroundReport, OptimizerConfig, Plan, Table,
+    move_around, optimize, Database, MoveAround, MoveAroundReport, OptimizerConfig, Plan, Source,
+    Table,
 };
 use sia_expr::{col, lit, ColumnDef, DataType, Pred, Schema};
 
@@ -118,12 +119,15 @@ fn reference() -> &'static [(Plan, MoveAroundReport)] {
     })
 }
 
-/// Everything a report says apart from which tier answered.
+/// Everything a report says apart from where its pushes came from.
 fn moves(r: &MoveAroundReport) -> String {
     let gathered: Vec<_> = (r.gathered.iter()).map(|g| (&g.pred, &g.node)).collect();
+    let synthesized: Vec<_> = (r.synthesized.iter())
+        .map(|s| (&s.table, &s.pred))
+        .collect();
     format!(
-        "{gathered:?} {:?} {:?} {}",
-        r.derived, r.synthesized, r.contradiction
+        "{gathered:?} {:?} {synthesized:?} {}",
+        r.derived, r.contradiction
     )
 }
 
@@ -167,9 +171,15 @@ fn a_repeat_is_answered_from_the_cache_and_changes_nothing() {
             second.1
         );
         let gathered = second.1.gathered_conjunction();
-        for (table, p) in &second.1.synthesized {
-            let proof = verify_implies(&mut PredEncoder::new(), &gathered, p);
-            assert_eq!(proof, Ok(Validity::Valid), "{sql}: `{p}` at {table}");
+        for s in &second.1.synthesized {
+            let proof = verify_implies(&mut PredEncoder::new(), &gathered, &s.pred);
+            assert_eq!(
+                proof,
+                Ok(Validity::Valid),
+                "{sql}: `{}` at {}",
+                s.pred,
+                s.table
+            );
             attached_by_hits += 1;
         }
     }
@@ -190,9 +200,13 @@ fn an_alpha_renamed_boundary_hits_across_join_shapes() {
     let three = cached(&db, CHAIN_2);
     assert_eq!(three.1.synthesis_misses, 0, "{}", three.1);
     assert!(three.1.synthesis_hits > 0);
-    let (table, p) = &three.1.synthesized[0];
-    assert!(table == "customer" && is_segment_bound(p, 3), "{}", three.1);
-    assert_eq!(three.1.synthesized_cached, [true]);
+    let s = &three.1.synthesized[0];
+    assert!(
+        s.table == "customer" && is_segment_bound(&s.pred, 3),
+        "{}",
+        three.1
+    );
+    assert_eq!(s.source, Source::Cached);
     assert_same(CHAIN_2, &three, &uncached(&db, CHAIN_2));
 }
 
@@ -202,14 +216,15 @@ fn an_alpha_renamed_boundary_hits_across_join_shapes() {
 fn a_drifted_constant_misses_and_learns_its_own_bound() {
     let db = db();
     let learned = |r: &MoveAroundReport, k: i64| match r.synthesized.as_slice() {
-        [(table, p)] => table == "customer" && is_segment_bound(p, k),
+        [s] => s.table == "customer" && is_segment_bound(&s.pred, k),
         _ => false,
     };
     let base = cached(&db, TEMPLATES[2]);
     assert!(learned(&base.1, 3), "{}", base.1);
     let drifted = cached(&db, TEMPLATES[3]);
     assert!(drifted.1.synthesis_misses > 0, "{}", drifted.1);
-    assert_eq!(drifted.1.synthesized_cached, [false]);
+    let sources: Vec<Source> = drifted.1.synthesized.iter().map(|s| s.source).collect();
+    assert_eq!(sources, [Source::Exit(Exit::Shadow)], "{}", drifted.1);
     assert!(
         learned(&drifted.1, 1) && !learned(&drifted.1, 3),
         "{}",

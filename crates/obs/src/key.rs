@@ -91,10 +91,24 @@ keys! {
         /// over budget, or sampling its region answered `Unknown`. At most
         /// one per run.
         CegisCegqiFallbacks => "cegis.cegqi_fallbacks",
-        /// Runs answered by their exact projection (Cooper's, or the
-        /// input itself when every column is kept): no sampling or
-        /// learning ran.
-        CegisProjected => "cegis.projected",
+        /// Synthesis answers from an unsatisfiable input (FALSE). Each
+        /// answer counts under exactly one `synth.exit.*` key, its exit.
+        SynthExitUnsat => "synth.exit.unsat",
+        /// Synthesis answers that keep every column of the input: the
+        /// input itself.
+        SynthExitKeepAll => "synth.exit.keep_all",
+        /// Synthesis answers the zone tier derived exactly.
+        SynthExitZone => "synth.exit.zone",
+        /// Synthesis answers that are Cooper's projection, decoded.
+        SynthExitProjection => "synth.exit.projection",
+        /// Synthesis answers that are the projection's exact Omega shadow.
+        SynthExitShadow => "synth.exit.shadow",
+        /// Synthesis answers from a finite TRUE region.
+        SynthExitFiniteTrue => "synth.exit.finite_true",
+        /// Synthesis answers from a finite FALSE region.
+        SynthExitFiniteFalse => "synth.exit.finite_false",
+        /// Synthesis answers the learning loop ended with.
+        SynthExitCegis => "synth.exit.cegis",
         /// Unsat certificates verified by the checker.
         CheckCertificates => "check.certificates",
         /// RUP steps replayed during certificate checking.

@@ -12,6 +12,7 @@
 //! `reprojected_answers_mean_what_they_did` proves each new answer
 //! against the one it replaced.
 
+use sia::analyze::Analyzer;
 use sia::core::{verify_implies, PredEncoder, SiaConfig, SynthesisResult, Synthesizer, Validity};
 use sia::expr::{eval_pred, Pred, Value};
 use sia::obs::Counter;
@@ -278,7 +279,7 @@ fn every_exit_is_pinned() {
     // is exact but has more atoms than the input, so the loop runs from
     // the zone tier's bounds.
     let bounded = "a2 - b1 < 20 AND a1 - a2 < a2 - b1 + 10 AND b1 < 0 AND b1 > a1 - 100";
-    let requests: [(&str, &str, &[&str], SiaConfig); 13] = [
+    let requests: [(&str, &str, &[&str], SiaConfig); 14] = [
         (
             "unsat",
             "a < 0 AND a > 0 AND b = 1",
@@ -302,6 +303,12 @@ fn every_exit_is_pinned() {
             "projection",
             motivating,
             &["a1", "a2"],
+            SiaConfig::default(),
+        ),
+        (
+            "shadow",
+            "2 * n_nationkey <= 5 * r_name AND r_name <= 3",
+            &["n_nationkey"],
             SiaConfig::default(),
         ),
         (
@@ -346,13 +353,21 @@ fn every_exit_is_pinned() {
             let cols: Vec<String> = cols.iter().map(ToString::to_string).collect();
             sia::obs::enable();
             let before = sia::obs::snapshot().counter(Counter::CegisCegqiFallbacks);
-            let result = Synthesizer::new(config).synthesize(&p, &cols);
+            // Only the shadow request declares its columns integral: the
+            // same predicate undeclared is the CEGQI-on-Unknown request.
+            let columns = match name {
+                "shadow" => Analyzer::new().with_integral(p.columns()),
+                _ => Analyzer::new(),
+            };
+            let result = Synthesizer::new(config)
+                .with_columns(columns)
+                .synthesize(&p, &cols);
             let fallbacks = sia::obs::snapshot().counter(Counter::CegisCegqiFallbacks) - before;
             let outcome = match result {
                 Ok(s) => format!(
-                    "{} | derived_static={} | iterations={} true={} false={}",
+                    "{} | exit={} | iterations={} true={} false={}",
                     rendered(&s),
-                    s.derived_static,
+                    s.exit,
                     s.stats.iterations,
                     s.stats.true_samples,
                     s.stats.false_samples
@@ -398,18 +413,19 @@ const ZONE_INELIGIBLE: &[&str] = &[
 ];
 
 const EXITS: &[&str] = &[
-    "unsat: FALSE | optimal=true | derived_static=false | iterations=0 true=0 false=0 | fallbacks=0",
-    "zone exact: a >= 22 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
-    "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=2 true=15 false=10 | fallbacks=0",
-    "keep-all: a + a <> 6 AND a >= 0 AND a <= 10 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
-    "projection: a1 - a2 <= 28 AND a2 <= 18 | optimal=true | derived_static=true | iterations=0 true=0 false=0 | fallbacks=0",
-    "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | derived_static=false | iterations=0 true=3 false=0 | fallbacks=0",
-    "finite FALSE: NOT (a = 3) | optimal=true | derived_static=false | iterations=0 true=10 false=1 | fallbacks=0",
-    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | derived_static=true | iterations=0 true=10 false=1 | fallbacks=0",
-    "CEGQI over QE budget: 0 - a >= 0 | optimal=false | derived_static=false | iterations=1 true=10 false=10 | fallbacks=1",
-    "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | derived_static=false | iterations=2 true=10 false=15 | fallbacks=1",
-    "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=110 false=110 | fallbacks=0",
-    "SIA_v2: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | derived_static=false | iterations=1 true=220 false=220 | fallbacks=0",
+    "unsat: FALSE | optimal=true | exit=unsat | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone exact: a >= 22 | optimal=true | exit=zone | iterations=0 true=0 false=0 | fallbacks=0",
+    "zone bounds: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | exit=cegis | iterations=2 true=15 false=10 | fallbacks=0",
+    "keep-all: a + a <> 6 AND a >= 0 AND a <= 10 | optimal=true | exit=keep_all | iterations=0 true=0 false=0 | fallbacks=0",
+    "projection: a1 - a2 <= 28 AND a2 <= 18 | optimal=true | exit=projection | iterations=0 true=0 false=0 | fallbacks=0",
+    "shadow: n_nationkey <= 7 | optimal=true | exit=shadow | iterations=0 true=0 false=0 | fallbacks=0",
+    "finite TRUE: a = 1 OR a = 2 OR a = 0 | optimal=true | exit=finite_true | iterations=0 true=3 false=0 | fallbacks=0",
+    "finite FALSE: NOT (a = 3) | optimal=true | exit=finite_false | iterations=0 true=10 false=1 | fallbacks=0",
+    "finite FALSE in bounds: a >= 0 AND a <= 10 AND NOT (a = 3) | optimal=true | exit=finite_false | iterations=0 true=10 false=1 | fallbacks=0",
+    "CEGQI over QE budget: 0 - a >= 0 | optimal=false | exit=cegis | iterations=1 true=10 false=10 | fallbacks=1",
+    "CEGQI on Unknown: 0 - n_nationkey >= -8 | optimal=false | exit=cegis | iterations=2 true=10 false=15 | fallbacks=1",
+    "SIA_v1: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | exit=cegis | iterations=1 true=110 false=110 | fallbacks=0",
+    "SIA_v2: a2 <= 18 AND a2 - a1 >= -28 | optimal=true | exit=cegis | iterations=1 true=220 false=220 | fallbacks=0",
     "expired budget: error: synthesis budget exhausted (timeout) | fallbacks=0",
 ];
 

@@ -16,6 +16,8 @@
 //!   exactly the crates under `crates/`, and its `--example` lines name
 //!   files in `examples/`. EXPERIMENTS.md's index of `sia-exp` views and
 //!   gates is the `VIEWS` and `GATES` of `crates/bench/src/main.rs`.
+//!   DESIGN.md's `sia-core` exit list names every `sia_core::Exit`, in
+//!   run order.
 //! - **`sia-tpch`**: the crate is one `lib.rs` of `pub use sia_gen::…`
 //!   items and doc comments, so no logic grows back beside `sia_gen::tpch`.
 
@@ -337,6 +339,51 @@ fn readme_lists_the_crates_and_examples_that_exist() {
     assert!(problems.is_empty(), "README.md drifted: {problems:#?}");
 }
 
+/// The bullet of DESIGN.md's `sia-core` section that lists the synthesis
+/// exits: the one holding `The exits, in the order a run tries them`.
+const EXIT_LIST: &str = "The exits, in the order a run tries them";
+
+/// Where the exit list of `design` disagrees with `exits` (their names,
+/// in run order): an exit it does not name in backticks, or two it names
+/// in the wrong order (by first mention).
+fn exit_drift(design: &str, exits: &[&str]) -> Vec<String> {
+    let section = design
+        .split("\n## ")
+        .find(|s| s.trim_start_matches("## ").starts_with("sia-core"))
+        .unwrap_or_default();
+    let words = |b: &str| b.split_whitespace().collect::<Vec<_>>().join(" ");
+    let bullet = section
+        .split("\n- ")
+        .find(|b| words(b).contains(EXIT_LIST))
+        .unwrap_or_default();
+    let spans: Vec<&str> = bullet.split('`').skip(1).step_by(2).collect();
+    let mut problems = Vec::new();
+    let mut listed = Vec::new();
+    for exit in exits {
+        match spans.iter().position(|s| s == exit) {
+            Some(at) => listed.push((at, exit)),
+            None => problems.push(format!("exit {exit} is not listed")),
+        }
+    }
+    for pair in listed.windows(2) {
+        if pair[0].0 > pair[1].0 {
+            problems.push(format!("{} is listed after {}", pair[0].1, pair[1].1));
+        }
+    }
+    problems
+}
+
+#[test]
+fn design_lists_every_synthesis_exit_in_run_order() {
+    let design = repo_file("DESIGN.md").expect("DESIGN.md reads");
+    let exits: Vec<&str> = sia_core::Exit::ALL.iter().map(|e| e.name()).collect();
+    let problems = exit_drift(&design, &exits);
+    assert!(
+        problems.is_empty(),
+        "DESIGN.md's exit list drifted: {problems:#?}"
+    );
+}
+
 /// The first-column names of EXPERIMENTS.md's `sia-exp` index, as
 /// (views, gates): a row whose content opens `— (gate)` is a gate, and
 /// `all`, which names every view, is neither.
@@ -535,6 +582,21 @@ mod drift {
         );
         let as_view = index.replace("| `soak` | — (gate)", "| `soak` |");
         assert_eq!(experiment_drift(&as_view, main_rs).len(), 2);
+    }
+
+    #[test]
+    fn an_exit_missing_from_the_list_or_out_of_order_is_reported() {
+        let design = "## sia-core — synthesis\n\n- Other: `b` first.\n\
+            - The exits, in the order a run tries them: `a`, then `b`\n  (it \
+            may `c`), then `c`.\n\n## sia-cache — cache\n\n\
+            - The exits, in the order a run tries them: `d`.\n";
+        assert_eq!(exit_drift(design, &["a", "b", "c"]), Vec::<String>::new());
+        assert_eq!(
+            exit_drift(design, &["a", "c", "b"]),
+            ["c is listed after b"]
+        );
+        assert_eq!(exit_drift(design, &["a", "d"]), ["exit d is not listed"]);
+        assert_eq!(exit_drift("", &["a"]), ["exit a is not listed"]);
     }
 
     #[test]

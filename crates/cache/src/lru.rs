@@ -3,8 +3,9 @@
 //!
 //! Eviction scans for the minimum tick, which is O(n) in the map's size —
 //! acceptable because the maps are small (a [`crate::PredicateCache`]
-//! splits its capacity across shards, and the engine's plan memo holds
-//! 1 024 plans) and eviction only runs when one is full. This buys a
+//! splits its capacity across shards, the engine's plan memo holds 1 024
+//! plans and its filter cache a few hundred bitmaps) and eviction only
+//! runs when one is full. This buys a
 //! plain `HashMap` with no intrusive list and no unsafe code.
 
 use std::borrow::Borrow;
@@ -83,19 +84,30 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.tick += 1;
         let mut evicted = 0;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                evicted = 1;
-            }
+            evicted = u64::from(self.pop_lru().is_some());
         }
         let last_used = self.tick;
         self.map.insert(key, Entry { value, last_used });
         evicted
+    }
+
+    /// Remove and return the entry least recently read or written — the
+    /// one `insert` evicts — for a caller that bounds something other
+    /// than the entry count.
+    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+        let victim = (self.map.iter())
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone())?;
+        self.map.remove_entry(&victim).map(|(k, e)| (k, e.value))
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.map.remove(key).map(|e| e.value)
     }
 
     /// Drop every entry.
@@ -125,6 +137,17 @@ mod tests {
         assert!(s.get("b").is_none());
         assert!(s.get("c").is_some());
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn pop_lru_takes_what_insert_would_evict() {
+        let mut s = Lru::new(usize::MAX);
+        s.insert("a".to_string(), 1);
+        s.insert("b".to_string(), 2);
+        assert!(s.get("a").is_some());
+        assert_eq!(s.pop_lru(), Some(("b".to_string(), 2)));
+        assert_eq!(s.remove("a"), Some(1));
+        assert_eq!((s.pop_lru(), s.remove("a")), (None, None));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! `run_sql`, a parse-and-run convenience for tests.
 
 use crate::compile::{compile_pred, ColRef};
-use crate::exec::{execute_analyze, row_count, ExecError, ExecStats, OpStats, Scratch};
+use crate::exec::{
+    execute_analyze, row_count, ExecError, ExecStats, FilterCache, OpStats, Scratch,
+};
 #[cfg(debug_assertions)]
 use crate::moveraround::move_around;
 use crate::moveraround::{move_around_cached, MoveAroundReport, Source};
@@ -38,6 +40,9 @@ pub struct Database {
     /// The optimized plans of queries planned before. A plan reads the
     /// schemas of its tables, so `insert` empties it.
     plans: Mutex<PlanMemo>,
+    /// The rows filters directly over base-table scans kept, as bitmaps.
+    /// They read their table's rows, so `insert` empties it.
+    pub(crate) filters: FilterCache,
     /// The buffers execution borrows: what one query, or its dropped
     /// result, hands back, the next one reuses.
     pub(crate) scratch: Arc<Scratch>,
@@ -52,6 +57,7 @@ impl Default for Database {
                 entries: Lru::new(PLAN_MEMO_ENTRIES),
                 stats: CacheStats::default(),
             }),
+            filters: FilterCache::default(),
             scratch: Arc::default(),
         }
     }
@@ -128,7 +134,8 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// The executed plan as EXPLAIN prints it, each operator's line
-    /// carrying its rows in, rows out and self time; the last line is what
+    /// carrying its rows in, rows out and self time, and `cached` on a
+    /// filter the database's filter cache answered; the last line is what
     /// of `elapsed` no operator accounts for — materializing the result.
     pub fn explain_analyze(&self) -> String {
         fn walk(
@@ -140,12 +147,13 @@ impl QueryResult {
             let op = ops.next().copied().unwrap_or_default();
             let _ = writeln!(
                 out,
-                "{}{} [rows_in={} rows_out={} self={:.3} ms]",
+                "{}{} [rows_in={} rows_out={} self={:.3} ms{}]",
                 "  ".repeat(depth),
                 plan.label(),
                 op.rows_in,
                 op.rows_out,
                 op.self_time.as_secs_f64() * 1e3,
+                if op.cached { " cached" } else { "" },
             );
             for child in plan.children() {
                 walk(child, depth + 1, ops, out);
@@ -170,11 +178,13 @@ impl Database {
         Database::default()
     }
 
-    /// Register (or replace) a table. Forgets every memoized plan.
+    /// Register (or replace) a table. Forgets every memoized plan and
+    /// every cached filter result.
     pub fn insert(&mut self, name: impl Into<String>, table: Table) {
         self.tables.insert(name.into(), table);
         let memo = self.plans.get_mut().expect("plan memo poisoned");
         memo.entries.clear();
+        self.filters.clear();
     }
 
     /// Look up a table.
@@ -393,6 +403,12 @@ impl Database {
     /// database was created.
     pub fn plan_cache(&self) -> CacheStats {
         self.memo().stats
+    }
+
+    /// Hits, misses, inserts and evictions of the cache of filter results
+    /// over base-table scans since this database was created.
+    pub fn filter_cache(&self) -> CacheStats {
+        self.filters.stats()
     }
 
     /// Plan, optimize, and execute a query.

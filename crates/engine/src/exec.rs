@@ -13,13 +13,18 @@
 //! back once the result is gathered, and the result's columns when it is
 //! dropped, so a repeated query whose earlier results were dropped maps
 //! no fresh pages.
+//!
+//! A filter directly over a base-table scan that the database has
+//! evaluated before is answered from its `FilterCache`: the bitmap of
+//! the rows it kept, decoded into a selection.
 
 use crate::compile::{compile_pred, ColRef, UnknownColumn};
 use crate::db::Database;
 use crate::plan::Plan;
 use crate::table::{Column, ColumnData, Table};
-use sia_expr::Schema;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use sia_cache::{CacheStats, Lru};
+use sia_expr::{Pred, Schema};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Counters gathered during execution (the cost signals the evaluation in
@@ -28,7 +33,9 @@ use std::time::{Duration, Instant};
 pub struct ExecStats {
     /// Rows read from base tables.
     pub rows_scanned: u64,
-    /// Rows evaluated by filters.
+    /// Rows entering filters: logical rows, so a filter over a scan that
+    /// the database's filter cache answers counts its table's rows as
+    /// one that evaluates its predicate does.
     pub rows_filtered: u64,
     /// Rows entering hash joins (build + probe).
     pub join_input_rows: u64,
@@ -46,6 +53,10 @@ pub struct OpStats {
     pub rows_out: u64,
     /// The operator's wall time minus its children's.
     pub self_time: Duration,
+    /// A filter over a scan whose rows came from the database's filter
+    /// cache, not from evaluating its predicate; its row counts are the
+    /// same either way.
+    pub cached: bool,
 }
 
 /// Execution error.
@@ -261,6 +272,139 @@ impl Scratch {
     }
 }
 
+/// Bytes of filter results a database remembers, bitmaps and key text,
+/// the least recently used going first: about 220 bitmaps of the
+/// benchmark's 150 000-row `lineitem`.
+const FILTER_CACHE_BYTES: usize = 4 << 20;
+
+/// The rows a filter over a base-table scan kept: one bit per table row,
+/// and how many are set.
+#[derive(Debug)]
+struct Kept {
+    bits: Vec<u64>,
+    count: usize,
+}
+
+impl Kept {
+    /// The bitmap of `keep`, row numbers of a `rows`-row table.
+    fn of(keep: &[u32], rows: u32) -> Kept {
+        let mut bits = vec![0; (rows as usize).div_ceil(64)];
+        for &r in keep {
+            bits[r as usize / 64] |= 1 << (r % 64);
+        }
+        let count = keep.len();
+        Kept { bits, count }
+    }
+
+    /// The kept row numbers, ascending, written into `into`.
+    fn decode(&self, mut into: Vec<u32>) -> Vec<u32> {
+        for (w, &word) in self.bits.iter().enumerate() {
+            // A table has at most `u32::MAX` rows (see `row_count`).
+            let base = w as u32 * 64;
+            let mut word = word;
+            while word != 0 {
+                into.push(base + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        into
+    }
+}
+
+/// The bytes an entry counts against [`FILTER_CACHE_BYTES`].
+fn entry_bytes((table, pred): &(String, String), kept: &Kept) -> usize {
+    kept.bits.len() * size_of::<u64>() + table.len() + pred.len()
+}
+
+/// What filters directly over base-table scans kept, owned by a
+/// [`Database`]: a map from the table's name and the printed predicate
+/// to the stored predicate and its rows, bounded at
+/// [`FILTER_CACHE_BYTES`]. Two predicates that print alike share a slot,
+/// never an answer: a hit must equal the stored `Pred` (an INTEGER `3`
+/// and a DOUBLE `3.0` print alike and can keep different rows). The
+/// database empties it whenever a table changes. No lock is held while a
+/// predicate is evaluated or a bitmap decoded.
+#[derive(Debug)]
+pub(crate) struct FilterCache {
+    inner: Mutex<Filters>,
+}
+
+/// [`FilterCache`]'s entries, the bytes they count, and its counters.
+#[derive(Debug)]
+struct Filters {
+    entries: Lru<(String, String), (Pred, Arc<Kept>)>,
+    bytes: usize,
+    stats: CacheStats,
+}
+
+impl Default for FilterCache {
+    fn default() -> Self {
+        let inner = Filters {
+            entries: Lru::new(usize::MAX),
+            bytes: 0,
+            stats: CacheStats::default(),
+        };
+        FilterCache {
+            inner: Mutex::new(inner),
+        }
+    }
+}
+
+impl FilterCache {
+    fn lock(&self) -> MutexGuard<'_, Filters> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lookup(&self, key: &(String, String), pred: &Pred) -> Option<Arc<Kept>> {
+        let mut f = self.lock();
+        match f.entries.get(key) {
+            Some((stored, kept)) if stored == pred => {
+                let kept = Arc::clone(kept);
+                f.stats.hits += 1;
+                Some(kept)
+            }
+            _ => {
+                f.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Store `kept`, evicting the least recently used entries until the
+    /// cache holds at most its bytes; an entry larger than that is not
+    /// stored.
+    fn insert(&self, key: (String, String), pred: Pred, kept: Kept) {
+        let bytes = entry_bytes(&key, &kept);
+        let mut f = self.lock();
+        if let Some((_, old)) = f.entries.remove(&key) {
+            f.bytes -= entry_bytes(&key, &old);
+        }
+        if bytes > FILTER_CACHE_BYTES {
+            return;
+        }
+        while f.bytes + bytes > FILTER_CACHE_BYTES {
+            let (victim, (_, old)) = f.entries.pop_lru().expect("bytes held are in entries");
+            f.bytes -= entry_bytes(&victim, &old);
+            f.stats.evictions += 1;
+        }
+        f.entries.insert(key, (pred, Arc::new(kept)));
+        f.bytes += bytes;
+        f.stats.inserts += 1;
+    }
+
+    /// Forget every entry; the counters stay.
+    pub(crate) fn clear(&mut self) {
+        let f = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        f.entries.clear();
+        f.bytes = 0;
+    }
+
+    /// Hits, misses, inserts and evictions since the database was created.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.lock().stats
+    }
+}
+
 /// Row numbers are `u32` from the scan on; a longer table is refused.
 pub(crate) fn row_count(rows: usize) -> Result<u32, ExecError> {
     u32::try_from(rows)
@@ -335,6 +479,7 @@ fn run<'a>(
     let start = Instant::now();
     let slot = ops.len();
     ops.push(OpStats::default());
+    let mut cached = false;
     let (rel, rows_in, below) = match plan {
         Plan::Scan { table } => {
             let t = db
@@ -354,9 +499,14 @@ fn run<'a>(
             let (mut rel, below) = run(input, db, stats, ops)?;
             let rows_in = u64::from(rel.rows);
             stats.rows_filtered += rows_in;
-            let cols: Vec<_> = (0..rel.cols.len()).map(|i| rel.col_ref(i)).collect();
-            let pred = compile_pred(pred, &rel.schema)?;
-            let keep = pred.select(&cols, rel.rows, db.scratch.take(rel.rows as usize));
+            let keep = match &**input {
+                Plan::Scan { table } => {
+                    let (keep, hit) = select_over_scan(table, pred, &rel, db)?;
+                    cached = hit;
+                    keep
+                }
+                _ => select(pred, &rel, &db.scratch)?,
+            };
             rel.pick(keep, &db.scratch)?;
             (rel, rows_in, below)
         }
@@ -392,8 +542,42 @@ fn run<'a>(
         rows_in,
         rows_out: u64::from(rel.rows),
         self_time: total.saturating_sub(below),
+        cached,
     };
     Ok((rel, total))
+}
+
+/// The rows of `rel` that `pred` keeps, evaluated.
+fn select(pred: &Pred, rel: &Rel<'_>, scratch: &Scratch) -> Result<Vec<u32>, ExecError> {
+    let cols: Vec<_> = (0..rel.cols.len()).map(|i| rel.col_ref(i)).collect();
+    let pred = compile_pred(pred, &rel.schema)?;
+    Ok(pred.select(&cols, rel.rows, scratch.take(rel.rows as usize)))
+}
+
+/// [`select`] on `rel`, a scan of `table`: the rows the database's filter
+/// cache holds for `pred` there, else evaluated and stored; and whether
+/// they came from the cache. Debug builds evaluate a hit too and compare.
+fn select_over_scan(
+    table: &str,
+    pred: &Pred,
+    rel: &Rel<'_>,
+    db: &Database,
+) -> Result<(Vec<u32>, bool), ExecError> {
+    let key = (table.to_string(), pred.to_string());
+    let Some(kept) = db.filters.lookup(&key, pred) else {
+        let keep = select(pred, rel, &db.scratch)?;
+        db.filters
+            .insert(key, pred.clone(), Kept::of(&keep, rel.rows));
+        return Ok((keep, false));
+    };
+    let keep = kept.decode(db.scratch.take(kept.count));
+    #[cfg(debug_assertions)]
+    {
+        let fresh = select(pred, rel, &db.scratch)?;
+        debug_assert_eq!(fresh, keep, "cached rows of {pred} on {table}");
+        db.scratch.give(fresh);
+    }
+    Ok((keep, true))
 }
 
 /// An integer join key as the join reads it; NULL keys never join,

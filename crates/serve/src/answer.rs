@@ -84,20 +84,14 @@ pub(crate) fn process(
         };
     }
 
-    // Brownout level 2+: if static zone projection yields sound bounds,
-    // serve them as a flagged degraded result instead of synthesizing.
-    // (An *exact* derivation falls through — the synthesizer discharges
-    // it statically anyway, no CEGIS needed.)
-    if brownout_level >= 2 {
-        if let Some(Derivation::Bounds(bounds)) = linter.derive(p, &req.cols) {
-            sia_obs::add(Counter::ServeBrownoutServed, 1);
-            return Response {
-                predicate: Some(bounds.to_string()),
-                reason: Some("brownout".into()),
-                warnings,
-                ..degraded_body(&req.id, Status::Ok)
-            };
-        }
+    if let Some(bounds) = brownout_bounds(linter, p, &req.cols, brownout_level) {
+        sia_obs::add(Counter::ServeBrownoutServed, 1);
+        return Response {
+            predicate: Some(bounds.to_string()),
+            reason: Some("brownout".into()),
+            warnings,
+            ..degraded_body(&req.id, Status::Ok)
+        };
     }
 
     let mut config = SiaConfig {
@@ -148,6 +142,26 @@ pub(crate) fn process(
     }
 }
 
+/// True when `cols` keeps every column of `p`: `p` is then its own exact
+/// projection, which the synthesizer answers without search.
+pub(crate) fn keeps_every_column(p: &Pred, cols: &[String]) -> bool {
+    p.columns().iter().all(|c| cols.contains(c))
+}
+
+/// The static bounds brownout level 2+ serves, flagged degraded, in
+/// place of synthesis. A request keeping every column, or one the
+/// analyzer derives exactly, is not browned out: the synthesizer answers
+/// both without CEGIS, and exactly.
+fn brownout_bounds(linter: &Analyzer, p: &Pred, cols: &[String], level: usize) -> Option<Pred> {
+    if level < 2 || keeps_every_column(p, cols) {
+        return None;
+    }
+    match linter.derive(p, cols)? {
+        Derivation::Bounds(bounds) => Some(bounds),
+        Derivation::Exact(_) => None,
+    }
+}
+
 /// Static-analysis lint of the request predicate. Advisory only: the
 /// result rides along on the response's `warnings` field and never
 /// changes the synthesis outcome. The analyzer is built once at startup
@@ -191,4 +205,44 @@ pub(crate) fn respond(out: &Mutex<TcpStream>, response: &Response) {
     let mut stream = lock(out);
     let _ = writeln!(stream, "{}", response.to_line());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sia_sql::parse_predicate;
+
+    /// At brownout level 2+, a request keeping every column is its own
+    /// exact answer and is never browned out, even where the zone tier
+    /// has bounds for it; a request dropping a column still gets them.
+    #[test]
+    fn brownout_serves_bounds_only_to_a_projection() {
+        let linter = Analyzer::new();
+        let p = parse_predicate("l_extendedprice + 0.1 >= 0.3 AND a + a <> 6").unwrap();
+        let cols =
+            |names: &[&str]| -> Vec<String> { names.iter().map(ToString::to_string).collect() };
+        let (all, one) = (cols(&["l_extendedprice", "a"]), cols(&["l_extendedprice"]));
+        // The zone tier's bounds, which read the DOUBLE constants as
+        // integers: not the request's exact answer.
+        let zone = Some(Derivation::Bounds(
+            parse_predicate("l_extendedprice >= 1").unwrap(),
+        ));
+        assert_eq!(linter.derive(&p, &all), zone);
+        for level in [2, 3] {
+            assert_eq!(brownout_bounds(&linter, &p, &all, level), None, "L{level}");
+        }
+        let q = parse_predicate("x < 5 AND x > y AND y + z <> 4 AND z >= 2 * y").unwrap();
+        let Some(Derivation::Bounds(bounds)) = linter.derive(&q, &cols(&["x"])) else {
+            panic!(
+                "a projection the zone tier bounds: {:?}",
+                linter.derive(&q, &cols(&["x"]))
+            );
+        };
+        for level in [2, 3] {
+            let got = brownout_bounds(&linter, &q, &cols(&["x"]), level);
+            assert_eq!(got, Some(bounds.clone()), "L{level}");
+        }
+        assert_eq!(brownout_bounds(&linter, &q, &cols(&["x"]), 1), None);
+        assert!(keeps_every_column(&p, &all) && !keeps_every_column(&p, &one));
+    }
 }

@@ -437,8 +437,9 @@ fn lane(
     canon: &Canonical,
     cols: &[String],
 ) -> Lane {
-    let keeps_all = p.columns().iter().all(|c| cols.contains(c));
-    if keeps_all || cache.peek(canon, cols) || linter.derive(p, cols).is_some_and(|d| d.is_exact())
+    if crate::answer::keeps_every_column(p, cols)
+        || cache.peek(canon, cols)
+        || linter.derive(p, cols).is_some_and(|d| d.is_exact())
     {
         Lane::Cheap
     } else {
